@@ -7,8 +7,13 @@
 //! effects of finished operations, issues newly-ready stream ops, and
 //! returns the next instant at which something will complete. The
 //! host-side pump in [`crate::host`] wires this into the event loop.
+//!
+//! Issuing costs O(streams that changed), not O(all streams): the device
+//! marks a stream when something happens that can let it progress (an
+//! enqueue, the end of its in-flight op, the recording of an event it
+//! waits on), and [`Device::advance`] visits only marked streams.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use gaat_sim::{FaultPlan, SimDuration, SimTime, Tracer};
 
@@ -29,6 +34,58 @@ struct Stream {
     /// An op from this stream is executing on an engine (or as a graph
     /// instance); FIFO order forbids issuing the next one until it ends.
     in_flight: bool,
+    /// The head op waits on an unrecorded event and this stream is in
+    /// that event's waiter list. Only the head can block, so a stream is
+    /// in at most one list.
+    waiting: bool,
+    /// The next stream in the same waiter list.
+    next_waiter: Option<u32>,
+}
+
+/// A CUDA-style event.
+#[derive(Debug, Clone, Default)]
+struct Event {
+    /// Instant of the latest record, `None` while unrecorded.
+    recorded: Option<SimTime>,
+    /// First stream of the list of streams blocked on a `WaitEvent` for
+    /// this event, linked through `Stream::next_waiter`. Recording the
+    /// event marks them all ready and empties the list.
+    waiters: Option<u32>,
+}
+
+/// A set of stream indices, one bit per stream.
+#[derive(Debug, Clone, Default)]
+struct StreamSet {
+    words: Vec<u64>,
+}
+
+impl StreamSet {
+    fn insert(&mut self, s: usize) {
+        let w = s / 64;
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        self.words[w] |= 1 << (s % 64);
+    }
+
+    fn remove(&mut self, s: usize) {
+        self.words[s / 64] &= !(1 << (s % 64));
+    }
+
+    /// The smallest member at or above `from`.
+    fn first_from(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = self.words.get(w)? & (!0 << (from % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.words.get(w)?;
+        }
+        Some(w * 64 + bits.trailing_zeros() as usize)
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
 }
 
 #[derive(Clone)]
@@ -64,7 +121,7 @@ enum JobOrigin {
 }
 
 /// Aggregate statistics of one device.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceStats {
     /// Kernels launched via streams (not graph nodes).
     pub kernels: u64,
@@ -90,14 +147,21 @@ pub struct Device {
     /// Device + pinned host memory.
     pub mem: MemoryPool,
     streams: Vec<Stream>,
-    events: Vec<Option<SimTime>>,
+    /// Streams that may be able to issue: marked on enqueue, when their
+    /// in-flight op ends, and when an event they wait on is recorded. An
+    /// unmarked stream cannot progress.
+    ready: StreamSet,
+    events: Vec<Event>,
     graphs: Vec<GraphSpec>,
     instances: Vec<Option<GraphInstance>>,
     compute: ComputeEngine,
     d2h: DmaEngine,
     h2d: DmaEngine,
-    jobs: HashMap<JobId, JobOrigin>,
-    next_job: JobId,
+    /// Engine jobs in flight, indexed by `JobId`; freed slots are reused.
+    jobs: Vec<Option<JobOrigin>>,
+    free_jobs: Vec<JobId>,
+    /// Scratch for the jobs one `advance` finds finished.
+    done: Vec<JobId>,
     completions: Vec<CompletionTag>,
     /// Earliest wakeup currently scheduled by the pump (dedup only).
     pub(crate) scheduled_wakeup: Option<SimTime>,
@@ -118,14 +182,16 @@ impl Device {
             timing,
             mem: MemoryPool::new(),
             streams: Vec::new(),
+            ready: StreamSet::default(),
             events: Vec::new(),
             graphs: Vec::new(),
             instances: Vec::new(),
             compute: ComputeEngine::new(slots),
             d2h: DmaEngine::new(),
             h2d: DmaEngine::new(),
-            jobs: HashMap::new(),
-            next_job: 0,
+            jobs: Vec::new(),
+            free_jobs: Vec::new(),
+            done: Vec::new(),
             completions: Vec::new(),
             scheduled_wakeup: None,
             faults: FaultPlan::none(),
@@ -143,6 +209,8 @@ impl Device {
             class,
             queue: VecDeque::new(),
             in_flight: false,
+            waiting: false,
+            next_waiter: None,
         });
         id
     }
@@ -150,19 +218,19 @@ impl Device {
     /// Create an (unrecorded) event.
     pub fn create_event(&mut self) -> CudaEventId {
         let id = CudaEventId(self.events.len() as u32);
-        self.events.push(None);
+        self.events.push(Event::default());
         id
     }
 
     /// Clear an event back to the unrecorded state so it can be reused in
     /// the next iteration.
     pub fn reset_event(&mut self, ev: CudaEventId) {
-        self.events[ev.0 as usize] = None;
+        self.events[ev.0 as usize].recorded = None;
     }
 
     /// Instant at which an event was recorded, if it has been.
     pub fn event_time(&self, ev: CudaEventId) -> Option<SimTime> {
-        self.events[ev.0 as usize]
+        self.events[ev.0 as usize].recorded
     }
 
     /// Register a captured graph for later launching.
@@ -205,7 +273,9 @@ impl Device {
     /// Append an operation to a stream. Call [`crate::host::pump`] (or
     /// [`Device::advance`]) afterwards to let it issue.
     pub fn enqueue(&mut self, stream: StreamId, op: Op) {
-        self.streams[stream.0 as usize].queue.push_back(op);
+        let s = stream.0 as usize;
+        self.streams[s].queue.push_back(op);
+        self.ready.insert(s);
     }
 
     /// True if the stream has no queued or in-flight work.
@@ -248,6 +318,17 @@ impl Device {
         std::mem::take(&mut self.completions)
     }
 
+    /// Hand back a buffer [`Device::drain_completions`] returned, once its
+    /// tags are handled, so later completions reuse its allocation. Tags
+    /// still in it are discarded; the buffer is dropped instead if tags
+    /// fired in the meantime.
+    pub fn recycle_completions(&mut self, mut buf: Vec<CompletionTag>) {
+        if self.completions.is_empty() {
+            buf.clear();
+            self.completions = buf;
+        }
+    }
+
     /// Install the fault plan consulted for straggler windows. Work
     /// submitted while a window covers this device takes `slowdown`
     /// times as long.
@@ -279,14 +360,18 @@ impl Device {
         for s in &mut self.streams {
             s.queue.clear();
             s.in_flight = false;
+            s.waiting = false;
+            s.next_waiter = None;
         }
+        self.ready.clear();
         for e in &mut self.events {
-            *e = None;
+            *e = Event::default();
         }
         for i in &mut self.instances {
             *i = None;
         }
         self.jobs.clear();
+        self.free_jobs.clear();
         self.completions.clear();
         self.compute.clear(now);
         self.d2h.clear(now);
@@ -297,13 +382,15 @@ impl Device {
     /// Account progress up to `now`, apply effects, issue ready work, and
     /// return the next completion instant if any work is in flight.
     pub fn advance(&mut self, now: SimTime) -> Option<SimTime> {
-        let mut done: Vec<JobId> = Vec::new();
+        let mut done = std::mem::take(&mut self.done);
         self.compute.advance(now, &mut done);
         self.d2h.advance(now, &mut done);
         self.h2d.advance(now, &mut done);
-        for job in done {
+        for &job in &done {
             self.finish_job(job, now);
         }
+        done.clear();
+        self.done = done;
         self.pump_streams(now);
         self.next_wakeup()
     }
@@ -326,8 +413,17 @@ impl Device {
         }
     }
 
+    /// The op in flight on stream `s` ended: it may issue again.
+    fn release_stream(&mut self, s: usize) {
+        self.streams[s].in_flight = false;
+        self.ready.insert(s);
+    }
+
     fn finish_job(&mut self, job: JobId, now: SimTime) {
-        let origin = self.jobs.remove(&job).expect("unknown job finished");
+        let origin = self.jobs[job as usize]
+            .take()
+            .expect("unknown job finished");
+        self.free_jobs.push(job);
         match origin {
             JobOrigin::StreamOp {
                 stream,
@@ -338,7 +434,7 @@ impl Device {
                 self.tracer
                     .record(meta.lane, meta.category, meta.label, meta.submitted, now);
                 self.apply_effect(effect);
-                self.streams[stream].in_flight = false;
+                self.release_stream(stream);
                 self.fire_tag(tag);
             }
             JobOrigin::GraphNode {
@@ -348,32 +444,24 @@ impl Device {
             } => {
                 self.tracer
                     .record(meta.lane, meta.category, meta.label, meta.submitted, now);
-                // Apply the node's effect, then release its children.
+                // Apply the node's effect, then release its children in
+                // edge order.
                 let spec_idx = self.instances[instance].as_ref().expect("live").graph;
                 let effect = Self::node_effect(&self.graphs[spec_idx].nodes[node].kind);
                 self.apply_effect(effect);
-                let children: Vec<usize> = self.graphs[spec_idx].children[node].clone();
-                let mut ready = Vec::new();
-                {
+                for i in 0..self.graphs[spec_idx].children[node].len() {
+                    let c = self.graphs[spec_idx].children[node][i];
                     let inst = self.instances[instance].as_mut().expect("live");
-                    for c in children {
-                        inst.indegree[c] -= 1;
-                        if inst.indegree[c] == 0 {
-                            ready.push(c);
-                        }
+                    inst.indegree[c] -= 1;
+                    if inst.indegree[c] == 0 {
+                        self.dispatch_node(instance, c, now);
                     }
-                    inst.remaining -= 1;
                 }
-                for c in ready {
-                    self.dispatch_node(instance, c, now);
-                }
-                let finished = {
-                    let inst = self.instances[instance].as_ref().expect("live");
-                    inst.remaining == 0
-                };
-                if finished {
+                let inst = self.instances[instance].as_mut().expect("live");
+                inst.remaining -= 1;
+                if inst.remaining == 0 {
                     let inst = self.instances[instance].take().expect("live");
-                    self.streams[inst.stream].in_flight = false;
+                    self.release_stream(inst.stream);
                     self.fire_tag(inst.tag);
                 }
             }
@@ -403,11 +491,19 @@ impl Device {
         }
     }
 
+    /// Park a job's origin in a free slot; the slot index is its id. The
+    /// engines treat ids as opaque, so reuse cannot change any outcome.
     fn alloc_job(&mut self, origin: JobOrigin) -> JobId {
-        let id = self.next_job;
-        self.next_job += 1;
-        self.jobs.insert(id, origin);
-        id
+        match self.free_jobs.pop() {
+            Some(id) => {
+                self.jobs[id as usize] = Some(origin);
+                id
+            }
+            None => {
+                self.jobs.push(Some(origin));
+                (self.jobs.len() - 1) as JobId
+            }
+        }
     }
 
     fn dispatch_node(&mut self, instance: usize, node: usize, now: SimTime) {
@@ -458,62 +554,64 @@ impl Device {
         }
     }
 
-    /// Issue every stream op that is ready; loops to a fixpoint because an
-    /// `EventRecord` in one stream can unblock a `WaitEvent` in another.
+    /// Issue every stream op that can issue. Only marked streams are
+    /// visited, in ascending passes behind a cursor: a stream marked above
+    /// the cursor (an `EventRecord` releasing a later stream's `WaitEvent`)
+    /// is visited in this pass, one at or below it in the next. An
+    /// unmarked stream cannot progress, so this issues exactly what
+    /// repeated full ascending passes to a fixpoint would, in the same
+    /// order.
     fn pump_streams(&mut self, now: SimTime) {
-        loop {
-            let mut progressed = false;
-            for s in 0..self.streams.len() {
-                progressed |= self.pump_one(s, now);
-            }
-            if !progressed {
-                break;
-            }
+        let mut cursor = 0;
+        while let Some(s) = self
+            .ready
+            .first_from(cursor)
+            .or_else(|| self.ready.first_from(0))
+        {
+            self.ready.remove(s);
+            self.pump_one(s, now);
+            cursor = s + 1;
         }
     }
 
-    /// Issue ready ops from stream `s`; returns whether anything advanced.
-    fn pump_one(&mut self, s: usize, now: SimTime) -> bool {
-        let mut progressed = false;
+    /// Issue ops from the head of stream `s` until it is in flight, empty,
+    /// or blocked on an unrecorded event, whose waiter list it then joins.
+    fn pump_one(&mut self, s: usize, now: SimTime) {
         while !self.streams[s].in_flight {
             let Some(op) = self.streams[s].queue.front() else {
-                break;
+                return;
             };
-            match &op.kind {
-                OpKind::Marker => {
-                    let op = self.streams[s].queue.pop_front().expect("front");
-                    self.fire_tag(op.tag);
-                    progressed = true;
-                }
-                OpKind::EventRecord(ev) => {
-                    let ev = *ev;
-                    let op = self.streams[s].queue.pop_front().expect("front");
-                    self.events[ev.0 as usize] = Some(now);
-                    self.fire_tag(op.tag);
-                    progressed = true;
-                }
-                OpKind::WaitEvent(ev) => {
-                    if self.events[ev.0 as usize].is_some() {
-                        let op = self.streams[s].queue.pop_front().expect("front");
-                        self.fire_tag(op.tag);
-                        progressed = true;
-                    } else {
-                        break;
+            if let OpKind::WaitEvent(ev) = op.kind {
+                let e = &mut self.events[ev.0 as usize];
+                if e.recorded.is_none() {
+                    let stream = &mut self.streams[s];
+                    if !stream.waiting {
+                        stream.waiting = true;
+                        stream.next_waiter = e.waiters.replace(s as u32);
                     }
+                    return;
                 }
-                OpKind::Kernel(_) => {
-                    let op = self.streams[s].queue.pop_front().expect("front");
-                    let OpKind::Kernel(spec) = op.kind else {
-                        unreachable!()
-                    };
+            }
+            let op = self.streams[s].queue.pop_front().expect("front");
+            match op.kind {
+                OpKind::Marker | OpKind::WaitEvent(_) => self.fire_tag(op.tag),
+                OpKind::EventRecord(ev) => {
+                    let e = &mut self.events[ev.0 as usize];
+                    e.recorded = Some(now);
+                    let mut next = e.waiters.take();
+                    while let Some(w) = next {
+                        let waiter = &mut self.streams[w as usize];
+                        waiter.waiting = false;
+                        next = waiter.next_waiter.take();
+                        self.ready.insert(w as usize);
+                    }
+                    self.fire_tag(op.tag);
+                }
+                OpKind::Kernel(spec) => {
                     let class = self.streams[s].class;
-                    let effect = match &spec.func {
-                        Some(f) => Effect::Kernel(f.clone()),
-                        None => Effect::None,
-                    };
                     let job = self.alloc_job(JobOrigin::StreamOp {
                         stream: s,
-                        effect,
+                        effect: spec.func.map_or(Effect::None, Effect::Kernel),
                         tag: op.tag,
                         meta: JobMeta {
                             lane: 0,
@@ -526,47 +624,14 @@ impl Device {
                     let dur = self.dilate(now, spec.work + self.timing.kernel_dispatch);
                     self.compute.submit(now, job, class, dur);
                     self.streams[s].in_flight = true;
-                    progressed = true;
                 }
-                OpKind::MemcpyD2H { .. } | OpKind::MemcpyH2D { .. } => {
-                    let op = self.streams[s].queue.pop_front().expect("front");
-                    let class = self.streams[s].class;
-                    let (src, dst, to_host) = match op.kind {
-                        OpKind::MemcpyD2H { src, dst } => (src, dst, true),
-                        OpKind::MemcpyH2D { src, dst } => (src, dst, false),
-                        _ => unreachable!(),
-                    };
-                    let job = self.alloc_job(JobOrigin::StreamOp {
-                        stream: s,
-                        effect: Effect::Copy { src, dst },
-                        tag: op.tag,
-                        meta: JobMeta {
-                            lane: if to_host { 1 } else { 2 },
-                            category: "memcpy",
-                            label: if to_host { "d2h" } else { "h2d" },
-                            submitted: now,
-                        },
-                    });
-                    self.stats.memcpys += 1;
-                    self.stats.memcpy_bytes += src.bytes();
-                    let dur = self.dilate(now, self.timing.dma_time(src.bytes()));
-                    let engine = if to_host {
-                        &mut self.d2h
-                    } else {
-                        &mut self.h2d
-                    };
-                    engine.submit(now, job, class, dur, src.bytes());
-                    self.streams[s].in_flight = true;
-                    progressed = true;
-                }
+                OpKind::MemcpyD2H { src, dst } => self.issue_copy(s, src, dst, true, op.tag, now),
+                OpKind::MemcpyH2D { src, dst } => self.issue_copy(s, src, dst, false, op.tag, now),
                 OpKind::GraphLaunch(g) => {
-                    let g = *g;
-                    let op = self.streams[s].queue.pop_front().expect("front");
                     self.stats.graph_launches += 1;
                     let spec = &self.graphs[g.0 as usize];
                     if spec.is_empty() {
                         self.fire_tag(op.tag);
-                        progressed = true;
                         continue;
                     }
                     let indegree: Vec<usize> = spec.nodes.iter().map(|n| n.deps.len()).collect();
@@ -594,11 +659,43 @@ impl Device {
                         self.dispatch_node(inst_idx, r, now);
                     }
                     self.streams[s].in_flight = true;
-                    progressed = true;
                 }
             }
         }
-        progressed
+    }
+
+    /// Submit a stream's DMA copy to the engine for its direction.
+    fn issue_copy(
+        &mut self,
+        s: usize,
+        src: BufRange,
+        dst: BufRange,
+        to_host: bool,
+        tag: Option<CompletionTag>,
+        now: SimTime,
+    ) {
+        let class = self.streams[s].class;
+        let job = self.alloc_job(JobOrigin::StreamOp {
+            stream: s,
+            effect: Effect::Copy { src, dst },
+            tag,
+            meta: JobMeta {
+                lane: if to_host { 1 } else { 2 },
+                category: "memcpy",
+                label: if to_host { "d2h" } else { "h2d" },
+                submitted: now,
+            },
+        });
+        self.stats.memcpys += 1;
+        self.stats.memcpy_bytes += src.bytes();
+        let dur = self.dilate(now, self.timing.dma_time(src.bytes()));
+        let engine = if to_host {
+            &mut self.d2h
+        } else {
+            &mut self.h2d
+        };
+        engine.submit(now, job, class, dur, src.bytes());
+        self.streams[s].in_flight = true;
     }
 }
 

@@ -30,12 +30,15 @@ pub fn pump<W: GpuHost>(w: &mut W, sim: &mut Sim<W>, dev: DeviceId) {
         let wake = d.advance(now);
         let completions = d.drain_completions();
         if completions.is_empty() {
+            d.recycle_completions(completions);
             schedule_wakeup(w, sim, dev, wake);
             return;
         }
-        for tag in completions {
+        for &tag in &completions {
             w.on_gpu_complete(sim, dev, tag);
         }
+        // Hand the buffer back so the next completion does not allocate.
+        w.device_mut(dev).recycle_completions(completions);
         // Completion handlers may have enqueued more work: loop.
     }
 }

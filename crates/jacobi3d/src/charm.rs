@@ -608,7 +608,14 @@ impl Chare for BlockChare {
                 self.norm_result = Some(env.take::<f64>());
             }
             E_RECV_HALO => {
-                if env.refnum == self.iter as u64 && self.arrived < self.faces.len() {
+                // Between `restore` and `E_RESUME` the block still holds
+                // its pre-rollback iteration and (after a migration) the
+                // old device's buffers, streams and events: a neighbour
+                // that resumed first must wait in the parking lot.
+                if self.resume.is_none()
+                    && env.refnum == self.iter as u64
+                    && self.arrived < self.faces.len()
+                {
                     self.handle_staged_halo(ctx, env);
                     self.check_exchange_complete(ctx);
                 } else {
@@ -626,7 +633,6 @@ impl Chare for BlockChare {
                 self.iter = epoch;
                 self.arrived = 0;
                 self.sends_done = 0;
-                self.pending = WhenSet::new();
                 self.done_at = None;
                 if ctx.device() != self.dev {
                     self.reprovision(ctx);
@@ -660,6 +666,10 @@ impl Chare for BlockChare {
     }
 
     fn restore(&mut self, snap: ChareSnapshot) {
+        // Halos parked before the rollback belong to the abandoned
+        // incarnation. Anything delivered from here on comes from a
+        // neighbour that already resumed, and is kept for the restart.
+        self.pending = WhenSet::new();
         self.resume = Some(snap);
     }
 

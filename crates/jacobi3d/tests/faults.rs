@@ -8,8 +8,10 @@
 //! bit for bit.
 
 use gaat_jacobi3d::{charm, CommMode, Dims, JacobiConfig};
-use gaat_rt::{MachineConfig, Simulation};
-use gaat_sim::{FaultPlan, PeFault, SimTime};
+use gaat_rt::{LbPolicy, MachineConfig, Simulation};
+use gaat_sim::{
+    FaultPlan, LinkFault, LinkFaultKind, PeFault, SimDuration, SimTime, StragglerWindow,
+};
 
 fn faulty_cfg(comm: CommMode, drop_prob: f64, retries: bool) -> JacobiConfig {
     let mut machine = MachineConfig::validation(2, 2);
@@ -122,6 +124,70 @@ fn pe_failure_recovers_from_checkpoints() {
     assert!(r.total > r0.total, "{} vs {}", r.total, r0.total);
     assert_quiesced(&sim);
     charm::validate_against_reference(&sim, &ids, &sh);
+}
+
+/// The `lb_speed` adaptive cell (two fat-tree nodes, Charm-H at 192³,
+/// one GPU throttled 4×, the fault-free run's hottest link at quarter
+/// capacity, balancer period = one fault-free iteration, 300 iterations)
+/// with 1% message loss at fault seed 2 on top. Returns the number of
+/// blocks that never finished.
+fn lossy_lb_stalls(throttled_gpu: usize) -> usize {
+    let base = |faults: FaultPlan, policy: LbPolicy, period: SimDuration| {
+        let mut machine = MachineConfig::summit_fattree(2);
+        machine.net.jitter = 0.0;
+        machine.ucx.reliability.enabled = true;
+        machine.faults = faults;
+        machine.lb.policy = policy;
+        machine.lb.period = period;
+        machine.lb.hysteresis_pct = 15;
+        machine.lb.budget = 2;
+        let mut c = JacobiConfig::new(machine, Dims::cube(192));
+        c.comm = CommMode::HostStaging;
+        c.odf = 2;
+        c.iters = 300;
+        c.warmup = 2;
+        if c.machine.lb.enabled() {
+            c.checkpoint_every = 1;
+        }
+        c
+    };
+    let (mut sim, ids, sh) =
+        charm::build(base(FaultPlan::none(), LbPolicy::Off, SimDuration::ZERO));
+    let ideal = charm::run(&mut sim, &ids, &sh);
+    let hot_link = sim.machine.fabric.stats().hottest_link.expect("traffic").0;
+
+    let mut faults = FaultPlan {
+        seed: 2,
+        drop_prob: 0.01,
+        ..FaultPlan::none()
+    };
+    faults.stragglers.push(StragglerWindow {
+        device: throttled_gpu,
+        from: SimTime::ZERO,
+        until: SimTime::ZERO + SimDuration::from_ms(60_000),
+        slowdown: 4.0,
+    });
+    faults.link_faults.push(LinkFault {
+        at: SimTime::ZERO,
+        link: hot_link,
+        kind: LinkFaultKind::Degrade(0.25),
+    });
+    let cfg = base(faults, LbPolicy::Adaptive, ideal.time_per_iter);
+    let (mut sim, ids, sh) = charm::build(cfg);
+    let (_, stalled) = charm::run_tolerant(&mut sim, &ids, &sh);
+    assert!(sim.machine.lb_stats().applied > 0, "the balancer migrated");
+    assert_quiesced(&sim);
+    stalled
+}
+
+/// A halo that reaches a block between its restore and its resume used
+/// to be handled with pre-rollback state (GPU 9: an out-of-bounds event
+/// reset on the new device) or parked and then wiped (GPU 8: 12 blocks
+/// stalled).
+#[test]
+fn lossy_rebalancing_finishes_every_block() {
+    assert_eq!(lossy_lb_stalls(9), 0);
+    assert_eq!(lossy_lb_stalls(8), 0);
 }
 
 #[test]
