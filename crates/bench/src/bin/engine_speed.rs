@@ -17,10 +17,6 @@
 //! - `cancel_heavy`: schedule/cancel pairs, the retry/timeout pattern.
 //! - `jacobi_step`: a real Jacobi3D strong-scaling step on the task
 //!   runtime; events/sec here is end-to-end simulator speed.
-//! - `shard_churn`: the same event shape spread over a sharded
-//!   [`ShardedSim`] run at 1/2/4 worker threads — the thread-scaling
-//!   sweep of the windowed parallel engine, with fingerprints asserted
-//!   bit-identical across worker counts.
 //!
 //! Usage: `engine_speed [--smoke] [--out PATH]`
 
@@ -28,7 +24,7 @@ use std::time::Instant;
 
 use gaat_jacobi3d::{charm, CommMode, Dims, JacobiConfig};
 use gaat_rt::MachineConfig;
-use gaat_sim::{mix64, Shard, ShardWorld, ShardedSim, Sim, SimDuration, SimRng, SimTime};
+use gaat_sim::{Sim, SimDuration, SimRng, SimTime};
 
 /// Seed-engine (`BinaryHeap` + `Box<dyn FnOnce>` + `HashSet` tombstones)
 /// throughput on `churn_boxed` with the default event count and depth,
@@ -300,156 +296,6 @@ fn jacobi_step(smoke: bool) -> WorkloadResult {
     }
 }
 
-/// Shardable churn world for the thread-scaling sweep: `cells` cells,
-/// each running a self-rescheduling local event chain (hash-driven
-/// 100–900 ns delays) and mailing the next cell in the ring every 6th
-/// step with a delay of at least the lookahead. State is disjoint per
-/// cell, so any cell→shard partition is valid and every partition
-/// produces the same fingerprint — which the sweep asserts while it
-/// times the runs.
-struct BenchShard {
-    shard: usize,
-    cell_shard: Vec<usize>,
-    /// Per LOCAL cell, keyed by cell id: (chain hash, arrival acc, sent).
-    state: std::collections::HashMap<u64, (u64, u64, u32)>,
-    outbox: Vec<BenchMsg>,
-    lookahead_ns: u64,
-    cells: u64,
-    steps: u64,
-}
-
-struct BenchMsg {
-    at: SimTime,
-    src_cell: u64,
-    dst_cell: u64,
-    dst_shard: usize,
-    token: u64,
-}
-
-impl BenchShard {
-    fn cell_step(w: &mut Self, sim: &mut Sim<Self>, cell: u64, step: u64) {
-        let now = sim.now();
-        let c = w.state.get_mut(&cell).expect("local cell");
-        c.0 = mix64(c.0 ^ now.as_ns() ^ cell);
-        if step >= w.steps {
-            return;
-        }
-        if step % 6 == 2 {
-            let dst_cell = (cell + 1) % w.cells;
-            let token = cell << 32 | c.2 as u64;
-            c.2 += 1;
-            let at = now + SimDuration::from_ns(w.lookahead_ns + mix64(token) % 4000);
-            let msg = BenchMsg {
-                at,
-                src_cell: cell,
-                dst_cell,
-                dst_shard: w.cell_shard[dst_cell as usize],
-                token,
-            };
-            if msg.dst_shard == w.shard {
-                Self::arrive_later(sim, msg);
-            } else {
-                w.outbox.push(msg);
-            }
-        }
-        let d = 100 + mix64(cell ^ (step << 20)) % 800;
-        sim.after_call2(SimDuration::from_ns(d), Self::cell_step, cell, step + 1);
-    }
-
-    fn arrive_later(sim: &mut Sim<Self>, msg: BenchMsg) {
-        sim.at_call2(msg.at, Self::cell_arrive, msg.dst_cell, msg.token);
-    }
-
-    fn cell_arrive(w: &mut Self, sim: &mut Sim<Self>, cell: u64, token: u64) {
-        let at = sim.now().as_ns();
-        let c = w.state.get_mut(&cell).expect("local cell");
-        c.1 = c.1.wrapping_add(mix64(token.wrapping_mul(3) ^ at));
-    }
-}
-
-impl ShardWorld for BenchShard {
-    type Msg = BenchMsg;
-
-    fn msg_dest(msg: &BenchMsg) -> usize {
-        msg.dst_shard
-    }
-
-    fn msg_key(msg: &BenchMsg) -> (SimTime, u64, u64) {
-        (msg.at, msg.src_cell, msg.token)
-    }
-
-    fn drain_outbox(&mut self, out: &mut Vec<BenchMsg>) {
-        out.append(&mut self.outbox);
-    }
-
-    fn deliver(&mut self, sim: &mut Sim<Self>, msg: BenchMsg) {
-        Self::arrive_later(sim, msg);
-    }
-}
-
-struct ScalingPoint {
-    workers: usize,
-    events: u64,
-    wall_s: f64,
-    windows: u64,
-    exchanged: u64,
-    fingerprint: u64,
-    max_shard_events: u64,
-}
-
-/// One point of the thread-scaling sweep: build `workers` shards over a
-/// contiguous cell partition, run, and fingerprint the final state.
-fn shard_churn(workers: usize, cells: u64, steps: u64, lookahead_ns: u64) -> ScalingPoint {
-    let partition: Vec<usize> = (0..cells as usize)
-        .map(|c| c * workers / cells as usize)
-        .collect();
-    let mut shards: Vec<Shard<BenchShard>> = (0..workers)
-        .map(|s| Shard {
-            sim: Sim::new(),
-            world: BenchShard {
-                shard: s,
-                cell_shard: partition.clone(),
-                state: Default::default(),
-                outbox: Vec::new(),
-                lookahead_ns,
-                cells,
-                steps,
-            },
-        })
-        .collect();
-    for cell in 0..cells {
-        let shard = &mut shards[partition[cell as usize]];
-        shard.world.state.insert(cell, (0, 0, 0));
-        let t0 = SimTime::from_ns(mix64(cell ^ 0xbeef) % 500);
-        shard.sim.at_call2(t0, BenchShard::cell_step, cell, 0);
-    }
-    let mut sharded = ShardedSim::new(shards, SimDuration::from_ns(lookahead_ns));
-    let start = Instant::now();
-    sharded.run();
-    let wall_s = start.elapsed().as_secs_f64();
-    let mut fingerprint = 0u64;
-    let mut max_shard_events = 0u64;
-    for s in sharded.shards() {
-        max_shard_events = max_shard_events.max(s.sim.events_executed());
-        for (&cell, &(chain, acc, sent)) in &s.world.state {
-            fingerprint = fingerprint.wrapping_add(
-                mix64(chain ^ cell)
-                    .wrapping_add(acc)
-                    .wrapping_add(sent as u64),
-            );
-        }
-    }
-    ScalingPoint {
-        workers,
-        events: sharded.events_executed(),
-        wall_s,
-        windows: sharded.windows(),
-        exchanged: sharded.exchanged(),
-        fingerprint,
-        max_shard_events,
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -489,50 +335,7 @@ fn main() {
         best(&|| jacobi_step(smoke)),
     ];
 
-    // Thread-scaling sweep over the sharded windowed driver: same total
-    // work at every worker count, lookahead sized (32.8 us vs ~500 ns
-    // mean delay) so each shard executes tens of thousands of events per
-    // barrier round. Fingerprints are asserted identical across worker
-    // counts — a live check of the deterministic cross-shard merge, not
-    // just a perf number.
-    let scale_cells: u64 = 64;
-    let scale_steps: u64 = if smoke { 2_000 } else { 30_000 };
-    let scale_lookahead: u64 = 32_768;
-    let best_point = |workers: usize| {
-        let mut best = shard_churn(workers, scale_cells, scale_steps, scale_lookahead);
-        for _ in 1..reps {
-            let r = shard_churn(workers, scale_cells, scale_steps, scale_lookahead);
-            assert_eq!(r.fingerprint, best.fingerprint, "non-deterministic rep");
-            if r.wall_s < best.wall_s {
-                best = r;
-            }
-        }
-        best
-    };
-    let scaling: Vec<ScalingPoint> = [1usize, 2, 4].iter().map(|&w| best_point(w)).collect();
-    for p in &scaling[1..] {
-        assert_eq!(
-            p.fingerprint, scaling[0].fingerprint,
-            "workers={} changed the result",
-            p.workers
-        );
-        assert_eq!(p.events, scaling[0].events, "workers={}", p.workers);
-    }
     guard.close();
-
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let eps = |p: &ScalingPoint| p.events as f64 / p.wall_s;
-    // Measured wall-clock speedup at the widest point, and the
-    // model-side bound it is chasing: with perfectly overlapped windows
-    // the critical path is the busiest shard, so total / max-shard
-    // events is the speedup a host with >= 4 idle cores would approach.
-    let parallel_speedup = eps(scaling.last().unwrap()) / eps(&scaling[0]);
-    // A wall-clock speedup measured with fewer physical cores than
-    // workers says nothing about the engine — on a 1-core host every
-    // point time-slices the same CPU and the "speedup" is noise.
-    let speedup_reliable = host_cores >= scaling.last().unwrap().workers;
-    let critical_path_speedup =
-        scaling.last().unwrap().events as f64 / scaling.last().unwrap().max_shard_events as f64;
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -570,37 +373,6 @@ fn main() {
     json.push_str(&format!(
         "  \"churn_fast_speedup_vs_baseline\": {fast_speedup:.3},\n"
     ));
-    json.push_str("  \"thread_scaling\": {\n");
-    json.push_str(&format!("    \"host_cores\": {host_cores},\n"));
-    json.push_str(&format!("    \"lookahead_ns\": {scale_lookahead},\n"));
-    json.push_str("    \"points\": [\n");
-    for (i, p) in scaling.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"workers\": {}, \"events\": {}, \"wall_s\": {:.6}, \"events_per_sec\": {:.0}, \"windows\": {}, \"exchanged\": {}}}{}\n",
-            p.workers,
-            p.events,
-            p.wall_s,
-            eps(p),
-            p.windows,
-            p.exchanged,
-            if i + 1 < scaling.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("    ],\n");
-    json.push_str(&format!(
-        "    \"parallel_speedup\": {parallel_speedup:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"parallel_speedup_reliable\": {speedup_reliable},\n"
-    ));
-    json.push_str(&format!(
-        "    \"critical_path_speedup\": {critical_path_speedup:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"fingerprints_identical\": true,\n    \"fingerprint\": {}\n",
-        scaling[0].fingerprint
-    ));
-    json.push_str("  },\n");
     json.push_str(&format!("  \"steady_state\": {}\n", guard.json_object()));
     json.push_str("}\n");
 
@@ -619,27 +391,6 @@ fn main() {
             "churn speedup vs seed baseline: boxed {boxed_speedup:.2}x, fast {fast_speedup:.2}x"
         );
     }
-    for p in &scaling {
-        println!(
-            "shard_churn    workers={} {:>10} events  {:>9.3} ms  {:>12.0} events/s  windows={} exchanged={}",
-            p.workers,
-            p.events,
-            p.wall_s * 1e3,
-            eps(p),
-            p.windows,
-            p.exchanged
-        );
-    }
-    println!(
-        "thread scaling on {host_cores}-core host: measured {parallel_speedup:.2}x at {} workers, \
-         critical-path bound {critical_path_speedup:.2}x (identical fingerprints){}",
-        scaling.last().unwrap().workers,
-        if speedup_reliable {
-            ""
-        } else {
-            "  ** fewer cores than workers — wall-clock speedup unreliable **"
-        }
-    );
     println!(
         "steady-state drift {:.3}x{}",
         guard.slowdown_ratio(),

@@ -124,22 +124,10 @@ pub struct MachineConfig {
     /// per device engine) for Nsight-style analysis. Off by default —
     /// tracing a 3,072-GPU run would record millions of spans.
     pub trace: bool,
-    /// Host worker shards for parallel DES. `1` (the default) runs the
-    /// plain single-threaded engine; `N > 1` partitions the machine's
-    /// nodes into `N` shards and executes in conservative lookahead
-    /// windows with a deterministic cross-shard merge, so results are
-    /// bit-identical for every worker count (see `ShardPlan`).
-    #[cfg_attr(feature = "serde", serde(default = "default_workers"))]
-    pub workers: usize,
     /// Closed-loop load balancer. Inert by default (policy `Off`,
     /// period zero) so existing runs replay bit-identically.
     #[cfg_attr(feature = "serde", serde(default))]
     pub lb: LbConfig,
-}
-
-#[cfg(feature = "serde")]
-fn default_workers() -> usize {
-    1
 }
 
 impl Default for MachineConfig {
@@ -155,7 +143,6 @@ impl Default for MachineConfig {
             faults: gaat_sim::FaultPlan::none(),
             real_buffers: false,
             trace: false,
-            workers: 1,
             lb: LbConfig::default(),
         }
     }
@@ -201,76 +188,6 @@ impl MachineConfig {
     /// Node of a PE.
     pub fn node_of_pe(&self, pe: usize) -> usize {
         pe / self.pes_per_node
-    }
-}
-
-/// Partition of the machine for windowed parallel DES: which shard owns
-/// each node (and therefore each PE, device, and UCX endpoint — a node's
-/// PEs always share a shard, because intra-node traffic has a latency
-/// floor below the network lookahead and must stay shard-local).
-#[derive(Debug, Clone)]
-pub struct ShardPlan {
-    /// Shard count (= configured `workers`).
-    pub workers: usize,
-    /// Shard owning each node, indexed by node id. Shard ids are dense:
-    /// every value in `0..workers` appears (no empty shards).
-    pub node_to_shard: Vec<usize>,
-    /// Conservative window width: every cross-node message is delivered
-    /// at least this long after it is sent, under any jitter draw.
-    pub lookahead: SimDuration,
-}
-
-impl ShardPlan {
-    /// The default partition: contiguous blocks of nodes, as equal as
-    /// integer division allows. A `workers` larger than the node count is
-    /// clamped — a node is the finest shardable unit, so extra workers
-    /// would own nothing.
-    pub fn contiguous(cfg: &MachineConfig, lookahead: SimDuration) -> Self {
-        let workers = cfg.workers.clamp(1, cfg.nodes);
-        let map = (0..cfg.nodes).map(|n| n * workers / cfg.nodes).collect();
-        let mut clamped = cfg.clone();
-        clamped.workers = workers;
-        Self::with_map(&clamped, lookahead, map)
-    }
-
-    /// A plan with an explicit node→shard map (tests randomize this to
-    /// show the partition cannot affect results). Panics unless the map
-    /// covers every node and uses every shard id in `0..workers`.
-    pub fn with_map(
-        cfg: &MachineConfig,
-        lookahead: SimDuration,
-        node_to_shard: Vec<usize>,
-    ) -> Self {
-        assert!(cfg.workers >= 1, "at least one worker");
-        assert!(
-            cfg.workers <= cfg.nodes,
-            "cannot split {} node(s) into {} shards",
-            cfg.nodes,
-            cfg.workers
-        );
-        assert_eq!(node_to_shard.len(), cfg.nodes, "one shard per node");
-        let mut used = vec![false; cfg.workers];
-        for &s in &node_to_shard {
-            assert!(s < cfg.workers, "shard id {s} out of range");
-            used[s] = true;
-        }
-        assert!(used.iter().all(|&u| u), "every shard must own a node");
-        assert!(lookahead.as_ns() >= 1, "lookahead must be positive");
-        ShardPlan {
-            workers: cfg.workers,
-            node_to_shard,
-            lookahead,
-        }
-    }
-
-    /// Shard owning a node.
-    pub fn shard_of_node(&self, node: usize) -> usize {
-        self.node_to_shard[node]
-    }
-
-    /// Whether a `src -> dst` node pair crosses a shard boundary.
-    pub fn is_cross_shard(&self, src: usize, dst: usize) -> bool {
-        self.node_to_shard[src] != self.node_to_shard[dst]
     }
 }
 

@@ -85,11 +85,9 @@ pub mod slot;
 
 pub use channel::{create_channel, ChannelEnd};
 pub use ckpt::ChareSnapshot;
-pub use config::{LbConfig, LbPolicy, MachineConfig, RtCosts, ShardPlan};
+pub use config::{LbConfig, LbPolicy, MachineConfig, RtCosts};
 pub use lb::{greedy_rebalance, periodic_plan, LbPlan, LbSensors, RebalanceReport};
-pub use machine::{
-    Chare, Ctx, LbStats, Machine, MachineStats, Simulation, WindowStats, WorldSnapshot,
-};
+pub use machine::{Chare, Ctx, LbStats, Machine, MachineStats, Simulation, WorldSnapshot};
 pub use msg::{Callback, ChareId, EntryId, Envelope, MsgPriority};
 pub use pe::{Pe, PeStats};
 pub use sdag::WhenSet;

@@ -17,7 +17,7 @@ use gaat_net::{Fabric, NetHost, NetMsg, NodeId, SharedTopology};
 use gaat_sim::{RunOutcome, Sim, SimDuration, SimRng, SimTime, Tracer};
 use gaat_ucx::{MemLoc, UcxEvent, UcxHost, UcxState, WorkerId};
 
-use crate::config::{LbPolicy, MachineConfig, ShardPlan};
+use crate::config::{LbPolicy, MachineConfig};
 use crate::msg::{Callback, ChareId, Envelope};
 use crate::pe::Pe;
 
@@ -337,26 +337,6 @@ pub struct LbStats {
     pub last_util_after: f64,
 }
 
-/// One cross-shard delivery recorded by the windowed run's ledger. The
-/// fabric has priced the message (its delivery instant is fixed at
-/// admission); the barrier drains the ledger in `(time, src_node, token)`
-/// order — a total order independent of shard count — and asserts the
-/// conservative-window invariant on every entry.
-#[derive(Debug, Clone, Copy)]
-struct StagedDelivery {
-    at: SimTime,
-    src_node: usize,
-    token: u64,
-    flight: u32,
-}
-
-/// Windowed-execution state installed on the machine while a
-/// `workers > 1` run is in progress (see [`Simulation::run`]).
-struct WindowState {
-    plan: ShardPlan,
-    parked: Vec<StagedDelivery>,
-}
-
 /// The world type of every simulation in this stack.
 pub struct Machine {
     /// Configuration the machine was built from.
@@ -415,8 +395,6 @@ pub struct Machine {
     /// own tracer.
     pub tracer: Tracer,
     stats: MachineStats,
-    /// `Some` only while a windowed (`workers > 1`) run is in progress.
-    window: Option<WindowState>,
 }
 
 impl Machine {
@@ -485,7 +463,6 @@ impl Machine {
             },
             cfg,
             stats: MachineStats::default(),
-            window: None,
         }
     }
 
@@ -541,12 +518,6 @@ impl Machine {
         if !self.cfg.lb.enabled() {
             return;
         }
-        assert!(
-            self.cfg.workers <= 1,
-            "adaptive LB requires workers == 1 (run scenario pools in \
-             parallel instead: a mid-window rollback cannot be merged \
-             deterministically across shards)"
-        );
         assert!(
             self.cfg.ucx.reliability.enabled,
             "adaptive LB migration requires ucx.reliability.enabled: the \
@@ -1237,12 +1208,8 @@ impl Machine {
     /// state, in-flight messages), communication layer (transfers, retry
     /// timers, token counters), PEs (message queues, busy clocks), and
     /// every chare via [`Chare::fork`]. Returns `None` — decline to
-    /// fork — if any chare does not implement `fork`, or while a
-    /// windowed (`workers > 1`) run is in progress.
+    /// fork — if any chare does not implement `fork`.
     pub fn fork(&self) -> Option<Machine> {
-        if self.window.is_some() {
-            return None;
-        }
         let mut chares = Vec::with_capacity(self.chares.len());
         for c in &self.chares {
             chares.push(Some(
@@ -1281,7 +1248,6 @@ impl Machine {
             rng: self.rng.clone(),
             tracer: self.tracer.clone(),
             stats: self.stats,
-            window: None,
         })
     }
 }
@@ -1322,32 +1288,6 @@ impl NetHost for Machine {
         // tell the reliability layer so it retransmits immediately
         // instead of waiting out the ack timeout.
         gaat_ucx::on_net_dropped(self, sim, msg);
-    }
-
-    fn stage_delivery(&mut self, at: SimTime, msg: &NetMsg, flight: u32) -> bool {
-        // Single branch on the workers == 1 fast path (`window` is None).
-        let Some(ws) = &mut self.window else {
-            return false;
-        };
-        if !ws.plan.is_cross_shard(msg.src.0, msg.dst.0) {
-            return false;
-        }
-        ws.parked.push(StagedDelivery {
-            at,
-            src_node: msg.src.0,
-            token: msg.token,
-            flight,
-        });
-        // Record only — returning false lets `send` schedule the event
-        // eagerly. Deferring the schedule to the barrier would hand the
-        // delivery a later `seq` than window-local events created after
-        // the send, flipping same-nanosecond ties and, through the global
-        // token counter those ties feed, the jitter draws themselves —
-        // measured as a 38 ns drift on the MPI golden. The window ledger
-        // instead *verifies* the exchange at the barrier (sorted merge,
-        // lookahead assertion) while execution order stays exactly the
-        // sequential one.
-        false
     }
 }
 
@@ -1655,24 +1595,12 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Counters from windowed (`workers > 1`) execution; all zero after a
-/// single-threaded run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WindowStats {
-    /// Lookahead windows executed.
-    pub windows: u64,
-    /// Cross-shard deliveries staged and merged at window barriers.
-    pub staged: u64,
-}
-
 /// A ready-to-run simulation: the engine plus the machine.
 pub struct Simulation {
     /// The event engine.
     pub sim: Sim<Machine>,
     /// The machine state.
     pub machine: Machine,
-    /// Windowed-execution counters (all zero at `workers == 1`).
-    pub window_stats: WindowStats,
 }
 
 impl Simulation {
@@ -1698,98 +1626,13 @@ impl Simulation {
         let mut machine = Machine::new_shared(cfg, shared);
         machine.arm_faults(&mut sim);
         machine.arm_lb(&mut sim);
-        Simulation {
-            sim,
-            machine,
-            window_stats: WindowStats::default(),
-        }
+        Simulation { sim, machine }
     }
 
     /// Run to quiescence (the drained event queue *is* quiescence
     /// detection: no pending work anywhere in the machine).
-    ///
-    /// At `workers == 1` this is exactly the sequential engine loop. At
-    /// `workers > 1` the machine's nodes are partitioned into contiguous
-    /// shards ([`ShardPlan::contiguous`]) and the run proceeds in
-    /// conservative lookahead windows with cross-shard deliveries merged
-    /// deterministically at window barriers — bit-identical to the
-    /// sequential run for any worker count.
     pub fn run(&mut self) -> RunOutcome {
-        if self.machine.cfg.workers <= 1 {
-            return self.sim.run(&mut self.machine);
-        }
-        self.run_windowed(None)
-    }
-
-    /// [`Simulation::run`] under an explicit node→shard map (must be
-    /// dense over `0..workers`; tests randomize it to show the partition
-    /// cannot change results).
-    pub fn run_with_partition(&mut self, node_to_shard: Vec<usize>) -> RunOutcome {
-        self.run_windowed(Some(node_to_shard))
-    }
-
-    fn run_windowed(&mut self, map: Option<Vec<usize>>) -> RunOutcome {
-        let cfg = &self.machine.cfg;
-        assert!(
-            !cfg.faults.is_active(),
-            "fault plans are not yet supported with workers > 1: \
-             fault draws are ordered by global execution, which shards do \
-             not reproduce — run with workers = 1"
-        );
-        let lookahead = self.machine.fabric.lookahead().expect(
-            "workers > 1 is not yet supported on closed-loop topologies \
-             (fat tree): flow completion times depend on later admissions, \
-             so no admission-time lookahead exists — run with workers = 1",
-        );
-        let plan = match map {
-            Some(m) => ShardPlan::with_map(cfg, lookahead, m),
-            None => ShardPlan::contiguous(cfg, lookahead),
-        };
-        self.machine.window = Some(WindowState {
-            plan,
-            parked: Vec::new(),
-        });
-        let outcome = loop {
-            // Window start: the earliest pending event anywhere. Staged
-            // deliveries are always drained before this peek, so an empty
-            // queue really is quiescence.
-            let Some(t0) = self.sim.peek_time() else {
-                break RunOutcome::Drained;
-            };
-            let deadline = t0 + lookahead - SimDuration::from_ns(1);
-            match self.sim.run_until(&mut self.machine, deadline) {
-                RunOutcome::Drained => {}
-                other => break other,
-            }
-            self.window_stats.windows += 1;
-            // Window barrier: drain the ledger of cross-shard deliveries
-            // this window produced, in a total order independent of the
-            // partition, and check the conservative-window invariant —
-            // no cross-shard message may land inside the window that sent
-            // it (its delivery event already exists; see
-            // `Machine::stage_delivery` for why scheduling is eager).
-            let ws = self.machine.window.as_mut().expect("windowed run");
-            if ws.parked.is_empty() {
-                continue;
-            }
-            let mut parked = std::mem::take(&mut ws.parked);
-            self.window_stats.staged += parked.len() as u64;
-            parked.sort_by_key(|d| (d.at, d.src_node, d.token));
-            for d in &parked {
-                assert!(
-                    d.at > deadline,
-                    "lookahead violation: cross-shard delivery (flight {}) \
-                     at {} inside the window ending at {}",
-                    d.flight,
-                    d.at,
-                    deadline
-                );
-            }
-            parked.clear();
-            self.machine.window.as_mut().expect("windowed run").parked = parked;
-        };
-        self.machine.window = None;
-        outcome
+        self.sim.run(&mut self.machine)
     }
 
     /// Current simulated time.
@@ -1799,32 +1642,23 @@ impl Simulation {
 
     /// Run until simulated time would exceed `deadline` (events at
     /// exactly `deadline` still run), the queue drains, or the event
-    /// limit trips. Sequential path only: the pause-and-snapshot flows
-    /// this serves (sweep prefix memoization) do not combine with
-    /// windowed multi-worker execution, which [`Machine::fork`] declines
-    /// anyway.
+    /// limit trips. Resuming with [`Simulation::run`] (or a later
+    /// deadline) continues exactly as an uninterrupted run would — the
+    /// pause point the sweep's prefix memoization snapshots at.
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        assert!(
-            self.machine.cfg.workers <= 1,
-            "run_until requires workers == 1 (windowed runs cannot pause mid-window)"
-        );
         self.sim.run_until(&mut self.machine, deadline)
     }
 
     /// Capture the complete world — engine pending-event state plus a
     /// deep machine fork — for later [`Simulation::restore`]. Returns
     /// `None` (decline to fork) when the engine holds a pending boxed
-    /// closure, any chare does not implement [`Chare::fork`], or a
-    /// windowed run is in progress. Declining costs nothing: callers
-    /// simply keep executing the live world.
+    /// closure or any chare does not implement [`Chare::fork`].
+    /// Declining costs nothing: callers simply keep executing the live
+    /// world.
     pub fn snapshot(&self) -> Option<WorldSnapshot> {
         let engine = self.sim.snapshot().ok()?;
         let machine = self.machine.fork()?;
-        Some(WorldSnapshot {
-            machine,
-            engine,
-            window_stats: self.window_stats,
-        })
+        Some(WorldSnapshot { machine, engine })
     }
 
     /// Rewind this simulation to the state captured by
@@ -1838,7 +1672,6 @@ impl Simulation {
             .machine
             .fork()
             .expect("a captured machine must re-fork");
-        self.window_stats = snap.window_stats;
     }
 
     /// Swap the stochastic portion of the fault plan in place — a pure
@@ -1869,7 +1702,6 @@ impl Simulation {
 pub struct WorldSnapshot {
     machine: Machine,
     engine: gaat_sim::SimSnapshot<Machine>,
-    window_stats: WindowStats,
 }
 
 impl WorldSnapshot {
@@ -2249,8 +2081,11 @@ mod tests {
         assert_eq!(s.machine.stats().migrations, 1);
     }
 
+    /// Pausing at fixed deadlines and resuming must replay a plain run
+    /// exactly — the property the sweep's prefix fork relies on when it
+    /// stops a world at the fork point and carries on.
     #[test]
-    fn windowed_run_matches_sequential_on_ping_pong() {
+    fn stepped_run_until_matches_plain_run_on_ping_pong() {
         let (mut s1, a1, b1) = two_chare_setup(false);
         {
             let Simulation { sim, machine, .. } = &mut s1;
@@ -2259,13 +2094,20 @@ mod tests {
         assert_eq!(s1.run(), RunOutcome::Drained);
 
         let (mut s2, a2, b2) = two_chare_setup(false);
-        s2.machine.cfg.workers = 2;
         {
             let Simulation { sim, machine, .. } = &mut s2;
             machine.inject(sim, a2, Envelope::empty(E_PING));
         }
-        assert_eq!(s2.run(), RunOutcome::Drained);
-        assert_eq!(s2.now(), s1.now(), "windowed run must be bit-identical");
+        let step = SimDuration::from_ns(1_583);
+        let mut deadline = SimTime::ZERO;
+        let mut pauses = 0;
+        while s2.sim.peek_time().is_some() {
+            deadline += step;
+            assert_eq!(s2.run_until(deadline), RunOutcome::Drained);
+            pauses += 1;
+        }
+        assert!(pauses > 1, "the run must pause more than once");
+        assert_eq!(s2.now(), s1.now(), "stepped run must be bit-identical");
         assert_eq!(
             s2.machine.chare_as::<Ping>(a2).got,
             s1.machine.chare_as::<Ping>(a1).got
@@ -2274,31 +2116,6 @@ mod tests {
             s2.machine.chare_as::<Ping>(b2).got,
             s1.machine.chare_as::<Ping>(b1).got
         );
-        assert!(s2.window_stats.windows > 0, "cross-node run uses windows");
-        assert!(
-            s1.window_stats.windows == 0,
-            "workers=1 takes the fast path"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "fault plans are not yet supported with workers > 1")]
-    fn workers_with_fault_plan_fails_fast() {
-        let mut cfg = MachineConfig::summit(2);
-        cfg.workers = 2;
-        cfg.faults = gaat_sim::FaultPlan {
-            seed: 7,
-            drop_prob: 0.01,
-            ..gaat_sim::FaultPlan::none()
-        };
-        Simulation::new(cfg).run();
-    }
-
-    #[test]
-    #[should_panic(expected = "closed-loop topologies")]
-    fn workers_on_fat_tree_fails_fast() {
-        let mut cfg = MachineConfig::summit_fattree(2);
-        cfg.workers = 2;
-        Simulation::new(cfg).run();
+        assert_eq!(s2.sim.stats(), s1.sim.stats());
     }
 }

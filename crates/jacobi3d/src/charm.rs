@@ -975,27 +975,6 @@ fn build_graphs(
 
 /// Run a built simulation to completion and collect the result.
 pub fn run(sim: &mut Simulation, ids: &[ChareId], sh: &Shared) -> RunResult {
-    run_inner(sim, ids, sh, None)
-}
-
-/// [`run`] under an explicit node→shard partition (windowed execution;
-/// determinism tests randomize the map to show the partition cannot
-/// change results).
-pub fn run_with_partition(
-    sim: &mut Simulation,
-    ids: &[ChareId],
-    sh: &Shared,
-    node_to_shard: Vec<usize>,
-) -> RunResult {
-    run_inner(sim, ids, sh, Some(node_to_shard))
-}
-
-fn run_inner(
-    sim: &mut Simulation,
-    ids: &[ChareId],
-    sh: &Shared,
-    partition: Option<Vec<usize>>,
-) -> RunResult {
     // Start every block via the runtime's tree broadcast (the
     // `block_proxy.run()` of the paper's Fig. 3). Startup is outside the
     // timed region, but the costs are real.
@@ -1003,12 +982,8 @@ fn run_inner(
         let Simulation { sim, machine, .. } = sim;
         machine.broadcast(sim, ids, E_START, 0);
     }
-    let outcome = match partition {
-        Some(map) => sim.run_with_partition(map),
-        None => sim.run(),
-    };
     assert_eq!(
-        outcome,
+        sim.run(),
         gaat_rt::RunOutcome::Drained,
         "simulation should quiesce"
     );

@@ -229,34 +229,6 @@ pub struct NetStats {
     pub no_routes: u64,
 }
 
-impl NetStats {
-    /// Fold `other` into `self`. Associative and commutative: counters
-    /// add, peaks take the maximum (with `hottest_link` following
-    /// whichever side holds the larger utilization), so per-shard stats
-    /// can be merged in any grouping without changing the totals.
-    pub fn merge(&mut self, other: &NetStats) {
-        self.messages += other.messages;
-        self.bytes += other.bytes;
-        self.inter_messages += other.inter_messages;
-        self.inter_bytes += other.inter_bytes;
-        self.control_messages += other.control_messages;
-        self.control_bytes += other.control_bytes;
-        self.peak_link_flows = self.peak_link_flows.max(other.peak_link_flows);
-        if other.max_link_utilization > self.max_link_utilization {
-            self.max_link_utilization = other.max_link_utilization;
-            self.hottest_link = other.hottest_link;
-        }
-        self.solver.merge(&other.solver);
-        self.drops += other.drops;
-        self.corrupts += other.corrupts;
-        self.retransmits += other.retransmits;
-        self.failovers += other.failovers;
-        self.link_faults += other.link_faults;
-        self.flow_aborts += other.flow_aborts;
-        self.no_routes += other.no_routes;
-    }
-}
-
 /// Point-in-time congestion/fault snapshot returned by
 /// [`Fabric::heat`]: the sensor block the adaptive load balancer reads
 /// each LB tick. Counters are cumulative since construction; the
@@ -363,16 +335,6 @@ pub trait Topology: std::fmt::Debug + Send {
         Vec::new()
     }
 
-    /// Minimum modeled one-way latency of any message between *distinct*
-    /// nodes, before jitter — the floor a windowed parallel run derives
-    /// its lookahead from ([`Fabric::lookahead`]). `None` means the model
-    /// cannot bound delivery times at admission (closed-loop flow models
-    /// price completions dynamically as congestion evolves), so windowed
-    /// execution is unsupported on it.
-    fn min_remote_latency(&self) -> Option<SimDuration> {
-        None
-    }
-
     /// Instant up to which traffic has been accounted (utilization
     /// denominator for [`Fabric::stats`]).
     fn horizon(&self) -> SimTime {
@@ -420,12 +382,6 @@ impl Topology for Flat {
         let delivery = tail_arrival.max(self.nics[msg.dst.0].ingress_free + ser);
         self.nics[msg.dst.0].ingress_free = delivery;
         Admit::Deliver(delivery)
-    }
-
-    fn min_remote_latency(&self) -> Option<SimDuration> {
-        // Inter-node cost is at least the base latency: serialization,
-        // `extra_latency`, and NIC port queueing only push delivery later.
-        Some(self.params.inter_latency)
     }
 
     fn clone_box(&self) -> Box<dyn Topology> {
@@ -821,22 +777,6 @@ impl Fabric {
         1.0 + eps * (2.0 * unit - 1.0)
     }
 
-    /// Conservative lookahead for windowed parallel execution: a
-    /// duration `L` such that every message between distinct nodes is
-    /// delivered at least `L` after it is sent, under any jitter draw.
-    ///
-    /// Derived from [`Topology::min_remote_latency`] with the worst-case
-    /// jitter margin taken off: the fabric prices a message's base
-    /// latency as `round(base * f)` with `f >= 1 - jitter`, so any
-    /// integer `L <= base * (1 - jitter) - 0.5` is safe. `None` when the
-    /// topology cannot bound delivery at admission (closed-loop models).
-    pub fn lookahead(&self) -> Option<SimDuration> {
-        let base = self.topo.min_remote_latency()?;
-        let eps = self.params.jitter.max(0.0);
-        let floor = (base.as_ns() as f64 * (1.0 - eps) - 0.5).floor();
-        Some(SimDuration::from_ns((floor.max(1.0)) as u64))
-    }
-
     /// Compute the delivery time of `msg` sent at `now` and commit the
     /// topology state. Only valid for open-loop topologies (`Flat`),
     /// which price messages at admission; [`send`] works for every
@@ -882,25 +822,6 @@ pub trait NetHost: Sized + 'static {
     /// discovers those by ack timeout, as on a real wire. Default: the
     /// loss is absorbed (a reliability layer overrides this).
     fn on_net_dropped(&mut self, _sim: &mut Sim<Self>, _msg: NetMsg) {}
-
-    /// Windowed-execution hook: offered every priced delivery *before*
-    /// its event is scheduled. Return `true` to take ownership — the
-    /// host parks `(at, flight)` in a staging buffer and later replays it
-    /// through [`schedule_delivery`] (a sharded driver does this at the
-    /// window barrier, after a deterministic cross-shard sort). Return
-    /// `false` (the default, and the single-threaded fast path — one
-    /// predictable branch) to let [`send`] schedule it immediately.
-    fn stage_delivery(&mut self, _at: SimTime, _msg: &NetMsg, _flight: u32) -> bool {
-        false
-    }
-}
-
-/// Schedule the delivery event for a transfer previously parked by
-/// [`NetHost::stage_delivery`]. `at` and `flight` must be exactly the
-/// values the hook was offered; the message fires through the same
-/// delivery path (fault checks included) as an unstaged send.
-pub fn schedule_delivery<W: NetHost>(sim: &mut Sim<W>, at: SimTime, flight: u32) {
-    sim.at_call1(at, deliver::<W>, flight as u64);
 }
 
 /// Send a message. Open-loop topologies price it immediately and one
@@ -928,9 +849,7 @@ pub fn send<W: NetHost>(w: &mut W, sim: &mut Sim<W>, msg: NetMsg) {
     let idx = fabric.stash(msg);
     match fabric.topo.admit(now, &msg, jitter, idx) {
         Admit::Deliver(at) => {
-            if !w.stage_delivery(at, &msg, idx) {
-                sim.at_call1(at, deliver::<W>, idx as u64);
-            }
+            sim.at_call1(at, deliver::<W>, idx as u64);
         }
         Admit::Flow { failover } => {
             if failover {
@@ -1217,59 +1136,6 @@ mod tests {
         assert_eq!(w.got.len(), 1);
         assert_eq!(w.got[0].0, 42);
         assert!(w.got[0].1 > SimTime::ZERO);
-    }
-
-    #[test]
-    fn staged_deliveries_replay_through_schedule_delivery() {
-        // A host that parks every priced delivery instead of letting
-        // `send` schedule it (the windowed-execution hook), then releases
-        // the batch at a "window barrier" in sorted order. Deliveries
-        // must land at exactly the instants the fabric priced.
-        struct World {
-            fabric: Fabric,
-            parked: Vec<(SimTime, u64, u32)>,
-            got: Vec<(u64, SimTime)>,
-        }
-        impl NetHost for World {
-            fn fabric_mut(&mut self) -> &mut Fabric {
-                &mut self.fabric
-            }
-            fn on_net_deliver(&mut self, sim: &mut Sim<Self>, msg: NetMsg) {
-                self.got.push((msg.token, sim.now()));
-            }
-            fn stage_delivery(&mut self, at: SimTime, msg: &NetMsg, flight: u32) -> bool {
-                self.parked.push((at, msg.token, flight));
-                true
-            }
-        }
-        let mut w = World {
-            fabric: fabric(3),
-            parked: vec![],
-            got: vec![],
-        };
-        let mut sim: Sim<World> = Sim::new();
-        sim.soon(|w: &mut World, sim: &mut Sim<World>| {
-            for token in 0..4u64 {
-                let mut m = msg(token as usize % 2, 2, 4096);
-                m.token = token;
-                send(w, sim, m);
-            }
-        });
-        // The sends ran but every delivery is parked: nothing fires.
-        sim.run(&mut w);
-        assert_eq!(w.got.len(), 0);
-        assert_eq!(w.parked.len(), 4);
-        // Barrier: sort by (time, token) and release.
-        let mut parked = std::mem::take(&mut w.parked);
-        parked.sort_by_key(|&(at, token, _)| (at, token));
-        for &(at, _, flight) in &parked {
-            schedule_delivery(&mut sim, at, flight);
-        }
-        sim.run(&mut w);
-        assert_eq!(w.got.len(), 4);
-        for (i, &(at, token, _)) in parked.iter().enumerate() {
-            assert_eq!(w.got[i], (token, at), "delivery {i} at priced instant");
-        }
     }
 
     #[test]
@@ -1771,101 +1637,5 @@ mod tests {
         let (w, _) = fault_run(f, msgs);
         assert_eq!(w.got.len(), 4);
         assert_eq!(w.fabric.stats().drops, 0);
-    }
-
-    #[test]
-    fn net_stats_merge_is_associative_and_commutative() {
-        let mk = |k: u64| NetStats {
-            messages: k,
-            bytes: 10 * k,
-            inter_messages: k / 2,
-            inter_bytes: 5 * k,
-            control_messages: k % 3,
-            control_bytes: k % 7,
-            peak_link_flows: (3 * k % 11) as u32,
-            max_link_utilization: (k % 5) as f64 / 5.0,
-            hottest_link: Some(LinkId(k as u32)),
-            solver: SolverStats {
-                recomputes: k,
-                empty_recomputes: k / 3,
-                touched_flows: 2 * k,
-                touched_links: 3 * k,
-                rate_updates_avoided: 4 * k,
-                dirty_hist: [k, 0, k, 0, k, 0, k, 0],
-            },
-            drops: k % 2,
-            corrupts: k % 3,
-            retransmits: k % 4,
-            failovers: k % 5,
-            link_faults: k % 6,
-            flow_aborts: k % 7,
-            no_routes: k % 8,
-        };
-        let (a, b, c) = (mk(7), mk(12), mk(29));
-
-        // (a + b) + c == a + (b + c)
-        let mut left = a;
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b;
-        bc.merge(&c);
-        let mut right = a;
-        right.merge(&bc);
-        let key = |s: &NetStats| {
-            (
-                s.messages,
-                s.bytes,
-                s.inter_messages,
-                s.inter_bytes,
-                s.control_messages,
-                s.control_bytes,
-                s.peak_link_flows,
-                s.max_link_utilization.to_bits(),
-                s.hottest_link,
-                (
-                    s.solver.recomputes,
-                    s.solver.touched_flows,
-                    s.solver.dirty_hist,
-                ),
-                (s.drops, s.corrupts, s.retransmits, s.failovers),
-                (s.link_faults, s.flow_aborts, s.no_routes),
-            )
-        };
-        assert_eq!(key(&left), key(&right));
-
-        // Commutative: any permutation gives the same totals.
-        let mut rev = c;
-        rev.merge(&a);
-        rev.merge(&b);
-        assert_eq!(key(&left), key(&rev));
-
-        // Spot-check semantics: counters add, peaks max.
-        assert_eq!(left.messages, 7 + 12 + 29);
-        assert_eq!(
-            left.peak_link_flows,
-            [7u64, 12, 29]
-                .iter()
-                .map(|k| (3 * k % 11) as u32)
-                .max()
-                .unwrap()
-        );
-        assert_eq!(left.solver.dirty_hist[0], 7 + 12 + 29);
-    }
-
-    #[test]
-    fn flat_lookahead_bounds_every_remote_delivery() {
-        // jitter 0: the floor is the base latency minus rounding slack.
-        assert_eq!(fabric(4).lookahead().unwrap().as_ns(), 1599);
-        // jitter 1%: 1600 * 0.99 - 0.5 = 1583.5 -> 1583ns.
-        let mut f = Fabric::new(4, NetParams::default(), SimRng::new(1));
-        let la = f.lookahead().expect("flat topology has a lookahead");
-        assert_eq!(la.as_ns(), 1583);
-        for token in 0..200u64 {
-            let mut m = msg(0, 1 + (token % 3) as usize, 64 + token * 37);
-            m.token = token;
-            let now = SimTime::from_ns(1000 + token * 13);
-            let at = f.commit(now, &m);
-            assert!(at >= now + la, "token {token}: {at} < {now} + {la}");
-        }
     }
 }

@@ -50,11 +50,9 @@
 //!
 //! One `Sim` is deliberately single-threaded: determinism and
 //! reproducibility of the *simulated* machine matter far more here than
-//! wall-clock parallelism of one run. Parallelism lives one level up, in
-//! [`crate::shard`], which runs one engine per worker thread under a
-//! conservative time-windowed protocol with a deterministic cross-shard
-//! merge — and in the benchmark harness, which runs many independent
-//! simulations concurrently.
+//! wall-clock parallelism of one run. Host parallelism lives one level
+//! up, in the scenario sweep pool (`gaat-sweep`), which runs many
+//! independent simulations concurrently, one engine per worker thread.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -101,8 +99,7 @@ impl EventId {
 /// Boxed event closure over the world type `W`.
 ///
 /// The closure is `Send` so a whole `Sim` (and the world it drives) can be
-/// handed to another host thread — the property the sharded parallel
-/// driver ([`crate::shard`]) relies on to run one engine per worker.
+/// handed to another host thread.
 pub type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Sim<W>) + Send>;
 
 /// What runs when an event fires. `Call0/1/2` are the closure-free fast
@@ -502,8 +499,7 @@ impl<W> Sim<W> {
         self.peak_pending
     }
 
-    /// Snapshot of this engine's counters, in the mergeable form the
-    /// sharded driver aggregates across shards.
+    /// Snapshot of this engine's counters.
     pub fn stats(&self) -> crate::stats::SimStats {
         crate::stats::SimStats {
             events_executed: self.executed,

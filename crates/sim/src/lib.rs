@@ -25,7 +25,6 @@
 pub mod engine;
 pub mod fault;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -33,7 +32,6 @@ pub mod trace;
 pub use engine::{EventFn, EventId, RunOutcome, Sim, SimSnapshot, SnapshotError};
 pub use fault::{FaultPlan, LinkFault, LinkFaultKind, MsgFate, PeFault, StragglerWindow};
 pub use rng::{mix64, SimRng};
-pub use shard::{Shard, ShardWorld, ShardedSim};
 pub use stats::{Accumulator, BusyTracker, IterationTimer, LogHistogram, SimStats};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Span, SpanStats, Tracer};

@@ -6,13 +6,7 @@
 
 use crate::time::{SimDuration, SimTime};
 
-/// Engine-level counters for one `Sim` (or one shard of a sharded run).
-///
-/// Merging is **associative and commutative** — counts add, high-water
-/// marks take the max — so aggregating per-shard snapshots yields the
-/// same totals regardless of merge order or shard count. The sharded
-/// driver relies on this to report whole-run observability numbers that
-/// don't undercount in parallel runs.
+/// Engine-level counters for one `Sim`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimStats {
@@ -21,20 +15,7 @@ pub struct SimStats {
     /// Live events currently pending.
     pub pending: u64,
     /// High-water mark of the live pending-event count.
-    ///
-    /// Per-shard peaks need not coincide in simulated time, so the merged
-    /// value is a lower bound on the true global peak — but it is the
-    /// *same* lower bound for any shard count and merge order.
     pub peak_pending: u64,
-}
-
-impl SimStats {
-    /// Fold another snapshot into this one (associative, commutative).
-    pub fn merge(&mut self, other: &SimStats) {
-        self.events_executed += other.events_executed;
-        self.pending += other.pending;
-        self.peak_pending = self.peak_pending.max(other.peak_pending);
-    }
 }
 
 /// Streaming mean/variance/min/max accumulator (Welford's algorithm).
@@ -309,44 +290,6 @@ impl IterationTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sim_stats_merge_is_associative_and_commutative() {
-        let snaps = [
-            SimStats {
-                events_executed: 10,
-                pending: 3,
-                peak_pending: 7,
-            },
-            SimStats {
-                events_executed: 25,
-                pending: 0,
-                peak_pending: 19,
-            },
-            SimStats {
-                events_executed: 1,
-                pending: 12,
-                peak_pending: 12,
-            },
-        ];
-        // (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c)
-        let mut left = snaps[0];
-        left.merge(&snaps[1]);
-        left.merge(&snaps[2]);
-        let mut bc = snaps[1];
-        bc.merge(&snaps[2]);
-        let mut right = snaps[0];
-        right.merge(&bc);
-        assert_eq!(left, right);
-        // and any permutation gives the same fold
-        let mut rev = snaps[2];
-        rev.merge(&snaps[0]);
-        rev.merge(&snaps[1]);
-        assert_eq!(left, rev);
-        assert_eq!(left.events_executed, 36);
-        assert_eq!(left.pending, 15);
-        assert_eq!(left.peak_pending, 19);
-    }
 
     #[test]
     fn accumulator_basic_moments() {

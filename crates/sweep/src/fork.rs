@@ -144,13 +144,11 @@ pub(crate) fn plan(scenarios: &[Scenario], fork: bool, skip: &[bool]) -> Vec<Uni
         }
         // Jacobi and sweep3d implement `Chare::fork`; other workloads
         // run standalone (their worlds would decline the snapshot
-        // anyway — this just skips the wasted attempt). A multi-worker
-        // windowed machine cannot pause mid-window either.
+        // anyway — this just skips the wasted attempt).
         if !matches!(
             sc.workload,
             Workload::Jacobi { .. } | Workload::Sweep3d { .. }
-        ) || sc.machine.workers > 1
-        {
+        ) {
             singles_first.push(Unit::Single(i));
             continue;
         }

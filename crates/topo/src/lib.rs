@@ -49,20 +49,6 @@ impl SolverStats {
     pub const HIST_LABELS: [&'static str; 8] =
         ["0", "1", "2-3", "4-7", "8-15", "16-31", "32-63", ">=64"];
 
-    /// Fold `other` into `self`. Every field is a sum (histogram buckets
-    /// included), so the merge is associative and commutative — per-shard
-    /// solver counters can be combined in any grouping.
-    pub fn merge(&mut self, other: &SolverStats) {
-        self.recomputes += other.recomputes;
-        self.empty_recomputes += other.empty_recomputes;
-        self.touched_flows += other.touched_flows;
-        self.touched_links += other.touched_links;
-        self.rate_updates_avoided += other.rate_updates_avoided;
-        for (a, b) in self.dirty_hist.iter_mut().zip(other.dirty_hist.iter()) {
-            *a += b;
-        }
-    }
-
     /// Record one recompute that touched `dirty_flows` of the `live`
     /// flows and reset `dirty_links` links.
     pub fn record_component(&mut self, dirty_flows: usize, dirty_links: usize, live: usize) {

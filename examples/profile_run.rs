@@ -14,9 +14,7 @@
 //!
 //! Pass `--trace-out PATH` to also write the merged timeline (PE lanes,
 //! GPU engine lanes, fabric link lanes) as Chrome `trace_event` JSON for
-//! chrome://tracing or <https://ui.perfetto.dev>. Pass `--workers N` to
-//! run the simulation itself in N-shard windowed parallel DES mode —
-//! the profile is bit-identical to the single-threaded run.
+//! chrome://tracing or <https://ui.perfetto.dev>.
 
 use gaat::jacobi3d::{charm, CommMode, Dims, JacobiConfig};
 use gaat::rt::{LbPolicy, MachineConfig};
@@ -53,23 +51,6 @@ fn drop_rate() -> Option<f64> {
     None
 }
 
-/// `--workers N` runs the simulation in N-shard windowed parallel DES
-/// mode (default 1 = plain single-threaded engine). Results are
-/// bit-identical for every worker count.
-fn workers() -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--workers" {
-            let n = args.next().expect("--workers requires a count");
-            return n.parse().expect("parse worker count");
-        }
-        if let Some(n) = arg.strip_prefix("--workers=") {
-            return n.parse().expect("parse worker count");
-        }
-    }
-    1
-}
-
 /// `--lb` arms the adaptive load balancer against an injected GPU
 /// straggler window and prints the closed-loop counters after the run:
 /// LB rounds planned/applied/declined, chares migrated, host-side
@@ -98,7 +79,7 @@ fn collective() -> Option<String> {
 
 /// The `--collective` microbench: back-to-back collectives on two
 /// simulated nodes with tracing on, counters per algorithm.
-fn collective_profile(which: &str, workers: usize) {
+fn collective_profile(which: &str) {
     use gaat::coll::{build, payload_bytes, run, Algorithm, CollAppConfig, CollOp};
 
     let algorithms: Vec<(&str, CollOp, Algorithm)> = match which {
@@ -113,8 +94,7 @@ fn collective_profile(which: &str, workers: usize) {
         }
     };
     for (name, op, alg) in algorithms {
-        let mut machine = MachineConfig::summit(2.max(workers));
-        machine.workers = workers;
+        let mut machine = MachineConfig::summit(2);
         machine.trace = true;
         let count = 1 << 20;
         let mut cfg = CollAppConfig::new(machine, op, alg, count);
@@ -152,33 +132,18 @@ fn collective_profile(which: &str, workers: usize) {
 fn main() {
     let trace_out = trace_out_path();
     let drop = drop_rate();
-    let workers = workers();
     let lb = lb();
     if let Some(which) = collective() {
         if drop.is_some() || lb {
             eprintln!("error: --drop/--lb are not supported with --collective");
             std::process::exit(2);
         }
-        collective_profile(&which, workers);
+        collective_profile(&which);
         return;
-    }
-    if lb && workers > 1 {
-        eprintln!("error: the periodic balancer runs single-threaded; drop --workers");
-        std::process::exit(2);
-    }
-    if workers > 1 && drop.is_some() {
-        eprintln!(
-            "error: fault plans (--drop) are not yet supported with --workers > 1; \
-             run the fault profile single-threaded"
-        );
-        std::process::exit(2);
     }
     // Loss needs inter-node traffic to act on; the fault-free profile
     // keeps the paper's single-node Nsight setup.
-    // Sharding needs at least one node per worker (a node is the finest
-    // shardable unit), so multi-worker profiles widen the machine.
-    let mut machine = MachineConfig::summit((if drop.is_some() { 2 } else { 1 }).max(workers));
-    machine.workers = workers;
+    let mut machine = MachineConfig::summit(if drop.is_some() { 2 } else { 1 });
     machine.trace = true;
     if let Some(p) = drop {
         machine.faults = FaultPlan {

@@ -4,7 +4,7 @@
 //! to find the crossover the paper reports.
 //!
 //! ```text
-//! cargo run --release --example strong_scaling [max_nodes] [--topology flat|fattree] [--workers N]
+//! cargo run --release --example strong_scaling [max_nodes] [--topology flat|fattree]
 //! ```
 //!
 //! `--topology fattree` swaps the flat per-NIC interconnect for the
@@ -30,40 +30,22 @@ fn main() {
         topology == "flat" || topology == "fattree",
         "--topology must be `flat` or `fattree`"
     );
-    let workers: usize = match args.iter().position(|a| a == "--workers") {
-        Some(i) => args
-            .get(i + 1)
-            .expect("--workers needs a value")
-            .parse()
-            .expect("--workers must be a number"),
-        None => 1,
-    };
-    if workers > 1 && topology == "fattree" {
-        eprintln!(
-            "error: --workers {workers} is not yet supported with --topology fattree \
-             (flow completion times depend on later admissions, so no \
-             admission-time lookahead exists); run with --workers 1"
-        );
-        std::process::exit(2);
-    }
     let max_nodes: usize = args
         .iter()
         .find(|a| !a.starts_with("--") && a.chars().all(|c| c.is_ascii_digit()))
         .map(|s| s.parse().expect("max_nodes must be a number"))
         .unwrap_or(32);
     let machine = |nodes| {
-        let mut m = if topology == "fattree" {
+        if topology == "fattree" {
             MachineConfig::summit_fattree(nodes)
         } else {
             MachineConfig::summit(nodes)
-        };
-        m.workers = workers;
-        m
+        }
     };
     let global = Dims::cube(768);
     println!(
-        "strong scaling a {0}x{0}x{0} grid, 6 GPUs per node, {1} interconnect, {2} worker(s)\n",
-        768, topology, workers
+        "strong scaling a {0}x{0}x{0} grid, 6 GPUs per node, {1} interconnect\n",
+        768, topology
     );
     println!(
         "{:<7} {:>12} {:>12} {:>24} {:>24}",

@@ -54,14 +54,6 @@ grep -Eq '"sanity_pin": \{"recovery": [0-9.]+, "min_recovery": 0.2, "replay_iden
   || { echo "lb_speed sanity pin failed in BENCH_lb_smoke.json" >&2; exit 1; }
 echo "lb smoke OK"
 
-echo "==> windowed parallel DES smoke (--workers 2)"
-# Replays the pinned goldens through the sharded windowed engine at
-# --workers 2 and 4 and requires bit-identical fingerprints against the
-# single-threaded recordings. (The engine smoke above additionally
-# asserts shard_churn fingerprints agree across 1/2/4 worker threads.)
-cargo test -q --release --test determinism worker_counts_replay_goldens_bit_identically
-echo "workers smoke OK"
-
 echo "==> sweep-engine benchmark (smoke)"
 # Batched scenario-sweep engine: fingerprints at workers 1/2/4 must
 # match each other and standalone runs, and world reuse must cut mean

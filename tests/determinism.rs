@@ -194,202 +194,43 @@ fn zero_jitter_makes_seeds_irrelevant() {
     assert_eq!(a.total, b.total);
 }
 
-/// The tentpole guarantee of windowed parallel runs: the worker count is
-/// observably invisible. Every golden from
-/// [`firing_order_matches_seed_engine_goldens`] must replay bit for bit
-/// at workers 2 and 4 (4 clamps to the 2 nodes of this machine) — the
-/// cross-shard staging/merge path reproduces the sequential `(time, seq)`
-/// firing order exactly, not approximately.
-#[test]
-fn worker_counts_replay_goldens_bit_identically() {
-    for workers in [2usize, 4] {
-        let wcfg = || {
-            let mut c = cfg();
-            c.machine.workers = workers;
-            c
-        };
-        let golden = [
-            (
-                CommMode::HostStaging,
-                5_375_600u64,
-                509_822u64,
-                4_736u64,
-                4_640u64,
-            ),
-            (CommMode::GpuAware, 3_115_454, 295_779, 4_736, 4_640),
-        ];
-        for (comm, total_ns, per_iter_ns, entries, kernels) in golden {
-            let mut c = wcfg();
-            c.comm = comm;
-            c.odf = 4;
-            let r = run_charm(c);
-            assert_eq!(
-                r.total.as_ns(),
-                total_ns,
-                "workers={workers} {comm:?} total"
-            );
-            assert_eq!(
-                r.time_per_iter.as_ns(),
-                per_iter_ns,
-                "workers={workers} {comm:?} per-iter"
-            );
-            assert_eq!(r.entries, entries, "workers={workers} {comm:?} entries");
-            assert_eq!(r.kernels, kernels, "workers={workers} {comm:?} kernels");
-        }
-
-        let r = run_mpi(wcfg());
-        assert_eq!(r.total.as_ns(), 986_355, "workers={workers} mpi total");
-        assert_eq!(r.entries, 1_172, "workers={workers} mpi entries");
-
-        let mut c = wcfg();
-        c.comm = CommMode::GpuAware;
-        c.fusion = Fusion::B;
-        c.graphs = true;
-        c.odf = 2;
-        let r = run_charm(c);
-        assert_eq!(r.total.as_ns(), 604_747, "workers={workers} graphs total");
-        assert_eq!(r.entries, 2_128, "workers={workers} graphs entries");
-    }
-}
-
-/// Same property on the second proxy app: a sweep3d run is bit-identical
-/// across worker counts, and the windowed runs genuinely exchange
-/// cross-shard traffic (the agreement is not vacuous).
-#[test]
-fn sweep3d_worker_counts_agree_bit_identically() {
-    use gaat::sweep3d::{build, run, SweepConfig};
-
-    let go = |workers: usize| {
-        let mut m = MachineConfig::summit(4);
-        m.workers = workers;
-        let mut c = SweepConfig::new(m, Dims::cube(96));
-        c.odf = 2;
-        c.sweeps = 4;
-        c.warmup = 1;
-        let (mut sim, ids, sh) = build(c);
-        let r = run(&mut sim, &ids, &sh);
-        (
-            r.total,
-            r.time_per_sweep,
-            sim.window_stats.windows,
-            sim.window_stats.staged,
-        )
-    };
-    let (total, per_sweep, w1, s1) = go(1);
-    assert_eq!(w1, 0, "workers=1 must take the plain fast path");
-    assert_eq!(s1, 0);
-    for workers in [2usize, 4] {
-        let (t, p, windows, staged) = go(workers);
-        assert_eq!(t, total, "workers={workers} total");
-        assert_eq!(p, per_sweep, "workers={workers} per-sweep");
-        assert!(windows > 0, "workers={workers} must run windowed");
-        assert!(
-            staged > 0,
-            "workers={workers} must stage cross-shard traffic"
-        );
-    }
-}
-
 /// Golden fingerprints for the collective-traffic proxy apps (gaat-coll
 /// under gaat-dptrain), recorded when they landed: one data-parallel
-/// training scenario and one skew-routed MoE scenario, replayed at
-/// workers 1 and 2 on the Flat 2-node machine. Totals may only move on a
-/// deliberate model change; the traffic counters (bytes/chunks/steps)
-/// are the structural fingerprint and pin the schedules themselves.
+/// training scenario and one skew-routed MoE scenario on the Flat 2-node
+/// machine. Totals may only move on a deliberate model change; the
+/// traffic counters (bytes/chunks/steps) are the structural fingerprint
+/// and pin the schedules themselves.
 #[test]
-fn coll_proxy_apps_replay_goldens_across_worker_counts() {
+fn coll_proxy_apps_replay_goldens() {
     use gaat::dptrain::moe::{run_moe_app, MoeConfig};
     use gaat::dptrain::train::{train, TrainConfig};
 
-    for workers in [1usize, 2] {
-        let mut m = MachineConfig::summit(2);
-        m.workers = workers;
-        let mut c = TrainConfig::new(m, 1 << 16);
-        c.steps = 2;
-        c.warmup = 1;
-        let r = train(c);
-        assert_eq!(r.total.as_ns(), 1_904_268, "workers={workers} train total");
-        assert_eq!(
-            r.time_per_step.as_ns(),
-            633_748,
-            "workers={workers} train per-step"
-        );
-        assert_eq!(r.coll_stats.bytes, 34_603_008, "workers={workers} bytes");
-        assert_eq!(r.coll_stats.chunks, 3_168, "workers={workers} chunks");
-        assert_eq!(r.coll_stats.steps, 3_168, "workers={workers} steps");
-        assert_eq!(
-            r.coll_stats.reduced_elems, 2_162_688,
-            "workers={workers} reduced"
-        );
-        assert_eq!(r.coll_stats.rounds, 144, "workers={workers} rounds");
-    }
-
-    for workers in [1usize, 2] {
-        let mut m = MachineConfig::summit(2);
-        m.workers = workers;
-        let mut c = MoeConfig::new(m, 512, 64);
-        c.hot_experts = 3;
-        c.hot_frac = 0.7;
-        c.rounds = 2;
-        c.warmup = 1;
-        let r = run_moe_app(c);
-        assert_eq!(r.total.as_ns(), 924_567, "workers={workers} moe total");
-        assert_eq!(
-            r.time_per_round.as_ns(),
-            307_777,
-            "workers={workers} moe per-round"
-        );
-        for (name, s) in [
-            ("dispatch", &r.dispatch_stats),
-            ("combine", &r.combine_stats),
-        ] {
-            assert_eq!(s.bytes, 8_623_104, "workers={workers} {name} bytes");
-            assert_eq!(s.chunks, 396, "workers={workers} {name} chunks");
-            assert_eq!(s.steps, 396, "workers={workers} {name} steps");
-        }
-    }
-}
-
-fn partition_base_cfg() -> JacobiConfig {
-    let mut c = JacobiConfig::new(MachineConfig::summit(4), Dims::cube(96));
-    c.iters = 4;
+    let mut c = TrainConfig::new(MachineConfig::summit(2), 1 << 16);
+    c.steps = 2;
     c.warmup = 1;
-    c.comm = CommMode::GpuAware;
-    c.odf = 2;
-    c
-}
+    let r = train(c);
+    assert_eq!(r.total.as_ns(), 1_904_268, "train total");
+    assert_eq!(r.time_per_step.as_ns(), 633_748, "train per-step");
+    assert_eq!(r.coll_stats.bytes, 34_603_008, "bytes");
+    assert_eq!(r.coll_stats.chunks, 3_168, "chunks");
+    assert_eq!(r.coll_stats.steps, 3_168, "steps");
+    assert_eq!(r.coll_stats.reduced_elems, 2_162_688, "reduced");
+    assert_eq!(r.coll_stats.rounds, 144, "rounds");
 
-proptest::proptest! {
-    #![proptest_config(proptest::ProptestConfig { cases: 6, ..Default::default() })]
-
-    /// Randomized node→shard partitions (node-aligned, as every PE of a
-    /// node shares its shard) never change the fingerprint: any dense
-    /// 2-shard split of the 4 nodes replays the 1-worker run bit for bit.
-    #[test]
-    fn random_partitions_never_change_the_fingerprint(bits in 1u8..7) {
-        use gaat::jacobi3d::charm;
-
-        // 1-worker baseline, computed once across cases.
-        static BASE: std::sync::OnceLock<(gaat::sim::SimDuration, u64, u64)> =
-            std::sync::OnceLock::new();
-        let &(total, entries, kernels) = BASE.get_or_init(|| {
-            let (mut sim, ids, sh) = charm::build(partition_base_cfg());
-            let r = charm::run(&mut sim, &ids, &sh);
-            (r.total, r.entries, r.kernels)
-        });
-
-        // `bits` encodes a non-trivial split of nodes 1..3 (node 0 stays
-        // on shard 0), so both shard ids always appear.
-        let map: Vec<usize> = (0usize..4)
-            .map(|n| usize::from(n > 0 && bits & (1u8 << (n - 1)) != 0))
-            .collect();
-        let mut c = partition_base_cfg();
-        c.machine.workers = 2;
-        let (mut sim, ids, sh) = charm::build(c);
-        let got = charm::run_with_partition(&mut sim, &ids, &sh, map);
-        proptest::prop_assert_eq!(total, got.total);
-        proptest::prop_assert_eq!(entries, got.entries);
-        proptest::prop_assert_eq!(kernels, got.kernels);
-        proptest::prop_assert!(sim.window_stats.staged > 0);
+    let mut c = MoeConfig::new(MachineConfig::summit(2), 512, 64);
+    c.hot_experts = 3;
+    c.hot_frac = 0.7;
+    c.rounds = 2;
+    c.warmup = 1;
+    let r = run_moe_app(c);
+    assert_eq!(r.total.as_ns(), 924_567, "moe total");
+    assert_eq!(r.time_per_round.as_ns(), 307_777, "moe per-round");
+    for (name, s) in [
+        ("dispatch", &r.dispatch_stats),
+        ("combine", &r.combine_stats),
+    ] {
+        assert_eq!(s.bytes, 8_623_104, "{name} bytes");
+        assert_eq!(s.chunks, 396, "{name} chunks");
+        assert_eq!(s.steps, 396, "{name} steps");
     }
 }
