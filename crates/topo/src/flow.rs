@@ -22,6 +22,16 @@
 //! the from-scratch op sequence bit for bit (see DESIGN.md "Incremental
 //! rate recomputation").
 //!
+//! The unit of water-filling is a *route class*: all live flows on one
+//! exact link sequence. Flows in a class cross the same links, so they
+//! enter every dirty closure together and freeze in the same round at
+//! the same share; the closure, the freeze loop and the share refresh
+//! therefore walk classes, not flows, and only the rate write stays per
+//! member. Per-link lists hold classes (each class once per hop while
+//! it has members), so a completion or abort touches a link's list only
+//! when its class empties. Draining, ETA projection, the pacing heap and
+//! byte attribution stay per flow.
+//!
 //! Two further structural optimizations, both behavior-preserving:
 //!
 //! - **Deferred recomputation.** Admits and completions only *seed* the
@@ -41,7 +51,8 @@
 //!   contiguous scan of the flows it already touched and leaves the heap
 //!   empty; the heap is rebuilt on the next sparse fill.
 
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::{BusySpan, CongestionSummary, LinkDesc, LinkId, LinkUsage, SolverStats};
 use gaat_sim::{SimDuration, SimTime};
@@ -93,11 +104,102 @@ impl PartialOrd for EtaEntry {
     }
 }
 
+/// Word-wise multiplicative hash for route keys: a route is a length
+/// and a handful of link ids, so one multiply per word keeps the
+/// per-admission lookup cheap. Routes come from the topology, not from
+/// outside the program, so no collision resistance is needed.
+#[derive(Default)]
+struct RouteHasher(u64);
+
+impl RouteHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for RouteHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(b as u64);
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.add(word as u64);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.add(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Interned route classes. A class is created the first time its route
+/// is admitted and lives as long as the [`FlowSim`]; an empty class just
+/// sits off every link list until a flow joins it again, so the class
+/// count is bounded by the distinct routes the caller ever uses.
+#[derive(Debug, Clone, Default)]
+struct RouteClasses {
+    index: HashMap<Box<[LinkId]>, u32, BuildHasherDefault<RouteHasher>>,
+    /// Flat route storage, `stride` link ids per class; avoids one Vec
+    /// pointer chase per class in the fill's inner loops.
+    route: Vec<u32>,
+    route_len: Vec<u32>,
+    stride: usize,
+    /// Live flow slots of each class (unordered).
+    members: Vec<Vec<u32>>,
+    /// Fill scratch: frozen this fill when `== epoch`.
+    frozen: Vec<u64>,
+    /// Closure scratch: in the dirty set when `== epoch`.
+    mark: Vec<u64>,
+}
+
+impl RouteClasses {
+    fn route(&self, c: usize) -> &[u32] {
+        &self.route[c * self.stride..c * self.stride + self.route_len[c] as usize]
+    }
+
+    /// Class id of `route`, creating the class on first sight.
+    fn intern(&mut self, route: &[LinkId]) -> u32 {
+        if let Some(&c) = self.index.get(route) {
+            return c;
+        }
+        if route.len() > self.stride {
+            // Grow the stride so the route fits, re-laying out the arena.
+            let new_stride = route.len().next_power_of_two();
+            let mut arena = vec![0u32; self.route_len.len() * new_stride];
+            for c in 0..self.route_len.len() {
+                let n = self.route_len[c] as usize;
+                arena[c * new_stride..c * new_stride + n]
+                    .copy_from_slice(&self.route[c * self.stride..c * self.stride + n]);
+            }
+            self.route = arena;
+            self.stride = new_stride;
+        }
+        let c = self.route_len.len() as u32;
+        self.route.resize(self.route.len() + self.stride, 0);
+        let base = c as usize * self.stride;
+        for (slot, l) in self.route[base..base + route.len()].iter_mut().zip(route) {
+            *slot = l.0;
+        }
+        self.route_len.push(route.len() as u32);
+        self.members.push(Vec::new());
+        self.frozen.push(0);
+        self.mark.push(0);
+        self.index.insert(route.into(), c);
+        c
+    }
+}
+
 /// The flow-level interconnect state machine. See the module docs.
 ///
-/// Per-flow and per-link hot state is stored struct-of-arrays: the
-/// water-fill, the settle loop, and the closure walk only stream over
-/// small dense `f64`/`u32` arrays, never over wide structs.
+/// Per-flow, per-class and per-link hot state is stored
+/// struct-of-arrays: the water-fill, the settle loop, and the closure
+/// walk only stream over small dense `f64`/`u32` arrays, never over wide
+/// structs.
 #[derive(Debug, Clone)]
 pub struct FlowSim {
     // --- per-flow arrays, indexed by slot ---
@@ -109,21 +211,21 @@ pub struct FlowSim {
     total: Vec<f64>,
     token: Vec<u64>,
     alive: Vec<bool>,
-    /// Fill scratch: frozen this fill when `== epoch`.
-    frozen: Vec<u64>,
-    /// Closure scratch: in the dirty set when `== epoch`.
-    fmark: Vec<u64>,
-    route_len: Vec<u32>,
-    /// Flat route storage, `stride` link ids per slot; avoids one Vec
-    /// pointer chase per flow in the fill's inner loops.
-    route_arena: Vec<u32>,
-    stride: usize,
+    /// Route class of each flow (its route is the class's).
+    class: Vec<u32>,
+    /// Position of each live flow in its class's member list.
+    cpos: Vec<u32>,
+
+    // --- per-class state ---
+    classes: RouteClasses,
 
     // --- per-link arrays, indexed by link id ---
     lmeta: Vec<LinkMeta>,
-    /// Live flow slots currently crossing each link (unordered — the
-    /// water-filling result is invariant to within-round freeze order).
-    lflows: Vec<Vec<u32>>,
+    /// Non-empty route classes crossing each link, once per hop
+    /// (unordered — the water-filling result is invariant to
+    /// within-round freeze order). Changes only when a class empties or
+    /// gains its first member.
+    lclasses: Vec<Vec<u32>>,
     /// Capacity in bytes per nanosecond.
     lcap: Vec<f64>,
     /// Packed water-fill scratch per link: `[capacity_left,
@@ -131,9 +233,9 @@ pub struct FlowSim {
     /// count is f64 so the share division needs no conversion; exact
     /// for any realistic flow count.
     lcu: Vec<[f64; 2]>,
-    /// Live-flow count per link, kept out of the cold [`LinkMeta`] so
-    /// the dense build streams over a packed array instead of gathering
-    /// through wide structs.
+    /// Live-flow count per link (the member counts of its classes summed),
+    /// kept out of the cold [`LinkMeta`] so the dense build streams over
+    /// a packed array instead of gathering through wide structs.
     lactive: Vec<u32>,
     /// Dirty-link scratch, valid when `== epoch`.
     lmark: Vec<u64>,
@@ -182,7 +284,6 @@ pub struct FlowSim {
     // Scratch buffers reused across fills (steady state allocates
     // nothing).
     seed: Vec<u32>,
-    dirty_flows: Vec<u32>,
     cand: Vec<u32>,
     cand_share: Vec<f64>,
     changed: Vec<u32>,
@@ -215,13 +316,14 @@ impl FlowSim {
             total: Vec::new(),
             token: Vec::new(),
             alive: Vec::new(),
-            frozen: Vec::new(),
-            fmark: Vec::new(),
-            route_len: Vec::new(),
-            route_arena: Vec::new(),
-            stride: 4,
+            class: Vec::new(),
+            cpos: Vec::new(),
+            classes: RouteClasses {
+                stride: 4,
+                ..RouteClasses::default()
+            },
             lmeta,
-            lflows: vec![Vec::new(); n],
+            lclasses: vec![Vec::new(); n],
             lcap: links.iter().map(|&d| d.bw / 1e9).collect(),
             lcu: vec![[0.0; 2]; n],
             lactive: vec![0; n],
@@ -245,7 +347,6 @@ impl FlowSim {
             pending: false,
             dense: false,
             seed: Vec::new(),
-            dirty_flows: Vec::new(),
             cand: Vec::new(),
             cand_share: Vec::new(),
             changed: Vec::new(),
@@ -268,6 +369,35 @@ impl FlowSim {
     /// Incremental-solver counters accumulated since construction.
     pub fn solver_stats(&self) -> SolverStats {
         self.stats
+    }
+
+    /// Assert that the route-class bookkeeping balances: each link's
+    /// class sizes sum to its live-flow count, no empty class sits on a
+    /// link list, and every live flow is in its class's member list at
+    /// the position it records. For tests; O(links + classes + flows).
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        for (l, list) in self.lclasses.iter().enumerate() {
+            let mut sum = 0usize;
+            for &c in list {
+                let m = self.classes.members[c as usize].len();
+                assert!(m > 0, "empty class {c} on link {l}'s list");
+                sum += m;
+            }
+            assert_eq!(
+                sum, self.lactive[l] as usize,
+                "class sizes on link {l} vs its live-flow count"
+            );
+        }
+        for &f in &self.live {
+            let i = f as usize;
+            let c = self.class[i] as usize;
+            assert_eq!(
+                self.classes.members[c].get(self.cpos[i] as usize),
+                Some(&f),
+                "flow {f} not at its recorded position in class {c}"
+            );
+        }
     }
 
     /// Instant up to which flows have been drained (the traffic horizon).
@@ -299,47 +429,35 @@ impl FlowSim {
             .collect()
     }
 
-    /// Grow the route arena stride so a `len`-link route fits.
-    fn ensure_stride(&mut self, len: usize) {
-        if len <= self.stride {
-            return;
-        }
-        let new_stride = len.next_power_of_two();
-        let slots = self.route_len.len();
-        let mut arena = vec![0u32; slots * new_stride];
-        for s in 0..slots {
-            let n = self.route_len[s] as usize;
-            arena[s * new_stride..s * new_stride + n]
-                .copy_from_slice(&self.route_arena[s * self.stride..s * self.stride + n]);
-        }
-        self.route_arena = arena;
-        self.stride = new_stride;
-    }
-
     /// Admit a new flow over `route` carrying `bytes`. The token is
     /// returned by `advance` when the flow finishes. Rates of flows
     /// sharing links (transitively) shrink at the next query; the caller
     /// must re-read `next_wakeup()` afterwards.
+    ///
+    /// # Panics
+    ///
+    /// If `route` is empty: no fill would ever reach the flow, so it
+    /// would never get a rate or complete.
     pub fn start(&mut self, now: SimTime, route: &[LinkId], bytes: f64, token: u64) {
+        assert!(
+            !route.is_empty(),
+            "FlowSim::start: a flow's route needs at least one link"
+        );
         if self.pending && now > self.settled_at {
             self.flush();
         }
         self.settle(now);
-        self.ensure_stride(route.len());
         let idx = match self.free.pop() {
             Some(i) => i,
             None => {
-                let i = self.route_len.len() as u32;
+                let i = self.rate.len() as u32;
                 self.rate.push(0.0);
                 self.eta.push(SimTime::MAX);
                 self.total.push(0.0);
                 self.token.push(0);
                 self.alive.push(false);
-                self.frozen.push(0);
-                self.fmark.push(0);
-                self.route_len.push(0);
-                self.route_arena
-                    .resize(self.route_arena.len() + self.stride, 0);
+                self.class.push(0);
+                self.cpos.push(0);
                 self.lpos.push(0);
                 i
             }
@@ -350,9 +468,16 @@ impl FlowSim {
         self.eta[i] = SimTime::MAX;
         self.token[i] = token;
         self.alive[i] = true;
-        self.route_len[i] = route.len() as u32;
-        for (k, &LinkId(l)) in route.iter().enumerate() {
-            self.route_arena[i * self.stride + k] = l;
+        let c = self.classes.intern(route);
+        let members = &mut self.classes.members[c as usize];
+        self.class[i] = c;
+        self.cpos[i] = members.len() as u32;
+        members.push(idx);
+        let first = members.len() == 1;
+        for &LinkId(l) in route {
+            if first {
+                self.lclasses[l as usize].push(c);
+            }
             let a = &mut self.lactive[l as usize];
             *a += 1;
             let a = *a;
@@ -365,7 +490,6 @@ impl FlowSim {
                 }
             }
             m.peak = m.peak.max(a);
-            self.lflows[l as usize].push(idx);
             self.seed.push(l);
         }
         self.live.push(idx);
@@ -418,12 +542,12 @@ impl FlowSim {
             total,
             token,
             alive,
-            route_len,
-            route_arena,
-            stride,
+            class,
+            cpos,
+            classes,
             lmeta,
             lactive,
-            lflows,
+            lclasses,
             free,
             live,
             closed,
@@ -447,16 +571,12 @@ impl FlowSim {
             let i = idx as usize;
             done.push(token[i]);
             alive[i] = false;
-            for k in 0..route_len[i] as usize {
-                let l = route_arena[i * *stride + k] as usize;
+            leave_class(classes, lclasses, class, cpos, idx);
+            for &l in classes.route(class[i] as usize) {
+                let l = l as usize;
                 lactive[l] -= 1;
                 let m = &mut lmeta[l];
                 m.bytes += total[i];
-                let pos = lflows[l]
-                    .iter()
-                    .position(|&f| f == idx)
-                    .expect("completing flow is on its links' member lists");
-                lflows[l].swap_remove(pos);
                 seed.push(l as u32);
                 if lactive[l] == 0 {
                     m.busy_ns += now.since(m.busy_since).as_ns();
@@ -512,25 +632,30 @@ impl FlowSim {
         }
         self.settle(now);
         let l0 = link.0 as usize;
-        if self.lflows[l0].is_empty() {
+        if self.lactive[l0] == 0 {
             return;
         }
-        // Victims in admission order (lflows is unordered).
-        let mut victims: Vec<u32> = self.lflows[l0].clone();
+        // Victims in admission order (member lists are unordered).
+        let mut victims: Vec<u32> = Vec::with_capacity(self.lactive[l0] as usize);
+        for &c in &self.lclasses[l0] {
+            victims.extend_from_slice(&self.classes.members[c as usize]);
+        }
         victims.sort_unstable_by_key(|&f| self.lpos[f as usize]);
         for &idx in &victims {
             let i = idx as usize;
             aborted.push(self.token[i]);
             self.alive[i] = false;
             let carried = (self.total[i] - self.rem_live[self.lpos[i] as usize]).max(0.0);
-            for k in 0..self.route_len[i] as usize {
-                let l = self.route_arena[i * self.stride + k] as usize;
+            leave_class(
+                &mut self.classes,
+                &mut self.lclasses,
+                &self.class,
+                &mut self.cpos,
+                idx,
+            );
+            for &l in self.classes.route(self.class[i] as usize) {
+                let l = l as usize;
                 self.lactive[l] -= 1;
-                let pos = self.lflows[l]
-                    .iter()
-                    .position(|&f| f == idx)
-                    .expect("aborting flow is on its links' member lists");
-                self.lflows[l].swap_remove(pos);
                 self.seed.push(l as u32);
                 let m = &mut self.lmeta[l];
                 m.bytes += carried;
@@ -586,8 +711,8 @@ impl FlowSim {
         for (j, &idx) in self.live.iter().enumerate() {
             let i = idx as usize;
             let carried = self.total[i] - self.rem_live[j];
-            for k in 0..self.route_len[i] as usize {
-                partial[self.route_arena[i * self.stride + k] as usize] += carried;
+            for &l in self.classes.route(self.class[i] as usize) {
+                partial[l as usize] += carried;
             }
         }
         self.lmeta
@@ -679,13 +804,9 @@ impl FlowSim {
         let Self {
             rate,
             eta,
-            frozen,
-            fmark,
-            route_len,
-            route_arena,
-            stride,
+            classes,
             lactive,
-            lflows,
+            lclasses,
             lcap,
             lcu,
             lmark,
@@ -700,7 +821,6 @@ impl FlowSim {
             eta_heap,
             heap_live,
             seed,
-            dirty_flows,
             cand,
             cand_share,
             changed,
@@ -711,11 +831,19 @@ impl FlowSim {
             stats,
             ..
         } = self;
+        let RouteClasses {
+            route: croute,
+            route_len: croute_len,
+            stride,
+            members,
+            frozen: cfrozen,
+            mark: cmark,
+            ..
+        } = classes;
         let stride = *stride;
 
         cand.clear();
         cand_share.clear();
-        dirty_flows.clear();
 
         // Dense mode self-perpetuates if entry is judged only by the
         // last fill's size (a dense fill touches everything by
@@ -728,7 +856,7 @@ impl FlowSim {
         if dense {
             let mut est = 0usize;
             for &l in seed.iter() {
-                est += lflows[l as usize].len();
+                est += lactive[l as usize] as usize;
             }
             if est * 8 < live_n {
                 dense = false;
@@ -788,39 +916,42 @@ impl FlowSim {
                 }
             }
             seed.clear();
-            // Transitive closure: every flow on a dirty link is dirty,
-            // and every link on a dirty flow's route is dirty. After
+            // Transitive closure: every class on a dirty link is dirty,
+            // and every link on a dirty class's route is dirty. After
             // this, dirty links carry only dirty flows, so the component
-            // water-fills independently of the rest of the fabric.
+            // water-fills independently of the rest of the fabric. A
+            // class adds its member count to each of its links' unfrozen
+            // counts: an exact integer in f64, the same sum as adding
+            // one per flow.
+            let mut dirty = 0usize;
             let mut li = 0;
             while li < cand.len() {
                 let l = cand[li] as usize;
                 li += 1;
-                let n = lflows[l].len();
-                // Index form: `lflows[l]` cannot be borrowed across the
-                // loop body (cand/lmark are pushed to inside it).
+                // Index form: `lclasses[l]` cannot be borrowed across
+                // the loop body (cand/lmark are pushed to inside it).
                 #[allow(clippy::needless_range_loop)]
-                for fi in 0..n {
-                    let f = lflows[l][fi];
-                    let i = f as usize;
-                    if fmark[i] == epoch {
+                for ci in 0..lclasses[l].len() {
+                    let c = lclasses[l][ci] as usize;
+                    if cmark[c] == epoch {
                         continue;
                     }
-                    fmark[i] = epoch;
-                    dirty_flows.push(f);
-                    let base = i * stride;
-                    for &l2 in &route_arena[base..base + route_len[i] as usize] {
+                    cmark[c] = epoch;
+                    let m = members[c].len();
+                    dirty += m;
+                    let base = c * stride;
+                    for &l2 in &croute[base..base + croute_len[c] as usize] {
                         let l2 = l2 as usize;
                         if lmark[l2] != epoch {
                             lmark[l2] = epoch;
                             lcu[l2] = [lcap[l2], 0.0];
                             cand.push(l2 as u32);
                         }
-                        lcu[l2][1] += 1.0;
+                        lcu[l2][1] += m as f64;
                     }
                 }
             }
-            to_freeze = dirty_flows.len();
+            to_freeze = dirty;
         }
 
         stats.record_component(to_freeze, cand.len(), live_n);
@@ -872,35 +1003,39 @@ impl FlowSim {
                 let bottleneck = tie_min_id(&cand_share[..], &cand[..], mn);
                 let share = mn.max(0.0);
 
-                // Freeze every unfrozen flow crossing the bottleneck and
-                // subtract its share along its route. Candidate shares
-                // are refreshed once per link at the end of the round —
-                // the intermediate quotients were never read, so the
-                // refresh divides once per touched link. The touched
-                // list may carry duplicates (two frozen flows sharing a
-                // hop); the refresh skips entries whose candidate slot
+                // Freeze every unfrozen class crossing the bottleneck
+                // and subtract its members' shares along its route.
+                // Every flow frozen in a round subtracts the same share,
+                // so `m` subtractions per link for an `m`-member class
+                // replay the per-flow op sequence bit for bit. Candidate
+                // shares are refreshed once per link at the end of the
+                // round — the intermediate quotients were never read, so
+                // the refresh divides once per touched link. The touched
+                // list may carry duplicates (two frozen classes sharing
+                // a hop); the refresh skips entries whose candidate slot
                 // no longer holds the link.
-                let flist = &lflows[bottleneck as usize];
+                let clist = &lclasses[bottleneck as usize];
                 let mut tlen = 0usize;
                 emptied.clear();
-                // Index form keeps `lflows` free for the freeze RMW below.
-                #[allow(clippy::needless_range_loop)]
-                for fi in 0..flist.len() {
-                    let f = flist[fi];
-                    let i = f as usize;
-                    if frozen[i] == epoch {
+                for &c in clist {
+                    let c = c as usize;
+                    if cfrozen[c] == epoch {
                         continue;
                     }
-                    frozen[i] = epoch;
-                    left -= 1;
-                    if rate[i] != share {
-                        rate[i] = share;
-                        rate_live[lpos[i] as usize] = share;
-                        cb[clen] = f;
-                        clen += 1;
+                    cfrozen[c] = epoch;
+                    let m = members[c].len();
+                    left -= m;
+                    for &f in &members[c] {
+                        let i = f as usize;
+                        if rate[i] != share {
+                            rate[i] = share;
+                            rate_live[lpos[i] as usize] = share;
+                            cb[clen] = f;
+                            clen += 1;
+                        }
                     }
-                    let base = i * stride;
-                    for &l in &route_arena[base..base + route_len[i] as usize] {
+                    let base = c * stride;
+                    for &l in &croute[base..base + croute_len[c] as usize] {
                         // The bottleneck's own scratch is never read
                         // again: every flow crossing it freezes now, so
                         // it is removed below instead of updated here.
@@ -908,24 +1043,12 @@ impl FlowSim {
                             continue;
                         }
                         let cl = &mut lcu[l as usize];
-                        // One packed sub/max over [capacity_left,
-                        // unfrozen]: lane 0 clamps at 0.0 exactly like
-                        // the scalar `(c - share).max(0.0)` (no NaNs, and
-                        // c - share is never -0.0); lane 1's clamp at
-                        // -inf is the identity.
-                        #[cfg(target_arch = "x86_64")]
-                        unsafe {
-                            use std::arch::x86_64::*;
-                            let v = _mm_loadu_pd(cl.as_ptr());
-                            let v = _mm_sub_pd(v, _mm_set_pd(1.0, share));
-                            let v = _mm_max_pd(v, _mm_set_pd(f64::NEG_INFINITY, 0.0));
-                            _mm_storeu_pd(cl.as_mut_ptr(), v);
+                        let mut cap = cl[0];
+                        for _ in 0..m {
+                            cap = (cap - share).max(0.0);
                         }
-                        #[cfg(not(target_arch = "x86_64"))]
-                        {
-                            cl[0] = (cl[0] - share).max(0.0);
-                            cl[1] -= 1.0;
-                        }
+                        cl[0] = cap;
+                        cl[1] -= m as f64;
                         if cl[1] == 0.0 {
                             emptied.push(l);
                         }
@@ -1058,6 +1181,35 @@ impl FlowSim {
             }
             self.eta_heap.pop();
         }
+    }
+}
+
+/// Remove live flow `f` from its class, moving the class's last member
+/// into its slot. A class that empties leaves every link list it sat on.
+fn leave_class(
+    classes: &mut RouteClasses,
+    lclasses: &mut [Vec<u32>],
+    class: &[u32],
+    cpos: &mut [u32],
+    f: u32,
+) {
+    let c = class[f as usize] as usize;
+    let p = cpos[f as usize] as usize;
+    let members = &mut classes.members[c];
+    members.swap_remove(p);
+    if let Some(&moved) = members.get(p) {
+        cpos[moved as usize] = p as u32;
+    }
+    if !members.is_empty() {
+        return;
+    }
+    for &l in classes.route(c) {
+        let list = &mut lclasses[l as usize];
+        let q = list
+            .iter()
+            .position(|&x| x as usize == c)
+            .expect("a non-empty class is on its links' lists");
+        list.swap_remove(q);
     }
 }
 

@@ -10,6 +10,9 @@
 //! from-scratch op sequence bit for bit, and these tests hold it to
 //! that over randomized admit/advance churn, including same-instant
 //! event batches, sleeps past completion instants, and zero-byte flows.
+//! A second property draws every route from a small pool, so many live
+//! flows share one route class, and mixes in link aborts and capacity
+//! changes. Both check the solver's class bookkeeping after every op.
 
 use proptest::prelude::*;
 
@@ -201,6 +204,43 @@ impl RefSim {
         }
     }
 
+    /// Drain to `now`, then remove every flow crossing `link` in
+    /// admission order, attributing the bytes each carried so far.
+    fn abort_link(&mut self, now: SimTime, link: usize, aborted: &mut Vec<u64>) {
+        if self.pending && now > self.settled_at {
+            self.refill();
+        }
+        self.settle(now);
+        let mut kept = Vec::new();
+        for f in std::mem::take(&mut self.flows) {
+            if !f.route.contains(&link) {
+                kept.push(f);
+                continue;
+            }
+            aborted.push(f.token);
+            let carried = (f.total - f.rem).max(0.0);
+            for &l in &f.route {
+                self.occ[l] -= 1;
+                self.bytes_done[l] += carried;
+                if self.occ[l] == 0 {
+                    self.busy_ns[l] += now.since(self.busy_since[l]).as_ns();
+                }
+            }
+            self.pending = true;
+        }
+        self.flows = kept;
+    }
+
+    /// Drain to `now` at the old rates, then refill at the next query.
+    fn set_link_bw(&mut self, now: SimTime, link: usize, bw: f64) {
+        if self.pending && now > self.settled_at {
+            self.refill();
+        }
+        self.settle(now);
+        self.caps[link] = bw / 1e9;
+        self.pending = true;
+    }
+
     fn next_wakeup(&mut self) -> Option<SimTime> {
         if self.pending {
             self.refill();
@@ -326,6 +366,7 @@ fn run_scenario(ops: Vec<(u8, u16, u32, u16)>) {
         }
         // Observing every op would defeat deferred-fill merging, so
         // only a pseudo-random half of the admits are inspected.
+        fs.check_invariants();
         if kind % 4 >= 2 || bytes % 2 == 0 {
             assert_same_state(&mut fs, &mut rf, &format!("after op {i}"));
         }
@@ -375,6 +416,123 @@ proptest! {
         )
     ) {
         run_scenario(ops);
+    }
+}
+
+/// Capacities a `set_link_bw` op may pick, bytes/second.
+const BWS: [f64; 4] = [0.5e9, 1.0e9, 3.0e9, 8.0e9];
+
+/// Like [`run_scenario`], but every admission draws its route from a
+/// small fixed `pool`, so many live flows share one exact route, and
+/// the op mix adds link aborts and capacity changes. Each op is
+/// `(kind, pick, bytes, dt)`: `pick` chooses the pool route, the link
+/// to abort, or the link and capacity to set.
+fn run_pooled_scenario(pool: Vec<u16>, ops: Vec<(u8, u16, u32, u16)>) {
+    let pool: Vec<Vec<usize>> = pool.into_iter().map(route_from_bits).collect();
+    let mut fs = FlowSim::new(links());
+    let mut rf = RefSim::new(&links());
+    let mut now = SimTime::ZERO;
+    let mut token = 0u64;
+    let (mut d1, mut d2) = (Vec::new(), Vec::new());
+
+    for (i, &(kind, pick, bytes, dt)) in ops.iter().enumerate() {
+        let route = &pool[pick as usize % pool.len()];
+        let ids: Vec<LinkId> = route.iter().map(|&l| LinkId(l as u32)).collect();
+        let link = pick as usize % NUM_LINKS;
+        match kind % 8 {
+            // Admissions dominate so classes grow past one member.
+            0..=2 => {
+                fs.start(now, &ids, bytes as f64, token);
+                rf.start(now, route, bytes as f64, token);
+                token += 1;
+            }
+            3 => {
+                now += SimDuration::from_ns(dt as u64 + 1);
+                fs.start(now, &ids, bytes as f64, token);
+                rf.start(now, route, bytes as f64, token);
+                token += 1;
+            }
+            4 => {
+                let w1 = fs.next_wakeup();
+                assert_eq!(w1, rf.next_wakeup(), "wakeup before hop {i}");
+                if let Some(w) = w1 {
+                    now = w;
+                    d1.clear();
+                    d2.clear();
+                    fs.advance(now, &mut d1);
+                    rf.advance(now, &mut d2);
+                    assert_eq!(d1, d2, "completion batch at hop {i}");
+                }
+            }
+            5 => {
+                now += SimDuration::from_ns(dt as u64);
+                d1.clear();
+                d2.clear();
+                fs.advance(now, &mut d1);
+                rf.advance(now, &mut d2);
+                assert_eq!(d1, d2, "completion batch at sleep {i}");
+            }
+            6 => {
+                now += SimDuration::from_ns(dt as u64 % 1000);
+                d1.clear();
+                d2.clear();
+                fs.abort_link(now, LinkId(link as u32), &mut d1);
+                rf.abort_link(now, link, &mut d2);
+                assert_eq!(d1, d2, "aborted flows at op {i}");
+            }
+            _ => {
+                now += SimDuration::from_ns(dt as u64 % 1000);
+                let bw = BWS[(pick as usize / NUM_LINKS) % BWS.len()];
+                fs.set_link_bw(now, LinkId(link as u32), bw);
+                rf.set_link_bw(now, link, bw);
+            }
+        }
+        fs.check_invariants();
+        if kind % 8 >= 4 || bytes % 2 == 0 {
+            assert_same_state(&mut fs, &mut rf, &format!("after op {i}"));
+        }
+    }
+
+    for guard in 0.. {
+        assert!(guard < 100_000, "drain did not converge");
+        let w1 = fs.next_wakeup();
+        assert_eq!(w1, rf.next_wakeup(), "wakeup during drain");
+        let Some(w) = w1 else { break };
+        now = w;
+        d1.clear();
+        d2.clear();
+        fs.advance(now, &mut d1);
+        rf.advance(now, &mut d2);
+        assert_eq!(d1, d2, "completion batch during drain");
+    }
+    assert_eq!(fs.active_flows(), 0);
+
+    let horizon = now + SimDuration::from_ns(1);
+    let report = fs.link_report(horizon);
+    let expect = rf.link_report(horizon);
+    for (u, (bytes, busy, peak)) in report.iter().zip(expect.iter()) {
+        assert_eq!(u.bytes, *bytes, "bytes on {:?}", u.link);
+        assert_eq!(u.busy_ns, *busy, "busy_ns on {:?}", u.link);
+        assert_eq!(u.peak_flows, *peak, "peak_flows on {:?}", u.link);
+    }
+    let stats = fs.solver_stats();
+    assert_eq!(stats.dirty_hist.iter().sum::<u64>(), stats.recomputes);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Exact agreement with the reference when many flows share each
+    /// route and links fail or change capacity mid-run.
+    #[test]
+    fn shared_routes_and_link_faults_match_from_scratch(
+        pool in prop::collection::vec(0u16..1024, 3..=6),
+        ops in prop::collection::vec(
+            (0u8..16, 0u16..1024, 0u32..2_000_000, 0u16..50_000),
+            1..120,
+        )
+    ) {
+        run_pooled_scenario(pool, ops);
     }
 }
 

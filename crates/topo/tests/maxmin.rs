@@ -105,6 +105,16 @@ fn zero_byte_flow_completes_immediately() {
     assert_eq!(done, vec![9]);
 }
 
+/// A flow with no links would never be reached by a fill: its rate
+/// would stay unset and every drain would add bytes instead of removing
+/// them, so it could never complete. `start` refuses it.
+#[test]
+#[should_panic(expected = "at least one link")]
+fn empty_route_is_rejected() {
+    let mut fs = one_link(1.0e9);
+    fs.start(t(0), &[], 1000.0, 1);
+}
+
 #[test]
 fn identical_runs_replay_exactly() {
     let run = || {

@@ -13,6 +13,12 @@ cargo clippy --workspace --all-targets --release -- -D warnings
 echo "==> tier-1 build"
 cargo build --release
 
+echo "==> benchmark build (standalone manifest, as BENCHMARK.json runs it)"
+# The benchmark of record builds from its own manifest and lock file, so
+# a dependency added to a crate it links must already be in that lock
+# file; --locked fails the build instead of rewriting it.
+cargo build --release --offline --locked --manifest-path crates/bench/src/bin/e2e/Cargo.toml
+
 echo "==> tier-1 tests"
 cargo test -q --release
 

@@ -234,3 +234,86 @@ fn coll_proxy_apps_replay_goldens() {
         assert_eq!(s.steps, 396, "{name} steps");
     }
 }
+
+/// The `fattree32` benchmark shape at smoke size: Charm-H at ODF 4 with
+/// round-robin placement on a 4-node fat tree, so many chares on one
+/// node send halos to chares on the same remote node and the flow
+/// solver carries many flows over identical routes. `trunk_fault`
+/// switches to two-node leaves (so cross-leaf traffic climbs the
+/// trunks) with the reliable transport on, and takes one trunk down at
+/// `down` and back up at `up`.
+fn fattree_smoke(
+    trunk_fault: Option<(u32, u64, u64)>,
+) -> (gaat::jacobi3d::RunResult, gaat::net::NetStats) {
+    use gaat::jacobi3d::{charm, Placement};
+    use gaat::net::{FatTreeParams, TopologyKind};
+    use gaat::sim::{FaultPlan, LinkFault, LinkFaultKind, SimTime};
+
+    let mut c = JacobiConfig::new(MachineConfig::summit_fattree(4), Dims::cube(1536));
+    c.comm = CommMode::HostStaging;
+    c.odf = 4;
+    c.placement = Placement::RoundRobin;
+    (c.iters, c.warmup) = (3, 3);
+    if let Some((link, down, up)) = trunk_fault {
+        c.machine.net.topology = TopologyKind::FatTree(FatTreeParams {
+            leaf_radix: 2,
+            ..FatTreeParams::default()
+        });
+        c.machine.ucx.reliability.enabled = true;
+        let at = |ns| SimTime::from_ns(ns);
+        c.machine.faults = FaultPlan {
+            link_faults: vec![
+                LinkFault {
+                    at: at(down),
+                    link,
+                    kind: LinkFaultKind::Down,
+                },
+                LinkFault {
+                    at: at(up),
+                    link,
+                    kind: LinkFaultKind::Up,
+                },
+            ],
+            ..FaultPlan::none()
+        };
+    }
+    let (mut sim, ids, sh) = charm::build(c);
+    let r = charm::run(&mut sim, &ids, &sh);
+    (r, sim.machine.fabric.stats())
+}
+
+/// Goldens for [`fattree_smoke`], recorded when they landed. They pin
+/// the max-min flow solver end to end: total and per-iteration time,
+/// the structural counts, the fabric's flow aborts and the exact bits
+/// of the hottest link's utilization. The fault variant takes trunk 16
+/// (leaf 0 up to spine 2, the D-mod-k spine of node 2) down 10 ms into
+/// the run and back up at 20 ms, so it covers the abort, failover and
+/// restore paths. These may only move on a deliberate model change.
+#[test]
+fn fattree_runs_replay_goldens() {
+    let (r, s) = fattree_smoke(None);
+    assert_eq!(r.total.as_ns(), 34_662_352, "fattree total");
+    assert_eq!(r.time_per_iter.as_ns(), 4_972_421, "fattree per-iter");
+    assert_eq!(r.entries, 6_144, "fattree entries");
+    assert_eq!(r.kernels, 5_952, "fattree kernels");
+    assert_eq!(s.flow_aborts, 0, "fattree flow aborts");
+    assert_eq!(
+        s.max_link_utilization.to_bits(),
+        0x3fe6_952e_9616_cbd5,
+        "fattree max link utilization"
+    );
+
+    let (r, s) = fattree_smoke(Some((16, 10_000_000, 20_000_000)));
+    assert_eq!(r.total.as_ns(), 87_138_328, "trunk fault total");
+    assert_eq!(r.time_per_iter.as_ns(), 14_449_662, "trunk fault per-iter");
+    assert_eq!(r.entries, 6_144, "trunk fault entries");
+    assert_eq!(r.kernels, 5_952, "trunk fault kernels");
+    assert_eq!(s.link_faults, 2, "trunk fault events applied");
+    assert_eq!(s.flow_aborts, 70, "trunk fault flow aborts");
+    assert_eq!(s.failovers, 272, "trunk fault failovers");
+    assert_eq!(
+        s.max_link_utilization.to_bits(),
+        0x3fef_f43d_2bc1_da2b,
+        "trunk fault max link utilization"
+    );
+}
