@@ -317,3 +317,149 @@ fn fattree_runs_replay_goldens() {
         "trunk fault max link utilization"
     );
 }
+
+/// The counters a global rollback leaves behind, for the rollback
+/// goldens below: makespan, chares restored, migrations, recoveries,
+/// LB plans applied and declined, the final chare→PE map, and the
+/// transport's post-purge counters (stale tokens dropped, retransmits,
+/// timeouts, duplicates).
+#[derive(Debug, PartialEq, Eq)]
+struct Rollback {
+    makespan_ns: u64,
+    chares_restored: u64,
+    migrations: u64,
+    recoveries: u64,
+    lb_applied: u64,
+    lb_declined: u64,
+    placement: Vec<usize>,
+    ucx_stale_tokens: u64,
+    ucx_retransmits: u64,
+    ucx_timeouts: u64,
+    ucx_duplicates: u64,
+}
+
+fn run_rollback(c: JacobiConfig) -> Rollback {
+    use gaat::jacobi3d::charm;
+    let (mut sim, ids, sh) = charm::build(c);
+    let r = charm::run(&mut sim, &ids, &sh);
+    let m = &sim.machine;
+    let (st, lb, ucx) = (m.stats(), m.lb_stats(), m.ucx.stats());
+    Rollback {
+        makespan_ns: r.total.as_ns(),
+        chares_restored: st.chares_restored,
+        migrations: st.migrations,
+        recoveries: st.recoveries,
+        lb_applied: lb.applied,
+        lb_declined: lb.declined,
+        placement: ids.iter().map(|&id| m.pe_of(id)).collect(),
+        ucx_stale_tokens: ucx.stale_tokens,
+        ucx_retransmits: ucx.retransmits,
+        ucx_timeouts: ucx.timeouts,
+        ucx_duplicates: ucx.duplicates,
+    }
+}
+
+/// Rollback golden for PE-failure recovery: real-buffer Jacobi3D on
+/// 2 nodes × 2 PEs at ODF 2, checkpoints every other iteration, PE 1
+/// killed mid-run. Pins the refugee placement (heaviest first onto the
+/// least-loaded live PE) and everything the rollback restores. Recorded
+/// before recovery and load balancing shared one rollback path; may
+/// only move on a deliberate model change.
+#[test]
+fn pe_failure_rollback_replays_golden() {
+    use gaat::sim::{FaultPlan, PeFault, SimTime};
+    let mut machine = MachineConfig::validation(2, 2);
+    machine.ucx.reliability.enabled = true;
+    machine.faults = FaultPlan {
+        seed: 42,
+        pe_failures: vec![PeFault {
+            // 60% of the fault-free run's 782_212 ns: past the first
+            // complete checkpoint wave.
+            at: SimTime::from_ns(469_327),
+            pe: 1,
+        }],
+        ..FaultPlan::none()
+    };
+    let mut c = JacobiConfig::new(machine, Dims::cube(8));
+    (c.iters, c.warmup, c.odf) = (4, 1, 2);
+    c.comm = CommMode::HostStaging;
+    c.checkpoint_every = 2;
+    assert_eq!(
+        run_rollback(c),
+        Rollback {
+            makespan_ns: 1_255_336,
+            chares_restored: 8,
+            migrations: 2,
+            recoveries: 1,
+            lb_applied: 0,
+            lb_declined: 0,
+            placement: vec![0, 0, 0, 2, 2, 2, 3, 3],
+            ucx_stale_tokens: 1,
+            ucx_retransmits: 0,
+            ucx_timeouts: 0,
+            ucx_duplicates: 0,
+        }
+    );
+}
+
+/// Rollback golden for adaptive load balancing: Charm-H on two fat-tree
+/// nodes with GPU 3 throttled 4×, the fault-free run's hottest link
+/// degraded to quarter capacity and 1% message loss, checkpoints every
+/// iteration and a balancer tick about every iteration. Pins how many
+/// plans were applied and declined, the resulting placement, and the
+/// rollback counters.
+/// Recorded before recovery and load balancing shared one rollback
+/// path; may only move on a deliberate model change.
+#[test]
+fn adaptive_lb_rollback_replays_golden() {
+    use gaat::rt::LbPolicy;
+    use gaat::sim::{FaultPlan, LinkFault, LinkFaultKind, SimDuration, SimTime, StragglerWindow};
+    let mut machine = MachineConfig::summit_fattree(2);
+    machine.net.jitter = 0.0;
+    machine.ucx.reliability.enabled = true;
+    machine.lb.policy = LbPolicy::Adaptive;
+    // About one fault-free iteration (239_472 ns).
+    machine.lb.period = SimDuration::from_us(240);
+    machine.lb.hysteresis_pct = 15;
+    machine.lb.budget = 2;
+    let mut faults = FaultPlan {
+        seed: 2,
+        drop_prob: 0.01,
+        ..FaultPlan::none()
+    };
+    faults.stragglers.push(StragglerWindow {
+        device: 3,
+        from: SimTime::ZERO,
+        until: SimTime::ZERO + SimDuration::from_ms(60_000),
+        slowdown: 4.0,
+    });
+    faults.link_faults.push(LinkFault {
+        at: SimTime::ZERO,
+        // The fault-free run's hottest link.
+        link: 1,
+        kind: LinkFaultKind::Degrade(0.25),
+    });
+    machine.faults = faults;
+    let mut c = JacobiConfig::new(machine, Dims::cube(96));
+    (c.iters, c.warmup, c.odf) = (12, 2, 2);
+    c.comm = CommMode::HostStaging;
+    c.checkpoint_every = 1;
+    assert_eq!(
+        run_rollback(c),
+        Rollback {
+            makespan_ns: 4_631_593,
+            chares_restored: 48,
+            migrations: 4,
+            recoveries: 0,
+            lb_applied: 2,
+            lb_declined: 2,
+            placement: vec![
+                0, 0, 1, 1, 2, 2, 11, 2, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11, 11
+            ],
+            ucx_stale_tokens: 0,
+            ucx_retransmits: 4,
+            ucx_timeouts: 4,
+            ucx_duplicates: 1,
+        }
+    );
+}
