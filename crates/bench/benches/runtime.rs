@@ -8,6 +8,7 @@ use gaat_rt::{Callback, Chare, ChareId, Ctx, EntryId, Envelope, MachineConfig, S
 
 const E_PING: EntryId = EntryId(0);
 
+#[derive(Clone)]
 struct Ping {
     peer: Option<ChareId>,
     got: u64,
@@ -71,6 +72,7 @@ fn bench_pingpong(c: &mut Criterion) {
     });
 }
 
+#[derive(Clone)]
 struct Contributor {
     reducer: u64,
     n: usize,
@@ -83,6 +85,7 @@ impl Chare for Contributor {
         }
     }
 }
+#[derive(Clone)]
 struct Sink {
     got: u64,
 }

@@ -32,6 +32,7 @@ const E_READY: EntryId = EntryId(3);
 const E_SENT: EntryId = EntryId(4);
 
 /// Ping-pong chare using either the Channel API or the GPU Messaging API.
+#[derive(Clone)]
 struct Pinger {
     peer: ChareId,
     channel: Option<ChannelEnd>,
@@ -172,6 +173,7 @@ pub fn channel_vs_gpu_messaging(bytes: u64, hops: u32) -> (f64, f64) {
 
 /// A chare that repeatedly offloads a kernel, detecting completion either
 /// synchronously (blocking the PE) or via HAPI.
+#[derive(Clone)]
 struct Offloader {
     stream: StreamId,
     synchronous: bool,

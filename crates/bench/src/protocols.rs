@@ -30,6 +30,7 @@ pub struct ProtocolPoint {
 
 /// Receiver chare: posts a receive; the completion time is the one-way
 /// latency.
+#[derive(Clone)]
 struct OneWay {
     peer_pe: usize,
     loc: MemLoc,
@@ -56,6 +57,7 @@ impl Chare for OneWay {
 }
 
 /// Sender chare: fires one message.
+#[derive(Clone)]
 struct Shooter {
     peer_pe: usize,
     loc: MemLoc,

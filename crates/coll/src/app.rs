@@ -116,6 +116,7 @@ pub struct CollShared {
 }
 
 /// One collective participant.
+#[derive(Clone)]
 pub struct CollChare {
     sh: Arc<CollShared>,
     /// The embedded executor.

@@ -12,12 +12,13 @@
 //! references.
 //!
 //! Layers:
-//! - [`plan`] — pure schedules: per-rank, per-lane step lists. Lanes are
-//!   independent element ranges; their concurrent progress is the
-//!   pipelining.
-//! - [`reference`] — sequential scalar references replicating each
-//!   schedule's combine order (floating-point addition is not
-//!   associative, so bit-identity requires order-aware references).
+//! - [`plan`](mod@plan) — pure schedules: per-rank, per-lane step
+//!   lists. Lanes are independent element ranges; their concurrent
+//!   progress is the pipelining.
+//! - [`reference`](mod@reference) — sequential scalar references
+//!   replicating each schedule's combine order (floating-point
+//!   addition is not associative, so bit-identity requires order-aware
+//!   references).
 //! - [`member`] — the participant state machine a chare embeds.
 //! - [`app`] — a standalone proxy app running back-to-back collectives,
 //!   used by `coll_speed`, `profile_run --collective`, and the tests.

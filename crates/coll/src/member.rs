@@ -96,6 +96,7 @@ impl LaneState {
 
 /// One rank's collective executor; embed in a chare and forward the
 /// dedicated entry methods to [`CollMember::on_event`].
+#[derive(Clone)]
 pub struct CollMember {
     /// This member's rank in the collective.
     pub rank: usize,

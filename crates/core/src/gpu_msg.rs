@@ -40,7 +40,7 @@ fn gpu_tag(from: ChareId, id: u64) -> Tag {
 }
 
 /// Sender-side state for in-flight GPU messages.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct GpuMsgSender {
     pending: HashMap<u64, (MemLoc, Callback)>,
     next: u64,

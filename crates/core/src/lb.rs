@@ -4,9 +4,10 @@
 //! Two planners live here:
 //!
 //! - [`greedy_rebalance`] — the classic Charm++ GreedyLB strategy:
-//!   reassign the heaviest chares first onto the least-loaded PEs,
-//!   applied only when the LPT plan strictly improves the makespan.
-//!   Callers invoke it at phase boundaries.
+//!   reassign the heaviest chares first onto the least-loaded PEs
+//!   (`lpt_place`, which PE-failure recovery also uses to re-place a
+//!   dead PE's chares), applied only when the LPT plan strictly
+//!   improves the makespan. Callers invoke it at phase boundaries.
 //! - [`periodic_plan`] — the closed-loop planner behind the machine's
 //!   periodic LB tick (`MachineConfig::lb`). It scores *incremental*
 //!   migrations from live sensor inputs ([`LbSensors`]): per-chare EWMA
@@ -25,8 +26,6 @@
 //! Every choice breaks ties deterministically (lowest PE index, lowest
 //! chare id), so a plan is a pure function of its sensor inputs and the
 //! balancer replays bit-identically at a fixed seed.
-
-use gaat_sim::SimDuration;
 
 use crate::config::LbConfig;
 use crate::machine::Machine;
@@ -191,21 +190,42 @@ pub struct RebalanceReport {
     pub max_after_ns: u64,
 }
 
+/// Longest-processing-time placement, the rule behind
+/// [`greedy_rebalance`] and PE-failure recovery: take `items`
+/// (`(chare, load)`) heaviest first, ties to the lowest chare id, and
+/// put each on the least-loaded PE `p` with `alive[p]`, ties to the
+/// lowest index. `loads` holds each PE's starting load on entry and its
+/// planned load on return. Returns `(chare, PE)` in placement order.
+pub(crate) fn lpt_place(
+    items: &[(ChareId, u64)],
+    loads: &mut [u64],
+    alive: &[bool],
+) -> Vec<(ChareId, usize)> {
+    let mut order = items.to_vec();
+    order.sort_by_key(|&(c, l)| (std::cmp::Reverse(l), c));
+    order
+        .into_iter()
+        .map(|(c, l)| {
+            let target = (0..loads.len())
+                .filter(|&p| alive[p])
+                .min_by_key(|&p| (loads[p], p))
+                .expect("a live PE to place on");
+            loads[target] += l;
+            (c, target)
+        })
+        .collect()
+}
+
 /// Greedily reassign `chares` across all PEs by descending measured load.
 /// Returns what changed. Loads are the cumulative per-chare charged CPU
 /// times since simulation start.
 pub fn greedy_rebalance(m: &mut Machine, chares: &[ChareId]) -> RebalanceReport {
     let npes = m.pes.len();
-    let mut loads: Vec<(ChareId, SimDuration)> =
-        chares.iter().map(|&c| (c, m.load_of(c))).collect();
-    // Descending by load; ties broken by id for determinism.
-    loads.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-
+    let loads: Vec<(ChareId, u64)> = chares.iter().map(|&c| (c, m.load_of(c).as_ns())).collect();
     let mut before = vec![0u64; npes];
     for &(c, l) in &loads {
-        before[m.pe_of(c)] += l.as_ns();
+        before[m.pe_of(c)] += l;
     }
-
     let max_before_ns = before.into_iter().max().unwrap_or(0);
 
     // Plan first, migrate second. LPT is a 4/3-approximation, not an
@@ -213,17 +233,7 @@ pub fn greedy_rebalance(m: &mut Machine, chares: &[ChareId]) -> RebalanceReport 
     // the makespan, so the plan is only applied when it strictly
     // improves on the current placement — rebalancing never degrades.
     let mut assigned = vec![0u64; npes];
-    let mut plan: Vec<(ChareId, usize)> = Vec::with_capacity(loads.len());
-    for &(c, l) in &loads {
-        // Least-loaded PE (lowest index wins ties — deterministic).
-        let (target, _) = assigned
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, &v)| (v, i))
-            .expect("at least one PE");
-        assigned[target] += l.as_ns();
-        plan.push((c, target));
-    }
+    let plan = lpt_place(&loads, &mut assigned, &vec![true; npes]);
     let max_planned_ns = assigned.into_iter().max().unwrap_or(0);
     if max_planned_ns >= max_before_ns {
         return RebalanceReport {
@@ -253,7 +263,9 @@ mod tests {
     use crate::config::MachineConfig;
     use crate::machine::{Chare, Ctx};
     use crate::msg::Envelope;
+    use gaat_sim::SimDuration;
 
+    #[derive(Clone)]
     struct Dummy;
     impl Chare for Dummy {
         fn receive(&mut self, _ctx: &mut Ctx<'_>, _env: Envelope) {}
@@ -279,6 +291,35 @@ mod tests {
         for pe in 0..4 {
             assert!(chares.iter().any(|&c| m.pe_of(c) == pe), "PE {pe} empty");
         }
+    }
+
+    #[test]
+    fn lpt_place_skips_dead_pes_and_respects_seeded_loads() {
+        // PE 1 is dead; PE 0 starts 5 ns behind PE 2.
+        let items = [(ChareId(0), 4), (ChareId(1), 3), (ChareId(2), 2)];
+        let mut loads = [5, 0, 0];
+        let alive = [true, false, true];
+        let plan = lpt_place(&items, &mut loads, &alive);
+        // 4 -> PE 2 (0 < 5), 3 -> PE 2 (4 < 5), 2 -> PE 0 (5 < 7).
+        assert_eq!(
+            plan,
+            vec![(ChareId(0), 2), (ChareId(1), 2), (ChareId(2), 0)]
+        );
+        assert_eq!(loads, [7, 0, 7]);
+    }
+
+    #[test]
+    fn lpt_place_breaks_ties_by_lowest_pe_then_lowest_chare() {
+        // Equal loads in scrambled id order: placed by ascending id,
+        // each onto the lowest-index PE among the least loaded.
+        let items = [(ChareId(3), 1), (ChareId(1), 1), (ChareId(2), 1)];
+        let mut loads = [0, 0];
+        let plan = lpt_place(&items, &mut loads, &[true, true]);
+        assert_eq!(
+            plan,
+            vec![(ChareId(1), 0), (ChareId(2), 1), (ChareId(3), 0)]
+        );
+        assert_eq!(loads, [2, 1]);
     }
 
     #[test]

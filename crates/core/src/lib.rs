@@ -13,14 +13,15 @@
 //! - [`Chare`] + [`Ctx`]: entry methods charge simulated CPU time for
 //!   scheduling, sends, and kernel launches — making overdecomposition
 //!   overheads and CPU-side launch costs first-class, as the paper's
-//!   strong-scaling analysis requires.
+//!   strong-scaling analysis requires. Every chare derives `Clone`,
+//!   which is how a [`WorldSnapshot`] forks the world mid-flight.
 //! - [`channel`]: the Channel API (two-sided GPU-aware transfers with
 //!   callback completion).
 //! - [`gpu_msg`]: the older GPU Messaging API with its post-entry-method
 //!   round trip, kept as a comparison point.
 //! - [`sdag`]: SDAG-style message buffering with reference numbers.
-//! - [`lb`]: greedy load balancing over measured chare loads — the
-//!   runtime adaptivity that overdecomposition enables.
+//! - [`lb`]: greedy and closed-loop load balancing over measured chare
+//!   loads — the runtime adaptivity that overdecomposition enables.
 //!
 //! # Example: a chare that offloads to the GPU and detects completion
 //! asynchronously
@@ -35,6 +36,7 @@
 //! const E_GO: EntryId = EntryId(0);
 //! const E_DONE: EntryId = EntryId(1);
 //!
+//! #[derive(Clone)]
 //! struct Offloader {
 //!     stream: StreamId,
 //!     finished: bool,
@@ -87,7 +89,9 @@ pub use channel::{create_channel, ChannelEnd};
 pub use ckpt::ChareSnapshot;
 pub use config::{LbConfig, LbPolicy, MachineConfig, RtCosts};
 pub use lb::{greedy_rebalance, periodic_plan, LbPlan, LbSensors, RebalanceReport};
-pub use machine::{Chare, Ctx, LbStats, Machine, MachineStats, Simulation, WorldSnapshot};
+pub use machine::{
+    Chare, ChareClone, Ctx, LbStats, Machine, MachineStats, Simulation, WorldSnapshot,
+};
 pub use msg::{Callback, ChareId, EntryId, Envelope, MsgPriority};
 pub use pe::{Pe, PeStats};
 pub use sdag::WhenSet;

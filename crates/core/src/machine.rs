@@ -26,29 +26,42 @@ use crate::pe::Pe;
 /// All behaviour goes through [`Chare::receive`]; applications match on
 /// `env.entry` the way a Charm Interface file declares entry methods.
 /// The `Any` supertrait enables post-run state inspection via
-/// [`Machine::chare_as`].
-pub trait Chare: std::any::Any {
+/// [`Machine::chare_as`]. The [`ChareClone`] supertrait comes free with
+/// `#[derive(Clone)]`: it is how a world snapshot deep-copies chares
+/// mid-flight, so every chare can be forked.
+pub trait Chare: std::any::Any + ChareClone {
     /// Handle one message.
     fn receive(&mut self, ctx: &mut Ctx<'_>, env: Envelope);
 
-    /// Reinstall checkpointed state during failure recovery (the unpack
-    /// half of the PUP analogue). Called outside any entry method; the
-    /// resume entry registered with
-    /// [`Machine::set_recovery_resume`] is broadcast afterwards with the
-    /// recovery epoch as its refnum. The default panics: applications
-    /// that arm PE failures must implement it.
+    /// Reinstall checkpointed state during a rollback (the unpack half
+    /// of the PUP analogue), after a PE failure or to apply a load
+    /// balancing plan. Called outside any entry method; the resume
+    /// entry registered with [`Machine::set_recovery_resume`] is
+    /// broadcast afterwards with the checkpoint epoch as its refnum.
+    /// The default panics: applications that arm PE failures or the
+    /// load balancer must implement it.
     fn restore(&mut self, _snap: crate::ckpt::ChareSnapshot) {
-        panic!("chare does not implement Chare::restore for checkpoint recovery");
+        panic!("chare does not implement Chare::restore for checkpoint rollback");
     }
+}
 
-    /// Deep-copy this chare for a world snapshot (the memoizer's fork
-    /// primitive, distinct from [`Chare::restore`]'s iteration-boundary
-    /// checkpoints: a fork captures *mid-flight* state exactly). The
-    /// default declines, which makes [`Machine::fork`] — and with it
-    /// the sweep's prefix memoization — fall back to fresh
-    /// per-scenario execution for applications that don't opt in.
-    fn fork(&self) -> Option<Box<dyn Chare>> {
-        None
+/// Object-safe cloning of boxed chares (the dyn-clone idiom). Blanket
+/// implemented for every `Chare + Clone`, so a chare opts in with
+/// `#[derive(Clone)]` and never implements this by hand.
+pub trait ChareClone {
+    /// Deep-copy this chare into a new box.
+    fn clone_box(&self) -> Box<dyn Chare>;
+}
+
+impl<T: Chare + Clone> ChareClone for T {
+    fn clone_box(&self) -> Box<dyn Chare> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Chare> {
+    fn clone(&self) -> Self {
+        (**self).clone_box()
     }
 }
 
@@ -338,6 +351,13 @@ pub struct LbStats {
 }
 
 /// The world type of every simulation in this stack.
+///
+/// `Clone` is the world fork: a deep mid-flight copy of the devices
+/// (stream queues, engines, memory, graph instances), the fabric (NIC
+/// clocks, flow state, in-flight messages), the communication layer
+/// (transfers, retry timers, token counters), the PEs (message queues,
+/// busy clocks) and every chare.
+#[derive(Clone)]
 pub struct Machine {
     /// Configuration the machine was built from.
     pub cfg: MachineConfig,
@@ -615,45 +635,61 @@ impl Machine {
         crate::lb::periodic_plan(&sensors, &self.cfg.lb)
     }
 
-    /// Execute a migration plan mid-run through the checkpoint/restore
-    /// path (the recovery machinery, minus the dead PE): purge every
-    /// layer's in-flight state, move the chares, restore all chares
-    /// from the newest collectively-held epoch, and broadcast the
-    /// registered resume entry. In-flight messages need no explicit
-    /// forwarding: anything the fabric still delivers afterwards is
-    /// dropped as a stale token, and the reliable transport's purge
-    /// guarantees the application sees a consistent restart. Returns
-    /// `false` — decline, leaving the world untouched — when the
-    /// application has not published the preconditions (a resume entry
-    /// plus a complete checkpoint cut).
+    /// Execute a migration plan mid-run through [`Machine::rollback`]
+    /// (the recovery machinery, minus the dead PE). In-flight messages
+    /// need no explicit forwarding: anything the fabric still delivers
+    /// afterwards is dropped as a stale token, and the reliable
+    /// transport's purge guarantees the application sees a consistent
+    /// restart. Returns `false` — decline, leaving the world untouched —
+    /// when the application has not published the preconditions (a
+    /// resume entry plus a complete checkpoint cut).
     fn lb_apply(&mut self, sim: &mut Sim<Machine>, moves: &[(ChareId, usize)]) -> bool {
-        if self.recovery_resume.is_none() || self.chares.is_empty() {
+        if self.rollback(sim, moves).is_none() {
             return false;
         }
-        let mut epoch = u64::MAX;
-        for c in 0..self.chares.len() {
-            match self.ckpts.get(&ChareId(c)).and_then(|s| s.last()) {
-                Some(&(e, _, _)) => epoch = epoch.min(e),
-                None => return false,
-            }
-        }
+        // Migration marker in the trace (one dedicated lane above the
+        // per-PE lanes).
+        let now = sim.now();
+        self.tracer.record(
+            self.pes.len() as u32,
+            "lb",
+            "migrate",
+            now,
+            now + SimDuration::from_ns(1),
+        );
+        true
+    }
+
+    /// Global rollback to the newest checkpoint epoch every chare holds
+    /// (the collective cut), moving chares on the way: tear down every
+    /// layer's in-flight state, apply `moves`, restore all chares in id
+    /// order, and broadcast the registered resume entry with the epoch
+    /// as its refnum. Returns the epoch, or `None` — before touching any
+    /// state — when no resume entry is registered or the cut is
+    /// incomplete.
+    fn rollback(&mut self, sim: &mut Sim<Machine>, moves: &[(ChareId, usize)]) -> Option<u64> {
+        let (targets, entry) = self.recovery_resume.clone()?;
+        let newest = |c: usize| self.ckpts.get(&ChareId(c))?.last().map(|&(e, _, _)| e);
+        let epoch = (0..self.chares.len())
+            .map(newest)
+            .collect::<Option<Vec<u64>>>()?
+            .into_iter()
+            .min()?;
         // Asynchronous execution lets chares drift further apart than
         // the two retained checkpoint epochs, so a chare may hold
-        // nothing at or before the collective cut. Resolve the whole
-        // cut up front and decline — before touching any state — if it
-        // is incomplete; a later round will catch a complete wave.
-        let mut snaps = Vec::with_capacity(self.chares.len());
-        for c in 0..self.chares.len() {
-            match self.ckpts[&ChareId(c)]
-                .iter()
-                .rev()
-                .find(|&&(e, _, _)| e <= epoch)
-            {
-                Some((_, _, s)) => snaps.push(s.clone()),
-                None => return false,
-            }
-        }
+        // nothing at or before the cut. Resolve the whole cut before
+        // touching any state.
+        let snaps = (0..self.chares.len())
+            .map(|c| {
+                let slots = &self.ckpts[&ChareId(c)];
+                let (_, _, snap) = slots.iter().rev().find(|&&(e, _, _)| e <= epoch)?;
+                Some(snap.clone())
+            })
+            .collect::<Option<Vec<_>>>()?;
         self.incarnation += 1;
+        // Communication layer first: cancel its retry timers, forget all
+        // in-flight transfers and routes. Anything the fabric still
+        // delivers afterwards is dropped as a stale token.
         for timer in self.ucx.purge() {
             sim.cancel(timer);
         }
@@ -661,14 +697,17 @@ impl Machine {
         self.am_store.clear();
         self.ucx_routes.clear();
         self.reductions.clear();
-        // Void parked deferred payloads in place; each voided slot's
-        // already-scheduled event reclaims it (see `run_deferred`).
+        // Void parked deferred payloads in place. The free list is NOT
+        // touched: each voided slot's already-scheduled event reclaims it
+        // when it fires (see `run_deferred`).
         for slot in &mut self.deferred {
             *slot = None;
         }
         let now = sim.now();
         for pe in 0..self.pes.len() {
             self.pes[pe].clear();
+            // In-flight kernels from before the rollback must not apply
+            // their effects to restored buffers.
             self.devices[pe].purge(now);
         }
         for &(c, pe) in moves {
@@ -677,22 +716,12 @@ impl Machine {
         for (c, snap) in snaps.into_iter().enumerate() {
             self.chares[c]
                 .as_mut()
-                .expect("chare resident during LB apply")
+                .expect("chare resident during rollback")
                 .restore(snap);
             self.stats.chares_restored += 1;
         }
-        // Migration marker in the trace (one dedicated lane above the
-        // per-PE lanes).
-        self.tracer.record(
-            self.pes.len() as u32,
-            "lb",
-            "migrate",
-            now,
-            now + SimDuration::from_ns(1),
-        );
-        let (targets, entry) = self.recovery_resume.clone().expect("checked above");
         self.broadcast(sim, &targets, entry, epoch);
-        true
+        Some(epoch)
     }
 
     /// Accept one copy of a chare snapshot into `stored_on`'s memory.
@@ -773,94 +802,29 @@ impl Machine {
     }
 
     /// Global rollback recovery after `failed` died (the restart half of
-    /// double in-memory checkpointing): tear down every layer's in-flight
-    /// state, re-place the dead PE's chares onto live PEs, restore all
-    /// chares from the newest collectively-held epoch, and broadcast the
-    /// registered resume entry.
+    /// double in-memory checkpointing): drop the snapshots that died
+    /// with it, re-place its chares onto live PEs heaviest first
+    /// ([`crate::lb::lpt_place`], seeded with the survivors' loads), and
+    /// [`Machine::rollback`].
     fn recover(&mut self, sim: &mut Sim<Machine>, failed: usize) {
         self.stats.recoveries += 1;
-        self.incarnation += 1;
-        // Communication layer first: cancel its retry timers, forget all
-        // in-flight transfers and routes. Anything the fabric still
-        // delivers afterwards is dropped as a stale token.
-        for timer in self.ucx.purge() {
-            sim.cancel(timer);
-        }
-        self.tag_routes.clear();
-        self.am_store.clear();
-        self.ucx_routes.clear();
-        self.reductions.clear();
-        // Void parked deferred payloads in place. The free list is NOT
-        // touched: each voided slot's already-scheduled event reclaims it
-        // when it fires (see `run_deferred`).
-        for slot in &mut self.deferred {
-            *slot = None;
-        }
-        let now = sim.now();
-        for pe in 0..self.pes.len() {
-            self.pes[pe].clear();
-            // Purge live devices too: in-flight kernels from before the
-            // rollback must not apply their effects to restored buffers.
-            self.devices[pe].purge(now);
-        }
-        // Snapshots held in the failed PE's memory died with it.
         for slots in self.ckpts.values_mut() {
             slots.retain(|&(_, on, _)| on != failed);
         }
-        // Recovery epoch: the newest epoch every chare can restore.
-        let epoch = (0..self.chares.len())
-            .map(|c| {
-                self.ckpts
-                    .get(&ChareId(c))
-                    .and_then(|s| s.last())
-                    .map(|&(e, _, _)| e)
-                    .unwrap_or_else(|| panic!("chare {c} has no surviving checkpoint"))
-            })
-            .min()
-            .expect("machine has chares");
-        // Re-place chares stranded on the dead PE: heaviest first onto
-        // the least-loaded live PE (the greedy-LB rule, restricted to
-        // the refugees).
         let mut pe_load = vec![0u64; self.pes.len()];
+        let mut refugees = Vec::new();
         for c in 0..self.chares.len() {
-            let pe = self.chare_pe[c];
+            let (pe, load) = (self.chare_pe[c], self.chare_load[c].as_ns());
             if self.pe_alive[pe] {
-                pe_load[pe] += self.chare_load[c].as_ns();
+                pe_load[pe] += load;
+            } else {
+                refugees.push((ChareId(c), load));
             }
         }
-        let mut refugees: Vec<usize> = (0..self.chares.len())
-            .filter(|&c| !self.pe_alive[self.chare_pe[c]])
-            .collect();
-        refugees.sort_by(|&a, &b| self.chare_load[b].cmp(&self.chare_load[a]).then(a.cmp(&b)));
-        for c in refugees {
-            let (target, _) = pe_load
-                .iter()
-                .enumerate()
-                .filter(|&(p, _)| self.pe_alive[p])
-                .min_by_key(|&(p, &l)| (l, p))
-                .expect("a live PE remains");
-            pe_load[target] += self.chare_load[c].as_ns();
-            self.migrate(ChareId(c), target);
-        }
-        // Restore every chare (global rollback) in id order.
-        for c in 0..self.chares.len() {
-            let snap = self.ckpts[&ChareId(c)]
-                .iter()
-                .rev()
-                .find(|&&(e, _, _)| e <= epoch)
-                .map(|(_, _, s)| s.clone())
-                .unwrap_or_else(|| panic!("chare {c} has no snapshot at or before epoch {epoch}"));
-            self.chares[c]
-                .as_mut()
-                .expect("chare resident during recovery")
-                .restore(snap);
-            self.stats.chares_restored += 1;
-        }
-        let (targets, entry) = self
-            .recovery_resume
-            .clone()
-            .expect("set_recovery_resume not called before a PE failure");
-        self.broadcast(sim, &targets, entry, epoch);
+        let moves = crate::lb::lpt_place(&refugees, &mut pe_load, &self.pe_alive);
+        self.rollback(sim, &moves).expect(
+            "PE failure needs set_recovery_resume and a surviving checkpoint cut for every chare",
+        );
     }
 
     /// Number of registered chares.
@@ -1201,54 +1165,6 @@ impl Machine {
             return 0.0;
         }
         self.pes[pe].stats.cpu_time.as_ns() as f64 / now.as_ns() as f64
-    }
-
-    /// Deep-copy the whole machine mid-flight: devices (stream queues,
-    /// engines, memory, graph instances), fabric (NIC clocks / flow
-    /// state, in-flight messages), communication layer (transfers, retry
-    /// timers, token counters), PEs (message queues, busy clocks), and
-    /// every chare via [`Chare::fork`]. Returns `None` — decline to
-    /// fork — if any chare does not implement `fork`.
-    pub fn fork(&self) -> Option<Machine> {
-        let mut chares = Vec::with_capacity(self.chares.len());
-        for c in &self.chares {
-            chares.push(Some(
-                c.as_ref().expect("chare executing during fork").fork()?,
-            ));
-        }
-        Some(Machine {
-            cfg: self.cfg.clone(),
-            devices: self.devices.clone(),
-            fabric: self.fabric.clone(),
-            ucx: self.ucx.clone(),
-            pes: self.pes.clone(),
-            chares,
-            chare_pe: self.chare_pe.clone(),
-            chare_load: self.chare_load.clone(),
-            lb_recent: self.lb_recent.clone(),
-            lb_ewma: self.lb_ewma.clone(),
-            lb_bytes: self.lb_bytes.clone(),
-            lb_stats: self.lb_stats,
-            lb_await_after: self.lb_await_after,
-            tag_routes: self.tag_routes.clone(),
-            next_tag: self.next_tag,
-            am_store: self.am_store.clone(),
-            next_am: self.next_am,
-            ucx_routes: self.ucx_routes.clone(),
-            next_ucx_user: self.next_ucx_user,
-            reductions: self.reductions.clone(),
-            next_reducer: self.next_reducer,
-            next_channel: self.next_channel,
-            deferred: self.deferred.clone(),
-            deferred_free: self.deferred_free.clone(),
-            pe_alive: self.pe_alive.clone(),
-            incarnation: self.incarnation,
-            ckpts: self.ckpts.clone(),
-            recovery_resume: self.recovery_resume.clone(),
-            rng: self.rng.clone(),
-            tracer: self.tracer.clone(),
-            stats: self.stats,
-        })
     }
 }
 
@@ -1650,14 +1566,17 @@ impl Simulation {
     }
 
     /// Capture the complete world — engine pending-event state plus a
-    /// deep machine fork — for later [`Simulation::restore`]. Returns
+    /// deep machine clone — for later [`Simulation::restore`]. Returns
     /// `None` (decline to fork) when the engine holds a pending boxed
-    /// closure or any chare does not implement [`Chare::fork`].
-    /// Declining costs nothing: callers simply keep executing the live
-    /// world.
+    /// closure. Declining costs nothing: callers simply keep executing
+    /// the live world.
     pub fn snapshot(&self) -> Option<WorldSnapshot> {
         let engine = self.sim.snapshot().ok()?;
-        let machine = self.machine.fork()?;
+        assert!(
+            self.machine.chares.iter().all(Option::is_some),
+            "chare executing during fork"
+        );
+        let machine = self.machine.clone();
         Some(WorldSnapshot { machine, engine })
     }
 
@@ -1665,13 +1584,10 @@ impl Simulation {
     /// [`Simulation::snapshot`]. The restored world replays
     /// bit-identically to one that ran fresh to the snapshot point; one
     /// snapshot can be restored any number of times (each restore
-    /// re-forks the captured machine).
+    /// re-clones the captured machine).
     pub fn restore(&mut self, snap: &WorldSnapshot) {
         self.sim.restore(&snap.engine);
-        self.machine = snap
-            .machine
-            .fork()
-            .expect("a captured machine must re-fork");
+        self.machine = snap.machine.clone();
     }
 
     /// Swap the stochastic portion of the fault plan in place — a pure
@@ -1693,7 +1609,7 @@ impl Simulation {
 }
 
 /// A complete point-in-time capture of a [`Simulation`]: the engine's
-/// pending-event state ([`gaat_sim::SimSnapshot`]) plus a deep fork of
+/// pending-event state ([`gaat_sim::SimSnapshot`]) plus a deep clone of
 /// the [`Machine`] — chares, device queues, fabric flow state, UCX
 /// transfer/retry tables, PE queues, RNG, and counters. The fork
 /// primitive behind the sweep engine's prefix memoization; conceptually
@@ -1722,6 +1638,7 @@ mod tests {
     use crate::msg::{EntryId, MsgPriority};
 
     /// A chare that counts pings and pongs back.
+    #[derive(Clone)]
     struct Ping {
         got: u64,
         peer: Option<ChareId>,
@@ -1807,6 +1724,7 @@ mod tests {
     }
 
     /// A chare that records the order in which its entries ran.
+    #[derive(Clone)]
     struct Recorder {
         order: Vec<(u16, u64)>,
     }
@@ -1840,6 +1758,7 @@ mod tests {
     }
 
     /// Chare that launches a kernel and asks for HAPI completion.
+    #[derive(Clone)]
     struct GpuUser {
         stream: Option<StreamId>,
         done_at: Option<SimTime>,
@@ -1898,6 +1817,7 @@ mod tests {
     fn stream_sync_blocks_other_chares() {
         // Two chares on one PE. Chare 0 launches a long kernel with a
         // synchronous wait; chare 1's message gets stuck behind the block.
+        #[derive(Clone)]
         struct Blocker {
             stream: StreamId,
             resumed_at: Option<SimTime>,
@@ -1920,6 +1840,7 @@ mod tests {
                 }
             }
         }
+        #[derive(Clone)]
         struct Bystander {
             ran_at: Option<SimTime>,
         }
@@ -1959,6 +1880,7 @@ mod tests {
     /// runs immediately — the overlap benefit of Fig. 4.
     #[test]
     fn async_completion_does_not_block_other_chares() {
+        #[derive(Clone)]
         struct AsyncUser {
             stream: StreamId,
         }
@@ -1976,6 +1898,7 @@ mod tests {
                 }
             }
         }
+        #[derive(Clone)]
         struct Bystander {
             ran_at: Option<SimTime>,
         }
@@ -2004,6 +1927,7 @@ mod tests {
 
     #[test]
     fn reduction_sums_contributions() {
+        #[derive(Clone)]
         struct Contributor {
             reducer: u64,
             n: usize,
@@ -2017,6 +1941,7 @@ mod tests {
                 }
             }
         }
+        #[derive(Clone)]
         struct Root {
             got: Option<f64>,
         }
@@ -2053,6 +1978,7 @@ mod tests {
 
     #[test]
     fn migration_moves_execution() {
+        #[derive(Clone)]
         struct WhichPe {
             ran_on: Vec<usize>,
         }

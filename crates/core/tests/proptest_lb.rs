@@ -11,6 +11,7 @@ use gaat_rt::msg::Envelope;
 use gaat_rt::{LbConfig, LbSensors, MachineConfig};
 use gaat_sim::SimDuration;
 
+#[derive(Clone)]
 struct Dummy;
 impl Chare for Dummy {
     fn receive(&mut self, _ctx: &mut Ctx<'_>, _env: Envelope) {}

@@ -18,6 +18,7 @@ const E_READY: EntryId = EntryId(4);
 
 // ---------------------------------------------------------------------
 
+#[derive(Clone)]
 struct Receiver {
     got: Vec<(u64, SimTime)>,
 }
@@ -85,6 +86,7 @@ fn broadcast_scales_logarithmically() {
 
 // ---------------------------------------------------------------------
 
+#[derive(Clone)]
 struct ChannelIterator {
     end: Option<ChannelEnd>,
     send_buf: MemLoc,
@@ -179,6 +181,7 @@ fn channel_sequences_stay_matched_over_many_rounds() {
 
 // ---------------------------------------------------------------------
 
+#[derive(Clone)]
 struct GpuMsgPair {
     peer: ChareId,
     sender: gpu_msg::GpuMsgSender,
@@ -276,6 +279,7 @@ fn gpu_messaging_api_moves_data_with_post_entry() {
 
 // ---------------------------------------------------------------------
 
+#[derive(Clone)]
 struct RoundContributor {
     reducer: u64,
     n: usize,
@@ -291,6 +295,7 @@ impl Chare for RoundContributor {
         }
     }
 }
+#[derive(Clone)]
 struct RoundRoot {
     sums: Vec<f64>,
 }

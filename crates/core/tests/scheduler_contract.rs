@@ -11,6 +11,7 @@ const E_PING: EntryId = EntryId(1);
 
 /// Launches `n` kernels in one entry method; the device must receive them
 /// spread by the CPU launch cost, not all at the entry's start.
+#[derive(Clone)]
 struct Launcher {
     stream: StreamId,
     n: usize,
@@ -62,6 +63,7 @@ fn kernel_launches_are_spread_by_cpu_cost() {
 
 /// An entry method's charged time makes the PE busy: a second message is
 /// dispatched only after the charge elapses.
+#[derive(Clone)]
 struct Busy {
     work: SimDuration,
     ran_at: Vec<SimTime>,
@@ -100,6 +102,7 @@ fn charged_time_delays_the_next_dispatch() {
 
 /// Sends issued later in an entry method leave later (charge offsets are
 /// reflected in message departure, hence arrival order).
+#[derive(Clone)]
 struct Sender {
     peers: Vec<ChareId>,
 }
@@ -112,6 +115,7 @@ impl Chare for Sender {
         }
     }
 }
+#[derive(Clone)]
 struct Stamp {
     at: Option<SimTime>,
 }
@@ -147,6 +151,7 @@ fn send_offsets_respect_program_order() {
 
 /// While a PE is blocked in a synchronous stream wait, even high-priority
 /// messages queue; they run immediately on unblock, before normal ones.
+#[derive(Clone)]
 struct BlockThenRecord {
     stream: StreamId,
     order: Vec<u16>,

@@ -199,6 +199,7 @@ pub fn reference_output(cfg: &MoeConfig, ranks: usize, r: usize) -> Vec<f64> {
 }
 
 /// One MoE participant: the local shard's dispatcher and its expert.
+#[derive(Clone)]
 pub struct MoeChare {
     sh: Arc<MoeShared>,
     rank: usize,
@@ -461,12 +462,23 @@ pub fn build_moe_in(
     (sim, ids, sh)
 }
 
+/// Tree-broadcast `E_START` to every rank without running the engine:
+/// the first half of [`run_moe`]. The sweep memoizer pauses between the
+/// halves to snapshot and fork the world.
+pub fn start_moe(sim: &mut Simulation, ids: &[ChareId]) {
+    let Simulation { sim, machine, .. } = sim;
+    machine.broadcast(sim, ids, E_START, 0);
+}
+
 /// Run to completion and collect results.
 pub fn run_moe(sim: &mut Simulation, ids: &[ChareId], sh: &MoeShared) -> MoeResult {
-    {
-        let Simulation { sim, machine, .. } = sim;
-        machine.broadcast(sim, ids, E_START, 0);
-    }
+    start_moe(sim, ids);
+    finish_moe(sim, ids, sh)
+}
+
+/// Drain a started run to quiescence and collect results: the second
+/// half of [`run_moe`].
+pub fn finish_moe(sim: &mut Simulation, ids: &[ChareId], sh: &MoeShared) -> MoeResult {
     assert_eq!(sim.run(), RunOutcome::Drained, "MoE round should quiesce");
     let mut warm = SimTime::ZERO;
     let mut done = SimTime::ZERO;

@@ -141,6 +141,7 @@ pub fn grad_value(rank: usize, step: usize, i: usize) -> f64 {
 }
 
 /// One data-parallel replica.
+#[derive(Clone)]
 pub struct TrainChare {
     sh: Arc<TrainShared>,
     rank: usize,
@@ -425,12 +426,23 @@ pub fn build_train_in(
     (sim, ids, sh)
 }
 
+/// Tree-broadcast `E_START` to every rank without running the engine:
+/// the first half of [`run_train`]. The sweep memoizer pauses between
+/// the halves to snapshot and fork the world.
+pub fn start_train(sim: &mut Simulation, ids: &[ChareId]) {
+    let Simulation { sim, machine, .. } = sim;
+    machine.broadcast(sim, ids, E_START, 0);
+}
+
 /// Run to completion and collect results.
 pub fn run_train(sim: &mut Simulation, ids: &[ChareId], sh: &TrainShared) -> TrainResult {
-    {
-        let Simulation { sim, machine, .. } = sim;
-        machine.broadcast(sim, ids, E_START, 0);
-    }
+    start_train(sim, ids);
+    finish_train(sim, ids, sh)
+}
+
+/// Drain a started run to quiescence and collect results: the second
+/// half of [`run_train`].
+pub fn finish_train(sim: &mut Simulation, ids: &[ChareId], sh: &TrainShared) -> TrainResult {
     assert_eq!(sim.run(), RunOutcome::Drained, "training should quiesce");
     let mut warm = SimTime::ZERO;
     let mut done = SimTime::ZERO;

@@ -672,13 +672,6 @@ impl Chare for BlockChare {
         self.pending = WhenSet::new();
         self.resume = Some(snap);
     }
-
-    fn fork(&self) -> Option<Box<dyn Chare>> {
-        // All block state is plain data (ids, counters, parked envelopes);
-        // device buffers live in the machine's memory pools, which the
-        // world fork deep-copies alongside this clone.
-        Some(Box::new(self.clone()))
-    }
 }
 
 /// Build the whole Charm-style Jacobi3D simulation: machine, chares,

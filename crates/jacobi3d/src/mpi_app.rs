@@ -44,6 +44,7 @@ pub struct MpiShared {
 }
 
 /// One MPI rank owning one block.
+#[derive(Clone)]
 pub struct JacobiRank {
     mpi: Mpi,
     sh: Arc<MpiShared>,

@@ -32,7 +32,7 @@ use gaat_ucx::Tag;
 pub struct Request(pub u64);
 
 /// Per-rank MPI state, embedded in the application's rank chare.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Mpi {
     /// This rank's index.
     pub rank: usize,
@@ -47,7 +47,7 @@ pub struct Mpi {
     pub call_cost: SimDuration,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Waiting {
     remaining: usize,
     resume: EntryId,
@@ -219,6 +219,7 @@ mod tests {
 
     /// Rank program: exchange a buffer with the partner rank and record
     /// completion time.
+    #[derive(Clone)]
     struct Exchange {
         mpi: Mpi,
         sbuf: Option<MemLoc>,
@@ -310,6 +311,7 @@ mod tests {
 
     #[test]
     fn waitall_with_nothing_outstanding_resumes() {
+        #[derive(Clone)]
         struct Trivial {
             mpi: Mpi,
             done: bool,
@@ -338,6 +340,7 @@ mod tests {
     fn requests_reset_between_phases() {
         // Two sequential exchanges through the same Mpi state must not
         // leak requests between wait_all phases.
+        #[derive(Clone)]
         struct TwoPhase {
             mpi: Mpi,
             sbuf: Option<MemLoc>,

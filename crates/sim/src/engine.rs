@@ -22,7 +22,7 @@
 //! - **Two-tier queue.** Tier 0 is a FIFO ring holding the events of
 //!   the *current instant* in seq order; `soon()` and same-timestamp
 //!   bursts append and pop at O(1). Tier 1 is a timer wheel of
-//!   [`BUCKETS`] power-of-two-width buckets covering a rolling horizon
+//!   `BUCKETS` power-of-two-width buckets covering a rolling horizon
 //!   of `BUCKETS << BUCKET_SHIFT` ns, with a `BinaryHeap` overflow for
 //!   events beyond the horizon. Advancing to the next instant scans a
 //!   hierarchical occupancy bitmap for the first nonempty bucket,

@@ -28,13 +28,13 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use gaat_jacobi3d::{charm, RunResult};
 use gaat_net::SharedTopology;
-use gaat_rt::{MachineConfig, Simulation, SlotStats, WorldSlot};
-use gaat_sim::{SimDuration, SimTime};
+use gaat_rt::{ChareId, Simulation, SlotStats, WorldSlot};
+use gaat_sim::SimDuration;
 
 use crate::fork::{self, ForkStats, Unit};
 use crate::grid::{Scenario, Workload};
@@ -247,44 +247,22 @@ pub fn run_sweep(scenarios: &[Scenario], opts: &SweepOptions) -> std::io::Result
         for _ in 0..workers {
             let tx = tx.clone();
             handles.push(s.spawn(move || {
-                let mut slot = WorldSlot::new();
+                let mut w = Worker::new(scenarios, opts.reuse_worlds);
                 for t in shapes_ref {
-                    slot.install_topology(t.clone());
+                    w.slot.install_topology(t.clone());
                 }
-                let mut fstats = ForkStats::default();
                 'drain: loop {
                     let u = next_ref.fetch_add(1, Ordering::Relaxed);
                     if u >= units_ref.len() {
                         break;
                     }
-                    match &units_ref[u] {
-                        Unit::Single(i) => {
-                            let rec = run_scenario_in(&mut slot, &scenarios[*i], opts.reuse_worlds);
-                            if tx.send(rec).is_err() {
-                                break;
-                            }
-                        }
-                        Unit::Group {
-                            members,
-                            divergence,
-                        } => {
-                            let recs = run_group_in(
-                                &mut slot,
-                                scenarios,
-                                members,
-                                *divergence,
-                                opts.reuse_worlds,
-                                &mut fstats,
-                            );
-                            for rec in recs {
-                                if tx.send(rec).is_err() {
-                                    break 'drain;
-                                }
-                            }
+                    for rec in w.run_unit(&units_ref[u]) {
+                        if tx.send(rec).is_err() {
+                            break 'drain;
                         }
                     }
                 }
-                (slot.stats(), fstats)
+                (w.slot.stats(), w.fork)
             }));
         }
         drop(tx);
@@ -340,8 +318,9 @@ pub fn run_sweep(scenarios: &[Scenario], opts: &SweepOptions) -> std::io::Result
 /// topology reuse — the reference path the determinism test compares
 /// sweep records against.
 pub fn run_standalone(sc: &Scenario) -> ScenarioRecord {
-    let mut slot = WorldSlot::new();
-    run_scenario_in(&mut slot, sc, false)
+    let mut w = Worker::new(std::slice::from_ref(sc), false);
+    let mut recs = w.run_unit(&Unit::Single(0));
+    recs.pop().expect("a single scenario yields one record")
 }
 
 /// Drain an arbitrary job list across a pool of worker threads, each
@@ -461,230 +440,184 @@ fn seal_record(rec: &mut ScenarioRecord, sim: &Simulation) {
     rec.ucx_duplicates = ucx.duplicates;
 }
 
-/// Run one prefix group: build the first member's world, execute the
-/// shared prefix to just before `divergence`, snapshot, finish the
-/// first member live, then finish every other member from a restore of
-/// the snapshot with its own stochastic fault plan swapped in. If the
-/// world declines to snapshot, the first member still finishes live
-/// (the prefix ran under its exact config) and the rest fall back to
-/// standalone runs — correctness never depends on the fork succeeding.
-fn run_group_in(
-    slot: &mut WorldSlot,
-    scenarios: &[Scenario],
-    members: &[usize],
-    divergence: SimTime,
+/// One executor thread's state: the scenario list, its reusable world
+/// slot, and its fork counters.
+struct Worker<'a> {
+    scenarios: &'a [Scenario],
+    slot: WorldSlot,
     reuse: bool,
-    fstats: &mut ForkStats,
-) -> Vec<ScenarioRecord> {
-    match scenarios[members[0]].workload {
-        Workload::Jacobi { .. } => run_group_generic(
-            slot,
-            scenarios,
-            members,
-            divergence,
-            reuse,
-            fstats,
-            |sim0, sc| charm::build_in(sim0, sc.jacobi_config()),
-            |sim, ids| charm::start(sim, ids),
-            |sim, ids, sh, rec| {
-                let (res, stalled) = charm::finish_tolerant(sim, ids, sh);
-                apply_jacobi_outcome(rec, sim, res, stalled);
-            },
-        ),
-        Workload::Sweep3d {
-            global,
-            sweeps,
-            warmup,
-        } => run_group_generic(
-            slot,
-            scenarios,
-            members,
-            divergence,
-            reuse,
-            fstats,
-            move |sim0, sc| {
-                let mut cfg = gaat_sweep3d::SweepConfig::new(sc.machine.clone(), global);
-                cfg.odf = sc.odf;
-                cfg.sweeps = sweeps;
-                cfg.warmup = warmup;
-                gaat_sweep3d::build_in(sim0, cfg)
-            },
-            |sim, ids| gaat_sweep3d::start(sim, ids),
-            |sim, ids, sh, rec| {
-                let r = gaat_sweep3d::finish(sim, ids, sh);
-                rec.makespan_ns = r.total.as_ns();
-                rec.unit_ns = r.time_per_sweep.as_ns();
-            },
-        ),
-        // The planner only forms groups for fork-capable workloads;
-        // anything else degrades gracefully to standalone runs.
-        _ => members
-            .iter()
-            .map(|&m| run_scenario_in(slot, &scenarios[m], reuse))
-            .collect(),
-    }
+    fork: ForkStats,
 }
 
-/// Workload-agnostic body of [`run_group_in`]: `build` constructs the
-/// app world, `start` injects the initial broadcast, and `finish`
-/// drains the run and folds its outcome into the record.
-#[allow(clippy::too_many_arguments)]
-fn run_group_generic<Ids, Sh, B, S, F>(
-    slot: &mut WorldSlot,
-    scenarios: &[Scenario],
-    members: &[usize],
-    divergence: SimTime,
-    reuse: bool,
-    fstats: &mut ForkStats,
-    build: B,
-    start: S,
-    finish: F,
-) -> Vec<ScenarioRecord>
-where
-    B: Fn(Simulation, &Scenario) -> (Simulation, Ids, Sh),
-    S: Fn(&mut Simulation, &Ids),
-    F: Fn(&mut Simulation, &Ids, &Sh, &mut ScenarioRecord),
-{
-    fstats.groups += 1;
-    let t0 = Instant::now();
-    let sc0 = &scenarios[members[0]];
-    let reused_world = reuse && slot.stats().prepared > 0;
-    let sim0 = if reuse {
-        slot.prepare(sc0.machine.clone())
-    } else {
-        Simulation::new(sc0.machine.clone())
-    };
-    let (mut sim, ids, sh) = build(sim0, sc0);
-    let setup_ns = t0.elapsed().as_nanos() as u64;
-    start(&mut sim, &ids);
-    // Events at exactly the divergence instant may already observe the
-    // late fields, so the pause lands one tick before it.
-    sim.run_until(divergence - SimDuration::from_ns(1));
-    let st = Instant::now();
-    let snap = sim.snapshot();
-    let snap_ns = st.elapsed().as_nanos() as u64;
+impl<'a> Worker<'a> {
+    fn new(scenarios: &'a [Scenario], reuse: bool) -> Self {
+        Worker {
+            scenarios,
+            slot: WorldSlot::new(),
+            reuse,
+            fork: ForkStats::default(),
+        }
+    }
 
-    let finish_branch =
-        |sim: &mut Simulation, sc: &Scenario, setup_ns: u64, reused: bool, bt: Instant| {
+    /// Run one unit of work, dispatching on its workload. A single
+    /// scenario is a group of one with no fork point.
+    fn run_unit(&mut self, unit: &Unit) -> Vec<ScenarioRecord> {
+        match self.scenarios[unit.members().0[0]].workload {
+            Workload::Jacobi { .. } => self.run_app(
+                unit,
+                |sim0, sc: &Scenario| charm::build_in(sim0, sc.jacobi_config()),
+                charm::start,
+                |sim, ids, sh, rec| {
+                    let (res, stalled) = charm::finish_tolerant(sim, ids, sh);
+                    apply_jacobi_outcome(rec, sim, res, stalled);
+                },
+            ),
+            Workload::Sweep3d {
+                global,
+                sweeps,
+                warmup,
+            } => self.run_app(
+                unit,
+                move |sim0, sc: &Scenario| {
+                    let mut cfg = gaat_sweep3d::SweepConfig::new(sc.machine.clone(), global);
+                    cfg.odf = sc.odf;
+                    cfg.sweeps = sweeps;
+                    cfg.warmup = warmup;
+                    gaat_sweep3d::build_in(sim0, cfg)
+                },
+                gaat_sweep3d::start,
+                |sim, ids, sh, rec| {
+                    let r = gaat_sweep3d::finish(sim, ids, sh);
+                    rec.makespan_ns = r.total.as_ns();
+                    rec.unit_ns = r.time_per_sweep.as_ns();
+                },
+            ),
+            Workload::Train { params, steps } => self.run_app(
+                unit,
+                move |sim0, sc: &Scenario| {
+                    let mut cfg = gaat_dptrain::TrainConfig::new(sc.machine.clone(), params);
+                    cfg.steps = steps;
+                    gaat_dptrain::train::build_train_in(sim0, cfg)
+                },
+                gaat_dptrain::train::start_train,
+                |sim, ids, sh, rec| {
+                    let r = gaat_dptrain::train::finish_train(sim, ids, sh);
+                    rec.makespan_ns = r.total.as_ns();
+                    rec.unit_ns = r.time_per_step.as_ns();
+                    rec.coll_bytes = r.coll_stats.bytes;
+                    rec.coll_chunks = r.coll_stats.chunks;
+                },
+            ),
+            Workload::Moe {
+                tokens,
+                hidden,
+                rounds,
+            } => self.run_app(
+                unit,
+                move |sim0, sc: &Scenario| {
+                    let mut cfg = gaat_dptrain::MoeConfig::new(sc.machine.clone(), tokens, hidden);
+                    cfg.rounds = rounds;
+                    gaat_dptrain::moe::build_moe_in(sim0, cfg)
+                },
+                gaat_dptrain::moe::start_moe,
+                |sim, ids, sh, rec| {
+                    let r = gaat_dptrain::moe::finish_moe(sim, ids, sh);
+                    rec.makespan_ns = r.total.as_ns();
+                    rec.unit_ns = r.time_per_round.as_ns();
+                    rec.coll_bytes = r.dispatch_stats.bytes + r.combine_stats.bytes;
+                    rec.coll_chunks = r.dispatch_stats.chunks + r.combine_stats.chunks;
+                },
+            ),
+        }
+    }
+
+    /// Workload-agnostic body of [`run_unit`]: `build` constructs the
+    /// app world inside a prepared simulation, `start` injects the
+    /// initial broadcast, and `finish` drains the run and folds its
+    /// outcome into the record. Builds and starts the first member's
+    /// world. For a group, it runs the shared prefix to just
+    /// before `divergence` and snapshots. It finishes the first member
+    /// live, then every other member from a restore of the snapshot with
+    /// its own stochastic fault plan swapped in. If the world declines to
+    /// snapshot, the first member still finishes live (the prefix ran under
+    /// its exact config) and the rest fall back to standalone runs —
+    /// correctness never depends on the fork succeeding.
+    fn run_app<Sh, B>(
+        &mut self,
+        unit: &Unit,
+        build: B,
+        start: fn(&mut Simulation, &[ChareId]),
+        finish: fn(&mut Simulation, &[ChareId], &Sh, &mut ScenarioRecord),
+    ) -> Vec<ScenarioRecord>
+    where
+        B: Fn(Simulation, &Scenario) -> (Simulation, Vec<ChareId>, Arc<Sh>),
+    {
+        let (scenarios, reuse) = (self.scenarios, self.reuse);
+        let (slot, fstats) = (&mut self.slot, &mut self.fork);
+        // Build and start a member's world from t = 0.
+        let launch = |slot: &mut WorldSlot, sc: &Scenario| {
+            let t0 = Instant::now();
             let mut rec = base_record(sc);
-            rec.setup_ns = setup_ns;
-            rec.reused_world = reused;
-            finish(sim, &ids, &sh, &mut rec);
+            rec.reused_world = reuse && slot.stats().prepared > 0;
+            let sim0 = if reuse {
+                slot.prepare(sc.machine.clone())
+            } else {
+                Simulation::new(sc.machine.clone())
+            };
+            let (mut sim, ids, sh) = build(sim0, sc);
+            rec.setup_ns = t0.elapsed().as_nanos() as u64;
+            start(&mut sim, &ids);
+            (sim, ids, sh, rec, t0)
+        };
+        let finish = |sim: &mut Simulation, ids: &[ChareId], sh: &Sh, mut rec, t0: Instant| {
+            finish(sim, ids, sh, &mut rec);
             seal_record(&mut rec, sim);
-            rec.wall_ns = bt.elapsed().as_nanos() as u64;
+            rec.wall_ns = t0.elapsed().as_nanos() as u64;
             rec
         };
 
-    let mut out = Vec::with_capacity(members.len());
-    match snap {
-        Some(snap) => {
+        let (members, divergence) = unit.members();
+        let (mut sim, ids, sh, rec, t0) = launch(slot, &scenarios[members[0]]);
+        let snap = divergence.and_then(|t| {
+            fstats.groups += 1;
+            // Events at exactly the divergence instant may already observe
+            // the late fields, so the pause lands one tick before it.
+            sim.run_until(t - SimDuration::from_ns(1));
+            let st = Instant::now();
+            let snap = sim.snapshot()?;
             fstats.snapshots_taken += 1;
-            fstats.snapshot_ns += snap_ns;
-            fstats.scenarios_forked += members.len() - 1;
-            out.push(finish_branch(&mut sim, sc0, setup_ns, reused_world, t0));
-            for &m in &members[1..] {
+            fstats.snapshot_ns += st.elapsed().as_nanos() as u64;
+            Some(snap)
+        });
+        let mut out = vec![finish(&mut sim, &ids, &sh, rec, t0)];
+        let rest = &members[1..];
+        if let Some(snap) = &snap {
+            fstats.scenarios_forked += rest.len();
+            for &m in rest {
                 let bt = Instant::now();
-                sim.restore(&snap);
+                sim.restore(snap);
                 let restore_ns = bt.elapsed().as_nanos() as u64;
                 fstats.restore_ns += restore_ns;
+                let mut rec = base_record(&scenarios[m]);
+                rec.setup_ns = restore_ns;
+                rec.reused_world = true;
                 sim.set_stochastic_faults(scenarios[m].machine.faults.clone());
-                out.push(finish_branch(&mut sim, &scenarios[m], restore_ns, true, bt));
-            }
-            if reuse {
-                slot.retire(sim);
+                out.push(finish(&mut sim, &ids, &sh, rec, bt));
             }
         }
-        None => {
-            fstats.declined += members.len() - 1;
-            out.push(finish_branch(&mut sim, sc0, setup_ns, reused_world, t0));
-            if reuse {
-                slot.retire(sim);
-            }
-            for &m in &members[1..] {
-                out.push(run_scenario_in(slot, &scenarios[m], reuse));
-            }
-        }
-    }
-    out
-}
-
-fn run_scenario_in(slot: &mut WorldSlot, sc: &Scenario, reuse: bool) -> ScenarioRecord {
-    let t0 = Instant::now();
-    let reused_world = reuse && slot.stats().prepared > 0;
-    let prep = |slot: &mut WorldSlot, m: MachineConfig| {
         if reuse {
-            slot.prepare(m)
-        } else {
-            Simulation::new(m)
+            slot.retire(sim);
         }
-    };
-
-    let mut rec = base_record(sc);
-    rec.reused_world = reused_world;
-
-    let sim = match sc.workload {
-        Workload::Jacobi { .. } => {
-            let cfg = sc.jacobi_config();
-            let sim0 = prep(slot, cfg.machine.clone());
-            let (mut sim, ids, sh) = charm::build_in(sim0, cfg);
-            rec.setup_ns = t0.elapsed().as_nanos() as u64;
-            let (res, stalled) = charm::run_tolerant(&mut sim, &ids, &sh);
-            apply_jacobi_outcome(&mut rec, &sim, res, stalled);
-            sim
+        if snap.is_none() {
+            fstats.declined += rest.len();
+            for &m in rest {
+                let (mut sim, ids, sh, rec, t0) = launch(slot, &scenarios[m]);
+                out.push(finish(&mut sim, &ids, &sh, rec, t0));
+                if reuse {
+                    slot.retire(sim);
+                }
+            }
         }
-        Workload::Sweep3d {
-            global,
-            sweeps,
-            warmup,
-        } => {
-            let mut cfg = gaat_sweep3d::SweepConfig::new(sc.machine.clone(), global);
-            cfg.odf = sc.odf;
-            cfg.sweeps = sweeps;
-            cfg.warmup = warmup;
-            let sim0 = prep(slot, cfg.machine.clone());
-            let (mut sim, ids, sh) = gaat_sweep3d::build_in(sim0, cfg);
-            rec.setup_ns = t0.elapsed().as_nanos() as u64;
-            let r = gaat_sweep3d::run(&mut sim, &ids, &sh);
-            rec.makespan_ns = r.total.as_ns();
-            rec.unit_ns = r.time_per_sweep.as_ns();
-            sim
-        }
-        Workload::Train { params, steps } => {
-            let mut cfg = gaat_dptrain::TrainConfig::new(sc.machine.clone(), params);
-            cfg.steps = steps;
-            let sim0 = prep(slot, cfg.machine.clone());
-            let (mut sim, ids, sh) = gaat_dptrain::train::build_train_in(sim0, cfg);
-            rec.setup_ns = t0.elapsed().as_nanos() as u64;
-            let r = gaat_dptrain::run_train(&mut sim, &ids, &sh);
-            rec.makespan_ns = r.total.as_ns();
-            rec.unit_ns = r.time_per_step.as_ns();
-            rec.coll_bytes = r.coll_stats.bytes;
-            rec.coll_chunks = r.coll_stats.chunks;
-            sim
-        }
-        Workload::Moe {
-            tokens,
-            hidden,
-            rounds,
-        } => {
-            let mut cfg = gaat_dptrain::MoeConfig::new(sc.machine.clone(), tokens, hidden);
-            cfg.rounds = rounds;
-            let sim0 = prep(slot, cfg.machine.clone());
-            let (mut sim, ids, sh) = gaat_dptrain::moe::build_moe_in(sim0, cfg);
-            rec.setup_ns = t0.elapsed().as_nanos() as u64;
-            let r = gaat_dptrain::run_moe(&mut sim, &ids, &sh);
-            rec.makespan_ns = r.total.as_ns();
-            rec.unit_ns = r.time_per_round.as_ns();
-            rec.coll_bytes = r.dispatch_stats.bytes + r.combine_stats.bytes;
-            rec.coll_chunks = r.dispatch_stats.chunks + r.combine_stats.chunks;
-            sim
-        }
-    };
-
-    seal_record(&mut rec, &sim);
-    if reuse {
-        slot.retire(sim);
+        out
     }
-    rec.wall_ns = t0.elapsed().as_nanos() as u64;
-    rec
 }

@@ -82,6 +82,20 @@ pub(crate) enum Unit {
     },
 }
 
+impl Unit {
+    /// Member positions and fork point. A single scenario is a group of
+    /// one with no fork point.
+    pub(crate) fn members(&self) -> (&[usize], Option<SimTime>) {
+        match self {
+            Unit::Single(i) => (std::slice::from_ref(i), None),
+            Unit::Group {
+                members,
+                divergence,
+            } => (members, Some(*divergence)),
+        }
+    }
+}
+
 /// The group identity: everything that must be bit-identical for two
 /// scenarios to share an executed prefix.
 struct Key {
@@ -120,9 +134,8 @@ fn key_eq(a: &Key, b: &Key) -> bool {
 
 /// Analyze `scenarios` (skipping positions where `skip` is set, e.g.
 /// already-completed work on a resumed sweep) into an ordered unit
-/// list. With `fork` off — or for workloads without fork support —
-/// every scenario becomes a [`Unit::Single`], reproducing the pre-fork
-/// executor exactly.
+/// list. With `fork` off every scenario becomes a [`Unit::Single`],
+/// reproducing the pre-fork executor exactly.
 pub(crate) fn plan(scenarios: &[Scenario], fork: bool, skip: &[bool]) -> Vec<Unit> {
     let live = |i: usize| !skip.get(i).copied().unwrap_or(false);
     if !fork {
@@ -137,19 +150,8 @@ pub(crate) fn plan(scenarios: &[Scenario], fork: bool, skip: &[bool]) -> Vec<Uni
     // worker count and dequeue order).
     let mut keys: Vec<Key> = Vec::new();
     let mut protos: Vec<Vec<usize>> = Vec::new();
-    let mut singles_first: Vec<Unit> = Vec::new();
     for (i, sc) in scenarios.iter().enumerate() {
         if !live(i) {
-            continue;
-        }
-        // Jacobi and sweep3d implement `Chare::fork`; other workloads
-        // run standalone (their worlds would decline the snapshot
-        // anyway — this just skips the wasted attempt).
-        if !matches!(
-            sc.workload,
-            Workload::Jacobi { .. } | Workload::Sweep3d { .. }
-        ) {
-            singles_first.push(Unit::Single(i));
             continue;
         }
         let k = key_of(sc);
@@ -162,7 +164,7 @@ pub(crate) fn plan(scenarios: &[Scenario], fork: bool, skip: &[bool]) -> Vec<Uni
         }
     }
 
-    let mut out = singles_first;
+    let mut out = Vec::new();
     for members in protos {
         // A lossy member whose draws are active from t = 0 shares no
         // prefix with anyone; peel it off as a single.

@@ -1,9 +1,9 @@
 //! Declarative scenario grids and their expansion into request lists.
 //!
 //! A [`ScenarioGrid`] is a template machine plus explicit axes (seed ×
-//! ODF × topology × placement × fault plan × workload); [`expand`]
-//! multiplies the axes out, applies the grid's filter, and assigns each
-//! surviving [`Scenario`] a stable index. The index — not the dequeue
+//! ODF × topology × placement × fault plan × workload);
+//! [`ScenarioGrid::expand`] multiplies the axes out, applies the grid's
+//! filter, and assigns each surviving [`Scenario`] a stable index. The index — not the dequeue
 //! order — names the scenario everywhere downstream, which is what lets
 //! per-scenario outcomes stay independent of worker count.
 

@@ -85,8 +85,8 @@ fn forked_sweeps_match_unforked_and_standalone_at_all_worker_counts() {
     assert_ne!(fps[0], fps[2], "lossy branch must differ from clean");
 }
 
-/// Sweep3d chares are plain data and implement `Chare::fork`, so the
-/// planner now groups sweep3d fault scenarios instead of forcing them
+/// Sweep3d chares are plain data and fork through `Clone`, so the
+/// planner groups sweep3d fault scenarios instead of forcing them
 /// standalone. Forked fingerprints must equal both the unforked sweep
 /// and fresh standalone runs, and the snapshot must actually be taken
 /// (the world no longer declines).
@@ -277,5 +277,81 @@ fn random_grids_fork_bit_identically_to_fresh_runs() {
                 sc.label()
             );
         }
+    }
+}
+
+/// Every workload forks now that chares fork through `Clone`. Over a
+/// lossy grid with the reliable transport on — drop rates
+/// {0, 5%, 10%} × two lossy onsets after `t = 0` — forked fingerprints
+/// at workers {1, 2, 4} equal the unforked sweep and fresh standalone
+/// runs, the planner forms groups, and no world declines the snapshot.
+#[test]
+fn train_and_moe_fork_bit_identically_to_standalone() {
+    let workloads = [
+        Workload::Train {
+            params: 1 << 12,
+            steps: 2,
+        },
+        Workload::Moe {
+            tokens: 64,
+            hidden: 16,
+            rounds: 2,
+        },
+    ];
+    for workload in workloads {
+        let mut machine = MachineConfig::validation(2, 2);
+        machine.faults = FaultPlan {
+            seed: 5,
+            ..FaultPlan::none()
+        };
+        machine.ucx.reliability.enabled = true;
+        let mut grid = ScenarioGrid::new(machine);
+        grid.workloads = vec![workload];
+        grid.drop_rates = vec![0.0, 0.05, 0.1];
+        grid.fault_onsets = vec![t(40), t(80)];
+        let scenarios = grid.expand();
+        assert_eq!(scenarios.len(), 6);
+
+        let mut opts = SweepOptions::new();
+        opts.fork = false;
+        opts.workers = 1;
+        let reference = run_sweep(&scenarios, &opts).expect("no I/O configured");
+        assert_eq!(reference.fork.groups, 0);
+
+        opts.fork = true;
+        for workers in [1, 2, 4] {
+            opts.workers = workers;
+            let forked = run_sweep(&scenarios, &opts).expect("no I/O configured");
+            assert_eq!(
+                forked.fingerprints(),
+                reference.fingerprints(),
+                "{workload:?} fork path must be bit-invisible at {workers} workers"
+            );
+            assert!(
+                forked.fork.groups > 0,
+                "{workload:?}: the planner must group"
+            );
+            assert_eq!(
+                forked.fork.declined, 0,
+                "{workload:?}: world must not decline"
+            );
+            assert_eq!(forked.fork.snapshots_taken, forked.fork.groups);
+        }
+
+        for (sc, fp) in scenarios.iter().zip(&reference.fingerprints()) {
+            assert_eq!(
+                run_standalone(sc).fingerprint(),
+                *fp,
+                "sweep record for `{}` differs from a standalone run",
+                sc.label()
+            );
+        }
+        // The lossy axis reached the run: the 10% drop branch differs
+        // from the clean one.
+        let fps = reference.fingerprints();
+        assert_ne!(
+            fps[0], fps[4],
+            "{workload:?}: lossy branch must differ from clean"
+        );
     }
 }

@@ -226,14 +226,6 @@ impl Chare for SweepChare {
             other => panic!("unknown entry {other:?}"),
         }
     }
-
-    fn fork(&self) -> Option<Box<dyn Chare>> {
-        // All state is plain data (buffer ids, counters, channel ends),
-        // so a clone is an exact mid-flight copy — this is what lets the
-        // sweep engine's prefix memoizer fork sweep3d worlds instead of
-        // forcing them standalone.
-        Some(Box::new(self.clone()))
-    }
 }
 
 /// Functional block sweep: Gauss–Seidel order update reading the three

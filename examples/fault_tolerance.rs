@@ -22,6 +22,7 @@ const E_STEP: EntryId = EntryId(1);
 
 /// An iterative worker: each step is a GPU kernel plus host bookkeeping;
 /// `progress` is the checkpointable state.
+#[derive(Clone)]
 struct Worker {
     stream: Option<StreamId>,
     progress: u32,

@@ -18,6 +18,7 @@ const E_DONE: EntryId = EntryId(1);
 
 /// A chare that runs `reps` cycles of (GPU kernel, host post-processing),
 /// with per-chare work weight — the hotspot.
+#[derive(Clone)]
 struct Worker {
     stream: Option<StreamId>,
     weight: u64,

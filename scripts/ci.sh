@@ -10,6 +10,10 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --release -- -D warnings
 
+echo "==> rustdoc -D warnings"
+# Broken intra-doc links (e.g. to a deleted method) fail the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> tier-1 build"
 cargo build --release
 
