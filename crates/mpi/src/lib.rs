@@ -32,7 +32,7 @@ use gaat_ucx::Tag;
 pub struct Request(pub u64);
 
 /// Per-rank MPI state, embedded in the application's rank chare.
-#[derive(Clone, Debug)]
+#[derive(Debug, Clone)]
 pub struct Mpi {
     /// This rank's index.
     pub rank: usize,
@@ -47,7 +47,7 @@ pub struct Mpi {
     pub call_cost: SimDuration,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug, Clone)]
 struct Waiting {
     remaining: usize,
     resume: EntryId,
