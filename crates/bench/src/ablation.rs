@@ -10,14 +10,19 @@
 //! - **Device pipeline threshold** (§IV-B / Fig. 7a): where the
 //!   GPUDirect → pipelined-staging protocol switch lands determines
 //!   whether GPU-aware communication helps or hurts.
+//!
+//! Two robustness tables beyond the paper ride along, both in virtual
+//! time: the fault sweep (drop rate × retries × ODF × LB policy) and the
+//! adaptive load balancer against a straggling GPU and a degraded link.
 
 use gaat_gpu::{KernelSpec, Op, Space, StreamId};
-use gaat_jacobi3d::{run_charm, CommMode, Dims, JacobiConfig};
+use gaat_jacobi3d::{charm, run_charm, CommMode, Dims, JacobiConfig};
 use gaat_rt::{
-    gpu_msg, BufRange, Callback, ChannelEnd, Chare, ChareId, Ctx, EntryId, Envelope, MachineConfig,
-    MemLoc, Simulation,
+    gpu_msg, BufRange, Callback, ChannelEnd, Chare, ChareId, Ctx, EntryId, Envelope, LbPolicy,
+    LbStats, MachineConfig, MemLoc, Simulation,
 };
-use gaat_sim::{SimDuration, SimTime};
+use gaat_sim::{FaultPlan, LinkFault, LinkFaultKind, SimDuration, SimTime, StragglerWindow};
+use gaat_sweep::{run_sweep, ScenarioGrid, SweepOptions, Workload};
 
 use crate::harness::{Effort, Row};
 
@@ -360,6 +365,226 @@ pub fn pipeline_threshold_sweep(e: &Effort) -> Vec<Row> {
         });
     }
     rows
+}
+
+// ---------------------------------------------------------------------
+// Fault sweep: drop rate × retries × ODF × LB policy
+// ---------------------------------------------------------------------
+
+/// One fault-sweep scenario's outcome.
+pub struct FaultSweepRow {
+    /// Per-message drop probability.
+    pub drop_rate: f64,
+    /// Overdecomposition factor.
+    pub odf: usize,
+    /// Whether the reliable transport was on.
+    pub retries: bool,
+    /// Load-balancing policy.
+    pub lb: LbPolicy,
+    /// Simulated time per iteration; `None` when blocks stalled.
+    pub us_per_iter: Option<f64>,
+    /// Transport retransmits issued.
+    pub retransmits: u64,
+    /// Blocks that never finished.
+    pub stalled: u64,
+}
+
+/// How loss prices into iteration time with the retry layer on, and how
+/// many blocks stall without it: HostStaging Jacobi3D (8³, 8 iterations)
+/// on the 2×2 validation machine at fault seed 42, drained as one
+/// `gaat-sweep` grid. Rows are ordered drop rate, then ODF, then
+/// retries on before off.
+pub fn fault_sweep() -> Vec<FaultSweepRow> {
+    let mut machine = MachineConfig::validation(2, 2);
+    machine.faults = FaultPlan {
+        seed: 42,
+        drop_prob: 0.0,
+        ..FaultPlan::none()
+    };
+    // A non-zero template period arms the balancer for the non-Off
+    // policies on the `lb_policies` axis below.
+    machine.lb.period = SimDuration::from_us(100);
+    let mut grid = ScenarioGrid::new(machine);
+    grid.workloads.push(Workload::Jacobi {
+        global: Dims::cube(8),
+        iters: 8,
+        warmup: 2,
+        comm: CommMode::HostStaging,
+    });
+    grid.odfs = vec![1, 2, 4];
+    grid.drop_rates = vec![0.0, 0.01, 0.05, 0.10];
+    grid.retries = vec![true, false];
+    grid.lb_policies = vec![LbPolicy::Off, LbPolicy::Greedy, LbPolicy::Adaptive];
+    // Retries-off at zero loss is identical to retries-on; skip it.
+    // The balancer migrates over the reliable transport (`arm_lb`
+    // asserts), so non-Off policies only run with retries on.
+    grid.filter = Some(|sc| sc.retries || (sc.drop_rate != 0.0 && sc.lb_policy == LbPolicy::Off));
+    let scenarios = grid.expand();
+    let report = run_sweep(&scenarios, &SweepOptions::new()).expect("no sweep I/O configured");
+    let mut rows: Vec<FaultSweepRow> = scenarios
+        .iter()
+        .zip(&report.records)
+        .map(|(sc, rec)| FaultSweepRow {
+            drop_rate: sc.drop_rate,
+            odf: sc.odf,
+            retries: sc.retries,
+            lb: sc.lb_policy,
+            us_per_iter: rec.ok.then(|| rec.unit_ns as f64 / 1e3),
+            retransmits: rec.ucx_retransmits,
+            stalled: rec.stalled,
+        })
+        .collect();
+    // Grid nesting is odf-outer; the table reads best drop-outer. The
+    // sort is stable, so LB policies keep their axis order.
+    rows.sort_by(|x, y| {
+        x.drop_rate
+            .total_cmp(&y.drop_rate)
+            .then(x.odf.cmp(&y.odf))
+            .then(y.retries.cmp(&x.retries))
+    });
+    rows
+}
+
+// ---------------------------------------------------------------------
+// Adaptive load balancing against a straggler and a degraded link
+// ---------------------------------------------------------------------
+
+/// The LB experiment's machine: two fat-tree nodes, jitter off so cells
+/// compare, and the reliable transport on (the balancer migrates over
+/// it).
+pub fn lb_machine() -> MachineConfig {
+    let mut machine = MachineConfig::summit_fattree(2);
+    machine.net.jitter = 0.0;
+    machine.ucx.reliability.enabled = true;
+    machine
+}
+
+/// The degraded cells' fault plan: GPU 2 throttled 4× for the whole run,
+/// plus `hot_link` (the fault-free run's hottest link) at quarter
+/// capacity.
+pub fn lb_faults(hot_link: Option<u32>) -> FaultPlan {
+    let mut faults = FaultPlan::none();
+    faults.stragglers.push(StragglerWindow {
+        device: 2,
+        from: SimTime::ZERO,
+        until: SimTime::ZERO + SimDuration::from_ms(60_000),
+        slowdown: 4.0,
+    });
+    if let Some(link) = hot_link {
+        faults.link_faults.push(LinkFault {
+            at: SimTime::ZERO,
+            link,
+            kind: LinkFaultKind::Degrade(0.25),
+        });
+    }
+    faults
+}
+
+/// One LB cell: Charm-H Jacobi3D at ODF 2 (2 warm-up iterations) on
+/// [`lb_machine`]. Each applied plan is a global rollback, so the
+/// balancer demands a 15% projected win and moves at most 2 chares per
+/// plan, and a balanced run checkpoints every iteration.
+pub fn lb_config(
+    faults: FaultPlan,
+    policy: LbPolicy,
+    period: SimDuration,
+    global: Dims,
+    iters: usize,
+) -> JacobiConfig {
+    let mut machine = lb_machine();
+    machine.faults = faults;
+    machine.lb.policy = policy;
+    machine.lb.period = period;
+    machine.lb.hysteresis_pct = 15;
+    machine.lb.budget = 2;
+    let mut cfg = JacobiConfig::new(machine, global);
+    cfg.comm = CommMode::HostStaging;
+    cfg.odf = 2;
+    cfg.iters = iters;
+    cfg.warmup = 2;
+    if cfg.machine.lb.enabled() {
+        cfg.checkpoint_every = 1;
+    }
+    cfg
+}
+
+/// One finished LB cell.
+#[derive(Debug, Clone)]
+pub struct LbCell {
+    /// Simulated makespan.
+    pub total_ns: u64,
+    /// Field checksum (real-buffer runs only).
+    pub checksum: Option<f64>,
+    /// Entry methods executed.
+    pub entries: u64,
+    /// Balancer counters.
+    pub lb: LbStats,
+}
+
+/// Run one LB cell; also returns the run's hottest link.
+pub fn lb_cell(cfg: JacobiConfig) -> (LbCell, Option<u32>) {
+    let (mut sim, ids, sh) = charm::build(cfg);
+    let r = charm::run(&mut sim, &ids, &sh);
+    let cell = LbCell {
+        total_ns: r.total.as_ns(),
+        checksum: r.checksum,
+        entries: r.entries,
+        lb: sim.machine.lb_stats(),
+    };
+    (cell, sim.machine.fabric.stats().hottest_link.map(|l| l.0))
+}
+
+/// The four-cell LB table at 192³.
+pub struct LbTable {
+    /// The fault-free run's hottest link, degraded in the faulted cells.
+    pub hot_link: Option<u32>,
+    /// Balancer period: one fault-free iteration.
+    pub period: SimDuration,
+    /// No faults, balancer off: the ideal makespan.
+    pub fault_free: LbCell,
+    /// Faults, balancer off: a placement frozen at startup.
+    pub frozen: LbCell,
+    /// Faults, sensor-blind greedy policy (the ablation).
+    pub greedy: LbCell,
+    /// Faults, closed-loop adaptive policy.
+    pub adaptive: LbCell,
+}
+
+impl LbTable {
+    /// Share of the frozen-vs-fault-free makespan gap the adaptive
+    /// policy claws back.
+    pub fn recovery(&self) -> f64 {
+        let gap = self
+            .frozen
+            .total_ns
+            .saturating_sub(self.fault_free.total_ns) as f64;
+        let recovered = self.frozen.total_ns.saturating_sub(self.adaptive.total_ns) as f64;
+        if gap > 0.0 {
+            recovered / gap
+        } else {
+            0.0
+        }
+    }
+}
+
+/// The LB experiment at `iters` iterations. The fault-free probe run
+/// yields the ideal makespan, the balancer period (about one tick per
+/// iteration) and the link to degrade, all in virtual time, so the
+/// calibration is deterministic.
+pub fn lb_table(iters: usize) -> LbTable {
+    let global = Dims::cube(192);
+    let cfg = |faults, policy, period| lb_config(faults, policy, period, global, iters);
+    let (fault_free, hot_link) = lb_cell(cfg(FaultPlan::none(), LbPolicy::Off, SimDuration::ZERO));
+    let period = SimDuration::from_ns(fault_free.total_ns / iters as u64);
+    let faulted = |policy, period| lb_cell(cfg(lb_faults(hot_link), policy, period)).0;
+    LbTable {
+        hot_link,
+        period,
+        fault_free,
+        frozen: faulted(LbPolicy::Off, SimDuration::ZERO),
+        greedy: faulted(LbPolicy::Greedy, period),
+        adaptive: faulted(LbPolicy::Adaptive, period),
+    }
 }
 
 #[cfg(test)]

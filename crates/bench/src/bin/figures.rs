@@ -123,6 +123,51 @@ fn main() {
             "  asynchronous : {async_us:.1} us makespan ({:.2}x faster)",
             sync_us / async_us
         );
+
+        println!("\n=== Ablation — fault sweep (HostStaging, 2x2 validation machine, 8 iters) ===");
+        println!(
+            "{:>6} {:>4} {:>9} {:>9} | {:>12} {:>11} {:>10}",
+            "drop", "odf", "retries", "lb", "us/iter", "retransmits", "stalled"
+        );
+        for r in ablation::fault_sweep() {
+            println!(
+                "{:>6.2} {:>4} {:>9} {:>9} | {:>12} {:>11} {:>10}",
+                r.drop_rate,
+                r.odf,
+                if r.retries { "on" } else { "off" },
+                format!("{:?}", r.lb).to_lowercase(),
+                r.us_per_iter
+                    .map_or_else(|| "-".to_string(), |us| format!("{us:.1}")),
+                r.retransmits,
+                r.stalled
+            );
+        }
+
+        let lb = ablation::lb_table(16);
+        println!(
+            "\n=== Ablation — adaptive LB vs GPU 2 at 4x and link {:?} at 25% (192^3, 16 iters, period {} ns) ===",
+            lb.hot_link,
+            lb.period.as_ns()
+        );
+        for (name, c) in [
+            ("fault_free", &lb.fault_free),
+            ("static", &lb.frozen),
+            ("greedy", &lb.greedy),
+            ("adaptive", &lb.adaptive),
+        ] {
+            println!(
+                "  {name:<11} total {:>10} ns  lb {:>2} rounds / {:>2} applied / {:>2} migrations  plan {:>5.1} us/round",
+                c.total_ns,
+                c.lb.rounds,
+                c.lb.applied,
+                c.lb.migrations,
+                c.lb.plan_host_ns as f64 / 1e3 / c.lb.rounds.max(1) as f64,
+            );
+        }
+        println!(
+            "  adaptive recovers {:.1}% of the static-vs-fault-free gap",
+            100.0 * lb.recovery()
+        );
     }
     println!("\nCSV written under {}", out.display());
 }

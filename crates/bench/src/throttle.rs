@@ -1,14 +1,14 @@
 //! Steady-state throttle guard for the wall-clock benchmarks.
 //!
-//! The committed `BENCH_*.json` numbers are only comparable across runs
-//! if the host sustained a steady clock for the whole benchmark. A
+//! Wall-clock numbers and ratios are only comparable across runs if the
+//! host sustained a steady clock for the whole benchmark. A
 //! thermally-throttled (or noisy-neighbour) host skews the later
 //! workloads against the earlier ones — the sustained-vs-burst
 //! discrepancies we have chased before came from exactly this. The
 //! guard brackets the benchmark with windows of a fixed CPU-bound probe
 //! kernel and records the drift: if the machine got materially slower
-//! between the opening and closing window, the JSON says so instead of
-//! silently recording biased numbers.
+//! between the opening and closing window, the output says so instead
+//! of silently recording biased numbers.
 
 use std::time::Instant;
 

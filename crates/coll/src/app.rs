@@ -1,7 +1,7 @@
 //! Standalone collective proxy app: one participant chare per rank,
 //! running `rounds` back-to-back collectives. This is what the
-//! `coll_speed` bench, `profile_run --collective`, and the correctness
-//! tests drive.
+//! `coll_speed` slice bench, `profile_run --collective`, and the
+//! reference-equality tests below drive.
 
 use std::sync::Arc;
 
@@ -457,15 +457,24 @@ mod tests {
 
     #[test]
     fn multi_round_allreduce_matches_reference() {
-        for alg in [Algorithm::Ring, Algorithm::Tree] {
-            let mut cfg =
-                CollAppConfig::new(MachineConfig::validation(2, 2), CollOp::AllReduce, alg, 64);
-            cfg.rounds = 2;
-            cfg.warmup = 1;
-            cfg.chunk = 16;
-            let (mut sim, ids, sh) = build(cfg);
-            run(&mut sim, &ids, &sh);
-            validate_against_reference(&sim, &ids, &sh);
+        // (nodes, PEs per node, count, chunk): a divisible case, and 6
+        // ranks with a count and chunk that divide nothing.
+        for (nodes, pes, count, chunk) in [(2, 2, 64, 16), (2, 3, 501, 37)] {
+            for alg in [Algorithm::Ring, Algorithm::Tree] {
+                let mut cfg = CollAppConfig::new(
+                    MachineConfig::validation(nodes, pes),
+                    CollOp::AllReduce,
+                    alg,
+                    count,
+                );
+                cfg.rounds = 2;
+                cfg.warmup = 1;
+                cfg.chunk = chunk;
+                let (mut sim, ids, sh) = build(cfg);
+                run(&mut sim, &ids, &sh);
+                let n = validate_against_reference(&sim, &ids, &sh);
+                assert!(n > 0, "{alg:?} at {count}/{chunk} compared nothing");
+            }
         }
     }
 

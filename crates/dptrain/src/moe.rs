@@ -564,10 +564,15 @@ mod tests {
 
     #[test]
     fn moe_round_matches_reference() {
-        for (nodes, pes) in [(2usize, 3usize), (3, 1)] {
-            let mut cfg = MoeConfig::new(MachineConfig::validation(nodes, pes), 17, 3);
-            cfg.chunk = 7;
-            cfg.hot_frac = 0.6;
+        // (nodes, PEs per node, tokens, hidden, chunk, hot_frac)
+        for (nodes, pes, tokens, hidden, chunk, hot_frac) in [
+            (2, 3, 17, 3, 7, 0.6),
+            (3, 1, 17, 3, 7, 0.6),
+            (2, 3, 33, 5, 11, 0.7),
+        ] {
+            let mut cfg = MoeConfig::new(MachineConfig::validation(nodes, pes), tokens, hidden);
+            cfg.chunk = chunk;
+            cfg.hot_frac = hot_frac;
             let (mut sim, ids, sh) = build_moe(cfg);
             run_moe(&mut sim, &ids, &sh);
             let n = validate_moe(&sim, &ids, &sh);

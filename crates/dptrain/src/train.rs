@@ -550,25 +550,35 @@ mod tests {
     #[test]
     fn overlap_beats_sum_of_parts() {
         // The acceptance criterion: step time < compute time + comm time.
-        let mk = |mode, overlap| {
-            let mut cfg = TrainConfig::new(MachineConfig::summit(2), 1 << 20);
-            cfg.mode = mode;
-            cfg.overlap = overlap;
-            cfg.buckets = 8;
-            cfg.chunk = 1 << 14;
-            cfg.steps = 3;
-            cfg.warmup = 1;
-            train(cfg).time_per_step
-        };
-        let full = mk(TrainMode::Full, true);
-        let compute = mk(TrainMode::ComputeOnly, true);
-        let comm = mk(TrainMode::CommOnly, true);
-        assert!(
-            full < compute + comm,
-            "overlapped {full} should beat compute {compute} + comm {comm}"
-        );
-        let serial = mk(TrainMode::Full, false);
-        assert!(full < serial, "overlap {full} should beat serial {serial}");
+        // The second config is jitter-free with enough arithmetic per
+        // parameter that compute and comm are the same order of magnitude.
+        let mut large = TrainConfig::new(MachineConfig::summit(2), 1 << 20);
+        large.steps = 3;
+        let mut dense = TrainConfig::new(MachineConfig::summit(2), 1 << 18);
+        dense.machine.net.jitter = 0.0;
+        dense.intensity = 1024;
+        dense.steps = 2;
+        for base in [large, dense] {
+            let mk = |mode, overlap| {
+                let mut cfg = base.clone();
+                cfg.mode = mode;
+                cfg.overlap = overlap;
+                cfg.buckets = 8;
+                cfg.chunk = 1 << 14;
+                cfg.warmup = 1;
+                train(cfg).time_per_step
+            };
+            let full = mk(TrainMode::Full, true);
+            let compute = mk(TrainMode::ComputeOnly, true);
+            let comm = mk(TrainMode::CommOnly, true);
+            assert!(
+                full < compute + comm,
+                "{} params: overlapped {full} should beat compute {compute} + comm {comm}",
+                base.params
+            );
+            let serial = mk(TrainMode::Full, false);
+            assert!(full < serial, "overlap {full} should beat serial {serial}");
+        }
     }
 
     #[test]

@@ -92,44 +92,66 @@ fn expansion_is_stable_and_indexed() {
     }
 }
 
+/// Jacobi3D alone over seeds × ODF × placement × loss, with a stalling
+/// retries-off arm: 24 scenarios.
+fn jacobi_loss_grid() -> ScenarioGrid {
+    let mut grid = ScenarioGrid::new(test_machine());
+    grid.workloads.push(Workload::Jacobi {
+        global: Dims::cube(8),
+        iters: 4,
+        warmup: 1,
+        comm: CommMode::HostStaging,
+    });
+    grid.seeds = vec![1, 2];
+    grid.odfs = vec![1, 2];
+    grid.placements = vec![Placement::Packed, Placement::RoundRobin];
+    grid.drop_rates = vec![0.0, 0.05];
+    grid.retries = vec![true, false];
+    grid.filter = Some(|sc| sc.retries || sc.drop_rate > 0.0);
+    grid
+}
+
 #[test]
 fn fingerprints_invariant_across_workers_reuse_and_standalone() {
-    let scenarios = test_grid().expand();
+    assert_eq!(jacobi_loss_grid().expand().len(), 24);
+    for grid in [test_grid(), jacobi_loss_grid()] {
+        let scenarios = grid.expand();
 
-    let mut opts = SweepOptions::new();
-    let mut runs = Vec::new();
-    for workers in [1, 2, 4] {
-        opts.workers = workers;
+        let mut opts = SweepOptions::new();
+        let mut runs = Vec::new();
+        for workers in [1, 2, 4] {
+            opts.workers = workers;
+            runs.push(run_sweep(&scenarios, &opts).expect("no I/O configured"));
+        }
+        // A reuse-disabled sweep: every scenario on a fresh world.
+        opts.workers = 2;
+        opts.reuse_worlds = false;
         runs.push(run_sweep(&scenarios, &opts).expect("no I/O configured"));
-    }
-    // A reuse-disabled sweep: every scenario on a fresh world.
-    opts.workers = 2;
-    opts.reuse_worlds = false;
-    runs.push(run_sweep(&scenarios, &opts).expect("no I/O configured"));
 
-    let reference = runs[0].fingerprints();
-    assert_eq!(reference.len(), scenarios.len());
-    for run in &runs[1..] {
-        assert_eq!(
-            run.fingerprints(),
-            reference,
-            "sweep outcomes must not depend on worker count or world reuse"
-        );
-    }
-    // The multi-worker sweeps really did recycle worlds across a pool.
-    assert_eq!(runs[0].slots.prepared as usize, scenarios.len());
-    assert!(runs[0].slots.reused > 0, "reuse should actually engage");
-    assert_eq!(runs[3].slots.reused, 0, "reuse-off must not touch slots");
+        let reference = runs[0].fingerprints();
+        assert_eq!(reference.len(), scenarios.len());
+        for run in &runs[1..] {
+            assert_eq!(
+                run.fingerprints(),
+                reference,
+                "sweep outcomes must not depend on worker count or world reuse"
+            );
+        }
+        // The multi-worker sweeps really did recycle worlds across a pool.
+        assert_eq!(runs[0].slots.prepared as usize, scenarios.len());
+        assert!(runs[0].slots.reused > 0, "reuse should actually engage");
+        assert_eq!(runs[3].slots.reused, 0, "reuse-off must not touch slots");
 
-    // And each record matches a standalone one-off run of its scenario.
-    for (sc, fp) in scenarios.iter().zip(&reference) {
-        let solo = run_standalone(sc);
-        assert_eq!(
-            solo.fingerprint(),
-            *fp,
-            "sweep record for `{}` differs from a standalone run",
-            sc.label()
-        );
+        // And each record matches a standalone one-off run of its scenario.
+        for (sc, fp) in scenarios.iter().zip(&reference) {
+            let solo = run_standalone(sc);
+            assert_eq!(
+                solo.fingerprint(),
+                *fp,
+                "sweep record for `{}` differs from a standalone run",
+                sc.label()
+            );
+        }
     }
 }
 

@@ -42,47 +42,75 @@ fn fault_grid() -> ScenarioGrid {
     grid
 }
 
+/// The same shape diverging late: Jacobi3D 8³ × 8 iterations (a
+/// ~1.39 ms timeline) with onsets at 83% and 93% of it, so one executed
+/// prefix per seed serves eight branches.
+fn late_onset_grid() -> ScenarioGrid {
+    let mut machine = MachineConfig::validation(2, 2);
+    machine.faults = FaultPlan {
+        seed: 42,
+        ..FaultPlan::none()
+    };
+    machine.ucx.reliability.enabled = true;
+    let mut grid = ScenarioGrid::new(machine);
+    grid.workloads = vec![Workload::Jacobi {
+        global: Dims::cube(8),
+        iters: 8,
+        warmup: 1,
+        comm: CommMode::HostStaging,
+    }];
+    grid.seeds = vec![1, 2];
+    grid.odfs = vec![2];
+    grid.drop_rates = vec![0.0, 0.02, 0.05, 0.10];
+    grid.fault_onsets = vec![t(1150), t(1300)];
+    grid
+}
+
 #[test]
 fn forked_sweeps_match_unforked_and_standalone_at_all_worker_counts() {
-    let scenarios = fault_grid().expand();
-    assert_eq!(scenarios.len(), 12);
+    for (grid, len) in [(fault_grid(), 12), (late_onset_grid(), 16)] {
+        let scenarios = grid.expand();
+        assert_eq!(scenarios.len(), len);
+        let seeds = grid.seeds.len();
 
-    let mut opts = SweepOptions::new();
-    opts.fork = false;
-    opts.workers = 1;
-    let reference = run_sweep(&scenarios, &opts).expect("no I/O configured");
-    assert_eq!(reference.fork.snapshots_taken, 0);
+        let mut opts = SweepOptions::new();
+        opts.fork = false;
+        opts.workers = 1;
+        let reference = run_sweep(&scenarios, &opts).expect("no I/O configured");
+        assert_eq!(reference.fork.snapshots_taken, 0);
 
-    opts.fork = true;
-    for workers in [1, 2, 4] {
-        opts.workers = workers;
-        let forked = run_sweep(&scenarios, &opts).expect("no I/O configured");
-        assert_eq!(
-            forked.fingerprints(),
-            reference.fingerprints(),
-            "fork path must be bit-invisible at {workers} workers"
-        );
-        // One group per machine seed, each forking 6 scenarios off one
-        // snapshot; only the 2 prefix worlds are ever built.
-        assert_eq!(forked.fork.groups, 2);
-        assert_eq!(forked.fork.snapshots_taken, 2);
-        assert_eq!(forked.fork.scenarios_forked, 10);
-        assert_eq!(forked.fork.declined, 0);
-        assert_eq!(forked.slots.prepared, 2);
+        opts.fork = true;
+        for workers in [1, 2, 4] {
+            opts.workers = workers;
+            let forked = run_sweep(&scenarios, &opts).expect("no I/O configured");
+            assert_eq!(
+                forked.fingerprints(),
+                reference.fingerprints(),
+                "fork path must be bit-invisible at {workers} workers"
+            );
+            // One group per machine seed, each forking its other
+            // scenarios off one snapshot; only the prefix worlds are
+            // ever built.
+            assert_eq!(forked.fork.groups, seeds);
+            assert_eq!(forked.fork.snapshots_taken, seeds);
+            assert_eq!(forked.fork.scenarios_forked, len - seeds);
+            assert_eq!(forked.fork.declined, 0);
+            assert_eq!(forked.slots.prepared as usize, seeds);
+        }
+
+        for (sc, fp) in scenarios.iter().zip(&reference.fingerprints()) {
+            assert_eq!(
+                run_standalone(sc).fingerprint(),
+                *fp,
+                "sweep record for `{}` differs from a standalone run",
+                sc.label()
+            );
+        }
+
+        // The axes did something: drop rates diverge outcomes within a seed.
+        let fps = reference.fingerprints();
+        assert_ne!(fps[0], fps[2], "lossy branch must differ from clean");
     }
-
-    for (sc, fp) in scenarios.iter().zip(&reference.fingerprints()) {
-        assert_eq!(
-            run_standalone(sc).fingerprint(),
-            *fp,
-            "sweep record for `{}` differs from a standalone run",
-            sc.label()
-        );
-    }
-
-    // The axes did something: drop rates diverge outcomes within a seed.
-    let fps = reference.fingerprints();
-    assert_ne!(fps[0], fps[2], "lossy branch must differ from clean");
 }
 
 /// Sweep3d chares are plain data and fork through `Clone`, so the
