@@ -119,8 +119,8 @@ struct ReductionSlot {
 ///
 /// These are the events the machine schedules on its own hot paths; the
 /// payload parks in [`Machine::deferred`] and the event carries only the
-/// slot index through the engine's closure-free fast path, so scheduling
-/// them allocates nothing in steady state. Deferred events are never
+/// slot index as its payload word, so scheduling them allocates nothing
+/// in steady state. Deferred events are never
 /// cancelled, so plain index recycling (no generations) is safe.
 #[derive(Clone)]
 enum Deferred {
@@ -1566,18 +1566,17 @@ impl Simulation {
     }
 
     /// Capture the complete world — engine pending-event state plus a
-    /// deep machine clone — for later [`Simulation::restore`]. Returns
-    /// `None` (decline to fork) when the engine holds a pending boxed
-    /// closure. Declining costs nothing: callers simply keep executing
-    /// the live world.
-    pub fn snapshot(&self) -> Option<WorldSnapshot> {
-        let engine = self.sim.snapshot().ok()?;
+    /// deep machine clone — for later [`Simulation::restore`]. Every
+    /// pending event is plain data, so any paused world can be captured.
+    pub fn snapshot(&self) -> WorldSnapshot {
         assert!(
             self.machine.chares.iter().all(Option::is_some),
             "chare executing during fork"
         );
-        let machine = self.machine.clone();
-        Some(WorldSnapshot { machine, engine })
+        WorldSnapshot {
+            machine: self.machine.clone(),
+            engine: self.sim.snapshot(),
+        }
     }
 
     /// Rewind this simulation to the state captured by
@@ -1614,7 +1613,8 @@ impl Simulation {
 /// transfer/retry tables, PE queues, RNG, and counters. The fork
 /// primitive behind the sweep engine's prefix memoization; conceptually
 /// the in-memory half of the paper's double in-memory checkpoint, reused
-/// for memoization instead of recovery.
+/// for memoization instead of recovery. Taking one never fails: every
+/// pending event is a plain `fn` plus payload words.
 pub struct WorldSnapshot {
     machine: Machine,
     engine: gaat_sim::SimSnapshot<Machine>,

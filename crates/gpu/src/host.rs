@@ -101,7 +101,7 @@ mod tests {
             );
         }
         let mut sim: Sim<World> = Sim::new();
-        sim.soon(|w: &mut World, sim: &mut Sim<World>| pump(w, sim, DeviceId(0)));
+        sim.soon_call0(|w: &mut World, sim: &mut Sim<World>| pump(w, sim, DeviceId(0)));
         sim.run(&mut w);
         assert_eq!(w.fired.len(), 3);
         let per = SimDuration::from_us(4) + w.dev.timing.kernel_dispatch;
@@ -148,7 +148,7 @@ mod tests {
             hops: 0,
         };
         let mut sim: Sim<Chain> = Sim::new();
-        sim.soon(|w: &mut Chain, sim: &mut Sim<Chain>| pump(w, sim, DeviceId(0)));
+        sim.soon_call0(|w: &mut Chain, sim: &mut Sim<Chain>| pump(w, sim, DeviceId(0)));
         sim.run(&mut w);
         assert_eq!(w.hops, 5);
     }
@@ -167,7 +167,7 @@ mod tests {
         );
         let mut sim: Sim<World> = Sim::new();
         // Pump many times at t=0; only one wakeup should be scheduled.
-        sim.soon(|w: &mut World, sim: &mut Sim<World>| {
+        sim.soon_call0(|w: &mut World, sim: &mut Sim<World>| {
             for _ in 0..10 {
                 pump(w, sim, DeviceId(0));
             }

@@ -1123,7 +1123,7 @@ pub fn validate_against_reference(sim: &Simulation, ids: &[ChareId], sh: &Shared
             for y in 1..=d.y {
                 for x in 1..=d.x {
                     let got = s[kernels::idx(d, x, y, z)];
-                    let want = reference.at(o.0 + x - 1, o.1 + y - 1, o.2 + z - 1);
+                    let want = reference.value_at(o.0 + x - 1, o.1 + y - 1, o.2 + z - 1);
                     assert_eq!(
                         got, want,
                         "block {coord:?} cell ({x},{y},{z}): {got} != {want}"

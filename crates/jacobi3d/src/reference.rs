@@ -104,7 +104,7 @@ impl Reference {
     }
 
     /// Value at a global interior coordinate (0-based, without ghosts).
-    pub fn at(&self, x: usize, y: usize, z: usize) -> f64 {
+    pub fn value_at(&self, x: usize, y: usize, z: usize) -> f64 {
         self.u[idx(self.dims, x + 1, y + 1, z + 1)]
     }
 
@@ -141,9 +141,9 @@ mod tests {
     #[test]
     fn zero_iterations_is_identity() {
         let mut r = Reference::new(Dims::cube(3));
-        let want = r.at(1, 1, 1);
+        let want = r.value_at(1, 1, 1);
         r.run(0);
-        assert_eq!(r.at(1, 1, 1), want);
+        assert_eq!(r.value_at(1, 1, 1), want);
     }
 
     #[test]
@@ -151,7 +151,7 @@ mod tests {
         let mut r = Reference::new(Dims::cube(1));
         r.run(1);
         // All six neighbours are zero boundary ghosts.
-        assert_eq!(r.at(0, 0, 0), 0.0);
+        assert_eq!(r.value_at(0, 0, 0), 0.0);
     }
 
     #[test]
@@ -184,7 +184,7 @@ mod tests {
                 for x in 1..=d.x {
                     assert_eq!(
                         s[idx(d, x, y, z)],
-                        r.at(x - 1, y - 1, z - 1),
+                        r.value_at(x - 1, y - 1, z - 1),
                         "mismatch at ({x},{y},{z})"
                     );
                 }

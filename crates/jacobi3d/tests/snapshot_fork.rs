@@ -72,7 +72,7 @@ fn run_forked(branches: &[JacobiConfig], onset: SimTime) -> Vec<Outcome> {
     let (mut sim, ids, sh) = charm::build(branches[0].clone());
     charm::start(&mut sim, &ids);
     sim.run_until(onset - SimDuration::from_ns(1));
-    let snap = sim.snapshot().expect("closure-free world must fork");
+    let snap = sim.snapshot();
     let mut out = Vec::new();
     let (res, stalled) = charm::finish_tolerant(&mut sim, &ids, &sh);
     out.push(outcome(&sim, res, stalled));

@@ -828,7 +828,7 @@ pub trait NetHost: Sized + 'static {
 /// delivery event is scheduled; flow topologies admit it into the link
 /// graph and the fabric's single wakeup event is rescheduled to the new
 /// earliest completion. Either way the message parks in the fabric's
-/// in-flight slab and events carry only its index (closure-free).
+/// in-flight slab and events carry only its index.
 pub fn send<W: NetHost>(w: &mut W, sim: &mut Sim<W>, msg: NetMsg) {
     let now = sim.now();
     let fabric = w.fabric_mut();
@@ -1127,7 +1127,7 @@ mod tests {
             got: vec![],
         };
         let mut sim: Sim<World> = Sim::new();
-        sim.soon(|w: &mut World, sim: &mut Sim<World>| {
+        sim.soon_call0(|w: &mut World, sim: &mut Sim<World>| {
             let mut m = msg(0, 1, 4096);
             m.token = 42;
             send(w, sim, m);
@@ -1167,6 +1167,8 @@ mod tests {
     struct FtWorld {
         fabric: Fabric,
         got: Vec<(u64, SimTime)>,
+        /// Messages the t = 0 events send, indexed by their payload word.
+        outbox: Vec<NetMsg>,
     }
     impl NetHost for FtWorld {
         fn fabric_mut(&mut self) -> &mut Fabric {
@@ -1178,13 +1180,18 @@ mod tests {
     }
 
     fn ft_run(fabric: Fabric, msgs: Vec<NetMsg>) -> (FtWorld, Sim<FtWorld>) {
+        let n = msgs.len() as u64;
         let mut w = FtWorld {
             fabric,
             got: vec![],
+            outbox: msgs,
         };
         let mut sim: Sim<FtWorld> = Sim::new();
-        for m in msgs {
-            sim.soon(move |w: &mut FtWorld, sim: &mut Sim<FtWorld>| send(w, sim, m));
+        for i in 0..n {
+            sim.soon_call1(
+                |w: &mut FtWorld, sim: &mut Sim<FtWorld>, i| send(w, sim, w.outbox[i as usize]),
+                i,
+            );
         }
         sim.run(&mut w);
         (w, sim)
@@ -1292,6 +1299,8 @@ mod tests {
         fabric: Fabric,
         got: Vec<(u64, SimTime)>,
         dropped: Vec<(u64, SimTime)>,
+        /// Messages the t = 0 events send, indexed by their payload word.
+        outbox: Vec<NetMsg>,
     }
     impl NetHost for FaultWorld {
         fn fabric_mut(&mut self) -> &mut Fabric {
@@ -1306,15 +1315,22 @@ mod tests {
     }
 
     fn fault_run(fabric: Fabric, msgs: Vec<NetMsg>) -> (FaultWorld, Sim<FaultWorld>) {
+        let n = msgs.len() as u64;
         let mut w = FaultWorld {
             fabric,
             got: vec![],
             dropped: vec![],
+            outbox: msgs,
         };
         let mut sim: Sim<FaultWorld> = Sim::new();
         arm_link_faults(&mut w, &mut sim);
-        for m in msgs {
-            sim.soon(move |w: &mut FaultWorld, sim: &mut Sim<FaultWorld>| send(w, sim, m));
+        for i in 0..n {
+            sim.soon_call1(
+                |w: &mut FaultWorld, sim: &mut Sim<FaultWorld>, i| {
+                    send(w, sim, w.outbox[i as usize])
+                },
+                i,
+            );
         }
         sim.run(&mut w);
         (w, sim)
@@ -1476,15 +1492,18 @@ mod tests {
             fabric,
             got: vec![],
             dropped: vec![],
+            outbox: vec![],
         };
         let mut sim: Sim<FaultWorld> = Sim::new();
         arm_link_faults(&mut w, &mut sim);
         // 1 MiB at 23 GB/s is ~45 us of wire: still in flight at t=5us.
-        let mut victim = msg(0, 2, 1 << 20);
-        victim.token = 7;
-        sim.soon(move |w: &mut FaultWorld, sim: &mut Sim<FaultWorld>| send(w, sim, victim));
+        sim.soon_call0(|w: &mut FaultWorld, sim: &mut Sim<FaultWorld>| {
+            let mut victim = msg(0, 2, 1 << 20);
+            victim.token = 7;
+            send(w, sim, victim)
+        });
         // After the fault, a fresh message must fail over to spine 1.
-        sim.after(
+        sim.after_call0(
             SimDuration::from_us(10),
             |w: &mut FaultWorld, sim: &mut Sim<FaultWorld>| {
                 let mut m = msg(0, 2, 1 << 16);

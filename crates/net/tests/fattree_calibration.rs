@@ -46,7 +46,7 @@ fn unloaded_same_leaf_message_costs_the_same_on_fattree_and_flat() {
         delivered: None,
     };
     let mut sim: Sim<World> = Sim::new();
-    sim.soon(move |w: &mut World, sim: &mut Sim<World>| send(w, sim, msg));
+    send(&mut w, &mut sim, msg);
     sim.run(&mut w);
     let fattree_ns = w.delivered.expect("message delivered").as_ns();
 

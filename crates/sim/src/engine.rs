@@ -20,7 +20,7 @@
 //!   surgery, no tombstone set.
 //!
 //! - **Two-tier queue.** Tier 0 is a FIFO ring holding the events of
-//!   the *current instant* in seq order; `soon()` and same-timestamp
+//!   the *current instant* in seq order; `soon_call*` and same-timestamp
 //!   bursts append and pop at O(1). Tier 1 is a timer wheel of
 //!   `BUCKETS` power-of-two-width buckets covering a rolling horizon
 //!   of `BUCKETS << BUCKET_SHIFT` ns, with a `BinaryHeap` overflow for
@@ -30,13 +30,12 @@
 //!   the overflow top, either of which may hold it), sorts that batch
 //!   by seq, and refills the ring.
 //!
-//! - **Closure-free fast path.** The dominant runtime events (message
-//!   delivery, kernel/DMA completion, progress ticks) are plain
-//!   functions plus one or two integer payload words. The
-//!   `*_call0/1/2` scheduling entry points store a bare `fn` pointer
-//!   and the words inline in the slot — no `Box`, no vtable. Capturing
-//!   closures still work through the original [`Sim::at`] family as a
-//!   general fallback.
+//! - **Plain-data events.** Every event (message delivery, kernel/DMA
+//!   completion, progress ticks) is a plain function plus zero, one or
+//!   two integer payload words. The `*_call0/1/2` scheduling entry
+//!   points store the bare `fn` pointer and the words inline in the
+//!   slot — no `Box`, no vtable — so a slot is `Copy` and the whole
+//!   arena snapshots with one slice copy.
 //!
 //! Determinism is unchanged from the original heap engine: the firing
 //! order is exactly lexicographic `(time, seq)`. The ring is sorted by
@@ -96,21 +95,13 @@ impl EventId {
     }
 }
 
-/// Boxed event closure over the world type `W`.
-///
-/// The closure is `Send` so a whole `Sim` (and the world it drives) can be
-/// handed to another host thread.
-pub type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Sim<W>) + Send>;
-
-/// What runs when an event fires. `Call0/1/2` are the closure-free fast
-/// path: a bare `fn` pointer plus payload words, stored inline.
+/// What runs when an event fires: a bare `fn` pointer plus payload
+/// words, stored inline.
 enum EventKind<W> {
     /// Slot is on the free list.
     Vacant,
     /// Event was cancelled; the slot is freed when the queue reaches it.
     Cancelled,
-    /// General fallback: a boxed capturing closure.
-    Closure(EventFn<W>),
     /// Plain function, no payload.
     Call0(fn(&mut W, &mut Sim<W>)),
     /// Plain function plus one payload word.
@@ -124,22 +115,16 @@ impl<W> EventKind<W> {
     fn is_live(&self) -> bool {
         !matches!(self, EventKind::Vacant | EventKind::Cancelled)
     }
+}
 
-    /// Duplicate this event payload for a [`SimSnapshot`]. The
-    /// closure-free kinds are plain data (`fn` pointers + words) and
-    /// copy freely; a pending boxed closure cannot be cloned, so its
-    /// presence makes the whole snapshot decline.
-    fn try_clone(&self) -> Result<Self, SnapshotError> {
-        Ok(match self {
-            EventKind::Vacant => EventKind::Vacant,
-            EventKind::Cancelled => EventKind::Cancelled,
-            EventKind::Closure(_) => return Err(SnapshotError::ClosureEvent),
-            EventKind::Call0(f) => EventKind::Call0(*f),
-            EventKind::Call1(f, a) => EventKind::Call1(*f, *a),
-            EventKind::Call2(f, a, b) => EventKind::Call2(*f, *a, *b),
-        })
+// By hand: a derive would demand `W: Copy`, but `fn` pointers over any
+// `W` are plain data.
+impl<W> Clone for EventKind<W> {
+    fn clone(&self) -> Self {
+        *self
     }
 }
+impl<W> Copy for EventKind<W> {}
 
 /// One slab slot. `next_free` threads the free list through vacant slots.
 struct Slot<W> {
@@ -149,6 +134,13 @@ struct Slot<W> {
     at: SimTime,
     kind: EventKind<W>,
 }
+
+impl<W> Clone for Slot<W> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<W> Copy for Slot<W> {}
 
 const NO_SLOT: u32 = u32::MAX;
 
@@ -183,33 +175,10 @@ impl Ord for OvEntry {
 pub enum RunOutcome {
     /// The event queue drained completely.
     Drained,
-    /// An event called [`Sim::stop`].
-    Stopped,
     /// The configured event-count limit was hit (likely a livelock in the
     /// model; surfaced loudly rather than spinning forever).
     EventLimit,
 }
-
-/// Why [`Sim::snapshot`] declined to capture the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// A pending event is a boxed capturing closure ([`Sim::at`] family),
-    /// which cannot be cloned into a snapshot. Callers treat this as
-    /// "decline to fork" and fall back to fresh per-scenario execution.
-    ClosureEvent,
-}
-
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotError::ClosureEvent => {
-                write!(f, "pending boxed-closure event cannot be snapshotted")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
 
 /// A point-in-time capture of a [`Sim`]'s complete pending-event state:
 /// the clock, every counter, the full slab arena (including vacant
@@ -218,16 +187,12 @@ impl std::error::Error for SnapshotError {}
 /// instant's FIFO ring, the occupied wheel buckets, and the overflow
 /// heap. [`Sim::restore`] rewinds an engine to this state; the restored
 /// engine then replays bit-identically to one that ran fresh to the
-/// same point.
-///
-/// Only closure-free events (`*_call0/1/2`) can be captured; a pending
-/// boxed closure makes [`Sim::snapshot`] return
-/// [`SnapshotError::ClosureEvent`].
+/// same point. Every event is plain data, so every engine state can be
+/// captured.
 pub struct SimSnapshot<W> {
     now: SimTime,
     next_seq: u64,
     executed: u64,
-    stop: bool,
     event_limit: u64,
     live: usize,
     peak_pending: usize,
@@ -260,7 +225,6 @@ pub struct Sim<W> {
     now: SimTime,
     next_seq: u64,
     executed: u64,
-    stop: bool,
     event_limit: u64,
     /// Live (scheduled, not yet fired or cancelled) event count.
     live: usize,
@@ -302,7 +266,6 @@ impl<W> Sim<W> {
             now: SimTime::ZERO,
             next_seq: 0,
             executed: 0,
-            stop: false,
             event_limit: u64::MAX,
             live: 0,
             peak_pending: 0,
@@ -341,11 +304,9 @@ impl<W> Sim<W> {
         self.now = SimTime::ZERO;
         self.next_seq = 0;
         self.executed = 0;
-        self.stop = false;
         self.live = 0;
         self.peak_pending = 0;
         self.drained = false;
-        // Dropping the slots runs any boxed-closure destructors;
         // `clear` keeps the Vec's capacity.
         self.slots.clear();
         self.free_head = NO_SLOT;
@@ -379,26 +340,13 @@ impl<W> Sim<W> {
         }
     }
 
-    /// Capture the engine's complete pending-event state. Fails with
-    /// [`SnapshotError::ClosureEvent`] if any slab slot holds a boxed
-    /// capturing closure; the closure-free `*_call0/1/2` events the
-    /// runtime schedules on its steady-state paths all capture cleanly.
+    /// Capture the engine's complete pending-event state.
     ///
     /// The capture is deep: vacant slots are recorded too, so the
     /// free-list threading and per-slot generation counters — and with
     /// them the exact [`EventId`]s future scheduling will mint — replay
     /// identically after [`Sim::restore`].
-    pub fn snapshot(&self) -> Result<SimSnapshot<W>, SnapshotError> {
-        let mut slots = Vec::with_capacity(self.slots.len());
-        for s in &self.slots {
-            slots.push(Slot {
-                generation: s.generation,
-                next_free: s.next_free,
-                seq: s.seq,
-                at: s.at,
-                kind: s.kind.try_clone()?,
-            });
-        }
+    pub fn snapshot(&self) -> SimSnapshot<W> {
         let mut buckets = Vec::new();
         for w in 0..OCC_WORDS {
             let mut word = self.occ[w];
@@ -409,22 +357,21 @@ impl<W> Sim<W> {
                 word &= word - 1;
             }
         }
-        Ok(SimSnapshot {
+        SimSnapshot {
             now: self.now,
             next_seq: self.next_seq,
             executed: self.executed,
-            stop: self.stop,
             event_limit: self.event_limit,
             live: self.live,
             peak_pending: self.peak_pending,
             drained: self.drained,
-            slots,
+            slots: self.slots.clone(),
             free_head: self.free_head,
             ring: self.ring.iter().copied().collect(),
             ring_at: self.ring_at,
             buckets,
             overflow: self.overflow.iter().copied().collect(),
-        })
+        }
     }
 
     /// Rewind this engine to the exact state captured by
@@ -439,24 +386,12 @@ impl<W> Sim<W> {
         self.now = snap.now;
         self.next_seq = snap.next_seq;
         self.executed = snap.executed;
-        self.stop = snap.stop;
         self.event_limit = snap.event_limit;
         self.live = snap.live;
         self.peak_pending = snap.peak_pending;
         self.drained = snap.drained;
         self.slots.clear();
-        for s in &snap.slots {
-            self.slots.push(Slot {
-                generation: s.generation,
-                next_free: s.next_free,
-                seq: s.seq,
-                at: s.at,
-                kind: s
-                    .kind
-                    .try_clone()
-                    .expect("snapshots never hold closure events"),
-            });
-        }
+        self.slots.extend_from_slice(&snap.slots);
         self.free_head = snap.free_head;
         self.ring.clear();
         self.ring.extend(snap.ring.iter().copied());
@@ -577,45 +512,19 @@ impl<W> Sim<W> {
         EventId::pack(idx, generation)
     }
 
-    /// Schedule `f` to run at absolute time `at`. Times in the past are
-    /// clamped to "now" (the event still runs, after already-queued events
-    /// at the current instant).
-    pub fn at(
-        &mut self,
-        at: SimTime,
-        f: impl FnOnce(&mut W, &mut Sim<W>) + Send + 'static,
-    ) -> EventId {
-        self.schedule(at, EventKind::Closure(Box::new(f)))
-    }
-
-    /// Schedule `f` to run `delay` after the current time.
-    pub fn after(
-        &mut self,
-        delay: SimDuration,
-        f: impl FnOnce(&mut W, &mut Sim<W>) + Send + 'static,
-    ) -> EventId {
-        self.at(self.now + delay, f)
-    }
-
-    /// Schedule `f` at the current instant, after all events already queued
-    /// for this instant.
-    pub fn soon(&mut self, f: impl FnOnce(&mut W, &mut Sim<W>) + Send + 'static) -> EventId {
-        self.at(self.now, f)
-    }
-
-    /// Closure-free fast path: schedule a plain function at `at`.
+    /// Schedule the plain function `f` to run at absolute time `at`.
+    /// Times in the past are clamped to "now" (the event still runs,
+    /// after already-queued events at the current instant).
     pub fn at_call0(&mut self, at: SimTime, f: fn(&mut W, &mut Sim<W>)) -> EventId {
         self.schedule(at, EventKind::Call0(f))
     }
 
-    /// Closure-free fast path: schedule a plain function plus one payload
-    /// word at `at`.
+    /// [`Sim::at_call0`] with one payload word passed to `f`.
     pub fn at_call1(&mut self, at: SimTime, f: fn(&mut W, &mut Sim<W>, u64), a: u64) -> EventId {
         self.schedule(at, EventKind::Call1(f, a))
     }
 
-    /// Closure-free fast path: schedule a plain function plus two payload
-    /// words at `at`.
+    /// [`Sim::at_call0`] with two payload words passed to `f`.
     pub fn at_call2(
         &mut self,
         at: SimTime,
@@ -652,7 +561,8 @@ impl<W> Sim<W> {
         self.at_call2(self.now + delay, f, a, b)
     }
 
-    /// [`Sim::at_call0`] at the current instant.
+    /// [`Sim::at_call0`] at the current instant, after all events
+    /// already queued for this instant.
     pub fn soon_call0(&mut self, f: fn(&mut W, &mut Sim<W>)) -> EventId {
         self.at_call0(self.now, f)
     }
@@ -674,17 +584,11 @@ impl<W> Sim<W> {
         let idx = id.idx() as usize;
         if let Some(slot) = self.slots.get_mut(idx) {
             if slot.generation == id.generation() && slot.kind.is_live() {
-                // Drop the payload now (releases captured resources);
-                // the slot itself is reclaimed when the queue reaches it.
+                // The slot itself is reclaimed when the queue reaches it.
                 slot.kind = EventKind::Cancelled;
                 self.live -= 1;
             }
         }
-    }
-
-    /// Ask the run loop to return after the current event completes.
-    pub fn stop(&mut self) {
-        self.stop = true;
     }
 
     // ----- queue advance -----
@@ -805,42 +709,30 @@ impl<W> Sim<W> {
                     continue;
                 }
             };
-            let kind = std::mem::replace(&mut self.slots[idx as usize].kind, EventKind::Vacant);
+            let kind = self.slots[idx as usize].kind;
             debug_assert!(self.ring_at >= self.now, "time went backwards");
-            match kind {
-                EventKind::Vacant => unreachable!("vacant slot on the ring"),
-                EventKind::Cancelled => {
-                    self.free(idx);
-                    continue;
-                }
-                live => {
-                    self.now = self.ring_at;
-                    self.executed += 1;
-                    self.live -= 1;
-                    // Free before dispatch so the slot is reusable and the
-                    // event's own id is stale during its callback.
-                    self.free(idx);
-                    match live {
-                        EventKind::Closure(f) => f(world, self),
-                        EventKind::Call0(f) => f(world, self),
-                        EventKind::Call1(f, a) => f(world, self, a),
-                        EventKind::Call2(f, a, b) => f(world, self, a, b),
-                        EventKind::Vacant | EventKind::Cancelled => unreachable!(),
-                    }
-                    return true;
-                }
+            // Free before dispatch so the slot is reusable and the event's
+            // own id is stale during its callback.
+            self.free(idx);
+            if matches!(kind, EventKind::Cancelled) {
+                continue;
             }
+            self.now = self.ring_at;
+            self.executed += 1;
+            self.live -= 1;
+            match kind {
+                EventKind::Call0(f) => f(world, self),
+                EventKind::Call1(f, a) => f(world, self, a),
+                EventKind::Call2(f, a, b) => f(world, self, a, b),
+                EventKind::Vacant | EventKind::Cancelled => unreachable!("vacant slot on the ring"),
+            }
+            return true;
         }
     }
 
-    /// Run until the queue drains, [`Sim::stop`] is called, or the event
-    /// limit is reached.
+    /// Run until the queue drains or the event limit is reached.
     pub fn run(&mut self, world: &mut W) -> RunOutcome {
-        self.stop = false;
         loop {
-            if self.stop {
-                return RunOutcome::Stopped;
-            }
             if self.executed >= self.event_limit {
                 return RunOutcome::EventLimit;
             }
@@ -852,15 +744,11 @@ impl<W> Sim<W> {
     }
 
     /// Run until simulated time would exceed `deadline` (events at exactly
-    /// `deadline` still run), the queue drains, stop is requested, or the
-    /// event limit is reached. The clock is left at
+    /// `deadline` still run), the queue drains, or the event limit is
+    /// reached. The clock is left at
     /// `min(deadline, time of last executed event)`.
     pub fn run_until(&mut self, world: &mut W, deadline: SimTime) -> RunOutcome {
-        self.stop = false;
         loop {
-            if self.stop {
-                return RunOutcome::Stopped;
-            }
             if self.executed >= self.event_limit {
                 return RunOutcome::EventLimit;
             }
@@ -979,13 +867,19 @@ mod tests {
         SimDuration::from_ns(ns)
     }
 
+    fn push(w: &mut World, _: &mut Sim<World>, a: u64) {
+        w.push(a as u32);
+    }
+
+    fn nop(_: &mut World, _: &mut Sim<World>) {}
+
     #[test]
     fn events_fire_in_time_order() {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
-        sim.after(d(30), |w: &mut World, _| w.push(3));
-        sim.after(d(10), |w: &mut World, _| w.push(1));
-        sim.after(d(20), |w: &mut World, _| w.push(2));
+        sim.after_call1(d(30), push, 3);
+        sim.after_call1(d(10), push, 1);
+        sim.after_call1(d(20), push, 2);
         assert_eq!(sim.run(&mut w), RunOutcome::Drained);
         assert_eq!(w, vec![1, 2, 3]);
         assert_eq!(sim.now(), SimTime::from_ns(30));
@@ -997,7 +891,7 @@ mod tests {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
         for i in 0..100 {
-            sim.after(d(5), move |w: &mut World, _| w.push(i));
+            sim.after_call1(d(5), push, i);
         }
         sim.run(&mut w);
         assert_eq!(w, (0..100).collect::<Vec<_>>());
@@ -1010,11 +904,11 @@ mod tests {
         // a fresh engine and on a reset one.
         fn drive(sim: &mut Sim<World>) -> (Vec<u32>, u64, SimTime) {
             let mut w = Vec::new();
-            for i in 0..50u32 {
-                sim.after(d(u64::from(i) * 7 % 40), move |w: &mut World, _| w.push(i));
+            for i in 0..50 {
+                sim.after_call1(d(i * 7 % 40), push, i);
             }
-            sim.after(d(200_000_000), |w: &mut World, _| w.push(999));
-            let doomed = sim.after(d(5), |w: &mut World, _| w.push(777));
+            sim.after_call1(d(200_000_000), push, 999);
+            let doomed = sim.after_call1(d(5), push, 777);
             sim.cancel(doomed);
             assert_eq!(sim.run(&mut w), RunOutcome::Drained);
             (w, sim.events_executed(), sim.now())
@@ -1035,12 +929,9 @@ mod tests {
 
     #[test]
     fn snapshot_round_trip_replays_bit_identically() {
-        // Same shape as the reset bit-identity pin, but closure-free so
-        // the arena can be captured: wheel buckets, ties, a cancel, a
-        // far-future overflow event, and events that schedule events.
-        fn push(w: &mut World, _: &mut Sim<World>, a: u64) {
-            w.push(a as u32);
-        }
+        // Same shape as the reset bit-identity pin: wheel buckets, ties,
+        // a cancel, a far-future overflow event, and events that
+        // schedule events.
         fn spawn(w: &mut World, sim: &mut Sim<World>, a: u64) {
             w.push(a as u32);
             sim.after_call1(d(13), push, a + 1000);
@@ -1069,7 +960,7 @@ mod tests {
         let mut prefix = Vec::new();
         build(&mut sim);
         sim.run_until(&mut prefix, SimTime::from_ns(35));
-        let snap = sim.snapshot().expect("closure-free schedule must capture");
+        let snap = sim.snapshot();
         assert_eq!(snap.now(), sim.now());
         assert_eq!(snap.pending(), sim.pending());
         let snap_executed = sim.events_executed();
@@ -1102,7 +993,6 @@ mod tests {
         // EventIds minted after a restore must match those minted after
         // the original point: slot recycling order and generations are
         // part of the capture.
-        fn nop(_: &mut World, _: &mut Sim<World>) {}
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
         for _ in 0..8 {
@@ -1110,7 +1000,7 @@ mod tests {
         }
         sim.after_call0(d(10), nop);
         sim.run_until(&mut w, SimTime::from_ns(5));
-        let snap = sim.snapshot().expect("closure-free");
+        let snap = sim.snapshot();
         let a = sim.after_call0(d(1), nop);
         let b = sim.after_call0(d(2), nop);
         sim.restore(&snap);
@@ -1121,27 +1011,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_declines_pending_closures() {
-        let mut sim: Sim<World> = Sim::new();
-        let mut w = Vec::new();
-        sim.after(d(5), |w: &mut World, _| w.push(1));
-        assert_eq!(sim.snapshot().err(), Some(SnapshotError::ClosureEvent));
-        // A cancelled closure drops its payload immediately, so the
-        // remaining arena is capturable again once live closures fire.
-        let doomed = sim.after(d(9), |_: &mut World, _| {});
-        sim.cancel(doomed);
-        sim.run(&mut w);
-        assert_eq!(w, vec![1]);
-        assert!(sim.snapshot().is_ok(), "fired/cancelled closures are gone");
-    }
-
-    #[test]
     fn events_can_schedule_events() {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
-        sim.after(d(10), |w: &mut World, sim: &mut Sim<World>| {
+        sim.after_call0(d(10), |w: &mut World, sim: &mut Sim<World>| {
             w.push(1);
-            sim.after(d(5), |w: &mut World, _| w.push(2));
+            sim.after_call1(d(5), push, 2);
         });
         sim.run(&mut w);
         assert_eq!(w, vec![1, 2]);
@@ -1152,8 +1027,8 @@ mod tests {
     fn cancelled_events_do_not_fire() {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
-        let id = sim.after(d(10), |w: &mut World, _| w.push(99));
-        sim.after(d(20), |w: &mut World, _| w.push(1));
+        let id = sim.after_call1(d(10), push, 99);
+        sim.after_call1(d(20), push, 1);
         sim.cancel(id);
         sim.run(&mut w);
         assert_eq!(w, vec![1]);
@@ -1165,10 +1040,10 @@ mod tests {
     fn cancel_after_fire_is_noop() {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
-        let id = sim.after(d(1), |w: &mut World, _| w.push(7));
+        let id = sim.after_call1(d(1), push, 7);
         sim.run(&mut w);
         sim.cancel(id);
-        sim.after(d(1), |w: &mut World, _| w.push(8));
+        sim.after_call1(d(1), push, 8);
         sim.run(&mut w);
         assert_eq!(w, vec![7, 8]);
     }
@@ -1177,10 +1052,10 @@ mod tests {
     fn past_times_clamp_to_now() {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
-        sim.after(d(100), |w: &mut World, sim: &mut Sim<World>| {
+        sim.after_call0(d(100), |w: &mut World, sim: &mut Sim<World>| {
             w.push(1);
             // Scheduling "in the past" runs at the current instant.
-            sim.at(
+            sim.at_call0(
                 SimTime::from_ns(10),
                 |w: &mut World, sim: &mut Sim<World>| {
                     w.push(2);
@@ -1193,29 +1068,13 @@ mod tests {
     }
 
     #[test]
-    fn stop_halts_the_loop() {
-        let mut sim: Sim<World> = Sim::new();
-        let mut w = Vec::new();
-        sim.after(d(1), |w: &mut World, sim: &mut Sim<World>| {
-            w.push(1);
-            sim.stop();
-        });
-        sim.after(d(2), |w: &mut World, _| w.push(2));
-        assert_eq!(sim.run(&mut w), RunOutcome::Stopped);
-        assert_eq!(w, vec![1]);
-        // The remaining event is still pending and runs on the next run().
-        assert_eq!(sim.run(&mut w), RunOutcome::Drained);
-        assert_eq!(w, vec![1, 2]);
-    }
-
-    #[test]
     fn event_limit_detects_livelock() {
         let mut sim: Sim<World> = Sim::new().with_event_limit(1000);
         let mut w = Vec::new();
         fn respawn(_: &mut World, sim: &mut Sim<World>) {
-            sim.after(SimDuration::from_ns(1), respawn);
+            sim.after_call0(SimDuration::from_ns(1), respawn);
         }
-        sim.after(d(1), respawn);
+        sim.after_call0(d(1), respawn);
         assert_eq!(sim.run(&mut w), RunOutcome::EventLimit);
         assert_eq!(sim.events_executed(), 1000);
     }
@@ -1225,9 +1084,7 @@ mod tests {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
         for i in 1..=5 {
-            sim.at(SimTime::from_ns(i * 10), move |w: &mut World, _| {
-                w.push(i as u32)
-            });
+            sim.at_call1(SimTime::from_ns(i * 10), push, i);
         }
         sim.run_until(&mut w, SimTime::from_ns(30));
         assert_eq!(w, vec![1, 2, 3]);
@@ -1240,11 +1097,11 @@ mod tests {
     fn soon_runs_after_current_instant_queue() {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
-        sim.after(d(10), |w: &mut World, sim: &mut Sim<World>| {
-            sim.soon(|w: &mut World, _| w.push(2));
+        sim.after_call0(d(10), |w: &mut World, sim: &mut Sim<World>| {
+            sim.soon_call1(push, 2);
             w.push(1);
         });
-        sim.after(d(10), |w: &mut World, _| w.push(3));
+        sim.after_call1(d(10), push, 3);
         sim.run(&mut w);
         // Event at t=10 scheduled first runs first; `soon` lands after the
         // other already-queued t=10 event because of sequence ordering.
@@ -1254,24 +1111,21 @@ mod tests {
     #[test]
     fn peek_time_skips_cancelled() {
         let mut sim: Sim<World> = Sim::new();
-        let id = sim.after(d(5), |_: &mut World, _| {});
-        sim.after(d(9), |_: &mut World, _| {});
+        let id = sim.after_call0(d(5), nop);
+        sim.after_call0(d(9), nop);
         sim.cancel(id);
         assert_eq!(sim.peek_time(), Some(SimTime::from_ns(9)));
     }
 
     #[test]
-    fn fast_path_interleaves_with_closures_in_seq_order() {
+    fn call_kinds_interleave_in_seq_order() {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
-        fn push1(w: &mut World, _: &mut Sim<World>, a: u64) {
-            w.push(a as u32);
-        }
         fn push2(w: &mut World, _: &mut Sim<World>, a: u64, b: u64) {
             w.push((a + b) as u32);
         }
-        sim.after_call1(d(10), push1, 1);
-        sim.after(d(10), |w: &mut World, _| w.push(2));
+        sim.after_call1(d(10), push, 1);
+        sim.after_call0(d(10), |w: &mut World, _| w.push(2));
         sim.after_call2(d(10), push2, 1, 2);
         sim.after_call0(d(5), |w: &mut World, _| w.push(0));
         sim.run(&mut w);
@@ -1282,11 +1136,11 @@ mod tests {
     fn slots_are_recycled_and_stale_ids_stay_dead() {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
-        let a = sim.after(d(1), |w: &mut World, _| w.push(1));
+        let a = sim.after_call1(d(1), push, 1);
         sim.run(&mut w);
         // The slot is recycled for the next event; the stale id must not
         // cancel the new occupant.
-        let b = sim.after(d(1), |w: &mut World, _| w.push(2));
+        let b = sim.after_call1(d(1), push, 2);
         assert_eq!(a.idx(), b.idx());
         assert_ne!(a.generation(), b.generation());
         sim.cancel(a);
@@ -1301,14 +1155,10 @@ mod tests {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
         let horizon = (BUCKETS as u64) << BUCKET_SHIFT;
-        sim.at(SimTime::from_ns(3 * horizon), |w: &mut World, _| w.push(4));
-        sim.at(SimTime::from_ns(2 * horizon + 7), |w: &mut World, _| {
-            w.push(2)
-        });
-        sim.at(SimTime::from_ns(2 * horizon + 7), |w: &mut World, _| {
-            w.push(3)
-        });
-        sim.at(SimTime::from_ns(5), |w: &mut World, _| w.push(1));
+        sim.at_call1(SimTime::from_ns(3 * horizon), push, 4);
+        sim.at_call1(SimTime::from_ns(2 * horizon + 7), push, 2);
+        sim.at_call1(SimTime::from_ns(2 * horizon + 7), push, 3);
+        sim.at_call1(SimTime::from_ns(5), push, 1);
         sim.run(&mut w);
         assert_eq!(w, vec![1, 2, 3, 4]);
         assert_eq!(sim.now(), SimTime::from_ns(3 * horizon));
@@ -1318,9 +1168,9 @@ mod tests {
     fn pending_reports_live_events_only() {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
-        let a = sim.after(d(1), |_: &mut World, _| {});
-        sim.after(d(2), |_: &mut World, _| {});
-        sim.after(d(3), |_: &mut World, _| {});
+        let a = sim.after_call0(d(1), nop);
+        sim.after_call0(d(2), nop);
+        sim.after_call0(d(3), nop);
         assert_eq!(sim.pending(), 3);
         sim.cancel(a);
         assert_eq!(sim.pending(), 2, "cancelled events are not pending");
@@ -1337,9 +1187,9 @@ mod tests {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
         let horizon = (BUCKETS as u64) << BUCKET_SHIFT;
-        let far = sim.at(SimTime::from_ns(2 * horizon), |w: &mut World, _| w.push(99));
-        let near = sim.at(SimTime::from_ns(50), |w: &mut World, _| w.push(98));
-        sim.at(SimTime::from_ns(60), |w: &mut World, _| w.push(1));
+        let far = sim.at_call1(SimTime::from_ns(2 * horizon), push, 99);
+        let near = sim.at_call1(SimTime::from_ns(50), push, 98);
+        sim.at_call1(SimTime::from_ns(60), push, 1);
         sim.cancel(far);
         sim.cancel(near);
         assert_eq!(sim.peek_time(), Some(SimTime::from_ns(60)));
@@ -1353,9 +1203,9 @@ mod tests {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
         let horizon = (BUCKETS as u64) << BUCKET_SHIFT;
-        let a = sim.after(d(5), |_: &mut World, _| {});
-        let b = sim.at(SimTime::from_ns(2 * horizon), |_: &mut World, _| {});
-        sim.after(d(7), |w: &mut World, _| w.push(1));
+        let a = sim.after_call0(d(5), nop);
+        let b = sim.at_call0(SimTime::from_ns(2 * horizon), nop);
+        sim.after_call1(d(7), push, 1);
         sim.cancel(a);
         sim.cancel(b);
         assert!(!sim.quiesced());
@@ -1363,7 +1213,7 @@ mod tests {
         assert!(sim.quiesced());
         assert_eq!(sim.leak_check(), 0, "drained run must reclaim all slots");
         // Scheduling again un-quiesces.
-        sim.after(d(1), |_: &mut World, _| {});
+        sim.after_call0(d(1), nop);
         assert!(!sim.quiesced());
         assert!(sim.leak_check() > 0);
         sim.run(&mut w);
@@ -1375,7 +1225,7 @@ mod tests {
         // Dropping with events still pending is legal (run_until, early
         // teardown): the audit only arms after a true quiesce.
         let mut sim: Sim<World> = Sim::new();
-        sim.after(d(5), |_: &mut World, _| {});
+        sim.after_call0(d(5), nop);
         let mut w = Vec::new();
         sim.run_until(&mut w, SimTime::from_ns(1));
         assert!(!sim.quiesced());

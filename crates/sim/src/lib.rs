@@ -6,15 +6,16 @@
 //!
 //! Everything above this crate — the GPU device model, the interconnect,
 //! the communication library, the task runtime, and the Jacobi3D proxy
-//! application — executes as closures scheduled on [`Sim`] over a world
-//! type the embedding crate chooses.
+//! application — executes as events scheduled on [`Sim`] over a world
+//! type the embedding crate chooses. An event is a plain `fn` plus up to
+//! two payload words, so any engine state can be snapshotted and forked.
 //!
 //! ```
 //! use gaat_sim::{Sim, SimDuration};
 //!
 //! let mut sim: Sim<u32> = Sim::new();
 //! let mut counter = 0u32;
-//! sim.after(SimDuration::from_us(5), |c: &mut u32, _| *c += 1);
+//! sim.after_call0(SimDuration::from_us(5), |c: &mut u32, _| *c += 1);
 //! sim.run(&mut counter);
 //! assert_eq!(counter, 1);
 //! assert_eq!(sim.now().as_ns(), 5_000);
@@ -29,7 +30,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use engine::{EventFn, EventId, RunOutcome, Sim, SimSnapshot, SnapshotError};
+pub use engine::{EventId, RunOutcome, Sim, SimSnapshot};
 pub use fault::{FaultPlan, LinkFault, LinkFaultKind, MsgFate, PeFault, StragglerWindow};
 pub use rng::{mix64, SimRng};
 pub use stats::{Accumulator, BusyTracker, IterationTimer, LogHistogram, SimStats};

@@ -5,21 +5,22 @@
 //! Both sides interpret an identical stream of RNG-derived commands, so
 //! any divergence in firing order — ring vs bucket vs overflow routing,
 //! cancellation, horizon crossings — shows up as the first mismatching
-//! trace entry. Seeded via [`SimRng`] so failures replay exactly.
+//! trace entry. The real engine also forks mid-run: it snapshots at the
+//! reference's median event time and replays the tail from the snapshot
+//! twice, and all three tails must match. Seeded via [`SimRng`] so
+//! failures replay exactly.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
-use gaat_sim::{Sim, SimRng, SimTime};
+use gaat_sim::{Sim, SimDuration, SimRng, SimTime};
 
 /// What a fired event decides to do next. Decisions are derived from the
 /// world RNG by [`decide`], which both engines call at the same points,
 /// so the command streams are identical as long as firing order is.
 enum Cmd {
-    /// Schedule a new event `delay` ns from now; `fast` picks the
-    /// closure-free fn-pointer path on the real engine (the reference
-    /// has only one representation).
-    Spawn { delay: u64, fast: bool },
+    /// Schedule a new event `delay` ns from now.
+    Spawn { delay: u64 },
     /// Cancel the `choice % live.len()`-th tracked id (no-op when the
     /// event already fired — both sides must agree on that too).
     Cancel { choice: u64 },
@@ -48,7 +49,6 @@ fn decide(rng: &mut SimRng, budget_left: u64) -> Vec<Cmd> {
     for _ in 0..spawns.min(budget_left) {
         cmds.push(Cmd::Spawn {
             delay: spawn_delay(rng),
-            fast: rng.below(2) == 0,
         });
     }
     if rng.below(4) == 0 {
@@ -61,6 +61,7 @@ fn decide(rng: &mut SimRng, budget_left: u64) -> Vec<Cmd> {
 
 // ----- real engine -----
 
+#[derive(Clone)]
 struct RealWorld {
     rng: SimRng,
     trace: Vec<(u64, u32)>,
@@ -69,26 +70,16 @@ struct RealWorld {
     budget: u64,
 }
 
-fn fire_real_fast(w: &mut RealWorld, sim: &mut Sim<RealWorld>, label: u64) {
-    fire_real(w, sim, label as u32);
-}
-
-fn fire_real(w: &mut RealWorld, sim: &mut Sim<RealWorld>, label: u32) {
-    w.trace.push((sim.now().as_ns(), label));
+fn fire_real(w: &mut RealWorld, sim: &mut Sim<RealWorld>, label: u64) {
+    w.trace.push((sim.now().as_ns(), label as u32));
     for cmd in decide(&mut w.rng, w.budget) {
         match cmd {
-            Cmd::Spawn { delay, fast } => {
+            Cmd::Spawn { delay } => {
                 w.budget -= 1;
                 let label = w.next_label;
                 w.next_label += 1;
-                let at = sim.now() + gaat_sim::SimDuration::from_ns(delay);
-                let id = if fast {
-                    sim.at_call1(at, fire_real_fast, label as u64)
-                } else {
-                    sim.at(at, move |w: &mut RealWorld, sim: &mut Sim<RealWorld>| {
-                        fire_real(w, sim, label)
-                    })
-                };
+                let at = sim.now() + SimDuration::from_ns(delay);
+                let id = sim.at_call1(at, fire_real, u64::from(label));
                 w.live.push(id);
             }
             Cmd::Cancel { choice } => {
@@ -102,7 +93,13 @@ fn fire_real(w: &mut RealWorld, sim: &mut Sim<RealWorld>, label: u32) {
     }
 }
 
-fn run_real(seed: u64, initial: u64, budget: u64) -> (Vec<(u64, u32)>, u64) {
+/// Trace and executed-event count of one run.
+type Run = (Vec<(u64, u32)>, u64);
+
+/// Run the workload on the real engine, pausing at `fork_at` to snapshot
+/// the engine and clone the world. Returns the uninterrupted run, then
+/// two runs restored from that snapshot.
+fn run_real(seed: u64, initial: u64, budget: u64, fork_at: SimTime) -> Vec<Run> {
     let mut sim: Sim<RealWorld> = Sim::new();
     let mut seeder = SimRng::new(seed ^ 0x5eed);
     let mut w = RealWorld {
@@ -116,13 +113,21 @@ fn run_real(seed: u64, initial: u64, budget: u64) -> (Vec<(u64, u32)>, u64) {
         let label = w.next_label;
         w.next_label += 1;
         let at = SimTime::from_ns(seeder.below(10_000));
-        let id = sim.at(at, move |w: &mut RealWorld, sim: &mut Sim<RealWorld>| {
-            fire_real(w, sim, label)
-        });
+        let id = sim.at_call1(at, fire_real, u64::from(label));
         w.live.push(id);
     }
+    sim.run_until(&mut w, fork_at);
+    let snap = sim.snapshot();
+    let saved = w.clone();
     sim.run(&mut w);
-    (w.trace, sim.events_executed())
+    let mut runs = vec![(w.trace, sim.events_executed())];
+    for _ in 0..2 {
+        sim.restore(&snap);
+        let mut w = saved.clone();
+        sim.run(&mut w);
+        runs.push((w.trace, sim.events_executed()));
+    }
+    runs
 }
 
 // ----- reference engine: BinaryHeap + cancellation tombstones -----
@@ -157,7 +162,7 @@ fn fire_ref(w: &mut RefWorld, sim: &mut RefSim, label: u32) {
     w.trace.push((sim.now, label));
     for cmd in decide(&mut w.rng, w.budget) {
         match cmd {
-            Cmd::Spawn { delay, fast: _ } => {
+            Cmd::Spawn { delay } => {
                 w.budget -= 1;
                 let label = w.next_label;
                 w.next_label += 1;
@@ -175,7 +180,7 @@ fn fire_ref(w: &mut RefWorld, sim: &mut RefSim, label: u32) {
     }
 }
 
-fn run_ref(seed: u64, initial: u64, budget: u64) -> (Vec<(u64, u32)>, u64) {
+fn run_ref(seed: u64, initial: u64, budget: u64) -> Run {
     let mut sim = RefSim {
         heap: BinaryHeap::new(),
         cancelled: HashSet::new(),
@@ -208,23 +213,37 @@ fn run_ref(seed: u64, initial: u64, budget: u64) -> (Vec<(u64, u32)>, u64) {
     (w.trace, sim.executed)
 }
 
-#[test]
-fn new_queue_matches_reference_heap_across_seeds() {
-    for seed in 0..24u64 {
-        let (real_trace, real_n) = run_real(seed, 64, 4_000);
-        let (ref_trace, ref_n) = run_ref(seed, 64, 4_000);
-        assert_eq!(real_n, ref_n, "executed-count divergence at seed {seed}");
-        if let Some(i) = (0..real_trace.len()).find(|&i| real_trace[i] != ref_trace[i]) {
+/// Every real-engine run (uninterrupted and both restores) must match
+/// the reference heap event for event.
+fn check(seed: u64, initial: u64, budget: u64) {
+    let (ref_trace, ref_n) = run_ref(seed, initial, budget);
+    let fork_at = SimTime::from_ns(ref_trace[ref_trace.len() / 2].0);
+    let runs = run_real(seed, initial, budget, fork_at);
+    for ((real_trace, real_n), run) in runs.into_iter().zip(["live", "restore 1", "restore 2"]) {
+        assert_eq!(
+            real_n, ref_n,
+            "executed-count divergence at seed {seed} ({run})"
+        );
+        if let Some(i) =
+            (0..real_trace.len().min(ref_trace.len())).find(|&i| real_trace[i] != ref_trace[i])
+        {
             panic!(
-                "trace divergence at seed {seed}, event {i}: real {:?} vs reference {:?}",
+                "trace divergence at seed {seed} ({run}), event {i}: real {:?} vs reference {:?}",
                 real_trace[i], ref_trace[i]
             );
         }
         assert_eq!(
             real_trace.len(),
             ref_trace.len(),
-            "length divergence at seed {seed}"
+            "length divergence at seed {seed} ({run})"
         );
+    }
+}
+
+#[test]
+fn new_queue_matches_reference_heap_across_seeds() {
+    for seed in 0..24u64 {
+        check(seed, 64, 4_000);
     }
 }
 
@@ -232,8 +251,5 @@ fn new_queue_matches_reference_heap_across_seeds() {
 fn new_queue_matches_reference_heap_deep_population() {
     // A deeper run that forces slot recycling, bucket reuse after wheel
     // wraparound, and a populated overflow tier.
-    let (real_trace, real_n) = run_real(99, 2_000, 60_000);
-    let (ref_trace, ref_n) = run_ref(99, 2_000, 60_000);
-    assert_eq!(real_n, ref_n);
-    assert_eq!(real_trace, ref_trace);
+    check(99, 2_000, 60_000);
 }

@@ -14,11 +14,12 @@ fn execute(schedule: &[(u64, u32)]) -> (Vec<u32>, Vec<u64>) {
     }
     let mut sim: Sim<World> = Sim::new();
     let mut w = World::default();
+    fn fire(w: &mut World, sim: &mut Sim<World>, payload: u64) {
+        let now = sim.now().as_ns();
+        w.fired.push((payload as u32, now));
+    }
     for &(delay, payload) in schedule {
-        sim.at(SimTime::from_ns(delay), move |w: &mut World, sim| {
-            let now = sim.now().as_ns();
-            w.fired.push((payload, now));
-        });
+        sim.at_call1(SimTime::from_ns(delay), fire, u64::from(payload));
     }
     sim.run(&mut w);
     let payloads = w.fired.iter().map(|&(p, _)| p).collect();
@@ -73,9 +74,9 @@ proptest! {
         let mut w = World { fired: vec![] };
         let mut ids = vec![];
         for (i, &delay) in delays.iter().enumerate() {
-            let id = sim.at(SimTime::from_ns(delay), move |w: &mut World, _| {
-                w.fired.push(i);
-            });
+            let id = sim.at_call1(SimTime::from_ns(delay), |w: &mut World, _, i| {
+                w.fired.push(i as usize);
+            }, i as u64);
             ids.push(id);
         }
         let mut expect: Vec<usize> = vec![];
@@ -103,7 +104,7 @@ proptest! {
         let mut sim: Sim<World> = Sim::new();
         let mut w = World { fired: vec![] };
         for &delay in &delays {
-            sim.at(SimTime::from_ns(delay), move |w: &mut World, sim| {
+            sim.at_call0(SimTime::from_ns(delay), |w: &mut World, sim| {
                 w.fired.push(sim.now().as_ns());
             });
         }
@@ -127,16 +128,17 @@ proptest! {
         struct World { trace: Vec<u64>, spawned: usize }
         let mut sim: Sim<World> = Sim::new();
         let mut w = World { trace: vec![], spawned: 0 };
+        fn parent(w: &mut World, sim: &mut Sim<World>, delay: u64, children: u64) {
+            w.trace.push(sim.now().as_ns());
+            for c in 0..children {
+                w.spawned += 1;
+                sim.after_call0(SimDuration::from_ns(delay + c), |w: &mut World, sim: &mut Sim<World>| {
+                    w.trace.push(sim.now().as_ns());
+                });
+            }
+        }
         for &(delay, children) in &seeds {
-            sim.after(SimDuration::from_ns(delay), move |w: &mut World, sim: &mut Sim<World>| {
-                w.trace.push(sim.now().as_ns());
-                for c in 0..children {
-                    w.spawned += 1;
-                    sim.after(SimDuration::from_ns(delay + c as u64), |w: &mut World, sim: &mut Sim<World>| {
-                        w.trace.push(sim.now().as_ns());
-                    });
-                }
-            });
+            sim.after_call2(SimDuration::from_ns(delay), parent, delay, u64::from(children));
         }
         sim.run(&mut w);
         prop_assert_eq!(w.trace.len(), seeds.len() + w.spawned);

@@ -538,10 +538,7 @@ impl<'a> Worker<'a> {
     /// world. For a group, it runs the shared prefix to just
     /// before `divergence` and snapshots. It finishes the first member
     /// live, then every other member from a restore of the snapshot with
-    /// its own stochastic fault plan swapped in. If the world declines to
-    /// snapshot, the first member still finishes live (the prefix ran under
-    /// its exact config) and the rest fall back to standalone runs —
-    /// correctness never depends on the fork succeeding.
+    /// its own stochastic fault plan swapped in.
     fn run_app<Sh, B>(
         &mut self,
         unit: &Unit,
@@ -554,21 +551,6 @@ impl<'a> Worker<'a> {
     {
         let (scenarios, reuse) = (self.scenarios, self.reuse);
         let (slot, fstats) = (&mut self.slot, &mut self.fork);
-        // Build and start a member's world from t = 0.
-        let launch = |slot: &mut WorldSlot, sc: &Scenario| {
-            let t0 = Instant::now();
-            let mut rec = base_record(sc);
-            rec.reused_world = reuse && slot.stats().prepared > 0;
-            let sim0 = if reuse {
-                slot.prepare(sc.machine.clone())
-            } else {
-                Simulation::new(sc.machine.clone())
-            };
-            let (mut sim, ids, sh) = build(sim0, sc);
-            rec.setup_ns = t0.elapsed().as_nanos() as u64;
-            start(&mut sim, &ids);
-            (sim, ids, sh, rec, t0)
-        };
         let finish = |sim: &mut Simulation, ids: &[ChareId], sh: &Sh, mut rec, t0: Instant| {
             finish(sim, ids, sh, &mut rec);
             seal_record(&mut rec, sim);
@@ -576,18 +558,30 @@ impl<'a> Worker<'a> {
             rec
         };
 
+        // Build and start the first member's world from t = 0.
         let (members, divergence) = unit.members();
-        let (mut sim, ids, sh, rec, t0) = launch(slot, &scenarios[members[0]]);
-        let snap = divergence.and_then(|t| {
+        let sc = &scenarios[members[0]];
+        let t0 = Instant::now();
+        let mut rec = base_record(sc);
+        rec.reused_world = reuse && slot.stats().prepared > 0;
+        let sim0 = if reuse {
+            slot.prepare(sc.machine.clone())
+        } else {
+            Simulation::new(sc.machine.clone())
+        };
+        let (mut sim, ids, sh) = build(sim0, sc);
+        rec.setup_ns = t0.elapsed().as_nanos() as u64;
+        start(&mut sim, &ids);
+        let snap = divergence.map(|t| {
             fstats.groups += 1;
             // Events at exactly the divergence instant may already observe
             // the late fields, so the pause lands one tick before it.
             sim.run_until(t - SimDuration::from_ns(1));
             let st = Instant::now();
-            let snap = sim.snapshot()?;
+            let snap = sim.snapshot();
             fstats.snapshots_taken += 1;
             fstats.snapshot_ns += st.elapsed().as_nanos() as u64;
-            Some(snap)
+            snap
         });
         let mut out = vec![finish(&mut sim, &ids, &sh, rec, t0)];
         let rest = &members[1..];
@@ -607,16 +601,6 @@ impl<'a> Worker<'a> {
         }
         if reuse {
             slot.retire(sim);
-        }
-        if snap.is_none() {
-            fstats.declined += rest.len();
-            for &m in rest {
-                let (mut sim, ids, sh, rec, t0) = launch(slot, &scenarios[m]);
-                out.push(finish(&mut sim, &ids, &sh, rec, t0));
-                if reuse {
-                    slot.retire(sim);
-                }
-            }
         }
         out
     }

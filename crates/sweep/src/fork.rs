@@ -24,8 +24,8 @@
 //!
 //! The planner is conservative by construction: a scenario that cannot
 //! prove membership in a group runs standalone, which degrades exactly
-//! to the pre-fork executor. Runtime declines (a world that refuses to
-//! snapshot, e.g. a pending boxed closure) degrade the same way.
+//! to the pre-fork executor. Every group forks: a world snapshot never
+//! fails.
 
 use gaat_sim::SimTime;
 
@@ -41,8 +41,8 @@ pub struct ForkStats {
     /// Scenarios executed from a restored snapshot rather than from
     /// `t = 0` (group members beyond the first).
     pub scenarios_forked: usize,
-    /// Group members that fell back to standalone execution because the
-    /// world declined to snapshot at run time.
+    /// Group members that ran standalone instead of forking. Always 0:
+    /// a world snapshot never fails, so every group member forks.
     pub declined: usize,
     /// Host nanoseconds spent taking snapshots.
     pub snapshot_ns: u64,

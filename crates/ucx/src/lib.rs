@@ -657,7 +657,7 @@ pub fn isend<W: UcxHost>(
     }
 }
 
-/// Closure-free `SendDone` delivery for the eager protocol: the worker id
+/// `SendDone` delivery for the eager protocol: the worker id
 /// and user cookie ride in the event's payload words.
 fn eager_send_done<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, from: u64, user: u64) {
     w.on_ucx_event(

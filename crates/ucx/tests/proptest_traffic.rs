@@ -25,6 +25,9 @@ struct World {
     recv_done: usize,
     send_done: usize,
     expected: Vec<(BufferId, usize, Vec<f64>)>,
+    /// Per message `i` (sent under `Tag(i)`): sender, receiver, source
+    /// and destination, looked up by the posting events' payload word.
+    posts: Vec<(WorkerId, WorkerId, MemLoc, MemLoc)>,
 }
 
 impl World {
@@ -44,8 +47,19 @@ impl World {
             recv_done: 0,
             send_done: 0,
             expected: Vec::new(),
+            posts: Vec::new(),
         }
     }
+}
+
+fn post_send(w: &mut World, sim: &mut Sim<World>, i: u64) {
+    let (from, to, sloc, _) = w.posts[i as usize];
+    isend(w, sim, from, to, Tag(i), sloc, 0);
+}
+
+fn post_recv(w: &mut World, sim: &mut Sim<World>, i: u64) {
+    let (from, to, _, rloc) = w.posts[i as usize];
+    irecv(w, sim, to, from, Tag(i), rloc, 0);
 }
 
 impl GpuHost for World {
@@ -153,7 +167,7 @@ fn drive(msgs: &[Msg], reliability: ReliabilityParams, faults: FaultPlan) -> Wor
     }
     let mut sim: Sim<World> = Sim::new().with_event_limit(5_000_000);
     for (i, (m, sbuf, rbuf)) in plan.into_iter().enumerate() {
-        let tag = Tag(i as u64);
+        let i = i as u64;
         let (from, to) = (WorkerId(m.from), WorkerId(m.to));
         let sloc = MemLoc {
             device: DeviceId(m.from),
@@ -163,21 +177,14 @@ fn drive(msgs: &[Msg], reliability: ReliabilityParams, faults: FaultPlan) -> Wor
             device: DeviceId(m.to),
             range: BufRange::whole(rbuf, m.elems),
         };
+        w.posts.push((from, to, sloc, rloc));
         let at = SimTime::from_ns(m.delay_ns);
         if m.recv_first {
-            sim.at(at, move |w: &mut World, sim| {
-                irecv(w, sim, to, from, tag, rloc, 0)
-            });
-            sim.at(at, move |w: &mut World, sim| {
-                isend(w, sim, from, to, tag, sloc, 0)
-            });
+            sim.at_call1(at, post_recv, i);
+            sim.at_call1(at, post_send, i);
         } else {
-            sim.at(at, move |w: &mut World, sim| {
-                isend(w, sim, from, to, tag, sloc, 0)
-            });
-            sim.at(at, move |w: &mut World, sim| {
-                irecv(w, sim, to, from, tag, rloc, 0)
-            });
+            sim.at_call1(at, post_send, i);
+            sim.at_call1(at, post_recv, i);
         }
     }
     assert_eq!(sim.run(&mut w), gaat_sim::RunOutcome::Drained);

@@ -118,9 +118,11 @@ impl UcxHost for World {
     }
 }
 
-fn run(w: &mut World, setup: impl FnOnce(&mut World, &mut Sim<World>) + Send + 'static) -> SimTime {
+/// Call `setup` at t = 0 to post the first operations, then run to
+/// quiescence; returns the final clock.
+fn run(w: &mut World, setup: impl FnOnce(&mut World, &mut Sim<World>)) -> SimTime {
     let mut sim: Sim<World> = Sim::new().with_event_limit(1_000_000);
-    sim.soon(setup);
+    setup(w, &mut sim);
     assert_eq!(sim.run(w), gaat_sim::RunOutcome::Drained);
     sim.now()
 }
@@ -162,15 +164,18 @@ fn eager_unexpected_arrival_then_post() {
     let sbuf = w.alloc(0, Space::Host, len);
     let rbuf = w.alloc(1, Space::Host, len);
     w.fill(0, sbuf, 5.0);
-    let (sl, rl) = (w.loc(0, sbuf, len), w.loc(1, rbuf, len));
+    let sl = w.loc(0, sbuf, len);
     run(&mut w, move |w, sim| {
         isend(w, sim, WorkerId(0), WorkerId(1), Tag(1), sl, 0);
         // Post the receive long after the data has landed unexpectedly.
-        sim.after(
+        sim.after_call2(
             gaat_sim::SimDuration::from_ms(5),
-            move |w: &mut World, sim| {
+            |w: &mut World, sim, buf, len| {
+                let rl = w.loc(1, BufferId(buf as u32), len as usize);
                 irecv(w, sim, WorkerId(1), WorkerId(0), Tag(1), rl, 0);
             },
+            u64::from(rbuf.0),
+            len as u64,
         );
     });
     assert_eq!(w.read(1, rbuf, len), w.read(0, sbuf, len));
@@ -210,13 +215,19 @@ fn rendezvous_waits_for_recv_post() {
     let len = 32 * 1024;
     let sbuf = w.alloc(0, Space::Host, len);
     let rbuf = w.alloc(1, Space::Host, len);
-    let (sl, rl) = (w.loc(0, sbuf, len), w.loc(1, rbuf, len));
+    let sl = w.loc(0, sbuf, len);
     let delay = gaat_sim::SimDuration::from_ms(2);
     run(&mut w, move |w, sim| {
         isend(w, sim, WorkerId(0), WorkerId(1), Tag(2), sl, 0);
-        sim.after(delay, move |w: &mut World, sim| {
-            irecv(w, sim, WorkerId(1), WorkerId(0), Tag(2), rl, 0);
-        });
+        sim.after_call2(
+            delay,
+            |w: &mut World, sim, buf, len| {
+                let rl = w.loc(1, BufferId(buf as u32), len as usize);
+                irecv(w, sim, WorkerId(1), WorkerId(0), Tag(2), rl, 0);
+            },
+            u64::from(rbuf.0),
+            len as u64,
+        );
     });
     // Data cannot start before the recv was posted at 2 ms.
     assert!(recv_done(&w)[0].as_ns() > 2_000_000);

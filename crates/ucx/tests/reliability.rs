@@ -125,7 +125,7 @@ fn assert_quiesced(w: &World) {
 /// worker 1, run to quiescence, and verify every payload.
 fn exchange(w: &mut World, n: usize, elems: usize) {
     let mut expected: Vec<(BufferId, Vec<f64>)> = Vec::new();
-    let mut sim: Sim<World> = Sim::new().with_event_limit(10_000_000);
+    let mut posts = Vec::new();
     for i in 0..n {
         let sbuf = w.devices[0].mem.alloc_real(Space::Host, elems);
         let rbuf = w.devices[1].mem.alloc_real(Space::Host, elems);
@@ -141,8 +141,12 @@ fn exchange(w: &mut World, n: usize, elems: usize) {
             device: DeviceId(1),
             range: BufRange::whole(rbuf, elems),
         };
-        sim.soon(move |w: &mut World, sim| irecv(w, sim, WorkerId(1), WorkerId(0), tag, rloc, 0));
-        sim.soon(move |w: &mut World, sim| isend(w, sim, WorkerId(0), WorkerId(1), tag, sloc, 0));
+        posts.push((tag, sloc, rloc));
+    }
+    let mut sim: Sim<World> = Sim::new().with_event_limit(10_000_000);
+    for (tag, sloc, rloc) in posts {
+        irecv(w, &mut sim, WorkerId(1), WorkerId(0), tag, rloc, 0);
+        isend(w, &mut sim, WorkerId(0), WorkerId(1), tag, sloc, 0);
     }
     assert_eq!(sim.run(w), gaat_sim::RunOutcome::Drained);
     assert_eq!(w.recv_done, n, "every transfer completes exactly once");
@@ -226,8 +230,8 @@ fn peer_dead_after_retries_exhausted_and_purge_drains() {
         range: BufRange::whole(rbuf, 8),
     };
     let mut sim: Sim<World> = Sim::new();
-    sim.soon(move |w: &mut World, sim| irecv(w, sim, WorkerId(1), WorkerId(0), Tag(0), rloc, 0));
-    sim.soon(move |w: &mut World, sim| isend(w, sim, WorkerId(0), WorkerId(1), Tag(0), sloc, 0));
+    irecv(&mut w, &mut sim, WorkerId(1), WorkerId(0), Tag(0), rloc, 0);
+    isend(&mut w, &mut sim, WorkerId(0), WorkerId(1), Tag(0), sloc, 0);
     sim.run(&mut w);
     assert_eq!(w.peers_dead, vec![WorkerId(1)]);
     let st = w.ucx.stats();
@@ -294,8 +298,8 @@ fn link_abort_triggers_fast_retransmit_over_failover_path() {
         device: DeviceId(2),
         range: BufRange::whole(rbuf, elems),
     };
-    sim.soon(move |w: &mut World, sim| irecv(w, sim, WorkerId(2), WorkerId(0), Tag(0), rloc, 0));
-    sim.soon(move |w: &mut World, sim| isend(w, sim, WorkerId(0), WorkerId(2), Tag(0), sloc, 0));
+    irecv(&mut w, &mut sim, WorkerId(2), WorkerId(0), Tag(0), rloc, 0);
+    isend(&mut w, &mut sim, WorkerId(0), WorkerId(2), Tag(0), sloc, 0);
     sim.run(&mut w);
 
     assert_eq!(w.recv_done, 1, "the transfer survives the link failure");

@@ -74,12 +74,11 @@ fn main() {
         report.slots.prepared, report.slots.reused
     );
     println!(
-        "prefix tree: {} groups, {} snapshots taken, {} scenarios forked ({} declined), \
+        "prefix tree: {} groups, {} snapshots taken, {} scenarios forked, \
          snapshot {:.0} us / restore {:.0} us mean",
         report.fork.groups,
         report.fork.snapshots_taken,
         report.fork.scenarios_forked,
-        report.fork.declined,
         report.fork.snapshot_ns as f64 / report.fork.snapshots_taken.max(1) as f64 / 1e3,
         report.fork.restore_ns as f64 / report.fork.scenarios_forked.max(1) as f64 / 1e3,
     );

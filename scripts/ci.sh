@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, rustdoc, the tier-1 build, the
 # standalone benchmark build, tier-1 and workspace tests (which hold every
-# correctness pin), a collectives smoke run and the sweep engine's
-# in-process ratio gates. Everything here must pass with no network access.
+# correctness pin) in release and in the dev profile, a collectives smoke
+# run and the sweep engine's in-process ratio gates. Everything here must
+# pass with no network access.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,6 +31,12 @@ cargo test -q --release
 
 echo "==> workspace tests"
 cargo test -q --release --workspace
+
+echo "==> workspace tests (dev profile)"
+# Debug assertions are on here: the engine's event-leak audit on drop and
+# its queue invariants (occupancy drift, time going backwards) only
+# exist in this profile.
+cargo test -q --workspace
 
 echo "==> collectives benchmark (smoke)"
 # Runs the ring/tree allreduce, MoE alltoall and training-overlap slices;
