@@ -9,7 +9,6 @@ use gaat_rt::WorldSlot;
 
 /// Which of the paper's four Jacobi3D versions to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Variant {
     /// MPI with host staging.
     MpiH,
@@ -48,7 +47,6 @@ impl Variant {
 
 /// How much compute to spend regenerating figures.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Effort {
     /// Timed iterations (paper: 100).
     pub iters: usize,
@@ -118,7 +116,6 @@ impl Effort {
 
 /// One measured point.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Row {
     /// Figure id ("6a", "7c", ...).
     pub figure: String,

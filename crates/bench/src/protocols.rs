@@ -14,7 +14,6 @@ const E_RECVD: EntryId = EntryId(1);
 
 /// One measured point of the protocol landscape.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct ProtocolPoint {
     /// Message size in bytes.
     pub bytes: u64,

@@ -13,8 +13,8 @@ use gaat_sim::{SimDuration, SimTime};
 
 use crate::member::{wire_members, CollEntries, CollMember, MemberEvent, MemberStats};
 use crate::plan::{
-    even_split, place_rank, plan, reduce_scatter_owner, ring_lanes, tree_lanes, uses_out_buffer,
-    Algorithm, CollOp, CollPlan, RankPlacement,
+    place_rank, plan, reduce_scatter_owner, ring_lanes, tree_lanes, uses_out_buffer, Algorithm,
+    CollOp, CollPlan, RankPlacement,
 };
 use crate::reference;
 
@@ -388,37 +388,6 @@ pub fn payload_bytes(op: CollOp, ranks: usize, count: usize) -> u64 {
         }
         CollOp::AllToAll => (ranks * count) as u64 * 8,
     }
-}
-
-/// A deterministic fingerprint of the defined outputs (for lossy-run
-/// comparisons): the XOR of every output element's bit pattern.
-pub fn output_fingerprint(sim: &Simulation, ids: &[ChareId], sh: &CollShared) -> u64 {
-    let cfg = &sh.cfg;
-    let ranks = cfg.effective_ranks();
-    let mut h = 0u64;
-    #[allow(clippy::needless_range_loop)]
-    for r in 0..ranks {
-        let vals = if uses_out_buffer(cfg.op) {
-            read_member_out(sim, ids[r], sh.plan.out_elems[r])
-        } else if cfg.op == CollOp::ReduceScatter {
-            let lanes = ring_lanes(cfg.count, ranks, cfg.chunk);
-            let mut v = Vec::new();
-            let all = read_member_data(sim, ids[r], cfg.count);
-            let j = reduce_scatter_owner(r, ranks);
-            for l in 0..lanes {
-                let (lo, llen) = even_split(cfg.count, lanes, l);
-                let (o, len) = even_split(llen, ranks, j);
-                v.extend_from_slice(&all[lo + o..lo + o + len]);
-            }
-            v
-        } else {
-            read_member_data(sim, ids[r], cfg.count)
-        };
-        for (i, v) in vals.iter().enumerate() {
-            h ^= v.to_bits().rotate_left((i % 63) as u32);
-        }
-    }
-    h
 }
 
 #[cfg(test)]

@@ -10,7 +10,6 @@ use gaat_ucx::UcxParams;
 /// overdecomposition expensive — the effect that bounds the useful ODF in
 /// the paper's Figs. 7–9.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RtCosts {
     /// Scheduler cost of popping one message and locating its target
     /// chare.
@@ -42,13 +41,13 @@ impl Default for RtCosts {
 
 /// Which migration planner the periodic load-balancing step runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LbPolicy {
     /// No load balancing: the LB tick is never armed.
     #[default]
     Off,
-    /// Load-only LPT repacking (the `greedy_rebalance` planner), run
-    /// periodically on the live EWMA load meters.
+    /// The same budgeted, incremental planner as `Adaptive`, run on the
+    /// live EWMA load meters alone: straggler factors are all ones and
+    /// the comm-affinity and fabric-distress sensors are off.
     Greedy,
     /// Congestion-, straggler-, and comm-affinity-aware planner: loads
     /// are inflated by active straggler windows and migration targets
@@ -61,8 +60,6 @@ pub enum LbPolicy {
 /// a planner, and every run replays bit-identically to builds that
 /// predate the balancer.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(default))]
 pub struct LbConfig {
     /// Planner run on each tick.
     pub policy: LbPolicy,
@@ -97,7 +94,6 @@ impl LbConfig {
 /// Full description of the simulated machine: topology, device timing,
 /// fabric, communication-layer and runtime costs.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MachineConfig {
     /// Number of nodes.
     pub nodes: usize,
@@ -126,7 +122,6 @@ pub struct MachineConfig {
     pub trace: bool,
     /// Closed-loop load balancer. Inert by default (policy `Off`,
     /// period zero) so existing runs replay bit-identically.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub lb: LbConfig,
 }
 

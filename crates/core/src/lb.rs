@@ -1,13 +1,8 @@
 //! Load balancing — the runtime adaptivity that overdecomposition
 //! enables (one of the paper's motivations for tolerating ODF overheads).
 //!
-//! Two planners live here:
+//! One planner and one placement rule live here:
 //!
-//! - [`greedy_rebalance`] — the classic Charm++ GreedyLB strategy:
-//!   reassign the heaviest chares first onto the least-loaded PEs
-//!   (`lpt_place`, which PE-failure recovery also uses to re-place a
-//!   dead PE's chares), applied only when the LPT plan strictly
-//!   improves the makespan. Callers invoke it at phase boundaries.
 //! - [`periodic_plan`] — the closed-loop planner behind the machine's
 //!   periodic LB tick (`MachineConfig::lb`). It scores *incremental*
 //!   migrations from live sensor inputs ([`LbSensors`]): per-chare EWMA
@@ -15,20 +10,24 @@
 //!   communication bytes, and a fabric-distress flag. Up to
 //!   `LbConfig::budget` single-chare moves are accepted, each only if
 //!   it strictly lowers the projected makespan; the whole plan is then
-//!   gated behind `LbConfig::hysteresis_pct`. The same never-degrade
-//!   contract as `greedy_rebalance`, extended with comm affinity:
-//!   among destinations whose projected load is within a slack band of
-//!   the minimum, the planner prefers the node holding the chare's
-//!   heaviest communication partners — and fabric distress (a hot or
-//!   degraded link, retransmits) widens the band, trading perfect
-//!   compute balance for less inter-node traffic over hot spines.
+//!   gated behind `LbConfig::hysteresis_pct`. Among destinations whose
+//!   projected load is within a slack band of the minimum, the planner
+//!   prefers the node holding the chare's heaviest communication
+//!   partners — and fabric distress (a hot or degraded link,
+//!   retransmits) widens the band, trading perfect compute balance for
+//!   less inter-node traffic over hot spines. `LbPolicy::Greedy` runs
+//!   the same planner with the straggler and affinity sensors off.
+//! - `lpt_place` — longest-processing-time placement, which PE-failure
+//!   recovery uses to re-place a dead PE's chares on the survivors.
 //!
-//! Every choice breaks ties deterministically (lowest PE index, lowest
-//! chare id), so a plan is a pure function of its sensor inputs and the
-//! balancer replays bit-identically at a fixed seed.
+//! The machine applies every plan through its single rollback
+//! primitive, so a chare only ever changes PE at a consistent
+//! checkpoint cut. Every choice breaks ties deterministically (lowest
+//! PE index, lowest chare id), so a plan is a pure function of its
+//! sensor inputs and the balancer replays bit-identically at a fixed
+//! seed.
 
 use crate::config::LbConfig;
-use crate::machine::Machine;
 use crate::msg::ChareId;
 
 /// Sensor block the machine gathers for one periodic LB round. All
@@ -179,19 +178,8 @@ pub fn periodic_plan(s: &LbSensors<'_>, cfg: &LbConfig) -> Option<LbPlan> {
     })
 }
 
-/// Outcome of one rebalance pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RebalanceReport {
-    /// Chares whose PE changed.
-    pub migrations: usize,
-    /// Max per-PE load before, in ns.
-    pub max_before_ns: u64,
-    /// Max per-PE load after (predicted), in ns.
-    pub max_after_ns: u64,
-}
-
-/// Longest-processing-time placement, the rule behind
-/// [`greedy_rebalance`] and PE-failure recovery: take `items`
+/// Longest-processing-time placement, the rule PE-failure recovery
+/// places refugee chares with: take `items`
 /// (`(chare, load)`) heaviest first, ties to the lowest chare id, and
 /// put each on the least-loaded PE `p` with `alive[p]`, ties to the
 /// lowest index. `loads` holds each PE's starting load on entry and its
@@ -216,82 +204,10 @@ pub(crate) fn lpt_place(
         .collect()
 }
 
-/// Greedily reassign `chares` across all PEs by descending measured load.
-/// Returns what changed. Loads are the cumulative per-chare charged CPU
-/// times since simulation start.
-pub fn greedy_rebalance(m: &mut Machine, chares: &[ChareId]) -> RebalanceReport {
-    let npes = m.pes.len();
-    let loads: Vec<(ChareId, u64)> = chares.iter().map(|&c| (c, m.load_of(c).as_ns())).collect();
-    let mut before = vec![0u64; npes];
-    for &(c, l) in &loads {
-        before[m.pe_of(c)] += l;
-    }
-    let max_before_ns = before.into_iter().max().unwrap_or(0);
-
-    // Plan first, migrate second. LPT is a 4/3-approximation, not an
-    // optimum: on an input that is already well placed it can *raise*
-    // the makespan, so the plan is only applied when it strictly
-    // improves on the current placement — rebalancing never degrades.
-    let mut assigned = vec![0u64; npes];
-    let plan = lpt_place(&loads, &mut assigned, &vec![true; npes]);
-    let max_planned_ns = assigned.into_iter().max().unwrap_or(0);
-    if max_planned_ns >= max_before_ns {
-        return RebalanceReport {
-            migrations: 0,
-            max_before_ns,
-            max_after_ns: max_before_ns,
-        };
-    }
-
-    let mut migrations = 0;
-    for (c, target) in plan {
-        if m.pe_of(c) != target {
-            m.migrate(c, target);
-            migrations += 1;
-        }
-    }
-    RebalanceReport {
-        migrations,
-        max_before_ns,
-        max_after_ns: max_planned_ns,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MachineConfig;
-    use crate::machine::{Chare, Ctx};
-    use crate::msg::Envelope;
     use gaat_sim::SimDuration;
-
-    #[derive(Clone)]
-    struct Dummy;
-    impl Chare for Dummy {
-        fn receive(&mut self, _ctx: &mut Ctx<'_>, _env: Envelope) {}
-    }
-
-    #[test]
-    fn rebalance_spreads_skewed_load() {
-        let mut m = Machine::new(MachineConfig::validation(1, 4));
-        // 8 chares all crammed on PE 0 with loads 8,7,...,1 (ms).
-        let mut chares = vec![];
-        for i in 0..8u64 {
-            let c = m.create_chare(0, Box::new(Dummy));
-            // Inject synthetic load measurements.
-            m.set_load_for_test(c, SimDuration::from_ms(8 - i));
-            chares.push(c);
-        }
-        let report = greedy_rebalance(&mut m, &chares);
-        assert!(report.migrations > 0);
-        assert!(report.max_after_ns < report.max_before_ns);
-        // Greedy on 8,7,..,1 over 4 PEs achieves the optimal makespan 9.
-        assert_eq!(report.max_after_ns, 9_000_000);
-        // Every PE got at least one chare.
-        for pe in 0..4 {
-            assert!(chares.iter().any(|&c| m.pe_of(c) == pe), "PE {pe} empty");
-        }
-    }
 
     #[test]
     fn lpt_place_skips_dead_pes_and_respects_seeded_loads() {
@@ -320,42 +236,22 @@ mod tests {
             vec![(ChareId(1), 0), (ChareId(2), 1), (ChareId(3), 0)]
         );
         assert_eq!(loads, [2, 1]);
-    }
 
-    #[test]
-    fn balanced_load_needs_no_migration() {
-        let mut m = Machine::new(MachineConfig::validation(1, 2));
-        let a = m.create_chare(0, Box::new(Dummy));
-        let b = m.create_chare(1, Box::new(Dummy));
-        m.set_load_for_test(a, SimDuration::from_ms(5));
-        m.set_load_for_test(b, SimDuration::from_ms(5));
-        let report = greedy_rebalance(&mut m, &[a, b]);
-        assert_eq!(report.migrations, 0);
-        assert_eq!(report.max_before_ns, report.max_after_ns);
-    }
-
-    #[test]
-    fn empty_chare_set_is_a_noop() {
-        let mut m = Machine::new(MachineConfig::validation(1, 4));
-        let report = greedy_rebalance(&mut m, &[]);
-        assert_eq!(report.migrations, 0);
-        assert_eq!(report.max_before_ns, 0);
-        assert_eq!(report.max_after_ns, 0);
-    }
-
-    #[test]
-    fn single_pe_cannot_migrate() {
-        let mut m = Machine::new(MachineConfig::validation(1, 1));
-        let mut chares = vec![];
-        for i in 1..=4u64 {
-            let c = m.create_chare(0, Box::new(Dummy));
-            m.set_load_for_test(c, SimDuration::from_ms(i));
-            chares.push(c);
-        }
-        let report = greedy_rebalance(&mut m, &chares);
-        assert_eq!(report.migrations, 0);
-        assert_eq!(report.max_before_ns, report.max_after_ns);
-        assert_eq!(report.max_before_ns, 10_000_000);
+        // Skewed loads 8, 7, ..., 1 ms onto 4 empty PEs: the first four
+        // go to PEs 0..3 in index order, the rest fill back from PE 3,
+        // reaching the optimal makespan of 9 ms with every PE used.
+        let ms = 1_000_000;
+        let items: Vec<(ChareId, u64)> =
+            (0..8).map(|i| (ChareId(i), (8 - i as u64) * ms)).collect();
+        let mut loads = [0; 4];
+        let plan = lpt_place(&items, &mut loads, &[true; 4]);
+        let expect: Vec<(ChareId, usize)> = [0, 1, 2, 3, 3, 2, 1, 0]
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| (ChareId(i), p))
+            .collect();
+        assert_eq!(plan, expect);
+        assert_eq!(loads, [9 * ms; 4]);
     }
 
     fn flat_sensors<'a>(
@@ -492,23 +388,5 @@ mod tests {
         };
         let plan = periodic_plan(&s, &cfg).expect("plan exists");
         assert!(plan.moves.iter().all(|&(_, p)| p == 2));
-    }
-
-    #[test]
-    fn lpt_worsening_input_is_left_alone() {
-        // Loads 3,3,2,2,2 optimally pre-placed on 2 PEs at makespan 6;
-        // raw LPT would produce 7. The plan must be discarded.
-        let mut m = Machine::new(MachineConfig::validation(1, 2));
-        let mut chares = vec![];
-        for (pe, ms) in [(0, 3), (0, 3), (1, 2), (1, 2), (1, 2)] {
-            let c = m.create_chare(pe, Box::new(Dummy));
-            m.set_load_for_test(c, SimDuration::from_ms(ms));
-            chares.push(c);
-        }
-        let report = greedy_rebalance(&mut m, &chares);
-        assert_eq!(report.migrations, 0);
-        assert_eq!(report.max_before_ns, 6_000_000);
-        assert_eq!(report.max_after_ns, 6_000_000);
-        assert!(chares.iter().take(2).all(|&c| m.pe_of(c) == 0));
     }
 }

@@ -20,7 +20,7 @@
 //! - [`gpu_msg`]: the older GPU Messaging API with its post-entry-method
 //!   round trip, kept as a comparison point.
 //! - [`sdag`]: SDAG-style message buffering with reference numbers.
-//! - [`lb`]: greedy and closed-loop load balancing over measured chare
+//! - [`lb`]: the closed-loop load-balancing planner over measured chare
 //!   loads — the runtime adaptivity that overdecomposition enables.
 //!
 //! # Example: a chare that offloads to the GPU and detects completion
@@ -88,7 +88,7 @@ pub mod slot;
 pub use channel::{create_channel, ChannelEnd};
 pub use ckpt::ChareSnapshot;
 pub use config::{LbConfig, LbPolicy, MachineConfig, RtCosts};
-pub use lb::{greedy_rebalance, periodic_plan, LbPlan, LbSensors, RebalanceReport};
+pub use lb::{periodic_plan, LbPlan, LbSensors};
 pub use machine::{
     Chare, ChareClone, Ctx, LbStats, Machine, MachineStats, Simulation, WorldSnapshot,
 };

@@ -837,17 +837,10 @@ impl Machine {
         self.chare_pe[c.0]
     }
 
-    /// Accumulated CPU time charged by a chare (the load metric used by
-    /// the greedy load balancer).
+    /// Accumulated CPU time charged by a chare (the load PE-failure
+    /// recovery places refugee chares by).
     pub fn load_of(&self, c: ChareId) -> SimDuration {
         self.chare_load[c.0]
-    }
-
-    /// Overwrite a chare's measured load (test support for the load
-    /// balancer).
-    #[doc(hidden)]
-    pub fn set_load_for_test(&mut self, c: ChareId, load: SimDuration) {
-        self.chare_load[c.0] = load;
     }
 
     /// Device owned by a PE (non-SMP: one GPU per PE).
@@ -961,9 +954,9 @@ impl Machine {
         }
     }
 
-    /// Move a chare to another PE (load balancing). Only safe between
-    /// phases when the chare has no in-flight communication.
-    pub fn migrate(&mut self, chare: ChareId, to_pe: usize) {
+    /// Re-home a chare on another PE. Only [`Machine::rollback`] calls
+    /// it, after every in-flight message and queued entry is purged.
+    fn migrate(&mut self, chare: ChareId, to_pe: usize) {
         assert!(to_pe < self.pes.len());
         self.stats.migrations += 1;
         self.chare_pe[chare.0] = to_pe;

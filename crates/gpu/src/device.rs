@@ -308,11 +308,6 @@ impl Device {
         );
     }
 
-    /// Compute-engine utilization over `[start, now]`.
-    pub fn compute_utilization(&self, start: SimTime, now: SimTime) -> f64 {
-        self.compute.busy.utilization(start, now)
-    }
-
     /// Take all completion tags fired since the last drain.
     pub fn drain_completions(&mut self) -> Vec<CompletionTag> {
         std::mem::take(&mut self.completions)

@@ -8,7 +8,6 @@
 
 /// Which address space a buffer lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Space {
     /// GPU HBM.
     Device,
@@ -18,7 +17,6 @@ pub enum Space {
 
 /// Handle to a buffer in a device's [`MemoryPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BufferId(pub u32);
 
 /// Storage behind a buffer: real data or just a size.
@@ -84,7 +82,6 @@ impl Buffer {
 /// A contiguous range of elements within a buffer, the unit all copy and
 /// communication operations work on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BufRange {
     /// Which buffer.
     pub buf: BufferId,

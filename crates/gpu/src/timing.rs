@@ -10,7 +10,6 @@ use gaat_sim::SimDuration;
 
 /// Timing model of one GPU and its host link.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GpuTimingModel {
     /// Effective HBM bandwidth in bytes/second (V100: ~900 GB/s).
     pub mem_bw: f64,

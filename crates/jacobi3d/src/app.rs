@@ -7,7 +7,6 @@ use crate::geom::Dims;
 
 /// How halo data travels between blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CommMode {
     /// Application-level host staging: explicit D2H, host message, H2D
     /// (the `-H` variants in the paper).
@@ -19,7 +18,6 @@ pub enum CommMode {
 
 /// Host-device synchronization scheme (paper §III-C / Fig. 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SyncMode {
     /// The original implementation: two sync points per iteration (after
     /// the update and before the halo exchange) and a single
@@ -32,7 +30,6 @@ pub enum SyncMode {
 
 /// Kernel fusion strategy (paper §III-D1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Fusion {
     /// No fusion: one kernel per pack, unpack, and update.
     None,
@@ -54,7 +51,6 @@ impl Fusion {
 /// How graph execution handles the per-iteration in/out pointer swap
 /// (paper §III-D2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum GraphStrategy {
     /// Two captured graphs with the buffer pointers exchanged, alternated
     /// every iteration — the paper's solution.
@@ -70,7 +66,6 @@ pub enum GraphStrategy {
 /// topology-aware fabric model prices: a congestion ablation runs the
 /// same problem under both placements and compares hot links.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Placement {
     /// Contiguous blocks of the linearized chare order per PE (the
     /// Charm++ default block map) — neighbours mostly share a node.
@@ -83,7 +78,6 @@ pub enum Placement {
 
 /// A full experiment description.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct JacobiConfig {
     /// The machine to simulate.
     pub machine: MachineConfig,
@@ -183,7 +177,6 @@ impl JacobiConfig {
 
 /// Result of one run.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunResult {
     /// Mean time per timed iteration (the paper's y-axis).
     pub time_per_iter: SimDuration,

@@ -8,7 +8,6 @@
 
 /// Extents in three dimensions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dims {
     /// X extent (fastest-varying in memory).
     pub x: usize,
@@ -37,7 +36,6 @@ impl Dims {
 
 /// One of the six block faces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Face {
     /// −x
     Xm,
@@ -154,7 +152,6 @@ pub fn best_grid(p: usize, global: Dims) -> Dims {
 
 /// A decomposition of a global grid into a 3D grid of blocks.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Decomp {
     /// Global grid extents.
     pub global: Dims,

@@ -71,11 +71,6 @@ impl Mpi {
         }
     }
 
-    /// The chare implementing a rank.
-    pub fn chare_of(&self, rank: usize) -> ChareId {
-        self.ranks[rank]
-    }
-
     fn new_request(&mut self) -> Request {
         let r = self.next_req;
         self.next_req += 1;

@@ -33,12 +33,10 @@ use std::sync::Arc;
 
 /// Identifier of a machine node (which hosts several PEs/GPUs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub usize);
 
 /// Which interconnect model prices and schedules messages.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TopologyKind {
     /// Per-NIC alpha-beta model; unloaded links, delivery fixed at send.
     #[default]
@@ -50,7 +48,6 @@ pub enum TopologyKind {
 
 /// Calibration constants of the fabric.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetParams {
     /// Base one-way latency between nodes (host memory to host memory).
     pub inter_latency: SimDuration,
@@ -141,7 +138,6 @@ impl SharedTopology {
 /// Coarse message class, for traffic accounting and (in topology models)
 /// future QoS; the fabric prices all classes identically today.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TrafficClass {
     /// Bulk payload (eager data, rendezvous data, pipeline chunks).
     #[default]
@@ -328,11 +324,6 @@ pub trait Topology: std::fmt::Debug + Send {
     /// shared-bandwidth solver at all).
     fn solver_stats(&self) -> SolverStats {
         SolverStats::default()
-    }
-
-    /// Per-link counters (empty under open-loop models).
-    fn link_report(&self, _horizon: SimTime) -> Vec<LinkUsage> {
-        Vec::new()
     }
 
     /// Instant up to which traffic has been accounted (utilization
@@ -532,10 +523,6 @@ impl Topology for FatTree {
         self.flows.solver_stats()
     }
 
-    fn link_report(&self, horizon: SimTime) -> Vec<LinkUsage> {
-        self.flows.link_report(horizon)
-    }
-
     fn horizon(&self) -> SimTime {
         self.flows.settled_at()
     }
@@ -718,16 +705,6 @@ impl Fabric {
             link_faults: self.stats.link_faults,
             flow_aborts: self.stats.flow_aborts,
         }
-    }
-
-    /// Per-link counters over `[0, horizon]` (empty under `Flat`).
-    pub fn link_report(&self, horizon: SimTime) -> Vec<LinkUsage> {
-        self.topo.link_report(horizon)
-    }
-
-    /// Whole-fabric congestion summary over `[0, horizon]`.
-    pub fn congestion(&self, horizon: SimTime) -> CongestionSummary {
-        self.topo.congestion(horizon)
     }
 
     /// Enable or disable per-link busy-span recording into

@@ -59,7 +59,6 @@ pub enum MsgFate {
 
 /// What happens to a link at a scheduled instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LinkFaultKind {
     /// The link goes down; routes fail over, in-flight flows abort.
     Down,
@@ -72,7 +71,6 @@ pub enum LinkFaultKind {
 
 /// A scheduled link state change.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinkFault {
     /// When the fault takes effect.
     pub at: SimTime,
@@ -84,7 +82,6 @@ pub struct LinkFault {
 
 /// A scheduled permanent PE (process) failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PeFault {
     /// When the PE dies.
     pub at: SimTime,
@@ -95,7 +92,6 @@ pub struct PeFault {
 /// A window during which one GPU runs slow (thermal throttling, a noisy
 /// neighbour, a failing HBM stack).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StragglerWindow {
     /// The affected device.
     pub device: usize,
@@ -114,7 +110,6 @@ pub struct StragglerWindow {
 /// without hashing, so fault-free runs stay bit-identical to builds that
 /// predate fault injection.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultPlan {
     /// Seed for all hash-derived decisions.
     pub seed: u64,

@@ -2,7 +2,8 @@
 //!
 //! The foundation of the GAAT (GPU-Aware Asynchronous Tasks) stack: a
 //! single-threaded, bit-deterministic discrete-event simulator with integer
-//! nanosecond time, a splittable RNG, and statistics accumulators.
+//! nanosecond time, a splittable RNG, fault plans, span tracing and
+//! busy-time tracking.
 //!
 //! Everything above this crate — the GPU device model, the interconnect,
 //! the communication library, the task runtime, and the Jacobi3D proxy
@@ -33,6 +34,6 @@ pub mod trace;
 pub use engine::{EventId, RunOutcome, Sim, SimSnapshot};
 pub use fault::{FaultPlan, LinkFault, LinkFaultKind, MsgFate, PeFault, StragglerWindow};
 pub use rng::{mix64, SimRng};
-pub use stats::{Accumulator, BusyTracker, IterationTimer, LogHistogram, SimStats};
+pub use stats::{BusyTracker, SimStats};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Span, SpanStats, Tracer};

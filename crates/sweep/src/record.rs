@@ -1,9 +1,8 @@
 //! Per-scenario result records, fingerprints, and the streamed
 //! JSONL/CSV encodings.
 //!
-//! The JSON here is hand-formatted like the rest of the repo's
-//! `BENCH_*.json` output (the vendored serde is a minimal stand-in, see
-//! `vendor/README.md`).
+//! The JSON here is hand-formatted like the rest of the repo's JSON
+//! output; the workspace has no serialization dependency.
 
 use gaat_sim::mix64;
 

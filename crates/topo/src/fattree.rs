@@ -13,7 +13,6 @@ use crate::{LinkDesc, LinkId, LinkKind};
 /// and NIC port bandwidths come from `NetParams` so `Flat` and `FatTree`
 /// share the same endpoint calibration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FatTreeParams {
     /// Nodes per leaf switch.
     pub leaf_radix: usize,

@@ -45,10 +45,6 @@ pub struct SolverStats {
 }
 
 impl SolverStats {
-    /// Bucket labels matching [`SolverStats::dirty_hist`].
-    pub const HIST_LABELS: [&'static str; 8] =
-        ["0", "1", "2-3", "4-7", "8-15", "16-31", "32-63", ">=64"];
-
     /// Record one recompute that touched `dirty_flows` of the `live`
     /// flows and reset `dirty_links` links.
     pub fn record_component(&mut self, dirty_flows: usize, dirty_links: usize, live: usize) {
@@ -64,12 +60,6 @@ impl SolverStats {
             n => (usize::BITS - n.leading_zeros()).min(7) as usize,
         };
         self.dirty_hist[bucket] += 1;
-    }
-
-    /// Mean dirty-component size (flows actually re-water-filled per
-    /// recompute).
-    pub fn touched_flows_per_recompute(&self) -> f64 {
-        self.touched_flows as f64 / (self.recomputes.max(1)) as f64
     }
 }
 

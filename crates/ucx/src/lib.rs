@@ -40,12 +40,10 @@ const ACK_BIT: u64 = 1 << 63;
 /// A communication endpoint — one per PE/process (and therefore one per
 /// GPU in the paper's configuration).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkerId(pub usize);
 
 /// Message tag for two-sided matching.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Tag(pub u64);
 
 /// Where a message buffer lives: a range of some device's memory pool
@@ -67,7 +65,6 @@ pub struct MemLoc {
 /// builds that predate fault injection. Enable it alongside a lossy
 /// [`gaat_sim::FaultPlan`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReliabilityParams {
     /// Master switch; off = fire-and-forget (the seed behaviour).
     pub enabled: bool,
@@ -98,7 +95,6 @@ impl Default for ReliabilityParams {
 
 /// Protocol calibration constants.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct UcxParams {
     /// Host-memory messages up to this size go eager.
     pub eager_threshold: u64,

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, rustdoc, the tier-1 build, the
 # standalone benchmark build, tier-1 and workspace tests (which hold every
-# correctness pin) in release and in the dev profile, a collectives smoke
-# run and the sweep engine's in-process ratio gates. Everything here must
-# pass with no network access.
+# correctness pin) in release and in the dev profile, the fault-tolerance
+# example (PE-failure recovery must still match the reference solver), a
+# collectives smoke run and the sweep engine's in-process ratio gates.
+# Everything here must pass with no network access.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,6 +38,12 @@ echo "==> workspace tests (dev profile)"
 # its queue invariants (occupancy drift, time going backwards) only
 # exist in this profile.
 cargo test -q --workspace
+
+echo "==> fault-tolerance example"
+# Real-buffer Jacobi3D loses a PE mid-run; the example asserts that
+# checkpoint/rollback recovery still matches the sequential reference.
+cargo run --release -p gaat --example fault_tolerance
+echo "fault-tolerance example OK"
 
 echo "==> collectives benchmark (smoke)"
 # Runs the ring/tree allreduce, MoE alltoall and training-overlap slices;
