@@ -463,3 +463,121 @@ fn adaptive_lb_rollback_replays_golden() {
         }
     );
 }
+
+/// One Jacobi3D variant of the golden matrix below, with the fields its
+/// golden pins.
+#[derive(Debug, PartialEq, Eq)]
+struct VariantPin {
+    total_ns: u64,
+    per_iter_ns: u64,
+    entries: u64,
+    kernels: u64,
+    graph_launches: u64,
+}
+
+impl VariantPin {
+    fn of(r: &gaat::jacobi3d::RunResult) -> Self {
+        VariantPin {
+            total_ns: r.total.as_ns(),
+            per_iter_ns: r.time_per_iter.as_ns(),
+            entries: r.entries,
+            kernels: r.kernels,
+            graph_launches: r.graph_launches,
+        }
+    }
+}
+
+/// Virtual-time goldens over the Jacobi3D variant matrix at [`cfg`]'s
+/// size: the original sync scheme, every fusion strategy on the stream
+/// and graph paths, the re-parameterized single graph, and the MPI
+/// host-staged, manual-overlap and virtualized variants. Every variant
+/// launches the same kernels on the same block layout, so a refactor of
+/// the block model must leave all of them bit-identical. Recorded when
+/// the matrix landed; may only move on a deliberate model change.
+#[test]
+fn variant_matrix_replays_goldens() {
+    use gaat::jacobi3d::app::GraphStrategy;
+    use gaat::jacobi3d::SyncMode;
+    let charm = |odf, f: &dyn Fn(&mut JacobiConfig)| {
+        let mut c = cfg();
+        c.odf = odf;
+        f(&mut c);
+        VariantPin::of(&run_charm(c))
+    };
+    let mpi = |f: &dyn Fn(&mut JacobiConfig)| {
+        let mut c = cfg();
+        f(&mut c);
+        VariantPin::of(&run_mpi(c))
+    };
+    let got = [
+        (
+            "charm-H original",
+            charm(4, &|c| {
+                c.comm = CommMode::HostStaging;
+                c.sync = SyncMode::Original;
+            }),
+        ),
+        (
+            "charm-D original",
+            charm(4, &|c| c.sync = SyncMode::Original),
+        ),
+        ("charm-D fusion A", charm(4, &|c| c.fusion = Fusion::A)),
+        ("charm-D fusion B", charm(4, &|c| c.fusion = Fusion::B)),
+        ("charm-D fusion C", charm(4, &|c| c.fusion = Fusion::C)),
+        ("graphs fusion None", charm(2, &|c| c.graphs = true)),
+        (
+            "graphs fusion A",
+            charm(2, &|c| {
+                c.graphs = true;
+                c.fusion = Fusion::A;
+            }),
+        ),
+        (
+            "graphs fusion C",
+            charm(2, &|c| {
+                c.graphs = true;
+                c.fusion = Fusion::C;
+            }),
+        ),
+        (
+            "graphs update-params",
+            charm(2, &|c| {
+                c.graphs = true;
+                c.graph_strategy = GraphStrategy::UpdateParams;
+            }),
+        ),
+        ("mpi-H", mpi(&|c| c.comm = CommMode::HostStaging)),
+        ("mpi-D", mpi(&|c| c.comm = CommMode::GpuAware)),
+        ("mpi overlap", mpi(&|c| c.overlap = true)),
+        ("mpi virtual ranks 2", mpi(&|c| c.virtual_ranks = 2)),
+    ];
+    // (name, total ns, per-iteration ns, entries, kernels, graph launches)
+    let want: [(&str, u64, u64, u64, u64, u64); 13] = [
+        ("charm-H original", 5_185_400, 499_797, 5_168, 4_640, 0),
+        ("charm-D original", 3_144_254, 304_666, 5_168, 4_640, 0),
+        ("charm-D fusion A", 2_305_454, 224_904, 4_736, 3_040, 0),
+        ("charm-D fusion B", 1_495_454, 143_904, 4_736, 1_440, 0),
+        ("charm-D fusion C", 1_078_282, 102_595, 4_736, 528, 0),
+        ("graphs fusion None", 966_357, 89_078, 2_128, 92, 240),
+        ("graphs fusion A", 892_055, 86_953, 2_128, 24, 240),
+        ("graphs fusion C", 580_439, 55_201, 2_128, 24, 240),
+        ("graphs update-params", 1_258_262, 119_064, 2_128, 92, 240),
+        ("mpi-H", 1_764_421, 175_334, 1_292, 920, 0),
+        ("mpi-D", 986_355, 97_886, 1_172, 920, 0),
+        ("mpi overlap", 844_065, 83_657, 1_172, 1_040, 0),
+        ("mpi virtual ranks 2", 1_562_428, 153_491, 2_584, 2_080, 0),
+    ];
+    for ((name, p), (wname, total_ns, per_iter_ns, entries, kernels, graph_launches)) in
+        got.iter().zip(want)
+    {
+        assert_eq!(*name, wname);
+        let want = VariantPin {
+            total_ns,
+            per_iter_ns,
+            entries,
+            kernels,
+            graph_launches,
+        };
+        assert_eq!(*p, want, "{name}");
+    }
+}
