@@ -1,7 +1,7 @@
 //! Regenerate the paper's evaluation figures.
 //!
 //! ```text
-//! cargo run --release -p gaat-bench --bin figures -- [--fig all|6|7a|7b|7c|8|9|ablations]
+//! cargo run --release -p gaat-bench --bin figures -- [--fig all|6|7|7a|7b|7c|8|9|ablations]
 //!                                                    [--effort quick|standard|full]
 //!                                                    [--out results]
 //! ```
@@ -17,6 +17,9 @@ use std::path::PathBuf;
 use gaat_bench::harness::{print_table, write_csv};
 use gaat_bench::{ablation, best_per_point, fig6, fig7a, fig7b, fig7c, fig8, fig9, Effort};
 
+/// Every `--fig` value; `7` selects 7a, 7b and 7c.
+const FIGS: [&str; 9] = ["all", "6", "7", "7a", "7b", "7c", "8", "9", "ablations"];
+
 fn main() {
     let mut fig = "all".to_string();
     let mut effort = Effort::standard();
@@ -29,6 +32,11 @@ fn main() {
         match args[i].as_str() {
             "--fig" => {
                 fig = args.get(i + 1).expect("--fig needs a value").clone();
+                assert!(
+                    FIGS.contains(&fig.as_str()),
+                    "unknown figure {fig:?}; valid: {}",
+                    FIGS.join(", ")
+                );
                 i += 2;
             }
             "--effort" => {
@@ -37,7 +45,7 @@ fn main() {
                     "quick" => Effort::quick(),
                     "standard" => Effort::standard(),
                     "full" => Effort::full(),
-                    other => panic!("unknown effort {other:?}"),
+                    other => panic!("unknown effort {other:?}; valid: quick, standard, full"),
                 };
                 i += 2;
             }

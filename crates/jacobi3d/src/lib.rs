@@ -21,6 +21,7 @@
 #![warn(missing_docs)]
 
 pub mod app;
+mod block;
 pub mod charm;
 pub mod geom;
 pub mod kernels;

@@ -11,15 +11,15 @@ use std::sync::Arc;
 
 use gaat_mpi::Mpi;
 use gaat_rt::{
-    BufRange, BufferId, Callback, Chare, ChareId, Ctx, EntryId, Envelope, KernelSpec, MemLoc, Op,
-    Simulation, Space, StreamId,
+    BufRange, Callback, Chare, ChareId, Ctx, EntryId, Envelope, KernelSpec, MemLoc, Op, Simulation,
+    StreamId,
 };
 use gaat_sim::SimTime;
 
 use crate::app::{CommMode, JacobiConfig, RunResult};
-use crate::geom::{Decomp, Dims, Face, FACES};
+use crate::block::{self, Block, Owner};
+use crate::geom::Decomp;
 use crate::kernels;
-use crate::reference::initial_value;
 
 /// Begin execution.
 pub const E_START: EntryId = EntryId(0);
@@ -48,16 +48,8 @@ pub struct MpiShared {
 pub struct JacobiRank {
     mpi: Mpi,
     sh: Arc<MpiShared>,
-    dims: Dims,
-    faces: Vec<Face>,
-    /// Neighbour rank across each face.
-    neighbors: [Option<usize>; 6],
-    u: [BufferId; 2],
-    cur: usize,
-    halo_send_d: [Option<BufferId>; 6],
-    halo_recv_d: [Option<BufferId>; 6],
-    halo_send_h: [Option<BufferId>; 6],
-    halo_recv_h: [Option<BufferId>; 6],
+    /// The block; its neighbours are rank indices.
+    block: Block,
     stream: StreamId,
     iter: usize,
     /// Warm-up completion time.
@@ -67,14 +59,9 @@ pub struct JacobiRank {
 }
 
 impl JacobiRank {
-    fn face_cells(&self, f: Face) -> usize {
-        f.area(self.dims)
-    }
-
     fn interior_cells(&self) -> usize {
-        self.dims.x.saturating_sub(2)
-            * self.dims.y.saturating_sub(2)
-            * self.dims.z.saturating_sub(2)
+        let d = self.block.dims;
+        d.x.saturating_sub(2) * d.y.saturating_sub(2) * d.z.saturating_sub(2)
     }
 
     /// Blocking wait on the GPU stream — except under AMPI-style
@@ -91,16 +78,9 @@ impl JacobiRank {
 
     /// Phase 1: pack all faces, then synchronize.
     fn step_pack(&mut self, ctx: &mut Ctx<'_>) {
-        for &f in &self.faces.clone() {
-            let t = &ctx.machine.cfg.gpu;
-            let work = kernels::copy_work(t, self.face_cells(f));
-            let (u, halo, d) = (
-                self.u[self.cur],
-                self.halo_send_d[f.index()].expect("active"),
-                self.dims,
-            );
-            let spec =
-                KernelSpec::with_func("pack", work, move |m| kernels::pack(m, u, halo, d, f));
+        let b = &self.block;
+        for &f in &b.faces {
+            let spec = b.pack_spec(&ctx.machine.cfg.gpu, b.cur, f);
             ctx.launch(self.stream, Op::kernel(spec));
         }
         self.gpu_wait(ctx, E_PACKED);
@@ -108,16 +88,14 @@ impl JacobiRank {
 
     /// Phase 2 (host staging only): D2H all faces, then synchronize.
     fn step_stage_out(&mut self, ctx: &mut Ctx<'_>) {
-        for &f in &self.faces.clone() {
-            let i = f.index();
-            let cells = self.face_cells(f);
-            ctx.launch(
-                self.stream,
-                Op::d2h(
-                    BufRange::whole(self.halo_send_d[i].expect("active"), cells),
-                    BufRange::whole(self.halo_send_h[i].expect("active"), cells),
-                ),
+        let b = &self.block;
+        for &f in &b.faces {
+            let cells = b.face_cells(f);
+            let op = Op::d2h(
+                BufRange::whole(b.send_d(f), cells),
+                BufRange::whole(b.send_h(f), cells),
             );
+            ctx.launch(self.stream, op);
         }
         self.gpu_wait(ctx, E_STAGED);
     }
@@ -125,41 +103,30 @@ impl JacobiRank {
     /// Phase 3: post all sends and receives, optionally overlap the
     /// interior update, then wait for everything.
     fn step_comm(&mut self, ctx: &mut Ctx<'_>) {
-        let dev = ctx.device();
+        let device = ctx.device();
         let host = self.sh.cfg.comm == CommMode::HostStaging;
-        for &f in &self.faces.clone() {
-            let i = f.index();
-            let cells = self.face_cells(f);
-            let nb = self.neighbors[i].expect("active face");
+        let b = &self.block;
+        for &f in &b.faces {
+            let nb = b.neighbors[f.index()].expect("active face");
             let (sbuf, rbuf) = if host {
-                (
-                    self.halo_send_h[i].expect("active"),
-                    self.halo_recv_h[i].expect("active"),
-                )
+                (b.send_h(f), b.recv_h(f))
             } else {
-                (
-                    self.halo_send_d[i].expect("active"),
-                    self.halo_recv_d[i].expect("active"),
-                )
+                (b.send_d(f), b.recv_d(f))
             };
-            let sloc = MemLoc {
-                device: dev,
-                range: BufRange::whole(sbuf, cells),
-            };
-            let rloc = MemLoc {
-                device: dev,
-                range: BufRange::whole(rbuf, cells),
+            let loc = |buf| MemLoc {
+                device,
+                range: BufRange::whole(buf, b.face_cells(f)),
             };
             // Tag = the *sender's* face index, so my receive across face f
             // matches the neighbour's send from f.opposite().
-            self.mpi.irecv(ctx, nb, f.opposite().index() as u64, rloc);
-            self.mpi.isend(ctx, nb, f.index() as u64, sloc);
+            self.mpi
+                .irecv(ctx, nb, f.opposite().index() as u64, loc(rbuf));
+            self.mpi.isend(ctx, nb, f.index() as u64, loc(sbuf));
         }
         if self.sh.cfg.overlap {
             // Manual overlap (Fig. 1b): the interior does not depend on
             // halo data.
-            let t = &ctx.machine.cfg.gpu;
-            let work = kernels::update_work(t, self.interior_cells());
+            let work = kernels::update_work(&ctx.machine.cfg.gpu, self.interior_cells());
             ctx.launch(
                 self.stream,
                 Op::kernel(KernelSpec::phantom("update_interior", work)),
@@ -173,46 +140,29 @@ impl JacobiRank {
     /// boundary.
     fn step_update(&mut self, ctx: &mut Ctx<'_>) {
         let host = self.sh.cfg.comm == CommMode::HostStaging;
-        for &f in &self.faces.clone() {
-            let i = f.index();
-            let cells = self.face_cells(f);
+        let b = &self.block;
+        for &f in &b.faces {
+            let cells = b.face_cells(f);
             if host {
-                ctx.launch(
-                    self.stream,
-                    Op::h2d(
-                        BufRange::whole(self.halo_recv_h[i].expect("active"), cells),
-                        BufRange::whole(self.halo_recv_d[i].expect("active"), cells),
-                    ),
+                let op = Op::h2d(
+                    BufRange::whole(b.recv_h(f), cells),
+                    BufRange::whole(b.recv_d(f), cells),
                 );
+                ctx.launch(self.stream, op);
             }
-            let t = &ctx.machine.cfg.gpu;
-            let work = kernels::copy_work(t, cells);
-            let (u, halo, d) = (
-                self.u[self.cur],
-                self.halo_recv_d[i].expect("active"),
-                self.dims,
-            );
-            let spec =
-                KernelSpec::with_func("unpack", work, move |m| kernels::unpack(m, u, halo, d, f));
+            let spec = b.unpack_spec(&ctx.machine.cfg.gpu, b.cur, f);
             ctx.launch(self.stream, Op::kernel(spec));
         }
         // The update kernel; under manual overlap only the exterior
         // remains (the functional effect is always the full sweep — the
         // interior phantom kernel carried no effect).
         let t = &ctx.machine.cfg.gpu;
-        let cells = if self.sh.cfg.overlap {
-            self.dims.count() - self.interior_cells()
+        let spec = if self.sh.cfg.overlap {
+            let exterior = b.dims.count() - self.interior_cells();
+            b.update_spec_over(t, b.cur, "update_exterior", exterior)
         } else {
-            self.dims.count()
+            b.update_spec(t, b.cur)
         };
-        let work = kernels::update_work(t, cells);
-        let (uin, uout, d) = (self.u[self.cur], self.u[1 - self.cur], self.dims);
-        let name = if self.sh.cfg.overlap {
-            "update_exterior"
-        } else {
-            "update"
-        };
-        let spec = KernelSpec::with_func(name, work, move |m| kernels::update(m, uin, uout, d));
         ctx.launch(self.stream, Op::kernel(spec));
         self.gpu_wait(ctx, E_ITER_DONE);
     }
@@ -233,7 +183,7 @@ impl Chare for JacobiRank {
             E_STAGED => self.step_comm(ctx),
             E_COMM_DONE => self.step_update(ctx),
             E_ITER_DONE => {
-                self.cur = 1 - self.cur;
+                self.block.cur = 1 - self.block.cur;
                 self.iter += 1;
                 if self.iter == self.sh.cfg.warmup {
                     self.warm_at = Some(ctx.start_time());
@@ -246,6 +196,16 @@ impl Chare for JacobiRank {
             }
             other => panic!("unknown entry {other:?}"),
         }
+    }
+}
+
+impl Owner for JacobiRank {
+    fn block(&self) -> &Block {
+        &self.block
+    }
+
+    fn finished(&self) -> (Option<SimTime>, Option<SimTime>) {
+        (self.warm_at, self.done_at)
     }
 }
 
@@ -268,81 +228,21 @@ pub fn build_in(
         "the MPI versions always run one rank per PE (use the task runtime for ODF > 1, \
          or virtual_ranks for AMPI-style virtualization)"
     );
-    let pes = cfg.machine.total_pes();
-    let nranks = pes * cfg.virtual_ranks;
-    let decomp = Decomp::new(cfg.global, nranks);
-    let real = cfg.machine.real_buffers;
+    let nranks = cfg.machine.total_pes() * cfg.virtual_ranks;
     let sh = Arc::new(MpiShared {
         cfg: cfg.clone(),
-        decomp,
+        decomp: Decomp::new(cfg.global, nranks),
     });
 
     // Pre-allocate per-rank GPU resources (the factory below cannot touch
     // the machine while `create_ranks` holds it).
-    struct Pre {
-        dims: Dims,
-        faces: Vec<Face>,
-        neighbors: [Option<usize>; 6],
-        u: [BufferId; 2],
-        hs_d: [Option<BufferId>; 6],
-        hr_d: [Option<BufferId>; 6],
-        hs_h: [Option<BufferId>; 6],
-        hr_h: [Option<BufferId>; 6],
-        stream: StreamId,
-    }
-    let mut pre: Vec<Option<Pre>> = Vec::with_capacity(nranks);
-    for rank in 0..nranks {
-        let coord = sh.decomp.coord_of(rank);
-        let dims = sh.decomp.block_dims(coord);
-        let origin = sh.decomp.block_origin(coord);
-        let faces = sh.decomp.active_faces(coord);
-        let device = &mut sim.machine.devices[rank / cfg.virtual_ranks];
-        let len = kernels::ghosted_len(dims);
-        let u0 = device.mem.alloc(Space::Device, len, real);
-        let u1 = device.mem.alloc(Space::Device, len, real);
-        if real {
-            let s = device.mem.get_mut(u0).as_mut_slice().expect("real");
-            for z in 1..=dims.z {
-                for y in 1..=dims.y {
-                    for x in 1..=dims.x {
-                        s[kernels::idx(dims, x, y, z)] =
-                            initial_value(origin.0 + x - 1, origin.1 + y - 1, origin.2 + z - 1);
-                    }
-                }
-            }
-        }
-        let mut hs_d = [None; 6];
-        let mut hr_d = [None; 6];
-        let mut hs_h = [None; 6];
-        let mut hr_h = [None; 6];
-        let mut neighbors = [None; 6];
-        for &f in &faces {
-            let cells = f.area(dims);
-            let i = f.index();
-            hs_d[i] = Some(device.mem.alloc(Space::Device, cells, real));
-            hr_d[i] = Some(device.mem.alloc(Space::Device, cells, real));
-            if cfg.comm == CommMode::HostStaging {
-                hs_h[i] = Some(device.mem.alloc(Space::Host, cells, real));
-                hr_h[i] = Some(device.mem.alloc(Space::Host, cells, real));
-            }
-            neighbors[i] = Some(
-                sh.decomp
-                    .index_of(sh.decomp.neighbor(coord, f).expect("active")),
-            );
-        }
-        let stream = device.create_stream(1);
-        pre.push(Some(Pre {
-            dims,
-            faces,
-            neighbors,
-            u: [u0, u1],
-            hs_d,
-            hr_d,
-            hs_h,
-            hr_h,
-            stream,
-        }));
-    }
+    let mut pre: Vec<Option<(Block, StreamId)>> = (0..nranks)
+        .map(|rank| {
+            let device = &mut sim.machine.devices[rank / cfg.virtual_ranks];
+            let block = Block::new(&cfg, &sh.decomp, rank, &mut device.mem);
+            Some((block, device.create_stream(1)))
+        })
+        .collect();
 
     for d in &sim.machine.devices {
         d.assert_memory_fits();
@@ -355,26 +255,14 @@ pub fn build_in(
         cfg.virtual_ranks,
         E_REQ,
         move |rank, mpi| {
-            let p = pre[rank].take().expect("one factory call per rank");
+            let (block, stream) = pre[rank].take().expect("one factory call per rank");
             JacobiRank {
                 mpi,
                 sh: sh2.clone(),
-                dims: p.dims,
-                faces: p.faces,
-                neighbors: p.neighbors,
-                u: p.u,
-                cur: 0,
-                halo_send_d: p.hs_d,
-                halo_recv_d: p.hr_d,
-                halo_send_h: p.hs_h,
-                halo_recv_h: p.hr_h,
-                stream: p.stream,
+                block,
+                stream,
                 iter: 0,
-                warm_at: if sh2.cfg.warmup == 0 {
-                    Some(SimTime::ZERO)
-                } else {
-                    None
-                },
+                warm_at: (sh2.cfg.warmup == 0).then_some(SimTime::ZERO),
                 done_at: None,
             }
         },
@@ -387,89 +275,18 @@ pub fn run(sim: &mut Simulation, ids: &[ChareId], sh: &MpiShared) -> RunResult {
     gaat_mpi::start_all(sim, ids, E_START);
     let outcome = sim.run();
     assert_eq!(outcome, gaat_rt::RunOutcome::Drained, "should quiesce");
-    let mut warm = SimTime::ZERO;
-    let mut done = SimTime::ZERO;
-    for &id in ids {
-        let r = sim.machine.chare_as::<JacobiRank>(id);
-        warm = warm.max(r.warm_at.expect("rank warmed up"));
-        done = done.max(r.done_at.expect("rank finished"));
-    }
-    let checksum = checksum(sim, ids, sh);
-    let kernels: u64 = sim.machine.devices.iter().map(|d| d.stats().kernels).sum();
-    let pes = sim.machine.pes.len();
-    let cpu_utilization = (0..pes)
-        .map(|p| sim.machine.pe_utilization(p, done))
-        .sum::<f64>()
-        / pes as f64;
-    RunResult {
-        time_per_iter: done.since(warm) / sh.cfg.iters as u64,
-        total: done.since(SimTime::ZERO),
-        warm_at: warm,
-        checksum,
-        entries: sim.machine.stats().entries,
-        kernels,
-        graph_launches: 0,
-        cpu_utilization,
-        reduced_norm: None,
-    }
+    block::collect::<JacobiRank>(sim, ids, &sh.cfg, None)
 }
 
 /// Sum of squares of the final field (`None` in phantom mode),
 /// reconstructed in global order so it is bit-comparable across variants
 /// and decompositions.
 pub fn checksum(sim: &Simulation, ids: &[ChareId], sh: &MpiShared) -> Option<f64> {
-    if !sh.cfg.machine.real_buffers {
-        return None;
-    }
-    let mut field = vec![0.0f64; sh.cfg.global.count()];
-    let g = sh.cfg.global;
-    for (rank, &id) in ids.iter().enumerate() {
-        let r = sim.machine.chare_as::<JacobiRank>(id);
-        let pe = sim.machine.pe_of(id);
-        let buf = sim.machine.devices[pe].mem.get(r.u[r.cur]);
-        let s = buf.as_slice()?;
-        let d = r.dims;
-        let o = sh.decomp.block_origin(sh.decomp.coord_of(rank));
-        for z in 1..=d.z {
-            for y in 1..=d.y {
-                for x in 1..=d.x {
-                    let gi = ((o.2 + z - 1) * g.y + (o.1 + y - 1)) * g.x + (o.0 + x - 1);
-                    field[gi] = s[kernels::idx(d, x, y, z)];
-                }
-            }
-        }
-    }
-    Some(field.iter().map(|v| v * v).sum())
+    block::checksum::<JacobiRank>(sim, ids, &sh.cfg)
 }
 
 /// Bit-exact comparison of every rank's final block against the
 /// sequential reference.
 pub fn validate_against_reference(sim: &Simulation, ids: &[ChareId], sh: &MpiShared) -> usize {
-    let mut reference = crate::reference::Reference::new(sh.cfg.global);
-    reference.run(sh.cfg.total_iters());
-    let mut compared = 0;
-    for (rank, &id) in ids.iter().enumerate() {
-        let r = sim.machine.chare_as::<JacobiRank>(id);
-        let pe = sim.machine.pe_of(id);
-        let buf = sim.machine.devices[pe].mem.get(r.u[r.cur]);
-        let s = buf.as_slice().expect("validation needs real buffers");
-        let d = r.dims;
-        let o = sh.decomp.block_origin(sh.decomp.coord_of(rank));
-        for z in 1..=d.z {
-            for y in 1..=d.y {
-                for x in 1..=d.x {
-                    let got = s[kernels::idx(d, x, y, z)];
-                    let want = reference.value_at(o.0 + x - 1, o.1 + y - 1, o.2 + z - 1);
-                    assert_eq!(got, want, "rank {rank} cell ({x},{y},{z})");
-                    compared += 1;
-                }
-            }
-        }
-    }
-    compared
+    block::validate::<JacobiRank>(sim, ids, &sh.cfg)
 }
-
-const _: () = {
-    // FACES must stay in sync with the 6-slot arrays used above.
-    assert!(FACES.len() == 6);
-};

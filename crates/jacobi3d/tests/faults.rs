@@ -231,3 +231,46 @@ fn same_fault_seed_replays_identically() {
         );
     }
 }
+
+/// A GPU-aware block cannot move to another PE: its channels and graphs
+/// belong to the device it was built on. A GPU-aware run that arms the
+/// load balancer (here against a 4× straggler) is rejected when it is
+/// built, not when the balancer first migrates a block.
+#[test]
+#[should_panic(expected = "need host-staging communication")]
+fn gpu_aware_lb_is_rejected_at_build() {
+    let mut machine = MachineConfig::summit(2);
+    machine.ucx.reliability.enabled = true;
+    machine.lb.policy = LbPolicy::Adaptive;
+    machine.lb.period = SimDuration::from_us(240);
+    machine.faults.stragglers.push(StragglerWindow {
+        device: 3,
+        from: SimTime::ZERO,
+        until: SimTime::ZERO + SimDuration::from_ms(60_000),
+        slowdown: 4.0,
+    });
+    let mut cfg = JacobiConfig::new(machine, Dims::cube(192));
+    cfg.comm = CommMode::GpuAware;
+    cfg.odf = 2;
+    cfg.checkpoint_every = 1;
+    charm::build(cfg);
+}
+
+/// The PE-failure counterpart of [`gpu_aware_lb_is_rejected_at_build`]:
+/// recovery would move the dead PE's blocks, so a GPU-aware run with a
+/// PE failure armed is rejected at build time.
+#[test]
+#[should_panic(expected = "need host-staging communication")]
+fn gpu_aware_pe_failure_is_rejected_at_build() {
+    let mut machine = MachineConfig::summit(2);
+    machine.ucx.reliability.enabled = true;
+    machine.faults.pe_failures = vec![PeFault {
+        at: SimTime::from_ns(1_000_000),
+        pe: 1,
+    }];
+    let mut cfg = JacobiConfig::new(machine, Dims::cube(96));
+    cfg.comm = CommMode::GpuAware;
+    cfg.odf = 2;
+    cfg.checkpoint_every = 1;
+    charm::build(cfg);
+}

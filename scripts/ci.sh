@@ -3,7 +3,8 @@
 # standalone benchmark build, tier-1 and workspace tests (which hold every
 # correctness pin) in release and in the dev profile, the fault-tolerance
 # example (PE-failure recovery must still match the reference solver), a
-# collectives smoke run and the sweep engine's in-process ratio gates.
+# quick Fig 9 through the figures binary, a collectives smoke run and the
+# sweep engine's in-process ratio gates.
 # Everything here must pass with no network access.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -44,6 +45,20 @@ echo "==> fault-tolerance example"
 # checkpoint/rollback recovery still matches the sequential reference.
 cargo run --release -p gaat --example fault_tolerance
 echo "fault-tolerance example OK"
+
+echo "==> figures binary"
+# Fig 9 at quick effort runs every graph x fusion path of Jacobi3D
+# through the binary; an unknown --fig value must fail rather than
+# write nothing.
+figs_out=$(mktemp -d)
+cargo run --release -p gaat-bench --bin figures -- --fig 9 --effort quick --out "$figs_out"
+test -s "$figs_out/fig9.csv"
+if cargo run --release -p gaat-bench --bin figures -- --fig bogus --out "$figs_out" 2>/dev/null; then
+    echo "figures --fig bogus must exit non-zero"
+    exit 1
+fi
+rm -rf "$figs_out"
+echo "figures OK"
 
 echo "==> collectives benchmark (smoke)"
 # Runs the ring/tree allreduce, MoE alltoall and training-overlap slices;
