@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use gaat_gpu::{CompletionTag, Device, DeviceId, GpuHost, GraphId, Op, StreamId};
-use gaat_net::{Fabric, NetHost, NetMsg, NodeId, SharedTopology};
+use gaat_net::{Fabric, NetHost, NetMsg, NodeId};
 use gaat_sim::{RunOutcome, Sim, SimDuration, SimRng, SimTime, Tracer};
 use gaat_ucx::{MemLoc, UcxEvent, UcxHost, UcxState, WorkerId};
 
@@ -420,15 +420,6 @@ pub struct Machine {
 impl Machine {
     /// Build a machine from a configuration.
     pub fn new(cfg: MachineConfig) -> Self {
-        Self::new_shared(cfg, None)
-    }
-
-    /// Like [`Machine::new`], but reusing pre-built immutable topology
-    /// state (an all-pairs route table) from a [`SharedTopology`] —
-    /// sweep workers build that state once per machine shape and share
-    /// it read-only across thousands of runs. Bit-identical to
-    /// [`Machine::new`].
-    pub fn new_shared(cfg: MachineConfig, shared: Option<&SharedTopology>) -> Self {
         let rng = SimRng::new(cfg.seed);
         let pes = cfg.total_pes();
         let devices: Vec<Device> = (0..pes)
@@ -441,7 +432,7 @@ impl Machine {
                 d
             })
             .collect();
-        let mut fabric = Fabric::new_shared(cfg.nodes, cfg.net.clone(), rng.stream(1), shared);
+        let mut fabric = Fabric::new(cfg.nodes, cfg.net.clone(), rng.stream(1));
         fabric.set_tracing(cfg.trace);
         if cfg.faults.is_active() {
             fabric.set_faults(cfg.faults.clone());
@@ -511,9 +502,34 @@ impl Machine {
     /// Schedule the fault plan's time-triggered faults (link and PE
     /// failures). Called once by [`Simulation::new`]; drivers that build
     /// a raw [`Machine`] and want faults must call it before running.
+    /// Panics, before scheduling anything, if a fault names a link, PE
+    /// or device the machine does not have.
     pub fn arm_faults(&mut self, sim: &mut Sim<Machine>) {
         if !self.cfg.faults.is_active() {
             return;
+        }
+        let links = self.fabric.link_count();
+        let (pes, devices) = (self.pes.len(), self.devices.len());
+        for (i, lf) in self.cfg.faults.link_faults.iter().enumerate() {
+            assert!(
+                (lf.link as usize) < links,
+                "link fault {i} targets link {}, but the fabric has {links} links",
+                lf.link
+            );
+        }
+        for (i, pf) in self.cfg.faults.pe_failures.iter().enumerate() {
+            assert!(
+                pf.pe < pes,
+                "PE failure {i} targets PE {}, but the machine has {pes} PEs",
+                pf.pe
+            );
+        }
+        for (i, sw) in self.cfg.faults.stragglers.iter().enumerate() {
+            assert!(
+                sw.device < devices,
+                "straggler window {i} targets device {}, but the machine has {devices} devices",
+                sw.device
+            );
         }
         gaat_net::arm_link_faults(self, sim);
         if !self.cfg.faults.pe_failures.is_empty() {
@@ -1515,24 +1531,18 @@ pub struct Simulation {
 impl Simulation {
     /// Build a simulation from a configuration.
     pub fn new(cfg: MachineConfig) -> Self {
-        Self::new_in(Sim::new(), cfg, None)
+        Self::new_in(Sim::new(), cfg)
     }
 
     /// Build a simulation inside an existing (fresh or [`Sim::reset`])
-    /// engine, optionally reusing pre-built topology state. This is the
-    /// world-slot construction path (see [`crate::slot::WorldSlot`]):
-    /// the engine keeps its heap allocations across runs, and the route
-    /// table is shared across workers. Bit-identical to
-    /// [`Simulation::new`] — the engine's observable state after a
-    /// reset equals a fresh engine's, and the shared route table replays
-    /// the same routes the fabric would derive itself.
-    pub fn new_in(
-        engine: Sim<Machine>,
-        cfg: MachineConfig,
-        shared: Option<&SharedTopology>,
-    ) -> Self {
+    /// engine. This is the world-slot construction path (see
+    /// [`crate::slot::WorldSlot`]): the engine keeps its heap
+    /// allocations across runs. Bit-identical to [`Simulation::new`] —
+    /// the engine's observable state after a reset equals a fresh
+    /// engine's.
+    pub fn new_in(engine: Sim<Machine>, cfg: MachineConfig) -> Self {
         let mut sim = engine.with_event_limit(5_000_000_000);
-        let mut machine = Machine::new_shared(cfg, shared);
+        let mut machine = Machine::new(cfg);
         machine.arm_faults(&mut sim);
         machine.arm_lb(&mut sim);
         Simulation { sim, machine }
@@ -1588,8 +1598,19 @@ impl Simulation {
     /// drop/corrupt probability, seed) after a restore; time-triggered
     /// faults (link faults, PE failures, stragglers) are armed as build
     /// time events and must be identical across branches sharing a
-    /// prefix, so they are deliberately NOT re-armed here.
+    /// prefix, so they are deliberately NOT re-armed here. Panics if
+    /// `faults` differs from the armed plan in any of them.
     pub fn set_stochastic_faults(&mut self, faults: gaat_sim::FaultPlan) {
+        let armed = &self.machine.cfg.faults;
+        assert!(
+            faults.link_faults == armed.link_faults
+                && faults.pe_failures == armed.pe_failures
+                && faults.stragglers == armed.stragglers
+                && faults.detection_delay == armed.detection_delay,
+            "set_stochastic_faults may change only the seed, drop/corrupt \
+             probabilities and onset: link faults, PE failures, stragglers \
+             and detection delay must match the armed plan"
+        );
         if !faults.stragglers.is_empty() {
             for d in &mut self.machine.devices {
                 d.set_fault_plan(faults.clone());

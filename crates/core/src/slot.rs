@@ -1,24 +1,20 @@
 //! World-slot reuse: amortizing per-run allocation across many runs.
 //!
 //! Every [`Simulation::new`] pays for the event engine's ~1.5 MB
-//! calendar wheel, the slab arena, and (on a fat tree) the route
-//! machinery — costs that dwarf the useful work of a small scenario and
-//! repeat thousands of times in a sweep. A [`WorldSlot`] is one
-//! reusable simulation cell: it parks the engine between runs and
-//! rebuilds only the per-scenario [`Machine`] on top of it, and it
-//! caches [`SharedTopology`] state (the pre-built all-pairs route
-//! table) per machine shape so repeated shapes never re-derive routing.
+//! calendar wheel and the slab arena — costs that dwarf the useful work
+//! of a small scenario and repeat thousands of times in a sweep. A
+//! [`WorldSlot`] is one reusable simulation cell: it parks the engine
+//! between runs and rebuilds only the per-scenario [`Machine`] on top
+//! of it.
 //!
 //! Reuse is *bit-invisible*: [`gaat_sim::Sim::reset`] restores the
 //! engine to the observable state of a fresh one (slot indices,
-//! generations, sequence numbers, and the clock all restart at zero),
-//! and the shared route table replays exactly what the fabric would
-//! compute itself. `crates/sweep/tests` pin this with a
-//! reset-slot-vs-fresh-world bit-identity test.
+//! generations, sequence numbers, and the clock all restart at zero).
+//! `crates/sweep/tests` pin this with a reset-slot-vs-fresh-world
+//! bit-identity test.
 
 use crate::config::MachineConfig;
 use crate::machine::{Machine, Simulation};
-use gaat_net::SharedTopology;
 use gaat_sim::Sim;
 
 /// Usage counters of one slot (how often reuse actually happened).
@@ -36,11 +32,6 @@ pub struct SlotStats {
 #[derive(Default)]
 pub struct WorldSlot {
     engine: Option<Sim<Machine>>,
-    /// Shared immutable topology state, one entry per machine shape this
-    /// slot has seen (a sweep typically has one or two). Entries
-    /// installed by [`WorldSlot::install_topology`] carry `Arc`s shared
-    /// with other slots; lazily built entries are slot-local.
-    topos: Vec<SharedTopology>,
     stats: SlotStats,
 }
 
@@ -50,16 +41,8 @@ impl WorldSlot {
         Self::default()
     }
 
-    /// Adopt pre-built shared topology state (an `Arc` clone of state
-    /// built once by the sweep driver) so this slot never derives its
-    /// own copy for that shape.
-    pub fn install_topology(&mut self, topo: SharedTopology) {
-        self.topos.push(topo);
-    }
-
     /// Build a ready-to-run simulation for `cfg`, reusing the retired
-    /// engine's allocations when one is parked and any cached topology
-    /// state matching the config's shape. Bit-identical to
+    /// engine's allocations when one is parked. Bit-identical to
     /// `Simulation::new(cfg)`.
     pub fn prepare(&mut self, cfg: MachineConfig) -> Simulation {
         let engine = match self.engine.take() {
@@ -71,15 +54,7 @@ impl WorldSlot {
             None => Sim::new(),
         };
         self.stats.prepared += 1;
-        if !self.topos.iter().any(|t| t.matches(cfg.nodes, &cfg.net)) {
-            self.topos.push(SharedTopology::build(cfg.nodes, &cfg.net));
-        }
-        let shared = self
-            .topos
-            .iter()
-            .find(|t| t.matches(cfg.nodes, &cfg.net))
-            .expect("just inserted");
-        Simulation::new_in(engine, cfg, Some(shared))
+        Simulation::new_in(engine, cfg)
     }
 
     /// Park a finished simulation's engine for the next `prepare`. The

@@ -274,3 +274,66 @@ fn gpu_aware_pe_failure_is_rejected_at_build() {
     cfg.checkpoint_every = 1;
     charm::build(cfg);
 }
+
+/// Charm-H at 96³ with checkpointing on: a configuration that builds
+/// and runs cleanly unless `machine`'s fault plan is out of range.
+fn build_charm_h(mut machine: MachineConfig) {
+    machine.ucx.reliability.enabled = true;
+    let mut cfg = JacobiConfig::new(machine, Dims::cube(96));
+    cfg.comm = CommMode::HostStaging;
+    cfg.odf = 2;
+    cfg.checkpoint_every = 1;
+    charm::build(cfg);
+}
+
+fn link_down(link: u32) -> LinkFault {
+    LinkFault {
+        at: SimTime::ZERO + SimDuration::from_us(100),
+        link,
+        kind: LinkFaultKind::Down,
+    }
+}
+
+/// `summit_fattree(2)` has 14 links (2 NVLink, 2 + 2 NIC ports and one
+/// leaf with 4 up/down trunk pairs); a fault on link 9,999 is rejected
+/// when the simulation is built, not when it fires.
+#[test]
+#[should_panic(expected = "link fault 0 targets link 9999, but the fabric has 14 links")]
+fn out_of_range_link_fault_is_rejected_at_build() {
+    let mut machine = MachineConfig::summit_fattree(2);
+    machine.faults.link_faults = vec![link_down(9_999)];
+    build_charm_h(machine);
+}
+
+/// A Flat fabric has no link graph, so any link fault is out of range.
+#[test]
+#[should_panic(expected = "link fault 0 targets link 0, but the fabric has 0 links")]
+fn link_fault_on_flat_fabric_is_rejected_at_build() {
+    let mut machine = MachineConfig::summit(2);
+    machine.faults.link_faults = vec![link_down(0)];
+    build_charm_h(machine);
+}
+
+#[test]
+#[should_panic(expected = "PE failure 0 targets PE 99, but the machine has 12 PEs")]
+fn out_of_range_pe_failure_is_rejected_at_build() {
+    let mut machine = MachineConfig::summit(2);
+    machine.faults.pe_failures = vec![PeFault {
+        at: SimTime::from_ns(1_000_000),
+        pe: 99,
+    }];
+    build_charm_h(machine);
+}
+
+#[test]
+#[should_panic(expected = "straggler window 0 targets device 99, but the machine has 12 devices")]
+fn out_of_range_straggler_is_rejected_at_build() {
+    let mut machine = MachineConfig::summit(2);
+    machine.faults.stragglers = vec![StragglerWindow {
+        device: 99,
+        from: SimTime::ZERO,
+        until: SimTime::ZERO + SimDuration::from_ms(10),
+        slowdown: 2.0,
+    }];
+    build_charm_h(machine);
+}

@@ -6,14 +6,23 @@
 //! `t = 0`. These tests pin that claim for the Jacobi3D app across the
 //! late-diverging fault axes the memoizer actually forks on
 //! (drop probability and fault seed past an onset instant), including
-//! restoring one snapshot several times.
+//! restoring one snapshot several times, and on a fat tree whose trunk
+//! is down at the snapshot instant.
 
 use gaat_jacobi3d::{charm, CommMode, Dims, JacobiConfig, RunResult};
+use gaat_net::{FatTreeGraph, FatTreeParams, TopologyKind};
 use gaat_rt::{MachineConfig, Simulation};
-use gaat_sim::{FaultPlan, SimDuration, SimTime};
+use gaat_sim::{FaultPlan, LinkFault, LinkFaultKind, SimDuration, SimTime};
 
-fn onset_cfg(drop_prob: f64, onset_us: u64, retries: bool, fault_seed: u64) -> JacobiConfig {
+fn onset_cfg(
+    topology: TopologyKind,
+    drop_prob: f64,
+    onset_us: u64,
+    retries: bool,
+    fault_seed: u64,
+) -> JacobiConfig {
     let mut machine = MachineConfig::validation(2, 2);
+    machine.net.topology = topology;
     machine.faults = FaultPlan {
         seed: fault_seed,
         drop_prob,
@@ -41,6 +50,9 @@ struct Outcome {
     ucx_retransmits: u64,
     ucx_timeouts: u64,
     entries: u64,
+    link_faults: u64,
+    failovers: u64,
+    flow_aborts: u64,
 }
 
 fn outcome(sim: &Simulation, result: Option<RunResult>, stalled: usize) -> Outcome {
@@ -56,6 +68,9 @@ fn outcome(sim: &Simulation, result: Option<RunResult>, stalled: usize) -> Outco
         ucx_retransmits: ucx.retransmits,
         ucx_timeouts: ucx.timeouts,
         entries: sim.machine.stats().entries,
+        link_faults: net.link_faults,
+        failovers: net.failovers,
+        flow_aborts: net.flow_aborts,
     }
 }
 
@@ -91,9 +106,9 @@ fn forked_drop_rate_branches_match_fresh_runs() {
     // only in post-onset drop probability — the canonical late axis.
     let onset = SimTime::ZERO + SimDuration::from_us(40);
     let branches = [
-        onset_cfg(0.08, 40, true, 9),
-        onset_cfg(0.20, 40, true, 9),
-        onset_cfg(0.0, 40, true, 9),
+        onset_cfg(TopologyKind::Flat, 0.08, 40, true, 9),
+        onset_cfg(TopologyKind::Flat, 0.20, 40, true, 9),
+        onset_cfg(TopologyKind::Flat, 0.0, 40, true, 9),
     ];
     let fresh: Vec<Outcome> = branches.iter().map(|c| run_fresh(c.clone())).collect();
     let forked = run_forked(&branches, onset);
@@ -109,7 +124,7 @@ fn forked_drop_rate_branches_match_fresh_runs() {
 #[test]
 fn one_snapshot_restores_many_times() {
     let onset = SimTime::ZERO + SimDuration::from_us(40);
-    let b = onset_cfg(0.15, 40, true, 7);
+    let b = onset_cfg(TopologyKind::Flat, 0.15, 40, true, 7);
     // Branch list repeats the same plan: every restore of the one
     // snapshot must reproduce the same bits.
     let branches = [b.clone(), b.clone(), b];
@@ -126,9 +141,9 @@ fn forked_fault_seed_branches_match_with_retries_off() {
     // stalled counts and drain times must still match fresh runs.
     let onset = SimTime::ZERO + SimDuration::from_us(30);
     let branches = [
-        onset_cfg(0.05, 30, false, 1),
-        onset_cfg(0.05, 30, false, 2),
-        onset_cfg(0.05, 30, false, 3),
+        onset_cfg(TopologyKind::Flat, 0.05, 30, false, 1),
+        onset_cfg(TopologyKind::Flat, 0.05, 30, false, 2),
+        onset_cfg(TopologyKind::Flat, 0.05, 30, false, 3),
     ];
     let fresh: Vec<Outcome> = branches.iter().map(|c| run_fresh(c.clone())).collect();
     let forked = run_forked(&branches, onset);
@@ -147,12 +162,75 @@ fn snapshot_past_quiescence_degrades_gracefully() {
     // fault-free run, exactly as fresh execution would.
     let onset = SimTime::ZERO + SimDuration::from_ms(50);
     let branches = [
-        onset_cfg(0.3, 50_000, true, 4),
-        onset_cfg(0.7, 50_000, true, 4),
+        onset_cfg(TopologyKind::Flat, 0.3, 50_000, true, 4),
+        onset_cfg(TopologyKind::Flat, 0.7, 50_000, true, 4),
     ];
     let fresh: Vec<Outcome> = branches.iter().map(|c| run_fresh(c.clone())).collect();
     let forked = run_forked(&branches, onset);
     assert_eq!(forked, fresh);
     assert_eq!(fresh[0].net_drops, 0);
     assert_eq!(fresh[0], fresh[1]);
+}
+
+#[test]
+fn forked_fat_tree_branches_match_fresh_runs_across_a_trunk_outage() {
+    // Two nodes on separate leaves over two spines. The primary trunk
+    // of 0 -> 1 goes down before the snapshot instant and comes back
+    // after it, so the snapshot captures live flows, a down link and
+    // the failover routing it forces; every restored branch must then
+    // replay the recovery exactly as a fresh run does.
+    let ft = FatTreeParams {
+        leaf_radix: 1,
+        spines: 2,
+        trunk_bw: 23.0e9,
+        hop_latency_ns: 150,
+    };
+    let graph = FatTreeGraph::new(2, 60.0e9, 23.0e9, ft);
+    let mut route = Vec::new();
+    graph.try_route(0, 1, &mut route).unwrap();
+    let trunk = route[1].0;
+    let onset = SimTime::ZERO + SimDuration::from_us(40);
+    let branches = [0.08, 0.20, 0.0].map(|drop| {
+        let mut cfg = onset_cfg(TopologyKind::FatTree(ft), drop, 40, true, 9);
+        cfg.machine.faults.link_faults = vec![
+            LinkFault {
+                at: SimTime::ZERO + SimDuration::from_us(20),
+                link: trunk,
+                kind: LinkFaultKind::Down,
+            },
+            LinkFault {
+                at: SimTime::ZERO + SimDuration::from_us(600),
+                link: trunk,
+                kind: LinkFaultKind::Up,
+            },
+        ];
+        cfg
+    });
+    let fresh: Vec<Outcome> = branches.iter().map(|c| run_fresh(c.clone())).collect();
+    let forked = run_forked(&branches, onset);
+    assert_eq!(forked, fresh);
+    for o in &fresh {
+        assert_eq!(o.link_faults, 2, "both link faults fire before quiescence");
+        assert!(o.failovers > 0, "traffic must detour around the down trunk");
+    }
+    assert!(fresh[0].net_drops > 0, "onset must land before quiescence");
+    assert_eq!(fresh[2].net_drops, 0);
+    assert_ne!(fresh[0].end_ns, fresh[2].end_ns);
+}
+
+/// Forking swaps only the stochastic fault fields; a plan whose
+/// time-triggered faults differ from the armed one would fire faults
+/// the world never scheduled, so the swap is refused.
+#[test]
+#[should_panic(expected = "must match the armed plan")]
+fn stochastic_swap_refuses_different_link_faults() {
+    let mut machine = MachineConfig::summit_fattree(2);
+    machine.faults.link_faults = vec![LinkFault {
+        at: SimTime::ZERO + SimDuration::from_us(100),
+        link: 7,
+        kind: LinkFaultKind::Down,
+    }];
+    let mut sim = Simulation::new(machine.clone());
+    machine.faults.link_faults[0].link = 8;
+    sim.set_stochastic_faults(machine.faults);
 }

@@ -1,7 +1,7 @@
 //! # gaat-net — simulated interconnect
 //!
 //! The fabric owns message admission, statistics, and delivery-event
-//! scheduling, and delegates *cost* to a [`Topology`]:
+//! scheduling, and delegates *cost* to one of two topology models:
 //!
 //! - [`TopologyKind::Flat`] (default) is the Summit-like open-loop model:
 //!   every node owns a NIC with separate egress (injection) and ingress
@@ -24,12 +24,11 @@
 use gaat_sim::{
     EventId, FaultPlan, LinkFaultKind, MsgFate, Sim, SimDuration, SimRng, SimTime, Tracer,
 };
+use gaat_topo::FlowSim;
 pub use gaat_topo::{
     BusySpan, CongestionSummary, FatTreeGraph, FatTreeParams, LinkId, LinkKind, LinkUsage,
-    RouteTable, SolverStats,
+    SolverStats,
 };
-use gaat_topo::{FlowSim, RouteInfo};
-use std::sync::Arc;
 
 /// Identifier of a machine node (which hosts several PEs/GPUs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -88,50 +87,6 @@ impl NetParams {
     /// Serialization time of `bytes` on the intra-node path.
     pub fn intra_ser(&self, bytes: u64) -> SimDuration {
         SimDuration::from_ns((bytes as f64 / self.intra_bw * 1e9).round() as u64)
-    }
-}
-
-/// Immutable pre-built topology state shared by concurrent simulations.
-///
-/// A sweep over thousands of scenarios on the same machine shape would
-/// otherwise rebuild identical routing state once per run; this type
-/// builds it once and hands read-only `Arc` clones to every worker. For
-/// [`TopologyKind::FatTree`] the shared state is the all-pairs
-/// [`RouteTable`]; `Flat` has no shareable routing state, but a
-/// `SharedTopology` still records the shape so a cached value can be
-/// checked against a scenario's config with [`SharedTopology::matches`].
-///
-/// Sharing is purely an allocation/CPU optimization: the table replays
-/// `try_route` on the all-up graph, and a fabric stops consulting it
-/// the moment a link fault fires, so outcomes are bit-identical with or
-/// without it.
-#[derive(Debug, Clone)]
-pub struct SharedTopology {
-    nodes: usize,
-    params: NetParams,
-    routes: Option<Arc<RouteTable>>,
-}
-
-impl SharedTopology {
-    /// Build the shared state for one machine shape.
-    pub fn build(nodes: usize, params: &NetParams) -> Self {
-        let routes = match params.topology {
-            TopologyKind::Flat => None,
-            TopologyKind::FatTree(ft) => {
-                let graph = FatTreeGraph::new(nodes, params.intra_bw, params.inter_bw, ft);
-                Some(Arc::new(RouteTable::build(&graph)))
-            }
-        };
-        SharedTopology {
-            nodes,
-            params: params.clone(),
-            routes,
-        }
-    }
-
-    /// True if this shared state was built for exactly this shape.
-    pub fn matches(&self, nodes: usize, params: &NetParams) -> bool {
-        self.nodes == nodes && self.params == *params
     }
 }
 
@@ -259,9 +214,9 @@ impl LinkHeat {
     }
 }
 
-/// Outcome of [`Topology::admit`].
+/// Outcome of admitting a message into the topology model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admit {
+enum Admit {
     /// Open-loop: the delivery instant is fixed at admission.
     Deliver(SimTime),
     /// Closed-loop: the topology owns the message's progress as a flow;
@@ -276,72 +231,40 @@ pub enum Admit {
     NoRoute,
 }
 
-/// The pricing-and-scheduling backend behind a [`Fabric`].
+/// The pricing-and-scheduling backend behind a [`Fabric`], selected by
+/// [`TopologyKind`].
 ///
-/// `admit` either prices the message immediately (open-loop models
-/// return [`Admit::Deliver`]) or takes ownership of its progress and
-/// returns [`Admit::Flow`], in which case the fabric keeps one wakeup
-/// event at [`Topology::next_wakeup`] and calls [`Topology::advance`]
-/// there to learn which in-flight slots completed — the idempotent
+/// `admit` either prices the message immediately (`Flat` returns
+/// [`Admit::Deliver`]) or takes ownership of its progress and returns
+/// [`Admit::Flow`], in which case the fabric keeps one wakeup event at
+/// the flow model's next wakeup and calls `advance` there to learn
+/// which in-flight slots completed — the idempotent
 /// settle/complete/reschedule state machine from `gaat-topo`.
-pub trait Topology: std::fmt::Debug + Send {
+#[derive(Debug, Clone)]
+enum Topology {
+    Flat(Flat),
+    FatTree(Box<FatTree>),
+}
+
+impl Topology {
     /// Price `msg` (already jittered by `jitter`) entering at `now`.
     /// `flight` is the fabric's in-flight slot, echoed back through
-    /// [`Topology::advance`] for closed-loop models.
-    fn admit(&mut self, now: SimTime, msg: &NetMsg, jitter: f64, flight: u32) -> Admit;
-
-    /// Apply a scheduled link state change at `now`: down links reroute
-    /// future traffic and abort the flows crossing them (their fabric
-    /// flight slots are pushed to `aborted`), degradations rescale
-    /// capacity, and `Up` restores the nominal bandwidth. Open-loop
-    /// models have no link graph and ignore faults.
-    fn apply_link_fault(
-        &mut self,
-        _now: SimTime,
-        _link: LinkId,
-        _kind: LinkFaultKind,
-        _aborted: &mut Vec<u64>,
-    ) {
+    /// `advance` for the flow model.
+    fn admit(&mut self, now: SimTime, msg: &NetMsg, jitter: f64, flight: u32) -> Admit {
+        match self {
+            Topology::Flat(f) => Admit::Deliver(f.admit(now, msg, jitter)),
+            Topology::FatTree(t) => t.admit(now, msg, jitter, flight),
+        }
     }
 
-    /// Earliest instant at which `advance` would have something to do.
-    /// Takes `&mut self` so closed-loop models can run their deferred
-    /// rate recomputation before answering.
-    fn next_wakeup(&mut self) -> Option<SimTime> {
-        None
+    /// The max-min flow model, if this topology has one (`Flat` does
+    /// not: it has no links to share, no rate solver and no busy spans).
+    fn flows(&self) -> Option<&FlowSim> {
+        match self {
+            Topology::Flat(_) => None,
+            Topology::FatTree(t) => Some(&t.flows),
+        }
     }
-
-    /// Progress in-flight messages to `now`; push `(flight, deliver_at)`
-    /// for each one that completed its wire transfer.
-    fn advance(&mut self, _now: SimTime, _delivered: &mut Vec<(u32, SimTime)>) {}
-
-    /// Whole-fabric congestion summary (zero under open-loop models).
-    fn congestion(&self, _horizon: SimTime) -> CongestionSummary {
-        CongestionSummary::default()
-    }
-
-    /// Rate-solver counters (zero under open-loop models, which have no
-    /// shared-bandwidth solver at all).
-    fn solver_stats(&self) -> SolverStats {
-        SolverStats::default()
-    }
-
-    /// Instant up to which traffic has been accounted (utilization
-    /// denominator for [`Fabric::stats`]).
-    fn horizon(&self) -> SimTime {
-        SimTime::ZERO
-    }
-
-    /// Move accumulated link busy intervals out (for tracer lanes).
-    fn drain_spans(&mut self, _out: &mut Vec<BusySpan>) {}
-
-    /// Enable or disable busy-interval recording.
-    fn set_tracing(&mut self, _on: bool) {}
-
-    /// Deep-copy the topology state behind the trait object — NIC port
-    /// clocks, link graph, flow rates, ETA queue. What lets a
-    /// [`Fabric`] be cloned into a world snapshot for fork/restore.
-    fn clone_box(&self) -> Box<dyn Topology>;
 }
 
 /// The seed per-NIC alpha-beta model; delivery fixed at send time.
@@ -351,13 +274,13 @@ struct Flat {
     nics: Vec<Nic>,
 }
 
-impl Topology for Flat {
-    fn admit(&mut self, now: SimTime, msg: &NetMsg, jitter: f64, _flight: u32) -> Admit {
+impl Flat {
+    fn admit(&mut self, now: SimTime, msg: &NetMsg, jitter: f64) -> SimTime {
         if msg.src == msg.dst {
             // Intra-node: latency + serialization, no NIC contention.
             let ser = self.params.intra_ser(msg.bytes).mul_f64(jitter);
             let lat = (self.params.intra_latency + msg.extra_latency).mul_f64(jitter);
-            return Admit::Deliver(now + lat + ser);
+            return now + lat + ser;
         }
         let ser = self.params.inter_ser(msg.bytes).mul_f64(jitter);
         let latency = (self.params.inter_latency + msg.extra_latency).mul_f64(jitter);
@@ -372,11 +295,7 @@ impl Topology for Flat {
         let tail_arrival = depart + latency + ser;
         let delivery = tail_arrival.max(self.nics[msg.dst.0].ingress_free + ser);
         self.nics[msg.dst.0].ingress_free = delivery;
-        Admit::Deliver(delivery)
-    }
-
-    fn clone_box(&self) -> Box<dyn Topology> {
-        Box::new(self.clone())
+        delivery
     }
 }
 
@@ -395,24 +314,10 @@ struct FatTree {
     tail_latency: Vec<SimDuration>,
     route_buf: Vec<LinkId>,
     done_buf: Vec<u64>,
-    /// Pre-built all-up routes shared across simulations (sweep mode).
-    routes: Option<Arc<RouteTable>>,
-    /// True while the table may be consulted: no link is down. The
-    /// table's routes equal `try_route`'s output on an all-up graph, so
-    /// flipping this flag can never change an outcome.
-    routes_valid: bool,
 }
 
 impl FatTree {
-    fn new(
-        nodes: usize,
-        params: &NetParams,
-        ft: FatTreeParams,
-        routes: Option<Arc<RouteTable>>,
-    ) -> Self {
-        if let Some(rt) = &routes {
-            assert_eq!(rt.nodes(), nodes, "shared route table shape mismatch");
-        }
+    fn new(nodes: usize, params: &NetParams, ft: FatTreeParams) -> Self {
         let graph = FatTreeGraph::new(nodes, params.intra_bw, params.inter_bw, ft);
         let flows = FlowSim::new(graph.links().to_vec());
         FatTree {
@@ -424,31 +329,16 @@ impl FatTree {
             tail_latency: Vec::new(),
             route_buf: Vec::new(),
             done_buf: Vec::new(),
-            routes_valid: routes.is_some(),
-            routes,
         }
     }
-}
 
-impl Topology for FatTree {
     fn admit(&mut self, now: SimTime, msg: &NetMsg, jitter: f64, flight: u32) -> Admit {
-        let info = if self.routes_valid {
-            let rt = self.routes.as_ref().expect("routes_valid implies a table");
-            let (links, hops) = rt.lookup(msg.src.0, msg.dst.0);
-            self.route_buf.clear();
-            self.route_buf.extend_from_slice(links);
-            RouteInfo {
-                hops,
-                failover: false,
-            }
-        } else {
-            match self
-                .graph
-                .try_route(msg.src.0, msg.dst.0, &mut self.route_buf)
-            {
-                Some(info) => info,
-                None => return Admit::NoRoute,
-            }
+        let info = match self
+            .graph
+            .try_route(msg.src.0, msg.dst.0, &mut self.route_buf)
+        {
+            Some(info) => info,
+            None => return Admit::NoRoute,
         };
         let base = if msg.src == msg.dst {
             self.intra_latency
@@ -473,6 +363,10 @@ impl Topology for FatTree {
         }
     }
 
+    /// Apply a scheduled link state change at `now`: down links reroute
+    /// future traffic and abort the flows crossing them (their fabric
+    /// flight slots are pushed to `aborted`), degradations rescale
+    /// capacity, and `Up` restores the nominal bandwidth.
     fn apply_link_fault(
         &mut self,
         now: SimTime,
@@ -484,16 +378,12 @@ impl Topology for FatTree {
             LinkFaultKind::Down => {
                 self.graph.set_link_state(link, false);
                 self.flows.abort_link(now, link, aborted);
-                // The pre-built table assumes all links up; fall back to
-                // the D-mod-k failover scan until every link recovers.
-                self.routes_valid = false;
             }
             LinkFaultKind::Up => {
                 self.graph.set_link_state(link, true);
                 // Restore nominal capacity (undoes any prior degradation).
                 let bw = self.graph.links()[link.0 as usize].bw;
                 self.flows.set_link_bw(now, link, bw);
-                self.routes_valid = self.routes.is_some() && self.graph.all_links_up();
             }
             LinkFaultKind::Degrade(factor) => {
                 let bw = self.graph.links()[link.0 as usize].bw;
@@ -503,10 +393,8 @@ impl Topology for FatTree {
         }
     }
 
-    fn next_wakeup(&mut self) -> Option<SimTime> {
-        self.flows.next_wakeup()
-    }
-
+    /// Progress in-flight messages to `now`; push `(flight, deliver_at)`
+    /// for each one that completed its wire transfer.
     fn advance(&mut self, now: SimTime, delivered: &mut Vec<(u32, SimTime)>) {
         self.done_buf.clear();
         self.flows.advance(now, &mut self.done_buf);
@@ -514,58 +402,17 @@ impl Topology for FatTree {
             delivered.push((flight as u32, now + self.tail_latency[flight as usize]));
         }
     }
-
-    fn congestion(&self, horizon: SimTime) -> CongestionSummary {
-        self.flows.congestion(horizon)
-    }
-
-    fn solver_stats(&self) -> SolverStats {
-        self.flows.solver_stats()
-    }
-
-    fn horizon(&self) -> SimTime {
-        self.flows.settled_at()
-    }
-
-    fn drain_spans(&mut self, out: &mut Vec<BusySpan>) {
-        self.flows.drain_spans(out);
-    }
-
-    fn set_tracing(&mut self, on: bool) {
-        self.flows.set_record_spans(on);
-    }
-
-    fn clone_box(&self) -> Box<dyn Topology> {
-        Box::new(self.clone())
-    }
 }
 
-impl Clone for Fabric {
-    fn clone(&self) -> Self {
-        Fabric {
-            params: self.params.clone(),
-            nodes: self.nodes,
-            topo: self.topo.clone_box(),
-            jitter_salt: self.jitter_salt,
-            stats: self.stats,
-            in_flight: self.in_flight.clone(),
-            in_flight_free: self.in_flight_free.clone(),
-            wakeup: self.wakeup,
-            faults: self.faults.clone(),
-            abort_buf: self.abort_buf.clone(),
-            tracer: self.tracer.clone(),
-            scratch: self.scratch.clone(),
-            span_buf: self.span_buf.clone(),
-        }
-    }
-}
-
-/// The interconnect state: admission/stats front end over a [`Topology`].
-#[derive(Debug)]
+/// The interconnect state: admission/stats front end over the
+/// topology model selected by [`NetParams::topology`]. Cloning deep-copies
+/// everything — NIC port clocks, link graph, flow rates, ETA queue —
+/// which is what lets a world snapshot fork a live fabric.
+#[derive(Debug, Clone)]
 pub struct Fabric {
     params: NetParams,
     nodes: usize,
-    topo: Box<dyn Topology>,
+    topo: Topology,
     /// Seed-derived salt for per-message jitter hashing.
     jitter_salt: u64,
     stats: NetStats,
@@ -590,33 +437,15 @@ pub struct Fabric {
 impl Fabric {
     /// A fabric connecting `nodes` nodes, with the topology selected by
     /// `params.topology`.
-    pub fn new(nodes: usize, params: NetParams, rng: SimRng) -> Self {
-        Self::new_shared(nodes, params, rng, None)
-    }
-
-    /// Like [`Fabric::new`], but reusing pre-built immutable topology
-    /// state (routes) from a [`SharedTopology`] instead of deriving it
-    /// locally. Outcomes are bit-identical either way; panics if the
-    /// shared state was built for a different shape.
-    pub fn new_shared(
-        nodes: usize,
-        params: NetParams,
-        mut rng: SimRng,
-        shared: Option<&SharedTopology>,
-    ) -> Self {
-        let routes = shared.and_then(|s| {
-            assert!(
-                s.matches(nodes, &params),
-                "shared topology was built for a different machine shape"
-            );
-            s.routes.clone()
-        });
-        let topo: Box<dyn Topology> = match params.topology {
-            TopologyKind::Flat => Box::new(Flat {
+    pub fn new(nodes: usize, params: NetParams, mut rng: SimRng) -> Self {
+        let topo = match params.topology {
+            TopologyKind::Flat => Topology::Flat(Flat {
                 params: params.clone(),
                 nics: vec![Nic::default(); nodes],
             }),
-            TopologyKind::FatTree(ft) => Box::new(FatTree::new(nodes, &params, ft, routes)),
+            TopologyKind::FatTree(ft) => {
+                Topology::FatTree(Box::new(FatTree::new(nodes, &params, ft)))
+            }
         };
         Fabric {
             params,
@@ -672,6 +501,16 @@ impl Fabric {
         self.nodes
     }
 
+    /// Number of directed links in the topology's link graph: the bound
+    /// on a [`gaat_sim::LinkFault`]'s `link` index (0 under `Flat`,
+    /// which has no link graph).
+    pub fn link_count(&self) -> usize {
+        match &self.topo {
+            Topology::Flat(_) => 0,
+            Topology::FatTree(t) => t.graph.links().len(),
+        }
+    }
+
     /// The calibration constants in effect.
     pub fn params(&self) -> &NetParams {
         &self.params
@@ -682,11 +521,13 @@ impl Fabric {
     /// (zero under `Flat`).
     pub fn stats(&self) -> NetStats {
         let mut stats = self.stats;
-        let summary = self.topo.congestion(self.topo.horizon());
-        stats.peak_link_flows = summary.peak_link_flows;
-        stats.max_link_utilization = summary.max_link_utilization;
-        stats.hottest_link = summary.hottest_link;
-        stats.solver = self.topo.solver_stats();
+        if let Some(flows) = self.topo.flows() {
+            let summary = flows.congestion(flows.settled_at());
+            stats.peak_link_flows = summary.peak_link_flows;
+            stats.max_link_utilization = summary.max_link_utilization;
+            stats.hottest_link = summary.hottest_link;
+            stats.solver = flows.solver_stats();
+        }
         stats
     }
 
@@ -696,7 +537,10 @@ impl Fabric {
     /// retransmits burning bandwidth, failovers and aborts from link
     /// faults. Pure read; calling it cannot perturb the simulation.
     pub fn heat(&self, horizon: SimTime) -> LinkHeat {
-        let c = self.topo.congestion(horizon);
+        let c = self
+            .topo
+            .flows()
+            .map_or_else(CongestionSummary::default, |f| f.congestion(horizon));
         LinkHeat {
             max_link_utilization: c.max_link_utilization,
             hottest_link: c.hottest_link,
@@ -711,7 +555,9 @@ impl Fabric {
     /// [`Fabric::tracer`].
     pub fn set_tracing(&mut self, on: bool) {
         self.tracer.set_enabled(on);
-        self.topo.set_tracing(on);
+        if let Topology::FatTree(t) = &mut self.topo {
+            t.flows.set_record_spans(on);
+        }
     }
 
     /// Update message/byte counters for `msg`.
@@ -771,10 +617,13 @@ impl Fabric {
     /// `out` as `(in-flight slot, delivery instant)`, and drain link
     /// busy spans into the fabric tracer.
     pub fn tick_topology(&mut self, now: SimTime, out: &mut Vec<(u32, SimTime)>) {
-        self.topo.advance(now, out);
+        let Topology::FatTree(t) = &mut self.topo else {
+            return;
+        };
+        t.advance(now, out);
         if self.tracer.is_enabled() {
             let mut spans = std::mem::take(&mut self.span_buf);
-            self.topo.drain_spans(&mut spans);
+            t.flows.drain_spans(&mut spans);
             for s in &spans {
                 self.tracer
                     .record(s.link.0, "link", s.kind.label(), s.start, s.end);
@@ -881,9 +730,9 @@ fn link_fault_fire<W: NetHost>(w: &mut W, sim: &mut Sim<W>, idx: u64) {
         fabric.stats.link_faults += 1;
         let mut aborted = std::mem::take(&mut fabric.abort_buf);
         aborted.clear();
-        fabric
-            .topo
-            .apply_link_fault(now, LinkId(lf.link), lf.kind, &mut aborted);
+        if let Topology::FatTree(t) = &mut fabric.topo {
+            t.apply_link_fault(now, LinkId(lf.link), lf.kind, &mut aborted);
+        }
         fabric.stats.flow_aborts += aborted.len() as u64;
         let dead: Vec<NetMsg> = aborted
             .iter()
@@ -902,7 +751,10 @@ fn link_fault_fire<W: NetHost>(w: &mut W, sim: &mut Sim<W>, idx: u64) {
 /// Keep exactly one pending tick event at the topology's next wakeup.
 fn reconcile_wakeup<W: NetHost>(w: &mut W, sim: &mut Sim<W>) {
     let fabric = w.fabric_mut();
-    let want = fabric.topo.next_wakeup();
+    let want = match &mut fabric.topo {
+        Topology::Flat(_) => None,
+        Topology::FatTree(t) => t.flows.next_wakeup(),
+    };
     let stale = match (fabric.wakeup, want) {
         (Some((at, _)), Some(next)) => at != next,
         (None, Some(_)) => true,

@@ -11,11 +11,7 @@
 //!    restores a fresh engine's observable state; pinned by the
 //!    world-reuse test), so it does not matter *which* slot — with
 //!    *whatever* history — a scenario lands on.
-//! 3. The shared route table replays exactly what each fabric would
-//!    derive itself (`gaat-topo`'s `RouteTable` is built by replaying
-//!    `try_route`), so sharing immutable topology state is also
-//!    bit-invisible.
-//! 4. Workers claim scenarios by atomic fetch-add, so worker count and
+//! 3. Workers claim scenarios by atomic fetch-add, so worker count and
 //!    dequeue order only permute *completion order*. Records carry
 //!    their scenario's stable grid index; the report re-sorts by index,
 //!    and wall-clock metadata is excluded from fingerprints.
@@ -32,7 +28,6 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use gaat_jacobi3d::{charm, RunResult};
-use gaat_net::SharedTopology;
 use gaat_rt::{ChareId, Simulation, SlotStats, WorldSlot};
 use gaat_sim::SimDuration;
 
@@ -180,18 +175,6 @@ pub fn run_sweep(scenarios: &[Scenario], opts: &SweepOptions) -> std::io::Result
         opts.workers
     };
 
-    // One immutable topology/route table per unique machine shape,
-    // built up front and shared behind `Arc`s by every worker.
-    let mut shapes: Vec<SharedTopology> = Vec::new();
-    for sc in scenarios {
-        if !shapes
-            .iter()
-            .any(|t| t.matches(sc.machine.nodes, &sc.machine.net))
-        {
-            shapes.push(SharedTopology::build(sc.machine.nodes, &sc.machine.net));
-        }
-    }
-
     // Resume: harvest intact records from a previous partial JSONL.
     // A record is trusted only if it parses, its stored fingerprint
     // matches the recomputed one, and its index/label agree with this
@@ -238,7 +221,6 @@ pub fn run_sweep(scenarios: &[Scenario], opts: &SweepOptions) -> std::io::Result
     let (tx, rx) = mpsc::channel::<ScenarioRecord>();
     let mut slots = SlotStats::default();
     let mut fork_stats = ForkStats::default();
-    let shapes_ref = &shapes;
     let next_ref = &next;
     let units_ref = &units;
 
@@ -248,9 +230,6 @@ pub fn run_sweep(scenarios: &[Scenario], opts: &SweepOptions) -> std::io::Result
             let tx = tx.clone();
             handles.push(s.spawn(move || {
                 let mut w = Worker::new(scenarios, opts.reuse_worlds);
-                for t in shapes_ref {
-                    w.slot.install_topology(t.clone());
-                }
                 'drain: loop {
                     let u = next_ref.fetch_add(1, Ordering::Relaxed);
                     if u >= units_ref.len() {
@@ -314,8 +293,8 @@ pub fn run_sweep(scenarios: &[Scenario], opts: &SweepOptions) -> std::io::Result
     Ok(report)
 }
 
-/// Run one scenario standalone, on a throwaway slot with no engine or
-/// topology reuse — the reference path the determinism test compares
+/// Run one scenario standalone, on a throwaway slot with no engine
+/// reuse — the reference path the determinism test compares
 /// sweep records against.
 pub fn run_standalone(sc: &Scenario) -> ScenarioRecord {
     let mut w = Worker::new(std::slice::from_ref(sc), false);

@@ -6,9 +6,7 @@
 //! indexed list of [`Scenario`] requests, and [`run_sweep`] drains the
 //! list across a pool of worker threads. Each worker owns one reusable
 //! [`gaat_rt::WorldSlot`] — engines are reset and recycled between
-//! scenarios instead of rebuilt (pinned bit-identical to fresh worlds)
-//! — and all workers share one immutable pre-built topology/route table
-//! per machine shape behind an `Arc`.
+//! scenarios instead of rebuilt (pinned bit-identical to fresh worlds).
 //!
 //! Results stream incrementally: one JSONL record per completed
 //! scenario (fingerprint, makespan, network/transport/collective

@@ -1,6 +1,5 @@
 //! The sweep engine's contract: per-scenario outcomes are independent
-//! of worker count, dequeue order, world-slot reuse, and shared-topology
-//! reuse. Fingerprints at workers {1, 2, 4} must match each other, must
+//! of worker count, dequeue order and world-slot reuse. Fingerprints at workers {1, 2, 4} must match each other, must
 //! match a reuse-disabled sweep, and must match standalone one-off runs
 //! of the same scenarios.
 
@@ -23,7 +22,7 @@ fn test_machine() -> MachineConfig {
 
 fn small_fattree() -> TopologyKind {
     // Two nodes on separate leaves over two spines, so inter-node
-    // traffic actually crosses the route table.
+    // traffic actually crosses a spine.
     TopologyKind::FatTree(FatTreeParams {
         leaf_radix: 1,
         spines: 2,

@@ -38,7 +38,8 @@ impl Default for FatTreeParams {
     }
 }
 
-/// The link graph plus routing tables for one machine.
+/// The link graph and link state of one machine; routes are computed
+/// per message by [`FatTreeGraph::try_route`].
 ///
 /// Link layout (indices into the flow simulation's link table):
 /// - `[0, nodes)`               per-node NVLink (intra-node loopback)
@@ -219,75 +220,5 @@ impl FatTreeGraph {
         self.try_route(src, dst, out)
             .unwrap_or_else(|| panic!("no route from node {src} to node {dst}"))
             .hops
-    }
-
-    /// True while every link is administratively up (the state a
-    /// [`RouteTable`] is valid for).
-    pub fn all_links_up(&self) -> bool {
-        self.link_up.iter().all(|&u| u)
-    }
-}
-
-/// Pre-computed all-links-up routes for every `(src, dst)` pair.
-///
-/// Built once per machine shape and shared read-only (behind an `Arc`)
-/// by every concurrent simulation in a sweep: while no link fault has
-/// fired, a fixed-stride table lookup replaces the per-message D-mod-k
-/// spine scan of [`FatTreeGraph::try_route`]. The table is byte-for-byte
-/// what `try_route` returns on an all-up graph (it is built by replaying
-/// `try_route`), so switching between the two paths can never change an
-/// outcome — the fabric simply stops consulting the table after the
-/// first link fault of a run.
-#[derive(Debug)]
-pub struct RouteTable {
-    nodes: usize,
-    /// `nodes * nodes` entries at a fixed stride of 4 links; routes are
-    /// 1 (loopback), 2 (same leaf) or 4 (cross-leaf) links long.
-    links: Vec<LinkId>,
-    /// Per-entry `(route length, switch hops)`.
-    meta: Vec<(u8, u8)>,
-}
-
-impl RouteTable {
-    /// Replay [`FatTreeGraph::try_route`] for every pair. The graph must
-    /// still have every link up (freshly built).
-    pub fn build(graph: &FatTreeGraph) -> Self {
-        assert!(
-            graph.all_links_up(),
-            "route table must be built before any link fault"
-        );
-        let n = graph.nodes;
-        let mut links = vec![LinkId(0); n * n * 4];
-        let mut meta = vec![(0u8, 0u8); n * n];
-        let mut buf = Vec::with_capacity(4);
-        for src in 0..n {
-            for dst in 0..n {
-                let info = graph
-                    .try_route(src, dst, &mut buf)
-                    .expect("all-up graph is fully connected");
-                let e = src * n + dst;
-                links[e * 4..e * 4 + buf.len()].copy_from_slice(&buf);
-                meta[e] = (buf.len() as u8, info.hops as u8);
-            }
-        }
-        RouteTable {
-            nodes: n,
-            links,
-            meta,
-        }
-    }
-
-    /// Number of nodes the table was built for.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// The pre-built route and its switch-hop count.
-    #[inline]
-    pub fn lookup(&self, src: usize, dst: usize) -> (&[LinkId], u32) {
-        debug_assert!(src < self.nodes && dst < self.nodes);
-        let e = src * self.nodes + dst;
-        let (len, hops) = self.meta[e];
-        (&self.links[e * 4..e * 4 + len as usize], hops as u32)
     }
 }

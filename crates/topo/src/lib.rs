@@ -15,7 +15,7 @@
 mod fattree;
 mod flow;
 
-pub use fattree::{FatTreeGraph, FatTreeParams, RouteInfo, RouteTable};
+pub use fattree::{FatTreeGraph, FatTreeParams, RouteInfo};
 pub use flow::{FlowSim, EPS_BYTES};
 
 /// Counters of the incremental max-min solver, accumulated over a

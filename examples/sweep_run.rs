@@ -5,15 +5,15 @@
 //! printing the per-group aggregate at the end.
 //!
 //! Every worker recycles one world slot (engine reset between
-//! scenarios) and shares the same pre-built topology state; outcomes
-//! are bit-identical at any worker count, so feel free to vary
-//! `SWEEP_WORKERS`. Because the drop rates only become observable at
-//! the 800 us fault onset, the prefix-memoizing planner groups the four
-//! drop rates of each (seed, ODF, placement) cell, executes their
-//! shared prefix once, snapshots the world just before the onset, and
-//! forks the remaining three scenarios from the snapshot — the
-//! prefix-tree stats printed at the end show how much re-execution that
-//! saved, and the records stay bit-identical to unforked runs.
+//! scenarios); outcomes are bit-identical at any worker count, so feel
+//! free to vary `SWEEP_WORKERS`. Because the drop rates only become
+//! observable at the 800 us fault onset, the prefix-memoizing planner
+//! groups the four drop rates of each (seed, ODF, placement) cell,
+//! executes their shared prefix once, snapshots the world just before
+//! the onset, and forks the remaining three scenarios from the snapshot
+//! — the prefix-tree stats printed at the end show how much
+//! re-execution that saved, and the records stay bit-identical to
+//! unforked runs.
 //!
 //! ```text
 //! cargo run --release -p gaat --example sweep_run

@@ -2,9 +2,10 @@
 # Offline CI gate: formatting, lints, rustdoc, the tier-1 build, the
 # standalone benchmark build, tier-1 and workspace tests (which hold every
 # correctness pin) in release and in the dev profile, the fault-tolerance
-# example (PE-failure recovery must still match the reference solver), a
-# quick Fig 9 through the figures binary, a collectives smoke run and the
-# sweep engine's in-process ratio gates.
+# example (PE-failure recovery must still match the reference solver), the
+# fat-tree strong-scaling and sweep examples, a quick Fig 9 through the
+# figures binary, a collectives smoke run and the sweep engine's
+# in-process ratio gates.
 # Everything here must pass with no network access.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -45,6 +46,13 @@ echo "==> fault-tolerance example"
 # checkpoint/rollback recovery still matches the sequential reference.
 cargo run --release -p gaat --example fault_tolerance
 echo "fault-tolerance example OK"
+
+echo "==> examples"
+# strong_scaling builds fat-tree worlds through the sweep engine's slot
+# pool; sweep_run drives a 1024-scenario forked sweep. Both must exit 0.
+cargo run --release -p gaat --example strong_scaling -- 4 --topology fattree
+cargo run --release -p gaat --example sweep_run
+echo "examples OK"
 
 echo "==> figures binary"
 # Fig 9 at quick effort runs every graph x fusion path of Jacobi3D
