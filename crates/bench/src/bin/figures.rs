@@ -1,24 +1,43 @@
 //! Regenerate the paper's evaluation figures.
 //!
 //! ```text
-//! cargo run --release -p gaat-bench --bin figures -- [--fig all|6|7|7a|7b|7c|8|9|ablations]
+//! cargo run --release -p gaat-bench --bin figures -- [--fig all|6|6s|7|7a|7b|7c|512|8|9|ablations|protocols]
 //!                                                    [--effort quick|standard|full]
 //!                                                    [--out results]
 //! ```
 //!
 //! Each figure is written as `results/figN.csv` and printed as an ASCII
-//! table; Fig. 9 additionally prints the graph-execution speedups. The
-//! `full` effort matches the paper's scale (512 nodes, 100 iterations,
-//! 3 seeds) and takes a long time; `standard` (default) reproduces every
-//! qualitative claim in minutes.
+//! table; Fig. 9 additionally prints the graph-execution speedups. `6s`
+//! is Fig. 6 in the transfer-bound regime (768³ strong, 4–32 nodes);
+//! `512` is the §IV-C headline (Charm-D and Charm-H, 3072³, 128–512
+//! nodes, whatever the effort's node cap); `protocols` prints the
+//! OSU-style protocol landscape and writes no CSV. The `full` effort
+//! matches the paper's scale (512 nodes, 100 iterations, 3 seeds) and
+//! takes a long time; `standard` (default) reproduces every qualitative
+//! claim in minutes.
 
 use std::path::PathBuf;
 
 use gaat_bench::harness::{print_table, write_csv};
-use gaat_bench::{ablation, best_per_point, fig6, fig7a, fig7b, fig7c, fig8, fig9, Effort};
+use gaat_bench::{
+    ablation, best_per_point, fig512, fig6, fig6s, fig7a, fig7b, fig7c, fig8, fig9, Effort,
+};
 
 /// Every `--fig` value; `7` selects 7a, 7b and 7c.
-const FIGS: [&str; 9] = ["all", "6", "7", "7a", "7b", "7c", "8", "9", "ablations"];
+const FIGS: [&str; 12] = [
+    "all",
+    "6",
+    "6s",
+    "7",
+    "7a",
+    "7b",
+    "7c",
+    "512",
+    "8",
+    "9",
+    "ablations",
+    "protocols",
+];
 
 fn main() {
     let mut fig = "all".to_string();
@@ -73,6 +92,14 @@ fn main() {
             &rows,
         );
     }
+    if want("6s") {
+        let rows = fig6s(&effort);
+        write_csv(&out.join("fig6s.csv"), &rows).expect("write fig6s.csv");
+        print_table(
+            "Fig 6 (transfer-bound) — Charm-H original vs optimized, strong 768^3",
+            &rows,
+        );
+    }
     if want("7a") {
         let rows = fig7a(&effort);
         write_csv(&out.join("fig7a.csv"), &rows).expect("write fig7a.csv");
@@ -90,6 +117,14 @@ fn main() {
         write_csv(&out.join("fig7c.csv"), &rows).expect("write fig7c.csv");
         print_table("Fig 7c — strong scaling, 3072^3 global (all ODFs)", &rows);
         print_table("Fig 7c — best ODF per point", &best_per_point(&rows));
+    }
+    if want("512") {
+        let rows = fig512(&effort);
+        write_csv(&out.join("fig512.csv"), &rows).expect("write fig512.csv");
+        print_table(
+            "§IV-C headline — Charm-D vs Charm-H, strong 3072^3 at 128-512 nodes",
+            &rows,
+        );
     }
     if want("8") {
         let rows = fig8(&effort);
@@ -175,6 +210,23 @@ fn main() {
         println!(
             "  adaptive recovers {:.1}% of the static-vs-fault-free gap",
             100.0 * lb.recovery()
+        );
+    }
+    if want("protocols") {
+        println!("\n=== Protocol landscape — one-way latency and bandwidth per protocol ===");
+        println!(
+            "{:>10}  {:<7} {:<18} {:>12} {:>12}",
+            "bytes", "space", "protocol", "latency", "bandwidth"
+        );
+        for p in gaat_bench::protocols::landscape(32 << 20) {
+            println!(
+                "{:>10}  {:<7} {:<18} {:>9.1} us {:>9.2} GB/s",
+                p.bytes, p.space, p.protocol, p.latency_us, p.bandwidth_gbs
+            );
+        }
+        println!(
+            "\nNote the pipelined-staging cliff past 512 KiB device messages —\n\
+             the protocol switch behind the paper's Fig. 7a result."
         );
     }
     println!("\nCSV written under {}", out.display());

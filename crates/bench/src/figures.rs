@@ -43,44 +43,73 @@ fn exec(jobs: Vec<Job>, e: &Effort) -> Vec<Row> {
     })
 }
 
-/// Fig. 6: Charm-H before/after the host-device synchronization and
-/// stream-concurrency optimizations (§III-C), ODF-4.
-/// (a) weak scaling at 1536³/node, (b) strong scaling of a 3072³ grid.
+/// Charm-H, ODF-4, before and after the host-device synchronization and
+/// stream-concurrency optimizations (§III-C): the pair every Fig. 6 point
+/// compares.
+fn sync_pair(figure: &'static str, nodes: usize, global: Dims) -> [Job; 2] {
+    [
+        ("Charm-H (original)", SyncMode::Original),
+        ("Charm-H (optimized)", SyncMode::Optimized),
+    ]
+    .map(|(series, sync)| Job {
+        figure,
+        series: series.into(),
+        variant: Variant::CharmH,
+        nodes,
+        global,
+        odf: 4,
+        fusion: Fusion::None,
+        graphs: false,
+        sync,
+    })
+}
+
+/// Fig. 6: Charm-H before/after the optimizations, (a) weak scaling at
+/// 1536³/node, (b) strong scaling of a 3072³ grid.
 pub fn fig6(e: &Effort) -> Vec<Row> {
     let mut jobs = Vec::new();
     for nodes in e.node_counts(1, 64) {
-        for (series, sync) in [
-            ("Charm-H (original)", SyncMode::Original),
-            ("Charm-H (optimized)", SyncMode::Optimized),
-        ] {
-            jobs.push(Job {
-                figure: "6a",
-                series: series.into(),
-                variant: Variant::CharmH,
-                nodes,
-                global: weak_dims(1536, nodes),
-                odf: 4,
-                fusion: Fusion::None,
-                graphs: false,
-                sync,
-            });
-        }
+        jobs.extend(sync_pair("6a", nodes, weak_dims(1536, nodes)));
     }
     for nodes in e.node_counts(8, 256) {
-        for (series, sync) in [
-            ("Charm-H (original)", SyncMode::Original),
-            ("Charm-H (optimized)", SyncMode::Optimized),
-        ] {
+        jobs.extend(sync_pair("6b", nodes, Dims::cube(3072)));
+    }
+    exec(jobs, e)
+}
+
+/// Fig. 6 in the transfer-bound regime: the same comparison on a 768³
+/// strong-scaling grid, where blocks are small enough that
+/// synchronization and transfers sit on the critical path (the paper's
+/// argument for why the optimizations matter at scale).
+pub fn fig6s(e: &Effort) -> Vec<Row> {
+    let mut jobs = Vec::new();
+    for nodes in e.node_counts(4, 32) {
+        jobs.extend(sync_pair("6s", nodes, Dims::cube(768)));
+    }
+    exec(jobs, e)
+}
+
+/// The (nodes, ODF) points of the §IV-C headline: 3072³ strong scaling
+/// at 128, 256 and 512 nodes (768, 1,536 and 3,072 GPUs).
+pub const HEADLINE_POINTS: [(usize, usize); 3] = [(128, 4), (256, 2), (512, 2)];
+
+/// The §IV-C headline, "sub-millisecond time per iteration on 512 nodes":
+/// Charm-D and Charm-H on a 3072³ grid at [`HEADLINE_POINTS`]. The points
+/// ignore `e.max_nodes`; this figure exists to show that scale.
+pub fn fig512(e: &Effort) -> Vec<Row> {
+    let mut jobs = Vec::new();
+    for (nodes, odf) in HEADLINE_POINTS {
+        for variant in [Variant::CharmD, Variant::CharmH] {
             jobs.push(Job {
-                figure: "6b",
-                series: series.into(),
-                variant: Variant::CharmH,
+                figure: "512",
+                series: variant.label().into(),
+                variant,
                 nodes,
                 global: Dims::cube(3072),
-                odf: 4,
+                odf,
                 fusion: Fusion::None,
                 graphs: false,
-                sync,
+                sync: SyncMode::Optimized,
             });
         }
     }

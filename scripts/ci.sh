@@ -3,7 +3,8 @@
 # standalone benchmark build, tier-1 and workspace tests (which hold every
 # correctness pin) in release and in the dev profile, the fault-tolerance
 # example (PE-failure recovery must still match the reference solver), the
-# fat-tree strong-scaling and sweep examples, a quick Fig 9 through the
+# fat-tree strong-scaling and sweep examples, a smoke run of every
+# benchmark workload, a quick Fig 9 and the protocol landscape through the
 # figures binary, a collectives smoke run and the sweep engine's
 # in-process ratio gates.
 # Everything here must pass with no network access.
@@ -54,17 +55,32 @@ cargo run --release -p gaat --example strong_scaling -- 4 --topology fattree
 cargo run --release -p gaat --example sweep_run
 echo "examples OK"
 
+echo "==> benchmark smoke run"
+# Every workload of the benchmark of record, shrunken; exits 1 if any
+# attempt failed.
+cargo run --release --offline --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- --workload all --smoke
+echo "benchmark smoke OK"
+
 echo "==> figures binary"
 # Fig 9 at quick effort runs every graph x fusion path of Jacobi3D
-# through the binary; an unknown --fig value must fail rather than
-# write nothing.
+# through the binary, and the protocol landscape drives every UCX
+# protocol; an unknown --fig value must fail rather than write nothing,
+# and its error must list the valid names, 6s, 512 and protocols among
+# them.
 figs_out=$(mktemp -d)
 cargo run --release -p gaat-bench --bin figures -- --fig 9 --effort quick --out "$figs_out"
 test -s "$figs_out/fig9.csv"
-if cargo run --release -p gaat-bench --bin figures -- --fig bogus --out "$figs_out" 2>/dev/null; then
+cargo run --release -p gaat-bench --bin figures -- --fig protocols --out "$figs_out"
+if cargo run --release -p gaat-bench --bin figures -- --fig bogus --out "$figs_out" 2>"$figs_out/bogus.err"; then
     echo "figures --fig bogus must exit non-zero"
     exit 1
 fi
+for name in 6s 512 protocols; do
+    if ! grep "valid:" "$figs_out/bogus.err" | grep -qw "$name"; then
+        echo "figures --fig bogus must list $name among the valid figures"
+        exit 1
+    fi
+done
 rm -rf "$figs_out"
 echo "figures OK"
 

@@ -3,7 +3,7 @@
 //! the knobs move performance). The acceptance criteria are the ones
 //! listed in DESIGN.md's experiment index.
 
-use gaat_bench::{best_per_point, fig6, fig7a, fig7b, fig8, fig9, Effort, Row};
+use gaat_bench::{best_per_point, fig6, fig6s, fig7a, fig7b, fig8, fig9, Effort, Row};
 use gaat_jacobi3d::{run_charm, run_mpi, CommMode, Dims, JacobiConfig};
 use gaat_rt::MachineConfig;
 
@@ -49,23 +49,23 @@ fn fig6_optimizations_never_hurt_much_and_help_at_scale() {
         opt.time_us,
         orig.time_us
     );
-    // Where transfers sit on the critical path (smaller blocks), the
-    // optimizations must win visibly.
-    let run = |sync| {
-        let mut c = JacobiConfig::new(MachineConfig::summit(4), Dims::cube(768));
-        c.comm = CommMode::HostStaging;
-        c.odf = 4;
-        c.sync = sync;
-        c.iters = 10;
-        c.warmup = 2;
-        run_charm(c).time_per_iter.as_micros_f64()
-    };
-    let orig_small = run(gaat_jacobi3d::SyncMode::Original);
-    let opt_small = run(gaat_jacobi3d::SyncMode::Optimized);
-    assert!(
-        opt_small < orig_small * 0.95,
-        "transfer-bound: optimized {opt_small} should clearly beat original {orig_small}"
-    );
+}
+
+#[test]
+fn fig6s_optimizations_win_when_transfer_bound() {
+    // Where transfers sit on the critical path (768³ strong, small
+    // blocks), the optimizations must win visibly. At 32 nodes (beyond
+    // quick effort) optimized falls slightly behind; nothing is asserted
+    // there.
+    let rows = fig6s(&quick());
+    for nodes in [4, 8] {
+        let opt = find(&rows, "Charm-H (optimized)", nodes).time_us;
+        let orig = find(&rows, "Charm-H (original)", nodes).time_us;
+        assert!(
+            opt < orig * 0.95,
+            "6s @{nodes}: optimized {opt} should clearly beat original {orig}"
+        );
+    }
 }
 
 #[test]
