@@ -11,12 +11,10 @@
 
 use crate::plan::{even_split, reduce_scatter_owner, Algorithm};
 
-/// SplitMix64 — deterministic value generator for test payloads.
-pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+/// SplitMix64 step (golden-ratio increment, then [`gaat_sim::mix64`]) —
+/// deterministic value generator for test payloads.
+pub fn mix64(x: u64) -> u64 {
+    gaat_sim::mix64(x.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Deterministic input payload: element `i` of rank `r`'s contribution.

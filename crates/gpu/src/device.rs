@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 
-use gaat_sim::{FaultPlan, SimDuration, SimTime, Tracer};
+use gaat_sim::{FaultPlan, SimDuration, SimTime, Slab, Tracer};
 
 use crate::engines::{ComputeEngine, DmaEngine, JobId, PRIORITY_CLASSES};
 use crate::graph::{GraphInstance, GraphNodeKind, GraphSpec};
@@ -114,7 +114,7 @@ enum JobOrigin {
         meta: JobMeta,
     },
     GraphNode {
-        instance: usize,
+        instance: u64,
         node: usize,
         meta: JobMeta,
     },
@@ -153,13 +153,13 @@ pub struct Device {
     ready: StreamSet,
     events: Vec<Event>,
     graphs: Vec<GraphSpec>,
-    instances: Vec<Option<GraphInstance>>,
+    /// Executing graph launches, keyed by the key their nodes' jobs carry.
+    instances: Slab<GraphInstance>,
     compute: ComputeEngine,
     d2h: DmaEngine,
     h2d: DmaEngine,
-    /// Engine jobs in flight, indexed by `JobId`; freed slots are reused.
-    jobs: Vec<Option<JobOrigin>>,
-    free_jobs: Vec<JobId>,
+    /// Engine jobs in flight; the slab key is the `JobId`.
+    jobs: Slab<JobOrigin>,
     /// Scratch for the jobs one `advance` finds finished.
     done: Vec<JobId>,
     completions: Vec<CompletionTag>,
@@ -185,12 +185,11 @@ impl Device {
             ready: StreamSet::default(),
             events: Vec::new(),
             graphs: Vec::new(),
-            instances: Vec::new(),
+            instances: Slab::new(),
             compute: ComputeEngine::new(slots),
             d2h: DmaEngine::new(),
             h2d: DmaEngine::new(),
-            jobs: Vec::new(),
-            free_jobs: Vec::new(),
+            jobs: Slab::new(),
             done: Vec::new(),
             completions: Vec::new(),
             scheduled_wakeup: None,
@@ -257,11 +256,7 @@ impl Device {
     /// executing.
     pub fn update_graph_kernel(&mut self, g: GraphId, node: usize, spec: crate::op::KernelSpec) {
         assert!(
-            !self
-                .instances
-                .iter()
-                .flatten()
-                .any(|i| i.graph == g.0 as usize),
+            !self.instances.values().any(|i| i.graph == g.0 as usize),
             "cannot update a graph while an instance is executing"
         );
         match &mut self.graphs[g.0 as usize].nodes[node].kind {
@@ -362,11 +357,8 @@ impl Device {
         for e in &mut self.events {
             *e = Event::default();
         }
-        for i in &mut self.instances {
-            *i = None;
-        }
+        self.instances.clear();
         self.jobs.clear();
-        self.free_jobs.clear();
         self.completions.clear();
         self.compute.clear(now);
         self.d2h.clear(now);
@@ -415,10 +407,7 @@ impl Device {
     }
 
     fn finish_job(&mut self, job: JobId, now: SimTime) {
-        let origin = self.jobs[job as usize]
-            .take()
-            .expect("unknown job finished");
-        self.free_jobs.push(job);
+        let origin = self.jobs.remove(job).expect("unknown job finished");
         match origin {
             JobOrigin::StreamOp {
                 stream,
@@ -441,21 +430,21 @@ impl Device {
                     .record(meta.lane, meta.category, meta.label, meta.submitted, now);
                 // Apply the node's effect, then release its children in
                 // edge order.
-                let spec_idx = self.instances[instance].as_ref().expect("live").graph;
+                let spec_idx = self.instances.get(instance).expect("live").graph;
                 let effect = Self::node_effect(&self.graphs[spec_idx].nodes[node].kind);
                 self.apply_effect(effect);
                 for i in 0..self.graphs[spec_idx].children[node].len() {
                     let c = self.graphs[spec_idx].children[node][i];
-                    let inst = self.instances[instance].as_mut().expect("live");
+                    let inst = self.instances.get_mut(instance).expect("live");
                     inst.indegree[c] -= 1;
                     if inst.indegree[c] == 0 {
                         self.dispatch_node(instance, c, now);
                     }
                 }
-                let inst = self.instances[instance].as_mut().expect("live");
+                let inst = self.instances.get_mut(instance).expect("live");
                 inst.remaining -= 1;
                 if inst.remaining == 0 {
-                    let inst = self.instances[instance].take().expect("live");
+                    let inst = self.instances.remove(instance).expect("live");
                     self.release_stream(inst.stream);
                     self.fire_tag(inst.tag);
                 }
@@ -486,23 +475,8 @@ impl Device {
         }
     }
 
-    /// Park a job's origin in a free slot; the slot index is its id. The
-    /// engines treat ids as opaque, so reuse cannot change any outcome.
-    fn alloc_job(&mut self, origin: JobOrigin) -> JobId {
-        match self.free_jobs.pop() {
-            Some(id) => {
-                self.jobs[id as usize] = Some(origin);
-                id
-            }
-            None => {
-                self.jobs.push(Some(origin));
-                (self.jobs.len() - 1) as JobId
-            }
-        }
-    }
-
-    fn dispatch_node(&mut self, instance: usize, node: usize, now: SimTime) {
-        let spec_idx = self.instances[instance].as_ref().expect("live").graph;
+    fn dispatch_node(&mut self, instance: u64, node: usize, now: SimTime) {
+        let spec_idx = self.instances.get(instance).expect("live").graph;
         let (kind, class) = {
             let n = &self.graphs[spec_idx].nodes[node];
             (n.kind.clone(), n.class)
@@ -515,7 +489,7 @@ impl Device {
         };
         match kind {
             GraphNodeKind::Kernel(spec) => {
-                let job = self.alloc_job(JobOrigin::GraphNode {
+                let job = self.jobs.insert(JobOrigin::GraphNode {
                     instance,
                     node,
                     meta: meta(0, spec.name),
@@ -525,7 +499,7 @@ impl Device {
                 self.compute.submit(now, job, class, dur);
             }
             GraphNodeKind::MemcpyD2H { src, .. } => {
-                let job = self.alloc_job(JobOrigin::GraphNode {
+                let job = self.jobs.insert(JobOrigin::GraphNode {
                     instance,
                     node,
                     meta: meta(1, "d2h"),
@@ -536,7 +510,7 @@ impl Device {
                 self.d2h.submit(now, job, class, dur, src.bytes());
             }
             GraphNodeKind::MemcpyH2D { src, .. } => {
-                let job = self.alloc_job(JobOrigin::GraphNode {
+                let job = self.jobs.insert(JobOrigin::GraphNode {
                     instance,
                     node,
                     meta: meta(2, "h2d"),
@@ -604,7 +578,7 @@ impl Device {
                 }
                 OpKind::Kernel(spec) => {
                     let class = self.streams[s].class;
-                    let job = self.alloc_job(JobOrigin::StreamOp {
+                    let job = self.jobs.insert(JobOrigin::StreamOp {
                         stream: s,
                         effect: spec.func.map_or(Effect::None, Effect::Kernel),
                         tag: op.tag,
@@ -632,26 +606,15 @@ impl Device {
                     let indegree: Vec<usize> = spec.nodes.iter().map(|n| n.deps.len()).collect();
                     let remaining = spec.len();
                     let roots = spec.roots();
-                    let inst_idx = self.instances.iter().position(Option::is_none);
-                    let inst = GraphInstance {
+                    let inst = self.instances.insert(GraphInstance {
                         graph: g.0 as usize,
                         stream: s,
                         indegree,
                         remaining,
                         tag: op.tag,
-                    };
-                    let inst_idx = match inst_idx {
-                        Some(i) => {
-                            self.instances[i] = Some(inst);
-                            i
-                        }
-                        None => {
-                            self.instances.push(Some(inst));
-                            self.instances.len() - 1
-                        }
-                    };
+                    });
                     for r in roots {
-                        self.dispatch_node(inst_idx, r, now);
+                        self.dispatch_node(inst, r, now);
                     }
                     self.streams[s].in_flight = true;
                 }
@@ -670,7 +633,7 @@ impl Device {
         now: SimTime,
     ) {
         let class = self.streams[s].class;
-        let job = self.alloc_job(JobOrigin::StreamOp {
+        let job = self.jobs.insert(JobOrigin::StreamOp {
             stream: s,
             effect: Effect::Copy { src, dst },
             tag,
@@ -1028,7 +991,7 @@ mod tests {
         }
         drain(&mut d, t(0));
         // all instances finished and freed; at most one slot was ever used
-        assert!(d.instances.len() <= 1);
+        assert!(d.instances.slots() <= 1);
         assert_eq!(d.stats().graph_launches, 5);
     }
 }

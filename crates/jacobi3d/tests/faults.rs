@@ -43,6 +43,7 @@ fn rare_loss_cfg() -> JacobiConfig {
 fn assert_quiesced(sim: &Simulation) {
     assert_eq!(sim.machine.ucx.in_flight(), 0, "transfers leak");
     assert_eq!(sim.machine.ucx.stashed(), 0, "tokens/timers leak");
+    assert_eq!(sim.machine.parked(), 0, "parked runtime payloads leak");
 }
 
 #[test]

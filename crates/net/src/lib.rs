@@ -22,7 +22,7 @@
 #![warn(missing_docs)]
 
 use gaat_sim::{
-    EventId, FaultPlan, LinkFaultKind, MsgFate, Sim, SimDuration, SimRng, SimTime, Tracer,
+    EventId, FaultPlan, LinkFaultKind, MsgFate, Sim, SimDuration, SimRng, SimTime, Slab, Tracer,
 };
 use gaat_topo::FlowSim;
 pub use gaat_topo::{
@@ -225,6 +225,8 @@ enum Admit {
     Flow {
         /// True when the route detoured around a failed link.
         failover: bool,
+        /// Latency added after the wire transfer completes.
+        tail: SimDuration,
     },
     /// Link failures have disconnected the endpoints; the message is
     /// dead on arrival and the fabric surfaces it as dropped.
@@ -237,8 +239,8 @@ enum Admit {
 /// `admit` either prices the message immediately (`Flat` returns
 /// [`Admit::Deliver`]) or takes ownership of its progress and returns
 /// [`Admit::Flow`], in which case the fabric keeps one wakeup event at
-/// the flow model's next wakeup and calls `advance` there to learn
-/// which in-flight slots completed — the idempotent
+/// the flow model's next wakeup and advances it there to learn which
+/// in-flight messages completed — the idempotent
 /// settle/complete/reschedule state machine from `gaat-topo`.
 #[derive(Debug, Clone)]
 enum Topology {
@@ -248,9 +250,8 @@ enum Topology {
 
 impl Topology {
     /// Price `msg` (already jittered by `jitter`) entering at `now`.
-    /// `flight` is the fabric's in-flight slot, echoed back through
-    /// `advance` for the flow model.
-    fn admit(&mut self, now: SimTime, msg: &NetMsg, jitter: f64, flight: u32) -> Admit {
+    /// `flight` is the fabric's in-flight key, the flow model's token.
+    fn admit(&mut self, now: SimTime, msg: &NetMsg, jitter: f64, flight: u64) -> Admit {
         match self {
             Topology::Flat(f) => Admit::Deliver(f.admit(now, msg, jitter)),
             Topology::FatTree(t) => t.admit(now, msg, jitter, flight),
@@ -310,8 +311,6 @@ struct FatTree {
     inter_latency: SimDuration,
     intra_latency: SimDuration,
     hop_latency: SimDuration,
-    /// Post-transfer latency per in-flight slot, indexed by `flight`.
-    tail_latency: Vec<SimDuration>,
     route_buf: Vec<LinkId>,
     done_buf: Vec<u64>,
 }
@@ -326,13 +325,12 @@ impl FatTree {
             inter_latency: params.inter_latency,
             intra_latency: params.intra_latency,
             hop_latency: SimDuration::from_ns(ft.hop_latency_ns),
-            tail_latency: Vec::new(),
             route_buf: Vec::new(),
             done_buf: Vec::new(),
         }
     }
 
-    fn admit(&mut self, now: SimTime, msg: &NetMsg, jitter: f64, flight: u32) -> Admit {
+    fn admit(&mut self, now: SimTime, msg: &NetMsg, jitter: f64, flight: u64) -> Admit {
         let info = match self
             .graph
             .try_route(msg.src.0, msg.dst.0, &mut self.route_buf)
@@ -345,27 +343,19 @@ impl FatTree {
         } else {
             self.inter_latency
         };
-        let latency =
+        let tail =
             (base + self.hop_latency * u64::from(info.hops) + msg.extra_latency).mul_f64(jitter);
-        if self.tail_latency.len() <= flight as usize {
-            self.tail_latency
-                .resize(flight as usize + 1, SimDuration::ZERO);
-        }
-        self.tail_latency[flight as usize] = latency;
-        self.flows.start(
-            now,
-            &self.route_buf,
-            msg.bytes as f64 * jitter,
-            flight as u64,
-        );
+        self.flows
+            .start(now, &self.route_buf, msg.bytes as f64 * jitter, flight);
         Admit::Flow {
             failover: info.failover,
+            tail,
         }
     }
 
     /// Apply a scheduled link state change at `now`: down links reroute
     /// future traffic and abort the flows crossing them (their fabric
-    /// flight slots are pushed to `aborted`), degradations rescale
+    /// flight keys are pushed to `aborted`), degradations rescale
     /// capacity, and `Up` restores the nominal bandwidth.
     fn apply_link_fault(
         &mut self,
@@ -392,16 +382,15 @@ impl FatTree {
             }
         }
     }
+}
 
-    /// Progress in-flight messages to `now`; push `(flight, deliver_at)`
-    /// for each one that completed its wire transfer.
-    fn advance(&mut self, now: SimTime, delivered: &mut Vec<(u32, SimTime)>) {
-        self.done_buf.clear();
-        self.flows.advance(now, &mut self.done_buf);
-        for &flight in &self.done_buf {
-            delivered.push((flight as u32, now + self.tail_latency[flight as usize]));
-        }
-    }
+/// A message parked in the fabric while it is in flight.
+#[derive(Debug, Clone, Copy)]
+struct Flight {
+    msg: NetMsg,
+    /// Latency a flow topology adds once the wire transfer completes
+    /// (zero under `Flat`, which prices delivery at admission).
+    tail: SimDuration,
 }
 
 /// The interconnect state: admission/stats front end over the
@@ -416,10 +405,10 @@ pub struct Fabric {
     /// Seed-derived salt for per-message jitter hashing.
     jitter_salt: u64,
     stats: NetStats,
-    /// In-flight messages parked until their delivery event fires; slots
-    /// are recycled so steady-state sends allocate nothing.
-    in_flight: Vec<NetMsg>,
-    in_flight_free: Vec<u32>,
+    /// In-flight messages parked until their delivery event fires; the
+    /// slab key rides in the event (and is the flow model's token), and
+    /// slots are recycled so steady-state sends allocate nothing.
+    in_flight: Slab<Flight>,
     /// The single pending topology wakeup event, if any.
     wakeup: Option<(SimTime, EventId)>,
     /// The fault plan in effect (inert by default).
@@ -430,7 +419,7 @@ pub struct Fabric {
     /// [`Fabric::set_tracing`] and merge into a machine timeline with
     /// `Tracer::extend_from`.
     pub tracer: Tracer,
-    scratch: Vec<(u32, SimTime)>,
+    scratch: Vec<(u64, SimTime)>,
     span_buf: Vec<BusySpan>,
 }
 
@@ -453,8 +442,7 @@ impl Fabric {
             topo,
             jitter_salt: rng.next_u64(),
             stats: NetStats::default(),
-            in_flight: Vec::new(),
-            in_flight_free: Vec::new(),
+            in_flight: Slab::new(),
             wakeup: None,
             faults: FaultPlan::none(),
             abort_buf: Vec::new(),
@@ -474,26 +462,6 @@ impl Fabric {
     /// The fault plan in effect.
     pub fn faults(&self) -> &FaultPlan {
         &self.faults
-    }
-
-    /// Park an in-flight message; its index rides in the delivery event.
-    fn stash(&mut self, msg: NetMsg) -> u32 {
-        match self.in_flight_free.pop() {
-            Some(i) => {
-                self.in_flight[i as usize] = msg;
-                i
-            }
-            None => {
-                self.in_flight.push(msg);
-                (self.in_flight.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Reclaim a parked message at delivery.
-    fn unstash(&mut self, idx: u32) -> NetMsg {
-        self.in_flight_free.push(idx);
-        self.in_flight[idx as usize]
     }
 
     /// Number of nodes.
@@ -607,20 +575,25 @@ impl Fabric {
     pub fn commit(&mut self, now: SimTime, msg: &NetMsg) -> SimTime {
         self.account(msg);
         let jitter = self.draw_jitter(msg);
-        match self.topo.admit(now, msg, jitter, u32::MAX) {
+        match self.topo.admit(now, msg, jitter, u64::MAX) {
             Admit::Deliver(at) => at,
             _ => panic!("commit() requires an open-loop topology; route sends through send()"),
         }
     }
 
     /// Advance the topology to `now`, collect completed transfers into
-    /// `out` as `(in-flight slot, delivery instant)`, and drain link
+    /// `out` as `(in-flight key, delivery instant)`, and drain link
     /// busy spans into the fabric tracer.
-    pub fn tick_topology(&mut self, now: SimTime, out: &mut Vec<(u32, SimTime)>) {
+    pub fn tick_topology(&mut self, now: SimTime, out: &mut Vec<(u64, SimTime)>) {
         let Topology::FatTree(t) = &mut self.topo else {
             return;
         };
-        t.advance(now, out);
+        t.done_buf.clear();
+        t.flows.advance(now, &mut t.done_buf);
+        for &flight in &t.done_buf {
+            let tail = self.in_flight.get(flight).expect("flight parked").tail;
+            out.push((flight, now + tail));
+        }
         if self.tracer.is_enabled() {
             let mut spans = std::mem::take(&mut self.span_buf);
             t.flows.drain_spans(&mut spans);
@@ -654,7 +627,7 @@ pub trait NetHost: Sized + 'static {
 /// delivery event is scheduled; flow topologies admit it into the link
 /// graph and the fabric's single wakeup event is rescheduled to the new
 /// earliest completion. Either way the message parks in the fabric's
-/// in-flight slab and events carry only its index.
+/// in-flight slab and events carry only its key.
 pub fn send<W: NetHost>(w: &mut W, sim: &mut Sim<W>, msg: NetMsg) {
     let now = sim.now();
     let fabric = w.fabric_mut();
@@ -672,12 +645,16 @@ pub fn send<W: NetHost>(w: &mut W, sim: &mut Sim<W>, msg: NetMsg) {
         }
     }
     let jitter = fabric.draw_jitter(&msg);
-    let idx = fabric.stash(msg);
-    match fabric.topo.admit(now, &msg, jitter, idx) {
+    let key = fabric.in_flight.insert(Flight {
+        msg,
+        tail: SimDuration::ZERO,
+    });
+    match fabric.topo.admit(now, &msg, jitter, key) {
         Admit::Deliver(at) => {
-            sim.at_call1(at, deliver::<W>, idx as u64);
+            sim.at_call1(at, deliver::<W>, key);
         }
-        Admit::Flow { failover } => {
+        Admit::Flow { failover, tail } => {
+            fabric.in_flight.get_mut(key).expect("just parked").tail = tail;
             if failover {
                 fabric.stats.failovers += 1;
             }
@@ -685,15 +662,15 @@ pub fn send<W: NetHost>(w: &mut W, sim: &mut Sim<W>, msg: NetMsg) {
         }
         Admit::NoRoute => {
             fabric.stats.no_routes += 1;
-            let dead = fabric.unstash(idx);
-            w.on_net_dropped(sim, dead);
+            fabric.in_flight.remove(key);
+            w.on_net_dropped(sim, msg);
         }
     }
 }
 
-fn deliver<W: NetHost>(w: &mut W, sim: &mut Sim<W>, idx: u64) {
+fn deliver<W: NetHost>(w: &mut W, sim: &mut Sim<W>, key: u64) {
     let fabric = w.fabric_mut();
-    let msg = fabric.unstash(idx as u32);
+    let msg = fabric.in_flight.remove(key).expect("flight parked").msg;
     if msg.src != msg.dst && fabric.faults.lossy_at(sim.now()) {
         if let MsgFate::Corrupt =
             fabric
@@ -736,7 +713,7 @@ fn link_fault_fire<W: NetHost>(w: &mut W, sim: &mut Sim<W>, idx: u64) {
         fabric.stats.flow_aborts += aborted.len() as u64;
         let dead: Vec<NetMsg> = aborted
             .iter()
-            .map(|&fl| fabric.unstash(fl as u32))
+            .map(|&fl| fabric.in_flight.remove(fl).expect("flight parked").msg)
             .collect();
         aborted.clear();
         fabric.abort_buf = aborted;
@@ -786,7 +763,7 @@ fn tick<W: NetHost>(w: &mut W, sim: &mut Sim<W>) {
         out
     };
     for &(flight, at) in &out {
-        sim.at_call1(at, deliver::<W>, flight as u64);
+        sim.at_call1(at, deliver::<W>, flight);
     }
     out.clear();
     w.fabric_mut().scratch = out;

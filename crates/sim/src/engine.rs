@@ -434,15 +434,6 @@ impl<W> Sim<W> {
         self.peak_pending
     }
 
-    /// Snapshot of this engine's counters.
-    pub fn stats(&self) -> crate::stats::SimStats {
-        crate::stats::SimStats {
-            events_executed: self.executed,
-            pending: self.live as u64,
-            peak_pending: self.peak_pending as u64,
-        }
-    }
-
     // ----- slab -----
 
     #[inline]

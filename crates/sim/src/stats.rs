@@ -1,19 +1,7 @@
-//! Statistics collection for simulation runs: the engine's own
-//! counters and the busy-time tracker the device and runtime models
-//! report utilization with.
+//! The busy-time tracker the device and runtime models report
+//! utilization with.
 
 use crate::time::{SimDuration, SimTime};
-
-/// Engine-level counters for one `Sim`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimStats {
-    /// Events executed.
-    pub events_executed: u64,
-    /// Live events currently pending.
-    pub pending: u64,
-    /// High-water mark of the live pending-event count.
-    pub peak_pending: u64,
-}
 
 /// Tracks what fraction of simulated time a resource spent busy.
 ///

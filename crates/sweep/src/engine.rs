@@ -303,9 +303,10 @@ pub fn run_standalone(sc: &Scenario) -> ScenarioRecord {
 }
 
 /// Drain an arbitrary job list across a pool of worker threads, each
-/// owning one reusable [`WorldSlot`] — the generic pool underneath
-/// [`run_sweep`], exposed so other harnesses (the figure generator, the
-/// examples) can recycle worlds instead of hand-rolling serial loops.
+/// owning one reusable [`WorldSlot`], so harnesses (the figure
+/// generator, the examples) can recycle worlds instead of hand-rolling
+/// serial loops. [`run_sweep`] does not use it: it runs its own pool,
+/// which adds resume, prefix forks and streamed JSONL output.
 /// Jobs are claimed by atomic fetch-add; results come back in job
 /// order. `workers == 0` uses host parallelism.
 pub fn run_batch<J, R, F>(jobs: &[J], workers: usize, f: F) -> (Vec<R>, SlotStats)

@@ -3,7 +3,7 @@
 # standalone benchmark build, tier-1 and workspace tests (which hold every
 # correctness pin) in release and in the dev profile, the fault-tolerance
 # example (PE-failure recovery must still match the reference solver), the
-# fat-tree strong-scaling and sweep examples, a smoke run of every
+# fat-tree strong-scaling, sweep and profile_run examples, a smoke run of every
 # benchmark workload, a quick Fig 9 and the protocol landscape through the
 # figures binary, a collectives smoke run and the sweep engine's
 # in-process ratio gates.
@@ -53,6 +53,12 @@ echo "==> examples"
 # pool; sweep_run drives a 1024-scenario forked sweep. Both must exit 0.
 cargo run --release -p gaat --example strong_scaling -- 4 --topology fattree
 cargo run --release -p gaat --example sweep_run
+# profile_run under adaptive LB and 1% loss rolls back four times, so late
+# events meet stale slab keys; the collective run drives gaat-coll.
+trace_out="$(mktemp)"
+cargo run --release -p gaat --example profile_run -- --lb --drop 0.01 --trace-out "$trace_out"
+rm -f "$trace_out"
+cargo run --release -p gaat --example profile_run -- --collective allreduce
 echo "examples OK"
 
 echo "==> benchmark smoke run"
