@@ -282,10 +282,7 @@ pub fn sync_vs_async_completion(chares: usize, reps: u32, kernel_us: u64) -> (f6
 pub fn comm_priority(e: &Effort, nodes: usize) -> Vec<Row> {
     let mut rows = Vec::new();
     for (label, prio) in [("prioritized", 2usize), ("unprioritized", 0)] {
-        let mut cfg = JacobiConfig::new(
-            MachineConfig::summit(nodes),
-            crate::figures::weak_dims(768, nodes),
-        );
+        let mut cfg = JacobiConfig::new(e.machine(nodes), crate::figures::weak_dims(768, nodes));
         cfg.comm = CommMode::GpuAware;
         cfg.odf = 4;
         cfg.comm_priority = prio;
@@ -313,7 +310,7 @@ pub fn comm_priority(e: &Effort, nodes: usize) -> Vec<Row> {
 pub fn ampi_virtualization(e: &Effort, nodes: usize) -> Vec<Row> {
     let mut rows = Vec::new();
     for vr in [1usize, 2, 4] {
-        let mut cfg = JacobiConfig::new(MachineConfig::summit(nodes), Dims::cube(768));
+        let mut cfg = JacobiConfig::new(e.machine(nodes), Dims::cube(768));
         cfg.comm = CommMode::HostStaging;
         cfg.virtual_ranks = vr;
         cfg.iters = e.iters;
@@ -345,7 +342,7 @@ pub fn ampi_virtualization(e: &Effort, nodes: usize) -> Vec<Row> {
 pub fn pipeline_threshold_sweep(e: &Effort) -> Vec<Row> {
     let mut rows = Vec::new();
     for threshold_mb in [1u64, 2, 4, 8, 16] {
-        let mut cfg = JacobiConfig::new(MachineConfig::summit(2), Dims::new(1536, 1536, 3072));
+        let mut cfg = JacobiConfig::new(e.machine(2), Dims::new(1536, 1536, 3072));
         cfg.comm = CommMode::GpuAware;
         cfg.odf = 4;
         cfg.machine.ucx.pipeline_threshold = threshold_mb << 20;

@@ -3,6 +3,7 @@
 //! ```text
 //! cargo run --release -p gaat-bench --bin figures -- [--fig all|6|6s|7|7a|7b|7c|512|8|9|ablations|protocols]
 //!                                                    [--effort quick|standard|full]
+//!                                                    [--topology flat|fattree]
 //!                                                    [--out results]
 //! ```
 //!
@@ -15,12 +16,20 @@
 //! matches the paper's scale (512 nodes, 100 iterations, 3 seeds) and
 //! takes a long time; `standard` (default) reproduces every qualitative
 //! claim in minutes.
+//!
+//! `--topology fattree` runs the figures and the Jacobi3D ablations on
+//! the fat-tree interconnect instead of the flat one and writes
+//! `figN-fattree.csv`, so the committed flat results are never
+//! overwritten. The protocol landscape, the Channel-API, completion and
+//! fault-sweep ablations and the adaptive-LB table keep their fixed
+//! machines whatever the flag says.
 
 use std::path::PathBuf;
 
 use gaat_bench::harness::{print_table, write_csv};
 use gaat_bench::{
     ablation, best_per_point, fig512, fig6, fig6s, fig7a, fig7b, fig7c, fig8, fig9, Effort,
+    Topology,
 };
 
 /// Every `--fig` value; `7` selects 7a, 7b and 7c.
@@ -43,6 +52,7 @@ fn main() {
     let mut fig = "all".to_string();
     let mut effort = Effort::standard();
     let mut effort_name = "standard".to_string();
+    let mut topology = Topology::Flat;
     let mut out = PathBuf::from("results");
 
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -68,6 +78,14 @@ fn main() {
                 };
                 i += 2;
             }
+            "--topology" => {
+                topology = match args.get(i + 1).expect("--topology needs a value").as_str() {
+                    "flat" => Topology::Flat,
+                    "fattree" => Topology::FatTree,
+                    other => panic!("unknown topology {other:?}; valid: flat, fattree"),
+                };
+                i += 2;
+            }
             "--out" => {
                 out = PathBuf::from(args.get(i + 1).expect("--out needs a value"));
                 i += 2;
@@ -76,17 +94,22 @@ fn main() {
         }
     }
 
+    effort.topology = topology;
     println!(
-        "effort={effort_name}: iters={} warmup={} max_nodes={} odfs={:?} seeds={:?}",
-        effort.iters, effort.warmup, effort.max_nodes, effort.odfs, effort.seeds
+        "effort={effort_name}: iters={} warmup={} max_nodes={} odfs={:?} seeds={:?} jitter={:?}",
+        effort.iters, effort.warmup, effort.max_nodes, effort.odfs, effort.seeds, effort.jitter
     );
-    println!("machine model: {:?}", gaat_rt::MachineConfig::summit(1));
+    println!("machine model (1 node shown): {:?}", effort.machine(1));
+    let csv = |name: &str| match topology {
+        Topology::Flat => out.join(format!("{name}.csv")),
+        Topology::FatTree => out.join(format!("{name}-fattree.csv")),
+    };
 
     let want = |name: &str| fig == "all" || fig == name || (name.starts_with(&fig) && fig == "7");
 
     if want("6") {
         let rows = fig6(&effort);
-        write_csv(&out.join("fig6.csv"), &rows).expect("write fig6.csv");
+        write_csv(&csv("fig6"), &rows).expect("write fig6 CSV");
         print_table(
             "Fig 6 — Charm-H host-staging, before vs after optimizations (6a weak 1536^3/node, 6b strong 3072^3)",
             &rows,
@@ -94,7 +117,7 @@ fn main() {
     }
     if want("6s") {
         let rows = fig6s(&effort);
-        write_csv(&out.join("fig6s.csv"), &rows).expect("write fig6s.csv");
+        write_csv(&csv("fig6s"), &rows).expect("write fig6s CSV");
         print_table(
             "Fig 6 (transfer-bound) — Charm-H original vs optimized, strong 768^3",
             &rows,
@@ -102,25 +125,25 @@ fn main() {
     }
     if want("7a") {
         let rows = fig7a(&effort);
-        write_csv(&out.join("fig7a.csv"), &rows).expect("write fig7a.csv");
+        write_csv(&csv("fig7a"), &rows).expect("write fig7a CSV");
         print_table("Fig 7a — weak scaling, 1536^3 per node (all ODFs)", &rows);
         print_table("Fig 7a — best ODF per point", &best_per_point(&rows));
     }
     if want("7b") {
         let rows = fig7b(&effort);
-        write_csv(&out.join("fig7b.csv"), &rows).expect("write fig7b.csv");
+        write_csv(&csv("fig7b"), &rows).expect("write fig7b CSV");
         print_table("Fig 7b — weak scaling, 192^3 per node (all ODFs)", &rows);
         print_table("Fig 7b — best ODF per point", &best_per_point(&rows));
     }
     if want("7c") {
         let rows = fig7c(&effort);
-        write_csv(&out.join("fig7c.csv"), &rows).expect("write fig7c.csv");
+        write_csv(&csv("fig7c"), &rows).expect("write fig7c CSV");
         print_table("Fig 7c — strong scaling, 3072^3 global (all ODFs)", &rows);
         print_table("Fig 7c — best ODF per point", &best_per_point(&rows));
     }
     if want("512") {
         let rows = fig512(&effort);
-        write_csv(&out.join("fig512.csv"), &rows).expect("write fig512.csv");
+        write_csv(&csv("fig512"), &rows).expect("write fig512 CSV");
         print_table(
             "§IV-C headline — Charm-D vs Charm-H, strong 3072^3 at 128-512 nodes",
             &rows,
@@ -128,12 +151,12 @@ fn main() {
     }
     if want("8") {
         let rows = fig8(&effort);
-        write_csv(&out.join("fig8.csv"), &rows).expect("write fig8.csv");
+        write_csv(&csv("fig8"), &rows).expect("write fig8 CSV");
         print_table("Fig 8 — kernel fusion on Charm-D, strong 768^3", &rows);
     }
     if want("9") {
         let rows = fig9(&effort);
-        write_csv(&out.join("fig9.csv"), &rows).expect("write fig9.csv");
+        write_csv(&csv("fig9"), &rows).expect("write fig9 CSV");
         print_table("Fig 9 — graph execution on Charm-D, strong 768^3", &rows);
         println!("\n=== Fig 9 — speedup from graphs (baseline / graphs) ===");
         for (series, nodes, speedup) in gaat_bench::figures::fig9_speedups(&rows) {
@@ -148,7 +171,7 @@ fn main() {
             &effort,
             4.min(effort.max_nodes),
         ));
-        write_csv(&out.join("ablations.csv"), &rows).expect("write ablations.csv");
+        write_csv(&csv("ablations"), &rows).expect("write ablations CSV");
         print_table("Ablations — stream priority & protocol threshold", &rows);
 
         let (ch, gm) = ablation::channel_vs_gpu_messaging(96 << 10, 20);

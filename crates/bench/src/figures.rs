@@ -4,7 +4,7 @@
 
 use gaat_jacobi3d::{Dims, Fusion, SyncMode};
 
-use crate::harness::{run_jobs, run_point, Effort, Row, Variant};
+use crate::harness::{run_point, Effort, Row, Variant};
 
 /// Global grid for weak scaling: the per-node volume stays `base³` by
 /// doubling one axis per doubling of nodes (the paper's "size of each
@@ -34,13 +34,16 @@ struct Job {
     sync: SyncMode,
 }
 
+/// Run every job on the sweep engine's pool; each worker recycles one
+/// world across the points it claims. Rows come back in job order.
 fn exec(jobs: Vec<Job>, e: &Effort) -> Vec<Row> {
-    run_jobs(jobs, |slot, j| {
+    gaat_sweep::run_batch(&jobs, 0, |slot, j| {
         run_point(
             slot, j.figure, &j.series, j.variant, j.nodes, j.global, j.odf, j.fusion, j.graphs,
             j.sync, e,
         )
     })
+    .0
 }
 
 /// Charm-H, ODF-4, before and after the host-device synchronization and

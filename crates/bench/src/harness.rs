@@ -5,7 +5,7 @@ use std::fmt;
 use std::path::Path;
 
 use gaat_jacobi3d::{run_charm_in, run_mpi_in, CommMode, Fusion, JacobiConfig, SyncMode};
-use gaat_rt::WorldSlot;
+use gaat_rt::{MachineConfig, WorldSlot};
 
 /// Which of the paper's four Jacobi3D versions to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,6 +45,17 @@ impl Variant {
     }
 }
 
+/// Which interconnect model the figure machines use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Topology {
+    /// The flat per-NIC model ([`MachineConfig::summit`]); the committed
+    /// `results/` are flat.
+    Flat,
+    /// The fat-tree link graph with max-min fair sharing
+    /// ([`MachineConfig::summit_fattree`]).
+    FatTree,
+}
+
 /// How much compute to spend regenerating figures.
 #[derive(Debug, Clone)]
 pub struct Effort {
@@ -63,6 +74,8 @@ pub struct Effort {
     /// out and can flip marginal shape comparisons — they pin it to 0
     /// and assert on the noise-free means instead.
     pub jitter: Option<f64>,
+    /// Interconnect model of every machine built by [`Effort::machine`].
+    pub topology: Topology,
 }
 
 impl Effort {
@@ -75,6 +88,7 @@ impl Effort {
             odfs: vec![1, 4],
             seeds: vec![1],
             jitter: Some(0.0),
+            topology: Topology::Flat,
         }
     }
 
@@ -87,6 +101,7 @@ impl Effort {
             odfs: vec![1, 2, 4, 8],
             seeds: vec![1],
             jitter: None,
+            topology: Topology::Flat,
         }
     }
 
@@ -99,6 +114,16 @@ impl Effort {
             odfs: vec![1, 2, 4, 8, 16],
             seeds: vec![1, 2, 3],
             jitter: None,
+            topology: Topology::Flat,
+        }
+    }
+
+    /// The Summit-like machine of `nodes` nodes on this effort's
+    /// topology.
+    pub fn machine(&self, nodes: usize) -> MachineConfig {
+        match self.topology {
+            Topology::Flat => MachineConfig::summit(nodes),
+            Topology::FatTree => MachineConfig::summit_fattree(nodes),
         }
     }
 
@@ -168,7 +193,7 @@ pub fn run_point(
     let mut total_us = 0.0;
     let mut total_cpu = 0.0;
     for &seed in &e.seeds {
-        let mut cfg = JacobiConfig::new(gaat_rt::MachineConfig::summit(nodes), global);
+        let mut cfg = JacobiConfig::new(e.machine(nodes), global);
         cfg.machine.seed = seed;
         if let Some(j) = e.jitter {
             cfg.machine.net.jitter = j;
@@ -203,18 +228,6 @@ pub fn run_point(
         cpu_util: total_cpu / n,
         seeds: e.seeds.len(),
     }
-}
-
-/// Execute a batch of independent jobs on the sweep engine's slot pool:
-/// each worker thread owns one reusable [`WorldSlot`] handed to every
-/// job it claims, so engines are recycled across figure points instead
-/// of rebuilt (the sweep engine's fast path, bit-invisible in results).
-pub fn run_jobs<J, F>(jobs: Vec<J>, f: F) -> Vec<Row>
-where
-    J: Send + Sync,
-    F: Fn(&mut WorldSlot, &J) -> Row + Sync,
-{
-    gaat_sweep::run_batch(&jobs, 0, f).0
 }
 
 /// For each (series, nodes) keep only the fastest row over ODFs — how the
@@ -323,25 +336,5 @@ mod tests {
             .expect("present");
         assert_eq!(a1.odf, 2);
         assert_eq!(a1.time_us, 7.0);
-    }
-
-    #[test]
-    fn run_jobs_completes_all() {
-        let jobs: Vec<usize> = (0..20).collect();
-        let rows = run_jobs(jobs, |_slot, &i| Row {
-            figure: "t".into(),
-            series: format!("s{i}"),
-            nodes: i,
-            odf: 1,
-            fusion: "None".into(),
-            graphs: false,
-            time_us: i as f64,
-            cpu_util: 0.0,
-            seeds: 1,
-        });
-        assert_eq!(rows.len(), 20);
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(r.nodes, i, "results in job order");
-        }
     }
 }

@@ -19,4 +19,4 @@ pub mod throttle;
 pub use figures::{
     fig512, fig6, fig6s, fig7a, fig7b, fig7c, fig8, fig9, weak_dims, HEADLINE_POINTS,
 };
-pub use harness::{best_per_point, Effort, Row, Variant};
+pub use harness::{best_per_point, Effort, Row, Topology, Variant};

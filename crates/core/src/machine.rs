@@ -390,8 +390,6 @@ pub struct Machine {
     ckpts: HashMap<ChareId, Vec<(u64, usize, crate::ckpt::ChareSnapshot)>>,
     /// Broadcast issued after every recovery to restart the application.
     recovery_resume: Option<(Vec<ChareId>, crate::msg::EntryId)>,
-    /// Root RNG (split per subsystem at construction).
-    pub rng: SimRng,
     /// Entry-method span recorder, one lane per PE (enabled by
     /// `MachineConfig::trace`). Device-side spans live in each device's
     /// own tracer.
@@ -402,7 +400,6 @@ pub struct Machine {
 impl Machine {
     /// Build a machine from a configuration.
     pub fn new(cfg: MachineConfig) -> Self {
-        let rng = SimRng::new(cfg.seed);
         let pes = cfg.total_pes();
         let devices: Vec<Device> = (0..pes)
             .map(|i| {
@@ -414,7 +411,7 @@ impl Machine {
                 d
             })
             .collect();
-        let mut fabric = Fabric::new(cfg.nodes, cfg.net.clone(), rng.stream(1));
+        let mut fabric = Fabric::new(cfg.nodes, cfg.net.clone(), SimRng::new(cfg.seed).stream(1));
         fabric.set_tracing(cfg.trace);
         if cfg.faults.is_active() {
             fabric.set_faults(cfg.faults.clone());
@@ -444,7 +441,6 @@ impl Machine {
             incarnation: 0,
             ckpts: HashMap::new(),
             recovery_resume: None,
-            rng,
             tracer: if cfg.trace {
                 Tracer::enabled()
             } else {

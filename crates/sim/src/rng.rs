@@ -74,12 +74,6 @@ impl SimRng {
         result
     }
 
-    /// Uniform float in `[0, 1)` with 53 bits of precision.
-    #[inline]
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// Uniform integer in `[0, n)`. `n` must be nonzero.
     #[inline]
     pub fn below(&mut self, n: u64) -> u64 {
@@ -87,30 +81,6 @@ impl SimRng {
         // Lemire's multiply-shift rejection-free approximation is fine for
         // simulation purposes (bias < 2^-64 * n).
         ((self.next_u64() as u128 * n as u128) >> 64) as u64
-    }
-
-    /// Uniform integer in `[lo, hi]` inclusive.
-    #[inline]
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo <= hi);
-        lo + self.below(hi - lo + 1)
-    }
-
-    /// Multiplicative jitter factor uniform in `[1 - eps, 1 + eps]`, used
-    /// to perturb modeled durations so repeated "runs" differ like the
-    /// paper's three-trial averages.
-    #[inline]
-    pub fn jitter(&mut self, eps: f64) -> f64 {
-        debug_assert!((0.0..1.0).contains(&eps));
-        1.0 + eps * (2.0 * self.next_f64() - 1.0)
-    }
-
-    /// Fisher–Yates shuffle (deterministic given the stream state).
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
     }
 }
 
@@ -147,15 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn f64_in_unit_interval() {
-        let mut r = SimRng::new(9);
-        for _ in 0..10_000 {
-            let x = r.next_f64();
-            assert!((0.0..1.0).contains(&x));
-        }
-    }
-
-    #[test]
     fn below_is_in_range_and_roughly_uniform() {
         let mut r = SimRng::new(11);
         let mut counts = [0u32; 10];
@@ -165,41 +126,5 @@ mod tests {
         for &c in &counts {
             assert!((8_000..12_000).contains(&c), "bucket count {c} too skewed");
         }
-    }
-
-    #[test]
-    fn jitter_bounds() {
-        let mut r = SimRng::new(13);
-        for _ in 0..10_000 {
-            let j = r.jitter(0.05);
-            assert!((0.95..=1.05).contains(&j));
-        }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::new(17);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle left input sorted");
-    }
-
-    #[test]
-    fn range_inclusive_hits_endpoints() {
-        let mut r = SimRng::new(19);
-        let mut lo_seen = false;
-        let mut hi_seen = false;
-        for _ in 0..10_000 {
-            match r.range_inclusive(3, 5) {
-                3 => lo_seen = true,
-                5 => hi_seen = true,
-                4 => {}
-                other => panic!("out of range: {other}"),
-            }
-        }
-        assert!(lo_seen && hi_seen);
     }
 }

@@ -169,11 +169,6 @@ impl SweepReport {
 /// wall-clock metadata fields vary.
 pub fn run_sweep(scenarios: &[Scenario], opts: &SweepOptions) -> std::io::Result<SweepReport> {
     let start = Instant::now();
-    let workers = if opts.workers == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        opts.workers
-    };
 
     // Resume: harvest intact records from a previous partial JSONL.
     // A record is trusted only if it parses, its stored fingerprint
@@ -217,55 +212,36 @@ pub fn run_sweep(scenarios: &[Scenario], opts: &SweepOptions) -> std::io::Result
     }
     let mut write_err: Option<std::io::Error> = None;
 
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<ScenarioRecord>();
-    let mut slots = SlotStats::default();
-    let mut fork_stats = ForkStats::default();
-    let next_ref = &next;
-    let units_ref = &units;
-
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for _ in 0..workers {
-            let tx = tx.clone();
-            handles.push(s.spawn(move || {
-                let mut w = Worker::new(scenarios, opts.reuse_worlds);
-                'drain: loop {
-                    let u = next_ref.fetch_add(1, Ordering::Relaxed);
-                    if u >= units_ref.len() {
-                        break;
-                    }
-                    for rec in w.run_unit(&units_ref[u]) {
-                        if tx.send(rec).is_err() {
-                            break 'drain;
+    let stats = drain(
+        &units,
+        opts.workers,
+        || Worker::new(scenarios, opts.reuse_worlds),
+        Worker::run_unit,
+        |w| (w.slot.stats(), w.fork),
+        // The calling thread is the sink: stream each record out the
+        // moment it lands, so a killed sweep keeps every completed one.
+        |_, recs| {
+            for rec in recs {
+                if let Some(w) = jsonl.as_mut() {
+                    if write_err.is_none() {
+                        let line = rec.jsonl();
+                        if let Err(e) = writeln!(w, "{line}").and_then(|()| w.flush()) {
+                            write_err = Some(e);
                         }
                     }
                 }
-                (w.slot.stats(), w.fork)
-            }));
-        }
-        drop(tx);
-        // The calling thread is the sink: stream each record out the
-        // moment it lands, so a killed sweep keeps every completed one.
-        for rec in rx {
-            if let Some(w) = jsonl.as_mut() {
-                if write_err.is_none() {
-                    let line = rec.jsonl();
-                    if let Err(e) = writeln!(w, "{line}").and_then(|()| w.flush()) {
-                        write_err = Some(e);
-                    }
-                }
+                let idx = rec.index;
+                slots_out[idx] = Some(rec);
             }
-            let idx = rec.index;
-            slots_out[idx] = Some(rec);
-        }
-        for h in handles {
-            let (st, fs) = h.join().expect("sweep worker panicked");
-            slots.prepared += st.prepared;
-            slots.reused += st.reused;
-            fork_stats.merge(&fs);
-        }
-    });
+        },
+    );
+    let workers = stats.len();
+    let mut slots = SlotStats::default();
+    let mut fork_stats = ForkStats::default();
+    for (st, fs) in &stats {
+        add_slot_stats(&mut slots, st);
+        fork_stats.merge(fs);
+    }
     if let Some(e) = write_err {
         return Err(e);
     }
@@ -302,18 +278,61 @@ pub fn run_standalone(sc: &Scenario) -> ScenarioRecord {
     recs.pop().expect("a single scenario yields one record")
 }
 
-/// Drain an arbitrary job list across a pool of worker threads, each
+/// Drain an arbitrary job list on the sweep engine's pool, each worker
 /// owning one reusable [`WorldSlot`], so harnesses (the figure
-/// generator, the examples) can recycle worlds instead of hand-rolling
-/// serial loops. [`run_sweep`] does not use it: it runs its own pool,
-/// which adds resume, prefix forks and streamed JSONL output.
-/// Jobs are claimed by atomic fetch-add; results come back in job
+/// generator) recycle worlds instead of hand-rolling serial loops.
+/// [`run_sweep`] drains its units on the same pool and adds resume,
+/// prefix forks and streamed JSONL output. Results come back in job
 /// order. `workers == 0` uses host parallelism.
 pub fn run_batch<J, R, F>(jobs: &[J], workers: usize, f: F) -> (Vec<R>, SlotStats)
 where
     J: Sync,
     R: Send,
     F: Fn(&mut WorldSlot, &J) -> R + Sync,
+{
+    let mut out: Vec<Option<R>> = (0..jobs.len()).map(|_| None).collect();
+    let stats = drain(
+        jobs,
+        workers,
+        WorldSlot::new,
+        f,
+        |s| s.stats(),
+        |i, r| out[i] = Some(r),
+    );
+    let mut slots = SlotStats::default();
+    for st in &stats {
+        add_slot_stats(&mut slots, st);
+    }
+    let results = out
+        .into_iter()
+        .map(|r| r.expect("every job produces exactly one result"))
+        .collect();
+    (results, slots)
+}
+
+fn add_slot_stats(total: &mut SlotStats, s: &SlotStats) {
+    total.prepared += s.prepared;
+    total.reused += s.reused;
+}
+
+/// The one worker pool under [`run_sweep`] and [`run_batch`]: `workers`
+/// threads (0 = host parallelism; never more than there are jobs), each
+/// holding one state built by `init`, claim jobs by atomic fetch-add.
+/// Every result reaches `sink` on the calling thread, with its job
+/// index, as soon as its job finishes. Returns one `done(state)` per
+/// worker.
+fn drain<J, S, R, T>(
+    jobs: &[J],
+    workers: usize,
+    init: impl Fn() -> S + Sync,
+    run: impl Fn(&mut S, &J) -> R + Sync,
+    done: impl Fn(S) -> T + Sync,
+    mut sink: impl FnMut(usize, R),
+) -> Vec<T>
+where
+    J: Sync,
+    R: Send,
+    T: Send,
 {
     let workers = if workers == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
@@ -322,40 +341,33 @@ where
     }
     .min(jobs.len().max(1));
     let next = AtomicUsize::new(0);
-    let out: Vec<std::sync::Mutex<Option<R>>> = (0..jobs.len())
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    let mut slots = SlotStats::default();
+    let (tx, rx) = mpsc::channel::<(usize, R)>();
     std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for _ in 0..workers {
-            handles.push(s.spawn(|| {
-                let mut slot = WorldSlot::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let tx = tx.clone();
+                let (next, init, run, done) = (&next, &init, &run, &done);
+                s.spawn(move || {
+                    let mut state = init();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= jobs.len() || tx.send((i, run(&mut state, &jobs[i]))).is_err() {
+                            break;
+                        }
                     }
-                    *out[i].lock().expect("a batch job panicked") = Some(f(&mut slot, &jobs[i]));
-                }
-                slot.stats()
-            }));
+                    done(state)
+                })
+            })
+            .collect();
+        drop(tx);
+        for (i, r) in rx {
+            sink(i, r);
         }
-        for h in handles {
-            let st = h.join().expect("batch worker panicked");
-            slots.prepared += st.prepared;
-            slots.reused += st.reused;
-        }
-    });
-    let results = out
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("lock poisoned")
-                .expect("job claimed but never finished")
-        })
-        .collect();
-    (results, slots)
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("pool worker panicked"))
+            .collect()
+    })
 }
 
 /// A record with identity filled in and every outcome field zeroed.
@@ -583,5 +595,20 @@ impl<'a> Worker<'a> {
             slot.retire(sim);
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn run_batch_returns_results_in_job_order() {
+        let jobs: Vec<usize> = (0..20).collect();
+        for workers in [1, 3, 64] {
+            let (out, slots) = run_batch(&jobs, workers, |_slot, &i| i * 10);
+            assert_eq!(out, (0..20).map(|i| i * 10).collect::<Vec<_>>());
+            assert_eq!(slots.prepared, 0, "no job prepared a world");
+        }
     }
 }

@@ -311,9 +311,9 @@ impl Scenario {
                 cfg.warmup = warmup;
                 cfg.odf = self.odf;
                 cfg.placement = self.placement;
-                // The LB migrates through the checkpoint/restore path,
-                // so an armed balancer needs checkpoints on.
-                if self.machine.lb.enabled() {
+                // PE-failure recovery and the LB both restore from
+                // checkpoints, so either one needs checkpoints on.
+                if self.machine.lb.enabled() || !self.machine.faults.pe_failures.is_empty() {
                     cfg.checkpoint_every = 1;
                 }
                 cfg

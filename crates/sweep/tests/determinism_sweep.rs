@@ -3,10 +3,10 @@
 //! match a reuse-disabled sweep, and must match standalone one-off runs
 //! of the same scenarios.
 
-use gaat_jacobi3d::{CommMode, Dims, Placement};
+use gaat_jacobi3d::{CommMode, Dims, Placement, Reference};
 use gaat_net::{FatTreeParams, TopologyKind};
 use gaat_rt::MachineConfig;
-use gaat_sim::FaultPlan;
+use gaat_sim::{FaultPlan, PeFault, SimDuration, SimTime};
 use gaat_sweep::{run_standalone, run_sweep, ScenarioGrid, SweepOptions, Workload};
 
 fn test_machine() -> MachineConfig {
@@ -255,4 +255,49 @@ fn jsonl_and_csv_outputs_stream_every_record() {
     );
     let total: usize = rows.iter().map(|r| r.count).sum();
     assert_eq!(total, scenarios.len(), "aggregate covers every scenario");
+}
+
+#[test]
+fn template_pe_failure_recovers_in_every_scenario() {
+    // A template machine that kills a PE must turn checkpoints on in
+    // every Jacobi scenario; without them the build panics and takes
+    // the whole grid down.
+    let mut machine = MachineConfig::validation(2, 2);
+    machine.ucx.reliability.enabled = true;
+    machine.faults.pe_failures = vec![PeFault {
+        at: SimTime::ZERO + SimDuration::from_us(300),
+        pe: 1,
+    }];
+    let mut grid = ScenarioGrid::new(machine);
+    let (global, iters, warmup) = (Dims::cube(8), 8, 1);
+    grid.workloads = vec![Workload::Jacobi {
+        global,
+        iters,
+        warmup,
+        comm: CommMode::HostStaging,
+    }];
+    grid.seeds = vec![1, 2];
+    grid.odfs = vec![1, 2];
+    let scenarios = grid.expand();
+    assert_eq!(scenarios.len(), 4);
+
+    let mut reference = Reference::new(global);
+    reference.run(iters + warmup);
+    let standalone: Vec<u64> = scenarios
+        .iter()
+        .map(|sc| run_standalone(sc).fingerprint())
+        .collect();
+    for workers in [1, 2] {
+        let opts = SweepOptions {
+            workers,
+            ..SweepOptions::new()
+        };
+        let report = run_sweep(&scenarios, &opts).expect("no I/O configured");
+        assert_eq!(report.fingerprints(), standalone, "workers={workers}");
+        for r in &report.records {
+            assert!(r.ok, "{} did not recover", r.label);
+            assert!(r.makespan_ns > 300_000, "the PE died before the end");
+            assert_eq!(r.checksum, Some(reference.norm2()), "{}", r.label);
+        }
+    }
 }

@@ -3,10 +3,10 @@
 # standalone benchmark build, tier-1 and workspace tests (which hold every
 # correctness pin) in release and in the dev profile, the fault-tolerance
 # example (PE-failure recovery must still match the reference solver), the
-# fat-tree strong-scaling, sweep and profile_run examples, a smoke run of every
-# benchmark workload, a quick Fig 9 and the protocol landscape through the
-# figures binary, a collectives smoke run and the sweep engine's
-# in-process ratio gates.
+# sweep and profile_run examples, a smoke run of every benchmark workload,
+# a quick Fig 9, a quick fat-tree Fig 7c and the protocol landscape through
+# the figures binary (whose unknown --fig and --topology values must fail),
+# a collectives smoke run and the sweep engine's in-process ratio gates.
 # Everything here must pass with no network access.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -49,9 +49,7 @@ cargo run --release -p gaat --example fault_tolerance
 echo "fault-tolerance example OK"
 
 echo "==> examples"
-# strong_scaling builds fat-tree worlds through the sweep engine's slot
-# pool; sweep_run drives a 1024-scenario forked sweep. Both must exit 0.
-cargo run --release -p gaat --example strong_scaling -- 4 --topology fattree
+# sweep_run drives a 1024-scenario forked sweep; it must exit 0.
 cargo run --release -p gaat --example sweep_run
 # profile_run under adaptive LB and 1% loss rolls back four times, so late
 # events meet stale slab keys; the collective run drives gaat-coll.
@@ -69,13 +67,16 @@ echo "benchmark smoke OK"
 
 echo "==> figures binary"
 # Fig 9 at quick effort runs every graph x fusion path of Jacobi3D
-# through the binary, and the protocol landscape drives every UCX
-# protocol; an unknown --fig value must fail rather than write nothing,
-# and its error must list the valid names, 6s, 512 and protocols among
-# them.
+# through the binary, the fat-tree Fig 7c builds fat-tree worlds through
+# the sweep engine's slot pool, and the protocol landscape drives every
+# UCX protocol; an unknown --fig or --topology value must fail rather
+# than write nothing, and its error must list the valid names (6s, 512
+# and protocols among the figures; flat and fattree).
 figs_out=$(mktemp -d)
 cargo run --release -p gaat-bench --bin figures -- --fig 9 --effort quick --out "$figs_out"
 test -s "$figs_out/fig9.csv"
+cargo run --release -p gaat-bench --bin figures -- --fig 7c --topology fattree --effort quick --out "$figs_out"
+test -s "$figs_out/fig7c-fattree.csv"
 cargo run --release -p gaat-bench --bin figures -- --fig protocols --out "$figs_out"
 if cargo run --release -p gaat-bench --bin figures -- --fig bogus --out "$figs_out" 2>"$figs_out/bogus.err"; then
     echo "figures --fig bogus must exit non-zero"
@@ -84,6 +85,16 @@ fi
 for name in 6s 512 protocols; do
     if ! grep "valid:" "$figs_out/bogus.err" | grep -qw "$name"; then
         echo "figures --fig bogus must list $name among the valid figures"
+        exit 1
+    fi
+done
+if cargo run --release -p gaat-bench --bin figures -- --topology bogus --out "$figs_out" 2>"$figs_out/bogus.err"; then
+    echo "figures --topology bogus must exit non-zero"
+    exit 1
+fi
+for name in flat fattree; do
+    if ! grep "valid:" "$figs_out/bogus.err" | grep -qw "$name"; then
+        echo "figures --topology bogus must list $name among the valid topologies"
         exit 1
     fi
 done

@@ -3,7 +3,9 @@
 //! the knobs move performance). The acceptance criteria are the ones
 //! listed in DESIGN.md's experiment index.
 
-use gaat_bench::{best_per_point, fig6, fig6s, fig7a, fig7b, fig8, fig9, Effort, Row};
+use gaat_bench::{
+    best_per_point, fig6, fig6s, fig7a, fig7b, fig7c, fig8, fig9, Effort, Row, Topology,
+};
 use gaat_jacobi3d::{run_charm, run_mpi, CommMode, Dims, JacobiConfig};
 use gaat_rt::MachineConfig;
 
@@ -167,6 +169,33 @@ fn fig7c_mechanism_strong_scaling_favors_charm_d_once_halos_shrink() {
         charm_d <= charm_h * 1.05,
         "Charm-D {charm_d} should be at least on par with Charm-H {charm_h}"
     );
+}
+
+#[test]
+fn fig7c_fattree_charm_beats_mpi_and_the_flag_reaches_the_machine() {
+    // Fig. 7c on the fat tree at quick effort: at 8 nodes both
+    // task-runtime versions' best ODF beats both MPI versions, as on
+    // Summit.
+    let mut e = quick();
+    e.topology = Topology::FatTree;
+    let rows = best_per_point(&fig7c(&e));
+    let nodes = 8;
+    for charm in ["Charm-H", "Charm-D"] {
+        for mpi in ["MPI-H", "MPI-D"] {
+            let (tc, tm) = (
+                find(&rows, charm, nodes).time_us,
+                find(&rows, mpi, nodes).time_us,
+            );
+            assert!(tc < tm, "fat tree: {charm} ({tc}) should beat {mpi} ({tm})");
+        }
+    }
+    // The flag must reach the machine: MPI-D moves off its flat time.
+    let flat = best_per_point(&fig7c(&quick()));
+    let (tf, tt) = (
+        find(&flat, "MPI-D", nodes).time_us,
+        find(&rows, "MPI-D", nodes).time_us,
+    );
+    assert_ne!(tf, tt, "MPI-D took the same time on flat and fat tree");
 }
 
 #[test]
