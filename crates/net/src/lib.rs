@@ -157,8 +157,8 @@ pub struct NetStats {
     pub max_link_utilization: f64,
     /// The link holding `max_link_utilization`, if any traffic flowed.
     pub hottest_link: Option<LinkId>,
-    /// Incremental rate-solver counters (recomputes, dirty-component
-    /// size histogram, rate updates avoided; all zero under `Flat`).
+    /// Incremental rate-solver counters (recomputes, flows and links
+    /// touched, rate updates avoided; all zero under `Flat`).
     pub solver: SolverStats,
     /// Messages silently dropped at injection by the fault plan.
     pub drops: u64,

@@ -29,10 +29,10 @@
 //! therefore walk classes, not flows, and only the rate write stays per
 //! member. Per-link lists hold classes (each class once per hop while
 //! it has members), so a completion or abort touches a link's list only
-//! when its class empties. Draining, ETA projection, the pacing heap and
-//! byte attribution stay per flow.
+//! when its class empties. Draining, ETA projection and byte attribution
+//! stay per flow.
 //!
-//! Two further structural optimizations, both behavior-preserving:
+//! Two further structural choices, both behavior-preserving:
 //!
 //! - **Deferred recomputation.** Admits and completions only *seed* the
 //!   dirty set; the actual water-fill runs lazily at the next query
@@ -42,16 +42,12 @@
 //!   the recomputes of one event instant is unobservable — but it halves
 //!   the fill count under churny traffic (complete + re-admit at one
 //!   instant is one fill, not two or three).
-//! - **Dense/sparse pacing split.** Completion instants live in a lazy
-//!   min-heap keyed by ETA — stale entries (dead flow, or a flow whose
-//!   ETA moved) are skipped on pop — instead of a full live-flow scan
-//!   per recompute. When the dirty component spans most of the fabric
-//!   the heap would see every ETA re-pushed each fill, so the solver
-//!   flips to a dense mode that tracks the minimum ETA with one
-//!   contiguous scan of the flows it already touched and leaves the heap
-//!   empty; the heap is rebuilt on the next sparse fill.
+//! - **Pacing by scan.** ETAs live in a mirror kept in admission order
+//!   next to the remaining bytes and rates; every fill re-projects the
+//!   flows whose rate moved and then takes the next wakeup as the
+//!   minimum of that mirror, one contiguous O(live) scan.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::{BusySpan, CongestionSummary, LinkDesc, LinkId, LinkUsage, SolverStats};
@@ -67,7 +63,7 @@ pub const EPS_BYTES: f64 = 1e-6;
 const RATE_UNSET: f64 = -1.0;
 
 /// Cold per-link bookkeeping (stats and occupancy). The water-filling
-/// scratch lives in dense parallel arrays on [`FlowSim`] instead, so the
+/// scratch lives in packed parallel arrays on [`FlowSim`] instead, so the
 /// fill's inner loops touch only a few cache lines.
 #[derive(Debug, Clone)]
 struct LinkMeta {
@@ -78,30 +74,6 @@ struct LinkMeta {
     busy_ns: u64,
     busy_since: SimTime,
     peak: u32,
-}
-
-/// Lazy pacing-heap entry; ordered so `BinaryHeap` pops the smallest
-/// `(eta, flow)` first. An entry is stale (skipped on pop) when its flow
-/// is dead or the flow's current ETA no longer matches.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct EtaEntry {
-    eta: SimTime,
-    flow: u32,
-}
-
-impl Ord for EtaEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .eta
-            .cmp(&self.eta)
-            .then_with(|| other.flow.cmp(&self.flow))
-    }
-}
-
-impl PartialOrd for EtaEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// Word-wise multiplicative hash for route keys: a route is a length
@@ -198,15 +170,12 @@ impl RouteClasses {
 ///
 /// Per-flow, per-class and per-link hot state is stored
 /// struct-of-arrays: the water-fill, the settle loop, and the closure
-/// walk only stream over small dense `f64`/`u32` arrays, never over wide
+/// walk only stream over small contiguous `f64`/`u32` arrays, never over wide
 /// structs.
 #[derive(Debug, Clone)]
 pub struct FlowSim {
     // --- per-flow arrays, indexed by slot ---
     rate: Vec<f64>,
-    /// Projected completion instant under the current rates; valid for
-    /// live flows once a fill has seen them (`SimTime::MAX` before).
-    eta: Vec<SimTime>,
     /// Original byte count (for report-time byte attribution).
     total: Vec<f64>,
     token: Vec<u64>,
@@ -233,19 +202,12 @@ pub struct FlowSim {
     /// count is f64 so the share division needs no conversion; exact
     /// for any realistic flow count.
     lcu: Vec<[f64; 2]>,
-    /// Live-flow count per link (the member counts of its classes summed),
-    /// kept out of the cold [`LinkMeta`] so the dense build streams over
-    /// a packed array instead of gathering through wide structs.
+    /// Live-flow count per link (the member counts of its classes summed).
     lactive: Vec<u32>,
     /// Dirty-link scratch, valid when `== epoch`.
     lmark: Vec<u64>,
     /// Position of the link in the fill's candidate list.
     cand_pos: Vec<u32>,
-    /// Links with at least one live flow (lazily compacted); lets the
-    /// dense fill seed `unfrozen` from the maintained `active` counters
-    /// instead of re-walking every route.
-    active_links: Vec<u32>,
-    in_active: Vec<bool>,
 
     // --- global state ---
     free: Vec<u32>,
@@ -259,8 +221,9 @@ pub struct FlowSim {
     /// writes that update the slot-indexed arrays.
     rem_live: Vec<f64>,
     rate_live: Vec<f64>,
-    /// ETA mirror in `live` order; the dense pacing mode takes its
-    /// minimum with one contiguous scan instead of gathering by slot.
+    /// Projected completion instant of each live flow under the current
+    /// rates, in `live` order (`SimTime::MAX` until a fill has seen the
+    /// flow); the next wakeup is its minimum, one contiguous scan.
     eta_live: Vec<SimTime>,
     /// Slot -> index in `live` (valid while the flow is live).
     lpos: Vec<u32>,
@@ -271,16 +234,8 @@ pub struct FlowSim {
     epoch: u64,
     closed: Vec<BusySpan>,
     record_spans: bool,
-    /// Lazy completion heap; when `heap_live`, every live flow has at
-    /// least one entry matching its current ETA.
-    eta_heap: BinaryHeap<EtaEntry>,
-    heap_live: bool,
     /// A fill is owed before rates/ETAs may next be observed.
     pending: bool,
-    /// Mode predictor: the last fill touched at least half the live
-    /// flows, so the next one skips the closure walk and fills the whole
-    /// fabric (identical result, cheaper bookkeeping).
-    dense: bool,
     // Scratch buffers reused across fills (steady state allocates
     // nothing).
     seed: Vec<u32>,
@@ -289,11 +244,6 @@ pub struct FlowSim {
     changed: Vec<u32>,
     touched: Vec<u32>,
     emptied: Vec<u32>,
-    /// Cache of `lcap[l] / init_u[l]` from earlier dense fills; valid
-    /// while the link's occupancy still equals `init_u[l]`. Same
-    /// operands give the same quotient, so reuse is bit-exact.
-    init_u: Vec<u32>,
-    init_share: Vec<f64>,
     stats: SolverStats,
 }
 
@@ -312,7 +262,6 @@ impl FlowSim {
             .collect();
         FlowSim {
             rate: Vec::new(),
-            eta: Vec::new(),
             total: Vec::new(),
             token: Vec::new(),
             alive: Vec::new(),
@@ -329,8 +278,6 @@ impl FlowSim {
             lactive: vec![0; n],
             lmark: vec![0; n],
             cand_pos: vec![0; n],
-            active_links: Vec::new(),
-            in_active: vec![false; n],
             free: Vec::new(),
             live: Vec::new(),
             rem_live: Vec::new(),
@@ -342,18 +289,13 @@ impl FlowSim {
             epoch: 0,
             closed: Vec::new(),
             record_spans: false,
-            eta_heap: BinaryHeap::new(),
-            heap_live: true,
             pending: false,
-            dense: false,
             seed: Vec::new(),
             cand: Vec::new(),
             cand_share: Vec::new(),
             changed: Vec::new(),
             touched: Vec::new(),
             emptied: Vec::new(),
-            init_u: vec![0; n],
-            init_share: vec![0.0; n],
             stats: SolverStats::default(),
         }
     }
@@ -374,9 +316,26 @@ impl FlowSim {
     /// Assert that the route-class bookkeeping balances: each link's
     /// class sizes sum to its live-flow count, no empty class sits on a
     /// link list, and every live flow is in its class's member list at
-    /// the position it records. For tests; O(links + classes + flows).
+    /// the position it records. Also assert that the live-order arrays
+    /// pacing reads stay in step with `live`: one entry per live flow,
+    /// `lpos` inverts `live`, and with no fill pending the cached wakeup
+    /// is the minimum ETA. For tests; O(links + classes + flows).
     #[doc(hidden)]
     pub fn check_invariants(&self) {
+        let n = self.live.len();
+        assert_eq!(self.rem_live.len(), n, "rem_live vs live");
+        assert_eq!(self.rate_live.len(), n, "rate_live vs live");
+        assert_eq!(self.eta_live.len(), n, "eta_live vs live");
+        for (j, &f) in self.live.iter().enumerate() {
+            assert_eq!(self.lpos[f as usize] as usize, j, "lpos of flow {f}");
+        }
+        if !self.pending {
+            assert_eq!(
+                self.next_eta,
+                self.eta_live.iter().min().copied(),
+                "cached wakeup vs minimum ETA"
+            );
+        }
         for (l, list) in self.lclasses.iter().enumerate() {
             let mut sum = 0usize;
             for &c in list {
@@ -422,9 +381,10 @@ impl FlowSim {
         }
         self.live
             .iter()
-            .map(|&idx| {
+            .zip(&self.eta_live)
+            .map(|(&idx, &eta)| {
                 let i = idx as usize;
-                (self.token[i], self.rate[i], self.eta[i])
+                (self.token[i], self.rate[i], eta)
             })
             .collect()
     }
@@ -452,7 +412,6 @@ impl FlowSim {
             None => {
                 let i = self.rate.len() as u32;
                 self.rate.push(0.0);
-                self.eta.push(SimTime::MAX);
                 self.total.push(0.0);
                 self.token.push(0);
                 self.alive.push(false);
@@ -465,7 +424,6 @@ impl FlowSim {
         let i = idx as usize;
         self.total[i] = bytes.max(0.0);
         self.rate[i] = RATE_UNSET;
-        self.eta[i] = SimTime::MAX;
         self.token[i] = token;
         self.alive[i] = true;
         let c = self.classes.intern(route);
@@ -484,10 +442,6 @@ impl FlowSim {
             let m = &mut self.lmeta[l as usize];
             if a == 1 {
                 m.busy_since = now;
-                if !self.in_active[l as usize] {
-                    self.in_active[l as usize] = true;
-                    self.active_links.push(l);
-                }
             }
             m.peak = m.peak.max(a);
             self.seed.push(l);
@@ -613,9 +567,6 @@ impl FlowSim {
         let l = link.0 as usize;
         self.lmeta[l].desc.bw = bw;
         self.lcap[l] = bw / 1e9;
-        // The dense-fill share cache keys on occupancy only; capacity
-        // changed, so force a recompute of this link's cached quotient.
-        self.init_u[l] = 0;
         self.seed.push(link.0);
         self.pending = true;
     }
@@ -633,6 +584,9 @@ impl FlowSim {
         self.settle(now);
         let l0 = link.0 as usize;
         if self.lactive[l0] == 0 {
+            // No fill follows, and the settle may have moved an overdue
+            // ETA later.
+            self.next_eta = self.eta_live.iter().min().copied();
             return;
         }
         // Victims in admission order (member lists are unordered).
@@ -751,39 +705,20 @@ impl FlowSim {
     /// that crosses the completion threshold here without an `advance`
     /// collecting it (the caller slept past its ETA) gets its ETA
     /// re-anchored to the settle point, exactly like the from-scratch
-    /// solver's full recompute did.
+    /// solver's full recompute did. That can move an ETA later, so the
+    /// caller must re-derive the wakeup: every caller owes a fill
+    /// afterwards except an abort on an empty link, which rescans.
     fn settle(&mut self, now: SimTime) {
         debug_assert!(now >= self.settled_at, "settle moved backwards");
         let dt = now.since(self.settled_at).as_ns() as f64;
         if dt > 0.0 {
-            let Self {
-                rem_live,
-                rate_live,
-                eta_live,
-                eta,
-                live,
-                eta_heap,
-                heap_live,
-                next_eta,
-                ..
-            } = self;
-            for (j, &idx) in live.iter().enumerate() {
-                let rem = rem_live[j];
-                let was_open = rem > EPS_BYTES;
-                let carried = (rate_live[j] * dt).min(rem);
-                let rem = rem - carried;
-                rem_live[j] = rem;
-                if was_open && rem <= EPS_BYTES {
-                    let i = idx as usize;
-                    eta[i] = now;
-                    eta_live[j] = now;
-                    if *heap_live {
-                        eta_heap.push(EtaEntry {
-                            eta: now,
-                            flow: idx,
-                        });
-                    }
-                    *next_eta = Some(next_eta.map_or(now, |e| e.min(now)));
+            let live = self.rem_live.iter_mut().zip(&self.rate_live);
+            for ((rem, &rate), eta) in live.zip(&mut self.eta_live) {
+                let was_open = *rem > EPS_BYTES;
+                let carried = (rate * dt).min(*rem);
+                *rem -= carried;
+                if was_open && *rem <= EPS_BYTES {
+                    *eta = now;
                 }
             }
         }
@@ -791,10 +726,9 @@ impl FlowSim {
     }
 
     /// Run the deferred incremental water-fill: close the accumulated
-    /// seed under "shares a link" (or, in dense mode, take the whole
-    /// fabric — identical result), re-run progressive water-filling on
-    /// that component only, and re-project the ETAs of exactly the flows
-    /// whose rate changed.
+    /// seed under "shares a link", re-run progressive water-filling on
+    /// that component only, re-project the ETAs of exactly the flows
+    /// whose rate changed, and take the next wakeup as the minimum ETA.
     fn flush(&mut self) {
         self.pending = false;
         self.epoch += 1;
@@ -803,31 +737,22 @@ impl FlowSim {
         let live_n = self.live.len();
         let Self {
             rate,
-            eta,
             classes,
-            lactive,
             lclasses,
             lcap,
             lcu,
             lmark,
             cand_pos,
-            active_links,
-            in_active,
-            live,
             rem_live,
             rate_live,
             eta_live,
             lpos,
-            eta_heap,
-            heap_live,
             seed,
             cand,
             cand_share,
             changed,
             touched,
             emptied,
-            init_u,
-            init_share,
             stats,
             ..
         } = self;
@@ -845,134 +770,66 @@ impl FlowSim {
         cand.clear();
         cand_share.clear();
 
-        // Dense mode self-perpetuates if entry is judged only by the
-        // last fill's size (a dense fill touches everything by
-        // construction), so exit is decided from the seed instead: the
-        // direct member count of the seeded links upper-bounds how local
-        // the change is. It *under*counts the transitive closure, so
-        // leaving dense demands a strong locality signal (8x), which
-        // also keeps borderline fills from thrashing between modes.
-        let mut dense = self.dense && live_n > 0;
-        if dense {
-            let mut est = 0usize;
-            for &l in seed.iter() {
-                est += lactive[l as usize] as usize;
-            }
-            if est * 8 < live_n {
-                dense = false;
+        // Seed the dirty link set with the changed flows' routes.
+        for &l in seed.iter() {
+            let l = l as usize;
+            if lmark[l] != epoch {
+                lmark[l] = epoch;
+                lcu[l] = [lcap[l], 0.0];
+                cand.push(l as u32);
             }
         }
-        let dense = dense;
-        let to_freeze;
-        if dense {
-            // Dense mode: the previous fill touched most of the fabric,
-            // so skip the closure walk and fill every live flow. Filling
-            // a superset of components is exact: components don't share
-            // links, so the merged bottleneck sequence interleaves the
-            // per-component sequences without changing any of them. The
-            // per-link unfrozen count over *all* live flows is exactly
-            // the maintained `active` occupancy, so seeding walks the
-            // active-link list instead of every route.
-            seed.clear();
-            cand.resize(active_links.len(), 0);
-            cand_share.resize(active_links.len(), 0.0);
-            let cands = cand.as_mut_slice();
-            let shs = cand_share.as_mut_slice();
-            let mut cn = 0usize;
-            let mut i = 0;
-            while i < active_links.len() {
-                let l = active_links[i] as usize;
-                let a = lactive[l];
-                if a == 0 {
-                    in_active[l] = false;
-                    active_links.swap_remove(i);
+        seed.clear();
+        // Transitive closure: every class on a dirty link is dirty, and
+        // every link on a dirty class's route is dirty. After this, dirty
+        // links carry only dirty flows, so the component water-fills
+        // independently of the rest of the fabric. A class adds its
+        // member count to each of its links' unfrozen counts: an exact
+        // integer in f64, the same sum as adding one per flow.
+        let mut dirty = 0usize;
+        let mut li = 0;
+        while li < cand.len() {
+            let l = cand[li] as usize;
+            li += 1;
+            // Index form: `lclasses[l]` cannot be borrowed across the
+            // loop body (cand/lmark are pushed to inside it).
+            #[allow(clippy::needless_range_loop)]
+            for ci in 0..lclasses[l].len() {
+                let c = lclasses[l][ci] as usize;
+                if cmark[c] == epoch {
                     continue;
                 }
-                lcu[l] = [lcap[l], a as f64];
-                cand_pos[l] = cn as u32;
-                cands[cn] = l as u32;
-                shs[cn] = if init_u[l] == a {
-                    init_share[l]
-                } else {
-                    let sh = lcap[l] / a as f64;
-                    init_u[l] = a;
-                    init_share[l] = sh;
-                    sh
-                };
-                cn += 1;
-                i += 1;
-            }
-            cand.truncate(cn);
-            cand_share.truncate(cn);
-            to_freeze = live_n;
-        } else {
-            // Seed the dirty link set with the changed flows' routes.
-            for &l in seed.iter() {
-                let l = l as usize;
-                if lmark[l] != epoch {
-                    lmark[l] = epoch;
-                    lcu[l] = [lcap[l], 0.0];
-                    cand.push(l as u32);
+                cmark[c] = epoch;
+                let m = members[c].len();
+                dirty += m;
+                let base = c * stride;
+                for &l2 in &croute[base..base + croute_len[c] as usize] {
+                    let l2 = l2 as usize;
+                    if lmark[l2] != epoch {
+                        lmark[l2] = epoch;
+                        lcu[l2] = [lcap[l2], 0.0];
+                        cand.push(l2 as u32);
+                    }
+                    lcu[l2][1] += m as f64;
                 }
             }
-            seed.clear();
-            // Transitive closure: every class on a dirty link is dirty,
-            // and every link on a dirty class's route is dirty. After
-            // this, dirty links carry only dirty flows, so the component
-            // water-fills independently of the rest of the fabric. A
-            // class adds its member count to each of its links' unfrozen
-            // counts: an exact integer in f64, the same sum as adding
-            // one per flow.
-            let mut dirty = 0usize;
-            let mut li = 0;
-            while li < cand.len() {
-                let l = cand[li] as usize;
-                li += 1;
-                // Index form: `lclasses[l]` cannot be borrowed across
-                // the loop body (cand/lmark are pushed to inside it).
-                #[allow(clippy::needless_range_loop)]
-                for ci in 0..lclasses[l].len() {
-                    let c = lclasses[l][ci] as usize;
-                    if cmark[c] == epoch {
-                        continue;
-                    }
-                    cmark[c] = epoch;
-                    let m = members[c].len();
-                    dirty += m;
-                    let base = c * stride;
-                    for &l2 in &croute[base..base + croute_len[c] as usize] {
-                        let l2 = l2 as usize;
-                        if lmark[l2] != epoch {
-                            lmark[l2] = epoch;
-                            lcu[l2] = [lcap[l2], 0.0];
-                            cand.push(l2 as u32);
-                        }
-                        lcu[l2][1] += m as f64;
-                    }
-                }
-            }
-            to_freeze = dirty;
         }
 
-        stats.record_component(to_freeze, cand.len(), live_n);
-        self.dense = 2 * to_freeze >= live_n;
+        stats.record_component(dirty, cand.len(), live_n);
 
-        if to_freeze > 0 {
-            if !dense {
-                // Candidate shares; links whose flows all completed
-                // drop out. (The dense build filled these in directly.)
-                let mut i = 0;
-                while i < cand.len() {
-                    let l = cand[i] as usize;
-                    let [c, u] = lcu[l];
-                    if u == 0.0 {
-                        cand.swap_remove(i);
-                        continue;
-                    }
-                    cand_pos[l] = i as u32;
-                    cand_share.push(c / u);
-                    i += 1;
+        if dirty > 0 {
+            // Candidate shares; links whose flows all completed drop out.
+            let mut i = 0;
+            while i < cand.len() {
+                let l = cand[i] as usize;
+                let [c, u] = lcu[l];
+                if u == 0.0 {
+                    cand.swap_remove(i);
+                    continue;
                 }
+                cand_pos[l] = i as u32;
+                cand_share.push(c / u);
+                i += 1;
             }
 
             // Water-fill the component. Identical op order to the
@@ -985,16 +842,16 @@ impl FlowSim {
             // cursor instead of `Vec::push`: a push's potential
             // reallocation forces the compiler to reload every slice
             // pointer after it, which dominates the inner loop.
-            if touched.len() < stride * to_freeze {
-                touched.resize(stride * to_freeze, 0);
+            if touched.len() < stride * dirty {
+                touched.resize(stride * dirty, 0);
             }
-            if changed.len() < live_n {
-                changed.resize(live_n, 0);
+            if changed.len() < dirty {
+                changed.resize(dirty, 0);
             }
             let tb = touched.as_mut_slice();
             let cb = changed.as_mut_slice();
             let mut clen = 0usize;
-            let mut left = to_freeze;
+            let mut left = dirty;
             while left > 0 && !cand.is_empty() {
                 // Bottleneck scan: a packed-double min pass, then the
                 // lowest link id among the ties (ties are rare, so the
@@ -1094,93 +951,14 @@ impl FlowSim {
             }
 
             // Re-project completion instants for flows whose rate moved;
-            // everyone else keeps both rate and ETA (their pacing
-            // entries stay valid).
+            // everyone else keeps both rate and ETA.
             let settled_at = self.settled_at;
-            if self.dense {
-                // Dense pacing: the heap would churn one push per flow
-                // per fill here; track the minimum ETA by scanning the
-                // flows this fill already touched instead.
-                if *heap_live {
-                    eta_heap.clear();
-                    *heap_live = false;
-                }
-                for &f in cb[..clen].iter() {
-                    let i = f as usize;
-                    let p = lpos[i] as usize;
-                    let e = project_eta(rem_live[p], rate[i], settled_at);
-                    eta[i] = e;
-                    eta_live[p] = e;
-                }
-                let mut mn = SimTime::MAX;
-                for &e in eta_live.iter() {
-                    mn = mn.min(e);
-                }
-                self.next_eta = if live.is_empty() { None } else { Some(mn) };
-                return;
-            }
-            if !*heap_live {
-                // Back from dense mode: rebuild the heap from the live
-                // set before the incremental pushes below.
-                eta_heap.clear();
-                for &f in live.iter() {
-                    eta_heap.push(EtaEntry {
-                        eta: eta[f as usize],
-                        flow: f,
-                    });
-                }
-                *heap_live = true;
-            }
             for &f in cb[..clen].iter() {
-                let i = f as usize;
-                let p = lpos[i] as usize;
-                let e = project_eta(rem_live[p], rate[i], settled_at);
-                if e != eta[i] {
-                    eta[i] = e;
-                    eta_live[p] = e;
-                    eta_heap.push(EtaEntry { eta: e, flow: f });
-                }
+                let p = lpos[f as usize] as usize;
+                eta_live[p] = project_eta(rem_live[p], rate_live[p], settled_at);
             }
-            // Compact the lazy heap when stale entries dominate, so long
-            // churny runs stay O(live) in memory.
-            if eta_heap.len() > 2 * live.len() + 64 {
-                eta_heap.clear();
-                for &idx in live.iter() {
-                    eta_heap.push(EtaEntry {
-                        eta: eta[idx as usize],
-                        flow: idx,
-                    });
-                }
-            }
-        } else if !*heap_live {
-            // Empty fill in dense pacing mode: completions may have
-            // removed the minimum; rescan the (possibly empty) live set.
-            let mut mn = SimTime::MAX;
-            for &e in eta_live.iter() {
-                mn = mn.min(e);
-            }
-            self.next_eta = if live.is_empty() { None } else { Some(mn) };
-            return;
         }
-
-        // Sparse pacing: pop stale heap entries (dead flow, or ETA
-        // moved) until the top is live and current.
-        loop {
-            match self.eta_heap.peek() {
-                None => {
-                    self.next_eta = None;
-                    return;
-                }
-                Some(e) => {
-                    let i = e.flow as usize;
-                    if self.alive[i] && self.eta[i] == e.eta {
-                        self.next_eta = Some(e.eta);
-                        return;
-                    }
-                }
-            }
-            self.eta_heap.pop();
-        }
+        self.next_eta = self.eta_live.iter().min().copied();
     }
 }
 

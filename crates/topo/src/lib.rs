@@ -39,9 +39,6 @@ pub struct SolverStats {
     /// summed over recomputes — the work a from-scratch solver would
     /// have redone.
     pub rate_updates_avoided: u64,
-    /// Histogram of dirty-component sizes (flows per recompute), in
-    /// buckets `0, 1, 2-3, 4-7, 8-15, 16-31, 32-63, >=64`.
-    pub dirty_hist: [u64; 8],
 }
 
 impl SolverStats {
@@ -54,12 +51,6 @@ impl SolverStats {
         self.touched_flows += dirty_flows as u64;
         self.touched_links += dirty_links as u64;
         self.rate_updates_avoided += (live - dirty_flows) as u64;
-        let bucket = match dirty_flows {
-            0 => 0,
-            1 => 1,
-            n => (usize::BITS - n.leading_zeros()).min(7) as usize,
-        };
-        self.dirty_hist[bucket] += 1;
     }
 }
 

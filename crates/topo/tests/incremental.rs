@@ -2,17 +2,19 @@
 //! [`FlowSim`] against a deliberately naive from-scratch reference.
 //!
 //! The reference re-runs progressive water-filling over *every* live
-//! flow at each observation point, with no dirty sets, no deferred-fill
-//! merging, no dense/sparse split, no pacing heap, and no SIMD — just
-//! the textbook algorithm in the same op order. The property asserted
-//! is exact equality (`==` on the `f64` rates, not approximate): the
-//! incremental solver's documentation claims it replays the
-//! from-scratch op sequence bit for bit, and these tests hold it to
-//! that over randomized admit/advance churn, including same-instant
-//! event batches, sleeps past completion instants, and zero-byte flows.
+//! flow at each observation point, with no dirty sets, no route
+//! classes, no deferred-fill merging, no live-order mirrors, and no
+//! SIMD — just the textbook algorithm in the same op order. The
+//! property asserted is exact equality (`==` on the `f64` rates, not
+//! approximate): the incremental solver's documentation claims it
+//! replays the from-scratch op sequence bit for bit, and these tests
+//! hold it to that over randomized admit/advance churn, including
+//! same-instant event batches, sleeps past completion instants, and
+//! zero-byte flows.
 //! A second property draws every route from a small pool, so many live
 //! flows share one route class, and mixes in link aborts and capacity
-//! changes. Both check the solver's class bookkeeping after every op.
+//! changes. Both check the solver's class bookkeeping and its pacing
+//! mirrors after every op.
 
 use proptest::prelude::*;
 
@@ -401,7 +403,6 @@ fn run_scenario(ops: Vec<(u8, u16, u32, u16)>) {
     if token > 0 {
         assert!(stats.recomputes > 0);
     }
-    assert_eq!(stats.dirty_hist.iter().sum::<u64>(), stats.recomputes);
 }
 
 proptest! {
@@ -515,8 +516,6 @@ fn run_pooled_scenario(pool: Vec<u16>, ops: Vec<(u8, u16, u32, u16)>) {
         assert_eq!(u.busy_ns, *busy, "busy_ns on {:?}", u.link);
         assert_eq!(u.peak_flows, *peak, "peak_flows on {:?}", u.link);
     }
-    let stats = fs.solver_stats();
-    assert_eq!(stats.dirty_hist.iter().sum::<u64>(), stats.recomputes);
 }
 
 proptest! {
@@ -549,8 +548,7 @@ fn t(ns: u64) -> SimTime {
 /// bystander flows keep their exact rate and ETA.
 #[test]
 fn empty_dirty_set_skips_live_flows() {
-    // Enough singleton flows that the dense-mode hysteresis releases
-    // the solver back to sparse fills (see flush()).
+    // One flow per link: every flow is a component of its own.
     let n = 12usize;
     let links: Vec<LinkDesc> = (0..n)
         .map(|_| LinkDesc {
@@ -596,10 +594,16 @@ fn empty_dirty_set_skips_live_flows() {
 }
 
 /// Churn inside one bottleneck component leaves disjoint components'
-/// flows untouched (counted via `touched_flows`).
+/// flows untouched (counted via `touched_flows`), however small the
+/// component is next to the fabric.
 #[test]
 fn disjoint_component_not_refilled() {
-    let n = 20usize;
+    for n in [2, 6, 12, 20] {
+        disjoint_component_not_refilled_at(n);
+    }
+}
+
+fn disjoint_component_not_refilled_at(n: usize) {
     let links: Vec<LinkDesc> = (0..n)
         .map(|_| LinkDesc {
             kind: LinkKind::NicUp,
@@ -613,18 +617,47 @@ fn disjoint_component_not_refilled() {
     fs.next_wakeup();
     let s0 = fs.solver_stats();
 
-    // A second flow on link 5 halves that component's shares; nothing
+    // A second flow on link k halves that component's shares; nothing
     // else shares a link with it.
-    fs.start(t(10), &[LinkId(5)], 1.0e6, 99);
+    let k = n / 2;
+    fs.start(t(10), &[LinkId(k as u32)], 1.0e6, 99);
     fs.next_wakeup();
     let s1 = fs.solver_stats();
     assert_eq!(
         s1.touched_flows - s0.touched_flows,
         2,
-        "only link 5's two flows re-filled"
+        "only link {k}'s two flows re-filled (fabric of {n})"
     );
     assert_eq!(
         s1.rate_updates_avoided - s0.rate_updates_avoided,
-        (n - 1) as u64
+        (n - 1) as u64,
+        "fabric of {n}"
     );
+}
+
+/// Aborting an empty link after sleeping past a flow's ETA re-anchors
+/// that ETA to the abort instant, later than before; the wakeup must
+/// follow it rather than keep the overdue instant.
+#[test]
+fn abort_on_empty_link_reanchors_overdue_wakeup() {
+    let links: Vec<LinkDesc> = (0..3)
+        .map(|_| LinkDesc {
+            kind: LinkKind::NicUp,
+            bw: 1.0e9,
+        })
+        .collect();
+    let mut fs = FlowSim::new(links);
+    fs.start(t(0), &[LinkId(0)], 1000.0, 0);
+    fs.start(t(0), &[LinkId(1)], 1.0e6, 1);
+    assert_eq!(fs.next_wakeup(), Some(t(1_000)));
+    // Capacity unchanged, so the fill keeps flow 0's ETA at 1µs.
+    fs.set_link_bw(t(500), LinkId(0), 1.0e9);
+    let mut aborted = Vec::new();
+    fs.abort_link(t(1_500), LinkId(2), &mut aborted);
+    assert!(aborted.is_empty());
+    fs.check_invariants();
+    assert_eq!(fs.next_wakeup(), Some(t(1_500)));
+    let mut done = Vec::new();
+    fs.advance(t(1_500), &mut done);
+    assert_eq!(done, vec![0]);
 }

@@ -3,10 +3,12 @@
 # standalone benchmark build, tier-1 and workspace tests (which hold every
 # correctness pin) in release and in the dev profile, the fault-tolerance
 # example (PE-failure recovery must still match the reference solver), the
-# sweep and profile_run examples, a smoke run of every benchmark workload,
-# a quick Fig 9, a quick fat-tree Fig 7c and the protocol landscape through
-# the figures binary (whose unknown --fig and --topology values must fail),
-# a collectives smoke run and the sweep engine's in-process ratio gates.
+# sweep and profile_run examples, the two README examples (quickstart run
+# twice with byte-identical output, wavefront), a smoke run of every
+# benchmark workload, a quick Fig 9, a quick fat-tree Fig 7c and the
+# protocol landscape through the figures binary (whose unknown --fig and
+# --topology values must fail), a collectives smoke run into a temporary
+# file and the sweep engine's in-process ratio gates.
 # Everything here must pass with no network access.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -57,6 +59,15 @@ trace_out="$(mktemp)"
 cargo run --release -p gaat --example profile_run -- --lb --drop 0.01 --trace-out "$trace_out"
 rm -f "$trace_out"
 cargo run --release -p gaat --example profile_run -- --collective allreduce
+# The README's two examples. quickstart validates every Jacobi3D version
+# against the CPU reference; two runs must print the same bytes, the end
+# to end determinism check.
+qs_out=$(mktemp -d)
+cargo run --release -p gaat --example quickstart >"$qs_out/a"
+cargo run --release -p gaat --example quickstart >"$qs_out/b"
+diff "$qs_out/a" "$qs_out/b"
+rm -rf "$qs_out"
+cargo run --release -p gaat --example wavefront
 echo "examples OK"
 
 echo "==> benchmark smoke run"
@@ -104,7 +115,9 @@ echo "figures OK"
 echo "==> collectives benchmark (smoke)"
 # Runs the ring/tree allreduce, MoE alltoall and training-overlap slices;
 # their correctness pins are unit tests in gaat-coll and gaat-dptrain.
-cargo run --release -p gaat-bench --bin coll_speed -- --smoke --out /tmp/BENCH_coll_smoke.json
+coll_out="$(mktemp)"
+cargo run --release -p gaat-bench --bin coll_speed -- --smoke --out "$coll_out"
+rm -f "$coll_out"
 echo "coll smoke OK"
 
 echo "==> sweep-engine ratio gates"
