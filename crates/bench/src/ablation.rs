@@ -413,9 +413,10 @@ pub fn fault_sweep() -> Vec<FaultSweepRow> {
     grid.retries = vec![true, false];
     grid.lb_policies = vec![LbPolicy::Off, LbPolicy::Greedy, LbPolicy::Adaptive];
     // Retries-off at zero loss is identical to retries-on; skip it.
-    // The balancer migrates over the reliable transport (`arm_lb`
-    // asserts), so non-Off policies only run with retries on.
-    grid.filter = Some(|sc| sc.retries || (sc.drop_rate != 0.0 && sc.lb_policy == LbPolicy::Off));
+    // Keep only scenarios that pass validation: the balancer migrates
+    // over the reliable transport, so non-Off policies need retries on.
+    grid.filter =
+        Some(|sc| (sc.retries || sc.drop_rate != 0.0) && sc.jacobi_config().validate().is_ok());
     let scenarios = grid.expand();
     let report = run_sweep(&scenarios, &SweepOptions::new()).expect("no sweep I/O configured");
     let mut rows: Vec<FaultSweepRow> = scenarios

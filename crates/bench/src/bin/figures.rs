@@ -1,7 +1,7 @@
 //! Regenerate the paper's evaluation figures.
 //!
 //! ```text
-//! cargo run --release -p gaat-bench --bin figures -- [--fig all|6|6s|7|7a|7b|7c|512|8|9|ablations|protocols]
+//! cargo run --release -p gaat-bench --bin figures -- [--fig all|6|6s|7|7a|7b|7c|512|8|9|ablations|protocols|coll]
 //!                                                    [--effort quick|standard|full]
 //!                                                    [--topology flat|fattree]
 //!                                                    [--out results]
@@ -12,28 +12,32 @@
 //! is Fig. 6 in the transfer-bound regime (768³ strong, 4–32 nodes);
 //! `512` is the §IV-C headline (Charm-D and Charm-H, 3072³, 128–512
 //! nodes, whatever the effort's node cap); `protocols` prints the
-//! OSU-style protocol landscape and writes no CSV. The `full` effort
-//! matches the paper's scale (512 nodes, 100 iterations, 3 seeds) and
-//! takes a long time; `standard` (default) reproduces every qualitative
-//! claim in minutes.
+//! OSU-style protocol landscape and `coll` the allreduce, MoE alltoall
+//! and training-overlap tables (smoke sizes at `quick`), and neither
+//! writes a CSV. The `full` effort matches the paper's scale (512 nodes,
+//! 100 iterations, 3 seeds) and takes a long time; `standard` (default)
+//! reproduces every qualitative claim in minutes.
 //!
 //! `--topology fattree` runs the figures and the Jacobi3D ablations on
 //! the fat-tree interconnect instead of the flat one and writes
 //! `figN-fattree.csv`, so the committed flat results are never
-//! overwritten. The protocol landscape, the Channel-API, completion and
-//! fault-sweep ablations and the adaptive-LB table keep their fixed
-//! machines whatever the flag says.
+//! overwritten. The protocol landscape, the collective tables, the
+//! Channel-API, completion and fault-sweep ablations and the adaptive-LB
+//! table keep their fixed machines whatever the flag says.
+//!
+//! An unknown argument or value, or a flag with no value, prints the
+//! usage and the valid values to stderr and exits 2.
 
 use std::path::PathBuf;
 
 use gaat_bench::harness::{print_table, write_csv};
 use gaat_bench::{
-    ablation, best_per_point, fig512, fig6, fig6s, fig7a, fig7b, fig7c, fig8, fig9, Effort,
+    ablation, best_per_point, coll, fig512, fig6, fig6s, fig7a, fig7b, fig7c, fig8, fig9, Effort,
     Topology,
 };
 
 /// Every `--fig` value; `7` selects 7a, 7b and 7c.
-const FIGS: [&str; 12] = [
+const FIGS: [&str; 13] = [
     "all",
     "6",
     "6s",
@@ -46,55 +50,67 @@ const FIGS: [&str; 12] = [
     "9",
     "ablations",
     "protocols",
+    "coll",
 ];
 
-fn main() {
-    let mut fig = "all".to_string();
-    let mut effort = Effort::standard();
-    let mut effort_name = "standard".to_string();
-    let mut topology = Topology::Flat;
-    let mut out = PathBuf::from("results");
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--fig" => {
-                fig = args.get(i + 1).expect("--fig needs a value").clone();
-                assert!(
-                    FIGS.contains(&fig.as_str()),
-                    "unknown figure {fig:?}; valid: {}",
-                    FIGS.join(", ")
-                );
-                i += 2;
-            }
-            "--effort" => {
-                effort_name = args.get(i + 1).expect("--effort needs a value").clone();
-                effort = match effort_name.as_str() {
-                    "quick" => Effort::quick(),
-                    "standard" => Effort::standard(),
-                    "full" => Effort::full(),
-                    other => panic!("unknown effort {other:?}; valid: quick, standard, full"),
-                };
-                i += 2;
-            }
+/// `(fig, effort name, effort, out)` from the command line; the effort
+/// carries the `--topology` choice.
+fn parse_args() -> Result<(String, String, Effort, PathBuf), String> {
+    let (mut fig, mut effort_name) = ("all".to_string(), "standard".to_string());
+    let (mut topology, mut out) = (Topology::Flat, PathBuf::from("results"));
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag.as_str() {
+            "--fig" => fig = value()?,
+            "--effort" => effort_name = value()?,
             "--topology" => {
-                topology = match args.get(i + 1).expect("--topology needs a value").as_str() {
+                topology = match value()?.as_str() {
                     "flat" => Topology::Flat,
                     "fattree" => Topology::FatTree,
-                    other => panic!("unknown topology {other:?}; valid: flat, fattree"),
-                };
-                i += 2;
+                    other => {
+                        return Err(format!("unknown topology {other:?}; valid: flat, fattree"))
+                    }
+                }
             }
-            "--out" => {
-                out = PathBuf::from(args.get(i + 1).expect("--out needs a value"));
-                i += 2;
-            }
-            other => panic!("unknown argument {other:?}"),
+            "--out" => out = PathBuf::from(value()?),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-
+    if !FIGS.contains(&fig.as_str()) {
+        return Err(format!(
+            "unknown figure {fig:?}; valid: {}",
+            FIGS.join(", ")
+        ));
+    }
+    let mut effort = match effort_name.as_str() {
+        "quick" => Effort::quick(),
+        "standard" => Effort::standard(),
+        "full" => Effort::full(),
+        other => {
+            return Err(format!(
+                "unknown effort {other:?}; valid: quick, standard, full"
+            ))
+        }
+    };
     effort.topology = topology;
+    Ok((fig, effort_name, effort, out))
+}
+
+fn main() {
+    let (fig, effort_name, effort, out) = parse_args().unwrap_or_else(|e| {
+        eprintln!(
+            "{e}\nusage: figures [--fig {}] [--effort quick|standard|full] \
+             [--topology flat|fattree] [--out DIR]",
+            FIGS.join("|")
+        );
+        std::process::exit(2);
+    });
+    let topology = effort.topology;
     println!(
         "effort={effort_name}: iters={} warmup={} max_nodes={} odfs={:?} seeds={:?} jitter={:?}",
         effort.iters, effort.warmup, effort.max_nodes, effort.odfs, effort.seeds, effort.jitter
@@ -250,6 +266,35 @@ fn main() {
         println!(
             "\nNote the pipelined-staging cliff past 512 KiB device messages —\n\
              the protocol switch behind the paper's Fig. 7a result."
+        );
+    }
+    if want("coll") {
+        // Allreduce and skewed MoE on 4 nodes under both topologies, then
+        // the training step's overlap; smoke sizes at quick effort.
+        let small = effort_name == "quick";
+        println!(
+            "\n=== Collectives — allreduce and MoE alltoall on 4 nodes, training overlap on 2 ==="
+        );
+        for c in coll::allreduce(small) {
+            println!(
+                "allreduce {:<5} {:<8} round {:>12} ns  bus {:>8.2} GB/s  inter {:>12} B  max_util {:.3}",
+                c.algorithm, c.topology, c.round_ns, c.bus_gbps, c.inter_bytes, c.max_link_utilization
+            );
+        }
+        for c in coll::moe(small) {
+            println!(
+                "moe      {:<8} {:<12} round {:>12} ns  inter {:>12} B  peak_flows {:>3}  max_util {:.3}",
+                c.topology, c.placement, c.round_ns, c.inter_bytes, c.peak_link_flows, c.max_link_utilization
+            );
+        }
+        let o = coll::overlap(small);
+        println!(
+            "overlap        full {} ns  compute {} ns  comm {} ns  serial {} ns  comm hidden {:.0}%",
+            o.full_ns,
+            o.compute_ns,
+            o.comm_ns,
+            o.serial_ns,
+            o.comm_hidden * 100.0,
         );
     }
     println!("\nCSV written under {}", out.display());

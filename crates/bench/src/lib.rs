@@ -11,6 +11,7 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
+pub mod coll;
 pub mod figures;
 pub mod harness;
 pub mod protocols;

@@ -1,6 +1,6 @@
 //! Standalone collective proxy app: one participant chare per rank,
-//! running `rounds` back-to-back collectives. This is what the
-//! `coll_speed` slice bench, `profile_run --collective`, and the
+//! running `rounds` back-to-back collectives. This is what
+//! `figures --fig coll`, `profile_run --collective`, and the
 //! reference-equality tests below drive.
 
 use std::sync::Arc;

@@ -21,8 +21,8 @@
 //!   references).
 //! - [`member`] — the participant state machine a chare embeds.
 //! - [`app`] — a standalone proxy app running back-to-back collectives,
-//!   used by the `coll_speed` slice bench, `profile_run --collective`,
-//!   and the reference-equality tests.
+//!   used by `figures --fig coll`, `profile_run --collective`, and the
+//!   reference-equality tests.
 
 #![warn(missing_docs)]
 

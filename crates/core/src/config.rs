@@ -184,7 +184,132 @@ impl MachineConfig {
     pub fn node_of_pe(&self, pe: usize) -> usize {
         pe / self.pes_per_node
     }
+
+    /// Check the rules a machine configuration must meet before a
+    /// [`crate::Simulation`] is built from it: every fault names a link,
+    /// PE or device the machine has, and PE failures and the load
+    /// balancer run over the reliable transport. Both purge fabric-stashed
+    /// deliveries for cancelled transfers, which only the reliable
+    /// transport's token tracking can identify as stale.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let links = match self.net.topology {
+            gaat_net::TopologyKind::Flat => 0,
+            gaat_net::TopologyKind::FatTree(ft) => ft.link_count(self.nodes),
+        };
+        // One device per PE.
+        let pes = self.total_pes();
+        let faults = &self.faults;
+        for (fault, lf) in faults.link_faults.iter().enumerate() {
+            if lf.link as usize >= links {
+                let link = lf.link;
+                return Err(ConfigError::LinkOutOfRange { fault, link, links });
+            }
+        }
+        for (fault, pf) in faults.pe_failures.iter().enumerate() {
+            if pf.pe >= pes {
+                let pe = pf.pe;
+                return Err(ConfigError::PeOutOfRange { fault, pe, pes });
+            }
+        }
+        for (window, sw) in faults.stragglers.iter().enumerate() {
+            if sw.device >= pes {
+                let (device, devices) = (sw.device, pes);
+                return Err(ConfigError::DeviceOutOfRange {
+                    window,
+                    device,
+                    devices,
+                });
+            }
+        }
+        if !faults.pe_failures.is_empty() && !self.ucx.reliability.enabled {
+            return Err(ConfigError::PeFailureNeedsReliability);
+        }
+        if self.lb.enabled() && !self.ucx.reliability.enabled {
+            return Err(ConfigError::LbNeedsReliability);
+        }
+        Ok(())
+    }
 }
+
+/// A machine configuration the runtime cannot run, one variant per
+/// rule; see [`MachineConfig::validate`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// A link fault names a link past the fabric's link count (0 on a
+    /// `Flat` fabric, which has no link graph).
+    LinkOutOfRange {
+        /// Position of the fault in the plan.
+        fault: usize,
+        /// The link it names.
+        link: u32,
+        /// Links the fabric has.
+        links: usize,
+    },
+    /// A PE failure names a PE the machine does not have.
+    PeOutOfRange {
+        /// Position of the failure in the plan.
+        fault: usize,
+        /// The PE it names.
+        pe: usize,
+        /// PEs the machine has.
+        pes: usize,
+    },
+    /// A straggler window names a device the machine does not have.
+    DeviceOutOfRange {
+        /// Position of the window in the plan.
+        window: usize,
+        /// The device it names.
+        device: usize,
+        /// Devices the machine has.
+        devices: usize,
+    },
+    /// PE failures are armed without the reliable transport.
+    PeFailureNeedsReliability,
+    /// The load balancer is armed without the reliable transport.
+    LbNeedsReliability,
+    /// [`crate::Simulation::set_stochastic_faults`] was given a plan whose
+    /// time-triggered faults differ from the armed plan's.
+    ArmedFaultsChanged,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ConfigError::LinkOutOfRange { fault, link, links } => write!(
+                f,
+                "link fault {fault} targets link {link}, but the fabric has {links} links"
+            ),
+            ConfigError::PeOutOfRange { fault, pe, pes } => write!(
+                f,
+                "PE failure {fault} targets PE {pe}, but the machine has {pes} PEs"
+            ),
+            ConfigError::DeviceOutOfRange {
+                window,
+                device,
+                devices,
+            } => write!(
+                f,
+                "straggler window {window} targets device {device}, but the machine has \
+                 {devices} devices"
+            ),
+            ConfigError::PeFailureNeedsReliability => {
+                f.write_str("PE-failure recovery requires ucx.reliability.enabled")
+            }
+            ConfigError::LbNeedsReliability => f.write_str(
+                "adaptive LB migration requires ucx.reliability.enabled: the post-apply purge \
+                 leaves fabric-stashed deliveries that only the reliable transport's token \
+                 tracking can identify as stale",
+            ),
+            ConfigError::ArmedFaultsChanged => f.write_str(
+                "set_stochastic_faults may change only the seed, drop/corrupt probabilities and \
+                 onset: link faults, PE failures, stragglers and detection delay must match the \
+                 armed plan",
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {

@@ -87,7 +87,7 @@ pub mod slot;
 
 pub use channel::{create_channel, ChannelEnd};
 pub use ckpt::ChareSnapshot;
-pub use config::{LbConfig, LbPolicy, MachineConfig, RtCosts};
+pub use config::{ConfigError, LbConfig, LbPolicy, MachineConfig, RtCosts};
 pub use lb::{periodic_plan, LbPlan, LbSensors};
 pub use machine::{
     Chare, ChareClone, Ctx, LbStats, Machine, MachineStats, Simulation, WorldSnapshot,

@@ -17,7 +17,7 @@ use gaat_net::{Fabric, NetHost, NetMsg, NodeId};
 use gaat_sim::{RunOutcome, Sim, SimDuration, SimRng, SimTime, Slab, Tracer};
 use gaat_ucx::{MemLoc, UcxEvent, UcxHost, UcxState, WorkerId};
 
-use crate::config::{LbPolicy, MachineConfig};
+use crate::config::{ConfigError, LbPolicy, MachineConfig};
 use crate::msg::{Callback, ChareId, Envelope};
 use crate::pe::Pe;
 
@@ -484,65 +484,28 @@ impl Machine {
     /// Schedule the fault plan's time-triggered faults (link and PE
     /// failures). Called once by [`Simulation::new`]; drivers that build
     /// a raw [`Machine`] and want faults must call it before running.
-    /// Panics, before scheduling anything, if a fault names a link, PE
-    /// or device the machine does not have.
+    /// The plan must have passed [`MachineConfig::validate`], which
+    /// [`Simulation::new`] checks: every link, PE and device it names
+    /// exists, and PE failures run over the reliable transport.
     pub fn arm_faults(&mut self, sim: &mut Sim<Machine>) {
         if !self.cfg.faults.is_active() {
             return;
         }
-        let links = self.fabric.link_count();
-        let (pes, devices) = (self.pes.len(), self.devices.len());
-        for (i, lf) in self.cfg.faults.link_faults.iter().enumerate() {
-            assert!(
-                (lf.link as usize) < links,
-                "link fault {i} targets link {}, but the fabric has {links} links",
-                lf.link
-            );
-        }
-        for (i, pf) in self.cfg.faults.pe_failures.iter().enumerate() {
-            assert!(
-                pf.pe < pes,
-                "PE failure {i} targets PE {}, but the machine has {pes} PEs",
-                pf.pe
-            );
-        }
-        for (i, sw) in self.cfg.faults.stragglers.iter().enumerate() {
-            assert!(
-                sw.device < devices,
-                "straggler window {i} targets device {}, but the machine has {devices} devices",
-                sw.device
-            );
-        }
         gaat_net::arm_link_faults(self, sim);
-        if !self.cfg.faults.pe_failures.is_empty() {
-            // After a purge, fabric-stashed deliveries for cancelled
-            // transfers must be tolerated, which only the reliable
-            // transport's token tracking can do.
-            assert!(
-                self.cfg.ucx.reliability.enabled,
-                "PE-failure recovery requires ucx.reliability.enabled"
-            );
-            for (i, pf) in self.cfg.faults.pe_failures.iter().enumerate() {
-                sim.at_call1(pf.at, pe_fail_fire, i as u64);
-            }
+        for (i, pf) in self.cfg.faults.pe_failures.iter().enumerate() {
+            sim.at_call1(pf.at, pe_fail_fire, i as u64);
         }
     }
 
     /// Arm the periodic load-balancing tick. Called once by
     /// [`Simulation::new`] after [`Machine::arm_faults`]; inert unless
     /// `cfg.lb.enabled()`, so existing configurations replay
-    /// bit-identically.
+    /// bit-identically. [`MachineConfig::validate`] requires the
+    /// reliable transport when the balancer is on.
     pub fn arm_lb(&mut self, sim: &mut Sim<Machine>) {
-        if !self.cfg.lb.enabled() {
-            return;
+        if self.cfg.lb.enabled() {
+            sim.after_call1(self.cfg.lb.period, lb_tick_fire, 0);
         }
-        assert!(
-            self.cfg.ucx.reliability.enabled,
-            "adaptive LB migration requires ucx.reliability.enabled: the \
-             post-apply purge leaves fabric-stashed deliveries that only \
-             the reliable transport's token tracking can identify as stale"
-        );
-        sim.after_call1(self.cfg.lb.period, lb_tick_fire, 0);
     }
 
     /// Load-balancer counters so far.
@@ -1461,7 +1424,9 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Build a simulation from a configuration.
+    /// Build a simulation from a configuration. Panics with the
+    /// [`ConfigError`] text if `cfg` fails
+    /// [`MachineConfig::validate`].
     pub fn new(cfg: MachineConfig) -> Self {
         Self::new_in(Sim::new(), cfg)
     }
@@ -1473,6 +1438,7 @@ impl Simulation {
     /// the engine's observable state after a reset equals a fresh
     /// engine's.
     pub fn new_in(engine: Sim<Machine>, cfg: MachineConfig) -> Self {
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut sim = engine.with_event_limit(5_000_000_000);
         let mut machine = Machine::new(cfg);
         machine.arm_faults(&mut sim);
@@ -1530,19 +1496,21 @@ impl Simulation {
     /// drop/corrupt probability, seed) after a restore; time-triggered
     /// faults (link faults, PE failures, stragglers) are armed as build
     /// time events and must be identical across branches sharing a
-    /// prefix, so they are deliberately NOT re-armed here. Panics if
-    /// `faults` differs from the armed plan in any of them.
-    pub fn set_stochastic_faults(&mut self, faults: gaat_sim::FaultPlan) {
+    /// prefix, so they are deliberately NOT re-armed here. Returns
+    /// [`ConfigError::ArmedFaultsChanged`], changing
+    /// nothing, if `faults` differs from the armed plan in any of them.
+    pub fn set_stochastic_faults(
+        &mut self,
+        faults: gaat_sim::FaultPlan,
+    ) -> Result<(), ConfigError> {
         let armed = &self.machine.cfg.faults;
-        assert!(
-            faults.link_faults == armed.link_faults
-                && faults.pe_failures == armed.pe_failures
-                && faults.stragglers == armed.stragglers
-                && faults.detection_delay == armed.detection_delay,
-            "set_stochastic_faults may change only the seed, drop/corrupt \
-             probabilities and onset: link faults, PE failures, stragglers \
-             and detection delay must match the armed plan"
-        );
+        if faults.link_faults != armed.link_faults
+            || faults.pe_failures != armed.pe_failures
+            || faults.stragglers != armed.stragglers
+            || faults.detection_delay != armed.detection_delay
+        {
+            return Err(ConfigError::ArmedFaultsChanged);
+        }
         if !faults.stragglers.is_empty() {
             for d in &mut self.machine.devices {
                 d.set_fault_plan(faults.clone());
@@ -1550,6 +1518,7 @@ impl Simulation {
         }
         self.machine.fabric.set_faults(faults.clone());
         self.machine.cfg.faults = faults;
+        Ok(())
     }
 }
 

@@ -19,8 +19,7 @@ pub mod moe;
 pub mod train;
 
 pub use moe::{
-    build_moe, build_moe_in, moe_payload_bytes, run_moe, run_moe_app, validate_moe, MoeConfig,
-    MoeResult, MoeShared,
+    build_moe, build_moe_in, run_moe, run_moe_app, validate_moe, MoeConfig, MoeResult, MoeShared,
 };
 pub use train::{
     build_train, build_train_in, run_train, validate_train, TrainConfig, TrainMode, TrainResult,

@@ -528,16 +528,6 @@ pub fn validate_moe(sim: &Simulation, ids: &[ChareId], sh: &MoeShared) -> usize 
     compared
 }
 
-/// Total bytes crossing the wire or copied locally per round
-/// (dispatch + combine payload).
-pub fn moe_payload_bytes(sh: &MoeShared) -> u64 {
-    sh.counts
-        .iter()
-        .flatten()
-        .map(|&c| (c * sh.cfg.hidden) as u64 * 8 * 2)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

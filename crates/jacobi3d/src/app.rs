@@ -153,27 +153,107 @@ impl JacobiConfig {
         self.iters + self.warmup
     }
 
-    /// Panics on inconsistent combinations (mirrors the paper's usage:
-    /// fusion and graphs only with GPU-aware communication; the original
-    /// sync scheme predates fusion/graphs).
-    pub fn validate(&self) {
-        assert!(self.odf >= 1, "ODF must be at least 1");
-        assert!(self.virtual_ranks >= 1, "need at least one rank per PE");
-        assert!(self.iters > 0, "need at least one timed iteration");
-        if self.fusion != Fusion::None || self.graphs {
-            assert_eq!(
-                self.comm,
-                CommMode::GpuAware,
-                "fusion/graphs are only used with GPU-aware communication"
-            );
-            assert_eq!(
-                self.sync,
-                SyncMode::Optimized,
-                "fusion/graphs build on the optimized implementation"
-            );
+    /// Whether blocks may move between PEs in this run: PE-failure
+    /// recovery and the load balancer both migrate blocks by checkpoint,
+    /// rollback and restore.
+    pub fn migrates(&self) -> bool {
+        !self.machine.faults.pe_failures.is_empty() || self.machine.lb.enabled()
+    }
+
+    /// Check every rule that depends only on this configuration: the
+    /// machine's ([`MachineConfig::validate`]), then the application's.
+    /// Fusion and graphs are used only with GPU-aware communication and
+    /// the optimized sync scheme (paper §III-D), and a run whose blocks
+    /// migrate needs checkpoints to restore from and host staging, since
+    /// a GPU-aware block's channels and graphs are tied to the device it
+    /// was built on.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.machine.validate()?;
+        if self.odf == 0 {
+            return Err(ConfigError::ZeroOdf);
         }
+        if self.virtual_ranks == 0 {
+            return Err(ConfigError::ZeroRanks);
+        }
+        if self.iters == 0 {
+            return Err(ConfigError::ZeroIters);
+        }
+        if self.fusion != Fusion::None || self.graphs {
+            if self.comm != CommMode::GpuAware {
+                return Err(ConfigError::FusionNeedsGpuAware);
+            }
+            if self.sync != SyncMode::Optimized {
+                return Err(ConfigError::FusionNeedsOptimizedSync);
+            }
+        }
+        if self.migrates() {
+            if self.checkpoint_every == 0 {
+                return Err(ConfigError::MigrationNeedsCheckpoints);
+            }
+            if self.comm != CommMode::HostStaging {
+                return Err(ConfigError::MigrationNeedsHostStaging);
+            }
+        }
+        Ok(())
     }
 }
+
+/// A Jacobi3D configuration that cannot be built, one variant per rule;
+/// see [`JacobiConfig::validate`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The machine itself is rejected.
+    Machine(gaat_rt::ConfigError),
+    /// `odf` is 0.
+    ZeroOdf,
+    /// `virtual_ranks` is 0.
+    ZeroRanks,
+    /// `iters` is 0.
+    ZeroIters,
+    /// Fusion or graphs without GPU-aware communication.
+    FusionNeedsGpuAware,
+    /// Fusion or graphs with the original sync scheme.
+    FusionNeedsOptimizedSync,
+    /// PE failures or the load balancer armed with checkpointing off.
+    MigrationNeedsCheckpoints,
+    /// PE failures or the load balancer armed on GPU-aware communication.
+    MigrationNeedsHostStaging,
+}
+
+impl From<gaat_rt::ConfigError> for ConfigError {
+    fn from(e: gaat_rt::ConfigError) -> Self {
+        ConfigError::Machine(e)
+    }
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let msg = match self {
+            ConfigError::Machine(e) => return e.fmt(f),
+            ConfigError::ZeroOdf => "ODF must be at least 1",
+            ConfigError::ZeroRanks => "need at least one rank per PE",
+            ConfigError::ZeroIters => "need at least one timed iteration",
+            ConfigError::FusionNeedsGpuAware => {
+                "fusion/graphs are only used with GPU-aware communication"
+            }
+            ConfigError::FusionNeedsOptimizedSync => {
+                "fusion/graphs build on the optimized implementation"
+            }
+            ConfigError::MigrationNeedsCheckpoints => {
+                "PE failures or the adaptive LB are armed but checkpointing is off"
+            }
+            ConfigError::MigrationNeedsHostStaging => {
+                "PE failures or the adaptive LB need host-staging communication: a migrated \
+                 block cannot rebuild its channels or graphs"
+            }
+        };
+        f.write_str(msg)
+    }
+}
+
+// `Display` already prints a wrapped machine error's text, so there is
+// no `source` to chain.
+impl std::error::Error for ConfigError {}
 
 /// Result of one run.
 #[derive(Debug, Clone, PartialEq)]
@@ -207,29 +287,31 @@ mod tests {
     #[test]
     fn validate_accepts_paper_combos() {
         let mut c = JacobiConfig::new(MachineConfig::validation(1, 2), Dims::cube(12));
-        c.validate();
+        assert!(c.validate().is_ok());
         c.comm = CommMode::GpuAware;
         c.fusion = Fusion::C;
         c.graphs = true;
-        c.validate();
+        assert!(c.validate().is_ok());
     }
 
     #[test]
-    #[should_panic(expected = "GPU-aware")]
     fn fusion_requires_gpu_aware() {
         let mut c = JacobiConfig::new(MachineConfig::validation(1, 2), Dims::cube(12));
         c.comm = CommMode::HostStaging;
         c.fusion = Fusion::A;
-        c.validate();
+        let e = c.validate().unwrap_err();
+        assert_eq!(e, ConfigError::FusionNeedsGpuAware);
+        assert!(e.to_string().contains("GPU-aware"));
     }
 
     #[test]
-    #[should_panic(expected = "optimized")]
     fn graphs_require_optimized_sync() {
         let mut c = JacobiConfig::new(MachineConfig::validation(1, 2), Dims::cube(12));
         c.sync = SyncMode::Original;
         c.graphs = true;
-        c.validate();
+        let e = c.validate().unwrap_err();
+        assert_eq!(e, ConfigError::FusionNeedsOptimizedSync);
+        assert!(e.to_string().contains("optimized"));
     }
 
     #[test]

@@ -229,7 +229,8 @@ impl BlockChare {
     /// migration (the old device's allocations are stranded — acceptable
     /// in the model, where device memory is only accounted at build
     /// time). Channels and graphs are per-device and not rebuilt:
-    /// [`migrates`] admits only host-staging configurations.
+    /// [`JacobiConfig::validate`] admits a run whose blocks migrate only
+    /// with host staging.
     fn reprovision(&mut self, ctx: &mut Ctx<'_>) {
         let dev = ctx.device();
         let device = &mut ctx.machine.devices[dev.0];
@@ -558,10 +559,11 @@ pub fn build(cfg: JacobiConfig) -> (Simulation, Vec<ChareId>, Arc<Shared>) {
 /// caller-provided simulation — typically one prepared by a
 /// `gaat_rt::WorldSlot`, so the engine's heap allocations are recycled
 /// across a sweep. The simulation must have been built from
-/// `cfg.machine` (same shape, seed, and fault plan).
+/// `cfg.machine` (same shape, seed, and fault plan). Panics with the
+/// [`ConfigError`](crate::ConfigError) text if `cfg` fails
+/// [`JacobiConfig::validate`].
 pub fn build_in(mut sim: Simulation, cfg: JacobiConfig) -> (Simulation, Vec<ChareId>, Arc<Shared>) {
-    cfg.validate();
-    let migrates = migrates(&cfg);
+    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
     debug_assert_eq!(sim.machine.cfg.total_pes(), cfg.machine.total_pes());
     let pes = cfg.machine.total_pes();
     let nblocks = pes * cfg.odf;
@@ -610,11 +612,13 @@ pub fn build_in(mut sim: Simulation, cfg: JacobiConfig) -> (Simulation, Vec<Char
         assert_eq!(sim.machine.create_chare(pe, Box::new(chare)), id);
     }
 
+    // Checked here rather than in `JacobiConfig::validate`: a device's
+    // footprint depends on how this runtime places blocks on it.
     for d in &sim.machine.devices {
         d.assert_memory_fits();
     }
 
-    if migrates {
+    if cfg.migrates() {
         sim.machine.set_recovery_resume(ids.clone(), E_RESUME);
     }
 
@@ -634,27 +638,6 @@ pub fn build_in(mut sim: Simulation, cfg: JacobiConfig) -> (Simulation, Vec<Char
     }
 
     (sim, ids, sh)
-}
-
-/// Whether blocks may move between PEs in this run: PE-failure recovery
-/// and the load balancer both migrate blocks by checkpoint, rollback and
-/// restore. Rejects, before anything is built, the configurations that
-/// cannot: no checkpoints to restore from, or a GPU-aware block, whose
-/// channels and graphs are tied to the device it was built on.
-fn migrates(cfg: &JacobiConfig) -> bool {
-    if cfg.machine.faults.pe_failures.is_empty() && !cfg.machine.lb.enabled() {
-        return false;
-    }
-    assert!(
-        cfg.checkpoint_every > 0,
-        "PE failures or the adaptive LB are armed but checkpointing is off"
-    );
-    assert!(
-        cfg.comm == CommMode::HostStaging,
-        "PE failures or the adaptive LB need host-staging communication: \
-         a migrated block cannot rebuild its channels or graphs"
-    );
-    true
 }
 
 fn set_channel(m: &mut gaat_rt::Machine, id: ChareId, f: Face, end: ChannelEnd) {

@@ -28,7 +28,7 @@ pub mod kernels;
 pub mod mpi_app;
 pub mod reference;
 
-pub use app::{CommMode, Fusion, JacobiConfig, Placement, RunResult, SyncMode};
+pub use app::{CommMode, ConfigError, Fusion, JacobiConfig, Placement, RunResult, SyncMode};
 pub use geom::{best_grid, chare_to_pe, place_chare, Decomp, Dims, Face, FACES};
 pub use reference::Reference;
 

@@ -218,11 +218,15 @@ pub fn build(cfg: JacobiConfig) -> (Simulation, Vec<ChareId>, Arc<MpiShared>) {
 /// [`build`] into a caller-provided engine (a recycled
 /// [`gaat_rt::WorldSlot`] world), so batched sweeps can reuse engines
 /// across MPI-variant runs exactly as they do for the task runtime.
+/// Panics with the [`ConfigError`](crate::ConfigError) text if `cfg`
+/// fails [`JacobiConfig::validate`].
 pub fn build_in(
     mut sim: Simulation,
     cfg: JacobiConfig,
 ) -> (Simulation, Vec<ChareId>, Arc<MpiShared>) {
-    cfg.validate();
+    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
+    // Stays at build: `JacobiConfig` does not say which runtime runs
+    // it, and the task runtime accepts any ODF.
     assert_eq!(
         cfg.odf, 1,
         "the MPI versions always run one rank per PE (use the task runtime for ODF > 1, \
@@ -244,6 +248,8 @@ pub fn build_in(
         })
         .collect();
 
+    // Checked here rather than in `JacobiConfig::validate`: a device's
+    // footprint depends on how this runtime places ranks on it.
     for d in &sim.machine.devices {
         d.assert_memory_fits();
     }

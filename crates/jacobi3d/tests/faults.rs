@@ -7,8 +7,8 @@
 //! recovered from buddy checkpoints and still matches the reference
 //! bit for bit.
 
-use gaat_jacobi3d::{charm, CommMode, Dims, JacobiConfig};
-use gaat_rt::{LbPolicy, MachineConfig, Simulation};
+use gaat_jacobi3d::{charm, CommMode, ConfigError, Dims, JacobiConfig};
+use gaat_rt::{ConfigError as MachineError, LbPolicy, MachineConfig, Simulation};
 use gaat_sim::{
     FaultPlan, LinkFault, LinkFaultKind, PeFault, SimDuration, SimTime, StragglerWindow,
 };
@@ -235,10 +235,9 @@ fn same_fault_seed_replays_identically() {
 
 /// A GPU-aware block cannot move to another PE: its channels and graphs
 /// belong to the device it was built on. A GPU-aware run that arms the
-/// load balancer (here against a 4× straggler) is rejected when it is
+/// load balancer (here against a 4× straggler) is rejected before it is
 /// built, not when the balancer first migrates a block.
 #[test]
-#[should_panic(expected = "need host-staging communication")]
 fn gpu_aware_lb_is_rejected_at_build() {
     let mut machine = MachineConfig::summit(2);
     machine.ucx.reliability.enabled = true;
@@ -254,14 +253,25 @@ fn gpu_aware_lb_is_rejected_at_build() {
     cfg.comm = CommMode::GpuAware;
     cfg.odf = 2;
     cfg.checkpoint_every = 1;
-    charm::build(cfg);
+    assert_rejected(
+        &cfg,
+        ConfigError::MigrationNeedsHostStaging,
+        "need host-staging communication",
+    );
+}
+
+/// `cfg` fails validation with `want`, whose message still reads
+/// `text`.
+fn assert_rejected(cfg: &JacobiConfig, want: ConfigError, text: &str) {
+    let err = cfg.validate().unwrap_err();
+    assert_eq!(err, want);
+    assert!(err.to_string().contains(text), "{err}");
 }
 
 /// The PE-failure counterpart of [`gpu_aware_lb_is_rejected_at_build`]:
 /// recovery would move the dead PE's blocks, so a GPU-aware run with a
-/// PE failure armed is rejected at build time.
+/// PE failure armed is rejected before it is built.
 #[test]
-#[should_panic(expected = "need host-staging communication")]
 fn gpu_aware_pe_failure_is_rejected_at_build() {
     let mut machine = MachineConfig::summit(2);
     machine.ucx.reliability.enabled = true;
@@ -273,18 +283,23 @@ fn gpu_aware_pe_failure_is_rejected_at_build() {
     cfg.comm = CommMode::GpuAware;
     cfg.odf = 2;
     cfg.checkpoint_every = 1;
-    charm::build(cfg);
+    assert_rejected(
+        &cfg,
+        ConfigError::MigrationNeedsHostStaging,
+        "need host-staging communication",
+    );
 }
 
-/// Charm-H at 96³ with checkpointing on: a configuration that builds
-/// and runs cleanly unless `machine`'s fault plan is out of range.
-fn build_charm_h(mut machine: MachineConfig) {
+/// Charm-H at 96³ with checkpointing on: a configuration that passes
+/// validation unless `machine`'s fault plan is out of range, in which
+/// case it must fail with `want`, whose message still reads `text`.
+fn assert_charm_h_rejected(mut machine: MachineConfig, want: MachineError, text: &str) {
     machine.ucx.reliability.enabled = true;
     let mut cfg = JacobiConfig::new(machine, Dims::cube(96));
     cfg.comm = CommMode::HostStaging;
     cfg.odf = 2;
     cfg.checkpoint_every = 1;
-    charm::build(cfg);
+    assert_rejected(&cfg, ConfigError::Machine(want), text);
 }
 
 fn link_down(link: u32) -> LinkFault {
@@ -297,37 +312,57 @@ fn link_down(link: u32) -> LinkFault {
 
 /// `summit_fattree(2)` has 14 links (2 NVLink, 2 + 2 NIC ports and one
 /// leaf with 4 up/down trunk pairs); a fault on link 9,999 is rejected
-/// when the simulation is built, not when it fires.
+/// before the simulation is built, not when it fires.
 #[test]
-#[should_panic(expected = "link fault 0 targets link 9999, but the fabric has 14 links")]
 fn out_of_range_link_fault_is_rejected_at_build() {
     let mut machine = MachineConfig::summit_fattree(2);
     machine.faults.link_faults = vec![link_down(9_999)];
-    build_charm_h(machine);
+    assert_charm_h_rejected(
+        machine,
+        MachineError::LinkOutOfRange {
+            fault: 0,
+            link: 9_999,
+            links: 14,
+        },
+        "link fault 0 targets link 9999, but the fabric has 14 links",
+    );
 }
 
 /// A Flat fabric has no link graph, so any link fault is out of range.
 #[test]
-#[should_panic(expected = "link fault 0 targets link 0, but the fabric has 0 links")]
 fn link_fault_on_flat_fabric_is_rejected_at_build() {
     let mut machine = MachineConfig::summit(2);
     machine.faults.link_faults = vec![link_down(0)];
-    build_charm_h(machine);
+    assert_charm_h_rejected(
+        machine,
+        MachineError::LinkOutOfRange {
+            fault: 0,
+            link: 0,
+            links: 0,
+        },
+        "link fault 0 targets link 0, but the fabric has 0 links",
+    );
 }
 
 #[test]
-#[should_panic(expected = "PE failure 0 targets PE 99, but the machine has 12 PEs")]
 fn out_of_range_pe_failure_is_rejected_at_build() {
     let mut machine = MachineConfig::summit(2);
     machine.faults.pe_failures = vec![PeFault {
         at: SimTime::from_ns(1_000_000),
         pe: 99,
     }];
-    build_charm_h(machine);
+    assert_charm_h_rejected(
+        machine,
+        MachineError::PeOutOfRange {
+            fault: 0,
+            pe: 99,
+            pes: 12,
+        },
+        "PE failure 0 targets PE 99, but the machine has 12 PEs",
+    );
 }
 
 #[test]
-#[should_panic(expected = "straggler window 0 targets device 99, but the machine has 12 devices")]
 fn out_of_range_straggler_is_rejected_at_build() {
     let mut machine = MachineConfig::summit(2);
     machine.faults.stragglers = vec![StragglerWindow {
@@ -336,5 +371,13 @@ fn out_of_range_straggler_is_rejected_at_build() {
         until: SimTime::ZERO + SimDuration::from_ms(10),
         slowdown: 2.0,
     }];
-    build_charm_h(machine);
+    assert_charm_h_rejected(
+        machine,
+        MachineError::DeviceOutOfRange {
+            window: 0,
+            device: 99,
+            devices: 12,
+        },
+        "straggler window 0 targets device 99, but the machine has 12 devices",
+    );
 }

@@ -11,7 +11,7 @@
 
 use gaat_jacobi3d::{charm, CommMode, Dims, JacobiConfig, RunResult};
 use gaat_net::{FatTreeGraph, FatTreeParams, TopologyKind};
-use gaat_rt::{MachineConfig, Simulation};
+use gaat_rt::{ConfigError, MachineConfig, Simulation};
 use gaat_sim::{FaultPlan, LinkFault, LinkFaultKind, SimDuration, SimTime};
 
 fn onset_cfg(
@@ -93,7 +93,8 @@ fn run_forked(branches: &[JacobiConfig], onset: SimTime) -> Vec<Outcome> {
     out.push(outcome(&sim, res, stalled));
     for cfg in &branches[1..] {
         sim.restore(&snap);
-        sim.set_stochastic_faults(cfg.machine.faults.clone());
+        sim.set_stochastic_faults(cfg.machine.faults.clone())
+            .expect("branches share their time-triggered faults");
         let (res, stalled) = charm::finish_tolerant(&mut sim, &ids, &sh);
         out.push(outcome(&sim, res, stalled));
     }
@@ -222,7 +223,6 @@ fn forked_fat_tree_branches_match_fresh_runs_across_a_trunk_outage() {
 /// time-triggered faults differ from the armed one would fire faults
 /// the world never scheduled, so the swap is refused.
 #[test]
-#[should_panic(expected = "must match the armed plan")]
 fn stochastic_swap_refuses_different_link_faults() {
     let mut machine = MachineConfig::summit_fattree(2);
     machine.faults.link_faults = vec![LinkFault {
@@ -232,5 +232,10 @@ fn stochastic_swap_refuses_different_link_faults() {
     }];
     let mut sim = Simulation::new(machine.clone());
     machine.faults.link_faults[0].link = 8;
-    sim.set_stochastic_faults(machine.faults);
+    let err = sim.set_stochastic_faults(machine.faults).unwrap_err();
+    assert_eq!(err, ConfigError::ArmedFaultsChanged);
+    assert!(
+        err.to_string().contains("must match the armed plan"),
+        "{err}"
+    );
 }

@@ -12,7 +12,7 @@ fn base_cfg(nodes: usize, pes: usize, global: usize) -> JacobiConfig {
 }
 
 fn validate_charm(cfg: JacobiConfig) -> f64 {
-    cfg.validate();
+    assert!(cfg.validate().is_ok());
     let (mut sim, ids, sh) = charm::build(cfg);
     let result = charm::run(&mut sim, &ids, &sh);
     let compared = charm::validate_against_reference(&sim, &ids, &sh);
@@ -21,7 +21,7 @@ fn validate_charm(cfg: JacobiConfig) -> f64 {
 }
 
 fn validate_mpi(cfg: JacobiConfig) -> f64 {
-    cfg.validate();
+    assert!(cfg.validate().is_ok());
     let (mut sim, ids, sh) = mpi_app::build(cfg);
     let result = mpi_app::run(&mut sim, &ids, &sh);
     let compared = mpi_app::validate_against_reference(&sim, &ids, &sh);

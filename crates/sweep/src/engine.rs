@@ -19,6 +19,8 @@
 //! Hence: fingerprints from a sweep at any worker count equal each
 //! other and equal standalone single-run invocations of the same
 //! scenarios. `crates/sweep/tests/determinism_sweep.rs` pins this.
+//! A scenario that fails validation is never built: [`run_sweep`] and
+//! [`run_standalone`] both turn it into the same rejected record.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -195,6 +197,13 @@ pub fn run_sweep(scenarios: &[Scenario], opts: &SweepOptions) -> std::io::Result
             }
         }
     }
+    // A scenario whose configuration is rejected gets its record now
+    // and never reaches the planner, so it joins no fork group.
+    for (slot, sc) in slots_out.iter_mut().zip(scenarios) {
+        if slot.is_none() {
+            *slot = rejection(sc);
+        }
+    }
     let skip: Vec<bool> = slots_out.iter().map(Option::is_some).collect();
     let units = fork::plan(scenarios, opts.fork, &skip);
 
@@ -203,7 +212,7 @@ pub fn run_sweep(scenarios: &[Scenario], opts: &SweepOptions) -> std::io::Result
         None => None,
     };
     // Rewriting (rather than appending to) the file on resume drops any
-    // corrupt tail line; the kept records come back first.
+    // corrupt tail line; the kept and rejected records come first.
     if let Some(w) = jsonl.as_mut() {
         for rec in slots_out.iter().flatten() {
             writeln!(w, "{}", rec.jsonl())?;
@@ -273,6 +282,9 @@ pub fn run_sweep(scenarios: &[Scenario], opts: &SweepOptions) -> std::io::Result
 /// reuse — the reference path the determinism test compares
 /// sweep records against.
 pub fn run_standalone(sc: &Scenario) -> ScenarioRecord {
+    if let Some(rec) = rejection(sc) {
+        return rec;
+    }
     let mut w = Worker::new(std::slice::from_ref(sc), false);
     let mut recs = w.run_unit(&Unit::Single(0));
     recs.pop().expect("a single scenario yields one record")
@@ -394,7 +406,25 @@ fn base_record(sc: &Scenario) -> ScenarioRecord {
         wall_ns: 0,
         setup_ns: 0,
         reused_world: false,
+        error: None,
     }
+}
+
+/// The record of a scenario whose configuration fails validation, or
+/// `None` if it can be built. Jacobi scenarios check their whole
+/// [`gaat_jacobi3d::JacobiConfig`]; the other workloads check their
+/// machine.
+fn rejection(sc: &Scenario) -> Option<ScenarioRecord> {
+    let error = match sc.workload {
+        Workload::Jacobi { .. } => sc.jacobi_config().validate().map_err(|e| e.to_string()),
+        _ => sc.machine.validate().map_err(|e| e.to_string()),
+    }
+    .err()?;
+    Some(ScenarioRecord {
+        ok: false,
+        error: Some(error),
+        ..base_record(sc)
+    })
 }
 
 /// Fold a tolerant Jacobi outcome into the record.
@@ -587,7 +617,8 @@ impl<'a> Worker<'a> {
                 let mut rec = base_record(&scenarios[m]);
                 rec.setup_ns = restore_ns;
                 rec.reused_world = true;
-                sim.set_stochastic_faults(scenarios[m].machine.faults.clone());
+                sim.set_stochastic_faults(scenarios[m].machine.faults.clone())
+                    .expect("a fork group's members share their time-triggered faults");
                 out.push(finish(&mut sim, &ids, &sh, rec, bt));
             }
         }

@@ -16,7 +16,9 @@
 //! [`SweepOptions::resume`] the engine re-reads the partial JSONL,
 //! keeps every intact record, and runs only what is missing.
 //! Per-scenario outcomes are independent of worker count and dequeue
-//! order; only wall-clock metadata varies.
+//! order; only wall-clock metadata varies. A scenario whose
+//! configuration fails validation is recorded as rejected, with the
+//! rule's text, and the rest of the grid still runs.
 //!
 //! Fault sweeps additionally share work through **prefix memoization**
 //! ([`SweepOptions::fork`], the [`fork`] module): scenarios that agree

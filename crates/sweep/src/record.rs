@@ -19,7 +19,8 @@ pub struct ScenarioRecord {
     pub group: String,
     /// Human-readable identity.
     pub label: String,
-    /// Whether the run completed (false = blocks stalled, retries off).
+    /// Whether the run completed (false = blocks stalled, retries off,
+    /// or the scenario was rejected before it was built).
     pub ok: bool,
     /// Stalled-block count (0 when `ok`).
     pub stalled: u64,
@@ -56,6 +57,12 @@ pub struct ScenarioRecord {
     pub setup_ns: u64,
     /// Whether the world slot recycled a retired engine for this run.
     pub reused_world: bool,
+    /// Why the scenario's configuration was rejected, in which case
+    /// nothing ran and every outcome field is zero; `None` for every
+    /// scenario that was built. The text is a `ConfigError` message,
+    /// which, like a label, holds no `"` or `\`, so JSONL carries it
+    /// verbatim.
+    pub error: Option<String>,
 }
 
 impl ScenarioRecord {
@@ -84,14 +91,24 @@ impl ScenarioRecord {
         ] {
             h = mix64(h ^ v);
         }
+        // Only rejected records carry text, so every other fingerprint
+        // is the numeric fold alone.
+        for b in self.error.iter().flat_map(|e| e.bytes()) {
+            h = mix64(h ^ u64::from(b));
+        }
         h
     }
 
-    /// One JSONL line (no trailing newline).
+    /// One JSONL line (no trailing newline). A rejected record ends with
+    /// an `"error"` string field.
     pub fn jsonl(&self) -> String {
         let checksum = match self.checksum {
             Some(c) => format!("{c:?}"),
             None => "null".to_string(),
+        };
+        let error = match &self.error {
+            Some(e) => format!(", \"error\": \"{e}\""),
+            None => String::new(),
         };
         format!(
             concat!(
@@ -101,7 +118,7 @@ impl ScenarioRecord {
                 "\"net\": {{\"messages\": {}, \"bytes\": {}, \"drops\": {}, \"retransmits\": {}}}, ",
                 "\"ucx\": {{\"retransmits\": {}, \"timeouts\": {}, \"duplicates\": {}}}, ",
                 "\"coll\": {{\"bytes\": {}, \"chunks\": {}}}, ",
-                "\"wall_ns\": {}, \"setup_ns\": {}, \"reused_world\": {}}}"
+                "\"wall_ns\": {}, \"setup_ns\": {}, \"reused_world\": {}{}}}"
             ),
             self.index,
             self.label,
@@ -124,6 +141,7 @@ impl ScenarioRecord {
             self.wall_ns,
             self.setup_ns,
             self.reused_world,
+            error,
         )
     }
 }
@@ -183,6 +201,10 @@ impl ScenarioRecord {
             wall_ns: field(line, p, "wall_ns")?.parse().ok()?,
             setup_ns: field(line, p, "setup_ns")?.parse().ok()?,
             reused_world: field(line, p, "reused_world")?.parse().ok()?,
+            error: match line.get(*p..)?.strip_prefix(", \"error\": \"") {
+                Some(rest) => Some(rest.strip_suffix("\"}")?.to_string()),
+                None => None,
+            },
         };
         (rec.fingerprint() == stored).then_some(rec)
     }

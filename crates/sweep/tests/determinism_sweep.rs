@@ -5,9 +5,9 @@
 
 use gaat_jacobi3d::{CommMode, Dims, Placement, Reference};
 use gaat_net::{FatTreeParams, TopologyKind};
-use gaat_rt::MachineConfig;
+use gaat_rt::{LbPolicy, MachineConfig};
 use gaat_sim::{FaultPlan, PeFault, SimDuration, SimTime};
-use gaat_sweep::{run_standalone, run_sweep, ScenarioGrid, SweepOptions, Workload};
+use gaat_sweep::{run_standalone, run_sweep, ScenarioGrid, ScenarioRecord, SweepOptions, Workload};
 
 fn test_machine() -> MachineConfig {
     let mut machine = MachineConfig::validation(2, 2);
@@ -299,5 +299,57 @@ fn template_pe_failure_recovers_in_every_scenario() {
             assert!(r.makespan_ns > 300_000, "the PE died before the end");
             assert_eq!(r.checksum, Some(reference.norm2()), "{}", r.label);
         }
+    }
+}
+
+/// The LB rules are checked per scenario: a retries-off scenario under
+/// the adaptive balancer, or a GPU-aware one, becomes a rejected record
+/// that names its rule, and the rest of the grid still runs.
+#[test]
+fn rejected_scenarios_are_recorded_not_fatal() {
+    let jacobi = |comm| Workload::Jacobi {
+        global: Dims::cube(8),
+        iters: 3,
+        warmup: 1,
+        comm,
+    };
+    let mut machine = MachineConfig::validation(2, 2);
+    machine.lb.period = SimDuration::from_us(200);
+    let mut retries_grid = ScenarioGrid::new(machine.clone());
+    retries_grid.workloads = vec![jacobi(CommMode::HostStaging)];
+    retries_grid.retries = vec![true, false];
+    retries_grid.lb_policies = vec![LbPolicy::Off, LbPolicy::Adaptive];
+    machine.ucx.reliability.enabled = true;
+    let mut comm_grid = ScenarioGrid::new(machine);
+    comm_grid.workloads = vec![jacobi(CommMode::GpuAware)];
+    comm_grid.lb_policies = vec![LbPolicy::Off, LbPolicy::Adaptive];
+
+    for (grid, rule) in [
+        (retries_grid, "requires ucx.reliability.enabled"),
+        (comm_grid, "need host-staging communication"),
+    ] {
+        let scenarios = grid.expand();
+        let report = run_sweep(&scenarios, &SweepOptions::new()).expect("no I/O configured");
+        let mut rejected = 0;
+        for (sc, rec) in scenarios.iter().zip(&report.records) {
+            let solo = run_standalone(sc);
+            assert_eq!(rec.fingerprint(), solo.fingerprint(), "{}", sc.label());
+            assert_eq!(rec.error, solo.error, "{}", sc.label());
+            if let Some(e) = &rec.error {
+                rejected += 1;
+                assert!(e.contains(rule), "{}: {e}", sc.label());
+                assert_eq!(sc.lb_policy, LbPolicy::Adaptive, "{}", sc.label());
+                assert!(!rec.ok);
+                assert_eq!((rec.stalled, rec.makespan_ns, rec.entries), (0, 0, 0));
+                assert!(rec.jsonl().contains(rule));
+                assert_eq!(
+                    ScenarioRecord::from_jsonl(&rec.jsonl()).unwrap().error,
+                    rec.error
+                );
+            } else {
+                assert!(rec.ok, "{} should run", sc.label());
+            }
+        }
+        assert_eq!(rejected, 1, "exactly one scenario breaks `{rule}`");
     }
 }

@@ -38,6 +38,16 @@ impl Default for FatTreeParams {
     }
 }
 
+impl FatTreeParams {
+    /// Links in the graph [`FatTreeGraph::new`] builds over `nodes`
+    /// nodes: three per node (NVLink, NIC up, NIC down) plus an up/down
+    /// trunk pair per leaf and spine. Lets a fault plan's link indices be
+    /// checked without building the graph.
+    pub fn link_count(&self, nodes: usize) -> usize {
+        3 * nodes + 2 * nodes.div_ceil(self.leaf_radix) * self.spines
+    }
+}
+
 /// The link graph and link state of one machine; routes are computed
 /// per message by [`FatTreeGraph::try_route`].
 ///
@@ -71,7 +81,7 @@ impl FatTreeGraph {
         assert!(nodes > 0, "fat tree needs at least one node");
         assert!(params.leaf_radix > 0 && params.spines > 0 && params.trunk_bw > 0.0);
         let leaves = nodes.div_ceil(params.leaf_radix);
-        let mut links = Vec::with_capacity(3 * nodes + 2 * leaves * params.spines);
+        let mut links = Vec::with_capacity(params.link_count(nodes));
         for _ in 0..nodes {
             links.push(LinkDesc {
                 kind: LinkKind::NvLink,
@@ -103,6 +113,7 @@ impl FatTreeGraph {
             }
         }
         let n = links.len();
+        debug_assert_eq!(n, params.link_count(nodes));
         FatTreeGraph {
             nodes,
             params,

@@ -5,10 +5,10 @@
 # example (PE-failure recovery must still match the reference solver), the
 # sweep and profile_run examples, the two README examples (quickstart run
 # twice with byte-identical output, wavefront), a smoke run of every
-# benchmark workload, a quick Fig 9, a quick fat-tree Fig 7c and the
-# protocol landscape through the figures binary (whose unknown --fig and
-# --topology values must fail), a collectives smoke run into a temporary
-# file and the sweep engine's in-process ratio gates.
+# benchmark workload, a quick Fig 9, a quick fat-tree Fig 7c, the
+# protocol landscape and the quick collective tables through the figures
+# binary (whose unknown --fig, --effort and --topology values must fail)
+# and the sweep engine's in-process ratio gates.
 # Everything here must pass with no network access.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -79,23 +79,37 @@ echo "benchmark smoke OK"
 echo "==> figures binary"
 # Fig 9 at quick effort runs every graph x fusion path of Jacobi3D
 # through the binary, the fat-tree Fig 7c builds fat-tree worlds through
-# the sweep engine's slot pool, and the protocol landscape drives every
-# UCX protocol; an unknown --fig or --topology value must fail rather
-# than write nothing, and its error must list the valid names (6s, 512
-# and protocols among the figures; flat and fattree).
+# the sweep engine's slot pool, the protocol landscape drives every UCX
+# protocol, and the quick collective tables run the ring/tree allreduce,
+# MoE alltoall and training-overlap slices (their correctness pins are
+# unit tests in gaat-coll and gaat-dptrain); an unknown --fig, --effort
+# or --topology value must fail rather than write nothing, and its error
+# must list the valid names (6s, 512, protocols and coll among the
+# figures; quick, standard and full; flat and fattree).
 figs_out=$(mktemp -d)
 cargo run --release -p gaat-bench --bin figures -- --fig 9 --effort quick --out "$figs_out"
 test -s "$figs_out/fig9.csv"
 cargo run --release -p gaat-bench --bin figures -- --fig 7c --topology fattree --effort quick --out "$figs_out"
 test -s "$figs_out/fig7c-fattree.csv"
 cargo run --release -p gaat-bench --bin figures -- --fig protocols --out "$figs_out"
+cargo run --release -p gaat-bench --bin figures -- --fig coll --effort quick --out "$figs_out"
 if cargo run --release -p gaat-bench --bin figures -- --fig bogus --out "$figs_out" 2>"$figs_out/bogus.err"; then
     echo "figures --fig bogus must exit non-zero"
     exit 1
 fi
-for name in 6s 512 protocols; do
+for name in 6s 512 protocols coll; do
     if ! grep "valid:" "$figs_out/bogus.err" | grep -qw "$name"; then
         echo "figures --fig bogus must list $name among the valid figures"
+        exit 1
+    fi
+done
+if cargo run --release -p gaat-bench --bin figures -- --effort bogus --out "$figs_out" 2>"$figs_out/bogus.err"; then
+    echo "figures --effort bogus must exit non-zero"
+    exit 1
+fi
+for name in quick standard full; do
+    if ! grep "valid:" "$figs_out/bogus.err" | grep -qw "$name"; then
+        echo "figures --effort bogus must list $name among the valid efforts"
         exit 1
     fi
 done
@@ -111,14 +125,6 @@ for name in flat fattree; do
 done
 rm -rf "$figs_out"
 echo "figures OK"
-
-echo "==> collectives benchmark (smoke)"
-# Runs the ring/tree allreduce, MoE alltoall and training-overlap slices;
-# their correctness pins are unit tests in gaat-coll and gaat-dptrain.
-coll_out="$(mktemp)"
-cargo run --release -p gaat-bench --bin coll_speed -- --smoke --out "$coll_out"
-rm -f "$coll_out"
-echo "coll smoke OK"
 
 echo "==> sweep-engine ratio gates"
 # World reuse must cut per-scenario setup by >= 25% and prefix forking
