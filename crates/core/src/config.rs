@@ -187,8 +187,9 @@ impl MachineConfig {
 
     /// Check the rules a machine configuration must meet before a
     /// [`crate::Simulation`] is built from it: every fault names a link,
-    /// PE or device the machine has, and PE failures and the load
-    /// balancer run over the reliable transport. Both purge fabric-stashed
+    /// PE or device the machine has, the UCX staging stream's priority is
+    /// a stream priority class, and PE failures and the load balancer run
+    /// over the reliable transport. Both purge fabric-stashed
     /// deliveries for cancelled transfers, which only the reliable
     /// transport's token tracking can identify as stale.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -220,6 +221,10 @@ impl MachineConfig {
                     devices,
                 });
             }
+        }
+        let priority = self.ucx.staging_priority;
+        if priority >= gaat_gpu::PRIORITY_CLASSES {
+            return Err(ConfigError::StagingPriorityOutOfRange { priority });
         }
         if !faults.pe_failures.is_empty() && !self.ucx.reliability.enabled {
             return Err(ConfigError::PeFailureNeedsReliability);
@@ -263,6 +268,11 @@ pub enum ConfigError {
         /// Devices the machine has.
         devices: usize,
     },
+    /// `ucx.staging_priority` is not a stream priority class.
+    StagingPriorityOutOfRange {
+        /// The priority asked for.
+        priority: usize,
+    },
     /// PE failures are armed without the reliable transport.
     PeFailureNeedsReliability,
     /// The load balancer is armed without the reliable transport.
@@ -291,6 +301,11 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "straggler window {window} targets device {device}, but the machine has \
                  {devices} devices"
+            ),
+            ConfigError::StagingPriorityOutOfRange { priority } => write!(
+                f,
+                "ucx.staging_priority is {priority}, but streams have {} priority classes",
+                gaat_gpu::PRIORITY_CLASSES
             ),
             ConfigError::PeFailureNeedsReliability => {
                 f.write_str("PE-failure recovery requires ucx.reliability.enabled")
@@ -323,6 +338,17 @@ mod tests {
         assert_eq!(c.node_of_pe(5), 0);
         assert_eq!(c.node_of_pe(6), 1);
         assert_eq!(c.node_of_pe(47), 7);
+    }
+
+    #[test]
+    fn staging_priority_must_be_a_stream_class() {
+        let mut c = MachineConfig::validation(1, 2);
+        c.ucx.staging_priority = gaat_gpu::PRIORITY_CLASSES - 1;
+        assert_eq!(c.validate(), Ok(()));
+        c.ucx.staging_priority = gaat_gpu::PRIORITY_CLASSES;
+        let e = c.validate().unwrap_err();
+        assert_eq!(e, ConfigError::StagingPriorityOutOfRange { priority: 4 });
+        assert!(e.to_string().contains("ucx.staging_priority is 4"));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use gaat_gpu::{CompletionTag, Device, DeviceId, GpuHost, GraphId, Op, StreamId};
+use gaat_gpu::{CompletionTag, Device, DeviceId, GpuHost, GraphId, Op, OpKind, StreamId, Work};
 use gaat_net::{Fabric, NetHost, NetMsg, NodeId};
 use gaat_sim::{RunOutcome, Sim, SimDuration, SimRng, SimTime, Slab, Tracer};
 use gaat_ucx::{MemLoc, UcxEvent, UcxHost, UcxState, WorkerId};
@@ -1372,8 +1372,8 @@ impl<'a> Ctx<'a> {
         // while the balancer is off. Graph launches are not metered
         // per-node here; graph-heavy apps still meter their CPU charge.
         let gpu_ns = match &op.kind {
-            gaat_gpu::OpKind::Kernel(spec) => spec.work.as_ns(),
-            gaat_gpu::OpKind::MemcpyD2H { src, .. } | gaat_gpu::OpKind::MemcpyH2D { src, .. } => {
+            OpKind::Work(Work::Kernel(spec)) => spec.work.as_ns(),
+            OpKind::Work(Work::MemcpyD2H { src, .. } | Work::MemcpyH2D { src, .. }) => {
                 self.machine.cfg.gpu.dma_time(src.bytes()).as_ns()
             }
             _ => 0,

@@ -18,9 +18,9 @@ use std::collections::VecDeque;
 use gaat_sim::{FaultPlan, SimDuration, SimTime, Slab, Tracer};
 
 use crate::engines::{ComputeEngine, DmaEngine, JobId, PRIORITY_CLASSES};
-use crate::graph::{GraphInstance, GraphNodeKind, GraphSpec};
+use crate::graph::{GraphInstance, GraphSpec};
 use crate::memory::{BufRange, MemoryPool};
-use crate::op::{CompletionTag, CudaEventId, GraphId, KernelFunc, Op, OpKind, StreamId};
+use crate::op::{CompletionTag, CudaEventId, GraphId, KernelFunc, Op, OpKind, StreamId, Work};
 use crate::timing::GpuTimingModel;
 
 /// Global identifier of a device (index into the machine's device table).
@@ -105,19 +105,25 @@ struct JobMeta {
     submitted: SimTime,
 }
 
-#[derive(Clone)]
-enum JobOrigin {
-    StreamOp {
+/// What an engine job's completion releases.
+#[derive(Debug, Clone, Copy)]
+enum Owner {
+    /// A stream op: the stream may issue again, and its tag fires.
+    Stream {
         stream: usize,
-        effect: Effect,
         tag: Option<CompletionTag>,
-        meta: JobMeta,
     },
-    GraphNode {
-        instance: u64,
-        node: usize,
-        meta: JobMeta,
-    },
+    /// A node of a running graph instance: its children may dispatch.
+    Node { instance: u64, node: usize },
+}
+
+/// One engine job in flight: who issued it, the functional effect to
+/// apply at its completion, and its trace span so far.
+#[derive(Clone)]
+struct Job {
+    owner: Owner,
+    effect: Effect,
+    meta: JobMeta,
 }
 
 /// Aggregate statistics of one device.
@@ -159,7 +165,7 @@ pub struct Device {
     d2h: DmaEngine,
     h2d: DmaEngine,
     /// Engine jobs in flight; the slab key is the `JobId`.
-    jobs: Slab<JobOrigin>,
+    jobs: Slab<Job>,
     /// Scratch for the jobs one `advance` finds finished.
     done: Vec<JobId>,
     completions: Vec<CompletionTag>,
@@ -259,8 +265,8 @@ impl Device {
             !self.instances.values().any(|i| i.graph == g.0 as usize),
             "cannot update a graph while an instance is executing"
         );
-        match &mut self.graphs[g.0 as usize].nodes[node].kind {
-            GraphNodeKind::Kernel(k) => *k = spec,
+        match &mut self.graphs[g.0 as usize].nodes[node].work {
+            Work::Kernel(k) => *k = spec,
             other => panic!("node {node} is not a kernel node: {other:?}"),
         }
     }
@@ -361,8 +367,8 @@ impl Device {
         self.jobs.clear();
         self.completions.clear();
         self.compute.clear(now);
-        self.d2h.clear(now);
-        self.h2d.clear(now);
+        self.d2h.clear();
+        self.h2d.clear();
         self.scheduled_wakeup = None;
     }
 
@@ -407,32 +413,26 @@ impl Device {
     }
 
     fn finish_job(&mut self, job: JobId, now: SimTime) {
-        let origin = self.jobs.remove(job).expect("unknown job finished");
-        match origin {
-            JobOrigin::StreamOp {
-                stream,
-                effect,
-                tag,
-                meta,
-            } => {
-                self.tracer
-                    .record(meta.lane, meta.category, meta.label, meta.submitted, now);
-                self.apply_effect(effect);
+        let Job {
+            owner,
+            effect,
+            meta,
+        } = self.jobs.remove(job).expect("unknown job finished");
+        self.tracer
+            .record(meta.lane, meta.category, meta.label, meta.submitted, now);
+        match effect {
+            Effect::None => {}
+            Effect::Kernel(f) => f(&mut self.mem),
+            Effect::Copy { src, dst } => self.mem.copy(src, dst),
+        }
+        match owner {
+            Owner::Stream { stream, tag } => {
                 self.release_stream(stream);
                 self.fire_tag(tag);
             }
-            JobOrigin::GraphNode {
-                instance,
-                node,
-                meta,
-            } => {
-                self.tracer
-                    .record(meta.lane, meta.category, meta.label, meta.submitted, now);
-                // Apply the node's effect, then release its children in
-                // edge order.
+            Owner::Node { instance, node } => {
+                // Release the node's children in edge order.
                 let spec_idx = self.instances.get(instance).expect("live").graph;
-                let effect = Self::node_effect(&self.graphs[spec_idx].nodes[node].kind);
-                self.apply_effect(effect);
                 for i in 0..self.graphs[spec_idx].children[node].len() {
                     let c = self.graphs[spec_idx].children[node][i];
                     let inst = self.instances.get_mut(instance).expect("live");
@@ -452,74 +452,65 @@ impl Device {
         }
     }
 
-    fn apply_effect(&mut self, effect: Effect) {
-        match effect {
-            Effect::None => {}
-            Effect::Kernel(f) => f(&mut self.mem),
-            Effect::Copy { src, dst } => self.mem.copy(src, dst),
-        }
-    }
-
-    fn node_effect(kind: &GraphNodeKind) -> Effect {
-        match kind {
-            GraphNodeKind::Kernel(spec) => match &spec.func {
-                Some(f) => Effect::Kernel(f.clone()),
-                None => Effect::None,
-            },
-            GraphNodeKind::MemcpyD2H { src, dst } | GraphNodeKind::MemcpyH2D { src, dst } => {
-                Effect::Copy {
-                    src: *src,
-                    dst: *dst,
-                }
-            }
-        }
-    }
-
     fn dispatch_node(&mut self, instance: u64, node: usize, now: SimTime) {
         let spec_idx = self.instances.get(instance).expect("live").graph;
-        let (kind, class) = {
-            let n = &self.graphs[spec_idx].nodes[node];
-            (n.kind.clone(), n.class)
+        let n = &self.graphs[spec_idx].nodes[node];
+        let (work, class) = (n.work.clone(), n.class);
+        self.issue(work, class, Owner::Node { instance, node }, now);
+    }
+
+    /// Submit `work` to its engine at priority `class`: the one place an
+    /// engine job is made. A graph node pays the cheaper device dispatch,
+    /// counts its kernel in `graph_nodes` rather than `kernels`, and
+    /// traces under `"graph"`; the job's effect is taken now, which is
+    /// safe for a node because [`Device::update_graph_kernel`] refuses to
+    /// change a running graph.
+    fn issue(&mut self, work: Work, class: usize, owner: Owner, now: SimTime) {
+        let node = matches!(owner, Owner::Node { .. });
+        let (lane, label, effect, dur) = match work {
+            Work::Kernel(spec) => {
+                let dispatch = if node {
+                    self.stats.graph_nodes += 1;
+                    self.timing.graph_node_dispatch
+                } else {
+                    self.stats.kernels += 1;
+                    self.timing.kernel_dispatch
+                };
+                let effect = spec.func.map_or(Effect::None, Effect::Kernel);
+                (0, spec.name, effect, spec.work + dispatch)
+            }
+            Work::MemcpyD2H { src, dst } | Work::MemcpyH2D { src, dst } => {
+                let (lane, label) = match work {
+                    Work::MemcpyD2H { .. } => (1, "d2h"),
+                    _ => (2, "h2d"),
+                };
+                self.stats.memcpys += 1;
+                self.stats.memcpy_bytes += src.bytes();
+                let dur = self.timing.dma_time(src.bytes());
+                (lane, label, Effect::Copy { src, dst }, dur)
+            }
         };
-        let meta = |lane, label| JobMeta {
+        let category = match (node, lane) {
+            (true, _) => "graph",
+            (false, 0) => "kernel",
+            (false, _) => "memcpy",
+        };
+        let meta = JobMeta {
             lane,
-            category: "graph",
+            category,
             label,
             submitted: now,
         };
-        match kind {
-            GraphNodeKind::Kernel(spec) => {
-                let job = self.jobs.insert(JobOrigin::GraphNode {
-                    instance,
-                    node,
-                    meta: meta(0, spec.name),
-                });
-                self.stats.graph_nodes += 1;
-                let dur = self.dilate(now, spec.work + self.timing.graph_node_dispatch);
-                self.compute.submit(now, job, class, dur);
-            }
-            GraphNodeKind::MemcpyD2H { src, .. } => {
-                let job = self.jobs.insert(JobOrigin::GraphNode {
-                    instance,
-                    node,
-                    meta: meta(1, "d2h"),
-                });
-                self.stats.memcpys += 1;
-                self.stats.memcpy_bytes += src.bytes();
-                let dur = self.dilate(now, self.timing.dma_time(src.bytes()));
-                self.d2h.submit(now, job, class, dur, src.bytes());
-            }
-            GraphNodeKind::MemcpyH2D { src, .. } => {
-                let job = self.jobs.insert(JobOrigin::GraphNode {
-                    instance,
-                    node,
-                    meta: meta(2, "h2d"),
-                });
-                self.stats.memcpys += 1;
-                self.stats.memcpy_bytes += src.bytes();
-                let dur = self.dilate(now, self.timing.dma_time(src.bytes()));
-                self.h2d.submit(now, job, class, dur, src.bytes());
-            }
+        let job = self.jobs.insert(Job {
+            owner,
+            effect,
+            meta,
+        });
+        let dur = self.dilate(now, dur);
+        match lane {
+            0 => self.compute.submit(job, class, dur),
+            1 => self.d2h.submit(now, job, class, dur),
+            _ => self.h2d.submit(now, job, class, dur),
         }
     }
 
@@ -576,26 +567,15 @@ impl Device {
                     }
                     self.fire_tag(op.tag);
                 }
-                OpKind::Kernel(spec) => {
+                OpKind::Work(work) => {
                     let class = self.streams[s].class;
-                    let job = self.jobs.insert(JobOrigin::StreamOp {
+                    let owner = Owner::Stream {
                         stream: s,
-                        effect: spec.func.map_or(Effect::None, Effect::Kernel),
                         tag: op.tag,
-                        meta: JobMeta {
-                            lane: 0,
-                            category: "kernel",
-                            label: spec.name,
-                            submitted: now,
-                        },
-                    });
-                    self.stats.kernels += 1;
-                    let dur = self.dilate(now, spec.work + self.timing.kernel_dispatch);
-                    self.compute.submit(now, job, class, dur);
+                    };
+                    self.issue(work, class, owner, now);
                     self.streams[s].in_flight = true;
                 }
-                OpKind::MemcpyD2H { src, dst } => self.issue_copy(s, src, dst, true, op.tag, now),
-                OpKind::MemcpyH2D { src, dst } => self.issue_copy(s, src, dst, false, op.tag, now),
                 OpKind::GraphLaunch(g) => {
                     self.stats.graph_launches += 1;
                     let spec = &self.graphs[g.0 as usize];
@@ -620,40 +600,6 @@ impl Device {
                 }
             }
         }
-    }
-
-    /// Submit a stream's DMA copy to the engine for its direction.
-    fn issue_copy(
-        &mut self,
-        s: usize,
-        src: BufRange,
-        dst: BufRange,
-        to_host: bool,
-        tag: Option<CompletionTag>,
-        now: SimTime,
-    ) {
-        let class = self.streams[s].class;
-        let job = self.jobs.insert(JobOrigin::StreamOp {
-            stream: s,
-            effect: Effect::Copy { src, dst },
-            tag,
-            meta: JobMeta {
-                lane: if to_host { 1 } else { 2 },
-                category: "memcpy",
-                label: if to_host { "d2h" } else { "h2d" },
-                submitted: now,
-            },
-        });
-        self.stats.memcpys += 1;
-        self.stats.memcpy_bytes += src.bytes();
-        let dur = self.dilate(now, self.timing.dma_time(src.bytes()));
-        let engine = if to_host {
-            &mut self.d2h
-        } else {
-            &mut self.h2d
-        };
-        engine.submit(now, job, class, dur, src.bytes());
-        self.streams[s].in_flight = true;
     }
 }
 
@@ -977,6 +923,61 @@ mod tests {
             stream_end.as_ns() - graph_end.as_ns(),
             saved.as_ns() * chain as u64
         );
+    }
+
+    #[test]
+    fn trace_spans_name_lane_category_and_label() {
+        let mut d = dev();
+        d.tracer.set_enabled(true);
+        let cells = 512;
+        let dbuf = d.mem.alloc_phantom(Space::Device, cells);
+        let hbuf = d.mem.alloc_phantom(Space::Host, cells);
+        let (dev_r, host_r) = (BufRange::whole(dbuf, cells), BufRange::whole(hbuf, cells));
+        let mut b = GraphBuilder::new();
+        let gk = b.kernel(KernelSpec::phantom("gk", SimDuration::from_us(5)), 0, &[]);
+        b.add(
+            Work::MemcpyD2H {
+                src: dev_r,
+                dst: host_r,
+            },
+            2,
+            &[gk],
+        );
+        let g = d.register_graph(b.build());
+        let s = d.create_stream(0);
+        d.enqueue(
+            s,
+            Op::kernel(KernelSpec::phantom("k", SimDuration::from_us(10))),
+        );
+        d.enqueue(s, Op::d2h(dev_r, host_r));
+        d.enqueue(s, Op::h2d(host_r, dev_r));
+        d.enqueue(s, Op::graph(g));
+        drain(&mut d, t(0));
+
+        let dma = d.timing.dma_time(8 * cells as u64);
+        let k_end = t(0) + SimDuration::from_us(10) + d.timing.kernel_dispatch;
+        let gk_end = k_end + dma * 2 + SimDuration::from_us(5) + d.timing.graph_node_dispatch;
+        let span = |lane, category, label, start: SimTime, len| gaat_sim::Span {
+            lane,
+            category,
+            label,
+            start,
+            end: start + len,
+        };
+        let want = [
+            span(0, "kernel", "k", t(0), k_end.since(t(0))),
+            span(1, "memcpy", "d2h", k_end, dma),
+            span(2, "memcpy", "h2d", k_end + dma, dma),
+            span(
+                0,
+                "graph",
+                "gk",
+                k_end + dma * 2,
+                gk_end.since(k_end + dma * 2),
+            ),
+            span(1, "graph", "d2h", gk_end, dma),
+        ];
+        assert_eq!(d.tracer.spans(), &want[..]);
     }
 
     #[test]

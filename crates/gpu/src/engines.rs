@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use gaat_sim::{BusyTracker, SimDuration, SimTime};
+use gaat_sim::{SimDuration, SimTime};
 
 /// Number of distinct stream priority classes (0 = lowest).
 pub const PRIORITY_CLASSES: usize = 4;
@@ -38,9 +38,6 @@ pub struct ComputeEngine {
     running: Vec<ComputeJob>,
     queued: [VecDeque<ComputeJob>; PRIORITY_CLASSES],
     last: SimTime,
-    /// Completions found by the most recent `advance`.
-    pub busy: BusyTracker,
-    completed_total: u64,
 }
 
 impl ComputeEngine {
@@ -51,14 +48,7 @@ impl ComputeEngine {
             running: Vec::new(),
             queued: Default::default(),
             last: SimTime::ZERO,
-            busy: BusyTracker::new(),
-            completed_total: 0,
         }
-    }
-
-    /// Total jobs completed over the engine's lifetime.
-    pub fn completed_total(&self) -> u64 {
-        self.completed_total
     }
 
     /// Number of currently resident jobs.
@@ -67,14 +57,13 @@ impl ComputeEngine {
     }
 
     /// Drop every running and queued job without completing it (failure
-    /// recovery). Lifetime counters survive; utilization stops accruing.
+    /// recovery).
     pub fn clear(&mut self, now: SimTime) {
         self.running.clear();
         for q in &mut self.queued {
             q.clear();
         }
         self.last = now;
-        self.busy.set_busy(now, false);
     }
 
     fn top_class(&self) -> Option<usize> {
@@ -107,13 +96,11 @@ impl ComputeEngine {
             if self.running[i].remaining <= 0.5 {
                 let j = self.running.swap_remove(i);
                 done.push(j.id);
-                self.completed_total += 1;
             } else {
                 i += 1;
             }
         }
         self.admit();
-        self.busy.set_busy(now, !self.running.is_empty());
     }
 
     fn admit(&mut self) {
@@ -128,10 +115,9 @@ impl ComputeEngine {
     }
 
     /// Submit a job with `work` of dedicated-device time at priority
-    /// `class`. The caller must have advanced the engine to `now` first
-    /// (the device wrapper guarantees this).
-    pub fn submit(&mut self, now: SimTime, id: JobId, class: usize, work: SimDuration) {
-        let class = class.min(PRIORITY_CLASSES - 1);
+    /// `class`. The caller must have advanced the engine to the current
+    /// instant first (the device wrapper guarantees this).
+    pub fn submit(&mut self, id: JobId, class: usize, work: SimDuration) {
         let job = ComputeJob {
             id,
             class,
@@ -142,7 +128,6 @@ impl ComputeEngine {
         } else {
             self.queued[class].push_back(job);
         }
-        self.busy.set_busy(now, true);
     }
 
     /// Predicted time of the next job completion, given no further
@@ -173,10 +158,6 @@ struct DmaJob {
 pub struct DmaEngine {
     current: Option<(JobId, SimTime)>,
     queued: [VecDeque<DmaJob>; PRIORITY_CLASSES],
-    /// Utilization tracking.
-    pub busy: BusyTracker,
-    completed_total: u64,
-    bytes_total: u64,
 }
 
 impl Default for DmaEngine {
@@ -191,30 +172,16 @@ impl DmaEngine {
         DmaEngine {
             current: None,
             queued: Default::default(),
-            busy: BusyTracker::new(),
-            completed_total: 0,
-            bytes_total: 0,
         }
     }
 
-    /// Total transfers completed.
-    pub fn completed_total(&self) -> u64 {
-        self.completed_total
-    }
-
-    /// Total bytes accepted for transfer.
-    pub fn bytes_total(&self) -> u64 {
-        self.bytes_total
-    }
-
     /// Drop the in-flight transfer and every queued one without
-    /// completing them (failure recovery). Lifetime counters survive.
-    pub fn clear(&mut self, now: SimTime) {
+    /// completing them (failure recovery).
+    pub fn clear(&mut self) {
         self.current = None;
         for q in &mut self.queued {
             q.clear();
         }
-        self.busy.set_busy(now, false);
     }
 
     fn pop_next(&mut self) -> Option<DmaJob> {
@@ -235,30 +202,18 @@ impl DmaEngine {
                 break;
             }
             done.push(id);
-            self.completed_total += 1;
             self.current = self.pop_next().map(|j| (j.id, finish + j.duration));
         }
-        self.busy.set_busy(now, self.current.is_some());
     }
 
-    /// Submit a transfer of the given duration and byte count at priority
-    /// `class`. Caller advances first.
-    pub fn submit(
-        &mut self,
-        now: SimTime,
-        id: JobId,
-        class: usize,
-        duration: SimDuration,
-        bytes: u64,
-    ) {
-        let class = class.min(PRIORITY_CLASSES - 1);
-        self.bytes_total += bytes;
+    /// Submit a transfer of the given duration at priority `class`.
+    /// Caller advances first.
+    pub fn submit(&mut self, now: SimTime, id: JobId, class: usize, duration: SimDuration) {
         if self.current.is_none() {
             self.current = Some((id, now + duration));
         } else {
             self.queued[class].push_back(DmaJob { id, duration });
         }
-        self.busy.set_busy(now, true);
     }
 
     /// Finish time of the in-flight transfer, if any.
@@ -283,7 +238,7 @@ mod tests {
         let mut e = ComputeEngine::new(4);
         let mut done = Vec::new();
         e.advance(t(0), &mut done);
-        e.submit(t(0), 1, 0, d(1000));
+        e.submit(1, 0, d(1000));
         assert_eq!(e.next_completion(), Some(t(1000)));
         e.advance(t(1000), &mut done);
         assert_eq!(done, vec![1]);
@@ -294,8 +249,8 @@ mod tests {
         let mut e = ComputeEngine::new(4);
         let mut done = Vec::new();
         e.advance(t(0), &mut done);
-        e.submit(t(0), 1, 0, d(1000));
-        e.submit(t(0), 2, 0, d(1000));
+        e.submit(1, 0, d(1000));
+        e.submit(2, 0, d(1000));
         // each progresses at rate 1/2 → both done at 2000
         assert_eq!(e.next_completion(), Some(t(2000)));
         e.advance(t(2000), &mut done);
@@ -308,10 +263,10 @@ mod tests {
         let mut e = ComputeEngine::new(4);
         let mut done = Vec::new();
         e.advance(t(0), &mut done);
-        e.submit(t(0), 1, 0, d(1000));
+        e.submit(1, 0, d(1000));
         // at t=500, job 1 has 500 left; job 2 arrives with 500
         e.advance(t(500), &mut done);
-        e.submit(t(500), 2, 0, d(500));
+        e.submit(2, 0, d(500));
         // both have 500 remaining at rate 1/2 → complete at 1500
         assert_eq!(e.next_completion(), Some(t(1500)));
         e.advance(t(1500), &mut done);
@@ -323,10 +278,10 @@ mod tests {
         let mut e = ComputeEngine::new(4);
         let mut done = Vec::new();
         e.advance(t(0), &mut done);
-        e.submit(t(0), 1, 0, d(1000)); // low priority
+        e.submit(1, 0, d(1000)); // low priority
         e.advance(t(200), &mut done); // 800 left
-        e.submit(t(200), 2, 3, d(300)); // high priority
-                                        // job 2 runs alone: completes at 500
+        e.submit(2, 3, d(300)); // high priority
+                                // job 2 runs alone: completes at 500
         assert_eq!(e.next_completion(), Some(t(500)));
         e.advance(t(500), &mut done);
         assert_eq!(done, vec![2]);
@@ -342,7 +297,7 @@ mod tests {
         let mut done = Vec::new();
         e.advance(t(0), &mut done);
         for id in 0..4 {
-            e.submit(t(0), id, 0, d(1000));
+            e.submit(id, 0, d(1000));
         }
         assert_eq!(e.resident(), 2);
         // two resident at rate 1/2: first pair completes at 2000
@@ -351,7 +306,6 @@ mod tests {
         assert_eq!(e.resident(), 2);
         e.advance(t(4000), &mut done);
         assert_eq!(done.len(), 4);
-        assert_eq!(e.completed_total(), 4);
     }
 
     #[test]
@@ -359,7 +313,7 @@ mod tests {
         let mut e = ComputeEngine::new(4);
         let mut done = Vec::new();
         e.advance(t(0), &mut done);
-        e.submit(t(0), 1, 0, d(1000));
+        e.submit(1, 0, d(1000));
         for now in [100, 250, 600, 999] {
             e.advance(t(now), &mut done);
             assert!(done.is_empty());
@@ -369,28 +323,16 @@ mod tests {
     }
 
     #[test]
-    fn compute_busy_tracker() {
-        let mut e = ComputeEngine::new(4);
-        let mut done = Vec::new();
-        e.advance(t(0), &mut done);
-        e.submit(t(0), 1, 0, d(1000));
-        e.advance(t(1000), &mut done);
-        e.advance(t(2000), &mut done);
-        assert!((e.busy.utilization(t(0), t(2000)) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn dma_fifo_back_to_back() {
         let mut e = DmaEngine::new();
         let mut done = Vec::new();
         e.advance(t(0), &mut done);
-        e.submit(t(0), 1, 0, d(100), 64);
-        e.submit(t(0), 2, 0, d(100), 64);
+        e.submit(t(0), 1, 0, d(100));
+        e.submit(t(0), 2, 0, d(100));
         assert_eq!(e.next_completion(), Some(t(100)));
         // advance late: both still finish at exact chained times
         e.advance(t(500), &mut done);
         assert_eq!(done, vec![1, 2]);
-        assert_eq!(e.bytes_total(), 128);
     }
 
     #[test]
@@ -398,9 +340,9 @@ mod tests {
         let mut e = DmaEngine::new();
         let mut done = Vec::new();
         e.advance(t(0), &mut done);
-        e.submit(t(0), 1, 0, d(100), 0);
-        e.submit(t(0), 2, 0, d(100), 0);
-        e.submit(t(0), 3, 3, d(100), 0); // high priority, queued behind current only
+        e.submit(t(0), 1, 0, d(100));
+        e.submit(t(0), 2, 0, d(100));
+        e.submit(t(0), 3, 3, d(100)); // high priority, queued behind current only
         e.advance(t(300), &mut done);
         assert_eq!(done, vec![1, 3, 2]);
     }
@@ -410,12 +352,12 @@ mod tests {
         let mut e = DmaEngine::new();
         let mut done = Vec::new();
         e.advance(t(0), &mut done);
-        e.submit(t(0), 1, 0, d(100), 0);
+        e.submit(t(0), 1, 0, d(100));
         e.advance(t(100), &mut done);
         assert_eq!(done, vec![1]);
         done.clear();
         e.advance(t(1000), &mut done);
-        e.submit(t(1000), 2, 0, d(50), 0);
+        e.submit(t(1000), 2, 0, d(50));
         assert_eq!(e.next_completion(), Some(t(1050)));
     }
 
@@ -427,7 +369,7 @@ mod tests {
         let mut done = Vec::new();
         e.advance(t(0), &mut done);
         for id in 0..10 {
-            e.submit(t(0), id, 0, d(1000));
+            e.submit(id, 0, d(1000));
         }
         assert_eq!(e.next_completion(), Some(t(10_000)));
         e.advance(t(10_000), &mut done);

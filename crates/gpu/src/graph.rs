@@ -11,29 +11,8 @@
 //! builds **two** graphs with the in/out buffers exchanged and alternates
 //! between them each iteration.
 
-use crate::memory::BufRange;
-use crate::op::KernelSpec;
-
-/// A node of a captured graph.
-#[derive(Debug, Clone)]
-pub enum GraphNodeKind {
-    /// Compute kernel.
-    Kernel(KernelSpec),
-    /// Device-to-host copy.
-    MemcpyD2H {
-        /// Source range in device memory.
-        src: BufRange,
-        /// Destination range in pinned host memory.
-        dst: BufRange,
-    },
-    /// Host-to-device copy.
-    MemcpyH2D {
-        /// Source range in pinned host memory.
-        src: BufRange,
-        /// Destination range in device memory.
-        dst: BufRange,
-    },
-}
+use crate::engines::PRIORITY_CLASSES;
+use crate::op::{KernelSpec, Work};
 
 /// Index of a node within its graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,7 +20,7 @@ pub struct NodeIndex(pub usize);
 
 #[derive(Debug, Clone)]
 pub(crate) struct GraphNode {
-    pub kind: GraphNodeKind,
+    pub work: Work,
     /// Priority class the node's work runs at.
     pub class: usize,
     pub deps: Vec<usize>,
@@ -89,15 +68,17 @@ impl GraphBuilder {
     /// Add a node with dependencies on previously added nodes.
     ///
     /// # Panics
-    /// Panics if a dependency references a node not yet added (which also
-    /// rules out cycles by construction).
-    pub fn add(&mut self, kind: GraphNodeKind, class: usize, deps: &[NodeIndex]) -> NodeIndex {
+    /// Panics if `class` is not a priority class (as
+    /// [`crate::Device::create_stream`] does) or a dependency references a
+    /// node not yet added (which also rules out cycles by construction).
+    pub fn add(&mut self, work: Work, class: usize, deps: &[NodeIndex]) -> NodeIndex {
+        assert!(class < PRIORITY_CLASSES, "priority class out of range");
         let idx = self.nodes.len();
         for d in deps {
             assert!(d.0 < idx, "dependency on not-yet-added node {}", d.0);
         }
         self.nodes.push(GraphNode {
-            kind,
+            work,
             class,
             deps: deps.iter().map(|d| d.0).collect(),
         });
@@ -106,7 +87,7 @@ impl GraphBuilder {
 
     /// Convenience: add a kernel node.
     pub fn kernel(&mut self, spec: KernelSpec, class: usize, deps: &[NodeIndex]) -> NodeIndex {
-        self.add(GraphNodeKind::Kernel(spec), class, deps)
+        self.add(Work::Kernel(spec), class, deps)
     }
 
     /// Finish capture.
@@ -162,6 +143,12 @@ mod tests {
     fn forward_dependency_panics() {
         let mut b = GraphBuilder::new();
         b.kernel(k("a"), 0, &[NodeIndex(3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "priority class out of range")]
+    fn out_of_range_class_panics() {
+        GraphBuilder::new().kernel(k("a"), PRIORITY_CLASSES, &[]);
     }
 
     #[test]

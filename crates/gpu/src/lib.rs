@@ -57,8 +57,10 @@ pub mod timing;
 
 pub use device::{Device, DeviceId, DeviceStats};
 pub use engines::PRIORITY_CLASSES;
-pub use graph::{GraphBuilder, GraphNodeKind, GraphSpec, NodeIndex};
+pub use graph::{GraphBuilder, GraphSpec, NodeIndex};
 pub use host::{pump, GpuHost};
 pub use memory::{BufRange, Buffer, BufferId, MemoryPool, Space};
-pub use op::{CompletionTag, CudaEventId, GraphId, KernelFunc, KernelSpec, Op, OpKind, StreamId};
+pub use op::{
+    CompletionTag, CudaEventId, GraphId, KernelFunc, KernelSpec, Op, OpKind, StreamId, Work,
+};
 pub use timing::GpuTimingModel;

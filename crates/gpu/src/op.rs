@@ -76,9 +76,12 @@ impl KernelSpec {
     }
 }
 
-/// What an enqueued operation does.
+/// Work for one of the device's engines: a kernel for the compute
+/// engine or a copy for the DMA engine of its direction. A stream op and a
+/// graph node carry the same work; they differ only in how it is
+/// dispatched and what its completion releases.
 #[derive(Debug, Clone)]
-pub enum OpKind {
+pub enum Work {
     /// Compute kernel.
     Kernel(KernelSpec),
     /// Device-to-host DMA copy.
@@ -95,6 +98,13 @@ pub enum OpKind {
         /// Destination range in device memory.
         dst: BufRange,
     },
+}
+
+/// What an enqueued operation does.
+#[derive(Debug, Clone)]
+pub enum OpKind {
+    /// A kernel or copy run on one of the device's engines.
+    Work(Work),
     /// Record a CUDA event: completes instantly when reached at the head of
     /// the stream, releasing any `WaitEvent` on it.
     EventRecord(CudaEventId),
@@ -125,17 +135,17 @@ impl Op {
 
     /// Kernel launch.
     pub fn kernel(spec: KernelSpec) -> Self {
-        Op::new(OpKind::Kernel(spec))
+        Op::new(OpKind::Work(Work::Kernel(spec)))
     }
 
     /// Device-to-host copy.
     pub fn d2h(src: BufRange, dst: BufRange) -> Self {
-        Op::new(OpKind::MemcpyD2H { src, dst })
+        Op::new(OpKind::Work(Work::MemcpyD2H { src, dst }))
     }
 
     /// Host-to-device copy.
     pub fn h2d(src: BufRange, dst: BufRange) -> Self {
-        Op::new(OpKind::MemcpyH2D { src, dst })
+        Op::new(OpKind::Work(Work::MemcpyH2D { src, dst }))
     }
 
     /// Event record.
@@ -175,7 +185,7 @@ mod tests {
             .with_tag(CompletionTag(7));
         assert_eq!(op.tag, Some(CompletionTag(7)));
         match op.kind {
-            OpKind::Kernel(spec) => {
+            OpKind::Work(Work::Kernel(spec)) => {
                 assert_eq!(spec.name, "k");
                 assert_eq!(spec.work.as_ns(), 3_000);
                 assert!(spec.func.is_none());

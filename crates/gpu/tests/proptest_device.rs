@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use gaat_gpu::engines::{ComputeEngine, DmaEngine, JobId};
 use gaat_gpu::{
     BufRange, BufferId, CompletionTag, CudaEventId, Device, DeviceId, DeviceStats, GpuTimingModel,
-    GraphBuilder, GraphId, GraphNodeKind, KernelSpec, NodeIndex, Op, Space, StreamId,
+    GraphBuilder, GraphId, KernelSpec, NodeIndex, Op, Space, StreamId, Work,
 };
 use gaat_sim::{SimDuration, SimTime};
 
@@ -346,15 +346,14 @@ impl Real {
                 let mut b = GraphBuilder::new();
                 for n in nodes {
                     let kind = match n.kind {
-                        NodeKind::Kernel(ns) => GraphNodeKind::Kernel(KernelSpec::phantom(
-                            "n",
-                            SimDuration::from_ns(ns),
-                        )),
-                        NodeKind::D2h(c) => GraphNodeKind::MemcpyD2H {
+                        NodeKind::Kernel(ns) => {
+                            Work::Kernel(KernelSpec::phantom("n", SimDuration::from_ns(ns)))
+                        }
+                        NodeKind::D2h(c) => Work::MemcpyD2H {
                             src: BufRange::whole(dbuf, c),
                             dst: BufRange::whole(hbuf, c),
                         },
-                        NodeKind::H2d(c) => GraphNodeKind::MemcpyH2D {
+                        NodeKind::H2d(c) => Work::MemcpyH2D {
                             src: BufRange::whole(hbuf, c),
                             dst: BufRange::whole(dbuf, c),
                         },
@@ -507,7 +506,7 @@ impl Oracle {
         match kind {
             NodeKind::Kernel(ns) => {
                 self.compute
-                    .submit(now, job, class, SimDuration::from_ns(ns) + dispatch)
+                    .submit(job, class, SimDuration::from_ns(ns) + dispatch)
             }
             NodeKind::D2h(c) | NodeKind::H2d(c) => {
                 let bytes = c as u64 * 8;
@@ -517,7 +516,7 @@ impl Oracle {
                     NodeKind::D2h(_) => &mut self.d2h,
                     _ => &mut self.h2d,
                 };
-                engine.submit(now, job, class, self.timing.dma_time(bytes), bytes);
+                engine.submit(now, job, class, self.timing.dma_time(bytes));
             }
         }
     }

@@ -108,7 +108,8 @@ pub struct JacobiConfig {
     pub overlap: bool,
     /// Priority class of communication-related streams (packs, unpacks,
     /// transfers). The paper argues these must outrank compute (§III-A);
-    /// setting this to 0 reproduces the unprioritized ablation.
+    /// setting this to 0 reproduces the unprioritized ablation. Must be
+    /// below [`gaat_gpu::PRIORITY_CLASSES`].
     pub comm_priority: usize,
     /// Virtual MPI ranks per PE for the MPI versions (AMPI-style
     /// virtualization, the paper's stated future work). 1 = plain MPI.
@@ -162,7 +163,7 @@ impl JacobiConfig {
 
     /// Check every rule that depends only on this configuration: the
     /// machine's ([`MachineConfig::validate`]), then the application's.
-    /// Fusion and graphs are used only with GPU-aware communication and
+    /// `comm_priority` must be a stream priority class. Fusion and graphs are used only with GPU-aware communication and
     /// the optimized sync scheme (paper §III-D), and a run whose blocks
     /// migrate needs checkpoints to restore from and host staging, since
     /// a GPU-aware block's channels and graphs are tied to the device it
@@ -177,6 +178,9 @@ impl JacobiConfig {
         }
         if self.iters == 0 {
             return Err(ConfigError::ZeroIters);
+        }
+        if self.comm_priority >= gaat_gpu::PRIORITY_CLASSES {
+            return Err(ConfigError::CommPriorityOutOfRange(self.comm_priority));
         }
         if self.fusion != Fusion::None || self.graphs {
             if self.comm != CommMode::GpuAware {
@@ -210,6 +214,8 @@ pub enum ConfigError {
     ZeroRanks,
     /// `iters` is 0.
     ZeroIters,
+    /// `comm_priority` is not a stream priority class.
+    CommPriorityOutOfRange(usize),
     /// Fusion or graphs without GPU-aware communication.
     FusionNeedsGpuAware,
     /// Fusion or graphs with the original sync scheme.
@@ -233,6 +239,13 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroOdf => "ODF must be at least 1",
             ConfigError::ZeroRanks => "need at least one rank per PE",
             ConfigError::ZeroIters => "need at least one timed iteration",
+            ConfigError::CommPriorityOutOfRange(p) => {
+                return write!(
+                    f,
+                    "comm_priority is {p}, but streams have {} priority classes",
+                    gaat_gpu::PRIORITY_CLASSES
+                )
+            }
             ConfigError::FusionNeedsGpuAware => {
                 "fusion/graphs are only used with GPU-aware communication"
             }

@@ -116,9 +116,10 @@ proptest! {
     /// grids, every knob a rule reads and every fault target in or out of
     /// range, a config passes it exactly when `charm::build` accepts it.
     /// Each knob takes its rejected value less often than not, so about
-    /// one case in eight is valid and builds. PE and device targets run
+    /// one case in twelve is valid and builds. PE and device targets run
     /// 0..5 on 1–4 PEs; link targets run 0..21 on 0 (Flat), 11 or 14
-    /// (FatTree) links.
+    /// (FatTree) links; `comm_priority` runs 0..6 against 4 priority
+    /// classes.
     #[test]
     fn validate_accepts_exactly_what_charm_builds(
         nodes in 1usize..3,
@@ -137,6 +138,7 @@ proptest! {
         pe_failure in maybe(0usize..5),
         straggler in maybe(0usize..5),
         link_fault in maybe((0u32..8).prop_map(|l| 3 * l)),
+        comm_priority in 0usize..6,
     ) {
         let mut machine = MachineConfig::validation(nodes, pes);
         if fattree {
@@ -176,6 +178,7 @@ proptest! {
         cfg.warmup = 1;
         cfg.virtual_ranks = virtual_ranks;
         cfg.checkpoint_every = usize::from(!no_checkpoint);
+        cfg.comm_priority = comm_priority;
         let checked = cfg.validate();
         let built = catch_unwind(AssertUnwindSafe(|| charm::build(cfg.clone()))).is_ok();
         prop_assert_eq!(checked.is_ok(), built, "{:?} for {:?}", checked, cfg);

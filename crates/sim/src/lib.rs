@@ -2,9 +2,9 @@
 //!
 //! The foundation of the GAAT (GPU-Aware Asynchronous Tasks) stack: a
 //! single-threaded, bit-deterministic discrete-event simulator with integer
-//! nanosecond time, a splittable RNG, fault plans, span tracing,
-//! busy-time tracking and the generational [`Slab`] that parks event
-//! payloads too large for the payload words.
+//! nanosecond time, a splittable RNG, fault plans, span tracing and the
+//! generational [`Slab`] that parks event payloads too large for the
+//! payload words.
 //!
 //! Everything above this crate — the GPU device model, the interconnect,
 //! the communication library, the task runtime, and the Jacobi3D proxy
@@ -29,7 +29,6 @@ pub mod engine;
 pub mod fault;
 pub mod rng;
 pub mod slab;
-pub mod stats;
 pub mod time;
 pub mod trace;
 
@@ -37,6 +36,5 @@ pub use engine::{EventId, RunOutcome, Sim, SimSnapshot};
 pub use fault::{FaultPlan, LinkFault, LinkFaultKind, MsgFate, PeFault, StragglerWindow};
 pub use rng::{mix64, SimRng};
 pub use slab::Slab;
-pub use stats::BusyTracker;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Span, SpanStats, Tracer};

@@ -120,7 +120,8 @@ pub struct UcxParams {
     /// "Challenges of GPU-aware communication in MPI" — the reference the
     /// paper gives for this protocol switch).
     pub pipeline_bw_derate: f64,
-    /// Priority class used for staging DMA operations.
+    /// Priority class used for staging DMA operations; must be below
+    /// [`gaat_gpu::PRIORITY_CLASSES`].
     pub staging_priority: usize,
     /// Delivery-reliability protocol (off by default).
     pub reliability: ReliabilityParams,

@@ -14,67 +14,73 @@
 //!
 //! Pass `--trace-out PATH` to also write the merged timeline (PE lanes,
 //! GPU engine lanes, fabric link lanes) as Chrome `trace_event` JSON for
-//! chrome://tracing or <https://ui.perfetto.dev>.
+//! chrome://tracing or <https://ui.perfetto.dev>. `--drop RATE`, `--lb`
+//! and `--collective OP` select the other profiles (see [`Args`]); an
+//! unknown argument, a missing value or an unparsable rate prints the
+//! usage to stderr and exits 2.
 
 use gaat::jacobi3d::{charm, CommMode, Dims, JacobiConfig};
 use gaat::rt::{LbPolicy, MachineConfig};
 use gaat::sim::{FaultPlan, SimDuration, SimTime, StragglerWindow, Tracer};
+use std::path::PathBuf;
 
-fn trace_out_path() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--trace-out" {
-            let path = args.next().expect("--trace-out requires a path");
-            return Some(path.into());
-        }
-        if let Some(path) = arg.strip_prefix("--trace-out=") {
-            return Some(path.into());
-        }
-    }
-    None
+/// Command-line options.
+#[derive(Default)]
+struct Args {
+    /// `--trace-out PATH`: write the merged Chrome trace there.
+    trace_out: Option<PathBuf>,
+    /// `--drop RATE` injects stochastic message loss (reliable transport
+    /// on): the retransmissions then show up both in the counters and as
+    /// extra spans on the fabric link lanes of the exported trace.
+    drop: Option<f64>,
+    /// `--lb` arms the adaptive load balancer against an injected GPU
+    /// straggler window and prints the closed-loop counters after the
+    /// run: LB rounds planned/applied/declined, chares migrated,
+    /// host-side plan/apply latency, and the hottest-link utilization
+    /// before/after the last applied plan. Migration markers land on
+    /// their own lane in the Chrome trace export.
+    lb: bool,
+    /// `--collective {allreduce,alltoall}` profiles the gaat-coll proxy
+    /// app instead of Jacobi3D: per-algorithm traffic counters (bytes,
+    /// chunks, steps, reduced elements) plus the usual GPU-side kernel
+    /// breakdown.
+    collective: Option<String>,
 }
 
-/// `--drop RATE` injects stochastic message loss (reliable transport
-/// on): the retransmissions then show up both in the counters and as
-/// extra spans on the fabric link lanes of the exported trace.
-fn drop_rate() -> Option<f64> {
+/// Parse the command line; a flag's value may follow it or be attached
+/// with `=`.
+fn parse_args() -> Result<Args, String> {
+    let mut out = Args::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if arg == "--drop" {
-            let p = args.next().expect("--drop requires a rate");
-            return Some(p.parse().expect("parse drop rate"));
-        }
-        if let Some(p) = arg.strip_prefix("--drop=") {
-            return Some(p.parse().expect("parse drop rate"));
-        }
-    }
-    None
-}
-
-/// `--lb` arms the adaptive load balancer against an injected GPU
-/// straggler window and prints the closed-loop counters after the run:
-/// LB rounds planned/applied/declined, chares migrated, host-side
-/// plan/apply latency, and the hottest-link utilization before/after
-/// the last applied plan. Migration markers land on their own lane in
-/// the Chrome trace export.
-fn lb() -> bool {
-    std::env::args().skip(1).any(|a| a == "--lb")
-}
-
-/// `--collective {allreduce,alltoall}` profiles the gaat-coll proxy app
-/// instead of Jacobi3D: per-algorithm traffic counters (bytes, chunks,
-/// steps, reduced elements) plus the usual GPU-side kernel breakdown.
-fn collective() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--collective" {
-            return Some(args.next().expect("--collective requires an op"));
-        }
-        if let Some(op) = arg.strip_prefix("--collective=") {
-            return Some(op.to_string());
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, v)) => (flag, Some(v.to_string())),
+            None => (arg.as_str(), None),
+        };
+        let mut value = || {
+            inline
+                .clone()
+                .or_else(|| args.next().filter(|v| !v.starts_with("--")))
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag {
+            "--trace-out" => out.trace_out = Some(value()?.into()),
+            "--drop" => {
+                let rate = value()?;
+                let rate = rate
+                    .parse()
+                    .map_err(|_| format!("--drop needs a number, got {rate:?}"))?;
+                out.drop = Some(rate);
+            }
+            "--lb" if inline.is_none() => out.lb = true,
+            "--collective" => out.collective = Some(value()?),
+            _ => return Err(format!("unknown argument {arg:?}")),
         }
     }
-    None
+    if out.collective.is_some() && (out.drop.is_some() || out.lb || out.trace_out.is_some()) {
+        return Err("--drop, --lb and --trace-out are not supported with --collective".into());
+    }
+    Ok(out)
 }
 
 /// The `--collective` microbench: back-to-back collectives on two
@@ -130,14 +136,19 @@ fn collective_profile(which: &str) {
 }
 
 fn main() {
-    let trace_out = trace_out_path();
-    let drop = drop_rate();
-    let lb = lb();
-    if let Some(which) = collective() {
-        if drop.is_some() || lb {
-            eprintln!("error: --drop/--lb are not supported with --collective");
-            std::process::exit(2);
-        }
+    let Args {
+        trace_out,
+        drop,
+        lb,
+        collective,
+    } = parse_args().unwrap_or_else(|e| {
+        eprintln!(
+            "error: {e}\nusage: profile_run [--trace-out PATH] [--drop RATE] [--lb] \
+             [--collective allreduce|alltoall]"
+        );
+        std::process::exit(2);
+    });
+    if let Some(which) = collective {
         collective_profile(&which);
         return;
     }

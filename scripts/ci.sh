@@ -3,12 +3,14 @@
 # standalone benchmark build, tier-1 and workspace tests (which hold every
 # correctness pin) in release and in the dev profile, the fault-tolerance
 # example (PE-failure recovery must still match the reference solver), the
-# sweep and profile_run examples, the two README examples (quickstart run
-# twice with byte-identical output, wavefront), a smoke run of every
-# benchmark workload, a quick Fig 9, a quick fat-tree Fig 7c, the
-# protocol landscape and the quick collective tables through the figures
-# binary (whose unknown --fig, --effort and --topology values must fail)
-# and the sweep engine's in-process ratio gates.
+# sweep example, profile_run in its three modes (the default single-node
+# profile run twice with byte-identical output; an unknown argument must
+# fail), the two README examples (quickstart run twice with byte-identical
+# output, wavefront), a smoke run of every benchmark workload, a quick
+# Fig 9, a quick fat-tree Fig 7c, the protocol landscape and the quick
+# collective tables through the figures binary (whose unknown --fig,
+# --effort and --topology values must fail) and the sweep engine's
+# in-process ratio gates.
 # Everything here must pass with no network access.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -53,12 +55,25 @@ echo "fault-tolerance example OK"
 echo "==> examples"
 # sweep_run drives a 1024-scenario forked sweep; it must exit 0.
 cargo run --release -p gaat --example sweep_run
-# profile_run under adaptive LB and 1% loss rolls back four times, so late
-# events meet stale slab keys; the collective run drives gaat-coll.
+# profile_run's default mode is the paper's single-node Nsight-style
+# profile: the per-kernel breakdown and engine timeline come from the
+# device tracer, and two runs must print the same bytes. Under adaptive LB
+# and 1% loss it rolls back four times, so late events meet stale slab
+# keys; the collective run drives gaat-coll; an unknown argument must
+# exit non-zero.
+prof_out=$(mktemp -d)
+cargo run --release -p gaat --example profile_run >"$prof_out/a"
+cargo run --release -p gaat --example profile_run >"$prof_out/b"
+diff "$prof_out/a" "$prof_out/b"
+rm -rf "$prof_out"
 trace_out="$(mktemp)"
 cargo run --release -p gaat --example profile_run -- --lb --drop 0.01 --trace-out "$trace_out"
 rm -f "$trace_out"
 cargo run --release -p gaat --example profile_run -- --collective allreduce
+if cargo run --release -p gaat --example profile_run -- --bogus 2>/dev/null; then
+    echo "profile_run --bogus must exit non-zero"
+    exit 1
+fi
 # The README's two examples. quickstart validates every Jacobi3D version
 # against the CPU reference; two runs must print the same bytes, the end
 # to end determinism check.
