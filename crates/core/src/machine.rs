@@ -493,7 +493,7 @@ impl Machine {
         }
         gaat_net::arm_link_faults(self, sim);
         for (i, pf) in self.cfg.faults.pe_failures.iter().enumerate() {
-            sim.at_call1(pf.at, pe_fail_fire, i as u64);
+            sim.at(pf.at, pe_fail_fire, i as u64);
         }
     }
 
@@ -504,7 +504,7 @@ impl Machine {
     /// reliable transport when the balancer is on.
     pub fn arm_lb(&mut self, sim: &mut Sim<Machine>) {
         if self.cfg.lb.enabled() {
-            sim.after_call1(self.cfg.lb.period, lb_tick_fire, 0);
+            sim.after(self.cfg.lb.period, lb_tick_fire, 0);
         }
     }
 
@@ -522,7 +522,7 @@ impl Machine {
         if sim.pending() == 0 {
             return;
         }
-        sim.after_call1(self.cfg.lb.period, lb_tick_fire, round + 1);
+        sim.after(self.cfg.lb.period, lb_tick_fire, round + 1);
         self.lb_stats.rounds += 1;
         let now = sim.now();
         // Fold the per-period accumulators into the EWMAs. Integer
@@ -754,7 +754,7 @@ impl Machine {
         let now = sim.now();
         self.devices[pe].purge(now);
         self.pes[pe].clear();
-        sim.after_call1(self.cfg.faults.detection_delay, recover_fire, pe as u64);
+        sim.after(self.cfg.faults.detection_delay, recover_fire, pe as u64);
     }
 
     /// Global rollback recovery after `failed` died (the restart half of
@@ -969,7 +969,7 @@ impl Machine {
             _ => sim.now(),
         };
         self.pes[pe].dispatch_scheduled = true;
-        sim.at_call1(at, run_pe_ev, pe as u64);
+        sim.at(at, run_pe_ev, pe as u64);
     }
 
     /// Execute at most one message on the PE and reschedule.
@@ -1039,7 +1039,7 @@ impl Machine {
                 stream,
                 op: Op::marker().with_tag(tag),
             });
-            sim.at_call1(end, run_deferred, key);
+            sim.at(end, run_deferred, key);
         } else if self.pes[pe].queued() > 0 {
             self.kick_pe(sim, pe);
         }
@@ -1063,7 +1063,7 @@ impl Machine {
         if dst_pe == src_pe {
             let delay = self.cfg.rt.local_latency;
             let key = self.deferred.insert(Deferred::LocalMsg { to, env });
-            sim.after_call1(delay, run_deferred, key);
+            sim.after(delay, run_deferred, key);
         } else {
             let bytes = env.wire_bytes + self.cfg.rt.envelope_bytes;
             let token = self.am_store.insert(AmKind::Chare(to, env));
@@ -1170,7 +1170,7 @@ impl UcxHost for Machine {
                     } => self.store_ckpt_copy(chare, epoch, stored_on, snap),
                 }
             }
-            UcxEvent::SendDone { worker: _, user } | UcxEvent::RecvDone { worker: _, user } => {
+            UcxEvent::SendDone { user } | UcxEvent::RecvDone { user } => {
                 let Some(cb) = self.ucx_routes.remove(user) else {
                     assert!(self.incarnation > 0, "unknown UCX route");
                     return;
@@ -1361,7 +1361,7 @@ impl<'a> Ctx<'a> {
     fn defer_at_charge(&mut self, d: Deferred) {
         let key = self.machine.deferred.insert(d);
         let at = self.sim.now() + self.charged;
-        self.sim.at_call1(at, run_deferred, key);
+        self.sim.at(at, run_deferred, key);
     }
 
     /// Enqueue with no extra charge (internal; charge added by callers).
@@ -1529,7 +1529,7 @@ impl Simulation {
 /// primitive behind the sweep engine's prefix memoization; conceptually
 /// the in-memory half of the paper's double in-memory checkpoint, reused
 /// for memoization instead of recovery. Taking one never fails: every
-/// pending event is a plain `fn` plus payload words.
+/// pending event is a plain `fn` plus one payload word.
 pub struct WorldSnapshot {
     machine: Machine,
     engine: gaat_sim::SimSnapshot<Machine>,

@@ -25,6 +25,8 @@ use gaat_rt::{
 };
 use gaat_sim::{SimDuration, SimTime};
 
+use crate::ConfigError;
+
 /// Begin execution.
 pub const E_START: EntryId = EntryId(0);
 /// The expert kernel retired.
@@ -82,6 +84,23 @@ impl MoeConfig {
             placement: RankPlacement::Packed,
             ranks: 0,
         }
+    }
+
+    /// Check every rule that depends only on this configuration: the
+    /// machine's ([`gaat_rt::MachineConfig::validate`]), then at least
+    /// one timed round, a nonzero `hidden`, and `hot_frac` in `[0, 1]`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.machine.validate()?;
+        if self.rounds == 0 {
+            return Err(ConfigError::NothingTimed);
+        }
+        if self.hidden == 0 {
+            return Err(ConfigError::ZeroHidden);
+        }
+        if !(0.0..=1.0).contains(&self.hot_frac) {
+            return Err(ConfigError::HotFracOutOfRange(self.hot_frac));
+        }
+        Ok(())
     }
 
     /// Effective participant count.
@@ -343,13 +362,13 @@ pub fn build_moe(cfg: MoeConfig) -> (Simulation, Vec<ChareId>, Arc<MoeShared>) {
 /// Like [`build_moe`], but constructing the application inside a
 /// caller-provided simulation (e.g. one prepared by a
 /// `gaat_rt::WorldSlot`, recycling the engine's allocations across a
-/// sweep of scenarios). Must have been built from `cfg.machine`.
+/// sweep of scenarios). Must have been built from `cfg.machine`. Panics
+/// with the [`ConfigError`] text if `cfg` fails [`MoeConfig::validate`].
 pub fn build_moe_in(
     mut sim: Simulation,
     cfg: MoeConfig,
 ) -> (Simulation, Vec<ChareId>, Arc<MoeShared>) {
-    assert!(cfg.rounds > 0 && cfg.hidden > 0);
-    assert!((0.0..=1.0).contains(&cfg.hot_frac));
+    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
     debug_assert_eq!(sim.machine.cfg.total_pes(), cfg.machine.total_pes());
     let ranks = cfg.effective_ranks();
     let counts = routing_counts(&cfg, ranks);

@@ -30,6 +30,8 @@ use gaat_rt::{
 };
 use gaat_sim::{SimDuration, SimTime};
 
+use crate::ConfigError;
+
 /// Begin execution.
 pub const E_START: EntryId = EntryId(0);
 /// A backward bucket's kernel retired (refnum = bucket).
@@ -102,6 +104,27 @@ impl TrainConfig {
             placement: RankPlacement::Packed,
             mode: TrainMode::Full,
         }
+    }
+
+    /// Check every rule that depends only on this configuration: the
+    /// machine's ([`gaat_rt::MachineConfig::validate`]), then at least
+    /// one timed step and one bucket, and no more buckets than
+    /// parameters.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.machine.validate()?;
+        if self.steps == 0 {
+            return Err(ConfigError::NothingTimed);
+        }
+        if self.buckets == 0 {
+            return Err(ConfigError::ZeroBuckets);
+        }
+        if self.params < self.buckets {
+            return Err(ConfigError::FewerParamsThanBuckets {
+                params: self.params,
+                buckets: self.buckets,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -329,12 +352,14 @@ pub fn build_train(cfg: TrainConfig) -> (Simulation, Vec<ChareId>, Arc<TrainShar
 /// Like [`build_train`], but constructing the application inside a
 /// caller-provided simulation (e.g. one prepared by a
 /// `gaat_rt::WorldSlot`, recycling the engine's allocations across a
-/// sweep of scenarios). Must have been built from `cfg.machine`.
+/// sweep of scenarios). Must have been built from `cfg.machine`. Panics
+/// with the [`ConfigError`] text if `cfg` fails
+/// [`TrainConfig::validate`].
 pub fn build_train_in(
     mut sim: Simulation,
     cfg: TrainConfig,
 ) -> (Simulation, Vec<ChareId>, Arc<TrainShared>) {
-    assert!(cfg.steps > 0 && cfg.buckets > 0 && cfg.params >= cfg.buckets);
+    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
     debug_assert_eq!(sim.machine.cfg.total_pes(), cfg.machine.total_pes());
     let ranks = cfg.machine.total_pes();
     let plans: Vec<CollPlan> = (0..cfg.buckets)

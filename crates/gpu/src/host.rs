@@ -53,7 +53,7 @@ fn schedule_wakeup<W: GpuHost>(w: &mut W, sim: &mut Sim<W>, dev: DeviceId, wake:
         }
     }
     d.scheduled_wakeup = Some(at);
-    sim.at_call1(at, wakeup::<W>, dev.0 as u64);
+    sim.at(at, wakeup::<W>, dev.0 as u64);
 }
 
 fn wakeup<W: GpuHost>(w: &mut W, sim: &mut Sim<W>, dev: u64) {
@@ -101,7 +101,10 @@ mod tests {
             );
         }
         let mut sim: Sim<World> = Sim::new();
-        sim.soon_call0(|w: &mut World, sim: &mut Sim<World>| pump(w, sim, DeviceId(0)));
+        sim.soon(
+            |w: &mut World, sim: &mut Sim<World>, _| pump(w, sim, DeviceId(0)),
+            0,
+        );
         sim.run(&mut w);
         assert_eq!(w.fired.len(), 3);
         let per = SimDuration::from_us(4) + w.dev.timing.kernel_dispatch;
@@ -148,7 +151,10 @@ mod tests {
             hops: 0,
         };
         let mut sim: Sim<Chain> = Sim::new();
-        sim.soon_call0(|w: &mut Chain, sim: &mut Sim<Chain>| pump(w, sim, DeviceId(0)));
+        sim.soon(
+            |w: &mut Chain, sim: &mut Sim<Chain>, _| pump(w, sim, DeviceId(0)),
+            0,
+        );
         sim.run(&mut w);
         assert_eq!(w.hops, 5);
     }
@@ -167,11 +173,14 @@ mod tests {
         );
         let mut sim: Sim<World> = Sim::new();
         // Pump many times at t=0; only one wakeup should be scheduled.
-        sim.soon_call0(|w: &mut World, sim: &mut Sim<World>| {
-            for _ in 0..10 {
-                pump(w, sim, DeviceId(0));
-            }
-        });
+        sim.soon(
+            |w: &mut World, sim: &mut Sim<World>, _| {
+                for _ in 0..10 {
+                    pump(w, sim, DeviceId(0));
+                }
+            },
+            0,
+        );
         sim.run(&mut w);
         assert_eq!(w.fired.len(), 1);
         // 1 initial event + 1 wakeup = 2 (plus nothing else)

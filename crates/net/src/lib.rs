@@ -568,19 +568,6 @@ impl Fabric {
         1.0 + eps * (2.0 * unit - 1.0)
     }
 
-    /// Compute the delivery time of `msg` sent at `now` and commit the
-    /// topology state. Only valid for open-loop topologies (`Flat`),
-    /// which price messages at admission; [`send`] works for every
-    /// topology and wraps admission with event scheduling.
-    pub fn commit(&mut self, now: SimTime, msg: &NetMsg) -> SimTime {
-        self.account(msg);
-        let jitter = self.draw_jitter(msg);
-        match self.topo.admit(now, msg, jitter, u64::MAX) {
-            Admit::Deliver(at) => at,
-            _ => panic!("commit() requires an open-loop topology; route sends through send()"),
-        }
-    }
-
     /// Advance the topology to `now`, collect completed transfers into
     /// `out` as `(in-flight key, delivery instant)`, and drain link
     /// busy spans into the fabric tracer.
@@ -651,7 +638,7 @@ pub fn send<W: NetHost>(w: &mut W, sim: &mut Sim<W>, msg: NetMsg) {
     });
     match fabric.topo.admit(now, &msg, jitter, key) {
         Admit::Deliver(at) => {
-            sim.at_call1(at, deliver::<W>, key);
+            sim.at(at, deliver::<W>, key);
         }
         Admit::Flow { failover, tail } => {
             fabric.in_flight.get_mut(key).expect("just parked").tail = tail;
@@ -693,7 +680,7 @@ fn deliver<W: NetHost>(w: &mut W, sim: &mut Sim<W>, key: u64) {
 pub fn arm_link_faults<W: NetHost>(w: &mut W, sim: &mut Sim<W>) {
     let fabric = w.fabric_mut();
     for (i, lf) in fabric.faults.link_faults.iter().enumerate() {
-        sim.at_call1(lf.at, link_fault_fire::<W>, i as u64);
+        sim.at(lf.at, link_fault_fire::<W>, i as u64);
     }
 }
 
@@ -745,14 +732,15 @@ fn reconcile_wakeup<W: NetHost>(w: &mut W, sim: &mut Sim<W>) {
         sim.cancel(id);
     }
     if let Some(next) = want {
-        let id = sim.at_call0(next, tick::<W>);
+        let id = sim.at(next, tick::<W>, 0);
         w.fabric_mut().wakeup = Some((next, id));
     }
 }
 
 /// Topology wakeup: complete transfers due at `now`, schedule their
-/// delivery events, and re-arm the next wakeup.
-fn tick<W: NetHost>(w: &mut W, sim: &mut Sim<W>) {
+/// delivery events, and re-arm the next wakeup. The payload word is
+/// unused.
+fn tick<W: NetHost>(w: &mut W, sim: &mut Sim<W>, _: u64) {
     let now = sim.now();
     let mut out = {
         let fabric = w.fabric_mut();
@@ -763,7 +751,7 @@ fn tick<W: NetHost>(w: &mut W, sim: &mut Sim<W>) {
         out
     };
     for &(flight, at) in &out {
-        sim.at_call1(at, deliver::<W>, flight);
+        sim.at(at, deliver::<W>, flight);
     }
     out.clear();
     w.fabric_mut().scratch = out;
@@ -794,12 +782,74 @@ mod tests {
         }
     }
 
+    /// `m` with its token set to `token`.
+    fn tok(mut m: NetMsg, token: u64) -> NetMsg {
+        m.token = token;
+        m
+    }
+
+    /// A host that records each delivered and each surfaced dropped
+    /// token with its instant.
+    struct SendWorld {
+        fabric: Fabric,
+        got: Vec<(u64, SimTime)>,
+        dropped: Vec<(u64, SimTime)>,
+        /// Messages the t = 0 events send, indexed by their payload word.
+        outbox: Vec<NetMsg>,
+    }
+    impl NetHost for SendWorld {
+        fn fabric_mut(&mut self) -> &mut Fabric {
+            &mut self.fabric
+        }
+        fn on_net_deliver(&mut self, sim: &mut Sim<Self>, msg: NetMsg) {
+            self.got.push((msg.token, sim.now()));
+        }
+        fn on_net_dropped(&mut self, sim: &mut Sim<Self>, msg: NetMsg) {
+            self.dropped.push((msg.token, sim.now()));
+        }
+    }
+
+    /// Arm the fabric's link faults, send `msgs` through [`send`] at
+    /// t = 0, in order, and run to the end.
+    fn run_sends(fabric: Fabric, msgs: Vec<NetMsg>) -> (SendWorld, Sim<SendWorld>) {
+        let n = msgs.len() as u64;
+        let mut w = SendWorld {
+            fabric,
+            got: vec![],
+            dropped: vec![],
+            outbox: msgs,
+        };
+        let mut sim: Sim<SendWorld> = Sim::new();
+        arm_link_faults(&mut w, &mut sim);
+        for i in 0..n {
+            sim.soon(
+                |w: &mut SendWorld, sim: &mut Sim<SendWorld>, i| send(w, sim, w.outbox[i as usize]),
+                i,
+            );
+        }
+        sim.run(&mut w);
+        (w, sim)
+    }
+
+    /// Each message's delivery instant under [`run_sends`], in input
+    /// order. Tokens must be distinct.
+    fn deliveries(fabric: Fabric, msgs: &[NetMsg]) -> Vec<SimTime> {
+        let (w, _) = run_sends(fabric, msgs.to_vec());
+        msgs.iter()
+            .map(|m| {
+                let mut at = w.got.iter().filter(|g| g.0 == m.token).map(|g| g.1);
+                let first = at.next().expect("message delivered");
+                assert!(at.next().is_none(), "tokens must be distinct");
+                first
+            })
+            .collect()
+    }
+
     #[test]
     fn unloaded_inter_node_latency() {
-        let mut f = fabric(2);
-        let m = msg(0, 1, 1 << 20); // 1 MiB
-        let t = f.commit(SimTime::ZERO, &m);
+        let f = fabric(2);
         let expect = f.params.inter_latency + f.params.inter_ser(1 << 20);
+        let t = deliveries(f, &[msg(0, 1, 1 << 20)])[0]; // 1 MiB
         assert_eq!(t.as_ns(), expect.as_ns());
         // ~45.6 us for 1 MiB at 23 GB/s plus 1.6 us
         assert!((44_000..50_000).contains(&t.as_ns()), "{t}");
@@ -807,54 +857,59 @@ mod tests {
 
     #[test]
     fn zero_byte_message_pays_latency_only() {
-        let mut f = fabric(2);
-        let t = f.commit(SimTime::ZERO, &msg(0, 1, 0));
-        assert_eq!(t.as_ns(), f.params.inter_latency.as_ns());
+        let f = fabric(2);
+        let latency = f.params.inter_latency;
+        let t = deliveries(f, &[msg(0, 1, 0)])[0];
+        assert_eq!(t.as_ns(), latency.as_ns());
     }
 
     #[test]
     fn intra_node_is_faster() {
-        let mut f = fabric(2);
-        let inter = f.commit(SimTime::ZERO, &msg(0, 1, 1 << 20));
-        let intra = f.commit(SimTime::ZERO, &msg(0, 0, 1 << 20));
+        let msgs = [tok(msg(0, 1, 1 << 20), 1), tok(msg(0, 0, 1 << 20), 2)];
+        let [inter, intra] = deliveries(fabric(2), &msgs)[..] else {
+            unreachable!()
+        };
         assert!(intra < inter, "intra {intra} should beat inter {inter}");
     }
 
     #[test]
     fn egress_serializes_concurrent_sends() {
-        let mut f = fabric(3);
-        let a = f.commit(SimTime::ZERO, &msg(0, 1, 1 << 20));
-        let b = f.commit(SimTime::ZERO, &msg(0, 2, 1 << 20));
-        // second message waits for the first's injection window
+        let f = fabric(3);
         let ser = f.params.inter_ser(1 << 20);
+        let msgs = [tok(msg(0, 1, 1 << 20), 1), tok(msg(0, 2, 1 << 20), 2)];
+        let [a, b] = deliveries(f, &msgs)[..] else {
+            unreachable!()
+        };
+        // second message waits for the first's injection window
         assert_eq!(b.as_ns(), (a + ser).as_ns());
     }
 
     #[test]
     fn ingress_serializes_concurrent_receives() {
-        let mut f = fabric(3);
-        let a = f.commit(SimTime::ZERO, &msg(0, 2, 1 << 20));
-        let b = f.commit(SimTime::ZERO, &msg(1, 2, 1 << 20));
+        let f = fabric(3);
         let ser = f.params.inter_ser(1 << 20);
+        let msgs = [tok(msg(0, 2, 1 << 20), 1), tok(msg(1, 2, 1 << 20), 2)];
+        let [a, b] = deliveries(f, &msgs)[..] else {
+            unreachable!()
+        };
         assert_eq!(b.as_ns(), (a + ser).as_ns());
     }
 
     #[test]
     fn different_pairs_do_not_contend() {
-        let mut f = fabric(4);
-        let a = f.commit(SimTime::ZERO, &msg(0, 1, 1 << 20));
-        let b = f.commit(SimTime::ZERO, &msg(2, 3, 1 << 20));
+        let msgs = [tok(msg(0, 1, 1 << 20), 1), tok(msg(2, 3, 1 << 20), 2)];
+        let [a, b] = deliveries(fabric(4), &msgs)[..] else {
+            unreachable!()
+        };
         assert_eq!(a, b);
     }
 
     #[test]
     fn extra_latency_adds_up() {
-        let mut f = fabric(2);
         let mut m = msg(0, 1, 1024);
-        let base = f.commit(SimTime::ZERO, &m);
+        let base = deliveries(fabric(2), &[m])[0];
         m.extra_latency = SimDuration::from_us(5);
-        let mut f2 = fabric(2);
-        let with = f2.commit(SimTime::ZERO, &m);
+        let with = deliveries(fabric(2), &[m])[0];
         assert_eq!(with.as_ns(), base.as_ns() + 5_000);
     }
 
@@ -866,8 +921,8 @@ mod tests {
         };
         let nominal = params.inter_latency + params.inter_ser(1 << 20);
         for seed in 0..50 {
-            let mut f = Fabric::new(2, params.clone(), SimRng::new(seed));
-            let t = f.commit(SimTime::ZERO, &msg(0, 1, 1 << 20));
+            let f = Fabric::new(2, params.clone(), SimRng::new(seed));
+            let t = deliveries(f, &[msg(0, 1, 1 << 20)])[0];
             let ratio = t.as_ns() as f64 / nominal.as_ns() as f64;
             assert!((0.93..=1.07).contains(&ratio), "ratio {ratio}");
         }
@@ -881,31 +936,24 @@ mod tests {
             jitter: 0.05,
             ..NetParams::default()
         };
-        let mut probe = msg(0, 1, 1 << 16);
-        probe.token = 77;
+        let probe = tok(msg(0, 1, 1 << 16), 77);
 
-        let mut quiet = Fabric::new(4, params.clone(), SimRng::new(9));
-        let t_quiet = quiet.commit(SimTime::ZERO, &probe);
+        let quiet = Fabric::new(4, params.clone(), SimRng::new(9));
+        let t_quiet = deliveries(quiet, &[probe])[0];
 
-        let mut busy = Fabric::new(4, params, SimRng::new(9));
-        for i in 0..5 {
-            let mut noise = msg(2, 3, 10_000);
-            noise.token = 1_000 + i;
-            busy.commit(SimTime::ZERO, &noise);
-        }
-        let t_busy = busy.commit(SimTime::ZERO, &probe);
+        let busy = Fabric::new(4, params, SimRng::new(9));
+        let mut msgs: Vec<NetMsg> = (0..5).map(|i| tok(msg(2, 3, 10_000), 1_000 + i)).collect();
+        msgs.push(probe);
+        let t_busy = *deliveries(busy, &msgs).last().expect("probe sent");
         assert_eq!(t_quiet, t_busy);
     }
 
     #[test]
     fn stats_account_messages() {
-        let mut f = fabric(2);
-        f.commit(SimTime::ZERO, &msg(0, 1, 100));
-        f.commit(SimTime::ZERO, &msg(0, 0, 50));
         let mut ctl = msg(0, 1, 16);
         ctl.class = TrafficClass::Control;
-        f.commit(SimTime::ZERO, &ctl);
-        let s = f.stats();
+        let (w, _) = run_sends(fabric(2), vec![msg(0, 1, 100), msg(0, 0, 50), ctl]);
+        let s = w.fabric.stats();
         assert_eq!(s.messages, 3);
         assert_eq!(s.bytes, 166);
         assert_eq!(s.inter_messages, 2);
@@ -916,29 +964,7 @@ mod tests {
 
     #[test]
     fn send_schedules_delivery_event() {
-        struct World {
-            fabric: Fabric,
-            got: Vec<(u64, SimTime)>,
-        }
-        impl NetHost for World {
-            fn fabric_mut(&mut self) -> &mut Fabric {
-                &mut self.fabric
-            }
-            fn on_net_deliver(&mut self, sim: &mut Sim<Self>, msg: NetMsg) {
-                self.got.push((msg.token, sim.now()));
-            }
-        }
-        let mut w = World {
-            fabric: fabric(2),
-            got: vec![],
-        };
-        let mut sim: Sim<World> = Sim::new();
-        sim.soon_call0(|w: &mut World, sim: &mut Sim<World>| {
-            let mut m = msg(0, 1, 4096);
-            m.token = 42;
-            send(w, sim, m);
-        });
-        sim.run(&mut w);
+        let (w, _) = run_sends(fabric(2), vec![tok(msg(0, 1, 4096), 42)]);
         assert_eq!(w.got.len(), 1);
         assert_eq!(w.got[0].0, 42);
         assert!(w.got[0].1 > SimTime::ZERO);
@@ -949,13 +975,11 @@ mod tests {
         // Sending 8 chunks back-to-back costs one latency plus 8
         // serializations — the fabric pipelines, which is what makes the
         // UCX pipelined-staging protocol worthwhile at all.
-        let mut f = fabric(2);
+        let f = fabric(2);
         let chunk = 1u64 << 20;
-        let mut last = SimTime::ZERO;
-        for _ in 0..8 {
-            last = f.commit(SimTime::ZERO, &msg(0, 1, chunk));
-        }
         let expect = f.params.inter_latency + f.params.inter_ser(chunk) * 8;
+        let msgs: Vec<NetMsg> = (0..8).map(|i| tok(msg(0, 1, chunk), i)).collect();
+        let last = *deliveries(f, &msgs).last().expect("chunks sent");
         assert_eq!(last.as_ns(), expect.as_ns());
     }
 
@@ -970,39 +994,6 @@ mod tests {
         Fabric::new(nodes, params, SimRng::new(1))
     }
 
-    struct FtWorld {
-        fabric: Fabric,
-        got: Vec<(u64, SimTime)>,
-        /// Messages the t = 0 events send, indexed by their payload word.
-        outbox: Vec<NetMsg>,
-    }
-    impl NetHost for FtWorld {
-        fn fabric_mut(&mut self) -> &mut Fabric {
-            &mut self.fabric
-        }
-        fn on_net_deliver(&mut self, sim: &mut Sim<Self>, msg: NetMsg) {
-            self.got.push((msg.token, sim.now()));
-        }
-    }
-
-    fn ft_run(fabric: Fabric, msgs: Vec<NetMsg>) -> (FtWorld, Sim<FtWorld>) {
-        let n = msgs.len() as u64;
-        let mut w = FtWorld {
-            fabric,
-            got: vec![],
-            outbox: msgs,
-        };
-        let mut sim: Sim<FtWorld> = Sim::new();
-        for i in 0..n {
-            sim.soon_call1(
-                |w: &mut FtWorld, sim: &mut Sim<FtWorld>, i| send(w, sim, w.outbox[i as usize]),
-                i,
-            );
-        }
-        sim.run(&mut w);
-        (w, sim)
-    }
-
     #[test]
     fn fat_tree_unloaded_matches_flat_within_a_hop() {
         // One message, same leaf: FatTree should agree with Flat up to
@@ -1011,8 +1002,8 @@ mod tests {
         let hop = ft.hop_latency_ns;
         let mut m = msg(0, 1, 1 << 20);
         m.token = 1;
-        let (w, _) = ft_run(ft_fabric(2, ft), vec![m]);
-        let flat = fabric(2).commit(SimTime::ZERO, &m);
+        let (w, _) = run_sends(ft_fabric(2, ft), vec![m]);
+        let flat = deliveries(fabric(2), &[m])[0];
         let got = w.got[0].1.as_ns();
         let want = flat.as_ns() + hop;
         let diff = got.abs_diff(want);
@@ -1035,7 +1026,7 @@ mod tests {
         a.token = 1;
         let mut b = msg(1, 3, bytes);
         b.token = 2;
-        let (w, _) = ft_run(ft_fabric(4, ft), vec![a, b]);
+        let (w, _) = run_sends(ft_fabric(4, ft), vec![a, b]);
         assert_eq!(w.got.len(), 2);
         let unloaded = NetParams::default().inter_ser(bytes).as_ns();
         let lat = NetParams::default().inter_latency.as_ns();
@@ -1071,7 +1062,7 @@ mod tests {
                 m.token = i;
                 msgs.push(m);
             }
-            let (w, sim) = ft_run(ft_fabric(4, ft), msgs);
+            let (w, sim) = run_sends(ft_fabric(4, ft), msgs);
             (w.got.clone(), sim.now())
         };
         assert_eq!(run(), run());
@@ -1088,7 +1079,7 @@ mod tests {
         fabric.set_tracing(true);
         let mut m = msg(0, 3, 1 << 20);
         m.token = 9;
-        let (w, _) = ft_run(fabric, vec![m]);
+        let (w, _) = run_sends(fabric, vec![m]);
         assert!(
             !w.fabric.tracer.spans().is_empty(),
             "link busy spans should land in the fabric tracer"
@@ -1099,48 +1090,6 @@ mod tests {
     // ---- fault injection --------------------------------------------
 
     use gaat_sim::{LinkFault, StragglerWindow};
-
-    /// A host that records both deliveries and surfaced drops.
-    struct FaultWorld {
-        fabric: Fabric,
-        got: Vec<(u64, SimTime)>,
-        dropped: Vec<(u64, SimTime)>,
-        /// Messages the t = 0 events send, indexed by their payload word.
-        outbox: Vec<NetMsg>,
-    }
-    impl NetHost for FaultWorld {
-        fn fabric_mut(&mut self) -> &mut Fabric {
-            &mut self.fabric
-        }
-        fn on_net_deliver(&mut self, sim: &mut Sim<Self>, msg: NetMsg) {
-            self.got.push((msg.token, sim.now()));
-        }
-        fn on_net_dropped(&mut self, sim: &mut Sim<Self>, msg: NetMsg) {
-            self.dropped.push((msg.token, sim.now()));
-        }
-    }
-
-    fn fault_run(fabric: Fabric, msgs: Vec<NetMsg>) -> (FaultWorld, Sim<FaultWorld>) {
-        let n = msgs.len() as u64;
-        let mut w = FaultWorld {
-            fabric,
-            got: vec![],
-            dropped: vec![],
-            outbox: msgs,
-        };
-        let mut sim: Sim<FaultWorld> = Sim::new();
-        arm_link_faults(&mut w, &mut sim);
-        for i in 0..n {
-            sim.soon_call1(
-                |w: &mut FaultWorld, sim: &mut Sim<FaultWorld>, i| {
-                    send(w, sim, w.outbox[i as usize])
-                },
-                i,
-            );
-        }
-        sim.run(&mut w);
-        (w, sim)
-    }
 
     #[test]
     fn lossy_plan_drops_some_messages_deterministically() {
@@ -1160,7 +1109,7 @@ mod tests {
                     m
                 })
                 .collect();
-            let (w, _) = fault_run(f, msgs);
+            let (w, _) = run_sends(f, msgs);
             (
                 w.got.clone(),
                 w.fabric.stats().drops,
@@ -1204,12 +1153,12 @@ mod tests {
                 m
             })
             .collect();
-        let (w_drop, sim_drop) = fault_run(mk(1.0, 0.0), msgs.clone());
+        let (w_drop, sim_drop) = run_sends(mk(1.0, 0.0), msgs.clone());
         assert!(w_drop.got.is_empty());
         assert_eq!(w_drop.fabric.stats().drops, 4);
         assert_eq!(sim_drop.now(), SimTime::ZERO, "drops never touch the wire");
 
-        let (w_cor, sim_cor) = fault_run(mk(0.0, 1.0), msgs);
+        let (w_cor, sim_cor) = run_sends(mk(0.0, 1.0), msgs);
         assert!(w_cor.got.is_empty());
         assert_eq!(w_cor.fabric.stats().corrupts, 4);
         assert!(
@@ -1233,7 +1182,7 @@ mod tests {
                 m
             })
             .collect();
-        let (w, _) = fault_run(f, msgs);
+        let (w, _) = run_sends(f, msgs);
         assert_eq!(w.got.len(), 8, "loopback traffic bypasses the wire");
         assert_eq!(w.fabric.stats().drops, 0);
     }
@@ -1258,7 +1207,7 @@ mod tests {
         first.token = token;
         let mut retry = first;
         retry.attempt = 1;
-        let (w, _) = fault_run(f, vec![first, retry]);
+        let (w, _) = run_sends(f, vec![first, retry]);
         assert_eq!(w.got.len(), 1, "the retry gets through");
         let s = w.fabric.stats();
         assert_eq!(s.drops, 1);
@@ -1294,28 +1243,28 @@ mod tests {
             }],
             ..FaultPlan::none()
         });
-        let mut w = FaultWorld {
+        let mut w = SendWorld {
             fabric,
             got: vec![],
             dropped: vec![],
             outbox: vec![],
         };
-        let mut sim: Sim<FaultWorld> = Sim::new();
+        let mut sim: Sim<SendWorld> = Sim::new();
         arm_link_faults(&mut w, &mut sim);
         // 1 MiB at 23 GB/s is ~45 us of wire: still in flight at t=5us.
-        sim.soon_call0(|w: &mut FaultWorld, sim: &mut Sim<FaultWorld>| {
-            let mut victim = msg(0, 2, 1 << 20);
-            victim.token = 7;
-            send(w, sim, victim)
-        });
-        // After the fault, a fresh message must fail over to spine 1.
-        sim.after_call0(
-            SimDuration::from_us(10),
-            |w: &mut FaultWorld, sim: &mut Sim<FaultWorld>| {
-                let mut m = msg(0, 2, 1 << 16);
-                m.token = 8;
-                send(w, sim, m);
+        sim.soon(
+            |w: &mut SendWorld, sim: &mut Sim<SendWorld>, _| {
+                send(w, sim, tok(msg(0, 2, 1 << 20), 7))
             },
+            0,
+        );
+        // After the fault, a fresh message must fail over to spine 1.
+        sim.after(
+            SimDuration::from_us(10),
+            |w: &mut SendWorld, sim: &mut Sim<SendWorld>, _| {
+                send(w, sim, tok(msg(0, 2, 1 << 16), 8))
+            },
+            0,
         );
         sim.run(&mut w);
 
@@ -1351,7 +1300,7 @@ mod tests {
         });
         let mut m = msg(0, 3, 4096);
         m.token = 11;
-        let (w, _) = fault_run(fabric, vec![m]);
+        let (w, _) = run_sends(fabric, vec![m]);
         assert!(w.got.is_empty());
         assert_eq!(w.dropped.len(), 1);
         assert_eq!(w.fabric.stats().no_routes, 1);
@@ -1377,7 +1326,7 @@ mod tests {
         let base = {
             let mut m = msg(0, 2, 1 << 20);
             m.token = 1;
-            let (w, _) = fault_run(ft_fabric(nodes, ft), vec![m]);
+            let (w, _) = run_sends(ft_fabric(nodes, ft), vec![m]);
             w.got[0].1
         };
         let mut fabric = ft_fabric(nodes, ft);
@@ -1398,7 +1347,7 @@ mod tests {
         });
         let mut m = msg(0, 2, 1 << 20);
         m.token = 1;
-        let (w, _) = fault_run(fabric, vec![m]);
+        let (w, _) = run_sends(fabric, vec![m]);
         assert_eq!(w.got.len(), 1, "degraded flow still completes");
         let slowed = w.got[0].1;
         // The 10 us window at 10% speed carries only 1 us worth of
@@ -1432,7 +1381,7 @@ mod tests {
                 m.token = i;
                 msgs.push(m);
             }
-            let (w, sim) = fault_run(fabric, msgs);
+            let (w, sim) = run_sends(fabric, msgs);
             (w.got.clone(), sim.now())
         };
         assert_eq!(run(false), run(true));
@@ -1459,7 +1408,7 @@ mod tests {
                 m
             })
             .collect();
-        let (w, _) = fault_run(f, msgs);
+        let (w, _) = run_sends(f, msgs);
         assert_eq!(w.got.len(), 4);
         assert_eq!(w.fabric.stats().drops, 0);
     }

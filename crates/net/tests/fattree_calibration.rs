@@ -2,24 +2,11 @@
 //! unloaded same-leaf message costs the same under `FatTree` as under
 //! `Flat`, within 1%.
 
-use gaat_net::{
-    send, Fabric, FatTreeParams, NetHost, NetMsg, NetParams, NodeId, TopologyKind, TrafficClass,
-};
-use gaat_sim::{Sim, SimDuration, SimRng, SimTime};
+use gaat_net::{Fabric, FatTreeParams, NetMsg, NetParams, NodeId, TopologyKind, TrafficClass};
+use gaat_sim::{SimDuration, SimRng, SimTime};
 
-struct World {
-    fabric: Fabric,
-    delivered: Option<SimTime>,
-}
-
-impl NetHost for World {
-    fn fabric_mut(&mut self) -> &mut Fabric {
-        &mut self.fabric
-    }
-    fn on_net_deliver(&mut self, sim: &mut Sim<Self>, _msg: NetMsg) {
-        self.delivered = Some(sim.now());
-    }
-}
+mod common;
+use common::deliveries;
 
 #[test]
 fn unloaded_same_leaf_message_costs_the_same_on_fattree_and_flat() {
@@ -36,19 +23,12 @@ fn unloaded_same_leaf_message_costs_the_same_on_fattree_and_flat() {
         jitter: 0.0,
         ..NetParams::default()
     };
-    let flat_ns = Fabric::new(2, params.clone(), SimRng::new(1))
-        .commit(SimTime::ZERO, &msg)
-        .as_ns();
+    let flat = Fabric::new(2, params.clone(), SimRng::new(1));
+    let flat_ns = deliveries(flat, &[(SimTime::ZERO, msg)])[0].as_ns();
 
     params.topology = TopologyKind::FatTree(FatTreeParams::default());
-    let mut w = World {
-        fabric: Fabric::new(2, params, SimRng::new(1)),
-        delivered: None,
-    };
-    let mut sim: Sim<World> = Sim::new();
-    send(&mut w, &mut sim, msg);
-    sim.run(&mut w);
-    let fattree_ns = w.delivered.expect("message delivered").as_ns();
+    let fattree = Fabric::new(2, params, SimRng::new(1));
+    let fattree_ns = deliveries(fattree, &[(SimTime::ZERO, msg)])[0].as_ns();
 
     let rel_err = (fattree_ns as f64 - flat_ns as f64).abs() / flat_ns as f64;
     assert!(

@@ -6,6 +6,9 @@ use proptest::prelude::*;
 use gaat_net::{Fabric, NetMsg, NetParams, NodeId, TrafficClass};
 use gaat_sim::{SimDuration, SimRng, SimTime};
 
+mod common;
+use common::deliveries;
+
 fn fabric(nodes: usize) -> Fabric {
     let params = NetParams {
         jitter: 0.0,
@@ -21,24 +24,27 @@ proptest! {
     fn latency_floor_holds(
         msgs in prop::collection::vec((0usize..6, 0usize..6, 1u64..4_000_000, 0u64..100_000), 1..60)
     ) {
-        let mut f = fabric(6);
+        let f = fabric(6);
         let params = f.params().clone();
-        for (src, dst, bytes, at) in msgs {
-            if src == dst {
-                continue;
-            }
-            let now = SimTime::from_ns(at);
-            let m = NetMsg {
-                src: NodeId(src),
-                dst: NodeId(dst),
-                bytes,
-                extra_latency: SimDuration::ZERO,
-                token: 0,
-                class: TrafficClass::Data,
-                attempt: 0,
-            };
-            let delivered = f.commit(now, &m);
-            let floor = now + params.inter_latency + params.inter_ser(bytes);
+        let sends: Vec<(SimTime, NetMsg)> = msgs
+            .iter()
+            .enumerate()
+            .filter(|(_, &(src, dst, _, _))| src != dst)
+            .map(|(i, &(src, dst, bytes, at))| {
+                let m = NetMsg {
+                    src: NodeId(src),
+                    dst: NodeId(dst),
+                    bytes,
+                    extra_latency: SimDuration::ZERO,
+                    token: i as u64,
+                    class: TrafficClass::Data,
+                    attempt: 0,
+                };
+                (SimTime::from_ns(at), m)
+            })
+            .collect();
+        for (&(now, m), delivered) in sends.iter().zip(deliveries(f, &sends)) {
+            let floor = now + params.inter_latency + params.inter_ser(m.bytes);
             prop_assert!(
                 delivered >= floor,
                 "delivered {delivered} before floor {floor}"
@@ -53,21 +59,25 @@ proptest! {
     fn egress_serialization_is_conserved(
         sizes in prop::collection::vec(1u64..2_000_000, 1..40)
     ) {
-        let mut f = fabric(2);
+        let f = fabric(2);
         let params = f.params().clone();
-        let mut last = SimTime::ZERO;
-        for &bytes in &sizes {
-            let m = NetMsg {
-                src: NodeId(0),
-                dst: NodeId(1),
-                bytes,
-                extra_latency: SimDuration::ZERO,
-                token: 0,
-                class: TrafficClass::Data,
-                attempt: 0,
-            };
-            last = last.max(f.commit(SimTime::ZERO, &m));
-        }
+        let sends: Vec<(SimTime, NetMsg)> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &bytes)| {
+                let m = NetMsg {
+                    src: NodeId(0),
+                    dst: NodeId(1),
+                    bytes,
+                    extra_latency: SimDuration::ZERO,
+                    token: i as u64,
+                    class: TrafficClass::Data,
+                    attempt: 0,
+                };
+                (SimTime::ZERO, m)
+            })
+            .collect();
+        let last = deliveries(f, &sends).into_iter().max().expect("one message at least");
         let total: u64 = sizes.iter().map(|&b| params.inter_ser(b).as_ns()).sum();
         prop_assert!(
             last.as_ns() >= total,
@@ -82,7 +92,6 @@ proptest! {
         noise in prop::collection::vec(1u64..1_000_000, 0..30),
         probe_bytes in 1u64..1_000_000,
     ) {
-        let mut quiet = fabric(4);
         let probe = NetMsg {
             src: NodeId(0),
             dst: NodeId(1),
@@ -92,22 +101,26 @@ proptest! {
             class: TrafficClass::Data,
             attempt: 0,
         };
-        let t_quiet = quiet.commit(SimTime::ZERO, &probe);
+        let t_quiet = deliveries(fabric(4), &[(SimTime::ZERO, probe)])[0];
 
-        let mut busy = fabric(4);
-        for &bytes in &noise {
-            let m = NetMsg {
-                src: NodeId(2),
-                dst: NodeId(3),
-                bytes,
-                extra_latency: SimDuration::ZERO,
-                token: 0,
-                class: TrafficClass::Data,
-                attempt: 0,
-            };
-            busy.commit(SimTime::ZERO, &m);
-        }
-        let t_busy = busy.commit(SimTime::ZERO, &probe);
+        let mut sends: Vec<(SimTime, NetMsg)> = noise
+            .iter()
+            .enumerate()
+            .map(|(i, &bytes)| {
+                let m = NetMsg {
+                    src: NodeId(2),
+                    dst: NodeId(3),
+                    bytes,
+                    extra_latency: SimDuration::ZERO,
+                    token: 1 + i as u64,
+                    class: TrafficClass::Data,
+                    attempt: 0,
+                };
+                (SimTime::ZERO, m)
+            })
+            .collect();
+        sends.push((SimTime::ZERO, probe));
+        let t_busy = *deliveries(fabric(4), &sends).last().expect("probe sent");
         prop_assert_eq!(t_quiet, t_busy);
     }
 
@@ -118,21 +131,26 @@ proptest! {
     fn per_pair_fifo(
         msgs in prop::collection::vec((1u64..500_000, 0u64..50_000), 2..40)
     ) {
-        let mut f = fabric(2);
         let mut send_times: Vec<u64> = msgs.iter().map(|&(_, t)| t).collect();
         send_times.sort_unstable();
+        let sends: Vec<(SimTime, NetMsg)> = send_times
+            .iter()
+            .enumerate()
+            .map(|(i, &at)| {
+                let m = NetMsg {
+                    src: NodeId(0),
+                    dst: NodeId(1),
+                    bytes: msgs[i].0,
+                    extra_latency: SimDuration::ZERO,
+                    token: i as u64,
+                    class: TrafficClass::Data,
+                    attempt: 0,
+                };
+                (SimTime::from_ns(at), m)
+            })
+            .collect();
         let mut last_delivery = SimTime::ZERO;
-        for (i, &at) in send_times.iter().enumerate() {
-            let m = NetMsg {
-                src: NodeId(0),
-                dst: NodeId(1),
-                bytes: msgs[i].0,
-                extra_latency: SimDuration::ZERO,
-                token: i as u64,
-                class: TrafficClass::Data,
-                attempt: 0,
-            };
-            let d = f.commit(SimTime::from_ns(at), &m);
+        for d in deliveries(fabric(2), &sends) {
             prop_assert!(
                 d >= last_delivery,
                 "delivery {d} before previous {last_delivery}"

@@ -11,31 +11,30 @@
 //! The pending set is built for zero steady-state allocation and O(1)
 //! common-case scheduling:
 //!
-//! - **Slab arena.** Every scheduled event lives in a slot of a `Vec`
-//!   backed slab with an intrusive free list; slots are recycled, so the
-//!   steady state allocates nothing. [`EventId`] packs the slot index
-//!   with a per-slot generation counter, so a stale id (the event fired
-//!   or was cancelled, and the slot was reused) can never touch the
-//!   wrong event. Cancellation just marks the slot — O(1), no queue
-//!   surgery, no tombstone set.
+//! - **Slab arena.** Every scheduled event lives in the crate's
+//!   generational [`Slab`]; slots are recycled, so the steady state
+//!   allocates nothing. An [`EventId`] is the event's slab key, so a
+//!   stale id (the event fired or was cancelled, and the slot was
+//!   reused) can never touch the wrong event. Cancellation just marks
+//!   the event — O(1), no queue surgery, no tombstone set. The queues
+//!   below hold bare 4-byte slot indices.
 //!
 //! - **Two-tier queue.** Tier 0 is a FIFO ring holding the events of
-//!   the *current instant* in seq order; `soon_call*` and same-timestamp
-//!   bursts append and pop at O(1). Tier 1 is a timer wheel of
-//!   `BUCKETS` power-of-two-width buckets covering a rolling horizon
-//!   of `BUCKETS << BUCKET_SHIFT` ns, with a `BinaryHeap` overflow for
-//!   events beyond the horizon. Advancing to the next instant scans a
-//!   hierarchical occupancy bitmap for the first nonempty bucket,
-//!   extracts everything at the minimum timestamp (from the bucket and
-//!   the overflow top, either of which may hold it), sorts that batch
-//!   by seq, and refills the ring.
+//!   the *current instant* in seq order; [`Sim::soon`] and
+//!   same-timestamp bursts append and pop at O(1). Tier 1 is a timer
+//!   wheel of `BUCKETS` power-of-two-width buckets covering a rolling
+//!   horizon of `BUCKETS << BUCKET_SHIFT` ns, with a `BinaryHeap`
+//!   overflow for events beyond the horizon. Advancing to the next
+//!   instant scans a flat occupancy bitmap (one bit per bucket) for the
+//!   first nonempty bucket, extracts everything at the minimum timestamp
+//!   (from the bucket and the overflow top, either of which may hold
+//!   it), sorts that batch by seq, and refills the ring.
 //!
 //! - **Plain-data events.** Every event (message delivery, kernel/DMA
-//!   completion, progress ticks) is a plain function plus zero, one or
-//!   two integer payload words. The `*_call0/1/2` scheduling entry
-//!   points store the bare `fn` pointer and the words inline in the
-//!   slot — no `Box`, no vtable — so a slot is `Copy` and the whole
-//!   arena snapshots with one slice copy.
+//!   completion, progress ticks) is a plain function plus one integer
+//!   payload word, stored inline in its slot — no `Box`, no vtable — so
+//!   an event is `Copy` and the whole arena snapshots with one slice
+//!   copy.
 //!
 //! Determinism is unchanged from the original heap engine: the firing
 //! order is exactly lexicographic `(time, seq)`. The ring is sorted by
@@ -56,6 +55,7 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
+use crate::slab::Slab;
 use crate::time::{SimDuration, SimTime};
 
 /// Log2 of the bucket width in ns. Kept at 0 — one bucket per
@@ -71,50 +71,21 @@ const BUCKETS: usize = 65536;
 /// Words in the bucket-occupancy bitmap.
 const OCC_WORDS: usize = BUCKETS / 64;
 
-/// Identifier of a scheduled event, usable to cancel it before it fires.
-///
-/// Packs a slab slot index with that slot's generation; ids held past
-/// the event's firing (or cancellation) go stale and are ignored.
+/// Identifier of a scheduled event, usable to cancel it before it fires:
+/// the event's [`Slab`] key. Ids held past the event's firing (or
+/// cancellation) go stale and are ignored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(u64);
 
-impl EventId {
-    #[inline]
-    fn pack(idx: u32, generation: u32) -> Self {
-        EventId(((generation as u64) << 32) | idx as u64)
-    }
+/// An event handler: the world, the engine, and the event's payload word.
+type Handler<W> = fn(&mut W, &mut Sim<W>, u64);
 
-    #[inline]
-    fn idx(self) -> u32 {
-        self.0 as u32
-    }
-
-    #[inline]
-    fn generation(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
-
-/// What runs when an event fires: a bare `fn` pointer plus payload
-/// words, stored inline.
+/// What runs when an event fires.
 enum EventKind<W> {
-    /// Slot is on the free list.
-    Vacant,
-    /// Event was cancelled; the slot is freed when the queue reaches it.
+    /// Event was cancelled; its slot is freed when the queue reaches it.
     Cancelled,
-    /// Plain function, no payload.
-    Call0(fn(&mut W, &mut Sim<W>)),
-    /// Plain function plus one payload word.
-    Call1(fn(&mut W, &mut Sim<W>, u64), u64),
-    /// Plain function plus two payload words.
-    Call2(fn(&mut W, &mut Sim<W>, u64, u64), u64, u64),
-}
-
-impl<W> EventKind<W> {
-    #[inline]
-    fn is_live(&self) -> bool {
-        !matches!(self, EventKind::Vacant | EventKind::Cancelled)
-    }
+    /// Plain function plus its payload word.
+    Call(Handler<W>, u64),
 }
 
 // By hand: a derive would demand `W: Copy`, but `fn` pointers over any
@@ -126,23 +97,26 @@ impl<W> Clone for EventKind<W> {
 }
 impl<W> Copy for EventKind<W> {}
 
-/// One slab slot. `next_free` threads the free list through vacant slots.
-struct Slot<W> {
-    generation: u32,
-    next_free: u32,
+/// One pending event.
+struct Event<W> {
     seq: u64,
     at: SimTime,
     kind: EventKind<W>,
 }
 
-impl<W> Clone for Slot<W> {
+impl<W> Event<W> {
+    #[inline]
+    fn is_live(&self) -> bool {
+        matches!(self.kind, EventKind::Call(..))
+    }
+}
+
+impl<W> Clone for Event<W> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<W> Copy for Slot<W> {}
-
-const NO_SLOT: u32 = u32::MAX;
+impl<W> Copy for Event<W> {}
 
 /// Overflow-heap entry: plain data, ordered by `(at, seq)` inverted so
 /// the `BinaryHeap` max-heap pops the earliest first.
@@ -181,9 +155,8 @@ pub enum RunOutcome {
 }
 
 /// A point-in-time capture of a [`Sim`]'s complete pending-event state:
-/// the clock, every counter, the full slab arena (including vacant
-/// slots, so the free-list order and per-slot generations — and with
-/// them every future [`EventId`] — replay exactly), the current
+/// the clock, every counter, the event slab (free list and generations
+/// included, so every future [`EventId`] replays exactly), the current
 /// instant's FIFO ring, the occupied wheel buckets, and the overflow
 /// heap. [`Sim::restore`] rewinds an engine to this state; the restored
 /// engine then replays bit-identically to one that ran fresh to the
@@ -197,8 +170,7 @@ pub struct SimSnapshot<W> {
     live: usize,
     peak_pending: usize,
     drained: bool,
-    slots: Vec<Slot<W>>,
-    free_head: u32,
+    events: Slab<Event<W>>,
     ring: Vec<u32>,
     ring_at: SimTime,
     /// `(bucket index, entries)` for every occupied wheel bucket.
@@ -233,9 +205,8 @@ pub struct Sim<W> {
     /// scheduled since; gates the teardown leak audit.
     drained: bool,
 
-    // Slab arena.
-    slots: Vec<Slot<W>>,
-    free_head: u32,
+    /// Every scheduled event not yet reclaimed (live or cancelled).
+    events: Slab<Event<W>>,
 
     // Tier 0: the current instant's events, slot indices in seq order.
     ring: VecDeque<u32>,
@@ -270,8 +241,7 @@ impl<W> Sim<W> {
             live: 0,
             peak_pending: 0,
             drained: false,
-            slots: Vec::new(),
-            free_head: NO_SLOT,
+            events: Slab::new(),
             ring: VecDeque::new(),
             ring_at: SimTime::ZERO,
             buckets: (0..BUCKETS).map(|_| Vec::new()).collect(),
@@ -294,8 +264,9 @@ impl<W> Sim<W> {
     /// 65536-bucket wheel, the ring, the overflow heap, and the scratch
     /// buffer all retain their capacity. A reset engine replays any
     /// schedule bit-identically to a fresh one: the slab restarts at
-    /// slot 0 / generation 0, sequence numbers restart at 0, and the
-    /// clock returns to zero. Only the event limit survives the reset.
+    /// slot 0 / generation 0 (so it mints a fresh engine's
+    /// [`EventId`]s), sequence numbers restart at 0, and the clock
+    /// returns to zero. Only the event limit survives the reset.
     ///
     /// This is the world-slot reuse hook: the sweep engine resets one
     /// engine per worker between scenarios instead of re-allocating the
@@ -307,9 +278,7 @@ impl<W> Sim<W> {
         self.live = 0;
         self.peak_pending = 0;
         self.drained = false;
-        // `clear` keeps the Vec's capacity.
-        self.slots.clear();
-        self.free_head = NO_SLOT;
+        self.events.reset();
         self.ring.clear();
         self.ring_at = SimTime::ZERO;
         self.clear_wheel();
@@ -342,10 +311,9 @@ impl<W> Sim<W> {
 
     /// Capture the engine's complete pending-event state.
     ///
-    /// The capture is deep: vacant slots are recorded too, so the
-    /// free-list threading and per-slot generation counters — and with
-    /// them the exact [`EventId`]s future scheduling will mint — replay
-    /// identically after [`Sim::restore`].
+    /// The capture is deep: the slab's free list and per-slot
+    /// generations are recorded too, so the exact [`EventId`]s future
+    /// scheduling will mint replay identically after [`Sim::restore`].
     pub fn snapshot(&self) -> SimSnapshot<W> {
         let mut buckets = Vec::new();
         for w in 0..OCC_WORDS {
@@ -365,8 +333,7 @@ impl<W> Sim<W> {
             live: self.live,
             peak_pending: self.peak_pending,
             drained: self.drained,
-            slots: self.slots.clone(),
-            free_head: self.free_head,
+            events: self.events.clone(),
             ring: self.ring.iter().copied().collect(),
             ring_at: self.ring_at,
             buckets,
@@ -378,7 +345,7 @@ impl<W> Sim<W> {
     /// [`Sim::snapshot`], keeping every heap allocation (like
     /// [`Sim::reset`]). After restoring, the engine replays
     /// bit-identically to one that ran fresh to the snapshot point: the
-    /// clock, sequence counter, slab generations, free list, ring,
+    /// clock, sequence counter, event slab, ring,
     /// wheel, and overflow heap all match. One snapshot can be restored
     /// any number of times — the fork primitive the sweep memoizer
     /// builds on.
@@ -390,9 +357,7 @@ impl<W> Sim<W> {
         self.live = snap.live;
         self.peak_pending = snap.peak_pending;
         self.drained = snap.drained;
-        self.slots.clear();
-        self.slots.extend_from_slice(&snap.slots);
-        self.free_head = snap.free_head;
+        self.events.clone_from(&snap.events);
         self.ring.clear();
         self.ring.extend(snap.ring.iter().copied());
         self.ring_at = snap.ring_at;
@@ -434,51 +399,22 @@ impl<W> Sim<W> {
         self.peak_pending
     }
 
-    // ----- slab -----
-
-    #[inline]
-    fn alloc(&mut self, at: SimTime, seq: u64, kind: EventKind<W>) -> (u32, u32) {
-        if self.free_head != NO_SLOT {
-            let idx = self.free_head;
-            let slot = &mut self.slots[idx as usize];
-            self.free_head = slot.next_free;
-            slot.next_free = NO_SLOT;
-            slot.seq = seq;
-            slot.at = at;
-            slot.kind = kind;
-            (idx, slot.generation)
-        } else {
-            let idx = self.slots.len() as u32;
-            self.slots.push(Slot {
-                generation: 0,
-                next_free: NO_SLOT,
-                seq,
-                at,
-                kind,
-            });
-            (idx, 0)
-        }
-    }
-
-    /// Return a slot to the free list, bumping its generation so stale
-    /// [`EventId`]s can never reach the next occupant.
-    #[inline]
-    fn free(&mut self, idx: u32) {
-        let slot = &mut self.slots[idx as usize];
-        slot.kind = EventKind::Vacant;
-        slot.generation = slot.generation.wrapping_add(1);
-        slot.next_free = self.free_head;
-        self.free_head = idx;
-    }
-
     // ----- scheduling -----
 
-    fn schedule(&mut self, at: SimTime, kind: EventKind<W>) -> EventId {
+    /// Schedule `f` to run with payload word `a` at absolute time `at`.
+    /// Times in the past are clamped to "now" (the event still runs,
+    /// after already-queued events at the current instant).
+    pub fn at(&mut self, at: SimTime, f: Handler<W>, a: u64) -> EventId {
         self.drained = false;
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let (idx, generation) = self.alloc(at, seq, kind);
+        let key = self.events.insert(Event {
+            seq,
+            at,
+            kind: EventKind::Call(f, a),
+        });
+        let idx = key as u32;
         if at == self.now && (self.ring.is_empty() || self.ring_at == self.now) {
             // Current instant: straight onto the ring. Fresh seqs are
             // globally increasing, so appending keeps the ring seq-sorted.
@@ -500,83 +436,28 @@ impl<W> Sim<W> {
         if self.live > self.peak_pending {
             self.peak_pending = self.live;
         }
-        EventId::pack(idx, generation)
+        EventId(key)
     }
 
-    /// Schedule the plain function `f` to run at absolute time `at`.
-    /// Times in the past are clamped to "now" (the event still runs,
-    /// after already-queued events at the current instant).
-    pub fn at_call0(&mut self, at: SimTime, f: fn(&mut W, &mut Sim<W>)) -> EventId {
-        self.schedule(at, EventKind::Call0(f))
+    /// [`Sim::at`] relative to the current time.
+    pub fn after(&mut self, delay: SimDuration, f: Handler<W>, a: u64) -> EventId {
+        self.at(self.now + delay, f, a)
     }
 
-    /// [`Sim::at_call0`] with one payload word passed to `f`.
-    pub fn at_call1(&mut self, at: SimTime, f: fn(&mut W, &mut Sim<W>, u64), a: u64) -> EventId {
-        self.schedule(at, EventKind::Call1(f, a))
-    }
-
-    /// [`Sim::at_call0`] with two payload words passed to `f`.
-    pub fn at_call2(
-        &mut self,
-        at: SimTime,
-        f: fn(&mut W, &mut Sim<W>, u64, u64),
-        a: u64,
-        b: u64,
-    ) -> EventId {
-        self.schedule(at, EventKind::Call2(f, a, b))
-    }
-
-    /// [`Sim::at_call0`] relative to the current time.
-    pub fn after_call0(&mut self, delay: SimDuration, f: fn(&mut W, &mut Sim<W>)) -> EventId {
-        self.at_call0(self.now + delay, f)
-    }
-
-    /// [`Sim::at_call1`] relative to the current time.
-    pub fn after_call1(
-        &mut self,
-        delay: SimDuration,
-        f: fn(&mut W, &mut Sim<W>, u64),
-        a: u64,
-    ) -> EventId {
-        self.at_call1(self.now + delay, f, a)
-    }
-
-    /// [`Sim::at_call2`] relative to the current time.
-    pub fn after_call2(
-        &mut self,
-        delay: SimDuration,
-        f: fn(&mut W, &mut Sim<W>, u64, u64),
-        a: u64,
-        b: u64,
-    ) -> EventId {
-        self.at_call2(self.now + delay, f, a, b)
-    }
-
-    /// [`Sim::at_call0`] at the current instant, after all events
-    /// already queued for this instant.
-    pub fn soon_call0(&mut self, f: fn(&mut W, &mut Sim<W>)) -> EventId {
-        self.at_call0(self.now, f)
-    }
-
-    /// [`Sim::at_call1`] at the current instant.
-    pub fn soon_call1(&mut self, f: fn(&mut W, &mut Sim<W>, u64), a: u64) -> EventId {
-        self.at_call1(self.now, f, a)
-    }
-
-    /// [`Sim::at_call2`] at the current instant.
-    pub fn soon_call2(&mut self, f: fn(&mut W, &mut Sim<W>, u64, u64), a: u64, b: u64) -> EventId {
-        self.at_call2(self.now, f, a, b)
+    /// [`Sim::at`] at the current instant, after all events already
+    /// queued for this instant.
+    pub fn soon(&mut self, f: Handler<W>, a: u64) -> EventId {
+        self.at(self.now, f, a)
     }
 
     /// Cancel a previously scheduled event. Cancelling an event that
-    /// already fired (or was already cancelled) is a no-op: the id has
-    /// gone stale and no longer matches its slot's generation.
+    /// already fired is a no-op: its id has gone stale. Cancelling twice
+    /// is a no-op too.
     pub fn cancel(&mut self, id: EventId) {
-        let idx = id.idx() as usize;
-        if let Some(slot) = self.slots.get_mut(idx) {
-            if slot.generation == id.generation() && slot.kind.is_live() {
+        if let Some(ev) = self.events.get_mut(id.0) {
+            if ev.is_live() {
                 // The slot itself is reclaimed when the queue reaches it.
-                slot.kind = EventKind::Cancelled;
+                ev.kind = EventKind::Cancelled;
                 self.live -= 1;
             }
         }
@@ -612,17 +493,17 @@ impl<W> Sim<W> {
         let start = ((self.now.as_ns() >> BUCKET_SHIFT) as usize) & (BUCKETS - 1);
         let bi = self.next_occupied(start).expect("wheel_len > 0");
         let first = self.buckets[bi][0];
-        Some((bi, self.slots[first as usize].at))
+        Some((bi, self.events.by_slot(first).at))
     }
 
     /// Earliest live overflow timestamp, popping cancelled tops.
     fn overflow_min(&mut self) -> Option<SimTime> {
         while let Some(top) = self.overflow.peek() {
-            if self.slots[top.slot as usize].kind.is_live() {
+            if self.events.by_slot(top.slot).is_live() {
                 return Some(top.at);
             }
             let dead = self.overflow.pop().expect("peeked entry vanished");
-            self.free(dead.slot);
+            self.events.remove_slot(dead.slot);
         }
         None
     }
@@ -662,7 +543,7 @@ impl<W> Sim<W> {
                 // entries ride along and are reclaimed at ring pop.
                 self.wheel_len -= self.buckets[bi].len();
                 for s in self.buckets[bi].drain(..) {
-                    self.scratch.push((self.slots[s as usize].seq, s));
+                    self.scratch.push((self.events.by_slot(s).seq, s));
                 }
                 self.occ[bi / 64] &= !(1u64 << (bi % 64));
             }
@@ -672,10 +553,10 @@ impl<W> Sim<W> {
                 break;
             }
             let e = self.overflow.pop().expect("peeked entry vanished");
-            if self.slots[e.slot as usize].kind.is_live() {
+            if self.events.by_slot(e.slot).is_live() {
                 self.scratch.push((e.seq, e.slot));
             } else {
-                self.free(e.slot);
+                self.events.remove_slot(e.slot);
             }
         }
         // Restore the total (time, seq) order within the instant.
@@ -700,23 +581,16 @@ impl<W> Sim<W> {
                     continue;
                 }
             };
-            let kind = self.slots[idx as usize].kind;
             debug_assert!(self.ring_at >= self.now, "time went backwards");
             // Free before dispatch so the slot is reusable and the event's
             // own id is stale during its callback.
-            self.free(idx);
-            if matches!(kind, EventKind::Cancelled) {
+            let EventKind::Call(f, a) = self.events.remove_slot(idx).kind else {
                 continue;
-            }
+            };
             self.now = self.ring_at;
             self.executed += 1;
             self.live -= 1;
-            match kind {
-                EventKind::Call0(f) => f(world, self),
-                EventKind::Call1(f, a) => f(world, self, a),
-                EventKind::Call2(f, a, b) => f(world, self, a, b),
-                EventKind::Vacant | EventKind::Cancelled => unreachable!("vacant slot on the ring"),
-            }
+            f(world, self, a);
             return true;
         }
     }
@@ -768,29 +642,26 @@ impl<W> Sim<W> {
         self.drained
     }
 
-    /// Audit the slab arena: the number of slots still holding an event
-    /// payload (live, or cancelled but not yet reclaimed). A fully
+    /// Audit the event slab: the number of events it still holds (live,
+    /// or cancelled but not yet reclaimed). A fully
     /// drained run leaves zero — cancelled entries are reclaimed as the
     /// queue reaches their instant — so a nonzero count after quiesce
     /// means an event leaked (e.g. a retry layer re-arming a wakeup it
     /// believed cancelled). Debug builds run this check automatically
     /// when the `Sim` is dropped after quiesce.
     pub fn leak_check(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| !matches!(s.kind, EventKind::Vacant))
-            .count()
+        self.events.len()
     }
 
     /// Timestamp of the next live (non-cancelled) pending event.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         // Clean cancelled entries off the ring front.
         while let Some(&idx) = self.ring.front() {
-            if self.slots[idx as usize].kind.is_live() {
+            if self.events.by_slot(idx).is_live() {
                 return Some(self.ring_at);
             }
             self.ring.pop_front();
-            self.free(idx);
+            self.events.remove_slot(idx);
         }
         loop {
             let wheel = self.wheel_min();
@@ -804,7 +675,7 @@ impl<W> Sim<W> {
             if let Some(bi) = wheel_bi {
                 let all_dead = !self.buckets[bi]
                     .iter()
-                    .any(|&s| self.slots[s as usize].kind.is_live());
+                    .any(|&s| self.events.by_slot(s).is_live());
                 if all_dead {
                     // A live overflow entry can share the instant with a
                     // fully cancelled bucket; the instant is then live.
@@ -813,7 +684,7 @@ impl<W> Sim<W> {
                     }
                     self.wheel_len -= self.buckets[bi].len();
                     while let Some(s) = self.buckets[bi].pop() {
-                        self.free(s);
+                        self.events.remove_slot(s);
                     }
                     self.occ[bi / 64] &= !(1u64 << (bi % 64));
                     continue;
@@ -862,15 +733,15 @@ mod tests {
         w.push(a as u32);
     }
 
-    fn nop(_: &mut World, _: &mut Sim<World>) {}
+    fn nop(_: &mut World, _: &mut Sim<World>, _: u64) {}
 
     #[test]
     fn events_fire_in_time_order() {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
-        sim.after_call1(d(30), push, 3);
-        sim.after_call1(d(10), push, 1);
-        sim.after_call1(d(20), push, 2);
+        sim.after(d(30), push, 3);
+        sim.after(d(10), push, 1);
+        sim.after(d(20), push, 2);
         assert_eq!(sim.run(&mut w), RunOutcome::Drained);
         assert_eq!(w, vec![1, 2, 3]);
         assert_eq!(sim.now(), SimTime::from_ns(30));
@@ -882,7 +753,7 @@ mod tests {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
         for i in 0..100 {
-            sim.after_call1(d(5), push, i);
+            sim.after(d(5), push, i);
         }
         sim.run(&mut w);
         assert_eq!(w, (0..100).collect::<Vec<_>>());
@@ -892,17 +763,20 @@ mod tests {
     fn reset_restores_a_fresh_engine_bit_identically() {
         // The same schedule — near-time wheel buckets, ties, a cancel,
         // and a far-future overflow event — must execute identically on
-        // a fresh engine and on a reset one.
-        fn drive(sim: &mut Sim<World>) -> (Vec<u32>, u64, SimTime) {
+        // a fresh engine and on a reset one, and mint the same ids.
+        fn drive(sim: &mut Sim<World>) -> (Vec<u32>, u64, SimTime, Vec<EventId>) {
             let mut w = Vec::new();
-            for i in 0..50 {
-                sim.after_call1(d(i * 7 % 40), push, i);
-            }
-            sim.after_call1(d(200_000_000), push, 999);
-            let doomed = sim.after_call1(d(5), push, 777);
+            let mut ids: Vec<EventId> =
+                (0..50).map(|i| sim.after(d(i * 7 % 40), push, i)).collect();
+            ids.push(sim.after(d(200_000_000), push, 999));
+            let doomed = sim.after(d(5), push, 777);
             sim.cancel(doomed);
+            ids.push(doomed);
             assert_eq!(sim.run(&mut w), RunOutcome::Drained);
-            (w, sim.events_executed(), sim.now())
+            ids.push(sim.after(d(1), push, 1));
+            ids.push(sim.after(d(2), push, 2));
+            assert_eq!(sim.run(&mut w), RunOutcome::Drained);
+            (w, sim.events_executed(), sim.now(), ids)
         }
         let mut fresh: Sim<World> = Sim::new();
         let expect = drive(&mut fresh);
@@ -925,14 +799,14 @@ mod tests {
         // schedule events.
         fn spawn(w: &mut World, sim: &mut Sim<World>, a: u64) {
             w.push(a as u32);
-            sim.after_call1(d(13), push, a + 1000);
+            sim.after(d(13), push, a + 1000);
         }
         fn build(sim: &mut Sim<World>) {
             for i in 0..40u64 {
-                sim.at_call1(SimTime::from_ns(i * 9 % 70), spawn, i);
+                sim.at(SimTime::from_ns(i * 9 % 70), spawn, i);
             }
-            sim.at_call1(SimTime::from_ns(200_000_000), push, 999);
-            let doomed = sim.at_call1(SimTime::from_ns(33), push, 777);
+            sim.at(SimTime::from_ns(200_000_000), push, 999);
+            let doomed = sim.at(SimTime::from_ns(33), push, 777);
             sim.cancel(doomed);
         }
 
@@ -987,16 +861,16 @@ mod tests {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
         for _ in 0..8 {
-            sim.after_call0(d(1), nop);
+            sim.after(d(1), nop, 0);
         }
-        sim.after_call0(d(10), nop);
+        sim.after(d(10), nop, 0);
         sim.run_until(&mut w, SimTime::from_ns(5));
         let snap = sim.snapshot();
-        let a = sim.after_call0(d(1), nop);
-        let b = sim.after_call0(d(2), nop);
+        let a = sim.after(d(1), nop, 0);
+        let b = sim.after(d(2), nop, 0);
         sim.restore(&snap);
-        let a2 = sim.after_call0(d(1), nop);
-        let b2 = sim.after_call0(d(2), nop);
+        let a2 = sim.after(d(1), nop, 0);
+        let b2 = sim.after(d(2), nop, 0);
         assert_eq!((a, b), (a2, b2), "post-restore EventIds must replay");
         sim.run(&mut w);
     }
@@ -1005,10 +879,14 @@ mod tests {
     fn events_can_schedule_events() {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
-        sim.after_call0(d(10), |w: &mut World, sim: &mut Sim<World>| {
-            w.push(1);
-            sim.after_call1(d(5), push, 2);
-        });
+        sim.after(
+            d(10),
+            |w: &mut World, sim: &mut Sim<World>, _| {
+                w.push(1);
+                sim.after(d(5), push, 2);
+            },
+            0,
+        );
         sim.run(&mut w);
         assert_eq!(w, vec![1, 2]);
         assert_eq!(sim.now(), SimTime::from_ns(15));
@@ -1018,8 +896,8 @@ mod tests {
     fn cancelled_events_do_not_fire() {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
-        let id = sim.after_call1(d(10), push, 99);
-        sim.after_call1(d(20), push, 1);
+        let id = sim.after(d(10), push, 99);
+        sim.after(d(20), push, 1);
         sim.cancel(id);
         sim.run(&mut w);
         assert_eq!(w, vec![1]);
@@ -1031,10 +909,10 @@ mod tests {
     fn cancel_after_fire_is_noop() {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
-        let id = sim.after_call1(d(1), push, 7);
+        let id = sim.after(d(1), push, 7);
         sim.run(&mut w);
         sim.cancel(id);
-        sim.after_call1(d(1), push, 8);
+        sim.after(d(1), push, 8);
         sim.run(&mut w);
         assert_eq!(w, vec![7, 8]);
     }
@@ -1043,17 +921,22 @@ mod tests {
     fn past_times_clamp_to_now() {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
-        sim.after_call0(d(100), |w: &mut World, sim: &mut Sim<World>| {
-            w.push(1);
-            // Scheduling "in the past" runs at the current instant.
-            sim.at_call0(
-                SimTime::from_ns(10),
-                |w: &mut World, sim: &mut Sim<World>| {
-                    w.push(2);
-                    assert_eq!(sim.now(), SimTime::from_ns(100));
-                },
-            );
-        });
+        sim.after(
+            d(100),
+            |w: &mut World, sim: &mut Sim<World>, _| {
+                w.push(1);
+                // Scheduling "in the past" runs at the current instant.
+                sim.at(
+                    SimTime::from_ns(10),
+                    |w: &mut World, sim: &mut Sim<World>, _| {
+                        w.push(2);
+                        assert_eq!(sim.now(), SimTime::from_ns(100));
+                    },
+                    0,
+                );
+            },
+            0,
+        );
         sim.run(&mut w);
         assert_eq!(w, vec![1, 2]);
     }
@@ -1062,10 +945,10 @@ mod tests {
     fn event_limit_detects_livelock() {
         let mut sim: Sim<World> = Sim::new().with_event_limit(1000);
         let mut w = Vec::new();
-        fn respawn(_: &mut World, sim: &mut Sim<World>) {
-            sim.after_call0(SimDuration::from_ns(1), respawn);
+        fn respawn(_: &mut World, sim: &mut Sim<World>, _: u64) {
+            sim.after(SimDuration::from_ns(1), respawn, 0);
         }
-        sim.after_call0(d(1), respawn);
+        sim.after(d(1), respawn, 0);
         assert_eq!(sim.run(&mut w), RunOutcome::EventLimit);
         assert_eq!(sim.events_executed(), 1000);
     }
@@ -1075,7 +958,7 @@ mod tests {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
         for i in 1..=5 {
-            sim.at_call1(SimTime::from_ns(i * 10), push, i);
+            sim.at(SimTime::from_ns(i * 10), push, i);
         }
         sim.run_until(&mut w, SimTime::from_ns(30));
         assert_eq!(w, vec![1, 2, 3]);
@@ -1088,11 +971,15 @@ mod tests {
     fn soon_runs_after_current_instant_queue() {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
-        sim.after_call0(d(10), |w: &mut World, sim: &mut Sim<World>| {
-            sim.soon_call1(push, 2);
-            w.push(1);
-        });
-        sim.after_call1(d(10), push, 3);
+        sim.after(
+            d(10),
+            |w: &mut World, sim: &mut Sim<World>, _| {
+                sim.soon(push, 2);
+                w.push(1);
+            },
+            0,
+        );
+        sim.after(d(10), push, 3);
         sim.run(&mut w);
         // Event at t=10 scheduled first runs first; `soon` lands after the
         // other already-queued t=10 event because of sequence ordering.
@@ -1102,38 +989,23 @@ mod tests {
     #[test]
     fn peek_time_skips_cancelled() {
         let mut sim: Sim<World> = Sim::new();
-        let id = sim.after_call0(d(5), nop);
-        sim.after_call0(d(9), nop);
+        let id = sim.after(d(5), nop, 0);
+        sim.after(d(9), nop, 0);
         sim.cancel(id);
         assert_eq!(sim.peek_time(), Some(SimTime::from_ns(9)));
-    }
-
-    #[test]
-    fn call_kinds_interleave_in_seq_order() {
-        let mut sim: Sim<World> = Sim::new();
-        let mut w = Vec::new();
-        fn push2(w: &mut World, _: &mut Sim<World>, a: u64, b: u64) {
-            w.push((a + b) as u32);
-        }
-        sim.after_call1(d(10), push, 1);
-        sim.after_call0(d(10), |w: &mut World, _| w.push(2));
-        sim.after_call2(d(10), push2, 1, 2);
-        sim.after_call0(d(5), |w: &mut World, _| w.push(0));
-        sim.run(&mut w);
-        assert_eq!(w, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn slots_are_recycled_and_stale_ids_stay_dead() {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
-        let a = sim.after_call1(d(1), push, 1);
+        let a = sim.after(d(1), push, 1);
         sim.run(&mut w);
         // The slot is recycled for the next event; the stale id must not
         // cancel the new occupant.
-        let b = sim.after_call1(d(1), push, 2);
-        assert_eq!(a.idx(), b.idx());
-        assert_ne!(a.generation(), b.generation());
+        let b = sim.after(d(1), push, 2);
+        assert_eq!(a.0 as u32, b.0 as u32, "same slot");
+        assert_ne!(a, b, "new generation");
         sim.cancel(a);
         sim.run(&mut w);
         assert_eq!(w, vec![1, 2]);
@@ -1146,10 +1018,10 @@ mod tests {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
         let horizon = (BUCKETS as u64) << BUCKET_SHIFT;
-        sim.at_call1(SimTime::from_ns(3 * horizon), push, 4);
-        sim.at_call1(SimTime::from_ns(2 * horizon + 7), push, 2);
-        sim.at_call1(SimTime::from_ns(2 * horizon + 7), push, 3);
-        sim.at_call1(SimTime::from_ns(5), push, 1);
+        sim.at(SimTime::from_ns(3 * horizon), push, 4);
+        sim.at(SimTime::from_ns(2 * horizon + 7), push, 2);
+        sim.at(SimTime::from_ns(2 * horizon + 7), push, 3);
+        sim.at(SimTime::from_ns(5), push, 1);
         sim.run(&mut w);
         assert_eq!(w, vec![1, 2, 3, 4]);
         assert_eq!(sim.now(), SimTime::from_ns(3 * horizon));
@@ -1159,9 +1031,9 @@ mod tests {
     fn pending_reports_live_events_only() {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
-        let a = sim.after_call0(d(1), nop);
-        sim.after_call0(d(2), nop);
-        sim.after_call0(d(3), nop);
+        let a = sim.after(d(1), nop, 0);
+        sim.after(d(2), nop, 0);
+        sim.after(d(3), nop, 0);
         assert_eq!(sim.pending(), 3);
         sim.cancel(a);
         assert_eq!(sim.pending(), 2, "cancelled events are not pending");
@@ -1178,9 +1050,9 @@ mod tests {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
         let horizon = (BUCKETS as u64) << BUCKET_SHIFT;
-        let far = sim.at_call1(SimTime::from_ns(2 * horizon), push, 99);
-        let near = sim.at_call1(SimTime::from_ns(50), push, 98);
-        sim.at_call1(SimTime::from_ns(60), push, 1);
+        let far = sim.at(SimTime::from_ns(2 * horizon), push, 99);
+        let near = sim.at(SimTime::from_ns(50), push, 98);
+        sim.at(SimTime::from_ns(60), push, 1);
         sim.cancel(far);
         sim.cancel(near);
         assert_eq!(sim.peek_time(), Some(SimTime::from_ns(60)));
@@ -1194,9 +1066,9 @@ mod tests {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
         let horizon = (BUCKETS as u64) << BUCKET_SHIFT;
-        let a = sim.after_call0(d(5), nop);
-        let b = sim.at_call0(SimTime::from_ns(2 * horizon), nop);
-        sim.after_call1(d(7), push, 1);
+        let a = sim.after(d(5), nop, 0);
+        let b = sim.at(SimTime::from_ns(2 * horizon), nop, 0);
+        sim.after(d(7), push, 1);
         sim.cancel(a);
         sim.cancel(b);
         assert!(!sim.quiesced());
@@ -1204,7 +1076,7 @@ mod tests {
         assert!(sim.quiesced());
         assert_eq!(sim.leak_check(), 0, "drained run must reclaim all slots");
         // Scheduling again un-quiesces.
-        sim.after_call0(d(1), nop);
+        sim.after(d(1), nop, 0);
         assert!(!sim.quiesced());
         assert!(sim.leak_check() > 0);
         sim.run(&mut w);
@@ -1216,7 +1088,7 @@ mod tests {
         // Dropping with events still pending is legal (run_until, early
         // teardown): the audit only arms after a true quiesce.
         let mut sim: Sim<World> = Sim::new();
-        sim.after_call0(d(5), nop);
+        sim.after(d(5), nop, 0);
         let mut w = Vec::new();
         sim.run_until(&mut w, SimTime::from_ns(1));
         assert!(!sim.quiesced());

@@ -3,21 +3,21 @@
 //! The foundation of the GAAT (GPU-Aware Asynchronous Tasks) stack: a
 //! single-threaded, bit-deterministic discrete-event simulator with integer
 //! nanosecond time, a splittable RNG, fault plans, span tracing and the
-//! generational [`Slab`] that parks event payloads too large for the
-//! payload words.
+//! generational [`Slab`] that holds the pending events and parks event
+//! payloads too large for the payload word.
 //!
 //! Everything above this crate — the GPU device model, the interconnect,
 //! the communication library, the task runtime, and the Jacobi3D proxy
 //! application — executes as events scheduled on [`Sim`] over a world
-//! type the embedding crate chooses. An event is a plain `fn` plus up to
-//! two payload words, so any engine state can be snapshotted and forked.
+//! type the embedding crate chooses. An event is a plain `fn` plus one
+//! payload word, so any engine state can be snapshotted and forked.
 //!
 //! ```
 //! use gaat_sim::{Sim, SimDuration};
 //!
 //! let mut sim: Sim<u32> = Sim::new();
 //! let mut counter = 0u32;
-//! sim.after_call0(SimDuration::from_us(5), |c: &mut u32, _| *c += 1);
+//! sim.after(SimDuration::from_us(5), |c: &mut u32, _, by| *c += by as u32, 1);
 //! sim.run(&mut counter);
 //! assert_eq!(counter, 1);
 //! assert_eq!(sim.now().as_ns(), 5_000);

@@ -1,8 +1,9 @@
 //! Generational slab for payloads parked behind an event.
 //!
-//! An event carries at most two `u64` payload words, so anything larger
-//! (an envelope, a GPU job's origin, an in-flight network message) parks
-//! in a world-side [`Slab`] and the event carries the key. A key packs
+//! An event carries one `u64` payload word, so anything larger (an
+//! envelope, a GPU job's origin, an in-flight network message) parks in
+//! a world-side [`Slab`] and the event carries the key. The engine keeps
+//! its pending events in one too. A key packs
 //! the slot index (low 32 bits) and the slot's generation (high 32 bits);
 //! the generation moves on every `remove` and `clear`, so a key that
 //! outlived its entry — an event scheduled before a rollback voided the
@@ -11,7 +12,7 @@
 /// A LIFO free list of payload slots addressed by generational `u64`
 /// keys. Cloning copies the free list too, so a clone hands out the same
 /// keys as the original: a forked world replays its parent's keys.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Slab<T> {
     slots: Vec<Entry<T>>,
     free: Vec<u32>,
@@ -23,6 +24,23 @@ pub struct Slab<T> {
 struct Entry<T> {
     generation: u32,
     value: Option<T>,
+}
+
+impl<T: Clone> Clone for Slab<T> {
+    fn clone(&self) -> Self {
+        Slab {
+            slots: self.slots.clone(),
+            free: self.free.clone(),
+            live: self.live,
+        }
+    }
+
+    /// Copy `source` into this slab, keeping this slab's capacity.
+    fn clone_from(&mut self, source: &Self) {
+        self.slots.clone_from(&source.slots);
+        self.free.clone_from(&source.free);
+        self.live = source.live;
+    }
 }
 
 impl<T> Default for Slab<T> {
@@ -86,12 +104,30 @@ impl<T> Slab<T> {
     /// Take the entry behind `key` and free its slot; `None` (and no
     /// change) if the key is stale.
     pub fn remove(&mut self, key: u64) -> Option<T> {
-        let e = self.entry_mut(key)?;
-        let value = e.value.take()?;
+        self.entry(key)?.value.as_ref()?;
+        Some(self.remove_slot(key as u32))
+    }
+
+    /// The entry in slot `slot`, whatever its generation. Panics if the
+    /// slot is vacant.
+    #[inline]
+    pub(crate) fn by_slot(&self, slot: u32) -> &T {
+        self.slots[slot as usize]
+            .value
+            .as_ref()
+            .expect("vacant slab slot")
+    }
+
+    /// Take the entry in slot `slot` and free the slot, whatever its
+    /// generation. Panics if the slot is vacant.
+    #[inline]
+    pub(crate) fn remove_slot(&mut self, slot: u32) -> T {
+        let e = &mut self.slots[slot as usize];
+        let value = e.value.take().expect("vacant slab slot");
         e.generation = e.generation.wrapping_add(1);
-        self.free.push(key as u32);
+        self.free.push(slot);
         self.live -= 1;
-        Some(value)
+        value
     }
 
     /// Drop every entry and invalidate every outstanding key. Slots are
@@ -103,6 +139,16 @@ impl<T> Slab<T> {
                 self.free.push(i as u32);
             }
         }
+        self.live = 0;
+    }
+
+    /// Drop every entry and start over as a fresh slab would: keys
+    /// restart at slot 0, generation 0. Unlike [`Slab::clear`], a key
+    /// minted before the reset may name an entry inserted after it, so
+    /// only reset a slab no outstanding key can reach. Capacity is kept.
+    pub fn reset(&mut self) {
+        self.slots.clear();
+        self.free.clear();
         self.live = 0;
     }
 
@@ -182,6 +228,30 @@ mod tests {
         assert_eq!(s.insert(8) as u32, keys[0] as u32);
         assert_eq!(s.insert(9) as u32, 3);
         assert_eq!(s.values().copied().collect::<Vec<_>>(), [8, 1, 7, 9]);
+    }
+
+    #[test]
+    fn reset_restarts_keys() {
+        let mut s = Slab::new();
+        let keys: Vec<u64> = (0..3).map(|i| s.insert(i)).collect();
+        s.remove(keys[1]);
+        s.reset();
+        assert!(s.is_empty());
+        assert_eq!(s.slots(), 0);
+        assert_eq!([s.insert(7), s.insert(8)], [0, 1], "slot 0, generation 0");
+    }
+
+    #[test]
+    fn clone_from_matches_clone() {
+        let mut s = Slab::new();
+        let keys: Vec<u64> = (0..4).map(|i| s.insert(i)).collect();
+        s.remove(keys[2]);
+        let mut c = Slab::new();
+        c.insert(99);
+        c.clone_from(&s);
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.values().copied().collect::<Vec<_>>(), [0, 1, 3]);
+        assert_eq!(c.insert(5), s.insert(5));
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! cancellation, horizon crossings — shows up as the first mismatching
 //! trace entry. The real engine also forks mid-run: it snapshots at the
 //! reference's median event time and replays the tail from the snapshot
-//! twice, and all three tails must match. Seeded via [`SimRng`] so
-//! failures replay exactly.
+//! twice, and all three tails must match. The same three runs are then
+//! repeated on an engine that was left mid-run on another seed's
+//! workload and `reset()`. Seeded via [`SimRng`] so failures replay
+//! exactly.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
@@ -79,7 +81,7 @@ fn fire_real(w: &mut RealWorld, sim: &mut Sim<RealWorld>, label: u64) {
                 let label = w.next_label;
                 w.next_label += 1;
                 let at = sim.now() + SimDuration::from_ns(delay);
-                let id = sim.at_call1(at, fire_real, u64::from(label));
+                let id = sim.at(at, fire_real, u64::from(label));
                 w.live.push(id);
             }
             Cmd::Cancel { choice } => {
@@ -96,11 +98,8 @@ fn fire_real(w: &mut RealWorld, sim: &mut Sim<RealWorld>, label: u64) {
 /// Trace and executed-event count of one run.
 type Run = (Vec<(u64, u32)>, u64);
 
-/// Run the workload on the real engine, pausing at `fork_at` to snapshot
-/// the engine and clone the world. Returns the uninterrupted run, then
-/// two runs restored from that snapshot.
-fn run_real(seed: u64, initial: u64, budget: u64, fork_at: SimTime) -> Vec<Run> {
-    let mut sim: Sim<RealWorld> = Sim::new();
+/// A world for `seed` with its initial events scheduled on `sim`.
+fn start_real(sim: &mut Sim<RealWorld>, seed: u64, initial: u64, budget: u64) -> RealWorld {
     let mut seeder = SimRng::new(seed ^ 0x5eed);
     let mut w = RealWorld {
         rng: SimRng::new(seed),
@@ -113,9 +112,23 @@ fn run_real(seed: u64, initial: u64, budget: u64, fork_at: SimTime) -> Vec<Run> 
         let label = w.next_label;
         w.next_label += 1;
         let at = SimTime::from_ns(seeder.below(10_000));
-        let id = sim.at_call1(at, fire_real, u64::from(label));
+        let id = sim.at(at, fire_real, u64::from(label));
         w.live.push(id);
     }
+    w
+}
+
+/// Run the workload on `sim`, a fresh or reset engine, pausing at
+/// `fork_at` to snapshot the engine and clone the world. Returns the
+/// uninterrupted run, then two runs restored from that snapshot.
+fn run_real(
+    sim: &mut Sim<RealWorld>,
+    seed: u64,
+    initial: u64,
+    budget: u64,
+    fork_at: SimTime,
+) -> Vec<Run> {
+    let mut w = start_real(sim, seed, initial, budget);
     sim.run_until(&mut w, fork_at);
     let snap = sim.snapshot();
     let saved = w.clone();
@@ -213,13 +226,29 @@ fn run_ref(seed: u64, initial: u64, budget: u64) -> Run {
     (w.trace, sim.executed)
 }
 
-/// Every real-engine run (uninterrupted and both restores) must match
-/// the reference heap event for event.
+/// Every real-engine run (uninterrupted and both restores, on a fresh
+/// engine and on a reset one) must match the reference heap event for
+/// event.
 fn check(seed: u64, initial: u64, budget: u64) {
     let (ref_trace, ref_n) = run_ref(seed, initial, budget);
     let fork_at = SimTime::from_ns(ref_trace[ref_trace.len() / 2].0);
-    let runs = run_real(seed, initial, budget, fork_at);
-    for ((real_trace, real_n), run) in runs.into_iter().zip(["live", "restore 1", "restore 2"]) {
+    let mut runs = run_real(&mut Sim::new(), seed, initial, budget, fork_at);
+    // Leave another seed's workload pending in the ring, wheel and
+    // overflow, then reset and replay this seed on the same engine.
+    let mut reused: Sim<RealWorld> = Sim::new();
+    let mut other = start_real(&mut reused, seed + 1_000, initial, budget);
+    reused.run_until(&mut other, fork_at);
+    reused.reset();
+    runs.extend(run_real(&mut reused, seed, initial, budget, fork_at));
+    let names = [
+        "live",
+        "restore 1",
+        "restore 2",
+        "reset live",
+        "reset restore 1",
+        "reset restore 2",
+    ];
+    for ((real_trace, real_n), run) in runs.into_iter().zip(names) {
         assert_eq!(
             real_n, ref_n,
             "executed-count divergence at seed {seed} ({run})"

@@ -19,7 +19,7 @@ fn execute(schedule: &[(u64, u32)]) -> (Vec<u32>, Vec<u64>) {
         w.fired.push((payload as u32, now));
     }
     for &(delay, payload) in schedule {
-        sim.at_call1(SimTime::from_ns(delay), fire, u64::from(payload));
+        sim.at(SimTime::from_ns(delay), fire, u64::from(payload));
     }
     sim.run(&mut w);
     let payloads = w.fired.iter().map(|&(p, _)| p).collect();
@@ -74,7 +74,7 @@ proptest! {
         let mut w = World { fired: vec![] };
         let mut ids = vec![];
         for (i, &delay) in delays.iter().enumerate() {
-            let id = sim.at_call1(SimTime::from_ns(delay), |w: &mut World, _, i| {
+            let id = sim.at(SimTime::from_ns(delay), |w: &mut World, _, i| {
                 w.fired.push(i as usize);
             }, i as u64);
             ids.push(id);
@@ -104,9 +104,9 @@ proptest! {
         let mut sim: Sim<World> = Sim::new();
         let mut w = World { fired: vec![] };
         for &delay in &delays {
-            sim.at_call0(SimTime::from_ns(delay), |w: &mut World, sim| {
+            sim.at(SimTime::from_ns(delay), |w: &mut World, sim, _| {
                 w.fired.push(sim.now().as_ns());
-            });
+            }, 0);
         }
         sim.run_until(&mut w, SimTime::from_ns(deadline));
         prop_assert!(w.fired.iter().all(|&t| t <= deadline));
@@ -128,17 +128,19 @@ proptest! {
         struct World { trace: Vec<u64>, spawned: usize }
         let mut sim: Sim<World> = Sim::new();
         let mut w = World { trace: vec![], spawned: 0 };
-        fn parent(w: &mut World, sim: &mut Sim<World>, delay: u64, children: u64) {
+        // The payload word packs `delay << 2 | children`.
+        fn parent(w: &mut World, sim: &mut Sim<World>, word: u64) {
+            let (delay, children) = (word >> 2, word & 3);
             w.trace.push(sim.now().as_ns());
             for c in 0..children {
                 w.spawned += 1;
-                sim.after_call0(SimDuration::from_ns(delay + c), |w: &mut World, sim: &mut Sim<World>| {
+                sim.after(SimDuration::from_ns(delay + c), |w: &mut World, sim: &mut Sim<World>, _| {
                     w.trace.push(sim.now().as_ns());
-                });
+                }, 0);
             }
         }
         for &(delay, children) in &seeds {
-            sim.after_call2(SimDuration::from_ns(delay), parent, delay, u64::from(children));
+            sim.after(SimDuration::from_ns(delay), parent, delay << 2 | u64::from(children));
         }
         sim.run(&mut w);
         prop_assert_eq!(w.trace.len(), seeds.len() + w.spawned);

@@ -411,15 +411,15 @@ fn base_record(sc: &Scenario) -> ScenarioRecord {
 }
 
 /// The record of a scenario whose configuration fails validation, or
-/// `None` if it can be built. Jacobi scenarios check their whole
-/// [`gaat_jacobi3d::JacobiConfig`]; the other workloads check their
-/// machine.
+/// `None` if it can be built. Every workload checks its whole app
+/// config, the machine included.
 fn rejection(sc: &Scenario) -> Option<ScenarioRecord> {
     let error = match sc.workload {
-        Workload::Jacobi { .. } => sc.jacobi_config().validate().map_err(|e| e.to_string()),
-        _ => sc.machine.validate().map_err(|e| e.to_string()),
-    }
-    .err()?;
+        Workload::Jacobi { .. } => sc.jacobi_config().validate().err()?.to_string(),
+        Workload::Sweep3d { .. } => sc.sweep3d_config().validate().err()?.to_string(),
+        Workload::Train { .. } => sc.train_config().validate().err()?.to_string(),
+        Workload::Moe { .. } => sc.moe_config().validate().err()?.to_string(),
+    };
     Some(ScenarioRecord {
         ok: false,
         error: Some(error),
@@ -494,19 +494,9 @@ impl<'a> Worker<'a> {
                     apply_jacobi_outcome(rec, sim, res, stalled);
                 },
             ),
-            Workload::Sweep3d {
-                global,
-                sweeps,
-                warmup,
-            } => self.run_app(
+            Workload::Sweep3d { .. } => self.run_app(
                 unit,
-                move |sim0, sc: &Scenario| {
-                    let mut cfg = gaat_sweep3d::SweepConfig::new(sc.machine.clone(), global);
-                    cfg.odf = sc.odf;
-                    cfg.sweeps = sweeps;
-                    cfg.warmup = warmup;
-                    gaat_sweep3d::build_in(sim0, cfg)
-                },
+                |sim0, sc: &Scenario| gaat_sweep3d::build_in(sim0, sc.sweep3d_config()),
                 gaat_sweep3d::start,
                 |sim, ids, sh, rec| {
                     let r = gaat_sweep3d::finish(sim, ids, sh);
@@ -514,13 +504,9 @@ impl<'a> Worker<'a> {
                     rec.unit_ns = r.time_per_sweep.as_ns();
                 },
             ),
-            Workload::Train { params, steps } => self.run_app(
+            Workload::Train { .. } => self.run_app(
                 unit,
-                move |sim0, sc: &Scenario| {
-                    let mut cfg = gaat_dptrain::TrainConfig::new(sc.machine.clone(), params);
-                    cfg.steps = steps;
-                    gaat_dptrain::train::build_train_in(sim0, cfg)
-                },
+                |sim0, sc: &Scenario| gaat_dptrain::train::build_train_in(sim0, sc.train_config()),
                 gaat_dptrain::train::start_train,
                 |sim, ids, sh, rec| {
                     let r = gaat_dptrain::train::finish_train(sim, ids, sh);
@@ -530,17 +516,9 @@ impl<'a> Worker<'a> {
                     rec.coll_chunks = r.coll_stats.chunks;
                 },
             ),
-            Workload::Moe {
-                tokens,
-                hidden,
-                rounds,
-            } => self.run_app(
+            Workload::Moe { .. } => self.run_app(
                 unit,
-                move |sim0, sc: &Scenario| {
-                    let mut cfg = gaat_dptrain::MoeConfig::new(sc.machine.clone(), tokens, hidden);
-                    cfg.rounds = rounds;
-                    gaat_dptrain::moe::build_moe_in(sim0, cfg)
-                },
+                |sim0, sc: &Scenario| gaat_dptrain::moe::build_moe_in(sim0, sc.moe_config()),
                 gaat_dptrain::moe::start_moe,
                 |sim, ids, sh, rec| {
                     let r = gaat_dptrain::moe::finish_moe(sim, ids, sh);

@@ -7,10 +7,12 @@
 //! order — names the scenario everywhere downstream, which is what lets
 //! per-scenario outcomes stay independent of worker count.
 
+use gaat_dptrain::{MoeConfig, TrainConfig};
 use gaat_jacobi3d::{CommMode, Dims, JacobiConfig, Placement};
 use gaat_net::TopologyKind;
 use gaat_rt::{LbPolicy, MachineConfig};
 use gaat_sim::SimTime;
+use gaat_sweep3d::SweepConfig;
 
 /// Which application a scenario runs. Workload parameters that are not
 /// grid axes (problem size, iteration counts) ride along inside the
@@ -319,6 +321,55 @@ impl Scenario {
                 cfg
             }
             other => panic!("not a Jacobi scenario: {other:?}"),
+        }
+    }
+
+    /// The Sweep3D config this scenario denotes (panics for other
+    /// workloads).
+    pub fn sweep3d_config(&self) -> SweepConfig {
+        match self.workload {
+            Workload::Sweep3d {
+                global,
+                sweeps,
+                warmup,
+            } => {
+                let mut cfg = SweepConfig::new(self.machine.clone(), global);
+                cfg.odf = self.odf;
+                cfg.sweeps = sweeps;
+                cfg.warmup = warmup;
+                cfg
+            }
+            other => panic!("not a Sweep3D scenario: {other:?}"),
+        }
+    }
+
+    /// The training config this scenario denotes (panics for other
+    /// workloads).
+    pub fn train_config(&self) -> TrainConfig {
+        match self.workload {
+            Workload::Train { params, steps } => {
+                let mut cfg = TrainConfig::new(self.machine.clone(), params);
+                cfg.steps = steps;
+                cfg
+            }
+            other => panic!("not a training scenario: {other:?}"),
+        }
+    }
+
+    /// The MoE config this scenario denotes (panics for other
+    /// workloads).
+    pub fn moe_config(&self) -> MoeConfig {
+        match self.workload {
+            Workload::Moe {
+                tokens,
+                hidden,
+                rounds,
+            } => {
+                let mut cfg = MoeConfig::new(self.machine.clone(), tokens, hidden);
+                cfg.rounds = rounds;
+                cfg
+            }
+            other => panic!("not a MoE scenario: {other:?}"),
         }
     }
 }

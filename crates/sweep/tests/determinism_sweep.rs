@@ -353,3 +353,43 @@ fn rejected_scenarios_are_recorded_not_fatal() {
         assert_eq!(rejected, 1, "exactly one scenario breaks `{rule}`");
     }
 }
+
+/// A scenario its own app refuses (a training run with fewer parameters
+/// than its 4 gradient buckets, a Sweep3D run with no timed sweep)
+/// becomes a rejected record instead of aborting the sweep, and the good
+/// scenario beside them still runs.
+#[test]
+fn app_config_rejections_are_recorded_not_fatal() {
+    let mut grid = ScenarioGrid::new(test_machine());
+    grid.workloads = vec![
+        Workload::Train {
+            params: 3,
+            steps: 1,
+        },
+        Workload::Sweep3d {
+            global: Dims::cube(8),
+            sweeps: 0,
+            warmup: 1,
+        },
+        Workload::Moe {
+            tokens: 64,
+            hidden: 8,
+            rounds: 1,
+        },
+    ];
+    let scenarios = grid.expand();
+    let report = run_sweep(&scenarios, &SweepOptions::new()).expect("no I/O configured");
+    let outcomes: Vec<(&str, bool, Option<&str>)> = scenarios
+        .iter()
+        .zip(&report.records)
+        .map(|(sc, r)| (sc.workload.name(), r.ok, r.error.as_deref()))
+        .collect();
+    assert_eq!(
+        outcomes,
+        [
+            ("train", false, Some("3 parameters cannot fill 4 buckets")),
+            ("sweep3d", false, Some("need at least one timed sweep")),
+            ("moe", true, None),
+        ]
+    );
+}

@@ -72,7 +72,53 @@ impl SweepConfig {
             warmup: 2,
         }
     }
+
+    /// Check every rule that depends only on this configuration: the
+    /// machine's ([`gaat_rt::MachineConfig::validate`]), then ODF and
+    /// timed sweeps of at least 1.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.machine.validate()?;
+        if self.odf == 0 {
+            return Err(ConfigError::ZeroOdf);
+        }
+        if self.sweeps == 0 {
+            return Err(ConfigError::ZeroSweeps);
+        }
+        Ok(())
+    }
 }
+
+/// A sweep configuration that cannot be built, one variant per rule; see
+/// [`SweepConfig::validate`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The machine itself is rejected.
+    Machine(gaat_rt::ConfigError),
+    /// `odf` is 0.
+    ZeroOdf,
+    /// `sweeps` is 0.
+    ZeroSweeps,
+}
+
+impl From<gaat_rt::ConfigError> for ConfigError {
+    fn from(e: gaat_rt::ConfigError) -> Self {
+        ConfigError::Machine(e)
+    }
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::Machine(e) => e.fmt(f),
+            ConfigError::ZeroOdf => f.write_str("ODF must be at least 1"),
+            ConfigError::ZeroSweeps => f.write_str("need at least one timed sweep"),
+        }
+    }
+}
+
+// `Display` already prints a wrapped machine error's text, so there is
+// no `source` to chain.
+impl std::error::Error for ConfigError {}
 
 /// Result of a sweep run.
 #[derive(Debug, Clone)]
@@ -268,12 +314,13 @@ pub fn build(cfg: SweepConfig) -> (Simulation, Vec<ChareId>, Arc<SweepShared>) {
 /// Like [`build`], but constructing the application inside a
 /// caller-provided simulation (e.g. one prepared by a
 /// `gaat_rt::WorldSlot`, recycling the engine's allocations across a
-/// sweep of scenarios). Must have been built from `cfg.machine`.
+/// sweep of scenarios). Must have been built from `cfg.machine`. Panics
+/// with the [`ConfigError`] text if `cfg` fails [`SweepConfig::validate`].
 pub fn build_in(
     mut sim: Simulation,
     cfg: SweepConfig,
 ) -> (Simulation, Vec<ChareId>, Arc<SweepShared>) {
-    assert!(cfg.odf >= 1 && cfg.sweeps > 0);
+    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
     debug_assert_eq!(sim.machine.cfg.total_pes(), cfg.machine.total_pes());
     let pes = cfg.machine.total_pes();
     let nblocks = pes * cfg.odf;

@@ -77,6 +77,10 @@ pub struct RouteInfo {
 }
 
 impl FatTreeGraph {
+    /// The link graph of `nodes` nodes: one NVLink, NIC injection and
+    /// NIC ejection link per node (bandwidths `nvlink_bw` and `nic_bw`
+    /// in bytes/second), then an up and a down trunk per (leaf, spine)
+    /// pair. Panics on zero nodes, radix, spines or trunk bandwidth.
     pub fn new(nodes: usize, nvlink_bw: f64, nic_bw: f64, params: FatTreeParams) -> Self {
         assert!(nodes > 0, "fat tree needs at least one node");
         assert!(params.leaf_radix > 0 && params.spines > 0 && params.trunk_bw > 0.0);
@@ -122,6 +126,7 @@ impl FatTreeGraph {
         }
     }
 
+    /// The shape this graph was built with.
     pub fn params(&self) -> &FatTreeParams {
         &self.params
     }
@@ -131,6 +136,7 @@ impl FatTreeGraph {
         &self.links
     }
 
+    /// The leaf switch `node` hangs off.
     pub fn leaf_of(&self, node: usize) -> usize {
         node / self.params.leaf_radix
     }

@@ -248,6 +248,7 @@ pub struct FlowSim {
 }
 
 impl FlowSim {
+    /// An idle solver over `links`, indexed by [`LinkId`](crate::LinkId).
     pub fn new(links: Vec<LinkDesc>) -> Self {
         let n = links.len();
         let lmeta = links
@@ -300,10 +301,13 @@ impl FlowSim {
         }
     }
 
+    /// Record each link's busy intervals for [`FlowSim::drain_spans`]
+    /// (off by default).
     pub fn set_record_spans(&mut self, on: bool) {
         self.record_spans = on;
     }
 
+    /// Flows admitted and not yet completed or aborted.
     pub fn active_flows(&self) -> usize {
         self.live.len()
     }
@@ -689,6 +693,8 @@ impl FlowSim {
             .collect()
     }
 
+    /// [`FlowSim::link_report`] folded into one summary: the peak flow
+    /// count and the hottest link up to `horizon`.
     pub fn congestion(&self, horizon: SimTime) -> CongestionSummary {
         let mut out = CongestionSummary::default();
         for usage in self.link_report(horizon) {

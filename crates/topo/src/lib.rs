@@ -12,6 +12,8 @@
 //! The crate is deliberately free of event-queue types beyond
 //! [`gaat_sim::SimTime`]: `gaat-net` owns the wiring into the engine.
 
+#![warn(missing_docs)]
+
 mod fattree;
 mod flow;
 
@@ -76,6 +78,7 @@ pub enum LinkKind {
 }
 
 impl LinkKind {
+    /// Short lowercase name, used as a trace label.
     pub fn label(self) -> &'static str {
         match self {
             LinkKind::NvLink => "nvlink",
@@ -90,6 +93,7 @@ impl LinkKind {
 /// Static description of one directed link.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkDesc {
+    /// What the link connects.
     pub kind: LinkKind,
     /// Capacity in bytes/second.
     pub bw: f64,
@@ -98,7 +102,9 @@ pub struct LinkDesc {
 /// Per-link counters accumulated by the flow simulation.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkUsage {
+    /// The link counted.
     pub link: LinkId,
+    /// What the link connects.
     pub kind: LinkKind,
     /// Total bytes carried.
     pub bytes: f64,
@@ -125,8 +131,12 @@ pub struct CongestionSummary {
 /// into tracer lanes.
 #[derive(Debug, Clone, Copy)]
 pub struct BusySpan {
+    /// The busy link.
     pub link: LinkId,
+    /// What the link connects.
     pub kind: LinkKind,
+    /// When the first flow started crossing the link.
     pub start: SimTime,
+    /// When the last flow left it.
     pub end: SimTime,
 }

@@ -149,15 +149,11 @@ impl Default for UcxParams {
 pub enum UcxEvent {
     /// A two-sided send completed (buffer reusable).
     SendDone {
-        /// The sending worker.
-        worker: WorkerId,
         /// User cookie passed to [`isend`].
         user: u64,
     },
     /// A two-sided receive completed (data landed).
     RecvDone {
-        /// The receiving worker.
-        worker: WorkerId,
         /// User cookie passed to [`irecv`].
         user: u64,
     },
@@ -457,7 +453,7 @@ fn rsend<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, to: WorkerId, msg: NetMsg) {
     let rel = w.ucx_mut().params.reliability.clone();
     if rel.enabled {
         let seed = w.fabric_mut().faults().seed;
-        let timer = sim.after_call1(
+        let timer = sim.after(
             retry_timeout(&rel, seed, msg.token, 0),
             retry_timer_fire::<W>,
             msg.token,
@@ -509,7 +505,7 @@ fn retry_step<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, token: u64) {
     let mut msg = st.msg;
     msg.attempt = attempt;
     let seed = w.fabric_mut().faults().seed;
-    let timer = sim.after_call1(
+    let timer = sim.after(
         retry_timeout(&rel, seed, token, attempt),
         retry_timer_fire::<W>,
         token,
@@ -622,7 +618,7 @@ pub fn isend<W: UcxHost>(
                     attempt: 0,
                 },
             );
-            sim.soon_call2(eager_send_done::<W>, from.0 as u64, user);
+            sim.soon(eager_send_done::<W>, user);
         }
         Protocol::Rendezvous | Protocol::GpuDirect | Protocol::Pipelined => {
             match protocol {
@@ -654,16 +650,10 @@ pub fn isend<W: UcxHost>(
     }
 }
 
-/// `SendDone` delivery for the eager protocol: the worker id
-/// and user cookie ride in the event's payload words.
-fn eager_send_done<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, from: u64, user: u64) {
-    w.on_ucx_event(
-        sim,
-        UcxEvent::SendDone {
-            worker: WorkerId(from as usize),
-            user,
-        },
-    );
+/// `SendDone` delivery for the eager protocol: the user cookie rides in
+/// the event's payload word.
+fn eager_send_done<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, user: u64) {
+    w.on_ucx_event(sim, UcxEvent::SendDone { user });
 }
 
 /// Post a nonblocking two-sided receive at `at` for a message from `from`
@@ -834,11 +824,8 @@ pub fn on_net_deliver<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, msg: NetMsg) {
         }
         NetEvent::Cts { xfer } => start_data(w, sim, xfer),
         NetEvent::Data { xfer } => {
-            let (from, user) = {
-                let t = &w.ucx_mut().transfers[&xfer];
-                (t.from, t.send_user)
-            };
-            w.on_ucx_event(sim, UcxEvent::SendDone { worker: from, user });
+            let user = w.ucx_mut().transfers[&xfer].send_user;
+            w.on_ucx_event(sim, UcxEvent::SendDone { user });
             finish_recv(w, sim, xfer);
         }
         NetEvent::Chunk { xfer, bytes } => {
@@ -918,7 +905,7 @@ pub fn on_gpu_tag<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, cookie: u64) {
             );
             if done == total {
                 // Sender's buffer fully staged out: send side completes.
-                w.on_ucx_event(sim, UcxEvent::SendDone { worker: from, user });
+                w.on_ucx_event(sim, UcxEvent::SendDone { user });
             }
         }
         GpuTagEvent::ChunkH2dDone { xfer } => {
@@ -1062,13 +1049,7 @@ fn finish_recv<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, xfer: u64) {
     // Pipelined transfers complete the send side when staging finishes;
     // eager completes it at send time; plain rendezvous at data delivery
     // (handled by the caller). Here: receiver side always completes.
-    w.on_ucx_event(
-        sim,
-        UcxEvent::RecvDone {
-            worker: t.to,
-            user: t.recv_user,
-        },
-    );
+    w.on_ucx_event(sim, UcxEvent::RecvDone { user: t.recv_user });
 }
 
 #[cfg(test)]

@@ -180,11 +180,11 @@ fn drive(msgs: &[Msg], reliability: ReliabilityParams, faults: FaultPlan) -> Wor
         w.posts.push((from, to, sloc, rloc));
         let at = SimTime::from_ns(m.delay_ns);
         if m.recv_first {
-            sim.at_call1(at, post_recv, i);
-            sim.at_call1(at, post_send, i);
+            sim.at(at, post_recv, i);
+            sim.at(at, post_send, i);
         } else {
-            sim.at_call1(at, post_send, i);
-            sim.at_call1(at, post_recv, i);
+            sim.at(at, post_send, i);
+            sim.at(at, post_recv, i);
         }
     }
     assert_eq!(sim.run(&mut w), gaat_sim::RunOutcome::Drained);

@@ -135,6 +135,12 @@ fn send_done(w: &World) -> Vec<SimTime> {
     w.event_times(|e| matches!(e, UcxEvent::SendDone { .. }))
 }
 
+/// One payload word holding a receive buffer (high 32 bits) and its
+/// length in elements (low 32 bits).
+fn buf_and_len(buf: BufferId, len: usize) -> u64 {
+    u64::from(buf.0) << 32 | len as u64
+}
+
 #[test]
 fn eager_host_message_delivers_data() {
     let mut w = World::new(2);
@@ -168,14 +174,13 @@ fn eager_unexpected_arrival_then_post() {
     run(&mut w, move |w, sim| {
         isend(w, sim, WorkerId(0), WorkerId(1), Tag(1), sl, 0);
         // Post the receive long after the data has landed unexpectedly.
-        sim.after_call2(
+        sim.after(
             gaat_sim::SimDuration::from_ms(5),
-            |w: &mut World, sim, buf, len| {
-                let rl = w.loc(1, BufferId(buf as u32), len as usize);
+            |w: &mut World, sim, word| {
+                let rl = w.loc(1, BufferId((word >> 32) as u32), word as u32 as usize);
                 irecv(w, sim, WorkerId(1), WorkerId(0), Tag(1), rl, 0);
             },
-            u64::from(rbuf.0),
-            len as u64,
+            buf_and_len(rbuf, len),
         );
     });
     assert_eq!(w.read(1, rbuf, len), w.read(0, sbuf, len));
@@ -219,14 +224,13 @@ fn rendezvous_waits_for_recv_post() {
     let delay = gaat_sim::SimDuration::from_ms(2);
     run(&mut w, move |w, sim| {
         isend(w, sim, WorkerId(0), WorkerId(1), Tag(2), sl, 0);
-        sim.after_call2(
+        sim.after(
             delay,
-            |w: &mut World, sim, buf, len| {
-                let rl = w.loc(1, BufferId(buf as u32), len as usize);
+            |w: &mut World, sim, word| {
+                let rl = w.loc(1, BufferId((word >> 32) as u32), word as u32 as usize);
                 irecv(w, sim, WorkerId(1), WorkerId(0), Tag(2), rl, 0);
             },
-            u64::from(rbuf.0),
-            len as u64,
+            buf_and_len(rbuf, len),
         );
     });
     // Data cannot start before the recv was posted at 2 ms.
