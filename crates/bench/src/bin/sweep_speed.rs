@@ -8,9 +8,10 @@
 //!   unforked sweep.
 //!
 //! Each ratio is the median of three alternating off/on pairs, so one
-//! descheduled sweep cannot decide the verdict. A miss exits 1 unless
-//! the ThrottleGuard suspects the host slowed down during the run; then
-//! it is flagged instead. The fingerprint pins on the same grid shapes
+//! descheduled sweep cannot decide the verdict. The reuse line also
+//! prints that median pair's fresh and reused mean setup times. A miss
+//! exits 1 unless the ThrottleGuard suspects the host slowed down
+//! during the run; then it is flagged instead. The fingerprint pins on the same grid shapes
 //! are tests in `crates/sweep/tests/`.
 //!
 //! Usage: `sweep_speed` (no options).
@@ -75,26 +76,28 @@ fn fork_grid() -> ScenarioGrid {
     grid
 }
 
-/// Median over [`PAIRS`] of `ratio(off, on)`, where each pair sweeps
-/// `scenarios` with `set(opts, false)` and then `set(opts, true)`.
-fn median_pair_ratio(
+/// The pair with the median `ratio(off, on)` over [`PAIRS`] pairs, as
+/// `(ratio, off, on)`, where each pair sweeps `scenarios` with
+/// `set(opts, false)` and then `set(opts, true)`.
+fn median_pair(
     scenarios: &[Scenario],
     set: impl Fn(&mut SweepOptions, bool),
     ratio: impl Fn(&SweepReport, &SweepReport) -> f64,
-) -> f64 {
+) -> (f64, SweepReport, SweepReport) {
     let sweep = |on: bool| {
         let mut opts = SweepOptions::new();
         set(&mut opts, on);
         run_sweep(scenarios, &opts).expect("no sweep I/O configured")
     };
-    let mut ratios: Vec<f64> = (0..PAIRS)
+    let mut pairs: Vec<_> = (0..PAIRS)
         .map(|_| {
             let off = sweep(false);
-            ratio(&off, &sweep(true))
+            let on = sweep(true);
+            (ratio(&off, &on), off, on)
         })
         .collect();
-    ratios.sort_by(f64::total_cmp);
-    ratios[PAIRS / 2]
+    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    pairs.swap_remove(PAIRS / 2)
 }
 
 fn mean_setup_ns(report: &SweepReport) -> f64 {
@@ -116,12 +119,12 @@ fn main() {
     let fork_scenarios = fork_grid().expand();
 
     let mut guard = ThrottleGuard::open(2);
-    let reduction = median_pair_ratio(
+    let (reduction, fresh, reused) = median_pair(
         &reuse_scenarios,
         |opts, on| opts.reuse_worlds = on,
         |fresh, reused| 1.0 - mean_setup_ns(reused) / mean_setup_ns(fresh),
     );
-    let speedup = median_pair_ratio(
+    let (speedup, _, _) = median_pair(
         &fork_scenarios,
         |opts, on| opts.fork = on,
         |nofork, fork| {
@@ -144,9 +147,11 @@ fn main() {
     let reuse_pass = reduction >= REUSE_TARGET;
     let fork_pass = speedup >= FORK_TARGET;
     println!(
-        "reuse  {} scenarios: setup cut {:.0}% (median of {PAIRS} pairs; target {:.0}%)  {}",
+        "reuse  {} scenarios: setup cut {:.0}% (fresh {:.1} us, reused {:.1} us mean setup; median of {PAIRS} pairs; target {:.0}%)  {}",
         reuse_scenarios.len(),
         reduction * 100.0,
+        mean_setup_ns(&fresh) / 1e3,
+        mean_setup_ns(&reused) / 1e3,
         REUSE_TARGET * 100.0,
         verdict(reuse_pass)
     );

@@ -195,7 +195,19 @@ impl MachineConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         let links = match self.net.topology {
             gaat_net::TopologyKind::Flat => 0,
-            gaat_net::TopologyKind::FatTree(ft) => ft.link_count(self.nodes),
+            gaat_net::TopologyKind::FatTree(ft) => {
+                // Checked before `link_count`, which divides by the radix.
+                if ft.leaf_radix == 0 {
+                    return Err(ConfigError::FatTreeNoLeafRadix);
+                }
+                if ft.spines == 0 {
+                    return Err(ConfigError::FatTreeNoSpines);
+                }
+                if ft.trunk_bw.is_nan() || ft.trunk_bw <= 0.0 {
+                    return Err(ConfigError::FatTreeTrunkBandwidth);
+                }
+                ft.link_count(self.nodes)
+            }
         };
         // One device per PE.
         let pes = self.total_pes();
@@ -240,6 +252,12 @@ impl MachineConfig {
 /// rule; see [`MachineConfig::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
+    /// A fat tree with `leaf_radix` 0: no leaf switch has a node port.
+    FatTreeNoLeafRadix,
+    /// A fat tree with `spines` 0: leaves have no path between them.
+    FatTreeNoSpines,
+    /// A fat tree whose `trunk_bw` is not a positive number of bytes/s.
+    FatTreeTrunkBandwidth,
     /// A link fault names a link past the fabric's link count (0 on a
     /// `Flat` fabric, which has no link graph).
     LinkOutOfRange {
@@ -285,6 +303,13 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
+            ConfigError::FatTreeNoLeafRadix => {
+                f.write_str("net.topology fat tree needs leaf_radix >= 1")
+            }
+            ConfigError::FatTreeNoSpines => f.write_str("net.topology fat tree needs spines >= 1"),
+            ConfigError::FatTreeTrunkBandwidth => {
+                f.write_str("net.topology fat tree needs trunk_bw > 0 bytes/s")
+            }
             ConfigError::LinkOutOfRange { fault, link, links } => write!(
                 f,
                 "link fault {fault} targets link {link}, but the fabric has {links} links"
@@ -349,6 +374,42 @@ mod tests {
         let e = c.validate().unwrap_err();
         assert_eq!(e, ConfigError::StagingPriorityOutOfRange { priority: 4 });
         assert!(e.to_string().contains("ucx.staging_priority is 4"));
+    }
+
+    /// `MachineConfig::summit_fattree(4)` with its fat-tree parameters
+    /// changed by `edit`.
+    fn fattree_with(edit: impl FnOnce(&mut gaat_net::FatTreeParams)) -> MachineConfig {
+        let mut c = MachineConfig::summit_fattree(4);
+        if let gaat_net::TopologyKind::FatTree(ft) = &mut c.net.topology {
+            edit(ft);
+        }
+        c
+    }
+
+    #[test]
+    fn fat_tree_needs_a_leaf_radix() {
+        assert_eq!(fattree_with(|_| {}).validate(), Ok(()));
+        let e = fattree_with(|ft| ft.leaf_radix = 0).validate().unwrap_err();
+        assert_eq!(e, ConfigError::FatTreeNoLeafRadix);
+        assert!(e.to_string().contains("leaf_radix"));
+    }
+
+    #[test]
+    fn fat_tree_needs_spines() {
+        let e = fattree_with(|ft| ft.spines = 0).validate().unwrap_err();
+        assert_eq!(e, ConfigError::FatTreeNoSpines);
+        assert!(e.to_string().contains("spines"));
+    }
+
+    #[test]
+    fn fat_tree_needs_positive_trunk_bandwidth() {
+        for bw in [0.0, -1.0e9, f64::NAN] {
+            let e = fattree_with(|ft| ft.trunk_bw = bw).validate().unwrap_err();
+            assert_eq!(e, ConfigError::FatTreeTrunkBandwidth, "trunk_bw {bw}");
+        }
+        assert!(ConfigError::FatTreeTrunkBandwidth
+            .to_string()
+            .contains("trunk_bw"));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! World-slot reuse: amortizing per-run allocation across many runs.
 //!
-//! Every [`Simulation::new`] pays for the event engine's ~1.5 MB
-//! calendar wheel and the slab arena — costs that dwarf the useful work
-//! of a small scenario and repeat thousands of times in a sweep. A
+//! Every [`Simulation::new`] pays for the event engine's 256 KiB of
+//! wheel bucket heads and for growing its slab arena, ring and heaps
+//! again — costs that rival the useful work of a small scenario and
+//! repeat thousands of times in a sweep. A
 //! [`WorldSlot`] is one reusable simulation cell: it parks the engine
 //! between runs and rebuilds only the per-scenario [`Machine`] on top
 //! of it.

@@ -103,9 +103,12 @@ pub enum TrafficClass {
     Am,
 }
 
-/// A message handed to the fabric. The `token` is opaque to the fabric and
-/// returned verbatim at delivery; the communication layer uses it to find
-/// its protocol state.
+/// A message handed to the fabric and returned verbatim at delivery (or
+/// loss notification). It carries two embedder words: `token` is the
+/// message's identity on the wire, which the fabric hashes into its
+/// latency jitter and the fault plan into its drop/corrupt fate; `key`
+/// is only carried, never hashed, so the communication layer can put a
+/// handle to its protocol state there without moving any timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetMsg {
     /// Source node.
@@ -117,8 +120,11 @@ pub struct NetMsg {
     /// Additional latency this message pays on top of the fabric base
     /// latency (e.g. GPUDirect RDMA setup, protocol handshakes).
     pub extra_latency: SimDuration,
-    /// Opaque correlation token for the embedder.
+    /// Wire identity: hashed by [`Fabric`]'s jitter draw and by the fault
+    /// plan's message fate.
     pub token: u64,
+    /// Opaque embedder key: carried and returned, never hashed.
+    pub key: u64,
     /// Traffic class, for accounting.
     pub class: TrafficClass,
     /// Retransmission attempt number; 0 for the first transmission. Kept
@@ -777,6 +783,7 @@ mod tests {
             bytes,
             extra_latency: SimDuration::ZERO,
             token: 0,
+            key: 0,
             class: TrafficClass::Data,
             attempt: 0,
         }

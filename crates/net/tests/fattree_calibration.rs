@@ -16,6 +16,7 @@ fn unloaded_same_leaf_message_costs_the_same_on_fattree_and_flat() {
         bytes: 4 << 20, // large enough that a switch hop is < 1%
         extra_latency: SimDuration::ZERO,
         token: 1,
+        key: 0,
         class: TrafficClass::Data,
         attempt: 0,
     };

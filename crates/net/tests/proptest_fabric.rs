@@ -37,6 +37,7 @@ proptest! {
                     bytes,
                     extra_latency: SimDuration::ZERO,
                     token: i as u64,
+                    key: 0,
                     class: TrafficClass::Data,
                     attempt: 0,
                 };
@@ -71,6 +72,7 @@ proptest! {
                     bytes,
                     extra_latency: SimDuration::ZERO,
                     token: i as u64,
+                    key: 0,
                     class: TrafficClass::Data,
                     attempt: 0,
                 };
@@ -98,6 +100,7 @@ proptest! {
             bytes: probe_bytes,
             extra_latency: SimDuration::ZERO,
             token: 0,
+            key: 0,
             class: TrafficClass::Data,
             attempt: 0,
         };
@@ -113,6 +116,7 @@ proptest! {
                     bytes,
                     extra_latency: SimDuration::ZERO,
                     token: 1 + i as u64,
+                    key: 0,
                     class: TrafficClass::Data,
                     attempt: 0,
                 };
@@ -143,6 +147,7 @@ proptest! {
                     bytes: msgs[i].0,
                     extra_latency: SimDuration::ZERO,
                     token: i as u64,
+                    key: 0,
                     class: TrafficClass::Data,
                     attempt: 0,
                 };

@@ -16,19 +16,22 @@
 //!   allocates nothing. An [`EventId`] is the event's slab key, so a
 //!   stale id (the event fired or was cancelled, and the slot was
 //!   reused) can never touch the wrong event. Cancellation just marks
-//!   the event — O(1), no queue surgery, no tombstone set. The queues
-//!   below hold bare 4-byte slot indices.
+//!   the event — O(1), no queue surgery, no tombstone set. The ring and
+//!   the overflow heap hold bare 4-byte slot indices; the wheel holds
+//!   none at all (see below).
 //!
 //! - **Two-tier queue.** Tier 0 is a FIFO ring holding the events of
 //!   the *current instant* in seq order; [`Sim::soon`] and
 //!   same-timestamp bursts append and pop at O(1). Tier 1 is a timer
-//!   wheel of `BUCKETS` power-of-two-width buckets covering a rolling
-//!   horizon of `BUCKETS << BUCKET_SHIFT` ns, with a `BinaryHeap`
-//!   overflow for events beyond the horizon. Advancing to the next
-//!   instant scans a flat occupancy bitmap (one bit per bucket) for the
-//!   first nonempty bucket, extracts everything at the minimum timestamp
-//!   (from the bucket and the overflow top, either of which may hold
-//!   it), sorts that batch by seq, and refills the ring.
+//!   wheel of `BUCKETS` one-nanosecond buckets covering a rolling
+//!   horizon of `BUCKETS` ns, with a `BinaryHeap` overflow for events
+//!   beyond the horizon. A bucket is one `u32` head (256 KiB for the
+//!   whole wheel) of an intrusive list linked through the events' own
+//!   slab slots, newest first. Advancing to the next instant scans a
+//!   flat occupancy bitmap (one bit per bucket) for the first nonempty
+//!   bucket, whose index alone gives its instant, and walks its list
+//!   onto the ring back to front. Only when the overflow top shares
+//!   that instant is the batch sorted by seq.
 //!
 //! - **Plain-data events.** Every event (message delivery, kernel/DMA
 //!   completion, progress ticks) is a plain function plus one integer
@@ -38,13 +41,15 @@
 //!
 //! Determinism is unchanged from the original heap engine: the firing
 //! order is exactly lexicographic `(time, seq)`. The ring is sorted by
-//! seq because fresh seqs are globally increasing and batches are
-//! seq-sorted on extraction; a bucket always holds a single absolute
-//! bucket's worth of times (the horizon invariant `at >> BUCKET_SHIFT <
-//! base + BUCKETS` is preserved as `now` advances because pending times
-//! never precede `now`); and the overflow top is compared against the
-//! wheel minimum on every advance, so far-future events that have
-//! drifted inside the horizon still fire at the right instant.
+//! seq because fresh seqs are globally increasing, a bucket's list is
+//! newest first (so walking it back to front yields seq order), and
+//! mixed batches are seq-sorted on extraction; a bucket always holds a
+//! single instant (the horizon invariant `now <= at < now + BUCKETS` is
+//! preserved as `now` advances because pending times never precede
+//! `now`, which is also what lets a bucket's index name its instant);
+//! and the overflow top is compared against the wheel minimum on every
+//! advance, so far-future events that have drifted inside the horizon
+//! still fire at the right instant.
 //!
 //! One `Sim` is deliberately single-threaded: determinism and
 //! reproducibility of the *simulated* machine matter far more here than
@@ -58,18 +63,18 @@ use std::collections::{BinaryHeap, VecDeque};
 use crate::slab::Slab;
 use crate::time::{SimDuration, SimTime};
 
-/// Log2 of the bucket width in ns. Kept at 0 — one bucket per
-/// nanosecond — so a bucket is exactly one instant: the advance path
-/// drains whole buckets with no per-instant rescans, and the minimum
-/// timestamp of a bucket is just its first entry's.
-const BUCKET_SHIFT: u32 = 0;
-/// Number of wheel buckets (power of two). Horizon = BUCKETS << BUCKET_SHIFT
-/// = ~65 us, which covers the runtime's dominant delays (same-instant
-/// callbacks, sub-us hops, network latencies, short kernels); events
-/// further out wait in the overflow heap until their instant arrives.
+/// Number of wheel buckets (power of two), each one nanosecond wide, so
+/// a bucket is exactly one instant: the advance path drains whole
+/// buckets with no per-instant rescans, and a bucket's instant follows
+/// from its index. Horizon = ~65 us, which covers the runtime's
+/// dominant delays (same-instant callbacks, sub-us hops, network
+/// latencies, short kernels); events further out wait in the overflow
+/// heap until their instant arrives.
 const BUCKETS: usize = 65536;
 /// Words in the bucket-occupancy bitmap.
 const OCC_WORDS: usize = BUCKETS / 64;
+/// End of a bucket list.
+const NIL: u32 = u32::MAX;
 
 /// Identifier of a scheduled event, usable to cancel it before it fires:
 /// the event's [`Slab`] key. Ids held past the event's firing (or
@@ -100,7 +105,9 @@ impl<W> Copy for EventKind<W> {}
 /// One pending event.
 struct Event<W> {
     seq: u64,
-    at: SimTime,
+    /// Next (older) entry of the same wheel bucket, or `NIL`; unused on
+    /// the ring and in the overflow heap.
+    next: u32,
     kind: EventKind<W>,
 }
 
@@ -157,8 +164,9 @@ pub enum RunOutcome {
 /// A point-in-time capture of a [`Sim`]'s complete pending-event state:
 /// the clock, every counter, the event slab (free list and generations
 /// included, so every future [`EventId`] replays exactly), the current
-/// instant's FIFO ring, the occupied wheel buckets, and the overflow
-/// heap. [`Sim::restore`] rewinds an engine to this state; the restored
+/// instant's FIFO ring, the occupied wheel buckets' list heads (the
+/// links themselves live in the slab), and the overflow heap.
+/// [`Sim::restore`] rewinds an engine to this state; the restored
 /// engine then replays bit-identically to one that ran fresh to the
 /// same point. Every event is plain data, so every engine state can be
 /// captured.
@@ -173,8 +181,9 @@ pub struct SimSnapshot<W> {
     events: Slab<Event<W>>,
     ring: Vec<u32>,
     ring_at: SimTime,
-    /// `(bucket index, entries)` for every occupied wheel bucket.
-    buckets: Vec<(u32, Vec<u32>)>,
+    /// `(bucket index, list head)` for every occupied wheel bucket.
+    buckets: Vec<(u32, u32)>,
+    wheel_len: usize,
     overflow: Vec<OvEntry>,
 }
 
@@ -214,7 +223,10 @@ pub struct Sim<W> {
     ring_at: SimTime,
 
     // Tier 1: timer wheel + occupancy bitmap + far-future overflow.
-    buckets: Vec<Vec<u32>>,
+    /// Newest entry's slot per bucket; meaningful only where the
+    /// bucket's `occ` bit is set, so clearing the wheel is clearing
+    /// `occ`.
+    heads: Vec<u32>,
     occ: Vec<u64>,
     /// Total entries currently in wheel buckets (live or cancelled).
     wheel_len: usize,
@@ -244,7 +256,7 @@ impl<W> Sim<W> {
             events: Slab::new(),
             ring: VecDeque::new(),
             ring_at: SimTime::ZERO,
-            buckets: (0..BUCKETS).map(|_| Vec::new()).collect(),
+            heads: vec![0; BUCKETS],
             occ: vec![0; OCC_WORDS],
             wheel_len: 0,
             overflow: BinaryHeap::new(),
@@ -261,8 +273,8 @@ impl<W> Sim<W> {
 
     /// Restore this engine to the observable state of a fresh
     /// [`Sim::new`] while keeping every heap allocation — the slab, the
-    /// 65536-bucket wheel, the ring, the overflow heap, and the scratch
-    /// buffer all retain their capacity. A reset engine replays any
+    /// 256 KiB of wheel bucket heads, the ring, the overflow heap, and
+    /// the scratch buffer all retain their capacity. A reset engine replays any
     /// schedule bit-identically to a fresh one: the slab restarts at
     /// slot 0 / generation 0 (so it mints a fresh engine's
     /// [`EventId`]s), sequence numbers restart at 0, and the clock
@@ -270,7 +282,7 @@ impl<W> Sim<W> {
     ///
     /// This is the world-slot reuse hook: the sweep engine resets one
     /// engine per worker between scenarios instead of re-allocating the
-    /// ~1.5 MB wheel for every run.
+    /// wheel and regrowing the slab, ring and heap for every run.
     pub fn reset(&mut self) {
         self.now = SimTime::ZERO;
         self.next_seq = 0;
@@ -286,27 +298,17 @@ impl<W> Sim<W> {
         self.scratch.clear();
     }
 
-    /// Empty every occupied wheel bucket and zero the occupancy bitmap,
-    /// keeping all bucket capacity. A bucket is nonempty iff its
-    /// occupancy bit is set (both are cleared together in `advance`),
-    /// so scanning the bitmap clears the wheel in
-    /// O(words + occupied buckets) instead of touching all 65536
-    /// bucket headers.
+    /// Empty the wheel. A bucket head counts only while its occupancy
+    /// bit is set, so zeroing the bitmap empties every bucket; the
+    /// entries' slots belong to the slab, which the caller resets or
+    /// overwrites.
     fn clear_wheel(&mut self) {
-        if self.wheel_len > 0 {
-            for w in 0..OCC_WORDS {
-                let mut word = self.occ[w];
-                while word != 0 {
-                    let b = word.trailing_zeros() as usize;
-                    self.buckets[w * 64 + b].clear();
-                    word &= word - 1;
-                }
-                self.occ[w] = 0;
-            }
-            self.wheel_len = 0;
-        } else {
-            debug_assert!(self.occ.iter().all(|&w| w == 0), "occ/wheel_len drift");
-        }
+        debug_assert!(
+            self.wheel_len > 0 || self.occ.iter().all(|&w| w == 0),
+            "occ/wheel_len drift"
+        );
+        self.occ.fill(0);
+        self.wheel_len = 0;
     }
 
     /// Capture the engine's complete pending-event state.
@@ -321,7 +323,7 @@ impl<W> Sim<W> {
             while word != 0 {
                 let b = word.trailing_zeros() as usize;
                 let bi = w * 64 + b;
-                buckets.push((bi as u32, self.buckets[bi].clone()));
+                buckets.push((bi as u32, self.heads[bi]));
                 word &= word - 1;
             }
         }
@@ -337,6 +339,7 @@ impl<W> Sim<W> {
             ring: self.ring.iter().copied().collect(),
             ring_at: self.ring_at,
             buckets,
+            wheel_len: self.wheel_len,
             overflow: self.overflow.iter().copied().collect(),
         }
     }
@@ -362,12 +365,12 @@ impl<W> Sim<W> {
         self.ring.extend(snap.ring.iter().copied());
         self.ring_at = snap.ring_at;
         self.clear_wheel();
-        for (bi, entries) in &snap.buckets {
-            let bi = *bi as usize;
-            self.buckets[bi].extend_from_slice(entries);
+        for &(bi, head) in &snap.buckets {
+            let bi = bi as usize;
+            self.heads[bi] = head;
             self.occ[bi / 64] |= 1u64 << (bi % 64);
-            self.wheel_len += entries.len();
         }
+        self.wheel_len = snap.wheel_len;
         self.overflow.clear();
         self.overflow.extend(snap.overflow.iter().copied());
         self.scratch.clear();
@@ -409,28 +412,36 @@ impl<W> Sim<W> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let key = self.events.insert(Event {
+        let mut ev = Event {
             seq,
-            at,
+            next: NIL,
             kind: EventKind::Call(f, a),
-        });
-        let idx = key as u32;
+        };
+        let key;
         if at == self.now && (self.ring.is_empty() || self.ring_at == self.now) {
             // Current instant: straight onto the ring. Fresh seqs are
             // globally increasing, so appending keeps the ring seq-sorted.
+            key = self.events.insert(ev);
             self.ring_at = self.now;
-            self.ring.push_back(idx);
-        } else {
-            let abs = at.as_ns() >> BUCKET_SHIFT;
-            let base = self.now.as_ns() >> BUCKET_SHIFT;
-            if abs - base < BUCKETS as u64 {
-                let bi = (abs & (BUCKETS as u64 - 1)) as usize;
-                self.buckets[bi].push(idx);
-                self.occ[bi / 64] |= 1u64 << (bi % 64);
-                self.wheel_len += 1;
-            } else {
-                self.overflow.push(OvEntry { at, seq, slot: idx });
+            self.ring.push_back(key as u32);
+        } else if at.as_ns() - self.now.as_ns() < BUCKETS as u64 {
+            // Push onto the front of the bucket's list: newest first.
+            let bi = (at.as_ns() as usize) & (BUCKETS - 1);
+            let bit = 1u64 << (bi % 64);
+            if self.occ[bi / 64] & bit != 0 {
+                ev.next = self.heads[bi];
             }
+            key = self.events.insert(ev);
+            self.heads[bi] = key as u32;
+            self.occ[bi / 64] |= bit;
+            self.wheel_len += 1;
+        } else {
+            key = self.events.insert(ev);
+            self.overflow.push(OvEntry {
+                at,
+                seq,
+                slot: key as u32,
+            });
         }
         self.live += 1;
         if self.live > self.peak_pending {
@@ -481,19 +492,27 @@ impl<W> Sim<W> {
         None
     }
 
-    /// Earliest timestamp in the wheel and its bucket index. With
-    /// one-instant buckets every entry in a bucket shares its timestamp,
-    /// so this is one bitmap scan plus one slot read — no bucket scan.
-    /// Cancelled entries keep their `at` until reclaimed, so they are
-    /// counted here and skipped cheaply at ring pop.
-    fn wheel_min(&mut self) -> Option<(usize, SimTime)> {
+    /// Earliest timestamp in the wheel and its bucket index: one bitmap
+    /// scan, no slot read. Every wheel entry's time lies in
+    /// `[now, now + BUCKETS)` and a bucket is one instant, so the
+    /// bucket's distance from `now`'s bucket is its distance in ns.
+    /// Cancelled entries stay in their bucket until reclaimed, so they
+    /// are counted here and skipped cheaply at ring pop.
+    fn wheel_min(&self) -> Option<(usize, SimTime)> {
         if self.wheel_len == 0 {
             return None;
         }
-        let start = ((self.now.as_ns() >> BUCKET_SHIFT) as usize) & (BUCKETS - 1);
+        let start = (self.now.as_ns() as usize) & (BUCKETS - 1);
         let bi = self.next_occupied(start).expect("wheel_len > 0");
-        let first = self.buckets[bi][0];
-        Some((bi, self.events.by_slot(first).at))
+        let ahead = (bi.wrapping_sub(start) & (BUCKETS - 1)) as u64;
+        Some((bi, self.now + SimDuration::from_ns(ahead)))
+    }
+
+    /// Unlink bucket `bi`'s whole list and mark the bucket empty,
+    /// returning the list's head (newest entry).
+    fn take_bucket(&mut self, bi: usize) -> u32 {
+        self.occ[bi / 64] &= !(1u64 << (bi % 64));
+        self.heads[bi]
     }
 
     /// Earliest live overflow timestamp, popping cancelled tops.
@@ -525,27 +544,31 @@ impl<W> Sim<W> {
         if !over_tie {
             // Common case: the instant lives entirely in one bucket.
             // Bucket pushes happen in schedule order and seqs increase
-            // globally, so the bucket is already seq-sorted — move it
-            // straight onto the ring without touching the slots.
+            // globally, so the list runs newest to oldest — walking it
+            // onto the front of the (empty) ring leaves the ring
+            // seq-sorted. Cancelled entries ride along and are reclaimed
+            // at ring pop.
             let (bi, _) = wheel.expect("no overflow tie implies a wheel hit");
-            self.wheel_len -= self.buckets[bi].len();
-            self.ring_at = t;
-            for s in self.buckets[bi].drain(..) {
-                self.ring.push_back(s);
+            let mut s = self.take_bucket(bi);
+            while s != NIL {
+                self.ring.push_front(s);
+                self.wheel_len -= 1;
+                s = self.events.by_slot(s).next;
             }
-            self.occ[bi / 64] &= !(1u64 << (bi % 64));
-            return !self.ring.is_empty();
+            self.ring_at = t;
+            return true;
         }
         self.scratch.clear();
         if let Some((bi, wt)) = wheel {
             if wt == t {
-                // One-instant buckets: drain the whole bucket. Cancelled
-                // entries ride along and are reclaimed at ring pop.
-                self.wheel_len -= self.buckets[bi].len();
-                for s in self.buckets[bi].drain(..) {
-                    self.scratch.push((self.events.by_slot(s).seq, s));
+                // One-instant buckets: drain the whole bucket.
+                let mut s = self.take_bucket(bi);
+                while s != NIL {
+                    let ev = self.events.by_slot(s);
+                    self.scratch.push((ev.seq, s));
+                    self.wheel_len -= 1;
+                    s = ev.next;
                 }
-                self.occ[bi / 64] &= !(1u64 << (bi % 64));
             }
         }
         while let Some(top) = self.overflow.peek() {
@@ -673,20 +696,21 @@ impl<W> Sim<W> {
                 (None, None) => return None,
             };
             if let Some(bi) = wheel_bi {
-                let all_dead = !self.buckets[bi]
-                    .iter()
-                    .any(|&s| self.events.by_slot(s).is_live());
-                if all_dead {
-                    // A live overflow entry can share the instant with a
-                    // fully cancelled bucket; the instant is then live.
+                let mut s = self.heads[bi];
+                while s != NIL && !self.events.by_slot(s).is_live() {
+                    s = self.events.by_slot(s).next;
+                }
+                if s == NIL {
+                    // All cancelled. A live overflow entry can share the
+                    // instant with such a bucket; the instant is then live.
                     if over == Some(t) {
                         return Some(t);
                     }
-                    self.wheel_len -= self.buckets[bi].len();
-                    while let Some(s) = self.buckets[bi].pop() {
-                        self.events.remove_slot(s);
+                    let mut s = self.take_bucket(bi);
+                    while s != NIL {
+                        s = self.events.remove_slot(s).next;
+                        self.wheel_len -= 1;
                     }
-                    self.occ[bi / 64] &= !(1u64 << (bi % 64));
                     continue;
                 }
             }
@@ -1017,7 +1041,7 @@ mod tests {
         // interleave correctly with near events and same-time ties.
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
-        let horizon = (BUCKETS as u64) << BUCKET_SHIFT;
+        let horizon = BUCKETS as u64;
         sim.at(SimTime::from_ns(3 * horizon), push, 4);
         sim.at(SimTime::from_ns(2 * horizon + 7), push, 2);
         sim.at(SimTime::from_ns(2 * horizon + 7), push, 3);
@@ -1049,7 +1073,7 @@ mod tests {
     fn cancel_overflow_and_bucket_entries() {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
-        let horizon = (BUCKETS as u64) << BUCKET_SHIFT;
+        let horizon = BUCKETS as u64;
         let far = sim.at(SimTime::from_ns(2 * horizon), push, 99);
         let near = sim.at(SimTime::from_ns(50), push, 98);
         sim.at(SimTime::from_ns(60), push, 1);
@@ -1061,11 +1085,104 @@ mod tests {
         assert_eq!(sim.pending(), 0);
     }
 
+    /// Far enough ahead that [`schedule_tie`]'s first events land in the
+    /// overflow heap, yet within reach of the wheel from its setup event.
+    const TIE: u64 = 2 * BUCKETS as u64;
+
+    /// Two overflow events at `TIE` (payloads 100, 101), then, from an
+    /// event at `TIE - 10`, four wheel events at `TIE` (1..=4) of which
+    /// the second is cancelled: one bucket holding several entries that
+    /// shares its instant with live overflow entries.
+    fn schedule_tie(sim: &mut Sim<World>) {
+        fn fill(_: &mut World, sim: &mut Sim<World>, _: u64) {
+            for a in 1..=4 {
+                let id = sim.at(SimTime::from_ns(TIE), push, a);
+                if a == 2 {
+                    sim.cancel(id);
+                }
+            }
+        }
+        sim.at(SimTime::from_ns(TIE), push, 100);
+        sim.at(SimTime::from_ns(TIE), push, 101);
+        sim.at(SimTime::from_ns(TIE - 10), fill, 0);
+    }
+
+    #[test]
+    fn bucket_tied_with_overflow_fires_in_seq_order() {
+        let mut sim: Sim<World> = Sim::new();
+        let mut w = Vec::new();
+        schedule_tie(&mut sim);
+        sim.run_until(&mut w, SimTime::from_ns(TIE - 1));
+        assert_eq!(sim.overflow.len(), 2, "tied entries wait in the heap");
+        assert_eq!(sim.wheel_len, 4, "and in one bucket");
+        assert_eq!(sim.peek_time(), Some(SimTime::from_ns(TIE)));
+        assert_eq!(sim.run(&mut w), RunOutcome::Drained);
+        assert_eq!(w, vec![100, 101, 1, 3, 4]);
+        assert_eq!(sim.now(), SimTime::from_ns(TIE));
+        assert_eq!(sim.leak_check(), 0, "the cancelled entry is reclaimed");
+    }
+
+    #[test]
+    fn peek_time_reclaims_an_all_cancelled_bucket() {
+        let mut sim: Sim<World> = Sim::new();
+        let doomed: Vec<EventId> = (0..4).map(|_| sim.after(d(5), nop, 0)).collect();
+        sim.after(d(9), nop, 0);
+        for id in doomed {
+            sim.cancel(id);
+        }
+        assert_eq!(sim.leak_check(), 5);
+        assert_eq!(sim.peek_time(), Some(SimTime::from_ns(9)));
+        assert_eq!(sim.leak_check(), 1, "all four slots reclaimed");
+        assert_eq!(sim.wheel_len, 1);
+
+        // An all-cancelled bucket tied with a live overflow entry keeps
+        // its instant live.
+        let mut sim: Sim<World> = Sim::new();
+        let mut w = Vec::new();
+        sim.at(SimTime::from_ns(TIE), push, 7);
+        sim.run_until(&mut w, SimTime::from_ns(TIE - 5));
+        let ids: Vec<EventId> = (0..3)
+            .map(|_| sim.at(SimTime::from_ns(TIE), push, 8))
+            .collect();
+        for id in ids {
+            sim.cancel(id);
+        }
+        assert_eq!(sim.peek_time(), Some(SimTime::from_ns(TIE)));
+        assert_eq!(sim.wheel_len, 3, "the tied bucket waits for the advance");
+        sim.run(&mut w);
+        assert_eq!(w, vec![7]);
+        assert_eq!(sim.leak_check(), 0);
+    }
+
+    #[test]
+    fn snapshot_of_a_tied_bucket_replays_and_mints_the_same_ids() {
+        let mut sim: Sim<World> = Sim::new();
+        let mut prefix = Vec::new();
+        schedule_tie(&mut sim);
+        sim.run_until(&mut prefix, SimTime::from_ns(TIE - 1));
+        let snap = sim.snapshot();
+        // Replay the tail, then mint fresh ids from the drained engine.
+        let tail = |sim: &mut Sim<World>| {
+            let mut w = prefix.clone();
+            assert_eq!(sim.run(&mut w), RunOutcome::Drained);
+            let ids: Vec<EventId> = (0..6).map(|i| sim.after(d(i), push, i)).collect();
+            sim.run(&mut w);
+            (w, sim.events_executed(), sim.now(), ids)
+        };
+        let expect = tail(&mut sim);
+        assert_eq!(expect.0[..5], [100, 101, 1, 3, 4]);
+        for round in 0..2 {
+            sim.restore(&snap);
+            assert_eq!(sim.wheel_len, 4);
+            assert_eq!(tail(&mut sim), expect, "restore round {round}");
+        }
+    }
+
     #[test]
     fn leak_audit_clean_after_drain() {
         let mut sim: Sim<World> = Sim::new();
         let mut w = Vec::new();
-        let horizon = (BUCKETS as u64) << BUCKET_SHIFT;
+        let horizon = BUCKETS as u64;
         let a = sim.after(d(5), nop, 0);
         let b = sim.at(SimTime::from_ns(2 * horizon), nop, 0);
         sim.after(d(7), push, 1);

@@ -30,11 +30,12 @@ use std::collections::{HashMap, HashSet};
 
 use gaat_gpu::{BufRange, CompletionTag, DeviceId, GpuHost, Op, Space, StreamId};
 use gaat_net::{NetHost, NetMsg, NodeId, TrafficClass};
-use gaat_sim::{EventId, FaultPlan, Sim, SimDuration};
+use gaat_sim::{EventId, FaultPlan, Sim, SimDuration, Slab};
 
 /// Reserved token bit marking a delivery acknowledgement. Ack messages
-/// carry `original_token | ACK_BIT` and no protocol state of their own,
-/// so a lost ack leaks nothing — the sender's timeout recovers it.
+/// carry `original_token | ACK_BIT` and no protocol state of their own
+/// (their `key` is unused), so a lost ack leaks nothing — the sender's
+/// timeout recovers it.
 const ACK_BIT: u64 = 1 << 63;
 
 /// A communication endpoint — one per PE/process (and therefore one per
@@ -309,9 +310,19 @@ pub struct UcxStats {
 pub struct UcxState {
     params: UcxParams,
     workers: Vec<WorkerEp>,
-    transfers: HashMap<u64, Transfer>,
-    net_events: HashMap<u64, NetEvent>,
-    gpu_tags: HashMap<u64, GpuTagEvent>,
+    /// In-flight transfers; protocol events name one by its slab key
+    /// (`xfer`).
+    transfers: Slab<Transfer>,
+    /// The protocol step behind each message on the wire, by
+    /// [`NetMsg::key`].
+    net_events: Slab<NetEvent>,
+    /// Staging-copy completions, by GPU tag cookie.
+    gpu_tags: Slab<GpuTagEvent>,
+    /// Next wire token ([`NetMsg::token`], which the fabric's jitter
+    /// and the fault plan hash). It also advances once per transfer and
+    /// per staging chunk, so every message's token, and with it its
+    /// modelled latency and fate, stays what the determinism goldens
+    /// pin.
     next_token: u64,
     comm_streams: HashMap<DeviceId, StreamId>,
     bounce_bufs: HashMap<DeviceId, gaat_gpu::BufferId>,
@@ -329,9 +340,9 @@ impl UcxState {
         UcxState {
             params,
             workers: (0..workers).map(|_| WorkerEp::default()).collect(),
-            transfers: HashMap::new(),
-            net_events: HashMap::new(),
-            gpu_tags: HashMap::new(),
+            transfers: Slab::new(),
+            net_events: Slab::new(),
+            gpu_tags: Slab::new(),
             next_token: 1,
             comm_streams: HashMap::new(),
             bounce_bufs: HashMap::new(),
@@ -357,10 +368,30 @@ impl UcxState {
         t
     }
 
-    fn net_token(&mut self, ev: NetEvent) -> u64 {
-        let t = self.token();
-        self.net_events.insert(t, ev);
-        t
+    /// Wire token and [`NetMsg::key`] for a message that runs `ev` on
+    /// delivery.
+    fn net_ids(&mut self, ev: NetEvent) -> (u64, u64) {
+        (self.token(), self.net_events.insert(ev))
+    }
+
+    /// Park a new transfer and return its key.
+    fn new_transfer(&mut self, t: Transfer) -> u64 {
+        self.token();
+        self.transfers.insert(t)
+    }
+
+    /// Park a staging-copy completion and return its GPU tag cookie.
+    fn gpu_cookie(&mut self, ev: GpuTagEvent) -> u64 {
+        self.token();
+        self.gpu_tags.insert(ev)
+    }
+
+    fn xfer(&self, xfer: u64) -> &Transfer {
+        self.transfers.get(xfer).expect("live transfer")
+    }
+
+    fn xfer_mut(&mut self, xfer: u64) -> &mut Transfer {
+        self.transfers.get_mut(xfer).expect("live transfer")
     }
 
     /// Number of in-flight transfers (diagnostics; zero when quiescent).
@@ -377,13 +408,17 @@ impl UcxState {
     }
 
     /// Drop every piece of in-flight protocol state: transfers, pending
-    /// net/gpu token maps, retry entries, duplicate-suppression history,
-    /// and all posted/unexpected queues. Returns the retry timer events
-    /// for the caller to cancel — the runtime uses this when recovering
-    /// from a PE failure, where message state referring to the old
-    /// incarnation must not resurrect.
+    /// net events and GPU tags, retry entries, duplicate-suppression
+    /// history, and all posted/unexpected queues. Returns the retry
+    /// timer events for the caller to cancel, in wire-token order — the
+    /// runtime uses this when recovering from a PE failure, where
+    /// message state referring to the old incarnation must not
+    /// resurrect. Keys parked before the purge read as stale afterwards.
     pub fn purge(&mut self) -> Vec<EventId> {
-        let timers = self.retry.values().map(|r| r.timer).collect();
+        let mut pending: Vec<(u64, EventId)> =
+            self.retry.iter().map(|(&t, r)| (t, r.timer)).collect();
+        pending.sort_unstable();
+        let timers = pending.into_iter().map(|(_, timer)| timer).collect();
         self.transfers.clear();
         self.net_events.clear();
         self.gpu_tags.clear();
@@ -491,12 +526,12 @@ fn retry_step<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, token: u64) {
         // The runtime already knows this peer is gone; stop quietly and
         // drop the dangling protocol state for this token.
         w.ucx_mut().retry.remove(&token);
-        w.ucx_mut().net_events.remove(&token);
+        w.ucx_mut().net_events.remove(st.msg.key);
         return;
     }
     if st.attempts >= rel.max_retries {
         w.ucx_mut().retry.remove(&token);
-        w.ucx_mut().net_events.remove(&token);
+        w.ucx_mut().net_events.remove(st.msg.key);
         w.ucx_mut().stats.peers_dead += 1;
         w.on_ucx_event(sim, UcxEvent::PeerDead { worker: st.to });
         return;
@@ -538,6 +573,7 @@ fn send_ack<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, msg: &NetMsg) {
             bytes: ack_bytes,
             extra_latency: SimDuration::ZERO,
             token: msg.token | ACK_BIT,
+            key: 0,
             class: TrafficClass::Control,
             attempt: msg.attempt,
         },
@@ -577,7 +613,6 @@ pub fn isend<W: UcxHost>(
     let space = w.device_mut(loc.device).mem.get(loc.range.buf).space();
     let bytes = loc.range.bytes();
     let protocol = select_protocol(&w.ucx_mut().params, space, bytes);
-    let xfer = w.ucx_mut().token();
     let t = Transfer {
         from,
         to,
@@ -593,7 +628,7 @@ pub fn isend<W: UcxHost>(
         chunks_d2h_done: 0,
         chunks_h2d_done: 0,
     };
-    w.ucx_mut().transfers.insert(xfer, t);
+    let xfer = w.ucx_mut().new_transfer(t);
     let (src_node, dst_node) = (w.worker_node(from), w.worker_node(to));
     match protocol {
         Protocol::Eager => {
@@ -602,8 +637,8 @@ pub fn isend<W: UcxHost>(
             // soon as it is copied to the bounce area (model: now).
             let payload = w.device_mut(loc.device).mem.read(loc.range);
             let header = w.ucx_mut().params.header_bytes;
-            w.ucx_mut().transfers.get_mut(&xfer).expect("live").payload = payload;
-            let token = w.ucx_mut().net_token(NetEvent::Eager { xfer });
+            w.ucx_mut().xfer_mut(xfer).payload = payload;
+            let (token, key) = w.ucx_mut().net_ids(NetEvent::Eager { xfer });
             rsend(
                 w,
                 sim,
@@ -614,6 +649,7 @@ pub fn isend<W: UcxHost>(
                     bytes: bytes + header,
                     extra_latency: SimDuration::ZERO,
                     token,
+                    key,
                     class: TrafficClass::Data,
                     attempt: 0,
                 },
@@ -631,7 +667,7 @@ pub fn isend<W: UcxHost>(
                 let p = &w.ucx_mut().params;
                 (p.header_bytes, p.handshake_overhead)
             };
-            let token = w.ucx_mut().net_token(NetEvent::Rts { xfer });
+            let (token, key) = w.ucx_mut().net_ids(NetEvent::Rts { xfer });
             rsend(
                 w,
                 sim,
@@ -642,6 +678,7 @@ pub fn isend<W: UcxHost>(
                     bytes: header,
                     extra_latency: hs,
                     token,
+                    key,
                     class: TrafficClass::Control,
                     attempt: 0,
                 },
@@ -707,7 +744,7 @@ pub fn am_send<W: UcxHost>(
 ) {
     w.ucx_mut().stats.active_messages += 1;
     let header = w.ucx_mut().params.header_bytes;
-    let token = w.ucx_mut().net_token(NetEvent::Am { at: to, user });
+    let (token, key) = w.ucx_mut().net_ids(NetEvent::Am { at: to, user });
     let (src, dst) = (w.worker_node(from), w.worker_node(to));
     rsend(
         w,
@@ -719,6 +756,7 @@ pub fn am_send<W: UcxHost>(
             bytes: bytes + header,
             extra_latency: SimDuration::ZERO,
             token,
+            key,
             class: TrafficClass::Am,
             attempt: 0,
         },
@@ -726,7 +764,7 @@ pub fn am_send<W: UcxHost>(
 }
 
 fn attach_recv<W: UcxHost>(w: &mut W, xfer: u64, loc: MemLoc, user: u64) {
-    let t = w.ucx_mut().transfers.get_mut(&xfer).expect("live transfer");
+    let t = w.ucx_mut().xfer_mut(xfer);
     assert_eq!(
         t.bytes,
         loc.range.bytes(),
@@ -758,7 +796,7 @@ pub fn on_net_deliver<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, msg: NetMsg) {
         }
         w.ucx_mut().delivered.insert(msg.token);
         send_ack(w, sim, &msg);
-        match w.ucx_mut().net_events.remove(&msg.token) {
+        match w.ucx_mut().net_events.remove(msg.key) {
             Some(ev) => ev,
             None => {
                 // A late copy of a message whose state was already torn
@@ -770,8 +808,8 @@ pub fn on_net_deliver<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, msg: NetMsg) {
     } else {
         w.ucx_mut()
             .net_events
-            .remove(&msg.token)
-            .expect("unknown net token")
+            .remove(msg.key)
+            .expect("unknown net key")
     };
     match ev {
         NetEvent::Am { at, user } => {
@@ -779,7 +817,7 @@ pub fn on_net_deliver<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, msg: NetMsg) {
         }
         NetEvent::Eager { xfer } => {
             let (to, from, tag) = {
-                let t = &w.ucx_mut().transfers[&xfer];
+                let t = w.ucx_mut().xfer(xfer);
                 (t.to, t.from, t.tag)
             };
             // Tag travels in the header; match on (from, tag).
@@ -802,7 +840,7 @@ pub fn on_net_deliver<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, msg: NetMsg) {
         }
         NetEvent::Rts { xfer } => {
             let (to, from, tag) = {
-                let t = &w.ucx_mut().transfers[&xfer];
+                let t = w.ucx_mut().xfer(xfer);
                 (t.to, t.from, t.tag)
             };
             match take_posted(w, to, from, tag) {
@@ -824,21 +862,20 @@ pub fn on_net_deliver<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, msg: NetMsg) {
         }
         NetEvent::Cts { xfer } => start_data(w, sim, xfer),
         NetEvent::Data { xfer } => {
-            let user = w.ucx_mut().transfers[&xfer].send_user;
+            let user = w.ucx_mut().xfer(xfer).send_user;
             w.on_ucx_event(sim, UcxEvent::SendDone { user });
             finish_recv(w, sim, xfer);
         }
         NetEvent::Chunk { xfer, bytes } => {
             // Stage the chunk to device memory through the receiver's H2D
             // engine.
-            let recv_loc = w.ucx_mut().transfers[&xfer]
+            let recv_loc = w
+                .ucx_mut()
+                .xfer(xfer)
                 .recv_loc
                 .expect("pipelined data after match");
             let (stream, bounce) = staging_stream(w, recv_loc.device);
-            let cookie = w.ucx_mut().token();
-            w.ucx_mut()
-                .gpu_tags
-                .insert(cookie, GpuTagEvent::ChunkH2dDone { xfer });
+            let cookie = w.ucx_mut().gpu_cookie(GpuTagEvent::ChunkH2dDone { xfer });
             let tag = w.alloc_gpu_tag(cookie);
             let elems = ((bytes / 8) as usize).clamp(1, recv_loc.range.len);
             let r = recv_loc.range;
@@ -860,7 +897,7 @@ pub fn on_gpu_tag<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, cookie: u64) {
     let ev = w
         .ucx_mut()
         .gpu_tags
-        .remove(&cookie)
+        .remove(cookie)
         .expect("unknown gpu tag cookie");
     match ev {
         GpuTagEvent::ChunkD2hDone { xfer } => {
@@ -868,7 +905,7 @@ pub fn on_gpu_tag<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, cookie: u64) {
             let chunk = w.ucx_mut().params.pipeline_chunk;
             let header = w.ucx_mut().params.header_bytes;
             let (from, to, this_bytes, done, total, user) = {
-                let t = w.ucx_mut().transfers.get_mut(&xfer).expect("live");
+                let t = w.ucx_mut().xfer_mut(xfer);
                 t.chunks_d2h_done += 1;
                 let sent = (t.chunks_d2h_done - 1) as u64 * chunk;
                 let this = chunk.min(t.bytes - sent);
@@ -881,7 +918,7 @@ pub fn on_gpu_tag<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, cookie: u64) {
                     t.send_user,
                 )
             };
-            let token = w.ucx_mut().net_token(NetEvent::Chunk {
+            let (token, key) = w.ucx_mut().net_ids(NetEvent::Chunk {
                 xfer,
                 bytes: this_bytes,
             });
@@ -899,6 +936,7 @@ pub fn on_gpu_tag<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, cookie: u64) {
                     bytes: wire_bytes + header,
                     extra_latency: SimDuration::ZERO,
                     token,
+                    key,
                     class: TrafficClass::Data,
                     attempt: 0,
                 },
@@ -910,7 +948,7 @@ pub fn on_gpu_tag<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, cookie: u64) {
         }
         GpuTagEvent::ChunkH2dDone { xfer } => {
             let all_done = {
-                let t = w.ucx_mut().transfers.get_mut(&xfer).expect("live");
+                let t = w.ucx_mut().xfer_mut(xfer);
                 t.chunks_h2d_done += 1;
                 t.chunks_h2d_done == t.chunks_total
             };
@@ -934,14 +972,14 @@ fn take_posted<W: UcxHost>(
 
 fn send_cts<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, xfer: u64) {
     let (to, from) = {
-        let t = &w.ucx_mut().transfers[&xfer];
+        let t = w.ucx_mut().xfer(xfer);
         (t.to, t.from)
     };
     let (header, hs) = {
         let p = &w.ucx_mut().params;
         (p.header_bytes, p.handshake_overhead)
     };
-    let token = w.ucx_mut().net_token(NetEvent::Cts { xfer });
+    let (token, key) = w.ucx_mut().net_ids(NetEvent::Cts { xfer });
     let (sn, dn) = (w.worker_node(to), w.worker_node(from));
     rsend(
         w,
@@ -953,6 +991,7 @@ fn send_cts<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, xfer: u64) {
             bytes: header,
             extra_latency: hs,
             token,
+            key,
             class: TrafficClass::Control,
             attempt: 0,
         },
@@ -961,15 +1000,15 @@ fn send_cts<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, xfer: u64) {
 
 /// CTS arrived back at the sender: move the payload.
 fn start_data<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, xfer: u64) {
-    let protocol = w.ucx_mut().transfers[&xfer].protocol;
+    let protocol = w.ucx_mut().xfer(xfer).protocol;
     match protocol {
         Protocol::Rendezvous | Protocol::GpuDirect => {
             let (loc, bytes, from, to) = {
-                let t = &w.ucx_mut().transfers[&xfer];
+                let t = w.ucx_mut().xfer(xfer);
                 (t.send_loc, t.bytes, t.from, t.to)
             };
             let payload = w.device_mut(loc.device).mem.read(loc.range);
-            w.ucx_mut().transfers.get_mut(&xfer).expect("live").payload = payload;
+            w.ucx_mut().xfer_mut(xfer).payload = payload;
             let (header, extra, derate) = {
                 let p = &w.ucx_mut().params;
                 match protocol {
@@ -983,7 +1022,7 @@ fn start_data<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, xfer: u64) {
             };
             // Bandwidth derating is modeled as extra wire bytes.
             let wire_bytes = ((bytes as f64) * derate).round() as u64 + header;
-            let token = w.ucx_mut().net_token(NetEvent::Data { xfer });
+            let (token, key) = w.ucx_mut().net_ids(NetEvent::Data { xfer });
             let (sn, dn) = (w.worker_node(from), w.worker_node(to));
             rsend(
                 w,
@@ -995,6 +1034,7 @@ fn start_data<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, xfer: u64) {
                     bytes: wire_bytes,
                     extra_latency: extra,
                     token,
+                    key,
                     class: TrafficClass::Data,
                     attempt: 0,
                 },
@@ -1004,14 +1044,14 @@ fn start_data<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, xfer: u64) {
             // Read the payload up front (functional fidelity) and kick off
             // the chunked D2H staging pipeline on the sender's device.
             let (loc, bytes) = {
-                let t = &w.ucx_mut().transfers[&xfer];
+                let t = w.ucx_mut().xfer(xfer);
                 (t.send_loc, t.bytes)
             };
             let payload = w.device_mut(loc.device).mem.read(loc.range);
             let chunk = w.ucx_mut().params.pipeline_chunk;
             let nchunks = bytes.div_ceil(chunk).max(1) as u32;
             {
-                let t = w.ucx_mut().transfers.get_mut(&xfer).expect("live");
+                let t = w.ucx_mut().xfer_mut(xfer);
                 t.payload = payload;
                 t.chunks_total = nchunks;
             }
@@ -1021,10 +1061,7 @@ fn start_data<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, xfer: u64) {
                 let this_bytes = chunk.min(bytes - off);
                 let elems = (this_bytes / 8) as usize;
                 let src = BufRange::new(loc.range.buf, loc.range.offset, elems.max(1));
-                let cookie = w.ucx_mut().token();
-                w.ucx_mut()
-                    .gpu_tags
-                    .insert(cookie, GpuTagEvent::ChunkD2hDone { xfer });
+                let cookie = w.ucx_mut().gpu_cookie(GpuTagEvent::ChunkD2hDone { xfer });
                 let tag = w.alloc_gpu_tag(cookie);
                 let d = w.device_mut(loc.device);
                 d.enqueue(
@@ -1041,7 +1078,7 @@ fn start_data<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, xfer: u64) {
 /// Data landed (single message or all chunks): write the payload to the
 /// receive buffer and notify the receiver.
 fn finish_recv<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, xfer: u64) {
-    let t = w.ucx_mut().transfers.remove(&xfer).expect("live transfer");
+    let t = w.ucx_mut().transfers.remove(xfer).expect("live transfer");
     let loc = t.recv_loc.expect("matched before completion");
     if let Some(data) = &t.payload {
         w.device_mut(loc.device).mem.write(loc.range, data);
@@ -1088,6 +1125,46 @@ mod tests {
         let a = s.token();
         let b = s.token();
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn purge_returns_retry_timers_in_token_order() {
+        fn nop(_: &mut (), _: &mut Sim<()>, _: u64) {}
+        // Armed out of token order.
+        let tokens = [9u64, 3, 14, 1, 7, 12, 5, 10, 2, 16, 8, 4, 15, 11, 6, 13];
+        let build = || {
+            let mut sim: Sim<()> = Sim::new();
+            let mut s = UcxState::new(2, UcxParams::default());
+            let mut armed = Vec::new();
+            for (i, &token) in tokens.iter().enumerate() {
+                let timer = sim.after(SimDuration::from_ns(i as u64 + 1), nop, token);
+                let msg = NetMsg {
+                    src: NodeId(0),
+                    dst: NodeId(1),
+                    bytes: 64,
+                    extra_latency: SimDuration::ZERO,
+                    token,
+                    key: 0,
+                    class: TrafficClass::Data,
+                    attempt: 0,
+                };
+                let st = RetryState {
+                    msg,
+                    to: WorkerId(1),
+                    attempts: 0,
+                    timer,
+                };
+                s.retry.insert(token, st);
+                armed.push((token, timer));
+            }
+            armed.sort_unstable();
+            let by_token: Vec<EventId> = armed.into_iter().map(|(_, t)| t).collect();
+            (s.purge(), by_token)
+        };
+        let (a, by_token) = build();
+        let (b, _) = build();
+        assert_eq!(a, by_token, "timers come back in wire-token order");
+        assert_eq!(a, b, "identically built states purge identically");
     }
 }
 
