@@ -186,13 +186,17 @@ impl MachineConfig {
     }
 
     /// Check the rules a machine configuration must meet before a
-    /// [`crate::Simulation`] is built from it: every fault names a link,
+    /// [`crate::Simulation`] is built from it: the machine has a PE,
+    /// every fault names a link,
     /// PE or device the machine has, the UCX staging stream's priority is
     /// a stream priority class, and PE failures and the load balancer run
     /// over the reliable transport. Both purge fabric-stashed
     /// deliveries for cancelled transfers, which only the reliable
     /// transport's token tracking can identify as stale.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.total_pes() == 0 {
+            return Err(ConfigError::NoPes);
+        }
         let links = match self.net.topology {
             gaat_net::TopologyKind::Flat => 0,
             gaat_net::TopologyKind::FatTree(ft) => {
@@ -252,6 +256,8 @@ impl MachineConfig {
 /// rule; see [`MachineConfig::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
+    /// `nodes` or `pes_per_node` is 0.
+    NoPes,
     /// A fat tree with `leaf_radix` 0: no leaf switch has a node port.
     FatTreeNoLeafRadix,
     /// A fat tree with `spines` 0: leaves have no path between them.
@@ -303,6 +309,7 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
+            ConfigError::NoPes => f.write_str("the machine needs nodes >= 1 and pes_per_node >= 1"),
             ConfigError::FatTreeNoLeafRadix => {
                 f.write_str("net.topology fat tree needs leaf_radix >= 1")
             }
@@ -410,6 +417,24 @@ mod tests {
         assert!(ConfigError::FatTreeTrunkBandwidth
             .to_string()
             .contains("trunk_bw"));
+    }
+
+    #[test]
+    fn machine_needs_a_node_and_a_pe_per_node() {
+        assert_eq!(
+            MachineConfig::validation(0, 2).validate(),
+            Err(ConfigError::NoPes)
+        );
+        assert_eq!(
+            MachineConfig::validation(2, 0).validate(),
+            Err(ConfigError::NoPes)
+        );
+        assert!(ConfigError::NoPes.to_string().contains("pes_per_node >= 1"));
+        // Checked before the fat tree's link count divides by the nodes.
+        let mut c = MachineConfig::summit_fattree(0);
+        assert_eq!(c.validate(), Err(ConfigError::NoPes));
+        c.nodes = 1;
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]

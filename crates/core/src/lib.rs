@@ -22,6 +22,8 @@
 //! - [`sdag`]: SDAG-style message buffering with reference numbers.
 //! - [`lb`]: the closed-loop load-balancing planner over measured chare
 //!   loads — the runtime adaptivity that overdecomposition enables.
+//! - [`recovery`]: checkpoints (clones of the chare), rollback after a
+//!   PE failure, and the periodic balancer that migrates through it.
 //!
 //! # Example: a chare that offloads to the GPU and detects completion
 //! asynchronously
@@ -75,25 +77,23 @@
 #![warn(missing_docs)]
 
 pub mod channel;
-pub mod ckpt;
 pub mod config;
 pub mod gpu_msg;
 pub mod lb;
 pub mod machine;
 pub mod msg;
 pub mod pe;
+pub mod recovery;
 pub mod sdag;
 pub mod slot;
 
 pub use channel::{create_channel, ChannelEnd};
-pub use ckpt::ChareSnapshot;
 pub use config::{ConfigError, LbConfig, LbPolicy, MachineConfig, RtCosts};
 pub use lb::{periodic_plan, LbPlan, LbSensors};
-pub use machine::{
-    Chare, ChareClone, Ctx, LbStats, Machine, MachineStats, Simulation, WorldSnapshot,
-};
+pub use machine::{Chare, ChareClone, Ctx, Machine, MachineStats, Simulation, WorldSnapshot};
 pub use msg::{Callback, ChareId, EntryId, Envelope, MsgPriority};
 pub use pe::{Pe, PeStats};
+pub use recovery::LbStats;
 pub use sdag::WhenSet;
 pub use slot::{SlotStats, WorldSlot};
 

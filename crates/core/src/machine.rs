@@ -17,9 +17,10 @@ use gaat_net::{Fabric, NetHost, NetMsg, NodeId};
 use gaat_sim::{RunOutcome, Sim, SimDuration, SimRng, SimTime, Slab, Tracer};
 use gaat_ucx::{MemLoc, UcxEvent, UcxHost, UcxState, WorkerId};
 
-use crate::config::{ConfigError, LbPolicy, MachineConfig};
+use crate::config::{ConfigError, MachineConfig};
 use crate::msg::{Callback, ChareId, Envelope};
 use crate::pe::Pe;
+use crate::recovery::{Checkpoint, Recovery};
 
 /// A migratable, message-driven task object (the chare analogue).
 ///
@@ -28,21 +29,12 @@ use crate::pe::Pe;
 /// The `Any` supertrait enables post-run state inspection via
 /// [`Machine::chare_as`]. The [`ChareClone`] supertrait comes free with
 /// `#[derive(Clone)]`: it is how a world snapshot deep-copies chares
-/// mid-flight, so every chare can be forked.
+/// mid-flight, and how a chare checkpoints itself
+/// ([`Ctx::store_checkpoint`] takes a clone, which a rollback swaps back
+/// into the chare table).
 pub trait Chare: std::any::Any + ChareClone {
     /// Handle one message.
     fn receive(&mut self, ctx: &mut Ctx<'_>, env: Envelope);
-
-    /// Reinstall checkpointed state during a rollback (the unpack half
-    /// of the PUP analogue), after a PE failure or to apply a load
-    /// balancing plan. Called outside any entry method; the resume
-    /// entry registered with [`Machine::set_recovery_resume`] is
-    /// broadcast afterwards with the checkpoint epoch as its refnum.
-    /// The default panics: applications that arm PE failures or the
-    /// load balancer must implement it.
-    fn restore(&mut self, _snap: crate::ckpt::ChareSnapshot) {
-        panic!("chare does not implement Chare::restore for checkpoint rollback");
-    }
 }
 
 /// Object-safe cloning of boxed chares (the dyn-clone idiom). Blanket
@@ -67,7 +59,7 @@ impl Clone for Box<dyn Chare> {
 
 /// Where a fired GPU completion tag is routed.
 #[derive(Clone)]
-enum TagRoute {
+pub(crate) enum TagRoute {
     /// Deliver a callback message.
     Callback(Callback),
     /// Unblock a PE that issued a synchronous stream wait, then deliver.
@@ -78,7 +70,7 @@ enum TagRoute {
 
 /// What an in-flight runtime active message carries.
 #[derive(Clone)]
-enum AmKind {
+pub(crate) enum AmKind {
     /// An entry-method invocation.
     Chare(ChareId, Envelope),
     /// A reduction contribution travelling to the root.
@@ -98,19 +90,12 @@ enum AmKind {
         /// is this fragment's destination.
         groups: Vec<(usize, Vec<ChareId>)>,
     },
-    /// A chare snapshot travelling to its buddy PE's memory.
-    Checkpoint {
-        chare: ChareId,
-        epoch: u64,
-        /// PE whose memory will hold the copy: snapshots stored on a PE
-        /// that later fails are lost with it.
-        stored_on: usize,
-        snap: crate::ckpt::ChareSnapshot,
-    },
+    /// A checkpoint copy travelling to its buddy PE's memory.
+    Checkpoint(Checkpoint),
 }
 
 #[derive(Debug, Clone, Default)]
-struct ReductionSlot {
+pub(crate) struct ReductionSlot {
     count: usize,
     sum: f64,
 }
@@ -121,7 +106,7 @@ struct ReductionSlot {
 /// payload parks in the machine's `deferred` slab and the event carries
 /// only its key, so scheduling them allocates nothing in steady state.
 #[derive(Clone)]
-enum Deferred {
+pub(crate) enum Deferred {
     /// Local chare-to-chare delivery after `local_latency`.
     LocalMsg { to: ChareId, env: Envelope },
     /// A send leaving the sending entry method at its charge offset.
@@ -174,13 +159,8 @@ enum Deferred {
         loc: MemLoc,
         user: u64,
     },
-    /// A chare snapshot leaving its entry method for the buddy PE.
-    Checkpoint {
-        src_pe: usize,
-        chare: ChareId,
-        epoch: u64,
-        snap: crate::ckpt::ChareSnapshot,
-    },
+    /// A checkpoint leaving its entry method.
+    Checkpoint(Checkpoint),
 }
 
 /// Fired deferred-action event: takes the payload back, then performs
@@ -188,7 +168,7 @@ enum Deferred {
 /// and does nothing.
 fn run_deferred(m: &mut Machine, sim: &mut Sim<Machine>, key: u64) {
     let Some(d) = m.deferred.remove(key) else {
-        assert!(m.incarnation > 0, "stale deferred key");
+        assert!(m.recovery.incarnation > 0, "stale deferred key");
         return;
     };
     match d {
@@ -242,51 +222,13 @@ fn run_deferred(m: &mut Machine, sim: &mut Sim<Machine>, key: u64) {
             loc,
             user,
         } => gaat_ucx::irecv(m, sim, WorkerId(me), WorkerId(from_worker), tag, loc, user),
-        Deferred::Checkpoint {
-            src_pe,
-            chare,
-            epoch,
-            snap,
-        } => {
-            // Local half of the double checkpoint: a copy in the owner
-            // PE's own memory, no wire cost. It covers the case where the
-            // *buddy* is the PE that fails.
-            m.store_ckpt_copy(chare, epoch, src_pe, snap.clone());
-            let buddy = m.buddy_of(src_pe);
-            if buddy == src_pe {
-                return;
-            }
-            let bytes = snap.wire_bytes() + m.cfg.rt.envelope_bytes;
-            let token = m.am_store.insert(AmKind::Checkpoint {
-                chare,
-                epoch,
-                stored_on: buddy,
-                snap,
-            });
-            gaat_ucx::am_send(m, sim, WorkerId(src_pe), WorkerId(buddy), bytes, token);
-        }
+        Deferred::Checkpoint(ck) => crate::recovery::depart(m, sim, ck),
     }
-}
-
-/// Fired scheduled-PE-failure event: the process at
-/// `cfg.faults.pe_failures[idx]` vanishes.
-fn pe_fail_fire(m: &mut Machine, sim: &mut Sim<Machine>, idx: u64) {
-    m.pe_fail(sim, idx as usize);
-}
-
-/// Fired failure-detection event: begin global rollback recovery.
-fn recover_fire(m: &mut Machine, sim: &mut Sim<Machine>, failed_pe: u64) {
-    m.recover(sim, failed_pe as usize);
 }
 
 /// Fired PE-dispatch event (the scheduled half of [`Machine::kick_pe`]).
 fn run_pe_ev(m: &mut Machine, sim: &mut Sim<Machine>, pe: u64) {
     m.run_pe(sim, pe as usize);
-}
-
-/// Fired periodic load-balancing event (`round` counts ticks).
-fn lb_tick_fire(m: &mut Machine, sim: &mut Sim<Machine>, round: u64) {
-    m.lb_tick(sim, round);
 }
 
 /// Aggregate machine statistics.
@@ -298,39 +240,14 @@ pub struct MachineStats {
     pub sends: u64,
     /// Chare migrations performed.
     pub migrations: u64,
-    /// Checkpoint snapshots accepted into buddy memory.
+    /// Checkpoint copies stored, in the owner's and the buddy's memory.
     pub checkpoints_stored: u64,
     /// PE failures injected by the fault plan.
     pub pe_failures: u64,
     /// Global rollback recoveries performed.
     pub recoveries: u64,
-    /// Chares restored from snapshots across all recoveries.
+    /// Chares restored from checkpoints across all rollbacks.
     pub chares_restored: u64,
-}
-
-/// Closed-loop load-balancer counters (all zero with the balancer off).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LbStats {
-    /// LB tick events that ran.
-    pub rounds: u64,
-    /// Rounds whose plan was applied (migrations executed).
-    pub applied: u64,
-    /// Rounds whose plan was declined at apply time (no complete
-    /// checkpoint cut, or no resume entry registered).
-    pub declined: u64,
-    /// Chares moved across all applied plans.
-    pub migrations: u64,
-    /// Host (wall-clock) nanoseconds spent scoring plans.
-    pub plan_host_ns: u64,
-    /// Host (wall-clock) nanoseconds spent applying plans (purge +
-    /// restore + resume broadcast).
-    pub apply_host_ns: u64,
-    /// Hottest-link utilization read at the most recent applied plan's
-    /// tick (the "before" half of the post-LB delta).
-    pub last_util_before: f64,
-    /// Hottest-link utilization read one period after the most recent
-    /// applied plan (the "after" half; 0 until that tick fires).
-    pub last_util_after: f64,
 }
 
 /// The world type of every simulation in this stack.
@@ -339,7 +256,7 @@ pub struct LbStats {
 /// (stream queues, engines, memory, graph instances), the fabric (NIC
 /// clocks, flow state, in-flight messages), the communication layer
 /// (transfers, retry timers, token counters), the PEs (message queues,
-/// busy clocks) and every chare.
+/// busy clocks), every chare and every held checkpoint.
 #[derive(Clone)]
 pub struct Machine {
     /// Configuration the machine was built from.
@@ -352,49 +269,29 @@ pub struct Machine {
     pub ucx: UcxState,
     /// Per-PE schedulers.
     pub pes: Vec<Pe>,
-    chares: Vec<Option<Box<dyn Chare>>>,
-    chare_pe: Vec<usize>,
-    chare_load: Vec<SimDuration>,
-    /// Per-chare ns (CPU charge + estimated kernel/DMA time) accrued
-    /// since the last LB tick folded it; pure bookkeeping, so metering
-    /// is bit-invisible while the balancer is off.
-    lb_recent: Vec<u64>,
-    /// Per-chare EWMA of `lb_recent` per LB period (integer fold).
-    lb_ewma: Vec<u64>,
-    /// Per-chare bytes sent to each partner chare (comm-affinity meter;
-    /// BTreeMap for deterministic iteration order).
-    lb_bytes: Vec<std::collections::BTreeMap<usize, u64>>,
-    lb_stats: LbStats,
-    /// True between an applied plan and the next tick's "after"
-    /// utilization reading.
-    lb_await_after: bool,
+    pub(crate) chares: Vec<Option<Box<dyn Chare>>>,
+    pub(crate) chare_pe: Vec<usize>,
+    pub(crate) chare_load: Vec<SimDuration>,
     /// Parked payloads, each keyed by what its event or callback carries:
     /// GPU completion tags, active-message tokens, UCX user cookies and
     /// deferred runtime actions (see [`Deferred`]). Rollback clears all
     /// four, so a key issued before it reads as stale.
-    tag_routes: Slab<TagRoute>,
-    am_store: Slab<AmKind>,
-    ucx_routes: Slab<Callback>,
-    deferred: Slab<Deferred>,
-    reductions: HashMap<(u64, u64), ReductionSlot>,
+    pub(crate) tag_routes: Slab<TagRoute>,
+    pub(crate) am_store: Slab<AmKind>,
+    pub(crate) ucx_routes: Slab<Callback>,
+    pub(crate) deferred: Slab<Deferred>,
+    pub(crate) reductions: HashMap<(u64, u64), ReductionSlot>,
     next_reducer: u64,
     next_channel: u64,
     /// Liveness of each PE (all true until a planned failure fires).
-    pe_alive: Vec<bool>,
-    /// Recovery generation: 0 until the first rollback. Event-layer
-    /// lookups stay strict (panic on unknown ids) while this is 0 and
-    /// tolerate post-purge stragglers afterwards.
-    incarnation: u64,
-    /// Buddy-held snapshots per chare: up to the last two epochs in
-    /// ascending order, each tagged with the PE whose memory holds it.
-    ckpts: HashMap<ChareId, Vec<(u64, usize, crate::ckpt::ChareSnapshot)>>,
-    /// Broadcast issued after every recovery to restart the application.
-    recovery_resume: Option<(Vec<ChareId>, crate::msg::EntryId)>,
+    pub(crate) pe_alive: Vec<bool>,
+    /// Checkpoint store, rollback state and load-balancer meters.
+    pub(crate) recovery: Recovery,
     /// Entry-method span recorder, one lane per PE (enabled by
     /// `MachineConfig::trace`). Device-side spans live in each device's
     /// own tracer.
     pub tracer: Tracer,
-    stats: MachineStats,
+    pub(crate) stats: MachineStats,
 }
 
 impl Machine {
@@ -425,11 +322,6 @@ impl Machine {
             chares: Vec::new(),
             chare_pe: Vec::new(),
             chare_load: Vec::new(),
-            lb_recent: Vec::new(),
-            lb_ewma: Vec::new(),
-            lb_bytes: Vec::new(),
-            lb_stats: LbStats::default(),
-            lb_await_after: false,
             tag_routes: Slab::new(),
             am_store: Slab::new(),
             ucx_routes: Slab::new(),
@@ -438,9 +330,7 @@ impl Machine {
             next_reducer: 0,
             next_channel: 0,
             pe_alive: vec![true; pes],
-            incarnation: 0,
-            ckpts: HashMap::new(),
-            recovery_resume: None,
+            recovery: Recovery::default(),
             tracer: if cfg.trace {
                 Tracer::enabled()
             } else {
@@ -461,24 +351,12 @@ impl Machine {
         self.pe_alive[pe]
     }
 
-    /// Recovery generation: 0 until the first rollback.
-    pub fn incarnation(&self) -> u64 {
-        self.incarnation
-    }
-
     /// Payloads parked under a GPU completion tag, active-message token,
     /// UCX user cookie or deferred-action key and not yet taken back: the
     /// runtime's counterpart of [`UcxState::stashed`]. A quiesced machine
     /// holds none, across rollbacks too.
     pub fn parked(&self) -> usize {
         self.tag_routes.len() + self.am_store.len() + self.ucx_routes.len() + self.deferred.len()
-    }
-
-    /// Register the entry broadcast to `targets` after every recovery
-    /// (refnum = the recovery epoch). Applications that arm PE failures
-    /// must call this during setup.
-    pub fn set_recovery_resume(&mut self, targets: Vec<ChareId>, entry: crate::msg::EntryId) {
-        self.recovery_resume = Some((targets, entry));
     }
 
     /// Schedule the fault plan's time-triggered faults (link and PE
@@ -493,294 +371,8 @@ impl Machine {
         }
         gaat_net::arm_link_faults(self, sim);
         for (i, pf) in self.cfg.faults.pe_failures.iter().enumerate() {
-            sim.at(pf.at, pe_fail_fire, i as u64);
+            sim.at(pf.at, crate::recovery::pe_fail, i as u64);
         }
-    }
-
-    /// Arm the periodic load-balancing tick. Called once by
-    /// [`Simulation::new`] after [`Machine::arm_faults`]; inert unless
-    /// `cfg.lb.enabled()`, so existing configurations replay
-    /// bit-identically. [`MachineConfig::validate`] requires the
-    /// reliable transport when the balancer is on.
-    pub fn arm_lb(&mut self, sim: &mut Sim<Machine>) {
-        if self.cfg.lb.enabled() {
-            sim.after(self.cfg.lb.period, lb_tick_fire, 0);
-        }
-    }
-
-    /// Load-balancer counters so far.
-    pub fn lb_stats(&self) -> LbStats {
-        self.lb_stats
-    }
-
-    /// One closed-loop LB round: fold meters, read sensors, score a
-    /// plan, and (maybe) apply it through the checkpoint/restore path.
-    fn lb_tick(&mut self, sim: &mut Sim<Machine>, round: u64) {
-        // `pending` excludes this firing event, so zero means nothing
-        // else can ever happen: the run is over. Let the world drain
-        // instead of keeping it alive with an endless tick chain.
-        if sim.pending() == 0 {
-            return;
-        }
-        sim.after(self.cfg.lb.period, lb_tick_fire, round + 1);
-        self.lb_stats.rounds += 1;
-        let now = sim.now();
-        // Fold the per-period accumulators into the EWMAs. Integer
-        // arithmetic (`e += (r - e) >> 1`) keeps the meters — and with
-        // them every migration decision — bit-identical across
-        // platforms and repeated runs.
-        for c in 0..self.chares.len() {
-            let e = self.lb_ewma[c] as i64;
-            let r = self.lb_recent[c] as i64;
-            self.lb_ewma[c] = (e + ((r - e) >> 1)) as u64;
-            self.lb_recent[c] = 0;
-        }
-        // Sensors: link heat from the fabric, retry distress from the
-        // transport. Pure reads — polling cannot perturb the run.
-        let heat = self.fabric.heat(now);
-        if self.lb_await_after {
-            self.lb_stats.last_util_after = heat.max_link_utilization;
-            self.lb_await_after = false;
-        }
-        let ucx = self.ucx.stats();
-        let distressed = heat.distressed() || ucx.retransmits > 0 || ucx.timeouts > 0;
-        let t0 = std::time::Instant::now();
-        let plan = self.lb_plan(now, distressed);
-        self.lb_stats.plan_host_ns += t0.elapsed().as_nanos() as u64;
-        let Some(plan) = plan else {
-            return;
-        };
-        let t0 = std::time::Instant::now();
-        if self.lb_apply(sim, &plan.moves) {
-            self.lb_stats.applied += 1;
-            self.lb_stats.migrations += plan.moves.len() as u64;
-            self.lb_stats.last_util_before = heat.max_link_utilization;
-            self.lb_await_after = true;
-        } else {
-            self.lb_stats.declined += 1;
-        }
-        self.lb_stats.apply_host_ns += t0.elapsed().as_nanos() as u64;
-    }
-
-    /// Gather sensor inputs and run the configured planner.
-    fn lb_plan(&self, now: SimTime, distressed: bool) -> Option<crate::lb::LbPlan> {
-        let n_pes = self.pes.len();
-        let adaptive = self.cfg.lb.policy == LbPolicy::Adaptive;
-        // Straggler awareness: a chare's projected cost on PE `p` is its
-        // EWMA meter stretched by `p`'s active slowdown window.
-        let pe_slow: Vec<f64> = if adaptive {
-            (0..n_pes)
-                .map(|p| self.cfg.faults.straggler_slowdown(p, now))
-                .collect()
-        } else {
-            vec![1.0; n_pes]
-        };
-        let affinity: Vec<Vec<(usize, u64)>> = if adaptive {
-            self.lb_bytes
-                .iter()
-                .map(|m| m.iter().map(|(&k, &v)| (k, v)).collect())
-                .collect()
-        } else {
-            vec![Vec::new(); self.chares.len()]
-        };
-        let node_of: Vec<usize> = (0..n_pes).map(|p| self.cfg.node_of_pe(p)).collect();
-        let sensors = crate::lb::LbSensors {
-            pe_of: &self.chare_pe,
-            base_ns: &self.lb_ewma,
-            pe_slow: &pe_slow,
-            alive: &self.pe_alive,
-            affinity: &affinity,
-            node_of: &node_of,
-            distressed: adaptive && distressed,
-        };
-        crate::lb::periodic_plan(&sensors, &self.cfg.lb)
-    }
-
-    /// Execute a migration plan mid-run through [`Machine::rollback`]
-    /// (the recovery machinery, minus the dead PE). In-flight messages
-    /// need no explicit forwarding: anything the fabric still delivers
-    /// afterwards is dropped as a stale token, and the reliable
-    /// transport's purge guarantees the application sees a consistent
-    /// restart. Returns `false` — decline, leaving the world untouched —
-    /// when the application has not published the preconditions (a
-    /// resume entry plus a complete checkpoint cut).
-    fn lb_apply(&mut self, sim: &mut Sim<Machine>, moves: &[(ChareId, usize)]) -> bool {
-        if self.rollback(sim, moves).is_none() {
-            return false;
-        }
-        // Migration marker in the trace (one dedicated lane above the
-        // per-PE lanes).
-        let now = sim.now();
-        self.tracer.record(
-            self.pes.len() as u32,
-            "lb",
-            "migrate",
-            now,
-            now + SimDuration::from_ns(1),
-        );
-        true
-    }
-
-    /// Global rollback to the newest checkpoint epoch every chare holds
-    /// (the collective cut), moving chares on the way: tear down every
-    /// layer's in-flight state, apply `moves`, restore all chares in id
-    /// order, and broadcast the registered resume entry with the epoch
-    /// as its refnum. Returns the epoch, or `None` — before touching any
-    /// state — when no resume entry is registered or the cut is
-    /// incomplete.
-    fn rollback(&mut self, sim: &mut Sim<Machine>, moves: &[(ChareId, usize)]) -> Option<u64> {
-        let (targets, entry) = self.recovery_resume.clone()?;
-        let newest = |c: usize| self.ckpts.get(&ChareId(c))?.last().map(|&(e, _, _)| e);
-        let epoch = (0..self.chares.len())
-            .map(newest)
-            .collect::<Option<Vec<u64>>>()?
-            .into_iter()
-            .min()?;
-        // Asynchronous execution lets chares drift further apart than
-        // the two retained checkpoint epochs, so a chare may hold
-        // nothing at or before the cut. Resolve the whole cut before
-        // touching any state.
-        let snaps = (0..self.chares.len())
-            .map(|c| {
-                let slots = &self.ckpts[&ChareId(c)];
-                let (_, _, snap) = slots.iter().rev().find(|&&(e, _, _)| e <= epoch)?;
-                Some(snap.clone())
-            })
-            .collect::<Option<Vec<_>>>()?;
-        self.incarnation += 1;
-        // Communication layer first: cancel its retry timers, forget all
-        // in-flight transfers and routes. Anything the fabric still
-        // delivers afterwards is dropped as a stale token.
-        for timer in self.ucx.purge() {
-            sim.cancel(timer);
-        }
-        self.tag_routes.clear();
-        self.am_store.clear();
-        self.ucx_routes.clear();
-        self.deferred.clear();
-        self.reductions.clear();
-        let now = sim.now();
-        for pe in 0..self.pes.len() {
-            self.pes[pe].clear();
-            // In-flight kernels from before the rollback must not apply
-            // their effects to restored buffers.
-            self.devices[pe].purge(now);
-        }
-        for &(c, pe) in moves {
-            self.migrate(c, pe);
-        }
-        for (c, snap) in snaps.into_iter().enumerate() {
-            self.chares[c]
-                .as_mut()
-                .expect("chare resident during rollback")
-                .restore(snap);
-            self.stats.chares_restored += 1;
-        }
-        self.broadcast(sim, &targets, entry, epoch);
-        Some(epoch)
-    }
-
-    /// Accept one copy of a chare snapshot into `stored_on`'s memory.
-    /// Epochs older than the newest two are discarded: keeping two
-    /// guarantees a collectively complete cut survives a failure that
-    /// lands mid-checkpoint-wave.
-    fn store_ckpt_copy(
-        &mut self,
-        chare: ChareId,
-        epoch: u64,
-        stored_on: usize,
-        snap: crate::ckpt::ChareSnapshot,
-    ) {
-        self.stats.checkpoints_stored += 1;
-        // Recovery and the balancer restore from the newest epoch every
-        // chare holds (the global cut). Asynchrony lets fast chares run
-        // several epochs ahead of a straggler, so pruning to the newest
-        // two alone would evict the cut from the fast chares' stores.
-        // Clamp pruning so each chare also keeps its newest epoch at or
-        // below the cut; retention stays bounded by the drift the
-        // application's dependences allow.
-        let global_cut = (0..self.chares.len())
-            .map(|c| {
-                let newest = self
-                    .ckpts
-                    .get(&ChareId(c))
-                    .and_then(|s| s.last())
-                    .map_or(0, |&(e, _, _)| e);
-                if ChareId(c) == chare {
-                    newest.max(epoch)
-                } else {
-                    newest
-                }
-            })
-            .min()
-            .unwrap_or(0);
-        let slots = self.ckpts.entry(chare).or_default();
-        slots.retain(|&(e, on, _)| !(e == epoch && on == stored_on));
-        slots.push((epoch, stored_on, snap));
-        slots.sort_by_key(|&(e, on, _)| (e, on));
-        let mut epochs: Vec<u64> = slots.iter().map(|&(e, _, _)| e).collect();
-        epochs.dedup();
-        if epochs.len() > 2 {
-            let newest_two = epochs[epochs.len() - 2];
-            let held_cut = epochs
-                .iter()
-                .rev()
-                .find(|&&e| e <= global_cut)
-                .copied()
-                .unwrap_or(0);
-            let cutoff = newest_two.min(held_cut);
-            slots.retain(|&(e, _, _)| e >= cutoff);
-        }
-    }
-
-    /// Next live PE after `pe` in ring order: the buddy that holds its
-    /// chares' checkpoints.
-    fn buddy_of(&self, pe: usize) -> usize {
-        let n = self.pes.len();
-        (1..=n)
-            .map(|k| (pe + k) % n)
-            .find(|&q| self.pe_alive[q])
-            .unwrap_or(pe)
-    }
-
-    /// A planned PE failure fires: the process vanishes. Queued work and
-    /// in-flight GPU work on it are gone; recovery begins once the
-    /// failure detector notices.
-    fn pe_fail(&mut self, sim: &mut Sim<Machine>, idx: usize) {
-        let pe = self.cfg.faults.pe_failures[idx].pe;
-        assert!(self.pe_alive[pe], "PE {pe} failed twice");
-        self.pe_alive[pe] = false;
-        self.stats.pe_failures += 1;
-        let now = sim.now();
-        self.devices[pe].purge(now);
-        self.pes[pe].clear();
-        sim.after(self.cfg.faults.detection_delay, recover_fire, pe as u64);
-    }
-
-    /// Global rollback recovery after `failed` died (the restart half of
-    /// double in-memory checkpointing): drop the snapshots that died
-    /// with it, re-place its chares onto live PEs heaviest first
-    /// ([`crate::lb::lpt_place`], seeded with the survivors' loads), and
-    /// [`Machine::rollback`].
-    fn recover(&mut self, sim: &mut Sim<Machine>, failed: usize) {
-        self.stats.recoveries += 1;
-        for slots in self.ckpts.values_mut() {
-            slots.retain(|&(_, on, _)| on != failed);
-        }
-        let mut pe_load = vec![0u64; self.pes.len()];
-        let mut refugees = Vec::new();
-        for c in 0..self.chares.len() {
-            let (pe, load) = (self.chare_pe[c], self.chare_load[c].as_ns());
-            if self.pe_alive[pe] {
-                pe_load[pe] += load;
-            } else {
-                refugees.push((ChareId(c), load));
-            }
-        }
-        let moves = crate::lb::lpt_place(&refugees, &mut pe_load, &self.pe_alive);
-        self.rollback(sim, &moves).expect(
-            "PE failure needs set_recovery_resume and a surviving checkpoint cut for every chare",
-        );
     }
 
     /// Number of registered chares.
@@ -812,9 +404,7 @@ impl Machine {
         self.chares.push(Some(chare));
         self.chare_pe.push(pe);
         self.chare_load.push(SimDuration::ZERO);
-        self.lb_recent.push(0);
-        self.lb_ewma.push(0);
-        self.lb_bytes.push(std::collections::BTreeMap::new());
+        self.recovery.add_chare();
         id
     }
 
@@ -905,14 +495,6 @@ impl Machine {
         }
     }
 
-    /// Re-home a chare on another PE. Only [`Machine::rollback`] calls
-    /// it, after every in-flight message and queued entry is purged.
-    fn migrate(&mut self, chare: ChareId, to_pe: usize) {
-        assert!(to_pe < self.pes.len());
-        self.stats.migrations += 1;
-        self.chare_pe[chare.0] = to_pe;
-    }
-
     /// Create a fresh reducer id.
     pub fn create_reducer(&mut self) -> u64 {
         let r = self.next_reducer;
@@ -988,7 +570,7 @@ impl Machine {
         let Some((chare_id, env)) = self.pes[pe].pop() else {
             // A recovery cleared the queue between the kick and this
             // dispatch event.
-            assert!(self.incarnation > 0, "ready implies nonempty");
+            assert!(self.recovery.incarnation > 0, "ready implies nonempty");
             return;
         };
         self.pes[pe].stats.messages += 1;
@@ -1014,7 +596,7 @@ impl Machine {
         let block = ctx.block.take();
         self.chares[chare_id.0] = Some(chare);
         self.chare_load[chare_id.0] += charged;
-        self.lb_recent[chare_id.0] += charged.as_ns();
+        self.recovery.meter_work(chare_id, charged.as_ns());
         self.pes[pe].stats.cpu_time += charged;
         let end = now + charged;
         self.pes[pe].busy_until = Some(end);
@@ -1058,7 +640,7 @@ impl Machine {
         env: Envelope,
     ) {
         self.stats.sends += 1;
-        *self.lb_bytes[from.0].entry(to.0).or_insert(0) += env.wire_bytes;
+        self.recovery.meter_send(from, to, env.wire_bytes);
         let dst_pe = self.chare_pe[to.0];
         if dst_pe == src_pe {
             let delay = self.cfg.rt.local_latency;
@@ -1087,7 +669,7 @@ impl GpuHost for Machine {
 
     fn on_gpu_complete(&mut self, sim: &mut Sim<Self>, _dev: DeviceId, tag: CompletionTag) {
         let Some(route) = self.tag_routes.remove(tag.0) else {
-            assert!(self.incarnation > 0, "unknown completion tag");
+            assert!(self.recovery.incarnation > 0, "unknown completion tag");
             return;
         };
         match route {
@@ -1136,7 +718,7 @@ impl UcxHost for Machine {
         match ev {
             UcxEvent::AmDelivered { at: _, user } => {
                 let Some(kind) = self.am_store.remove(user) else {
-                    assert!(self.incarnation > 0, "unknown AM token");
+                    assert!(self.recovery.incarnation > 0, "unknown AM token");
                     return;
                 };
                 match kind {
@@ -1162,17 +744,12 @@ impl UcxHost for Machine {
                         refnum,
                         groups,
                     } => self.deliver_broadcast(sim, entry, refnum, groups),
-                    AmKind::Checkpoint {
-                        chare,
-                        epoch,
-                        stored_on,
-                        snap,
-                    } => self.store_ckpt_copy(chare, epoch, stored_on, snap),
+                    AmKind::Checkpoint(ck) => self.store_copy(ck),
                 }
             }
             UcxEvent::SendDone { user } | UcxEvent::RecvDone { user } => {
                 let Some(cb) = self.ucx_routes.remove(user) else {
-                    assert!(self.incarnation > 0, "unknown UCX route");
+                    assert!(self.recovery.incarnation > 0, "unknown UCX route");
                     return;
                 };
                 self.deliver_callback(sim, cb, None);
@@ -1198,9 +775,9 @@ pub struct Ctx<'a> {
     pub machine: &'a mut Machine,
     /// The simulator (for scheduling custom events).
     pub sim: &'a mut Sim<Machine>,
-    pe: usize,
-    chare: ChareId,
-    charged: SimDuration,
+    pub(crate) pe: usize,
+    pub(crate) chare: ChareId,
+    pub(crate) charged: SimDuration,
     block: Option<(DeviceId, StreamId, Callback)>,
 }
 
@@ -1339,26 +916,9 @@ impl<'a> Ctx<'a> {
         });
     }
 
-    /// Ship a snapshot of the executing chare's state at logical `epoch`
-    /// to its buddy PE's memory (double in-memory checkpointing). Costs a
-    /// real runtime message sized by the snapshot; the buddy retains the
-    /// last two epochs. Typically called from a collective point (an
-    /// iteration boundary every `checkpoint_every` iterations).
-    pub fn store_checkpoint(&mut self, epoch: u64, snap: crate::ckpt::ChareSnapshot) {
-        self.charged += self.machine.cfg.rt.send_overhead;
-        let src_pe = self.pe;
-        let chare = self.chare;
-        self.defer_at_charge(Deferred::Checkpoint {
-            src_pe,
-            chare,
-            epoch,
-            snap,
-        });
-    }
-
     /// Park `d` and run it when this entry method reaches its current
     /// charge offset.
-    fn defer_at_charge(&mut self, d: Deferred) {
+    pub(crate) fn defer_at_charge(&mut self, d: Deferred) {
         let key = self.machine.deferred.insert(d);
         let at = self.sim.now() + self.charged;
         self.sim.at(at, run_deferred, key);
@@ -1378,7 +938,7 @@ impl<'a> Ctx<'a> {
             }
             _ => 0,
         };
-        self.machine.lb_recent[self.chare.0] += gpu_ns;
+        self.machine.recovery.meter_work(self.chare, gpu_ns);
         let dev = self.device();
         self.defer_at_charge(Deferred::Enqueue { dev, stream, op });
     }

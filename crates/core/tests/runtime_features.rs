@@ -340,3 +340,99 @@ fn reduction_rounds_do_not_mix() {
     // round r sums to 4 * (r+1)
     assert_eq!(sums, vec![4.0, 8.0, 12.0]);
 }
+
+// ---------------------------------------------------------------------
+
+/// Counts rounds, checkpointing a clone of itself after each one. Before
+/// any rollback it stops at `stop_at`; after one it runs to `limit`.
+#[derive(Clone)]
+struct Counter {
+    stop_at: u64,
+    limit: u64,
+    round: u64,
+    log: Vec<u64>,
+    /// (refnum, round) at each resume entry.
+    resumed: Vec<(u64, u64)>,
+}
+
+impl Counter {
+    fn tick_if_unfinished(&self, ctx: &mut Ctx<'_>) {
+        let last = if self.resumed.is_empty() {
+            self.stop_at
+        } else {
+            self.limit
+        };
+        if self.round < last {
+            ctx.send(ctx.me(), Envelope::empty(E_GO));
+        }
+    }
+}
+
+impl Chare for Counter {
+    fn receive(&mut self, ctx: &mut Ctx<'_>, env: Envelope) {
+        match env.entry {
+            E_GO => {
+                self.round += 1;
+                self.log.push(self.round);
+                ctx.compute(gaat_sim::SimDuration::from_us(10));
+                ctx.store_checkpoint(self.round, Box::new(self.clone()), 64);
+                self.tick_if_unfinished(ctx);
+            }
+            E_POST => {
+                self.resumed.push((env.refnum, self.round));
+                self.tick_if_unfinished(ctx);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn pe_failure_restores_every_chare_to_its_checkpoint_clone() {
+    // Four chares on three PEs stop at rounds 3, 4, 5 and 6, so their
+    // newest checkpoints differ and the cut is round 3. PE 1 then dies
+    // long after they went idle.
+    let mut cfg = MachineConfig::validation(1, 3);
+    cfg.ucx.reliability.enabled = true;
+    cfg.faults.pe_failures.push(gaat_sim::PeFault {
+        at: SimTime::ZERO + gaat_sim::SimDuration::from_ms(5),
+        pe: 1,
+    });
+    let mut sim = Simulation::new(cfg);
+    let ids: Vec<ChareId> = (0..4)
+        .map(|i| {
+            let counter = Counter {
+                stop_at: 3 + i as u64,
+                limit: 8,
+                round: 0,
+                log: vec![],
+                resumed: vec![],
+            };
+            sim.machine.create_chare(i % 3, Box::new(counter))
+        })
+        .collect();
+    sim.machine.set_recovery_resume(ids.clone(), E_POST);
+    {
+        let Simulation { sim, machine, .. } = &mut sim;
+        for &id in &ids {
+            machine.inject(sim, id, Envelope::empty(E_GO));
+        }
+    }
+    sim.run();
+    let stats = sim.machine.stats();
+    assert_eq!((stats.pe_failures, stats.recoveries), (1, 1));
+    assert_eq!(stats.chares_restored, 4);
+    assert_eq!(sim.machine.incarnation(), 1);
+    for &id in &ids {
+        let c = sim.machine.chare_as::<Counter>(id);
+        // The resume entry carried the cut epoch and found the chare at
+        // that round: the clone stored then, not the chare that ran on
+        // to its stop round.
+        assert_eq!(c.resumed, vec![(3, 3)], "chare {id:?}");
+        // Rounds past the cut ran twice, but the second time on the
+        // restored clone, whose log ended at the cut.
+        assert_eq!(c.log, (1..=8).collect::<Vec<_>>(), "chare {id:?}");
+        assert_ne!(sim.machine.pe_of(id), 1, "chare {id:?} left the dead PE");
+    }
+    assert_eq!(sim.machine.parked(), 0);
+}

@@ -22,8 +22,8 @@ use std::sync::Arc;
 
 use gaat_gpu::{CudaEventId, Device, GpuTimingModel, GraphBuilder, NodeIndex};
 use gaat_rt::{
-    create_channel, BufRange, Callback, ChannelEnd, Chare, ChareId, ChareSnapshot, Ctx, DeviceId,
-    EntryId, Envelope, GraphId, KernelSpec, MemLoc, Op, Simulation, StreamId, WhenSet,
+    create_channel, BufRange, Callback, ChannelEnd, Chare, ChareId, Ctx, DeviceId, EntryId,
+    Envelope, GraphId, KernelSpec, MemLoc, Op, Simulation, StreamId, WhenSet,
 };
 use gaat_sim::SimTime;
 
@@ -147,9 +147,10 @@ pub struct BlockChare {
     /// Device holding this block's buffers (tracked so a post-recovery
     /// resume can detect migration and re-provision).
     dev: DeviceId,
-    /// Snapshot handed over by [`Chare::restore`], applied at `E_RESUME`
-    /// (restore has no machine access, so device memory is written then).
-    resume: Option<ChareSnapshot>,
+    /// The interior captured at a checkpoint, set only on the stored
+    /// clone. A rollback swaps that clone in, and `E_RESUME` writes the
+    /// interior back to device memory.
+    resume: Option<Vec<f64>>,
     /// Time this block finished its warm-up iterations.
     pub warm_at: Option<SimTime>,
     /// Time this block finished all iterations.
@@ -205,28 +206,33 @@ impl BlockChare {
         }
         let every = self.sh.cfg.checkpoint_every;
         if every > 0 && self.iter > 0 && self.iter.is_multiple_of(every) {
-            let snap = self.snapshot(ctx);
-            ctx.store_checkpoint(self.iter as u64, snap);
+            // The checkpoint is this block as it stands, plus the
+            // interior of the current solution buffer. Ghost cells are
+            // excluded: the restart re-runs the halo exchange before the
+            // next update reads them. Halos parked now belong to the
+            // incarnation a rollback abandons.
+            let mut interior = Vec::new();
+            let mem = &ctx.machine.devices[self.dev.0].mem;
+            self.block.read_interior(mem, |_, v| interior.push(v));
+            let mut ck = self.clone();
+            ck.pending = WhenSet::new();
+            ck.resume = Some(interior);
+            ctx.store_checkpoint(self.iter as u64, Box::new(ck), self.state_bytes());
         }
         true
     }
 
-    /// Serialize the block at an iteration boundary: the iteration count
-    /// and the interior of the current solution buffer. Ghost cells are
-    /// excluded — the restart re-runs the halo exchange before the next
-    /// update reads them.
-    fn snapshot(&self, ctx: &Ctx<'_>) -> ChareSnapshot {
-        let mut floats = Vec::new();
-        let mem = &ctx.machine.devices[self.dev.0].mem;
-        self.block.read_interior(mem, |_, v| floats.push(v));
-        ChareSnapshot {
-            ints: vec![self.iter as i64],
-            floats,
-        }
+    /// Wire price of a checkpoint: a 16-byte header, the iteration count
+    /// and the interior cells (none on phantom buffers).
+    fn state_bytes(&self) -> u64 {
+        let real = self.sh.cfg.machine.real_buffers;
+        let cells = if real { self.block.dims.count() } else { 0 };
+        16 + 8 * (1 + cells as u64)
     }
 
-    /// Re-create device-side resources on the PE's device after a
-    /// migration (the old device's allocations are stranded — acceptable
+    /// Re-create device-side resources on the PE's device when a
+    /// restored checkpoint resumes on a device other than the one it was
+    /// taken on (the old device's allocations are stranded — acceptable
     /// in the model, where device memory is only accounted at build
     /// time). Channels and graphs are per-device and not rebuilt:
     /// [`JacobiConfig::validate`] admits a run whose blocks migrate only
@@ -483,10 +489,11 @@ impl Chare for BlockChare {
                 self.norm_result = Some(env.take::<f64>());
             }
             E_RECV_HALO => {
-                // Between `restore` and `E_RESUME` the block still holds
-                // its pre-rollback iteration and (after a migration) the
-                // old device's buffers, streams and events: a neighbour
-                // that resumed first must wait in the parking lot.
+                // Between the rollback and `E_RESUME` the block is a
+                // restored checkpoint whose interior is not yet back in
+                // device memory, possibly on a device it has not
+                // reprovisioned: a neighbour that resumed first must wait
+                // in the parking lot.
                 if self.resume.is_none()
                     && env.refnum == self.iter as u64
                     && self.arrived < self.block.faces.len()
@@ -499,26 +506,21 @@ impl Chare for BlockChare {
                 }
             }
             E_RESUME => {
-                let snap = self.resume.take().expect("restore() ran before E_RESUME");
-                let epoch = env.refnum as usize;
+                let interior = self.resume.take().expect("E_RESUME reaches a checkpoint");
                 assert_eq!(
-                    snap.ints[0] as usize, epoch,
+                    self.iter, env.refnum as usize,
                     "block restored from a different epoch than the recovery line"
                 );
-                self.iter = epoch;
-                self.arrived = 0;
-                self.sends_done = 0;
-                self.done_at = None;
                 if ctx.device() != self.dev {
                     self.reprovision(ctx);
                 }
                 // Land the checkpointed interior into the current
                 // solution buffer; ghosts are refreshed by the exchange
                 // the restart re-runs.
-                let mut floats = snap.floats.into_iter();
+                let mut cells = interior.into_iter();
                 let mem = &mut ctx.machine.devices[self.dev.0].mem;
                 self.block
-                    .write_interior(mem, |_| floats.next().expect("checkpointed interior"));
+                    .write_interior(mem, |_| cells.next().expect("checkpointed interior"));
                 // Unpack cost of the restore, then rejoin the loop the
                 // same way E_START enters it: pack and exchange.
                 ctx.compute(gaat_sim::SimDuration::from_us(10));
@@ -526,14 +528,6 @@ impl Chare for BlockChare {
             }
             other => panic!("unknown entry {other:?}"),
         }
-    }
-
-    fn restore(&mut self, snap: ChareSnapshot) {
-        // Halos parked before the rollback belong to the abandoned
-        // incarnation. Anything delivered from here on comes from a
-        // neighbour that already resumed, and is kept for the restart.
-        self.pending = WhenSet::new();
-        self.resume = Some(snap);
     }
 }
 
@@ -769,4 +763,33 @@ pub fn checksum(sim: &Simulation, ids: &[ChareId], sh: &Shared) -> Option<f64> {
 /// bit-for-bit. Returns the number of cells compared.
 pub fn validate_against_reference(sim: &Simulation, ids: &[ChareId], sh: &Shared) -> usize {
     block::validate::<BlockChare>(sim, ids, &sh.cfg)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::geom::Dims;
+    use gaat_rt::MachineConfig;
+
+    /// A checkpoint costs a 16-byte header, the iteration count and the
+    /// interior cells, of which phantom buffers have none.
+    #[test]
+    fn state_bytes_prices_the_interior_of_real_buffers_only() {
+        let mut cfg = JacobiConfig::new(MachineConfig::validation(1, 2), Dims::cube(6));
+        cfg.machine.real_buffers = false;
+        let (sim, ids, _) = build(cfg.clone());
+        for &id in &ids {
+            assert_eq!(sim.machine.chare_as::<BlockChare>(id).state_bytes(), 24);
+        }
+        cfg.machine.real_buffers = true;
+        let (sim, ids, _) = build(cfg);
+        let mut cells = 0;
+        for &id in &ids {
+            let b = sim.machine.chare_as::<BlockChare>(id);
+            let n = b.block.dims.count();
+            assert_eq!(b.state_bytes(), 16 + 8 * (1 + n as u64));
+            cells += n;
+        }
+        assert_eq!(cells, 6 * 6 * 6);
+    }
 }
