@@ -59,7 +59,7 @@ impl Clone for Box<dyn Chare> {
 
 /// Where a fired GPU completion tag is routed.
 #[derive(Clone)]
-pub(crate) enum TagRoute {
+enum TagRoute {
     /// Deliver a callback message.
     Callback(Callback),
     /// Unblock a PE that issued a synchronous stream wait, then deliver.
@@ -70,7 +70,7 @@ pub(crate) enum TagRoute {
 
 /// What an in-flight runtime active message carries.
 #[derive(Clone)]
-pub(crate) enum AmKind {
+enum AmKind {
     /// An entry-method invocation.
     Chare(ChareId, Envelope),
     /// A reduction contribution travelling to the root.
@@ -95,7 +95,7 @@ pub(crate) enum AmKind {
 }
 
 #[derive(Debug, Clone, Default)]
-pub(crate) struct ReductionSlot {
+struct ReductionSlot {
     count: usize,
     sum: f64,
 }
@@ -106,7 +106,7 @@ pub(crate) struct ReductionSlot {
 /// payload parks in the machine's `deferred` slab and the event carries
 /// only its key, so scheduling them allocates nothing in steady state.
 #[derive(Clone)]
-pub(crate) enum Deferred {
+enum Deferred {
     /// Local chare-to-chare delivery after `local_latency`.
     LocalMsg { to: ChareId, env: Envelope },
     /// A send leaving the sending entry method at its charge offset.
@@ -222,7 +222,21 @@ fn run_deferred(m: &mut Machine, sim: &mut Sim<Machine>, key: u64) {
             loc,
             user,
         } => gaat_ucx::irecv(m, sim, WorkerId(me), WorkerId(from_worker), tag, loc, user),
-        Deferred::Checkpoint(ck) => crate::recovery::depart(m, sim, ck),
+        Deferred::Checkpoint(ck) => {
+            // Local half of the double checkpoint: a copy in the owner
+            // PE's own memory, no wire cost. It covers the case where the
+            // *buddy* is the PE that fails.
+            let src = ck.on;
+            m.store_copy(ck.clone());
+            let buddy = m.buddy_of(src);
+            if buddy == src {
+                return;
+            }
+            let bytes = ck.bytes + m.cfg.rt.envelope_bytes;
+            let copy = Checkpoint { on: buddy, ..ck };
+            let token = m.am_store.insert(AmKind::Checkpoint(copy));
+            gaat_ucx::am_send(m, sim, WorkerId(src), WorkerId(buddy), bytes, token);
+        }
     }
 }
 
@@ -276,11 +290,11 @@ pub struct Machine {
     /// GPU completion tags, active-message tokens, UCX user cookies and
     /// deferred runtime actions (see [`Deferred`]). Rollback clears all
     /// four, so a key issued before it reads as stale.
-    pub(crate) tag_routes: Slab<TagRoute>,
-    pub(crate) am_store: Slab<AmKind>,
-    pub(crate) ucx_routes: Slab<Callback>,
-    pub(crate) deferred: Slab<Deferred>,
-    pub(crate) reductions: HashMap<(u64, u64), ReductionSlot>,
+    tag_routes: Slab<TagRoute>,
+    am_store: Slab<AmKind>,
+    ucx_routes: Slab<Callback>,
+    deferred: Slab<Deferred>,
+    reductions: HashMap<(u64, u64), ReductionSlot>,
     next_reducer: u64,
     next_channel: u64,
     /// Liveness of each PE (all true until a planned failure fires).
@@ -357,6 +371,29 @@ impl Machine {
     /// holds none, across rollbacks too.
     pub fn parked(&self) -> usize {
         self.tag_routes.len() + self.am_store.len() + self.ucx_routes.len() + self.deferred.len()
+    }
+
+    /// Tear down every layer's in-flight state for a rollback: cancel the
+    /// transport's retry timers and forget its transfers, clear the
+    /// parked payloads and open reductions, empty every PE's queue and
+    /// purge every device. Anything the fabric still delivers afterwards
+    /// is dropped as a stale token.
+    pub(crate) fn clear_in_flight(&mut self, sim: &mut Sim<Machine>) {
+        for timer in self.ucx.purge() {
+            sim.cancel(timer);
+        }
+        self.tag_routes.clear();
+        self.am_store.clear();
+        self.ucx_routes.clear();
+        self.deferred.clear();
+        self.reductions.clear();
+        let now = sim.now();
+        for pe in 0..self.pes.len() {
+            self.pes[pe].clear();
+            // In-flight kernels from before the rollback must not apply
+            // their effects to restored buffers.
+            self.devices[pe].purge(now);
+        }
     }
 
     /// Schedule the fault plan's time-triggered faults (link and PE
@@ -775,9 +812,9 @@ pub struct Ctx<'a> {
     pub machine: &'a mut Machine,
     /// The simulator (for scheduling custom events).
     pub sim: &'a mut Sim<Machine>,
-    pub(crate) pe: usize,
-    pub(crate) chare: ChareId,
-    pub(crate) charged: SimDuration,
+    pe: usize,
+    chare: ChareId,
+    charged: SimDuration,
     block: Option<(DeviceId, StreamId, Callback)>,
 }
 
@@ -916,9 +953,27 @@ impl<'a> Ctx<'a> {
         });
     }
 
+    /// Checkpoint the executing chare at logical `epoch` (double
+    /// in-memory checkpointing). `state` must be a clone of the executing
+    /// chare, with any device-side state it needs captured into it;
+    /// `bytes` is the wire price of that state. The owner's PE keeps one
+    /// copy and a runtime message carries the other to the buddy PE. A
+    /// rollback swaps a copy of `state` into the chare table.
+    pub fn store_checkpoint(&mut self, epoch: u64, state: Box<dyn Chare>, bytes: u64) {
+        self.charged += self.machine.cfg.rt.send_overhead;
+        let (chare, on) = (self.chare, self.pe);
+        self.defer_at_charge(Deferred::Checkpoint(Checkpoint {
+            chare,
+            epoch,
+            on,
+            bytes,
+            state,
+        }));
+    }
+
     /// Park `d` and run it when this entry method reaches its current
     /// charge offset.
-    pub(crate) fn defer_at_charge(&mut self, d: Deferred) {
+    fn defer_at_charge(&mut self, d: Deferred) {
         let key = self.machine.deferred.insert(d);
         let at = self.sim.now() + self.charged;
         self.sim.at(at, run_deferred, key);

@@ -20,24 +20,23 @@
 use std::collections::BTreeMap;
 
 use gaat_sim::{Sim, SimDuration, SimTime};
-use gaat_ucx::WorkerId;
 
 use crate::config::LbPolicy;
-use crate::machine::{AmKind, Chare, Ctx, Deferred, Machine};
+use crate::machine::{Chare, Machine};
 use crate::msg::{ChareId, EntryId};
 
 /// One copy of a chare's checkpoint: in flight to the PE that will
 /// hold it, or held there.
 #[derive(Clone)]
 pub(crate) struct Checkpoint {
-    chare: ChareId,
-    epoch: u64,
+    pub(crate) chare: ChareId,
+    pub(crate) epoch: u64,
     /// PE whose memory holds the copy (the owner's PE until it departs
     /// for the buddy). Copies held by a PE that fails are lost with it.
-    on: usize,
+    pub(crate) on: usize,
     /// Wire price of the state, without the runtime envelope.
-    bytes: u64,
-    state: Box<dyn Chare>,
+    pub(crate) bytes: u64,
+    pub(crate) state: Box<dyn Chare>,
 }
 
 /// Closed-loop load-balancer counters (all zero with the balancer off).
@@ -71,11 +70,6 @@ pub(crate) struct Recovery {
     /// Held copies per chare, sorted by (epoch, holder), so the last one
     /// is the chare's newest epoch.
     store: Vec<Vec<Checkpoint>>,
-    /// The global cut: the minimum over chares of the newest epoch held
-    /// (0 for a chare with none).
-    cut: u64,
-    /// Chares whose newest epoch is `cut`.
-    at_cut: usize,
     /// Recovery generation: 0 until the first rollback. Event-layer
     /// lookups stay strict (panic on unknown ids) while this is 0 and
     /// tolerate post-purge stragglers afterwards.
@@ -106,10 +100,6 @@ impl Recovery {
     /// Track one more chare.
     pub(crate) fn add_chare(&mut self) {
         self.store.push(Vec::new());
-        if self.cut > 0 {
-            (self.cut, self.at_cut) = (0, 0);
-        }
-        self.at_cut += 1;
         self.recent.push(0);
         self.ewma.push(0);
         self.sent.push(BTreeMap::new());
@@ -130,17 +120,10 @@ impl Recovery {
     /// complete cut survives a failure that lands mid-checkpoint-wave.
     fn store(&mut self, ck: Checkpoint) {
         let c = ck.chare.0;
-        let was = newest(&self.store[c]);
         let slots = &mut self.store[c];
         slots.retain(|s| !(s.epoch == ck.epoch && s.on == ck.on));
         slots.push(ck);
         slots.sort_by_key(|s| (s.epoch, s.on));
-        if newest(slots) > was && was == self.cut {
-            self.at_cut -= 1;
-            if self.at_cut == 0 {
-                self.recompute_cut();
-            }
-        }
         // Recovery and the balancer restore from the global cut.
         // Asynchrony lets fast chares run several epochs ahead of a
         // straggler, so pruning to the newest two alone would evict the
@@ -148,7 +131,7 @@ impl Recovery {
         // also keeps its newest epoch at or below the cut; retention
         // stays bounded by the drift the application's dependences
         // allow. Pruning never drops the newest epoch, so the cut holds.
-        let cut = self.cut;
+        let cut = self.cut();
         let slots = &mut self.store[c];
         let mut epochs: Vec<u64> = slots.iter().map(|s| s.epoch).collect();
         epochs.dedup();
@@ -157,17 +140,12 @@ impl Recovery {
             let held_cut = epochs.iter().rev().find(|&&e| e <= cut).map_or(0, |&e| e);
             slots.retain(|s| s.epoch >= newest_two.min(held_cut));
         }
-        debug_assert_eq!((self.cut, self.at_cut), self.rescan(), "cut drifted");
     }
 
-    fn recompute_cut(&mut self) {
-        (self.cut, self.at_cut) = self.rescan();
-    }
-
-    /// The global cut and the chares at it, from a full scan of the store.
-    fn rescan(&self) -> (u64, usize) {
-        let cut = self.store.iter().map(|s| newest(s)).min().unwrap_or(0);
-        (cut, self.store.iter().filter(|s| newest(s) == cut).count())
+    /// The global cut: the minimum over chares of the newest epoch held
+    /// (0 while some chare holds none).
+    fn cut(&self) -> u64 {
+        self.store.iter().map(|s| newest(s)).min().unwrap_or(0)
     }
 
     /// The cut epoch and a copy of each chare's newest checkpoint at or
@@ -176,31 +154,13 @@ impl Recovery {
     /// two retained epochs, so a chare may hold nothing at or before
     /// the cut.
     fn cut_states(&self) -> Option<(u64, Vec<Box<dyn Chare>>)> {
-        let epoch = self.cut;
+        let epoch = self.cut();
         let states = self.store.iter().map(|slots| {
             let ck = slots.iter().rev().find(|s| s.epoch <= epoch)?;
             Some(ck.state.clone())
         });
         Some((epoch, states.collect::<Option<_>>()?))
     }
-}
-
-/// A checkpoint leaves its entry method: keep the local copy, ship the
-/// other to the buddy PE.
-pub(crate) fn depart(m: &mut Machine, sim: &mut Sim<Machine>, ck: Checkpoint) {
-    // Local half of the double checkpoint: a copy in the owner PE's own
-    // memory, no wire cost. It covers the case where the *buddy* is the
-    // PE that fails.
-    let src = ck.on;
-    m.store_copy(ck.clone());
-    let buddy = m.buddy_of(src);
-    if buddy == src {
-        return;
-    }
-    let bytes = ck.bytes + m.cfg.rt.envelope_bytes;
-    let copy = Checkpoint { on: buddy, ..ck };
-    let token = m.am_store.insert(AmKind::Checkpoint(copy));
-    gaat_ucx::am_send(m, sim, WorkerId(src), WorkerId(buddy), bytes, token);
 }
 
 /// Fired scheduled-PE-failure event: the process at
@@ -227,9 +187,6 @@ fn recover(m: &mut Machine, sim: &mut Sim<Machine>, failed: u64) {
     for slots in &mut m.recovery.store {
         slots.retain(|s| s.on != failed as usize);
     }
-    m.recovery.recompute_cut();
-    let r = &m.recovery;
-    debug_assert_eq!((r.cut, r.at_cut), r.rescan(), "cut not recomputed");
     let mut pe_load = vec![0u64; m.pes.len()];
     let mut refugees = Vec::new();
     for c in 0..m.chare_count() {
@@ -308,27 +265,6 @@ fn lb_tick(m: &mut Machine, sim: &mut Sim<Machine>, round: u64) {
     m.recovery.stats.apply_host_ns += t0.elapsed().as_nanos() as u64;
 }
 
-impl Ctx<'_> {
-    /// Checkpoint the executing chare at logical `epoch` (double
-    /// in-memory checkpointing). `state` is a clone of the chare with
-    /// any device-side state it needs captured into it; `bytes` is the
-    /// wire price of that state. The owner's PE keeps one copy and a
-    /// runtime message carries the other to the buddy PE. A rollback
-    /// swaps a copy of `state` into the chare table.
-    pub fn store_checkpoint(&mut self, epoch: u64, state: Box<dyn Chare>, bytes: u64) {
-        self.charged += self.machine.cfg.rt.send_overhead;
-        let (chare, on) = (self.chare, self.pe);
-        let ck = Checkpoint {
-            chare,
-            epoch,
-            on,
-            bytes,
-            state,
-        };
-        self.defer_at_charge(Deferred::Checkpoint(ck));
-    }
-}
-
 impl Machine {
     /// Recovery generation: 0 until the first rollback.
     pub fn incarnation(&self) -> u64 {
@@ -400,7 +336,8 @@ impl Machine {
 
     /// Global rollback to the newest checkpoint epoch every chare holds
     /// (the collective cut), moving chares on the way: tear down every
-    /// layer's in-flight state, apply `moves`, swap a copy of each
+    /// layer's in-flight state ([`Machine::clear_in_flight`]), apply
+    /// `moves`, swap a copy of each
     /// chare's checkpoint into the chare table in id order, and
     /// broadcast the registered resume entry with the epoch as its
     /// refnum. Returns the epoch, or `None` — before touching any state
@@ -409,29 +346,18 @@ impl Machine {
         let (targets, entry) = self.recovery.resume.clone()?;
         let (epoch, states) = self.recovery.cut_states()?;
         self.recovery.incarnation += 1;
-        // Communication layer first: cancel its retry timers, forget all
-        // in-flight transfers and routes. Anything the fabric still
-        // delivers afterwards is dropped as a stale token.
-        for timer in self.ucx.purge() {
-            sim.cancel(timer);
-        }
-        self.tag_routes.clear();
-        self.am_store.clear();
-        self.ucx_routes.clear();
-        self.deferred.clear();
-        self.reductions.clear();
-        let now = sim.now();
-        for pe in 0..self.pes.len() {
-            self.pes[pe].clear();
-            // In-flight kernels from before the rollback must not apply
-            // their effects to restored buffers.
-            self.devices[pe].purge(now);
-        }
+        self.clear_in_flight(sim);
         for &(c, pe) in moves {
             self.migrate(c, pe);
         }
         self.stats.chares_restored += states.len() as u64;
         for (slot, state) in self.chares.iter_mut().zip(states) {
+            let was = slot.as_deref().expect("chare resident during rollback");
+            debug_assert_eq!(
+                was.type_id(),
+                (*state).type_id(),
+                "a checkpoint must be a clone of its chare"
+            );
             *slot = Some(state);
         }
         self.broadcast(sim, &targets, entry, epoch);
@@ -448,7 +374,7 @@ impl Machine {
 
     /// Next live PE after `pe` in ring order: the buddy that holds its
     /// chares' checkpoints.
-    fn buddy_of(&self, pe: usize) -> usize {
+    pub(crate) fn buddy_of(&self, pe: usize) -> usize {
         let n = self.pes.len();
         (1..=n)
             .map(|k| (pe + k) % n)

@@ -214,8 +214,9 @@ impl BlockChare {
             let mut interior = Vec::new();
             let mem = &ctx.machine.devices[self.dev.0].mem;
             self.block.read_interior(mem, |_, v| interior.push(v));
+            let pending = std::mem::take(&mut self.pending);
             let mut ck = self.clone();
-            ck.pending = WhenSet::new();
+            self.pending = pending;
             ck.resume = Some(interior);
             ctx.store_checkpoint(self.iter as u64, Box::new(ck), self.state_bytes());
         }
