@@ -189,7 +189,8 @@ impl MachineConfig {
     /// [`crate::Simulation`] is built from it: the machine has a PE,
     /// every fault names a link,
     /// PE or device the machine has, the UCX staging stream's priority is
-    /// a stream priority class, and PE failures and the load balancer run
+    /// a stream priority class, the pipelined protocol's chunk is at
+    /// least one byte, and PE failures and the load balancer run
     /// over the reliable transport. Both purge fabric-stashed
     /// deliveries for cancelled transfers, which only the reliable
     /// transport's token tracking can identify as stale.
@@ -241,6 +242,9 @@ impl MachineConfig {
         let priority = self.ucx.staging_priority;
         if priority >= gaat_gpu::PRIORITY_CLASSES {
             return Err(ConfigError::StagingPriorityOutOfRange { priority });
+        }
+        if self.ucx.pipeline_chunk == 0 {
+            return Err(ConfigError::PipelineChunkZero);
         }
         if !faults.pe_failures.is_empty() && !self.ucx.reliability.enabled {
             return Err(ConfigError::PeFailureNeedsReliability);
@@ -297,6 +301,9 @@ pub enum ConfigError {
         /// The priority asked for.
         priority: usize,
     },
+    /// `ucx.pipeline_chunk` is 0: the pipelined protocol cannot split a
+    /// message into chunks.
+    PipelineChunkZero,
     /// PE failures are armed without the reliable transport.
     PeFailureNeedsReliability,
     /// The load balancer is armed without the reliable transport.
@@ -339,6 +346,7 @@ impl std::fmt::Display for ConfigError {
                 "ucx.staging_priority is {priority}, but streams have {} priority classes",
                 gaat_gpu::PRIORITY_CLASSES
             ),
+            ConfigError::PipelineChunkZero => f.write_str("ucx.pipeline_chunk must be >= 1 byte"),
             ConfigError::PeFailureNeedsReliability => {
                 f.write_str("PE-failure recovery requires ucx.reliability.enabled")
             }
@@ -381,6 +389,17 @@ mod tests {
         let e = c.validate().unwrap_err();
         assert_eq!(e, ConfigError::StagingPriorityOutOfRange { priority: 4 });
         assert!(e.to_string().contains("ucx.staging_priority is 4"));
+    }
+
+    #[test]
+    fn pipeline_chunk_must_be_positive() {
+        let mut c = MachineConfig::validation(1, 2);
+        c.ucx.pipeline_chunk = 1;
+        assert_eq!(c.validate(), Ok(()));
+        c.ucx.pipeline_chunk = 0;
+        let e = c.validate().unwrap_err();
+        assert_eq!(e, ConfigError::PipelineChunkZero);
+        assert!(e.to_string().contains("ucx.pipeline_chunk"));
     }
 
     /// `MachineConfig::summit_fattree(4)` with its fat-tree parameters

@@ -14,7 +14,7 @@
 //!   scheduling, sends, and kernel launches — making overdecomposition
 //!   overheads and CPU-side launch costs first-class, as the paper's
 //!   strong-scaling analysis requires. Every chare derives `Clone`,
-//!   which is how a [`WorldSnapshot`] forks the world mid-flight.
+//!   which is how cloning a [`Simulation`] forks the world mid-flight.
 //! - [`channel`]: the Channel API (two-sided GPU-aware transfers with
 //!   callback completion).
 //! - [`gpu_msg`]: the older GPU Messaging API with its post-entry-method
@@ -90,7 +90,7 @@ pub mod slot;
 pub use channel::{create_channel, ChannelEnd};
 pub use config::{ConfigError, LbConfig, LbPolicy, MachineConfig, RtCosts};
 pub use lb::{periodic_plan, LbPlan, LbSensors};
-pub use machine::{Chare, ChareClone, Ctx, Machine, MachineStats, Simulation, WorldSnapshot};
+pub use machine::{Chare, ChareClone, Ctx, Machine, MachineStats, Simulation};
 pub use msg::{Callback, ChareId, EntryId, Envelope, MsgPriority};
 pub use pe::{Pe, PeStats};
 pub use recovery::LbStats;

@@ -28,7 +28,7 @@ use crate::recovery::{Checkpoint, Recovery};
 /// `env.entry` the way a Charm Interface file declares entry methods.
 /// The `Any` supertrait enables post-run state inspection via
 /// [`Machine::chare_as`]. The [`ChareClone`] supertrait comes free with
-/// `#[derive(Clone)]`: it is how a world snapshot deep-copies chares
+/// `#[derive(Clone)]`: it is how a world fork deep-copies chares
 /// mid-flight, and how a chare checkpoints itself
 /// ([`Ctx::store_checkpoint`] takes a clone, which a rollback swaps back
 /// into the chare table).
@@ -1031,11 +1031,33 @@ impl<'a> Ctx<'a> {
 }
 
 /// A ready-to-run simulation: the engine plus the machine.
+///
+/// Cloning forks the world mid-run: the engine's pending events plus a
+/// deep copy of the [`Machine`]. A clone driven to quiescence replays
+/// bit-identically to the original, and `clone_from` rewinds a world to
+/// the same clone any number of times while keeping the engine's heap
+/// allocations. This is the sweep engine's prefix fork; it is the
+/// in-memory half of the paper's double in-memory checkpoint, used for
+/// memoization instead of recovery.
 pub struct Simulation {
     /// The event engine.
     pub sim: Sim<Machine>,
     /// The machine state.
     pub machine: Machine,
+}
+
+impl Clone for Simulation {
+    fn clone(&self) -> Self {
+        Simulation {
+            sim: self.sim.clone(),
+            machine: self.machine.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.sim.clone_from(&source.sim);
+        self.machine.clone_from(&source.machine);
+    }
 }
 
 impl Simulation {
@@ -1076,33 +1098,9 @@ impl Simulation {
     /// exactly `deadline` still run), the queue drains, or the event
     /// limit trips. Resuming with [`Simulation::run`] (or a later
     /// deadline) continues exactly as an uninterrupted run would — the
-    /// pause point the sweep's prefix memoization snapshots at.
+    /// pause point at which the sweep's prefix memoization forks.
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
         self.sim.run_until(&mut self.machine, deadline)
-    }
-
-    /// Capture the complete world — engine pending-event state plus a
-    /// deep machine clone — for later [`Simulation::restore`]. Every
-    /// pending event is plain data, so any paused world can be captured.
-    pub fn snapshot(&self) -> WorldSnapshot {
-        assert!(
-            self.machine.chares.iter().all(Option::is_some),
-            "chare executing during fork"
-        );
-        WorldSnapshot {
-            machine: self.machine.clone(),
-            engine: self.sim.snapshot(),
-        }
-    }
-
-    /// Rewind this simulation to the state captured by
-    /// [`Simulation::snapshot`]. The restored world replays
-    /// bit-identically to one that ran fresh to the snapshot point; one
-    /// snapshot can be restored any number of times (each restore
-    /// re-clones the captured machine).
-    pub fn restore(&mut self, snap: &WorldSnapshot) {
-        self.sim.restore(&snap.engine);
-        self.machine = snap.machine.clone();
     }
 
     /// Swap the stochastic portion of the fault plan in place — a pure
@@ -1134,31 +1132,6 @@ impl Simulation {
         self.machine.fabric.set_faults(faults.clone());
         self.machine.cfg.faults = faults;
         Ok(())
-    }
-}
-
-/// A complete point-in-time capture of a [`Simulation`]: the engine's
-/// pending-event state ([`gaat_sim::SimSnapshot`]) plus a deep clone of
-/// the [`Machine`] — chares, device queues, fabric flow state, UCX
-/// transfer/retry tables, PE queues, RNG, and counters. The fork
-/// primitive behind the sweep engine's prefix memoization; conceptually
-/// the in-memory half of the paper's double in-memory checkpoint, reused
-/// for memoization instead of recovery. Taking one never fails: every
-/// pending event is a plain `fn` plus one payload word.
-pub struct WorldSnapshot {
-    machine: Machine,
-    engine: gaat_sim::SimSnapshot<Machine>,
-}
-
-impl WorldSnapshot {
-    /// Simulated time at which the snapshot was taken.
-    pub fn now(&self) -> SimTime {
-        self.engine.now()
-    }
-
-    /// Live pending events captured in the snapshot.
-    pub fn pending(&self) -> usize {
-        self.engine.pending()
     }
 }
 

@@ -25,8 +25,8 @@ pub enum MsgPriority {
 
 /// A clonable message payload: blanket-implemented for every `'static +
 /// Clone` type, so entry methods keep passing plain structs. The clone
-/// hook is what lets a world snapshot deep-copy in-flight envelopes for
-/// the sweep memoizer's fork/restore; delivery still downcasts exactly
+/// hook is what lets a world fork deep-copy in-flight envelopes for the
+/// sweep memoizer; delivery still downcasts exactly
 /// as with `Box<dyn Any>`.
 pub trait Payload: Any {
     /// Deep-copy into a fresh boxed payload.

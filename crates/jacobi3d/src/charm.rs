@@ -714,7 +714,7 @@ pub fn run_tolerant(
 /// `block_proxy.run()` of the paper's Fig. 3) without running the
 /// engine. Startup is outside the timed region, but the costs are real.
 /// The sweep memoizer needs the start and the drain as separate steps so
-/// it can pause at a fault-onset instant, snapshot the world, and fork;
+/// it can pause at a fault-onset instant, clone the world, and fork;
 /// [`run_tolerant`] is exactly `start` + [`finish_tolerant`].
 pub fn start(sim: &mut Simulation, ids: &[ChareId]) {
     let Simulation { sim, machine, .. } = sim;
@@ -723,8 +723,8 @@ pub fn start(sim: &mut Simulation, ids: &[ChareId]) {
 
 /// Drain an already-started run to quiescence and collect, tolerating
 /// stalls (see [`run_tolerant`]). Also the second half of a forked
-/// branch: after a [`Simulation::restore`] the broadcast is already in
-/// the replayed event state, so the branch resumes here directly.
+/// branch: a world rewound to a clone taken after [`start`] already has
+/// the broadcast in its event state, so the branch resumes here directly.
 pub fn finish_tolerant(
     sim: &mut Simulation,
     ids: &[ChareId],

@@ -1,8 +1,8 @@
 //! World snapshot/fork validation at the full-runtime level.
 //!
 //! The sweep engine's prefix memoization rests on one claim: a world
-//! restored from a [`Simulation::snapshot`] and driven to quiescence is
-//! bit-identical to a world that ran the same scenario fresh from
+//! rewound to a clone of a paused [`Simulation`] and driven to quiescence
+//! is bit-identical to a world that ran the same scenario fresh from
 //! `t = 0`. These tests pin that claim for the Jacobi3D app across the
 //! late-diverging fault axes the memoizer actually forks on
 //! (drop probability and fault seed past an onset instant), including
@@ -53,12 +53,16 @@ struct Outcome {
     link_faults: u64,
     failovers: u64,
     flow_aborts: u64,
+    parked: usize,
+    ucx_stashed: usize,
+    ucx_in_flight: usize,
+    leaked_events: usize,
 }
 
 fn outcome(sim: &Simulation, result: Option<RunResult>, stalled: usize) -> Outcome {
     let net = sim.machine.fabric.stats();
     let ucx = sim.machine.ucx.stats();
-    Outcome {
+    let o = Outcome {
         result,
         stalled,
         end_ns: sim.now().as_ns(),
@@ -71,7 +75,21 @@ fn outcome(sim: &Simulation, result: Option<RunResult>, stalled: usize) -> Outco
         link_faults: net.link_faults,
         failovers: net.failovers,
         flow_aborts: net.flow_aborts,
+        parked: sim.machine.parked(),
+        ucx_stashed: sim.machine.ucx.stashed(),
+        ucx_in_flight: sim.machine.ucx.in_flight(),
+        leaked_events: sim.sim.leak_check(),
+    };
+    // A run whose blocks all finished must leave nothing behind in any
+    // layer: no parked payload, no transport state, no engine event.
+    if stalled == 0 {
+        assert_eq!(
+            (o.parked, o.ucx_stashed, o.ucx_in_flight, o.leaked_events),
+            (0, 0, 0, 0),
+            "a finished run leaked state"
+        );
     }
+    o
 }
 
 fn run_fresh(cfg: JacobiConfig) -> Outcome {
@@ -80,19 +98,20 @@ fn run_fresh(cfg: JacobiConfig) -> Outcome {
     outcome(&sim, res, stalled)
 }
 
-/// Build under `branch0`, pause just before the shared onset, snapshot,
-/// let branch0 finish live, then restore once per other branch with its
-/// fault plan swapped in. Returns one outcome per branch, in order.
+/// Build under `branch0`, pause just before the shared onset, clone the
+/// world, let branch0 finish live, then rewind to the clone once per
+/// other branch with its fault plan swapped in. Returns one outcome per
+/// branch, in order.
 fn run_forked(branches: &[JacobiConfig], onset: SimTime) -> Vec<Outcome> {
     let (mut sim, ids, sh) = charm::build(branches[0].clone());
     charm::start(&mut sim, &ids);
     sim.run_until(onset - SimDuration::from_ns(1));
-    let snap = sim.snapshot();
+    let snap = sim.clone();
     let mut out = Vec::new();
     let (res, stalled) = charm::finish_tolerant(&mut sim, &ids, &sh);
     out.push(outcome(&sim, res, stalled));
     for cfg in &branches[1..] {
-        sim.restore(&snap);
+        sim.clone_from(&snap);
         sim.set_stochastic_faults(cfg.machine.faults.clone())
             .expect("branches share their time-triggered faults");
         let (res, stalled) = charm::finish_tolerant(&mut sim, &ids, &sh);

@@ -36,8 +36,8 @@
 //! - **Plain-data events.** Every event (message delivery, kernel/DMA
 //!   completion, progress ticks) is a plain function plus one integer
 //!   payload word, stored inline in its slot — no `Box`, no vtable — so
-//!   an event is `Copy` and the whole arena snapshots with one slice
-//!   copy.
+//!   an event is `Copy` and cloning the engine (the world fork) copies
+//!   the whole arena with one slice copy.
 //!
 //! Determinism is unchanged from the original heap engine: the firing
 //! order is exactly lexicographic `(time, seq)`. The ring is sorted by
@@ -161,46 +161,6 @@ pub enum RunOutcome {
     EventLimit,
 }
 
-/// A point-in-time capture of a [`Sim`]'s complete pending-event state:
-/// the clock, every counter, the event slab (free list and generations
-/// included, so every future [`EventId`] replays exactly), the current
-/// instant's FIFO ring, the occupied wheel buckets' list heads (the
-/// links themselves live in the slab), and the overflow heap.
-/// [`Sim::restore`] rewinds an engine to this state; the restored
-/// engine then replays bit-identically to one that ran fresh to the
-/// same point. Every event is plain data, so every engine state can be
-/// captured.
-pub struct SimSnapshot<W> {
-    now: SimTime,
-    next_seq: u64,
-    executed: u64,
-    event_limit: u64,
-    live: usize,
-    peak_pending: usize,
-    drained: bool,
-    events: Slab<Event<W>>,
-    ring: Vec<u32>,
-    ring_at: SimTime,
-    /// `(bucket index, list head)` for every occupied wheel bucket.
-    buckets: Vec<(u32, u32)>,
-    wheel_len: usize,
-    overflow: Vec<OvEntry>,
-}
-
-impl<W> SimSnapshot<W> {
-    /// Simulated time at which the snapshot was taken.
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Live pending events captured in the snapshot.
-    #[inline]
-    pub fn pending(&self) -> usize {
-        self.live
-    }
-}
-
 /// A deterministic discrete-event simulator over world type `W`.
 pub struct Sim<W> {
     now: SimTime,
@@ -239,6 +199,60 @@ pub struct Sim<W> {
 impl<W> Default for Sim<W> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Cloning forks the engine mid-run. The copy holds the same clock,
+/// counters and pending events, and the slab's free list and
+/// generations too, so it mints the same [`EventId`]s and replays
+/// bit-identically to the original from that point. Every event is plain
+/// data, so every engine state can be cloned. By hand: `Event<W>` is
+/// `Copy` for every `W`, so no `W: Clone` bound is needed.
+impl<W> Clone for Sim<W> {
+    fn clone(&self) -> Self {
+        let mut sim = Sim::new();
+        sim.clone_from(self);
+        sim
+    }
+
+    /// Copy `source` into this engine, keeping this engine's heap
+    /// allocations (like [`Sim::reset`]): the fork's restore path, which
+    /// can rewind one engine to the same clone any number of times.
+    fn clone_from(&mut self, source: &Self) {
+        // Destructured so that a new field fails to compile until it is
+        // copied here; `scratch` holds nothing between instants.
+        let Sim {
+            now,
+            next_seq,
+            executed,
+            event_limit,
+            live,
+            peak_pending,
+            drained,
+            events,
+            ring,
+            ring_at,
+            heads,
+            occ,
+            wheel_len,
+            overflow,
+            scratch: _,
+        } = source;
+        self.now = *now;
+        self.next_seq = *next_seq;
+        self.executed = *executed;
+        self.event_limit = *event_limit;
+        self.live = *live;
+        self.peak_pending = *peak_pending;
+        self.drained = *drained;
+        self.events.clone_from(events);
+        self.ring.clone_from(ring);
+        self.ring_at = *ring_at;
+        self.heads.clone_from(heads);
+        self.occ.clone_from(occ);
+        self.wheel_len = *wheel_len;
+        self.overflow.clone_from(overflow);
+        self.scratch.clear();
     }
 }
 
@@ -293,86 +307,15 @@ impl<W> Sim<W> {
         self.events.reset();
         self.ring.clear();
         self.ring_at = SimTime::ZERO;
-        self.clear_wheel();
-        self.overflow.clear();
-        self.scratch.clear();
-    }
-
-    /// Empty the wheel. A bucket head counts only while its occupancy
-    /// bit is set, so zeroing the bitmap empties every bucket; the
-    /// entries' slots belong to the slab, which the caller resets or
-    /// overwrites.
-    fn clear_wheel(&mut self) {
+        // A bucket head counts only while its occupancy bit is set, so
+        // zeroing the bitmap empties every bucket.
         debug_assert!(
             self.wheel_len > 0 || self.occ.iter().all(|&w| w == 0),
             "occ/wheel_len drift"
         );
         self.occ.fill(0);
         self.wheel_len = 0;
-    }
-
-    /// Capture the engine's complete pending-event state.
-    ///
-    /// The capture is deep: the slab's free list and per-slot
-    /// generations are recorded too, so the exact [`EventId`]s future
-    /// scheduling will mint replay identically after [`Sim::restore`].
-    pub fn snapshot(&self) -> SimSnapshot<W> {
-        let mut buckets = Vec::new();
-        for w in 0..OCC_WORDS {
-            let mut word = self.occ[w];
-            while word != 0 {
-                let b = word.trailing_zeros() as usize;
-                let bi = w * 64 + b;
-                buckets.push((bi as u32, self.heads[bi]));
-                word &= word - 1;
-            }
-        }
-        SimSnapshot {
-            now: self.now,
-            next_seq: self.next_seq,
-            executed: self.executed,
-            event_limit: self.event_limit,
-            live: self.live,
-            peak_pending: self.peak_pending,
-            drained: self.drained,
-            events: self.events.clone(),
-            ring: self.ring.iter().copied().collect(),
-            ring_at: self.ring_at,
-            buckets,
-            wheel_len: self.wheel_len,
-            overflow: self.overflow.iter().copied().collect(),
-        }
-    }
-
-    /// Rewind this engine to the exact state captured by
-    /// [`Sim::snapshot`], keeping every heap allocation (like
-    /// [`Sim::reset`]). After restoring, the engine replays
-    /// bit-identically to one that ran fresh to the snapshot point: the
-    /// clock, sequence counter, event slab, ring,
-    /// wheel, and overflow heap all match. One snapshot can be restored
-    /// any number of times — the fork primitive the sweep memoizer
-    /// builds on.
-    pub fn restore(&mut self, snap: &SimSnapshot<W>) {
-        self.now = snap.now;
-        self.next_seq = snap.next_seq;
-        self.executed = snap.executed;
-        self.event_limit = snap.event_limit;
-        self.live = snap.live;
-        self.peak_pending = snap.peak_pending;
-        self.drained = snap.drained;
-        self.events.clone_from(&snap.events);
-        self.ring.clear();
-        self.ring.extend(snap.ring.iter().copied());
-        self.ring_at = snap.ring_at;
-        self.clear_wheel();
-        for &(bi, head) in &snap.buckets {
-            let bi = bi as usize;
-            self.heads[bi] = head;
-            self.occ[bi / 64] |= 1u64 << (bi % 64);
-        }
-        self.wheel_len = snap.wheel_len;
         self.overflow.clear();
-        self.overflow.extend(snap.overflow.iter().copied());
         self.scratch.clear();
     }
 
@@ -849,7 +792,7 @@ mod tests {
         let mut prefix = Vec::new();
         build(&mut sim);
         sim.run_until(&mut prefix, SimTime::from_ns(35));
-        let snap = sim.snapshot();
+        let snap = sim.clone();
         assert_eq!(snap.now(), sim.now());
         assert_eq!(snap.pending(), sim.pending());
         let snap_executed = sim.events_executed();
@@ -863,7 +806,7 @@ mod tests {
         // Restore over the drained engine and replay the tail again; the
         // same snapshot must fork any number of times.
         for round in 0..3 {
-            sim.restore(&snap);
+            sim.clone_from(&snap);
             assert_eq!(sim.events_executed(), snap_executed);
             assert_eq!(sim.now(), snap.now());
             let mut again = prefix.clone();
@@ -889,10 +832,10 @@ mod tests {
         }
         sim.after(d(10), nop, 0);
         sim.run_until(&mut w, SimTime::from_ns(5));
-        let snap = sim.snapshot();
+        let snap = sim.clone();
         let a = sim.after(d(1), nop, 0);
         let b = sim.after(d(2), nop, 0);
-        sim.restore(&snap);
+        sim.clone_from(&snap);
         let a2 = sim.after(d(1), nop, 0);
         let b2 = sim.after(d(2), nop, 0);
         assert_eq!((a, b), (a2, b2), "post-restore EventIds must replay");
@@ -1160,7 +1103,7 @@ mod tests {
         let mut prefix = Vec::new();
         schedule_tie(&mut sim);
         sim.run_until(&mut prefix, SimTime::from_ns(TIE - 1));
-        let snap = sim.snapshot();
+        let snap = sim.clone();
         // Replay the tail, then mint fresh ids from the drained engine.
         let tail = |sim: &mut Sim<World>| {
             let mut w = prefix.clone();
@@ -1172,7 +1115,7 @@ mod tests {
         let expect = tail(&mut sim);
         assert_eq!(expect.0[..5], [100, 101, 1, 3, 4]);
         for round in 0..2 {
-            sim.restore(&snap);
+            sim.clone_from(&snap);
             assert_eq!(sim.wheel_len, 4);
             assert_eq!(tail(&mut sim), expect, "restore round {round}");
         }

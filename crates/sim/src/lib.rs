@@ -10,7 +10,7 @@
 //! the communication library, the task runtime, and the Jacobi3D proxy
 //! application — executes as events scheduled on [`Sim`] over a world
 //! type the embedding crate chooses. An event is a plain `fn` plus one
-//! payload word, so any engine state can be snapshotted and forked.
+//! payload word, so cloning a [`Sim`] forks any engine state.
 //!
 //! ```
 //! use gaat_sim::{Sim, SimDuration};
@@ -32,7 +32,7 @@ pub mod slab;
 pub mod time;
 pub mod trace;
 
-pub use engine::{EventId, RunOutcome, Sim, SimSnapshot};
+pub use engine::{EventId, RunOutcome, Sim};
 pub use fault::{FaultPlan, LinkFault, LinkFaultKind, MsgFate, PeFault, StragglerWindow};
 pub use rng::{mix64, SimRng};
 pub use slab::Slab;

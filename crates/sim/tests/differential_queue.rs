@@ -5,8 +5,8 @@
 //! Both sides interpret an identical stream of RNG-derived commands, so
 //! any divergence in firing order — ring vs bucket vs overflow routing,
 //! cancellation, horizon crossings — shows up as the first mismatching
-//! trace entry. The real engine also forks mid-run: it snapshots at the
-//! reference's median event time and replays the tail from the snapshot
+//! trace entry. The real engine also forks mid-run: it clones itself at
+//! the reference's median event time and replays the tail from the clone
 //! twice, and all three tails must match. The same three runs are then
 //! repeated on an engine that was left mid-run on another seed's
 //! workload and `reset()`. Seeded via [`SimRng`] so failures replay
@@ -119,8 +119,8 @@ fn start_real(sim: &mut Sim<RealWorld>, seed: u64, initial: u64, budget: u64) ->
 }
 
 /// Run the workload on `sim`, a fresh or reset engine, pausing at
-/// `fork_at` to snapshot the engine and clone the world. Returns the
-/// uninterrupted run, then two runs restored from that snapshot.
+/// `fork_at` to clone the engine and the world. Returns the
+/// uninterrupted run, then two runs restored from that clone.
 fn run_real(
     sim: &mut Sim<RealWorld>,
     seed: u64,
@@ -130,12 +130,12 @@ fn run_real(
 ) -> Vec<Run> {
     let mut w = start_real(sim, seed, initial, budget);
     sim.run_until(&mut w, fork_at);
-    let snap = sim.snapshot();
+    let snap = sim.clone();
     let saved = w.clone();
     sim.run(&mut w);
     let mut runs = vec![(w.trace, sim.events_executed())];
     for _ in 0..2 {
-        sim.restore(&snap);
+        sim.clone_from(&snap);
         let mut w = saved.clone();
         sim.run(&mut w);
         runs.push((w.trace, sim.events_executed()));

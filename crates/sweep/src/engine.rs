@@ -46,8 +46,8 @@ pub struct SweepOptions {
     /// off = build a fresh world per run, for overhead measurement).
     pub reuse_worlds: bool,
     /// Analyze the scenario list into prefix groups (see [`fork`]) and
-    /// run each group's shared prefix once, snapshotting at the
-    /// divergence instant and forking the branches from the snapshot.
+    /// run each group's shared prefix once, cloning the world at the
+    /// divergence instant and forking the branches from the clone.
     /// Bit-invisible in the records — pinned against the unforked path
     /// — and off for anything the planner cannot prove shareable.
     pub fork: bool,
@@ -536,9 +536,9 @@ impl<'a> Worker<'a> {
     /// initial broadcast, and `finish` drains the run and folds its
     /// outcome into the record. Builds and starts the first member's
     /// world. For a group, it runs the shared prefix to just
-    /// before `divergence` and snapshots. It finishes the first member
-    /// live, then every other member from a restore of the snapshot with
-    /// its own stochastic fault plan swapped in.
+    /// before `divergence` and clones the world. It finishes the first
+    /// member live, then every other member from the clone (rewinding
+    /// with `clone_from`) with its own stochastic fault plan swapped in.
     fn run_app<Sh, B>(
         &mut self,
         unit: &Unit,
@@ -578,7 +578,7 @@ impl<'a> Worker<'a> {
             // the late fields, so the pause lands one tick before it.
             sim.run_until(t - SimDuration::from_ns(1));
             let st = Instant::now();
-            let snap = sim.snapshot();
+            let snap = sim.clone();
             fstats.snapshots_taken += 1;
             fstats.snapshot_ns += st.elapsed().as_nanos() as u64;
             snap
@@ -589,7 +589,7 @@ impl<'a> Worker<'a> {
             fstats.scenarios_forked += rest.len();
             for &m in rest {
                 let bt = Instant::now();
-                sim.restore(snap);
+                sim.clone_from(snap);
                 let restore_ns = bt.elapsed().as_nanos() as u64;
                 fstats.restore_ns += restore_ns;
                 let mut rec = base_record(&scenarios[m]);

@@ -3,8 +3,9 @@
 //!
 //! Two scenarios may share a prefix when their worlds are bit-identical
 //! up to some virtual instant `T` and diverge only through state that
-//! can be swapped in *after* a [`gaat_rt::Simulation::restore`] without
-//! arming or cancelling events. The late-divergent state is exactly the
+//! can be swapped in *after* the world is rewound to a clone of the
+//! prefix (`clone_from` on a [`gaat_rt::Simulation`]) without arming or
+//! cancelling events. The late-divergent state is exactly the
 //! stochastic half of the fault plan:
 //!
 //! - `drop_prob` / `corrupt_prob` — fate draws are pure hashes gated by
@@ -24,7 +25,7 @@
 //!
 //! The planner is conservative by construction: a scenario that cannot
 //! prove membership in a group runs standalone, which degrades exactly
-//! to the pre-fork executor. Every group forks: a world snapshot never
+//! to the pre-fork executor. Every group forks: cloning a world never
 //! fails.
 
 use gaat_sim::SimTime;
@@ -36,13 +37,14 @@ use crate::grid::{Scenario, Workload};
 pub struct ForkStats {
     /// Prefix groups planned with at least two members.
     pub groups: usize,
-    /// World snapshots actually taken (one per group that forked).
+    /// World snapshots (clones of the paused prefix world) actually
+    /// taken, one per group that forked.
     pub snapshots_taken: usize,
     /// Scenarios executed from a restored snapshot rather than from
     /// `t = 0` (group members beyond the first).
     pub scenarios_forked: usize,
     /// Group members that ran standalone instead of forking. Always 0:
-    /// a world snapshot never fails, so every group member forks.
+    /// cloning a world never fails, so every group member forks.
     pub declined: usize,
     /// Host nanoseconds spent taking snapshots.
     pub snapshot_ns: u64,

@@ -23,9 +23,9 @@
 //! Fault sweeps additionally share work through **prefix memoization**
 //! ([`SweepOptions::fork`], the [`fork`] module): scenarios that agree
 //! on everything except their post-onset stochastic fault behaviour are
-//! grouped, the shared prefix executes once, the world is snapshotted
-//! just before the earliest fault onset, and each group member finishes
-//! from a [`gaat_rt::Simulation::restore`] of that snapshot — pinned
+//! grouped, the shared prefix executes once, the world is cloned just
+//! before the earliest fault onset, and each group member finishes from
+//! that clone (a `clone_from` of the [`gaat_rt::Simulation`]) — pinned
 //! bit-identical to running every scenario from `t = 0`.
 
 #![warn(missing_docs)]

@@ -26,7 +26,9 @@ echo "==> rustdoc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> tier-1 build"
-cargo build --release
+# --locked: a manifest edit that would rewrite the root Cargo.lock fails
+# here instead of changing the lock file behind the gate's back.
+cargo build --release --locked
 
 echo "==> benchmark build (standalone manifest, as BENCHMARK.json runs it)"
 # The benchmark of record builds from its own manifest and lock file, so

@@ -11,9 +11,10 @@
 //!
 //! | Layer | Crate | What it is |
 //! |---|---|---|
-//! | [`sim`] | `gaat-sim` | Discrete-event engine, virtual time, RNG, stats |
+//! | [`sim`] | `gaat-sim` | Discrete-event engine, virtual time, RNG, fault plans, span tracing, generational slab |
 //! | [`gpu`] | `gaat-gpu` | GPU device model: streams, events, DMA engines, graphs |
-//! | [`net`] | `gaat-net` | Interconnect: per-NIC serialization + α-β latency |
+//! | [`net`] | `gaat-net` | Interconnect: flat per-NIC serialization + α-β latency, or flows over a fat tree |
+//! | (inside [`net`]) | `gaat-topo` | Flow solver: link graph, fat-tree routing, max-min fair bandwidth sharing |
 //! | [`ucx`] | `gaat-ucx` | Protocols: eager, rendezvous, GPUDirect, pipelined staging |
 //! | [`rt`]  | `gaat-rt`  | **The paper's contribution**: chares, schedulers, HAPI, Channel API |
 //! | [`mpi`] | `gaat-mpi` | MPI-like baseline runtime |
