@@ -190,7 +190,8 @@ impl MachineConfig {
     /// every fault names a link,
     /// PE or device the machine has, the UCX staging stream's priority is
     /// a stream priority class, the pipelined protocol's chunk is at
-    /// least one byte, and PE failures and the load balancer run
+    /// least one byte, the fault plan's drop and corrupt probabilities
+    /// lie in [0, 1], and PE failures and the load balancer run
     /// over the reliable transport. Both purge fabric-stashed
     /// deliveries for cancelled transfers, which only the reliable
     /// transport's token tracking can identify as stale.
@@ -245,6 +246,14 @@ impl MachineConfig {
         }
         if self.ucx.pipeline_chunk == 0 {
             return Err(ConfigError::PipelineChunkZero);
+        }
+        for (field, p) in [
+            ("faults.drop_prob", faults.drop_prob),
+            ("faults.corrupt_prob", faults.corrupt_prob),
+        ] {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(ConfigError::NotAProbability { field });
+            }
         }
         if !faults.pe_failures.is_empty() && !self.ucx.reliability.enabled {
             return Err(ConfigError::PeFailureNeedsReliability);
@@ -304,6 +313,11 @@ pub enum ConfigError {
     /// `ucx.pipeline_chunk` is 0: the pipelined protocol cannot split a
     /// message into chunks.
     PipelineChunkZero,
+    /// A loss probability is NaN or outside [0, 1].
+    NotAProbability {
+        /// The offending field.
+        field: &'static str,
+    },
     /// PE failures are armed without the reliable transport.
     PeFailureNeedsReliability,
     /// The load balancer is armed without the reliable transport.
@@ -347,6 +361,9 @@ impl std::fmt::Display for ConfigError {
                 gaat_gpu::PRIORITY_CLASSES
             ),
             ConfigError::PipelineChunkZero => f.write_str("ucx.pipeline_chunk must be >= 1 byte"),
+            ConfigError::NotAProbability { field } => {
+                write!(f, "{field} must be a probability in [0, 1]")
+            }
             ConfigError::PeFailureNeedsReliability => {
                 f.write_str("PE-failure recovery requires ucx.reliability.enabled")
             }
@@ -400,6 +417,28 @@ mod tests {
         let e = c.validate().unwrap_err();
         assert_eq!(e, ConfigError::PipelineChunkZero);
         assert!(e.to_string().contains("ucx.pipeline_chunk"));
+    }
+
+    #[test]
+    fn loss_probabilities_must_be_in_unit_range() {
+        let mut c = MachineConfig::validation(1, 2);
+        for p in [0.0, 0.5, 1.0] {
+            c.faults.drop_prob = p;
+            c.faults.corrupt_prob = p;
+            assert_eq!(c.validate(), Ok(()));
+        }
+        for p in [f64::NAN, -0.5, 1.5] {
+            c.faults.drop_prob = p;
+            let e = c.validate().unwrap_err();
+            let field = "faults.drop_prob";
+            assert_eq!(e, ConfigError::NotAProbability { field });
+            assert!(e.to_string().contains(field));
+            c.faults.drop_prob = 0.0;
+            c.faults.corrupt_prob = p;
+            let field = "faults.corrupt_prob";
+            assert_eq!(c.validate(), Err(ConfigError::NotAProbability { field }));
+            c.faults.corrupt_prob = 0.0;
+        }
     }
 
     /// `MachineConfig::summit_fattree(4)` with its fat-tree parameters

@@ -354,6 +354,32 @@ fn rejected_scenarios_are_recorded_not_fatal() {
     }
 }
 
+/// A drop rate that is not a probability (NaN, below 0 or above 1)
+/// becomes a rejected record naming the field, and the valid rate beside
+/// it still runs.
+#[test]
+fn out_of_range_drop_rates_are_recorded_not_fatal() {
+    let mut grid = ScenarioGrid::new(test_machine());
+    grid.workloads = vec![Workload::Jacobi {
+        global: Dims::cube(8),
+        iters: 3,
+        warmup: 1,
+        comm: CommMode::HostStaging,
+    }];
+    grid.drop_rates = vec![0.01, f64::NAN, -0.5, 1.5];
+    let report = run_sweep(&grid.expand(), &SweepOptions::new()).expect("no I/O configured");
+    let outcomes: Vec<(bool, Option<&str>)> = report
+        .records
+        .iter()
+        .map(|r| (r.ok, r.error.as_deref()))
+        .collect();
+    let bad = (
+        false,
+        Some("faults.drop_prob must be a probability in [0, 1]"),
+    );
+    assert_eq!(outcomes, [(true, None), bad, bad, bad]);
+}
+
 /// A scenario its own app refuses (a training run with fewer parameters
 /// than its 4 gradient buckets, a Sweep3D run with no timed sweep)
 /// becomes a rejected record instead of aborting the sweep, and the good

@@ -28,7 +28,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use gaat_gpu::{BufRange, CompletionTag, DeviceId, GpuHost, Op, Space, StreamId};
+use gaat_gpu::{BufRange, BufferId, CompletionTag, DeviceId, GpuHost, Op, Space, StreamId};
 use gaat_net::{NetHost, NetMsg, NodeId, TrafficClass};
 use gaat_sim::{EventId, FaultPlan, Sim, SimDuration, Slab};
 
@@ -229,6 +229,17 @@ enum NetEvent {
     Am { at: WorkerId, user: u64 },
 }
 
+impl NetEvent {
+    /// The fabric's accounting class of the message carrying this step.
+    fn class(self) -> TrafficClass {
+        match self {
+            NetEvent::Rts { .. } | NetEvent::Cts { .. } => TrafficClass::Control,
+            NetEvent::Am { .. } => TrafficClass::Am,
+            _ => TrafficClass::Data,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 enum GpuTagEvent {
     ChunkD2hDone { xfer: u64 },
@@ -243,13 +254,13 @@ struct PostedRecv {
     user: u64,
 }
 
+/// An eager payload or an RTS that arrived before its receive was
+/// posted; the transfer's protocol tells which.
 #[derive(Debug, Clone)]
 struct UnexpectedArrival {
     from: WorkerId,
     tag: Tag,
     xfer: u64,
-    /// true when the eager payload already arrived; false for an RTS.
-    eager: bool,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -324,8 +335,8 @@ pub struct UcxState {
     /// modelled latency and fate, stays what the determinism goldens
     /// pin.
     next_token: u64,
-    comm_streams: HashMap<DeviceId, StreamId>,
-    bounce_bufs: HashMap<DeviceId, gaat_gpu::BufferId>,
+    /// Each device's staging stream and bounce buffer, made on first use.
+    staging: HashMap<DeviceId, (StreamId, BufferId)>,
     stats: UcxStats,
     /// Sender-side unacknowledged messages, by token (reliability on).
     retry: HashMap<u64, RetryState>,
@@ -344,8 +355,7 @@ impl UcxState {
             net_events: Slab::new(),
             gpu_tags: Slab::new(),
             next_token: 1,
-            comm_streams: HashMap::new(),
-            bounce_bufs: HashMap::new(),
+            staging: HashMap::new(),
             stats: UcxStats::default(),
             retry: HashMap::new(),
             delivered: HashSet::new(),
@@ -366,12 +376,6 @@ impl UcxState {
         let t = self.next_token;
         self.next_token += 1;
         t
-    }
-
-    /// Wire token and [`NetMsg::key`] for a message that runs `ev` on
-    /// delivery.
-    fn net_ids(&mut self, ev: NetEvent) -> (u64, u64) {
-        (self.token(), self.net_events.insert(ev))
     }
 
     /// Park a new transfer and return its key.
@@ -452,24 +456,19 @@ fn select_protocol(params: &UcxParams, space: Space, bytes: u64) -> Protocol {
 }
 
 /// Ensure the device has a high-priority staging stream and bounce buffer.
-fn staging_stream<W: UcxHost>(w: &mut W, dev: DeviceId) -> (StreamId, gaat_gpu::BufferId) {
-    let (prio, chunk) = {
-        let p = w.ucx_mut().params();
-        (p.staging_priority, (p.pipeline_chunk / 8) as usize)
-    };
-    {
-        let ucx = w.ucx_mut();
-        if let (Some(&s), Some(&b)) = (ucx.comm_streams.get(&dev), ucx.bounce_bufs.get(&dev)) {
-            return (s, b);
-        }
+fn staging_stream<W: UcxHost>(w: &mut W, dev: DeviceId) -> (StreamId, BufferId) {
+    if let Some(&staging) = w.ucx_mut().staging.get(&dev) {
+        return staging;
     }
+    let p = w.ucx_mut().params();
+    let (prio, chunk) = (p.staging_priority, (p.pipeline_chunk / 8) as usize);
     let d = w.device_mut(dev);
-    let s = d.create_stream(prio);
-    let b = d.mem.alloc_phantom(Space::Host, chunk);
-    let ucx = w.ucx_mut();
-    ucx.comm_streams.insert(dev, s);
-    ucx.bounce_bufs.insert(dev, b);
-    (s, b)
+    let staging = (
+        d.create_stream(prio),
+        d.mem.alloc_phantom(Space::Host, chunk),
+    );
+    w.ucx_mut().staging.insert(dev, staging);
+    staging
 }
 
 /// The retransmission timeout for `attempt` of `token`: exponential
@@ -481,27 +480,43 @@ fn retry_timeout(rel: &ReliabilityParams, seed: u64, token: u64, attempt: u32) -
         .mul_f64(backoff * FaultPlan::backoff_jitter(seed, token, attempt))
 }
 
-/// Transmit a protocol message, registering it with the retry machinery
-/// when reliability is enabled. `to` is the worker the message lands at
-/// (for liveness checks and peer-death escalation).
-fn rsend<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, to: WorkerId, msg: NetMsg) {
-    let rel = w.ucx_mut().params.reliability.clone();
-    if rel.enabled {
+/// Put one protocol step on the wire from worker `from` to worker `to`:
+/// `payload` wire bytes plus the header, `extra_latency` on top of the
+/// fabric's, delivered to [`on_net_deliver`] as `ev`. With reliability on
+/// the message is registered for retransmission until acked (`to` is then
+/// the peer whose liveness and death the retry machinery tracks).
+fn post<W: UcxHost>(
+    w: &mut W,
+    sim: &mut Sim<W>,
+    from: WorkerId,
+    to: WorkerId,
+    ev: NetEvent,
+    payload: u64,
+    extra_latency: SimDuration,
+) {
+    let ucx = w.ucx_mut();
+    let (token, key) = (ucx.token(), ucx.net_events.insert(ev));
+    let msg = NetMsg {
+        src: w.worker_node(from),
+        dst: w.worker_node(to),
+        bytes: payload + w.ucx_mut().params.header_bytes,
+        extra_latency,
+        token,
+        key,
+        class: ev.class(),
+        attempt: 0,
+    };
+    if w.ucx_mut().params.reliability.enabled {
         let seed = w.fabric_mut().faults().seed;
-        let timer = sim.after(
-            retry_timeout(&rel, seed, msg.token, 0),
-            retry_timer_fire::<W>,
-            msg.token,
-        );
-        w.ucx_mut().retry.insert(
-            msg.token,
-            RetryState {
-                msg,
-                to,
-                attempts: 0,
-                timer,
-            },
-        );
+        let timeout = retry_timeout(&w.ucx_mut().params.reliability, seed, token, 0);
+        let timer = sim.after(timeout, retry_timer_fire::<W>, token);
+        let st = RetryState {
+            msg,
+            to,
+            attempts: 0,
+            timer,
+        };
+        w.ucx_mut().retry.insert(token, st);
     }
     gaat_net::send(w, sim, msg);
 }
@@ -629,61 +644,24 @@ pub fn isend<W: UcxHost>(
         chunks_h2d_done: 0,
     };
     let xfer = w.ucx_mut().new_transfer(t);
-    let (src_node, dst_node) = (w.worker_node(from), w.worker_node(to));
-    match protocol {
-        Protocol::Eager => {
-            w.ucx_mut().stats.eager += 1;
-            // Payload travels immediately; the sender's buffer is free as
-            // soon as it is copied to the bounce area (model: now).
-            let payload = w.device_mut(loc.device).mem.read(loc.range);
-            let header = w.ucx_mut().params.header_bytes;
-            w.ucx_mut().xfer_mut(xfer).payload = payload;
-            let (token, key) = w.ucx_mut().net_ids(NetEvent::Eager { xfer });
-            rsend(
-                w,
-                sim,
-                to,
-                NetMsg {
-                    src: src_node,
-                    dst: dst_node,
-                    bytes: bytes + header,
-                    extra_latency: SimDuration::ZERO,
-                    token,
-                    key,
-                    class: TrafficClass::Data,
-                    attempt: 0,
-                },
-            );
-            sim.soon(eager_send_done::<W>, user);
-        }
-        Protocol::Rendezvous | Protocol::GpuDirect | Protocol::Pipelined => {
-            match protocol {
-                Protocol::Rendezvous => w.ucx_mut().stats.rendezvous += 1,
-                Protocol::GpuDirect => w.ucx_mut().stats.gpudirect += 1,
-                Protocol::Pipelined => w.ucx_mut().stats.pipelined += 1,
-                Protocol::Eager => unreachable!(),
-            }
-            let (header, hs) = {
-                let p = &w.ucx_mut().params;
-                (p.header_bytes, p.handshake_overhead)
-            };
-            let (token, key) = w.ucx_mut().net_ids(NetEvent::Rts { xfer });
-            rsend(
-                w,
-                sim,
-                to,
-                NetMsg {
-                    src: src_node,
-                    dst: dst_node,
-                    bytes: header,
-                    extra_latency: hs,
-                    token,
-                    key,
-                    class: TrafficClass::Control,
-                    attempt: 0,
-                },
-            );
-        }
+    let stats = &mut w.ucx_mut().stats;
+    *match protocol {
+        Protocol::Eager => &mut stats.eager,
+        Protocol::Rendezvous => &mut stats.rendezvous,
+        Protocol::GpuDirect => &mut stats.gpudirect,
+        Protocol::Pipelined => &mut stats.pipelined,
+    } += 1;
+    if protocol == Protocol::Eager {
+        // Payload travels immediately; the sender's buffer is free as
+        // soon as it is copied to the bounce area (model: now).
+        let payload = w.device_mut(loc.device).mem.read(loc.range);
+        w.ucx_mut().xfer_mut(xfer).payload = payload;
+        let ev = NetEvent::Eager { xfer };
+        post(w, sim, from, to, ev, bytes, SimDuration::ZERO);
+        sim.soon(eager_send_done::<W>, user);
+    } else {
+        let hs = w.ucx_mut().params.handshake_overhead;
+        post(w, sim, from, to, NetEvent::Rts { xfer }, 0, hs);
     }
 }
 
@@ -706,28 +684,22 @@ pub fn irecv<W: UcxHost>(
     user: u64,
 ) {
     // Check the unexpected queue first (FIFO per (from, tag)).
-    let pos = w.ucx_mut().workers[at.0]
+    let ep = &mut w.ucx_mut().workers[at.0];
+    match ep
         .unexpected
         .iter()
-        .position(|u| u.from == from && u.tag == tag);
-    match pos {
+        .position(|u| u.from == from && u.tag == tag)
+    {
         Some(i) => {
-            let u = w.ucx_mut().workers[at.0].unexpected.remove(i);
-            attach_recv(w, u.xfer, loc, user);
-            if u.eager {
-                finish_recv(w, sim, u.xfer);
-            } else {
-                send_cts(w, sim, u.xfer);
-            }
+            let u = ep.unexpected.remove(i);
+            matched(w, sim, u.xfer, loc, user);
         }
-        None => {
-            w.ucx_mut().workers[at.0].posted.push(PostedRecv {
-                from,
-                tag,
-                loc,
-                user,
-            });
-        }
+        None => ep.posted.push(PostedRecv {
+            from,
+            tag,
+            loc,
+            user,
+        }),
     }
 }
 
@@ -743,27 +715,35 @@ pub fn am_send<W: UcxHost>(
     user: u64,
 ) {
     w.ucx_mut().stats.active_messages += 1;
-    let header = w.ucx_mut().params.header_bytes;
-    let (token, key) = w.ucx_mut().net_ids(NetEvent::Am { at: to, user });
-    let (src, dst) = (w.worker_node(from), w.worker_node(to));
-    rsend(
-        w,
-        sim,
-        to,
-        NetMsg {
-            src,
-            dst,
-            bytes: bytes + header,
-            extra_latency: SimDuration::ZERO,
-            token,
-            key,
-            class: TrafficClass::Am,
-            attempt: 0,
-        },
-    );
+    let ev = NetEvent::Am { at: to, user };
+    post(w, sim, from, to, ev, bytes, SimDuration::ZERO);
 }
 
-fn attach_recv<W: UcxHost>(w: &mut W, xfer: u64, loc: MemLoc, user: u64) {
+/// An eager payload or an RTS reached its receiver: match it to the
+/// oldest receive posted for its (source, tag) — the tag travels in the
+/// header — or queue it as unexpected.
+fn arrive<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, xfer: u64) {
+    let ucx = w.ucx_mut();
+    let t = ucx.xfer(xfer);
+    let (to, from, tag) = (t.to, t.from, t.tag);
+    let ep = &mut ucx.workers[to.0];
+    match ep
+        .posted
+        .iter()
+        .position(|p| p.from == from && p.tag == tag)
+    {
+        Some(i) => {
+            let p = ep.posted.remove(i);
+            matched(w, sim, xfer, p.loc, p.user);
+        }
+        None => ep.unexpected.push(UnexpectedArrival { from, tag, xfer }),
+    }
+}
+
+/// A receive landing in `loc` matched `xfer`: an eager transfer's payload
+/// is already here, so it completes; a rendezvous one answers its RTS
+/// with a CTS from the receiver back to the sender.
+fn matched<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, xfer: u64, loc: MemLoc, user: u64) {
     let t = w.ucx_mut().xfer_mut(xfer);
     assert_eq!(
         t.bytes,
@@ -772,12 +752,20 @@ fn attach_recv<W: UcxHost>(w: &mut W, xfer: u64, loc: MemLoc, user: u64) {
     );
     t.recv_loc = Some(loc);
     t.recv_user = user;
+    let (protocol, from, to) = (t.protocol, t.from, t.to);
+    if protocol == Protocol::Eager {
+        finish_recv(w, sim, xfer);
+    } else {
+        let hs = w.ucx_mut().params.handshake_overhead;
+        post(w, sim, to, from, NetEvent::Cts { xfer }, 0, hs);
+    }
 }
 
 /// Route a fabric delivery to the protocol engine. The embedding world
 /// calls this from its `NetHost::on_net_deliver`.
 pub fn on_net_deliver<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, msg: NetMsg) {
-    let ev = if w.ucx_mut().params.reliability.enabled {
+    let reliable = w.ucx_mut().params.reliability.enabled;
+    if reliable {
         if msg.token & ACK_BIT != 0 {
             // An ack came home: retire the sender's retry state.
             let of = msg.token & !ACK_BIT;
@@ -796,70 +784,19 @@ pub fn on_net_deliver<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, msg: NetMsg) {
         }
         w.ucx_mut().delivered.insert(msg.token);
         send_ack(w, sim, &msg);
-        match w.ucx_mut().net_events.remove(msg.key) {
-            Some(ev) => ev,
-            None => {
-                // A late copy of a message whose state was already torn
-                // down (escalation or purge raced an in-flight copy).
-                w.ucx_mut().stats.stale_tokens += 1;
-                return;
-            }
-        }
-    } else {
-        w.ucx_mut()
-            .net_events
-            .remove(msg.key)
-            .expect("unknown net key")
+    }
+    let Some(ev) = w.ucx_mut().net_events.remove(msg.key) else {
+        // A late copy of a message whose state was already torn down
+        // (escalation or purge raced an in-flight copy): fault runs only.
+        assert!(reliable, "unknown net key");
+        w.ucx_mut().stats.stale_tokens += 1;
+        return;
     };
     match ev {
         NetEvent::Am { at, user } => {
             w.on_ucx_event(sim, UcxEvent::AmDelivered { at, user });
         }
-        NetEvent::Eager { xfer } => {
-            let (to, from, tag) = {
-                let t = w.ucx_mut().xfer(xfer);
-                (t.to, t.from, t.tag)
-            };
-            // Tag travels in the header; match on (from, tag).
-            match take_posted(w, to, from, tag) {
-                Some(p) => {
-                    attach_recv(w, xfer, p.loc, p.user);
-                    finish_recv(w, sim, xfer);
-                }
-                None => {
-                    w.ucx_mut().workers[to.0]
-                        .unexpected
-                        .push(UnexpectedArrival {
-                            from,
-                            tag,
-                            xfer,
-                            eager: true,
-                        });
-                }
-            }
-        }
-        NetEvent::Rts { xfer } => {
-            let (to, from, tag) = {
-                let t = w.ucx_mut().xfer(xfer);
-                (t.to, t.from, t.tag)
-            };
-            match take_posted(w, to, from, tag) {
-                Some(p) => {
-                    attach_recv(w, xfer, p.loc, p.user);
-                    send_cts(w, sim, xfer);
-                }
-                None => {
-                    w.ucx_mut().workers[to.0]
-                        .unexpected
-                        .push(UnexpectedArrival {
-                            from,
-                            tag,
-                            xfer,
-                            eager: false,
-                        });
-                }
-            }
-        }
+        NetEvent::Eager { xfer } | NetEvent::Rts { xfer } => arrive(w, sim, xfer),
         NetEvent::Cts { xfer } => start_data(w, sim, xfer),
         NetEvent::Data { xfer } => {
             let user = w.ucx_mut().xfer(xfer).send_user;
@@ -902,46 +839,18 @@ pub fn on_gpu_tag<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, cookie: u64) {
     match ev {
         GpuTagEvent::ChunkD2hDone { xfer } => {
             // Chunk staged to host: put it on the wire and count it.
-            let chunk = w.ucx_mut().params.pipeline_chunk;
-            let header = w.ucx_mut().params.header_bytes;
-            let (from, to, this_bytes, done, total, user) = {
-                let t = w.ucx_mut().xfer_mut(xfer);
-                t.chunks_d2h_done += 1;
-                let sent = (t.chunks_d2h_done - 1) as u64 * chunk;
-                let this = chunk.min(t.bytes - sent);
-                (
-                    t.from,
-                    t.to,
-                    this,
-                    t.chunks_d2h_done,
-                    t.chunks_total,
-                    t.send_user,
-                )
-            };
-            let (token, key) = w.ucx_mut().net_ids(NetEvent::Chunk {
-                xfer,
-                bytes: this_bytes,
-            });
-            let (sn, dn) = (w.worker_node(from), w.worker_node(to));
-            let derate = w.ucx_mut().params.pipeline_bw_derate;
-            let wire_bytes = (this_bytes as f64 * derate).round() as u64;
+            let p = &w.ucx_mut().params;
+            let (chunk, derate) = (p.pipeline_chunk, p.pipeline_bw_derate);
+            let t = w.ucx_mut().xfer_mut(xfer);
+            t.chunks_d2h_done += 1;
+            let bytes = chunk.min(t.bytes - (t.chunks_d2h_done - 1) as u64 * chunk);
+            let (from, to, user) = (t.from, t.to, t.send_user);
+            let last = t.chunks_d2h_done == t.chunks_total;
             w.ucx_mut().stats.chunks += 1;
-            rsend(
-                w,
-                sim,
-                to,
-                NetMsg {
-                    src: sn,
-                    dst: dn,
-                    bytes: wire_bytes + header,
-                    extra_latency: SimDuration::ZERO,
-                    token,
-                    key,
-                    class: TrafficClass::Data,
-                    attempt: 0,
-                },
-            );
-            if done == total {
+            let wire = (bytes as f64 * derate).round() as u64;
+            let ev = NetEvent::Chunk { xfer, bytes };
+            post(w, sim, from, to, ev, wire, SimDuration::ZERO);
+            if last {
                 // Sender's buffer fully staged out: send side completes.
                 w.on_ucx_event(sim, UcxEvent::SendDone { user });
             }
@@ -959,102 +868,31 @@ pub fn on_gpu_tag<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, cookie: u64) {
     }
 }
 
-fn take_posted<W: UcxHost>(
-    w: &mut W,
-    at: WorkerId,
-    from: WorkerId,
-    tag: Tag,
-) -> Option<PostedRecv> {
-    let posted = &mut w.ucx_mut().workers[at.0].posted;
-    let i = posted.iter().position(|p| p.from == from && p.tag == tag)?;
-    Some(posted.remove(i))
-}
-
-fn send_cts<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, xfer: u64) {
-    let (to, from) = {
-        let t = w.ucx_mut().xfer(xfer);
-        (t.to, t.from)
-    };
-    let (header, hs) = {
-        let p = &w.ucx_mut().params;
-        (p.header_bytes, p.handshake_overhead)
-    };
-    let (token, key) = w.ucx_mut().net_ids(NetEvent::Cts { xfer });
-    let (sn, dn) = (w.worker_node(to), w.worker_node(from));
-    rsend(
-        w,
-        sim,
-        from,
-        NetMsg {
-            src: sn,
-            dst: dn,
-            bytes: header,
-            extra_latency: hs,
-            token,
-            key,
-            class: TrafficClass::Control,
-            attempt: 0,
-        },
-    );
-}
-
 /// CTS arrived back at the sender: move the payload.
 fn start_data<W: UcxHost>(w: &mut W, sim: &mut Sim<W>, xfer: u64) {
-    let protocol = w.ucx_mut().xfer(xfer).protocol;
+    let t = w.ucx_mut().xfer(xfer);
+    let (protocol, loc, bytes, from, to) = (t.protocol, t.send_loc, t.bytes, t.from, t.to);
+    // The payload is read up front (functional fidelity).
+    let payload = w.device_mut(loc.device).mem.read(loc.range);
+    w.ucx_mut().xfer_mut(xfer).payload = payload;
     match protocol {
         Protocol::Rendezvous | Protocol::GpuDirect => {
-            let (loc, bytes, from, to) = {
-                let t = w.ucx_mut().xfer(xfer);
-                (t.send_loc, t.bytes, t.from, t.to)
-            };
-            let payload = w.device_mut(loc.device).mem.read(loc.range);
-            w.ucx_mut().xfer_mut(xfer).payload = payload;
-            let (header, extra, derate) = {
-                let p = &w.ucx_mut().params;
-                match protocol {
-                    Protocol::GpuDirect => (
-                        p.header_bytes,
-                        p.gpudirect_extra_latency,
-                        p.gpudirect_bw_derate,
-                    ),
-                    _ => (p.header_bytes, SimDuration::ZERO, 1.0),
-                }
+            let p = &w.ucx_mut().params;
+            let (extra, derate) = if protocol == Protocol::GpuDirect {
+                (p.gpudirect_extra_latency, p.gpudirect_bw_derate)
+            } else {
+                (SimDuration::ZERO, 1.0)
             };
             // Bandwidth derating is modeled as extra wire bytes.
-            let wire_bytes = ((bytes as f64) * derate).round() as u64 + header;
-            let (token, key) = w.ucx_mut().net_ids(NetEvent::Data { xfer });
-            let (sn, dn) = (w.worker_node(from), w.worker_node(to));
-            rsend(
-                w,
-                sim,
-                to,
-                NetMsg {
-                    src: sn,
-                    dst: dn,
-                    bytes: wire_bytes,
-                    extra_latency: extra,
-                    token,
-                    key,
-                    class: TrafficClass::Data,
-                    attempt: 0,
-                },
-            );
+            let wire = (bytes as f64 * derate).round() as u64;
+            post(w, sim, from, to, NetEvent::Data { xfer }, wire, extra);
         }
         Protocol::Pipelined => {
-            // Read the payload up front (functional fidelity) and kick off
-            // the chunked D2H staging pipeline on the sender's device.
-            let (loc, bytes) = {
-                let t = w.ucx_mut().xfer(xfer);
-                (t.send_loc, t.bytes)
-            };
-            let payload = w.device_mut(loc.device).mem.read(loc.range);
+            // Kick off the chunked D2H staging pipeline on the sender's
+            // device.
             let chunk = w.ucx_mut().params.pipeline_chunk;
             let nchunks = bytes.div_ceil(chunk).max(1) as u32;
-            {
-                let t = w.ucx_mut().xfer_mut(xfer);
-                t.payload = payload;
-                t.chunks_total = nchunks;
-            }
+            w.ucx_mut().xfer_mut(xfer).chunks_total = nchunks;
             let (stream, bounce) = staging_stream(w, loc.device);
             for i in 0..nchunks {
                 let off = i as u64 * chunk;

@@ -415,3 +415,64 @@ fn no_transfers_leak() {
     assert_eq!(recv_done(&w).len(), 4);
     assert_eq!(send_done(&w).len(), 4);
 }
+
+/// Fabric totals `(messages, bytes, control messages, control bytes)` of
+/// one matched `len`-element send from worker 0 to worker 1.
+fn wire_shape(space: Space, len: usize) -> (u64, u64, u64, u64) {
+    let mut w = World::new(2);
+    let sbuf = w.alloc(0, space, len);
+    let rbuf = w.alloc(1, space, len);
+    let (sl, rl) = (w.loc(0, sbuf, len), w.loc(1, rbuf, len));
+    run(&mut w, move |w, sim| {
+        irecv(w, sim, WorkerId(1), WorkerId(0), Tag(1), rl, 0);
+        isend(w, sim, WorkerId(0), WorkerId(1), Tag(1), sl, 0);
+    });
+    let s = w.fabric.stats();
+    (s.messages, s.bytes, s.control_messages, s.control_bytes)
+}
+
+/// With reliability off, every protocol step is one fabric message of
+/// the header plus its payload (derated for GPUDirect data and pipelined
+/// chunks), and only the RTS/CTS handshake counts as control traffic.
+#[test]
+fn every_protocol_step_has_its_wire_shape() {
+    let p = UcxParams::default();
+    let h = p.header_bytes;
+    let derated = |bytes: u64, by: f64| (bytes as f64 * by).round() as u64;
+    let elems = |bytes: u64| (bytes / 8) as usize;
+
+    let eager = 8 << 10;
+    assert_eq!(wire_shape(Space::Host, elems(eager)), (1, h + eager, 0, 0));
+
+    let rendezvous = 256 << 10;
+    assert_eq!(
+        wire_shape(Space::Host, elems(rendezvous)),
+        (3, 3 * h + rendezvous, 2, 2 * h)
+    );
+
+    let gpudirect = 96 << 10;
+    let data = derated(gpudirect, p.gpudirect_bw_derate);
+    assert_eq!(
+        wire_shape(Space::Device, elems(gpudirect)),
+        (3, 3 * h + data, 2, 2 * h)
+    );
+
+    // 2.5 chunks: two full chunks and a half one.
+    let c = p.pipeline_chunk;
+    let chunks: u64 = [c, c, c / 2]
+        .iter()
+        .map(|&b| h + derated(b, p.pipeline_bw_derate))
+        .sum();
+    assert_eq!(
+        wire_shape(Space::Device, elems(5 * c / 2)),
+        (5, 2 * h + chunks, 2, 2 * h)
+    );
+
+    let mut w = World::new(2);
+    run(&mut w, |w, sim| {
+        am_send(w, sim, WorkerId(0), WorkerId(1), 256, 0)
+    });
+    let s = w.fabric.stats();
+    let am = (s.messages, s.bytes, s.control_messages, s.control_bytes);
+    assert_eq!(am, (1, h + 256, 0, 0));
+}

@@ -17,7 +17,8 @@
 //! chrome://tracing or <https://ui.perfetto.dev>. `--drop RATE`, `--lb`
 //! and `--collective OP` select the other profiles (see [`Args`]); an
 //! unknown argument, a missing value or an unparsable rate prints the
-//! usage to stderr and exits 2.
+//! usage to stderr and exits 2; a configuration that fails validation
+//! (a `--drop` rate outside [0, 1] or NaN) prints the error and exits 2.
 
 use gaat::jacobi3d::{charm, CommMode, Dims, JacobiConfig};
 use gaat::rt::{LbPolicy, MachineConfig};
@@ -185,6 +186,10 @@ fn main() {
     cfg.warmup = 2;
     if lb {
         cfg.checkpoint_every = 1;
+    }
+    if let Err(e) = cfg.validate() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
     }
     let (mut sim, ids, sh) = charm::build(cfg);
     let result = charm::run(&mut sim, &ids, &sh);

@@ -4,8 +4,8 @@
 # correctness pin) in release and in the dev profile, the fault-tolerance
 # example (PE-failure recovery must still match the reference solver), the
 # sweep example, profile_run in its three modes (the default single-node
-# profile run twice with byte-identical output; an unknown argument must
-# fail), the two README examples (quickstart run twice with byte-identical
+# profile run twice with byte-identical output; an unknown argument and a
+# drop rate that is not a probability must fail), the two README examples (quickstart run twice with byte-identical
 # output, wavefront), a smoke run of every benchmark workload, a quick
 # Fig 9, a quick fat-tree Fig 7c, the protocol landscape and the quick
 # collective tables through the figures binary (whose unknown --fig,
@@ -61,8 +61,8 @@ cargo run --release -p gaat --example sweep_run
 # profile: the per-kernel breakdown and engine timeline come from the
 # device tracer, and two runs must print the same bytes. Under adaptive LB
 # and 1% loss it rolls back four times, so late events meet stale slab
-# keys; the collective run drives gaat-coll; an unknown argument must
-# exit non-zero.
+# keys; the collective run drives gaat-coll; an unknown argument and a
+# drop rate that is not a probability must exit non-zero.
 prof_out=$(mktemp -d)
 cargo run --release -p gaat --example profile_run >"$prof_out/a"
 cargo run --release -p gaat --example profile_run >"$prof_out/b"
@@ -76,6 +76,12 @@ if cargo run --release -p gaat --example profile_run -- --bogus 2>/dev/null; the
     echo "profile_run --bogus must exit non-zero"
     exit 1
 fi
+for rate in nan 1.5; do
+    if cargo run --release -p gaat --example profile_run -- --drop "$rate" 2>/dev/null; then
+        echo "profile_run --drop $rate must exit non-zero"
+        exit 1
+    fi
+done
 # The README's two examples. quickstart validates every Jacobi3D version
 # against the CPU reference; two runs must print the same bytes, the end
 # to end determinism check.
