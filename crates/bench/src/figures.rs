@@ -34,16 +34,14 @@ struct Job {
     sync: SyncMode,
 }
 
-/// Run every job on the sweep engine's pool; each worker recycles one
-/// world across the points it claims. Rows come back in job order.
+/// Run every job on the sweep engine's pool. Rows come back in job
+/// order.
 fn exec(jobs: Vec<Job>, e: &Effort) -> Vec<Row> {
-    gaat_sweep::run_batch(&jobs, 0, |slot, j| {
+    gaat_sweep::run_batch(&jobs, 0, |j| {
         run_point(
-            slot, j.figure, &j.series, j.variant, j.nodes, j.global, j.odf, j.fusion, j.graphs,
-            j.sync, e,
+            j.figure, &j.series, j.variant, j.nodes, j.global, j.odf, j.fusion, j.graphs, j.sync, e,
         )
     })
-    .0
 }
 
 /// Charm-H, ODF-4, before and after the host-device synchronization and

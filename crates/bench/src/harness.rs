@@ -4,8 +4,8 @@
 use std::fmt;
 use std::path::Path;
 
-use gaat_jacobi3d::{run_charm_in, run_mpi_in, CommMode, Fusion, JacobiConfig, SyncMode};
-use gaat_rt::{MachineConfig, WorldSlot};
+use gaat_jacobi3d::{run_charm, run_mpi, CommMode, Fusion, JacobiConfig, SyncMode};
+use gaat_rt::MachineConfig;
 
 /// Which of the paper's four Jacobi3D versions to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,13 +172,10 @@ impl fmt::Display for Row {
     }
 }
 
-/// Run one experiment configuration in `slot`'s recycled world,
-/// averaging over the effort's seeds. World reuse is bit-invisible
-/// (`Sim::reset` is pinned bit-identical to a fresh engine), so figure
-/// rows are unchanged from the pre-slot serial harness.
+/// Run one experiment configuration, one fresh world per seed,
+/// averaging over the effort's seeds.
 #[allow(clippy::too_many_arguments)] // a flat experiment descriptor
 pub fn run_point(
-    slot: &mut WorldSlot,
     figure: &str,
     series: &str,
     variant: Variant,
@@ -204,15 +201,13 @@ pub fn run_point(
         cfg.graphs = graphs;
         cfg.iters = e.iters;
         cfg.warmup = e.warmup;
-        let sim0 = slot.prepare(cfg.machine.clone());
-        let (sim, r) = if variant.is_charm() {
+        let r = if variant.is_charm() {
             cfg.odf = odf;
-            run_charm_in(sim0, cfg)
+            run_charm(cfg)
         } else {
             assert_eq!(odf, 1, "MPI runs one rank per PE");
-            run_mpi_in(sim0, cfg)
+            run_mpi(cfg)
         };
-        slot.retire(sim);
         total_us += r.time_per_iter.as_micros_f64();
         total_cpu += r.cpu_utilization;
     }

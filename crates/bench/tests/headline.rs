@@ -8,7 +8,6 @@
 use gaat_bench::harness::run_point;
 use gaat_bench::{Effort, Variant, HEADLINE_POINTS};
 use gaat_jacobi3d::{Dims, Fusion, SyncMode};
-use gaat_rt::WorldSlot;
 
 #[test]
 fn charm_d_at_512_nodes_is_sub_millisecond() {
@@ -22,7 +21,6 @@ fn charm_d_at_512_nodes_is_sub_millisecond() {
         ..Effort::standard()
     };
     let r = run_point(
-        &mut WorldSlot::new(),
         "512",
         "Charm-D",
         Variant::CharmD,

@@ -199,6 +199,20 @@ impl MachineConfig {
         if self.total_pes() == 0 {
             return Err(ConfigError::NoPes);
         }
+        // A jitter above 1 can draw a negative factor, and a NaN one a
+        // NaN factor; neither prices a message.
+        if !(0.0..=1.0).contains(&self.net.jitter) {
+            return Err(ConfigError::JitterOutOfRange);
+        }
+        // A zero or NaN bandwidth serializes every message for all time.
+        for (field, bw) in [
+            ("net.inter_bw", self.net.inter_bw),
+            ("net.intra_bw", self.net.intra_bw),
+        ] {
+            if !(bw.is_finite() && bw > 0.0) {
+                return Err(ConfigError::NotABandwidth { field });
+            }
+        }
         let links = match self.net.topology {
             gaat_net::TopologyKind::Flat => 0,
             gaat_net::TopologyKind::FatTree(ft) => {
@@ -271,6 +285,13 @@ impl MachineConfig {
 pub enum ConfigError {
     /// `nodes` or `pes_per_node` is 0.
     NoPes,
+    /// `net.jitter` is NaN or outside [0, 1].
+    JitterOutOfRange,
+    /// A fabric bandwidth is not a finite number of bytes/s above 0.
+    NotABandwidth {
+        /// The offending field.
+        field: &'static str,
+    },
     /// A fat tree with `leaf_radix` 0: no leaf switch has a node port.
     FatTreeNoLeafRadix,
     /// A fat tree with `spines` 0: leaves have no path between them.
@@ -331,6 +352,12 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
             ConfigError::NoPes => f.write_str("the machine needs nodes >= 1 and pes_per_node >= 1"),
+            ConfigError::JitterOutOfRange => {
+                f.write_str("net.jitter must be a finite factor in [0, 1]")
+            }
+            ConfigError::NotABandwidth { field } => {
+                write!(f, "{field} must be a finite bandwidth > 0 bytes/s")
+            }
             ConfigError::FatTreeNoLeafRadix => {
                 f.write_str("net.topology fat tree needs leaf_radix >= 1")
             }
@@ -439,6 +466,39 @@ mod tests {
             assert_eq!(c.validate(), Err(ConfigError::NotAProbability { field }));
             c.faults.corrupt_prob = 0.0;
         }
+    }
+
+    #[test]
+    fn jitter_must_be_in_unit_range() {
+        let mut c = MachineConfig::validation(1, 2);
+        for j in [0.0, 0.5, 1.0] {
+            c.net.jitter = j;
+            assert_eq!(c.validate(), Ok(()));
+        }
+        for j in [f64::NAN, f64::INFINITY, -0.5, 1.5] {
+            c.net.jitter = j;
+            let e = c.validate().unwrap_err();
+            assert_eq!(e, ConfigError::JitterOutOfRange, "jitter {j}");
+            assert!(e.to_string().contains("net.jitter"));
+        }
+    }
+
+    #[test]
+    fn fabric_bandwidths_must_be_finite_and_positive() {
+        let mut c = MachineConfig::validation(1, 2);
+        for bw in [0.0, -1.0e9, f64::NAN, f64::INFINITY] {
+            c.net.inter_bw = bw;
+            let e = c.validate().unwrap_err();
+            let field = "net.inter_bw";
+            assert_eq!(e, ConfigError::NotABandwidth { field }, "inter_bw {bw}");
+            assert!(e.to_string().contains(field));
+            c.net.inter_bw = 23.0e9;
+            c.net.intra_bw = bw;
+            let field = "net.intra_bw";
+            assert_eq!(c.validate(), Err(ConfigError::NotABandwidth { field }));
+            c.net.intra_bw = 60.0e9;
+        }
+        assert_eq!(c.validate(), Ok(()));
     }
 
     /// `MachineConfig::summit_fattree(4)` with its fat-tree parameters

@@ -85,7 +85,6 @@ pub mod msg;
 pub mod pe;
 pub mod recovery;
 pub mod sdag;
-pub mod slot;
 
 pub use channel::{create_channel, ChannelEnd};
 pub use config::{ConfigError, LbConfig, LbPolicy, MachineConfig, RtCosts};
@@ -95,7 +94,6 @@ pub use msg::{Callback, ChareId, EntryId, Envelope, MsgPriority};
 pub use pe::{Pe, PeStats};
 pub use recovery::LbStats;
 pub use sdag::WhenSet;
-pub use slot::{SlotStats, WorldSlot};
 
 // Re-exports for applications.
 pub use gaat_gpu::{

@@ -1065,18 +1065,8 @@ impl Simulation {
     /// [`ConfigError`] text if `cfg` fails
     /// [`MachineConfig::validate`].
     pub fn new(cfg: MachineConfig) -> Self {
-        Self::new_in(Sim::new(), cfg)
-    }
-
-    /// Build a simulation inside an existing (fresh or [`Sim::reset`])
-    /// engine. This is the world-slot construction path (see
-    /// [`crate::slot::WorldSlot`]): the engine keeps its heap
-    /// allocations across runs. Bit-identical to [`Simulation::new`] —
-    /// the engine's observable state after a reset equals a fresh
-    /// engine's.
-    pub fn new_in(engine: Sim<Machine>, cfg: MachineConfig) -> Self {
         cfg.validate().unwrap_or_else(|e| panic!("{e}"));
-        let mut sim = engine.with_event_limit(5_000_000_000);
+        let mut sim = Sim::new().with_event_limit(5_000_000_000);
         let mut machine = Machine::new(cfg);
         machine.arm_faults(&mut sim);
         machine.arm_lb(&mut sim);

@@ -66,10 +66,7 @@ impl std::fmt::Display for ConfigError {
 // no `source` to chain.
 impl std::error::Error for ConfigError {}
 
-pub use moe::{
-    build_moe, build_moe_in, run_moe, run_moe_app, validate_moe, MoeConfig, MoeResult, MoeShared,
-};
+pub use moe::{build_moe, run_moe, run_moe_app, validate_moe, MoeConfig, MoeResult, MoeShared};
 pub use train::{
-    build_train, build_train_in, run_train, validate_train, TrainConfig, TrainMode, TrainResult,
-    TrainShared,
+    build_train, run_train, validate_train, TrainConfig, TrainMode, TrainResult, TrainShared,
 };

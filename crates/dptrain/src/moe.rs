@@ -353,23 +353,11 @@ pub fn expert_kernel(
     }
 }
 
-/// Build the MoE simulation.
+/// Build the MoE simulation. Panics with the [`ConfigError`] text if
+/// `cfg` fails [`MoeConfig::validate`].
 pub fn build_moe(cfg: MoeConfig) -> (Simulation, Vec<ChareId>, Arc<MoeShared>) {
-    let sim = Simulation::new(cfg.machine.clone());
-    build_moe_in(sim, cfg)
-}
-
-/// Like [`build_moe`], but constructing the application inside a
-/// caller-provided simulation (e.g. one prepared by a
-/// `gaat_rt::WorldSlot`, recycling the engine's allocations across a
-/// sweep of scenarios). Must have been built from `cfg.machine`. Panics
-/// with the [`ConfigError`] text if `cfg` fails [`MoeConfig::validate`].
-pub fn build_moe_in(
-    mut sim: Simulation,
-    cfg: MoeConfig,
-) -> (Simulation, Vec<ChareId>, Arc<MoeShared>) {
+    let mut sim = Simulation::new(cfg.machine.clone());
     cfg.validate().unwrap_or_else(|e| panic!("{e}"));
-    debug_assert_eq!(sim.machine.cfg.total_pes(), cfg.machine.total_pes());
     let ranks = cfg.effective_ranks();
     let counts = routing_counts(&cfg, ranks);
     let elems: Vec<Vec<usize>> = counts

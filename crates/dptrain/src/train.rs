@@ -343,24 +343,11 @@ pub fn sgd_update(
     }
 }
 
-/// Build the training simulation.
+/// Build the training simulation. Panics with the [`ConfigError`] text
+/// if `cfg` fails [`TrainConfig::validate`].
 pub fn build_train(cfg: TrainConfig) -> (Simulation, Vec<ChareId>, Arc<TrainShared>) {
-    let sim = Simulation::new(cfg.machine.clone());
-    build_train_in(sim, cfg)
-}
-
-/// Like [`build_train`], but constructing the application inside a
-/// caller-provided simulation (e.g. one prepared by a
-/// `gaat_rt::WorldSlot`, recycling the engine's allocations across a
-/// sweep of scenarios). Must have been built from `cfg.machine`. Panics
-/// with the [`ConfigError`] text if `cfg` fails
-/// [`TrainConfig::validate`].
-pub fn build_train_in(
-    mut sim: Simulation,
-    cfg: TrainConfig,
-) -> (Simulation, Vec<ChareId>, Arc<TrainShared>) {
+    let mut sim = Simulation::new(cfg.machine.clone());
     cfg.validate().unwrap_or_else(|e| panic!("{e}"));
-    debug_assert_eq!(sim.machine.cfg.total_pes(), cfg.machine.total_pes());
     let ranks = cfg.machine.total_pes();
     let plans: Vec<CollPlan> = (0..cfg.buckets)
         .map(|b| {

@@ -551,11 +551,10 @@ pub fn build(cfg: JacobiConfig) -> (Simulation, Vec<ChareId>, Arc<Shared>) {
 }
 
 /// Like [`build`], but constructing the application inside a
-/// caller-provided simulation — typically one prepared by a
-/// `gaat_rt::WorldSlot`, so the engine's heap allocations are recycled
-/// across a sweep. The simulation must have been built from
-/// `cfg.machine` (same shape, seed, and fault plan). Panics with the
-/// [`ConfigError`](crate::ConfigError) text if `cfg` fails
+/// caller-provided simulation, so a caller can time `Simulation::new`
+/// and the application build apart. The simulation must have been built
+/// from `cfg.machine` (same shape, seed, and fault plan). Panics with
+/// the [`ConfigError`](crate::ConfigError) text if `cfg` fails
 /// [`JacobiConfig::validate`].
 pub fn build_in(mut sim: Simulation, cfg: JacobiConfig) -> (Simulation, Vec<ChareId>, Arc<Shared>) {
     cfg.validate().unwrap_or_else(|e| panic!("{e}"));

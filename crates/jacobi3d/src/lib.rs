@@ -34,33 +34,12 @@ pub use reference::Reference;
 
 /// Run a Charm-style experiment end to end.
 pub fn run_charm(cfg: JacobiConfig) -> RunResult {
-    run_charm_in(gaat_rt::Simulation::new(cfg.machine.clone()), cfg).1
+    let (mut sim, ids, sh) = charm::build(cfg);
+    charm::run(&mut sim, &ids, &sh)
 }
 
 /// Run an MPI-style experiment end to end.
 pub fn run_mpi(cfg: JacobiConfig) -> RunResult {
-    run_mpi_in(gaat_rt::Simulation::new(cfg.machine.clone()), cfg).1
-}
-
-/// [`run_charm`] in a caller-provided engine (e.g. a recycled
-/// [`gaat_rt::WorldSlot`] world); returns the finished simulation so the
-/// caller can retire it back into the slot.
-pub fn run_charm_in(
-    sim0: gaat_rt::Simulation,
-    cfg: JacobiConfig,
-) -> (gaat_rt::Simulation, RunResult) {
-    let (mut sim, ids, sh) = charm::build_in(sim0, cfg);
-    let r = charm::run(&mut sim, &ids, &sh);
-    (sim, r)
-}
-
-/// [`run_mpi`] in a caller-provided engine; returns the finished
-/// simulation so the caller can retire it back into the slot.
-pub fn run_mpi_in(
-    sim0: gaat_rt::Simulation,
-    cfg: JacobiConfig,
-) -> (gaat_rt::Simulation, RunResult) {
-    let (mut sim, ids, sh) = mpi_app::build_in(sim0, cfg);
-    let r = mpi_app::run(&mut sim, &ids, &sh);
-    (sim, r)
+    let (mut sim, ids, sh) = mpi_app::build(cfg);
+    mpi_app::run(&mut sim, &ids, &sh)
 }

@@ -210,20 +210,10 @@ impl Owner for JacobiRank {
 }
 
 /// Build the MPI Jacobi3D simulation: one rank per PE.
-pub fn build(cfg: JacobiConfig) -> (Simulation, Vec<ChareId>, Arc<MpiShared>) {
-    let sim = Simulation::new(cfg.machine.clone());
-    build_in(sim, cfg)
-}
-
-/// [`build`] into a caller-provided engine (a recycled
-/// [`gaat_rt::WorldSlot`] world), so batched sweeps can reuse engines
-/// across MPI-variant runs exactly as they do for the task runtime.
 /// Panics with the [`ConfigError`](crate::ConfigError) text if `cfg`
 /// fails [`JacobiConfig::validate`].
-pub fn build_in(
-    mut sim: Simulation,
-    cfg: JacobiConfig,
-) -> (Simulation, Vec<ChareId>, Arc<MpiShared>) {
+pub fn build(cfg: JacobiConfig) -> (Simulation, Vec<ChareId>, Arc<MpiShared>) {
+    let mut sim = Simulation::new(cfg.machine.clone());
     cfg.validate().unwrap_or_else(|e| panic!("{e}"));
     // Stays at build: `JacobiConfig` does not say which runtime runs
     // it, and the task runtime accepts any ODF.

@@ -216,8 +216,8 @@ impl<W> Clone for Sim<W> {
     }
 
     /// Copy `source` into this engine, keeping this engine's heap
-    /// allocations (like [`Sim::reset`]): the fork's restore path, which
-    /// can rewind one engine to the same clone any number of times.
+    /// allocations: the fork's restore path, which can rewind one
+    /// engine to the same clone any number of times.
     fn clone_from(&mut self, source: &Self) {
         // Destructured so that a new field fails to compile until it is
         // copied here; `scratch` holds nothing between instants.
@@ -283,40 +283,6 @@ impl<W> Sim<W> {
     pub fn with_event_limit(mut self, limit: u64) -> Self {
         self.event_limit = limit;
         self
-    }
-
-    /// Restore this engine to the observable state of a fresh
-    /// [`Sim::new`] while keeping every heap allocation — the slab, the
-    /// 256 KiB of wheel bucket heads, the ring, the overflow heap, and
-    /// the scratch buffer all retain their capacity. A reset engine replays any
-    /// schedule bit-identically to a fresh one: the slab restarts at
-    /// slot 0 / generation 0 (so it mints a fresh engine's
-    /// [`EventId`]s), sequence numbers restart at 0, and the clock
-    /// returns to zero. Only the event limit survives the reset.
-    ///
-    /// This is the world-slot reuse hook: the sweep engine resets one
-    /// engine per worker between scenarios instead of re-allocating the
-    /// wheel and regrowing the slab, ring and heap for every run.
-    pub fn reset(&mut self) {
-        self.now = SimTime::ZERO;
-        self.next_seq = 0;
-        self.executed = 0;
-        self.live = 0;
-        self.peak_pending = 0;
-        self.drained = false;
-        self.events.reset();
-        self.ring.clear();
-        self.ring_at = SimTime::ZERO;
-        // A bucket head counts only while its occupancy bit is set, so
-        // zeroing the bitmap empties every bucket.
-        debug_assert!(
-            self.wheel_len > 0 || self.occ.iter().all(|&w| w == 0),
-            "occ/wheel_len drift"
-        );
-        self.occ.fill(0);
-        self.wheel_len = 0;
-        self.overflow.clear();
-        self.scratch.clear();
     }
 
     /// Current simulated time.
@@ -727,43 +693,9 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_a_fresh_engine_bit_identically() {
-        // The same schedule — near-time wheel buckets, ties, a cancel,
-        // and a far-future overflow event — must execute identically on
-        // a fresh engine and on a reset one, and mint the same ids.
-        fn drive(sim: &mut Sim<World>) -> (Vec<u32>, u64, SimTime, Vec<EventId>) {
-            let mut w = Vec::new();
-            let mut ids: Vec<EventId> =
-                (0..50).map(|i| sim.after(d(i * 7 % 40), push, i)).collect();
-            ids.push(sim.after(d(200_000_000), push, 999));
-            let doomed = sim.after(d(5), push, 777);
-            sim.cancel(doomed);
-            ids.push(doomed);
-            assert_eq!(sim.run(&mut w), RunOutcome::Drained);
-            ids.push(sim.after(d(1), push, 1));
-            ids.push(sim.after(d(2), push, 2));
-            assert_eq!(sim.run(&mut w), RunOutcome::Drained);
-            (w, sim.events_executed(), sim.now(), ids)
-        }
-        let mut fresh: Sim<World> = Sim::new();
-        let expect = drive(&mut fresh);
-        assert!(!expect.0.contains(&777), "cancelled event must not fire");
-
-        let mut reused: Sim<World> = Sim::new();
-        let first = drive(&mut reused);
-        assert_eq!(first, expect);
-        reused.reset();
-        assert_eq!(reused.now(), SimTime::ZERO);
-        assert_eq!(reused.events_executed(), 0);
-        let second = drive(&mut reused);
-        assert_eq!(second, expect, "reset engine must replay bit-identically");
-    }
-
-    #[test]
     fn snapshot_round_trip_replays_bit_identically() {
-        // Same shape as the reset bit-identity pin: wheel buckets, ties,
-        // a cancel, a far-future overflow event, and events that
-        // schedule events.
+        // Wheel buckets, ties, a cancel, a far-future overflow event,
+        // and events that schedule events.
         fn spawn(w: &mut World, sim: &mut Sim<World>, a: u64) {
             w.push(a as u32);
             sim.after(d(13), push, a + 1000);

@@ -142,16 +142,6 @@ impl<T> Slab<T> {
         self.live = 0;
     }
 
-    /// Drop every entry and start over as a fresh slab would: keys
-    /// restart at slot 0, generation 0. Unlike [`Slab::clear`], a key
-    /// minted before the reset may name an entry inserted after it, so
-    /// only reset a slab no outstanding key can reach. Capacity is kept.
-    pub fn reset(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-        self.live = 0;
-    }
-
     /// Live entries.
     pub fn len(&self) -> usize {
         self.live
@@ -228,17 +218,6 @@ mod tests {
         assert_eq!(s.insert(8) as u32, keys[0] as u32);
         assert_eq!(s.insert(9) as u32, 3);
         assert_eq!(s.values().copied().collect::<Vec<_>>(), [8, 1, 7, 9]);
-    }
-
-    #[test]
-    fn reset_restarts_keys() {
-        let mut s = Slab::new();
-        let keys: Vec<u64> = (0..3).map(|i| s.insert(i)).collect();
-        s.remove(keys[1]);
-        s.reset();
-        assert!(s.is_empty());
-        assert_eq!(s.slots(), 0);
-        assert_eq!([s.insert(7), s.insert(8)], [0, 1], "slot 0, generation 0");
     }
 
     #[test]

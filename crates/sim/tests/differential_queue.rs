@@ -9,8 +9,8 @@
 //! the reference's median event time and replays the tail from the clone
 //! twice, and all three tails must match. The same three runs are then
 //! repeated on an engine that was left mid-run on another seed's
-//! workload and `reset()`. Seeded via [`SimRng`] so failures replay
-//! exactly.
+//! workload and rewound with `clone_from(&Sim::new())`, which keeps its
+//! allocations. Seeded via [`SimRng`] so failures replay exactly.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
@@ -118,7 +118,7 @@ fn start_real(sim: &mut Sim<RealWorld>, seed: u64, initial: u64, budget: u64) ->
     w
 }
 
-/// Run the workload on `sim`, a fresh or reset engine, pausing at
+/// Run the workload on `sim`, a fresh or rewound engine, pausing at
 /// `fork_at` to clone the engine and the world. Returns the
 /// uninterrupted run, then two runs restored from that clone.
 fn run_real(
@@ -227,26 +227,27 @@ fn run_ref(seed: u64, initial: u64, budget: u64) -> Run {
 }
 
 /// Every real-engine run (uninterrupted and both restores, on a fresh
-/// engine and on a reset one) must match the reference heap event for
+/// engine and on a rewound one) must match the reference heap event for
 /// event.
 fn check(seed: u64, initial: u64, budget: u64) {
     let (ref_trace, ref_n) = run_ref(seed, initial, budget);
     let fork_at = SimTime::from_ns(ref_trace[ref_trace.len() / 2].0);
     let mut runs = run_real(&mut Sim::new(), seed, initial, budget, fork_at);
     // Leave another seed's workload pending in the ring, wheel and
-    // overflow, then reset and replay this seed on the same engine.
-    let mut reused: Sim<RealWorld> = Sim::new();
-    let mut other = start_real(&mut reused, seed + 1_000, initial, budget);
-    reused.run_until(&mut other, fork_at);
-    reused.reset();
-    runs.extend(run_real(&mut reused, seed, initial, budget, fork_at));
+    // overflow, then rewind the engine to a fresh one (keeping its
+    // allocations, as the fork restore does) and replay this seed on it.
+    let mut rewound: Sim<RealWorld> = Sim::new();
+    let mut other = start_real(&mut rewound, seed + 1_000, initial, budget);
+    rewound.run_until(&mut other, fork_at);
+    rewound.clone_from(&Sim::new());
+    runs.extend(run_real(&mut rewound, seed, initial, budget, fork_at));
     let names = [
         "live",
         "restore 1",
         "restore 2",
-        "reset live",
-        "reset restore 1",
-        "reset restore 2",
+        "rewound live",
+        "rewound restore 1",
+        "rewound restore 2",
     ];
     for ((real_trace, real_n), run) in runs.into_iter().zip(names) {
         assert_eq!(

@@ -1,5 +1,5 @@
 //! The request-driven sweep executor: a work queue drained by a pool of
-//! std threads, each owning one reusable [`WorldSlot`].
+//! std threads, each building a fresh world per unit of work.
 //!
 //! Determinism argument, in full:
 //!
@@ -7,10 +7,9 @@
 //!    determined by its `MachineConfig` (seed, fault plan, topology)
 //!    and workload parameters. Nothing about one scenario's execution
 //!    reads another's state.
-//! 2. World-slot reuse is bit-invisible ([`gaat_sim::Sim::reset`]
-//!    restores a fresh engine's observable state; pinned by the
-//!    world-reuse test), so it does not matter *which* slot — with
-//!    *whatever* history — a scenario lands on.
+//! 2. Every unit builds its world with `Simulation::new` and the app's
+//!    `build`, so no state survives from one unit to the next, and it
+//!    does not matter *which* worker a scenario lands on.
 //! 3. Workers claim scenarios by atomic fetch-add, so worker count and
 //!    dequeue order only permute *completion order*. Records carry
 //!    their scenario's stable grid index; the report re-sorts by index,
@@ -30,7 +29,7 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use gaat_jacobi3d::{charm, RunResult};
-use gaat_rt::{ChareId, Simulation, SlotStats, WorldSlot};
+use gaat_rt::{ChareId, Simulation};
 use gaat_sim::SimDuration;
 
 use crate::fork::{self, ForkStats, Unit};
@@ -42,9 +41,6 @@ use crate::record::{AggregateRow, ScenarioRecord};
 pub struct SweepOptions {
     /// Worker threads; 0 = host parallelism.
     pub workers: usize,
-    /// Recycle each worker's engine between scenarios (the fast path;
-    /// off = build a fresh world per run, for overhead measurement).
-    pub reuse_worlds: bool,
     /// Analyze the scenario list into prefix groups (see [`fork`]) and
     /// run each group's shared prefix once, cloning the world at the
     /// divergence instant and forking the branches from the clone.
@@ -65,11 +61,9 @@ pub struct SweepOptions {
 }
 
 impl SweepOptions {
-    /// Defaults plus world reuse and prefix-fork sharing on (the normal
-    /// configuration).
+    /// Defaults plus prefix-fork sharing on (the normal configuration).
     pub fn new() -> Self {
         SweepOptions {
-            reuse_worlds: true,
             fork: true,
             ..Default::default()
         }
@@ -85,13 +79,24 @@ pub struct SweepReport {
     pub wall: Duration,
     /// Worker threads used.
     pub workers: usize,
-    /// Merged world-slot counters across workers.
-    pub slots: SlotStats,
+    /// Worlds built across workers.
+    pub slots: WorldCounts,
     /// Merged prefix-fork counters across workers (all zero when
     /// [`SweepOptions::fork`] is off or nothing was shareable).
     pub fork: ForkStats,
     /// Scenarios satisfied from the resumed JSONL instead of executed.
     pub resumed: usize,
+}
+
+/// How many worlds a sweep built. Stays only for the benchmark binary,
+/// which still reads both fields, until a benchmark-only change drops
+/// that reader.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorldCounts {
+    /// Worlds built with `Simulation::new`: one per unit of work.
+    pub prepared: u64,
+    /// Always 0: every unit builds a fresh world.
+    pub reused: u64,
 }
 
 impl SweepReport {
@@ -224,9 +229,9 @@ pub fn run_sweep(scenarios: &[Scenario], opts: &SweepOptions) -> std::io::Result
     let stats = drain(
         &units,
         opts.workers,
-        || Worker::new(scenarios, opts.reuse_worlds),
+        || Worker::new(scenarios),
         Worker::run_unit,
-        |w| (w.slot.stats(), w.fork),
+        |w| (w.built, w.fork),
         // The calling thread is the sink: stream each record out the
         // moment it lands, so a killed sweep keeps every completed one.
         |_, recs| {
@@ -245,10 +250,10 @@ pub fn run_sweep(scenarios: &[Scenario], opts: &SweepOptions) -> std::io::Result
         },
     );
     let workers = stats.len();
-    let mut slots = SlotStats::default();
+    let mut slots = WorldCounts::default();
     let mut fork_stats = ForkStats::default();
-    for (st, fs) in &stats {
-        add_slot_stats(&mut slots, st);
+    for (built, fs) in &stats {
+        slots.prepared += built;
         fork_stats.merge(fs);
     }
     if let Some(e) = write_err {
@@ -278,53 +283,40 @@ pub fn run_sweep(scenarios: &[Scenario], opts: &SweepOptions) -> std::io::Result
     Ok(report)
 }
 
-/// Run one scenario standalone, on a throwaway slot with no engine
-/// reuse — the reference path the determinism test compares
-/// sweep records against.
+/// Run one scenario standalone, in its own fresh world — the reference
+/// path the determinism test compares sweep records against.
 pub fn run_standalone(sc: &Scenario) -> ScenarioRecord {
     if let Some(rec) = rejection(sc) {
         return rec;
     }
-    let mut w = Worker::new(std::slice::from_ref(sc), false);
+    let mut w = Worker::new(std::slice::from_ref(sc));
     let mut recs = w.run_unit(&Unit::Single(0));
     recs.pop().expect("a single scenario yields one record")
 }
 
-/// Drain an arbitrary job list on the sweep engine's pool, each worker
-/// owning one reusable [`WorldSlot`], so harnesses (the figure
-/// generator) recycle worlds instead of hand-rolling serial loops.
+/// Drain an arbitrary job list on the sweep engine's pool, so harnesses
+/// (the figure generator) need no serial loops of their own.
 /// [`run_sweep`] drains its units on the same pool and adds resume,
 /// prefix forks and streamed JSONL output. Results come back in job
 /// order. `workers == 0` uses host parallelism.
-pub fn run_batch<J, R, F>(jobs: &[J], workers: usize, f: F) -> (Vec<R>, SlotStats)
+pub fn run_batch<J, R, F>(jobs: &[J], workers: usize, f: F) -> Vec<R>
 where
     J: Sync,
     R: Send,
-    F: Fn(&mut WorldSlot, &J) -> R + Sync,
+    F: Fn(&J) -> R + Sync,
 {
     let mut out: Vec<Option<R>> = (0..jobs.len()).map(|_| None).collect();
-    let stats = drain(
+    drain(
         jobs,
         workers,
-        WorldSlot::new,
-        f,
-        |s| s.stats(),
+        || (),
+        |(), j| f(j),
+        |()| (),
         |i, r| out[i] = Some(r),
     );
-    let mut slots = SlotStats::default();
-    for st in &stats {
-        add_slot_stats(&mut slots, st);
-    }
-    let results = out
-        .into_iter()
+    out.into_iter()
         .map(|r| r.expect("every job produces exactly one result"))
-        .collect();
-    (results, slots)
-}
-
-fn add_slot_stats(total: &mut SlotStats, s: &SlotStats) {
-    total.prepared += s.prepared;
-    total.reused += s.reused;
+        .collect()
 }
 
 /// The one worker pool under [`run_sweep`] and [`run_batch`]: `workers`
@@ -405,7 +397,6 @@ fn base_record(sc: &Scenario) -> ScenarioRecord {
         coll_chunks: 0,
         wall_ns: 0,
         setup_ns: 0,
-        reused_world: false,
         error: None,
     }
 }
@@ -462,21 +453,23 @@ fn seal_record(rec: &mut ScenarioRecord, sim: &Simulation) {
     rec.ucx_duplicates = ucx.duplicates;
 }
 
-/// One executor thread's state: the scenario list, its reusable world
-/// slot, and its fork counters.
+/// What an app's `build` returns: the world, its chare ids and the
+/// app's shared parameters.
+type Built<Sh> = (Simulation, Vec<ChareId>, Arc<Sh>);
+
+/// One executor thread's state: the scenario list, how many worlds it
+/// built, and its fork counters.
 struct Worker<'a> {
     scenarios: &'a [Scenario],
-    slot: WorldSlot,
-    reuse: bool,
+    built: u64,
     fork: ForkStats,
 }
 
 impl<'a> Worker<'a> {
-    fn new(scenarios: &'a [Scenario], reuse: bool) -> Self {
+    fn new(scenarios: &'a [Scenario]) -> Self {
         Worker {
             scenarios,
-            slot: WorldSlot::new(),
-            reuse,
+            built: 0,
             fork: ForkStats::default(),
         }
     }
@@ -487,7 +480,7 @@ impl<'a> Worker<'a> {
         match self.scenarios[unit.members().0[0]].workload {
             Workload::Jacobi { .. } => self.run_app(
                 unit,
-                |sim0, sc: &Scenario| charm::build_in(sim0, sc.jacobi_config()),
+                |sc| charm::build(sc.jacobi_config()),
                 charm::start,
                 |sim, ids, sh, rec| {
                     let (res, stalled) = charm::finish_tolerant(sim, ids, sh);
@@ -496,7 +489,7 @@ impl<'a> Worker<'a> {
             ),
             Workload::Sweep3d { .. } => self.run_app(
                 unit,
-                |sim0, sc: &Scenario| gaat_sweep3d::build_in(sim0, sc.sweep3d_config()),
+                |sc| gaat_sweep3d::build(sc.sweep3d_config()),
                 gaat_sweep3d::start,
                 |sim, ids, sh, rec| {
                     let r = gaat_sweep3d::finish(sim, ids, sh);
@@ -506,7 +499,7 @@ impl<'a> Worker<'a> {
             ),
             Workload::Train { .. } => self.run_app(
                 unit,
-                |sim0, sc: &Scenario| gaat_dptrain::train::build_train_in(sim0, sc.train_config()),
+                |sc| gaat_dptrain::train::build_train(sc.train_config()),
                 gaat_dptrain::train::start_train,
                 |sim, ids, sh, rec| {
                     let r = gaat_dptrain::train::finish_train(sim, ids, sh);
@@ -518,7 +511,7 @@ impl<'a> Worker<'a> {
             ),
             Workload::Moe { .. } => self.run_app(
                 unit,
-                |sim0, sc: &Scenario| gaat_dptrain::moe::build_moe_in(sim0, sc.moe_config()),
+                |sc| gaat_dptrain::moe::build_moe(sc.moe_config()),
                 gaat_dptrain::moe::start_moe,
                 |sim, ids, sh, rec| {
                     let r = gaat_dptrain::moe::finish_moe(sim, ids, sh);
@@ -531,26 +524,23 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Workload-agnostic body of [`run_unit`]: `build` constructs the
-    /// app world inside a prepared simulation, `start` injects the
-    /// initial broadcast, and `finish` drains the run and folds its
-    /// outcome into the record. Builds and starts the first member's
-    /// world. For a group, it runs the shared prefix to just
-    /// before `divergence` and clones the world. It finishes the first
+    /// Workload-agnostic body of [`run_unit`]: `build` constructs a
+    /// fresh world for a scenario, `start` injects the initial
+    /// broadcast, and `finish` drains the run and folds its outcome into
+    /// the record. Builds and starts the first member's world. For a
+    /// group, it runs the shared prefix to just before `divergence` and
+    /// clones the world. It finishes the first
     /// member live, then every other member from the clone (rewinding
     /// with `clone_from`) with its own stochastic fault plan swapped in.
-    fn run_app<Sh, B>(
+    fn run_app<Sh>(
         &mut self,
         unit: &Unit,
-        build: B,
+        build: fn(&Scenario) -> Built<Sh>,
         start: fn(&mut Simulation, &[ChareId]),
         finish: fn(&mut Simulation, &[ChareId], &Sh, &mut ScenarioRecord),
-    ) -> Vec<ScenarioRecord>
-    where
-        B: Fn(Simulation, &Scenario) -> (Simulation, Vec<ChareId>, Arc<Sh>),
-    {
-        let (scenarios, reuse) = (self.scenarios, self.reuse);
-        let (slot, fstats) = (&mut self.slot, &mut self.fork);
+    ) -> Vec<ScenarioRecord> {
+        let scenarios = self.scenarios;
+        let fstats = &mut self.fork;
         let finish = |sim: &mut Simulation, ids: &[ChareId], sh: &Sh, mut rec, t0: Instant| {
             finish(sim, ids, sh, &mut rec);
             seal_record(&mut rec, sim);
@@ -563,13 +553,8 @@ impl<'a> Worker<'a> {
         let sc = &scenarios[members[0]];
         let t0 = Instant::now();
         let mut rec = base_record(sc);
-        rec.reused_world = reuse && slot.stats().prepared > 0;
-        let sim0 = if reuse {
-            slot.prepare(sc.machine.clone())
-        } else {
-            Simulation::new(sc.machine.clone())
-        };
-        let (mut sim, ids, sh) = build(sim0, sc);
+        let (mut sim, ids, sh) = build(sc);
+        self.built += 1;
         rec.setup_ns = t0.elapsed().as_nanos() as u64;
         start(&mut sim, &ids);
         let snap = divergence.map(|t| {
@@ -594,14 +579,10 @@ impl<'a> Worker<'a> {
                 fstats.restore_ns += restore_ns;
                 let mut rec = base_record(&scenarios[m]);
                 rec.setup_ns = restore_ns;
-                rec.reused_world = true;
                 sim.set_stochastic_faults(scenarios[m].machine.faults.clone())
                     .expect("a fork group's members share their time-triggered faults");
                 out.push(finish(&mut sim, &ids, &sh, rec, bt));
             }
-        }
-        if reuse {
-            slot.retire(sim);
         }
         out
     }
@@ -615,9 +596,8 @@ mod tests {
     fn run_batch_returns_results_in_job_order() {
         let jobs: Vec<usize> = (0..20).collect();
         for workers in [1, 3, 64] {
-            let (out, slots) = run_batch(&jobs, workers, |_slot, &i| i * 10);
+            let out = run_batch(&jobs, workers, |&i| i * 10);
             assert_eq!(out, (0..20).map(|i| i * 10).collect::<Vec<_>>());
-            assert_eq!(slots.prepared, 0, "no job prepared a world");
         }
     }
 }

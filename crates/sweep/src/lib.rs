@@ -4,9 +4,8 @@
 //! [`ScenarioGrid`] (seed × ODF × topology × placement × fault plan ×
 //! workload, with explicit axes and an optional filter) expands into an
 //! indexed list of [`Scenario`] requests, and [`run_sweep`] drains the
-//! list across a pool of worker threads. Each worker owns one reusable
-//! [`gaat_rt::WorldSlot`] — engines are reset and recycled between
-//! scenarios instead of rebuilt (pinned bit-identical to fresh worlds).
+//! list across a pool of worker threads. Each scenario runs in a fresh
+//! world built with [`gaat_rt::Simulation::new`] and its app's `build`.
 //!
 //! Results stream incrementally: one JSONL record per completed
 //! scenario (fingerprint, makespan, network/transport/collective

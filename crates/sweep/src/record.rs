@@ -8,9 +8,9 @@ use gaat_sim::mix64;
 
 /// Everything recorded about one finished scenario. The *deterministic*
 /// fields (simulated time, checksum, counters) feed the fingerprint;
-/// the wall-clock fields (`wall_ns`, `setup_ns`, `reused_world`) are
-/// measurement metadata and deliberately excluded, so fingerprints are
-/// comparable across worker counts, hosts, and reuse modes.
+/// the wall-clock fields (`wall_ns`, `setup_ns`) are measurement
+/// metadata and deliberately excluded, so fingerprints are comparable
+/// across worker counts and hosts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioRecord {
     /// The scenario's stable grid index.
@@ -55,8 +55,6 @@ pub struct ScenarioRecord {
     pub wall_ns: u64,
     /// Host wall time for engine + machine + application construction.
     pub setup_ns: u64,
-    /// Whether the world slot recycled a retired engine for this run.
-    pub reused_world: bool,
     /// Why the scenario's configuration was rejected, in which case
     /// nothing ran and every outcome field is zero; `None` for every
     /// scenario that was built. The text is a `ConfigError` message,
@@ -68,7 +66,7 @@ pub struct ScenarioRecord {
 impl ScenarioRecord {
     /// Order-independent digest of the deterministic fields. Two runs of
     /// the same scenario — different workers, different dequeue order,
-    /// reused or fresh world — must produce the same fingerprint.
+    /// forked or run from `t = 0` — must produce the same fingerprint.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0x5eed_5eed_5eed_5eed;
         for v in [
@@ -118,7 +116,7 @@ impl ScenarioRecord {
                 "\"net\": {{\"messages\": {}, \"bytes\": {}, \"drops\": {}, \"retransmits\": {}}}, ",
                 "\"ucx\": {{\"retransmits\": {}, \"timeouts\": {}, \"duplicates\": {}}}, ",
                 "\"coll\": {{\"bytes\": {}, \"chunks\": {}}}, ",
-                "\"wall_ns\": {}, \"setup_ns\": {}, \"reused_world\": {}{}}}"
+                "\"wall_ns\": {}, \"setup_ns\": {}{}}}"
             ),
             self.index,
             self.label,
@@ -140,7 +138,6 @@ impl ScenarioRecord {
             self.coll_chunks,
             self.wall_ns,
             self.setup_ns,
-            self.reused_world,
             error,
         )
     }
@@ -200,7 +197,6 @@ impl ScenarioRecord {
             coll_chunks: field(line, p, "chunks")?.parse().ok()?,
             wall_ns: field(line, p, "wall_ns")?.parse().ok()?,
             setup_ns: field(line, p, "setup_ns")?.parse().ok()?,
-            reused_world: field(line, p, "reused_world")?.parse().ok()?,
             error: match line.get(*p..)?.strip_prefix(", \"error\": \"") {
                 Some(rest) => Some(rest.strip_suffix("\"}")?.to_string()),
                 None => None,

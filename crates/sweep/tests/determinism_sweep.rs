@@ -1,7 +1,7 @@
 //! The sweep engine's contract: per-scenario outcomes are independent
-//! of worker count, dequeue order and world-slot reuse. Fingerprints at workers {1, 2, 4} must match each other, must
-//! match a reuse-disabled sweep, and must match standalone one-off runs
-//! of the same scenarios.
+//! of worker count and dequeue order. Fingerprints at workers {1, 2, 4}
+//! must match each other and must match standalone one-off runs of the
+//! same scenarios.
 
 use gaat_jacobi3d::{CommMode, Dims, Placement, Reference};
 use gaat_net::{FatTreeParams, TopologyKind};
@@ -111,7 +111,7 @@ fn jacobi_loss_grid() -> ScenarioGrid {
 }
 
 #[test]
-fn fingerprints_invariant_across_workers_reuse_and_standalone() {
+fn fingerprints_invariant_across_workers_and_standalone() {
     assert_eq!(jacobi_loss_grid().expand().len(), 24);
     for grid in [test_grid(), jacobi_loss_grid()] {
         let scenarios = grid.expand();
@@ -122,10 +122,6 @@ fn fingerprints_invariant_across_workers_reuse_and_standalone() {
             opts.workers = workers;
             runs.push(run_sweep(&scenarios, &opts).expect("no I/O configured"));
         }
-        // A reuse-disabled sweep: every scenario on a fresh world.
-        opts.workers = 2;
-        opts.reuse_worlds = false;
-        runs.push(run_sweep(&scenarios, &opts).expect("no I/O configured"));
 
         let reference = runs[0].fingerprints();
         assert_eq!(reference.len(), scenarios.len());
@@ -133,13 +129,15 @@ fn fingerprints_invariant_across_workers_reuse_and_standalone() {
             assert_eq!(
                 run.fingerprints(),
                 reference,
-                "sweep outcomes must not depend on worker count or world reuse"
+                "sweep outcomes must not depend on worker count"
             );
         }
-        // The multi-worker sweeps really did recycle worlds across a pool.
-        assert_eq!(runs[0].slots.prepared as usize, scenarios.len());
-        assert!(runs[0].slots.reused > 0, "reuse should actually engage");
-        assert_eq!(runs[3].slots.reused, 0, "reuse-off must not touch slots");
+        // One fresh world per scenario (this grid forms no fork group),
+        // and none recycled.
+        for run in &runs {
+            assert_eq!(run.slots.prepared as usize, scenarios.len());
+            assert_eq!(run.slots.reused, 0);
+        }
 
         // And each record matches a standalone one-off run of its scenario.
         for (sc, fp) in scenarios.iter().zip(&reference) {
@@ -152,52 +150,6 @@ fn fingerprints_invariant_across_workers_reuse_and_standalone() {
             );
         }
     }
-}
-
-#[test]
-fn world_slot_reuse_is_bit_identical_to_fresh_worlds() {
-    use gaat_jacobi3d::charm;
-    use gaat_rt::{Simulation, WorldSlot};
-
-    let mut cfg = gaat_jacobi3d::JacobiConfig::new(test_machine(), Dims::cube(8));
-    cfg.comm = CommMode::HostStaging;
-    cfg.iters = 3;
-    cfg.warmup = 1;
-    cfg.odf = 2;
-    cfg.machine.faults.drop_prob = 0.05;
-
-    let fingerprint = |sim: &mut Simulation| {
-        let net = sim.machine.fabric.stats();
-        let ucx = sim.machine.ucx.stats();
-        (
-            sim.sim.now(),
-            sim.machine.stats().entries,
-            net.messages,
-            net.bytes,
-            net.drops,
-            ucx.retransmits,
-            ucx.acks_sent,
-        )
-    };
-
-    // Reference: a fresh world.
-    let (mut sim, ids, sh) = charm::build(cfg.clone());
-    let (res, stalled) = charm::run_tolerant(&mut sim, &ids, &sh);
-    let want = (res.expect("retries on").checksum, fingerprint(&mut sim));
-    assert_eq!(stalled, 0);
-
-    // The same scenario through one slot, three times in a row; runs 2
-    // and 3 recycle the retired engine.
-    let mut slot = WorldSlot::new();
-    for round in 0..3 {
-        let (mut sim, ids, sh) = charm::build_in(slot.prepare(cfg.machine.clone()), cfg.clone());
-        let (res, _) = charm::run_tolerant(&mut sim, &ids, &sh);
-        let got = (res.expect("retries on").checksum, fingerprint(&mut sim));
-        assert_eq!(got, want, "slot round {round} differs from a fresh world");
-        slot.retire(sim);
-    }
-    assert_eq!(slot.stats().prepared, 3);
-    assert_eq!(slot.stats().reused, 2);
 }
 
 #[test]
@@ -352,6 +304,26 @@ fn rejected_scenarios_are_recorded_not_fatal() {
         }
         assert_eq!(rejected, 1, "exactly one scenario breaks `{rule}`");
     }
+
+    // A NaN jitter rejects its scenario the same way, and the scenario
+    // beside it still runs.
+    let mut grid = ScenarioGrid::new(MachineConfig::validation(2, 2));
+    grid.workloads = vec![jacobi(CommMode::HostStaging)];
+    grid.seeds = vec![1, 2];
+    let mut scenarios = grid.expand();
+    scenarios[1].machine.net.jitter = f64::NAN;
+    let report = run_sweep(&scenarios, &SweepOptions::new()).expect("no I/O configured");
+    let outcomes: Vec<(bool, Option<&str>)> = report
+        .records
+        .iter()
+        .map(|r| (r.ok, r.error.as_deref()))
+        .collect();
+    let bad = Some("net.jitter must be a finite factor in [0, 1]");
+    assert_eq!(outcomes, [(true, None), (false, bad)]);
+    assert_eq!(
+        run_standalone(&scenarios[1]).fingerprint(),
+        report.records[1].fingerprint()
+    );
 }
 
 /// A drop rate that is not a probability (NaN, below 0 or above 1)

@@ -305,23 +305,11 @@ pub fn reference_sweep(global: Dims, sweeps: usize) -> Vec<f64> {
         .expect("real buffer")
 }
 
-/// Build the sweep simulation.
+/// Build the sweep simulation. Panics with the [`ConfigError`] text if
+/// `cfg` fails [`SweepConfig::validate`].
 pub fn build(cfg: SweepConfig) -> (Simulation, Vec<ChareId>, Arc<SweepShared>) {
-    let sim = Simulation::new(cfg.machine.clone());
-    build_in(sim, cfg)
-}
-
-/// Like [`build`], but constructing the application inside a
-/// caller-provided simulation (e.g. one prepared by a
-/// `gaat_rt::WorldSlot`, recycling the engine's allocations across a
-/// sweep of scenarios). Must have been built from `cfg.machine`. Panics
-/// with the [`ConfigError`] text if `cfg` fails [`SweepConfig::validate`].
-pub fn build_in(
-    mut sim: Simulation,
-    cfg: SweepConfig,
-) -> (Simulation, Vec<ChareId>, Arc<SweepShared>) {
+    let mut sim = Simulation::new(cfg.machine.clone());
     cfg.validate().unwrap_or_else(|e| panic!("{e}"));
-    debug_assert_eq!(sim.machine.cfg.total_pes(), cfg.machine.total_pes());
     let pes = cfg.machine.total_pes();
     let nblocks = pes * cfg.odf;
     let decomp = Decomp::new(cfg.global, nblocks);

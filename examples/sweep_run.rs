@@ -4,9 +4,9 @@
 //! machine, streaming one JSONL record per finished scenario and
 //! printing the per-group aggregate at the end.
 //!
-//! Every worker recycles one world slot (engine reset between
-//! scenarios); outcomes are bit-identical at any worker count, so feel
-//! free to vary `SWEEP_WORKERS`. Because the drop rates only become
+//! Every scenario (or fork group) runs in a fresh world; outcomes are
+//! bit-identical at any worker count, so feel free to vary
+//! `SWEEP_WORKERS`. Because the drop rates only become
 //! observable at the 800 us fault onset, the prefix-memoizing planner
 //! groups the four drop rates of each (seed, ODF, placement) cell,
 //! executes their shared prefix once, snapshots the world just before
@@ -69,10 +69,7 @@ fn main() {
         report.wall.as_secs_f64(),
         report.records.len() as f64 / report.wall.as_secs_f64()
     );
-    println!(
-        "world slots: {} prepared, {} recycled",
-        report.slots.prepared, report.slots.reused
-    );
+    println!("worlds built: {}", report.slots.prepared);
     println!(
         "prefix tree: {} groups, {} snapshots taken, {} scenarios forked, \
          snapshot {:.0} us / restore {:.0} us mean",

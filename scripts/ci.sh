@@ -10,7 +10,7 @@
 # Fig 9, a quick fat-tree Fig 7c, the protocol landscape and the quick
 # collective tables through the figures binary (whose unknown --fig,
 # --effort and --topology values must fail) and the sweep engine's
-# in-process ratio gates.
+# in-process prefix-fork ratio gate.
 # Everything here must pass with no network access.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -102,7 +102,7 @@ echo "benchmark smoke OK"
 echo "==> figures binary"
 # Fig 9 at quick effort runs every graph x fusion path of Jacobi3D
 # through the binary, the fat-tree Fig 7c builds fat-tree worlds through
-# the sweep engine's slot pool, the protocol landscape drives every UCX
+# the sweep engine's worker pool, the protocol landscape drives every UCX
 # protocol, and the quick collective tables run the ring/tree allreduce,
 # MoE alltoall and training-overlap slices (their correctness pins are
 # unit tests in gaat-coll and gaat-dptrain); an unknown --fig, --effort
@@ -149,12 +149,11 @@ done
 rm -rf "$figs_out"
 echo "figures OK"
 
-echo "==> sweep-engine ratio gates"
-# World reuse must cut per-scenario setup by >= 25% and prefix forking
-# must run the fork grid >= 2x faster, each the median of three
-# alternating off/on pairs; a miss fails unless the ThrottleGuard
+echo "==> sweep-engine ratio gate"
+# Prefix forking must run the fork grid >= 2x faster, the median of
+# three alternating off/on pairs; a miss fails unless the ThrottleGuard
 # suspects the host slowed down mid-run.
 cargo run --release -p gaat-bench --bin sweep_speed
-echo "sweep gates OK"
+echo "sweep gate OK"
 
 echo "CI green"

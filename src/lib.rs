@@ -22,7 +22,7 @@
 //! | [`sweep3d`] | `gaat-sweep3d` | Wavefront-sweep proxy app (pipelined dependencies) |
 //! | [`coll`] | `gaat-coll` | GPU-aware collectives: ring/tree allreduce, reduce-scatter, allgather, broadcast, alltoall |
 //! | [`dptrain`] | `gaat-dptrain` | ML-traffic proxies: data-parallel training, skew-routed MoE alltoall |
-//! | [`sweep`] | `gaat-sweep` | Batched scenario-sweep engine: grids, worker pool, reusable world slots, streamed JSONL |
+//! | [`sweep`] | `gaat-sweep` | Batched scenario-sweep engine: grids, worker pool, prefix forks, streamed JSONL |
 //!
 //! ## Quickstart
 //!
