@@ -91,8 +91,8 @@ pub fn allreduce(small: bool) -> Vec<AllreduceCell> {
             cfg.rounds = if small { 2 } else { 6 };
             cfg.warmup = 1;
             let ranks = cfg.effective_ranks();
-            let (mut sim, ids, sh) = build(cfg);
-            let res = run(&mut sim, &ids, &sh);
+            let (mut sim, ids, _) = build(cfg);
+            let res = run(&mut sim, &ids);
             let stats = sim.machine.fabric.stats();
             let payload = payload_bytes(CollOp::AllReduce, ranks, count);
             out.push(AllreduceCell {
@@ -126,8 +126,8 @@ pub fn moe(small: bool) -> Vec<MoeCell> {
             cfg.placement = placement;
             cfg.rounds = if small { 1 } else { 4 };
             cfg.warmup = 1;
-            let (mut sim, ids, sh) = build_moe(cfg);
-            let res = run_moe(&mut sim, &ids, &sh);
+            let (mut sim, ids, _) = build_moe(cfg);
+            let res = run_moe(&mut sim, &ids);
             let stats = sim.machine.fabric.stats();
             out.push(MoeCell {
                 topology,

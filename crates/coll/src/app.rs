@@ -1,25 +1,23 @@
 //! Standalone collective proxy app: one participant chare per rank,
-//! running `rounds` back-to-back collectives. This is what
+//! placed and timed by the [`rank`] scaffold, running `rounds`
+//! back-to-back collectives. This is what
 //! `figures --fig coll`, `profile_run --collective`, and the
 //! reference-equality tests below drive.
 
 use std::sync::Arc;
 
 use gaat_gpu::Space;
-use gaat_rt::{
-    BufRange, Chare, ChareId, Ctx, EntryId, Envelope, MachineConfig, RunOutcome, Simulation,
-};
-use gaat_sim::{SimDuration, SimTime};
+use gaat_rt::{BufRange, Chare, ChareId, Ctx, EntryId, Envelope, MachineConfig, Simulation};
+use gaat_sim::SimDuration;
 
 use crate::member::{wire_members, CollEntries, CollMember, MemberEvent, MemberStats};
 use crate::plan::{
-    place_rank, plan, reduce_scatter_owner, ring_lanes, tree_lanes, uses_out_buffer, Algorithm,
-    CollOp, CollPlan, RankPlacement,
+    plan, reduce_scatter_owner, ring_lanes, tree_lanes, uses_out_buffer, Algorithm, CollOp,
+    CollPlan, RankPlacement,
 };
+use crate::rank::{self, ConfigError, RoundClock, E_START};
 use crate::reference;
 
-/// Begin execution.
-pub const E_START: EntryId = EntryId(0);
 /// A channel receive landed (member event).
 pub const E_RECV: EntryId = EntryId(1);
 /// A channel send's buffer is reusable (member event).
@@ -67,13 +65,15 @@ impl CollAppConfig {
         }
     }
 
+    /// Check [`rank::validate`]'s rules: the machine, at least one
+    /// timed round, a nonzero `chunk` and no more `ranks` than PEs.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        rank::validate(&self.machine, self.rounds, self.chunk, self.ranks)
+    }
+
     /// Effective participant count.
     pub fn effective_ranks(&self) -> usize {
-        if self.ranks == 0 {
-            self.machine.total_pes()
-        } else {
-            self.ranks
-        }
+        rank::effective_ranks(&self.machine, self.ranks)
     }
 }
 
@@ -118,37 +118,16 @@ pub struct CollShared {
 /// One collective participant.
 #[derive(Clone)]
 pub struct CollChare {
-    sh: Arc<CollShared>,
     /// The embedded executor.
     pub member: CollMember,
-    round: usize,
-    /// Completion time of the warm-up rounds.
-    pub warm_at: Option<SimTime>,
-    /// Completion time of the final round.
-    pub done_at: Option<SimTime>,
+    /// Rounds run and when the warm-up and the last round finished.
+    clock: RoundClock,
 }
 
 impl CollChare {
-    fn total(&self) -> usize {
-        self.sh.cfg.rounds + self.sh.cfg.warmup
-    }
-
     fn start(&mut self, ctx: &mut Ctx<'_>) {
-        while self.round < self.total() {
-            if !self.member.begin(ctx) {
-                return;
-            }
-            self.advance(ctx);
-        }
-    }
-
-    fn advance(&mut self, ctx: &mut Ctx<'_>) {
-        self.round += 1;
-        if self.round == self.sh.cfg.warmup {
-            self.warm_at = Some(ctx.start_time());
-        }
-        if self.round == self.total() {
-            self.done_at = Some(ctx.start_time());
+        while self.clock.running() && self.member.begin(ctx) {
+            self.clock.tick(ctx);
         }
     }
 }
@@ -166,43 +145,31 @@ impl Chare for CollChare {
             other => panic!("unknown entry {other:?}"),
         };
         if self.member.on_event(ctx, ev, env.refnum) {
-            self.advance(ctx);
+            self.clock.tick(ctx);
             self.start(ctx);
         }
     }
 }
 
-/// Build the collective simulation.
+/// Build the collective simulation. Panics with the [`ConfigError`]
+/// text if `cfg` fails [`CollAppConfig::validate`].
 pub fn build(cfg: CollAppConfig) -> (Simulation, Vec<ChareId>, Arc<CollShared>) {
-    assert!(cfg.rounds > 0, "at least one timed round");
+    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
     let ranks = cfg.effective_ranks();
-    let p = plan(cfg.op, cfg.algorithm, ranks, cfg.count, cfg.chunk);
-    let mut sim = Simulation::new(cfg.machine.clone());
     let real = cfg.machine.real_buffers;
     let sh = Arc::new(CollShared {
-        cfg: cfg.clone(),
-        plan: p,
+        plan: plan(cfg.op, cfg.algorithm, ranks, cfg.count, cfg.chunk),
+        cfg,
     });
-    let base = sim.machine.chare_count();
-    let ids: Vec<ChareId> = (0..ranks).map(|i| ChareId(base + i)).collect();
+    let cfg = &sh.cfg;
     let entries = CollEntries {
         recv: E_RECV,
         sent: E_SENT,
         reduced: E_REDUCED,
     };
-    #[allow(clippy::needless_range_loop)]
-    for r in 0..ranks {
-        let pe = place_rank(
-            r,
-            ranks,
-            cfg.machine.nodes,
-            cfg.machine.pes_per_node,
-            cfg.placement,
-        );
-        let dev = sim.machine.pe_device(pe);
-        let device = &mut sim.machine.devices[dev.0];
-        let in_len = sh.plan.in_elems[r].max(1);
-        let data = device.mem.alloc(Space::Device, in_len, real);
+    let (mut sim, ids) = rank::place(&cfg.machine, ranks, cfg.placement, |r, device| {
+        let in_len = sh.plan.in_elems[r];
+        let data = device.mem.alloc(Space::Device, in_len.max(1), real);
         let out = uses_out_buffer(cfg.op).then(|| {
             device
                 .mem
@@ -223,27 +190,15 @@ pub fn build(cfg: CollAppConfig) -> (Simulation, Vec<ChareId>, Arc<CollShared>) 
             device,
             real,
         );
-        if real && sh.plan.in_elems[r] > 0 {
-            let vals: Vec<f64> = (0..sh.plan.in_elems[r])
-                .map(|i| reference::input_value(r, i))
-                .collect();
-            device.mem.write(BufRange::new(data, 0, vals.len()), &vals);
+        if real && in_len > 0 {
+            let vals: Vec<f64> = (0..in_len).map(|i| reference::input_value(r, i)).collect();
+            device.mem.write(BufRange::new(data, 0, in_len), &vals);
         }
-        device.assert_memory_fits();
-        let chare = CollChare {
-            sh: sh.clone(),
+        CollChare {
             member,
-            round: 0,
-            warm_at: if cfg.warmup == 0 {
-                Some(SimTime::ZERO)
-            } else {
-                None
-            },
-            done_at: None,
-        };
-        let id = sim.machine.create_chare(pe, Box::new(chare));
-        assert_eq!(id, ids[r]);
-    }
+            clock: RoundClock::new(cfg.rounds, cfg.warmup),
+        }
+    });
     wire_members(&mut sim.machine, &ids, &sh.plan, |any| {
         &mut any.downcast_mut::<CollChare>().expect("coll chare").member
     });
@@ -251,32 +206,24 @@ pub fn build(cfg: CollAppConfig) -> (Simulation, Vec<ChareId>, Arc<CollShared>) 
 }
 
 /// Run to completion and collect results.
-pub fn run(sim: &mut Simulation, ids: &[ChareId], sh: &CollShared) -> CollResult {
-    {
-        let Simulation { sim, machine, .. } = sim;
-        machine.broadcast(sim, ids, E_START, 0);
-    }
-    assert_eq!(sim.run(), RunOutcome::Drained, "collective should quiesce");
-    let mut warm = SimTime::ZERO;
-    let mut done = SimTime::ZERO;
+pub fn run(sim: &mut Simulation, ids: &[ChareId]) -> CollResult {
+    rank::start(sim, ids);
     let mut stats = MemberStats::default();
-    for &id in ids {
-        let c = sim.machine.chare_as::<CollChare>(id);
-        warm = warm.max(c.warm_at.expect("warmed"));
-        done = done.max(c.done_at.expect("finished"));
+    let (time_per_round, total) = rank::finish(sim, ids, |c: &CollChare| {
         stats.merge(&c.member.stats);
-    }
+        &c.clock
+    });
     CollResult {
-        time_per_round: done.since(warm) / sh.cfg.rounds as u64,
-        total: done.since(SimTime::ZERO),
+        time_per_round,
+        total,
         stats,
     }
 }
 
 /// Convenience: build + run.
 pub fn run_coll(cfg: CollAppConfig) -> CollResult {
-    let (mut sim, ids, sh) = build(cfg);
-    run(&mut sim, &ids, &sh)
+    let (mut sim, ids, _) = build(cfg);
+    run(&mut sim, &ids)
 }
 
 /// Compare every rank's defined output region against the scalar
@@ -358,26 +305,13 @@ pub fn validate_against_reference(sim: &Simulation, ids: &[ChareId], sh: &CollSh
 
 fn read_member_data(sim: &Simulation, id: ChareId, len: usize) -> Vec<f64> {
     let c = sim.machine.chare_as::<CollChare>(id);
-    let pe = sim.machine.pe_of(id);
-    let dev = sim.machine.pe_device(pe);
-    sim.machine.devices[dev.0]
-        .mem
-        .read(BufRange::new(c.member.data_buffer(), 0, len))
-        .expect("validation needs real buffers")
+    rank::read(sim, id, c.member.data_buffer(), len)
 }
 
 fn read_member_out(sim: &Simulation, id: ChareId, len: usize) -> Vec<f64> {
     let c = sim.machine.chare_as::<CollChare>(id);
-    let pe = sim.machine.pe_of(id);
-    let dev = sim.machine.pe_device(pe);
-    sim.machine.devices[dev.0]
-        .mem
-        .read(BufRange::new(
-            c.member.out_buffer().expect("alltoall has an out buffer"),
-            0,
-            len,
-        ))
-        .expect("validation needs real buffers")
+    let out = c.member.out_buffer().expect("alltoall has an out buffer");
+    rank::read(sim, id, out, len)
 }
 
 /// Logical payload bytes per rank for bus-bandwidth accounting.
@@ -416,7 +350,7 @@ mod tests {
                     );
                     cfg.chunk = 5;
                     let (mut sim, ids, sh) = build(cfg);
-                    run(&mut sim, &ids, &sh);
+                    run(&mut sim, &ids);
                     let n = validate_against_reference(&sim, &ids, &sh);
                     assert!(n > 0, "{op:?}/{alg:?} compared nothing");
                 }
@@ -440,7 +374,7 @@ mod tests {
                 cfg.warmup = 1;
                 cfg.chunk = chunk;
                 let (mut sim, ids, sh) = build(cfg);
-                run(&mut sim, &ids, &sh);
+                run(&mut sim, &ids);
                 let n = validate_against_reference(&sim, &ids, &sh);
                 assert!(n > 0, "{alg:?} at {count}/{chunk} compared nothing");
             }
@@ -452,7 +386,7 @@ mod tests {
         for op in ALL_OPS {
             let cfg = CollAppConfig::new(MachineConfig::validation(1, 1), op, Algorithm::Ring, 16);
             let (mut sim, ids, sh) = build(cfg);
-            let res = run(&mut sim, &ids, &sh);
+            let res = run(&mut sim, &ids);
             assert_eq!(res.stats.chunks, 0, "{op:?} single rank sends nothing");
             validate_against_reference(&sim, &ids, &sh);
         }
@@ -470,7 +404,7 @@ mod tests {
             cfg.placement = placement;
             cfg.chunk = 7;
             let (mut sim, ids, sh) = build(cfg);
-            run(&mut sim, &ids, &sh);
+            run(&mut sim, &ids);
             validate_against_reference(&sim, &ids, &sh);
         }
     }

@@ -20,6 +20,10 @@
 //!   addition is not associative, so bit-identity requires order-aware
 //!   references).
 //! - [`member`] — the participant state machine a chare embeds.
+//! - [`rank`] — the rank scaffold every proxy app shares: placing one
+//!   chare per rank, the round clock, the start broadcast, the drain
+//!   that folds the clocks into timings, and the rules every rank run
+//!   validates.
 //! - [`app`] — a standalone proxy app running back-to-back collectives,
 //!   used by `figures --fig coll`, `profile_run --collective`, and the
 //!   reference-equality tests.
@@ -29,6 +33,7 @@
 pub mod app;
 pub mod member;
 pub mod plan;
+pub mod rank;
 pub mod reference;
 
 pub use app::{
@@ -37,3 +42,4 @@ pub use app::{
 };
 pub use member::{CollEntries, CollMember, MemberEvent, MemberStats};
 pub use plan::{alltoallv_plan, plan, Algorithm, CollOp, CollPlan, RankPlacement};
+pub use rank::ConfigError;

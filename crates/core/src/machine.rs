@@ -612,9 +612,6 @@ impl Machine {
         };
         self.pes[pe].stats.messages += 1;
         let env_priority_high = env.priority == crate::msg::MsgPriority::High;
-        if env_priority_high {
-            self.pes[pe].stats.high_priority += 1;
-        }
         self.stats.entries += 1;
         let mut chare = self.chares[chare_id.0]
             .take()
@@ -1099,7 +1096,8 @@ impl Simulation {
     /// drop/corrupt probability, seed) after a restore; time-triggered
     /// faults (link faults, PE failures, stragglers) are armed as build
     /// time events and must be identical across branches sharing a
-    /// prefix, so they are deliberately NOT re-armed here. Returns
+    /// prefix, so they are deliberately NOT re-armed here. The devices
+    /// read only the straggler windows, so they keep their plan. Returns
     /// [`ConfigError::ArmedFaultsChanged`], changing
     /// nothing, if `faults` differs from the armed plan in any of them.
     pub fn set_stochastic_faults(
@@ -1113,11 +1111,6 @@ impl Simulation {
             || faults.detection_delay != armed.detection_delay
         {
             return Err(ConfigError::ArmedFaultsChanged);
-        }
-        if !faults.stragglers.is_empty() {
-            for d in &mut self.machine.devices {
-                d.set_fault_plan(faults.clone());
-            }
         }
         self.machine.fabric.set_faults(faults.clone());
         self.machine.cfg.faults = faults;

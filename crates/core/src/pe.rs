@@ -18,8 +18,6 @@ use crate::msg::{ChareId, Envelope, MsgPriority};
 pub struct PeStats {
     /// Messages executed.
     pub messages: u64,
-    /// High-priority messages executed.
-    pub high_priority: u64,
     /// Total CPU time charged by entry methods (for utilization reports,
     /// cf. the paper's discussion of CUDA Graphs benefiting
     /// high-CPU-utilization runs).

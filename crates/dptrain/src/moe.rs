@@ -16,19 +16,20 @@
 use std::sync::Arc;
 
 use gaat_coll::member::{CollEntries, CollMember, MemberEvent, MemberStats};
-use gaat_coll::plan::{alltoallv_plan, place_rank, CollPlan, RankPlacement};
+use gaat_coll::plan::{alltoallv_plan, CollPlan, RankPlacement};
+use gaat_coll::rank::{self, RoundClock, E_START};
 use gaat_coll::reference::mix64;
 use gaat_gpu::Space;
 use gaat_rt::{
     BufRange, BufferId, Callback, Chare, ChareId, Ctx, EntryId, Envelope, KernelSpec,
-    MachineConfig, Op, RunOutcome, Simulation, StreamId,
+    MachineConfig, Op, Simulation, StreamId,
 };
-use gaat_sim::{SimDuration, SimTime};
+use gaat_sim::SimDuration;
 
 use crate::ConfigError;
 
-/// Begin execution.
-pub const E_START: EntryId = EntryId(0);
+pub use gaat_coll::rank::start as start_moe;
+
 /// The expert kernel retired.
 pub const E_EXPERT: EntryId = EntryId(1);
 /// Member event: receive landed (refnum = member<<16 | lane).
@@ -86,14 +87,12 @@ impl MoeConfig {
         }
     }
 
-    /// Check every rule that depends only on this configuration: the
-    /// machine's ([`gaat_rt::MachineConfig::validate`]), then at least
-    /// one timed round, a nonzero `hidden`, and `hot_frac` in `[0, 1]`.
+    /// Check every rule that depends only on this configuration:
+    /// [`rank::validate`]'s (the machine, at least one timed round, a
+    /// nonzero `chunk`, no more `ranks` than PEs), then a nonzero
+    /// `hidden` and `hot_frac` in `[0, 1]`.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        self.machine.validate()?;
-        if self.rounds == 0 {
-            return Err(ConfigError::NothingTimed);
-        }
+        rank::validate(&self.machine, self.rounds, self.chunk, self.ranks)?;
         if self.hidden == 0 {
             return Err(ConfigError::ZeroHidden);
         }
@@ -105,11 +104,7 @@ impl MoeConfig {
 
     /// Effective participant count.
     pub fn effective_ranks(&self) -> usize {
-        if self.ranks == 0 {
-            self.machine.total_pes()
-        } else {
-            self.ranks
-        }
+        rank::effective_ranks(&self.machine, self.ranks)
     }
 }
 
@@ -220,7 +215,6 @@ pub fn reference_output(cfg: &MoeConfig, ranks: usize, r: usize) -> Vec<f64> {
 /// One MoE participant: the local shard's dispatcher and its expert.
 #[derive(Clone)]
 pub struct MoeChare {
-    sh: Arc<MoeShared>,
     rank: usize,
     disp_out: BufferId,
     exp_out: BufferId,
@@ -228,40 +222,21 @@ pub struct MoeChare {
     stream: StreamId,
     dispatch: CollMember,
     combine: CollMember,
-    round: usize,
-    /// Completion time of the warm-up rounds.
-    pub warm_at: Option<SimTime>,
-    /// Completion time of the final round.
-    pub done_at: Option<SimTime>,
-    /// The combine output buffer (for validation).
-    pub comb_out: BufferId,
+    comb_out: BufferId,
+    /// Rounds run and when the warm-up and the last round finished.
+    clock: RoundClock,
 }
 
 impl MoeChare {
-    fn total(&self) -> usize {
-        self.sh.cfg.rounds + self.sh.cfg.warmup
-    }
-
+    /// Run rounds until one waits on the fabric or the GPU.
     fn start_round(&mut self, ctx: &mut Ctx<'_>) {
-        while self.round < self.total() {
-            if !self.dispatch.begin(ctx) {
-                return;
-            }
-            if !self.run_expert_then_combine(ctx) {
-                return;
-            }
-        }
+        while self.clock.running() && self.dispatch.begin(ctx) && self.expert_then_combine(ctx) {}
     }
 
     /// Dispatch finished: price the expert on the GPU, then combine.
-    /// Returns `true` when the whole round completed synchronously.
-    fn on_dispatch_done(&mut self, ctx: &mut Ctx<'_>) {
-        if self.run_expert_then_combine(ctx) {
-            self.start_round(ctx);
-        }
-    }
-
-    fn run_expert_then_combine(&mut self, ctx: &mut Ctx<'_>) -> bool {
+    /// Returns `true` when the round finished at once and another is
+    /// left to run.
+    fn expert_then_combine(&mut self, ctx: &mut Ctx<'_>) -> bool {
         if self.expert_elems == 0 {
             // No tokens arrived; skip the kernel, go straight to combine.
             return self.start_combine(ctx);
@@ -279,33 +254,17 @@ impl MoeChare {
         false
     }
 
-    /// Returns `true` when combine completed synchronously.
+    /// Returns `true` when combine finished at once and another round is
+    /// left to run.
     fn start_combine(&mut self, ctx: &mut Ctx<'_>) -> bool {
-        if self.combine.begin(ctx) {
-            self.advance(ctx);
-            return true;
-        }
-        false
-    }
-
-    fn advance(&mut self, ctx: &mut Ctx<'_>) {
-        self.round += 1;
-        if self.round == self.sh.cfg.warmup {
-            self.warm_at = Some(ctx.start_time());
-        }
-        if self.round == self.total() {
-            self.done_at = Some(ctx.start_time());
-        }
+        self.combine.begin(ctx) && self.clock.tick(ctx)
     }
 }
 
 impl Chare for MoeChare {
     fn receive(&mut self, ctx: &mut Ctx<'_>, env: Envelope) {
         let ev = match env.entry {
-            E_START => {
-                self.start_round(ctx);
-                return;
-            }
+            E_START => return self.start_round(ctx),
             E_EXPERT => {
                 if self.start_combine(ctx) {
                     self.start_round(ctx);
@@ -317,19 +276,13 @@ impl Chare for MoeChare {
             E_REDUCED => MemberEvent::Reduced,
             other => panic!("unknown entry {other:?}"),
         };
-        let which = env.refnum & !gaat_coll::member::LANE_MASK;
-        let done = if which == DISPATCH {
-            self.dispatch.on_event(ctx, ev, env.refnum)
+        let more = if env.refnum & !gaat_coll::member::LANE_MASK == DISPATCH {
+            self.dispatch.on_event(ctx, ev, env.refnum) && self.expert_then_combine(ctx)
         } else {
-            self.combine.on_event(ctx, ev, env.refnum)
+            self.combine.on_event(ctx, ev, env.refnum) && self.clock.tick(ctx)
         };
-        if done {
-            if which == DISPATCH {
-                self.on_dispatch_done(ctx);
-            } else {
-                self.advance(ctx);
-                self.start_round(ctx);
-            }
+        if more {
+            self.start_round(ctx);
         }
     }
 }
@@ -356,7 +309,6 @@ pub fn expert_kernel(
 /// Build the MoE simulation. Panics with the [`ConfigError`] text if
 /// `cfg` fails [`MoeConfig::validate`].
 pub fn build_moe(cfg: MoeConfig) -> (Simulation, Vec<ChareId>, Arc<MoeShared>) {
-    let mut sim = Simulation::new(cfg.machine.clone());
     cfg.validate().unwrap_or_else(|e| panic!("{e}"));
     let ranks = cfg.effective_ranks();
     let counts = routing_counts(&cfg, ranks);
@@ -371,33 +323,22 @@ pub fn build_moe(cfg: MoeConfig) -> (Simulation, Vec<ChareId>, Arc<MoeShared>) {
     let combine = alltoallv_plan(&transposed, cfg.chunk);
     let real = cfg.machine.real_buffers;
     let sh = Arc::new(MoeShared {
-        cfg: cfg.clone(),
+        cfg,
         ranks,
         counts,
         dispatch,
         combine,
     });
-    let base = sim.machine.chare_count();
-    let ids: Vec<ChareId> = (0..ranks).map(|i| ChareId(base + i)).collect();
+    let cfg = &sh.cfg;
     let entries = CollEntries {
         recv: E_RECV,
         sent: E_SENT,
         reduced: E_REDUCED,
     };
-    #[allow(clippy::needless_range_loop)]
-    for r in 0..ranks {
-        let pe = place_rank(
-            r,
-            ranks,
-            cfg.machine.nodes,
-            cfg.machine.pes_per_node,
-            cfg.placement,
-        );
-        let dev = sim.machine.pe_device(pe);
-        let device = &mut sim.machine.devices[dev.0];
-        let in_len = sh.dispatch.in_elems[r].max(1);
+    let (mut sim, ids) = rank::place(&cfg.machine, ranks, cfg.placement, |r, device| {
+        let in_len = sh.dispatch.in_elems[r];
         let expert_elems = sh.dispatch.out_elems[r];
-        let disp_in = device.mem.alloc(Space::Device, in_len, real);
+        let disp_in = device.mem.alloc(Space::Device, in_len.max(1), real);
         let disp_out = device.mem.alloc(Space::Device, expert_elems.max(1), real);
         let exp_out = device.mem.alloc(Space::Device, expert_elems.max(1), real);
         let comb_out = device
@@ -432,15 +373,13 @@ pub fn build_moe(cfg: MoeConfig) -> (Simulation, Vec<ChareId>, Arc<MoeShared>) {
             device,
             real,
         );
-        if real && sh.dispatch.in_elems[r] > 0 {
-            let vals = dispatch_layout(&cfg, ranks, r);
+        if real && in_len > 0 {
+            let vals = dispatch_layout(cfg, ranks, r);
             device
                 .mem
                 .write(BufRange::new(disp_in, 0, vals.len()), &vals);
         }
-        device.assert_memory_fits();
-        let chare = MoeChare {
-            sh: sh.clone(),
+        MoeChare {
             rank: r,
             disp_out,
             exp_out,
@@ -448,18 +387,10 @@ pub fn build_moe(cfg: MoeConfig) -> (Simulation, Vec<ChareId>, Arc<MoeShared>) {
             stream,
             dispatch,
             combine,
-            round: 0,
-            warm_at: if cfg.warmup == 0 {
-                Some(SimTime::ZERO)
-            } else {
-                None
-            },
-            done_at: None,
             comb_out,
-        };
-        let id = sim.machine.create_chare(pe, Box::new(chare));
-        assert_eq!(id, ids[r]);
-    }
+            clock: RoundClock::new(cfg.rounds, cfg.warmup),
+        }
+    });
     gaat_coll::member::wire_members(&mut sim.machine, &ids, &sh.dispatch, |any| {
         &mut any.downcast_mut::<MoeChare>().expect("moe chare").dispatch
     });
@@ -469,38 +400,25 @@ pub fn build_moe(cfg: MoeConfig) -> (Simulation, Vec<ChareId>, Arc<MoeShared>) {
     (sim, ids, sh)
 }
 
-/// Tree-broadcast `E_START` to every rank without running the engine:
-/// the first half of [`run_moe`]. The sweep memoizer pauses between the
-/// halves to snapshot and fork the world.
-pub fn start_moe(sim: &mut Simulation, ids: &[ChareId]) {
-    let Simulation { sim, machine, .. } = sim;
-    machine.broadcast(sim, ids, E_START, 0);
-}
-
 /// Run to completion and collect results.
-pub fn run_moe(sim: &mut Simulation, ids: &[ChareId], sh: &MoeShared) -> MoeResult {
+pub fn run_moe(sim: &mut Simulation, ids: &[ChareId]) -> MoeResult {
     start_moe(sim, ids);
-    finish_moe(sim, ids, sh)
+    finish_moe(sim, ids)
 }
 
-/// Drain a started run to quiescence and collect results: the second
-/// half of [`run_moe`].
-pub fn finish_moe(sim: &mut Simulation, ids: &[ChareId], sh: &MoeShared) -> MoeResult {
-    assert_eq!(sim.run(), RunOutcome::Drained, "MoE round should quiesce");
-    let mut warm = SimTime::ZERO;
-    let mut done = SimTime::ZERO;
+/// Drain a run [`start_moe`] began to quiescence and collect results:
+/// the second half of [`run_moe`].
+pub fn finish_moe(sim: &mut Simulation, ids: &[ChareId]) -> MoeResult {
     let mut dispatch_stats = MemberStats::default();
     let mut combine_stats = MemberStats::default();
-    for &id in ids {
-        let c = sim.machine.chare_as::<MoeChare>(id);
-        warm = warm.max(c.warm_at.expect("warmed"));
-        done = done.max(c.done_at.expect("finished"));
+    let (time_per_round, total) = rank::finish(sim, ids, |c: &MoeChare| {
         dispatch_stats.merge(&c.dispatch.stats);
         combine_stats.merge(&c.combine.stats);
-    }
+        &c.clock
+    });
     MoeResult {
-        time_per_round: done.since(warm) / sh.cfg.rounds as u64,
-        total: done.since(SimTime::ZERO),
+        time_per_round,
+        total,
         dispatch_stats,
         combine_stats,
     }
@@ -508,8 +426,8 @@ pub fn finish_moe(sim: &mut Simulation, ids: &[ChareId], sh: &MoeShared) -> MoeR
 
 /// Convenience: build + run.
 pub fn run_moe_app(cfg: MoeConfig) -> MoeResult {
-    let (mut sim, ids, sh) = build_moe(cfg);
-    run_moe(&mut sim, &ids, &sh)
+    let (mut sim, ids, _) = build_moe(cfg);
+    run_moe(&mut sim, &ids)
 }
 
 /// Compare every rank's combine output against [`reference_output`],
@@ -523,12 +441,7 @@ pub fn validate_moe(sim: &Simulation, ids: &[ChareId], sh: &MoeShared) -> usize 
             continue;
         }
         let c = sim.machine.chare_as::<MoeChare>(id);
-        let pe = sim.machine.pe_of(id);
-        let dev = sim.machine.pe_device(pe);
-        let got = sim.machine.devices[dev.0]
-            .mem
-            .read(BufRange::new(c.comb_out, 0, want.len()))
-            .expect("real buffers");
+        let got = rank::read(sim, id, c.comb_out, want.len());
         assert_eq!(got, want, "MoE combine output rank {r}");
         compared += want.len();
     }
@@ -571,7 +484,7 @@ mod tests {
             cfg.chunk = chunk;
             cfg.hot_frac = hot_frac;
             let (mut sim, ids, sh) = build_moe(cfg);
-            run_moe(&mut sim, &ids, &sh);
+            run_moe(&mut sim, &ids);
             let n = validate_moe(&sim, &ids, &sh);
             assert!(n > 0);
         }
@@ -584,7 +497,7 @@ mod tests {
         cfg.warmup = 1;
         cfg.chunk = 5;
         let (mut sim, ids, sh) = build_moe(cfg);
-        run_moe(&mut sim, &ids, &sh);
+        run_moe(&mut sim, &ids);
         validate_moe(&sim, &ids, &sh);
     }
 
@@ -592,7 +505,7 @@ mod tests {
     fn single_rank_moe_completes() {
         let cfg = MoeConfig::new(MachineConfig::validation(1, 1), 5, 2);
         let (mut sim, ids, sh) = build_moe(cfg);
-        let res = run_moe(&mut sim, &ids, &sh);
+        let res = run_moe(&mut sim, &ids);
         assert_eq!(res.dispatch_stats.chunks, 0, "self traffic stays local");
         validate_moe(&sim, &ids, &sh);
     }

@@ -19,21 +19,21 @@ use std::sync::Arc;
 
 use gaat_coll::member::{CollEntries, CollMember, MemberEvent, MemberStats};
 use gaat_coll::plan::{
-    even_split, place_rank, plan, ring_lanes, tree_lanes, Algorithm, CollOp, CollPlan,
-    RankPlacement,
+    even_split, plan, ring_lanes, tree_lanes, Algorithm, CollOp, CollPlan, RankPlacement,
 };
+use gaat_coll::rank::{self, RoundClock, E_START};
 use gaat_coll::reference;
 use gaat_gpu::Space;
 use gaat_rt::{
     BufRange, BufferId, Callback, Chare, ChareId, Ctx, EntryId, Envelope, KernelSpec,
-    MachineConfig, Op, RunOutcome, Simulation, StreamId,
+    MachineConfig, Op, Simulation, StreamId,
 };
-use gaat_sim::{SimDuration, SimTime};
+use gaat_sim::SimDuration;
 
 use crate::ConfigError;
 
-/// Begin execution.
-pub const E_START: EntryId = EntryId(0);
+pub use gaat_coll::rank::start as start_train;
+
 /// A backward bucket's kernel retired (refnum = bucket).
 pub const E_BWD: EntryId = EntryId(1);
 /// The SGD update kernel retired.
@@ -106,15 +106,12 @@ impl TrainConfig {
         }
     }
 
-    /// Check every rule that depends only on this configuration: the
-    /// machine's ([`gaat_rt::MachineConfig::validate`]), then at least
-    /// one timed step and one bucket, and no more buckets than
-    /// parameters.
+    /// Check every rule that depends only on this configuration:
+    /// [`rank::validate`]'s (the machine, at least one timed step, a
+    /// nonzero `chunk`), then at least one bucket and no more buckets
+    /// than parameters.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        self.machine.validate()?;
-        if self.steps == 0 {
-            return Err(ConfigError::NothingTimed);
-        }
+        rank::validate(&self.machine, self.steps, self.chunk, 0)?;
         if self.buckets == 0 {
             return Err(ConfigError::ZeroBuckets);
         }
@@ -172,20 +169,13 @@ pub struct TrainChare {
     g: BufferId,
     compute: StreamId,
     members: Vec<CollMember>,
-    step: usize,
     bwd_ready: usize,
     buckets_done: usize,
-    /// Completion time of the warm-up steps.
-    pub warm_at: Option<SimTime>,
-    /// Completion time of the final step.
-    pub done_at: Option<SimTime>,
+    /// Steps run and when the warm-up and the last step finished.
+    clock: RoundClock,
 }
 
 impl TrainChare {
-    fn total(&self) -> usize {
-        self.sh.cfg.steps + self.sh.cfg.warmup
-    }
-
     fn begin_step(&mut self, ctx: &mut Ctx<'_>) {
         let cfg = &self.sh.cfg;
         self.bwd_ready = 0;
@@ -203,7 +193,7 @@ impl TrainChare {
         ctx.launch(self.compute, Op::kernel(fwd));
         // Backward pass: buckets retire in reverse order, each filling
         // its gradient range (functional) and firing its own HAPI.
-        let (rank, step, g) = (self.rank, self.step, self.g);
+        let (rank, step, g) = (self.rank, self.clock.round(), self.g);
         for b in (0..cfg.buckets).rev() {
             let (bo, bl) = even_split(cfg.params, cfg.buckets, b);
             let work = t.membound_work(bl as u64 * cfg.intensity * 2);
@@ -267,13 +257,7 @@ impl TrainChare {
     }
 
     fn advance_step(&mut self, ctx: &mut Ctx<'_>) {
-        self.step += 1;
-        if self.step == self.sh.cfg.warmup {
-            self.warm_at = Some(ctx.start_time());
-        }
-        if self.step == self.total() {
-            self.done_at = Some(ctx.start_time());
-        } else {
+        if self.clock.tick(ctx) {
             self.begin_step(ctx);
         }
     }
@@ -346,7 +330,6 @@ pub fn sgd_update(
 /// Build the training simulation. Panics with the [`ConfigError`] text
 /// if `cfg` fails [`TrainConfig::validate`].
 pub fn build_train(cfg: TrainConfig) -> (Simulation, Vec<ChareId>, Arc<TrainShared>) {
-    let mut sim = Simulation::new(cfg.machine.clone());
     cfg.validate().unwrap_or_else(|e| panic!("{e}"));
     let ranks = cfg.machine.total_pes();
     let plans: Vec<CollPlan> = (0..cfg.buckets)
@@ -356,29 +339,14 @@ pub fn build_train(cfg: TrainConfig) -> (Simulation, Vec<ChareId>, Arc<TrainShar
         })
         .collect();
     let real = cfg.machine.real_buffers;
-    let sh = Arc::new(TrainShared {
-        cfg: cfg.clone(),
-        ranks,
-        plans,
-    });
-    let base = sim.machine.chare_count();
-    let ids: Vec<ChareId> = (0..ranks).map(|i| ChareId(base + i)).collect();
+    let sh = Arc::new(TrainShared { cfg, ranks, plans });
+    let cfg = &sh.cfg;
     let entries = CollEntries {
         recv: E_RECV,
         sent: E_SENT,
         reduced: E_REDUCED,
     };
-    #[allow(clippy::needless_range_loop)]
-    for r in 0..ranks {
-        let pe = place_rank(
-            r,
-            ranks,
-            cfg.machine.nodes,
-            cfg.machine.pes_per_node,
-            cfg.placement,
-        );
-        let dev = sim.machine.pe_device(pe);
-        let device = &mut sim.machine.devices[dev.0];
+    let (mut sim, ids) = rank::place(&cfg.machine, ranks, cfg.placement, |r, device| {
         let w = device.mem.alloc(Space::Device, cfg.params, real);
         let g = device.mem.alloc(Space::Device, cfg.params, real);
         let compute = device.create_stream(1);
@@ -406,27 +374,18 @@ pub fn build_train(cfg: TrainConfig) -> (Simulation, Vec<ChareId>, Arc<TrainShar
             let vals: Vec<f64> = (0..cfg.params).map(init_weight).collect();
             device.mem.write(BufRange::new(w, 0, cfg.params), &vals);
         }
-        device.assert_memory_fits();
-        let chare = TrainChare {
+        TrainChare {
             sh: sh.clone(),
             rank: r,
             w,
             g,
             compute,
             members,
-            step: 0,
             bwd_ready: 0,
             buckets_done: 0,
-            warm_at: if cfg.warmup == 0 {
-                Some(SimTime::ZERO)
-            } else {
-                None
-            },
-            done_at: None,
-        };
-        let id = sim.machine.create_chare(pe, Box::new(chare));
-        assert_eq!(id, ids[r]);
-    }
+            clock: RoundClock::new(cfg.steps, cfg.warmup),
+        }
+    });
     for b in 0..cfg.buckets {
         gaat_coll::member::wire_members(&mut sim.machine, &ids, &sh.plans[b], |any| {
             &mut any
@@ -438,46 +397,33 @@ pub fn build_train(cfg: TrainConfig) -> (Simulation, Vec<ChareId>, Arc<TrainShar
     (sim, ids, sh)
 }
 
-/// Tree-broadcast `E_START` to every rank without running the engine:
-/// the first half of [`run_train`]. The sweep memoizer pauses between
-/// the halves to snapshot and fork the world.
-pub fn start_train(sim: &mut Simulation, ids: &[ChareId]) {
-    let Simulation { sim, machine, .. } = sim;
-    machine.broadcast(sim, ids, E_START, 0);
-}
-
 /// Run to completion and collect results.
-pub fn run_train(sim: &mut Simulation, ids: &[ChareId], sh: &TrainShared) -> TrainResult {
+pub fn run_train(sim: &mut Simulation, ids: &[ChareId]) -> TrainResult {
     start_train(sim, ids);
-    finish_train(sim, ids, sh)
+    finish_train(sim, ids)
 }
 
-/// Drain a started run to quiescence and collect results: the second
-/// half of [`run_train`].
-pub fn finish_train(sim: &mut Simulation, ids: &[ChareId], sh: &TrainShared) -> TrainResult {
-    assert_eq!(sim.run(), RunOutcome::Drained, "training should quiesce");
-    let mut warm = SimTime::ZERO;
-    let mut done = SimTime::ZERO;
-    let mut stats = MemberStats::default();
-    for &id in ids {
-        let c = sim.machine.chare_as::<TrainChare>(id);
-        warm = warm.max(c.warm_at.expect("warmed"));
-        done = done.max(c.done_at.expect("finished"));
+/// Drain a run [`start_train`] began to quiescence and collect results:
+/// the second half of [`run_train`].
+pub fn finish_train(sim: &mut Simulation, ids: &[ChareId]) -> TrainResult {
+    let mut coll_stats = MemberStats::default();
+    let (time_per_step, total) = rank::finish(sim, ids, |c: &TrainChare| {
         for m in &c.members {
-            stats.merge(&m.stats);
+            coll_stats.merge(&m.stats);
         }
-    }
+        &c.clock
+    });
     TrainResult {
-        time_per_step: done.since(warm) / sh.cfg.steps as u64,
-        total: done.since(SimTime::ZERO),
-        coll_stats: stats,
+        time_per_step,
+        total,
+        coll_stats,
     }
 }
 
 /// Convenience: build + run.
 pub fn train(cfg: TrainConfig) -> TrainResult {
-    let (mut sim, ids, sh) = build_train(cfg);
-    run_train(&mut sim, &ids, &sh)
+    let (mut sim, ids, _) = build_train(cfg);
+    run_train(&mut sim, &ids)
 }
 
 /// Sequential scalar reference for the final weights after a full run.
@@ -514,12 +460,7 @@ pub fn validate_train(sim: &Simulation, ids: &[ChareId], sh: &TrainShared) -> us
     let mut compared = 0;
     for &id in ids {
         let c = sim.machine.chare_as::<TrainChare>(id);
-        let pe = sim.machine.pe_of(id);
-        let dev = sim.machine.pe_device(pe);
-        let got = sim.machine.devices[dev.0]
-            .mem
-            .read(BufRange::new(c.w, 0, sh.cfg.params))
-            .expect("real buffers");
+        let got = rank::read(sim, id, c.w, sh.cfg.params);
         assert_eq!(got, want, "rank weights diverged");
         compared += sh.cfg.params;
     }
@@ -541,7 +482,7 @@ mod tests {
                 cfg.steps = 2;
                 cfg.warmup = 1;
                 let (mut sim, ids, sh) = build_train(cfg);
-                run_train(&mut sim, &ids, &sh);
+                run_train(&mut sim, &ids);
                 assert_eq!(validate_train(&sim, &ids, &sh), 50 * 6, "{alg:?}/{buckets}");
             }
         }
@@ -555,7 +496,7 @@ mod tests {
         cfg.warmup = 0;
         cfg.chunk = 8;
         let (mut sim, ids, sh) = build_train(cfg);
-        run_train(&mut sim, &ids, &sh);
+        run_train(&mut sim, &ids);
         validate_train(&sim, &ids, &sh);
     }
 

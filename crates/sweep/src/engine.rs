@@ -47,12 +47,6 @@ pub struct SweepOptions {
     /// Bit-invisible in the records — pinned against the unforked path
     /// — and off for anything the planner cannot prove shareable.
     pub fork: bool,
-    /// Resume a partial sweep: re-read `jsonl` (if it exists), keep
-    /// every intact record whose index and label match this scenario
-    /// list, and run only the missing scenarios. The file is rewritten
-    /// with the kept records first, so a corrupt tail line from a kill
-    /// mid-write is dropped rather than appended after.
-    pub resume: bool,
     /// Stream one JSON record per completed scenario here, flushed per
     /// line so a killed sweep keeps everything finished so far.
     pub jsonl: Option<PathBuf>,
@@ -84,8 +78,6 @@ pub struct SweepReport {
     /// Merged prefix-fork counters across workers (all zero when
     /// [`SweepOptions::fork`] is off or nothing was shareable).
     pub fork: ForkStats,
-    /// Scenarios satisfied from the resumed JSONL instead of executed.
-    pub resumed: usize,
 }
 
 /// How many worlds a sweep built. Stays only for the benchmark binary,
@@ -177,38 +169,9 @@ impl SweepReport {
 pub fn run_sweep(scenarios: &[Scenario], opts: &SweepOptions) -> std::io::Result<SweepReport> {
     let start = Instant::now();
 
-    // Resume: harvest intact records from a previous partial JSONL.
-    // A record is trusted only if it parses, its stored fingerprint
-    // matches the recomputed one, and its index/label agree with this
-    // scenario list (guarding against resuming a different grid).
-    let mut slots_out: Vec<Option<ScenarioRecord>> = vec![None; scenarios.len()];
-    let mut resumed = 0usize;
-    if opts.resume {
-        if let Some(p) = &opts.jsonl {
-            if let Ok(text) = std::fs::read_to_string(p) {
-                for line in text.lines() {
-                    if let Some(mut rec) = ScenarioRecord::from_jsonl(line) {
-                        let i = rec.index;
-                        if i < scenarios.len()
-                            && rec.label == scenarios[i].label()
-                            && slots_out[i].is_none()
-                        {
-                            rec.group = scenarios[i].group();
-                            slots_out[i] = Some(rec);
-                            resumed += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
     // A scenario whose configuration is rejected gets its record now
     // and never reaches the planner, so it joins no fork group.
-    for (slot, sc) in slots_out.iter_mut().zip(scenarios) {
-        if slot.is_none() {
-            *slot = rejection(sc);
-        }
-    }
+    let mut slots_out: Vec<Option<ScenarioRecord>> = scenarios.iter().map(rejection).collect();
     let skip: Vec<bool> = slots_out.iter().map(Option::is_some).collect();
     let units = fork::plan(scenarios, opts.fork, &skip);
 
@@ -216,8 +179,7 @@ pub fn run_sweep(scenarios: &[Scenario], opts: &SweepOptions) -> std::io::Result
         Some(p) => Some(BufWriter::new(File::create(p)?)),
         None => None,
     };
-    // Rewriting (rather than appending to) the file on resume drops any
-    // corrupt tail line; the kept and rejected records come first.
+    // The rejected records come first.
     if let Some(w) = jsonl.as_mut() {
         for rec in slots_out.iter().flatten() {
             writeln!(w, "{}", rec.jsonl())?;
@@ -270,7 +232,6 @@ pub fn run_sweep(scenarios: &[Scenario], opts: &SweepOptions) -> std::io::Result
         workers,
         slots,
         fork: fork_stats,
-        resumed,
     };
     if let Some(p) = &opts.csv {
         let mut w = BufWriter::new(File::create(p)?);
@@ -296,7 +257,7 @@ pub fn run_standalone(sc: &Scenario) -> ScenarioRecord {
 
 /// Drain an arbitrary job list on the sweep engine's pool, so harnesses
 /// (the figure generator) need no serial loops of their own.
-/// [`run_sweep`] drains its units on the same pool and adds resume,
+/// [`run_sweep`] drains its units on the same pool and adds
 /// prefix forks and streamed JSONL output. Results come back in job
 /// order. `workers == 0` uses host parallelism.
 pub fn run_batch<J, R, F>(jobs: &[J], workers: usize, f: F) -> Vec<R>
@@ -501,8 +462,8 @@ impl<'a> Worker<'a> {
                 unit,
                 |sc| gaat_dptrain::train::build_train(sc.train_config()),
                 gaat_dptrain::train::start_train,
-                |sim, ids, sh, rec| {
-                    let r = gaat_dptrain::train::finish_train(sim, ids, sh);
+                |sim, ids, _, rec| {
+                    let r = gaat_dptrain::train::finish_train(sim, ids);
                     rec.makespan_ns = r.total.as_ns();
                     rec.unit_ns = r.time_per_step.as_ns();
                     rec.coll_bytes = r.coll_stats.bytes;
@@ -513,8 +474,8 @@ impl<'a> Worker<'a> {
                 unit,
                 |sc| gaat_dptrain::moe::build_moe(sc.moe_config()),
                 gaat_dptrain::moe::start_moe,
-                |sim, ids, sh, rec| {
-                    let r = gaat_dptrain::moe::finish_moe(sim, ids, sh);
+                |sim, ids, _, rec| {
+                    let r = gaat_dptrain::moe::finish_moe(sim, ids);
                     rec.makespan_ns = r.total.as_ns();
                     rec.unit_ns = r.time_per_round.as_ns();
                     rec.coll_bytes = r.dispatch_stats.bytes + r.combine_stats.bytes;

@@ -134,8 +134,8 @@ fn key_eq(a: &Key, b: &Key) -> bool {
         && a.machine == b.machine
 }
 
-/// Analyze `scenarios` (skipping positions where `skip` is set, e.g.
-/// already-completed work on a resumed sweep) into an ordered unit
+/// Analyze `scenarios` (skipping positions where `skip` is set: the
+/// scenarios already rejected by validation) into an ordered unit
 /// list. With `fork` off every scenario becomes a [`Unit::Single`],
 /// reproducing the pre-fork executor exactly.
 pub(crate) fn plan(scenarios: &[Scenario], fork: bool, skip: &[bool]) -> Vec<Unit> {

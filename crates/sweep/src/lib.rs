@@ -11,9 +11,6 @@
 //! scenario (fingerprint, makespan, network/transport/collective
 //! counters, wall time), flushed per line so a killed sweep keeps
 //! everything finished so far, plus an end-of-sweep CSV aggregate.
-//! A killed sweep can also be *resumed*: with
-//! [`SweepOptions::resume`] the engine re-reads the partial JSONL,
-//! keeps every intact record, and runs only what is missing.
 //! Per-scenario outcomes are independent of worker count and dequeue
 //! order; only wall-clock metadata varies. A scenario whose
 //! configuration fails validation is recorded as rejected, with the

@@ -143,69 +143,6 @@ impl ScenarioRecord {
     }
 }
 
-/// Pull the raw text of `"key": <value>` out of `line`, scanning
-/// forward from `*pos` only — keys repeat across the nested objects
-/// (`net.bytes` vs `coll.bytes`), so parsing follows the fixed field
-/// order [`ScenarioRecord::jsonl`] writes.
-fn field<'a>(line: &'a str, pos: &mut usize, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": ");
-    let start = line.get(*pos..)?.find(&pat)? + *pos + pat.len();
-    let rest = line.get(start..)?;
-    let end = rest.find([',', '}'])?;
-    *pos = start + end;
-    Some(&rest[..end])
-}
-
-impl ScenarioRecord {
-    /// Parse one line written by [`ScenarioRecord::jsonl`] back into a
-    /// record — the resume path's reader. Returns `None` for anything
-    /// that does not parse cleanly *or* whose stored fingerprint does
-    /// not match the one recomputed from the parsed fields (a truncated
-    /// or corrupted tail line), so a resumed sweep only trusts intact
-    /// records. The `group` field is not in the JSONL encoding; it is
-    /// left empty for the caller to restore from the scenario list.
-    pub fn from_jsonl(line: &str) -> Option<ScenarioRecord> {
-        let p = &mut 0usize;
-        let index: usize = field(line, p, "i")?.parse().ok()?;
-        let label = field(line, p, "label")?
-            .strip_prefix('"')?
-            .strip_suffix('"')?
-            .to_string();
-        let stored = field(line, p, "fingerprint")?;
-        let stored = u64::from_str_radix(stored.strip_prefix('"')?.strip_suffix('"')?, 16).ok()?;
-        let rec = ScenarioRecord {
-            index,
-            group: String::new(),
-            label,
-            ok: field(line, p, "ok")?.parse().ok()?,
-            stalled: field(line, p, "stalled")?.parse().ok()?,
-            makespan_ns: field(line, p, "makespan_ns")?.parse().ok()?,
-            unit_ns: field(line, p, "unit_ns")?.parse().ok()?,
-            checksum: match field(line, p, "checksum")? {
-                "null" => None,
-                v => Some(v.parse().ok()?),
-            },
-            entries: field(line, p, "entries")?.parse().ok()?,
-            net_messages: field(line, p, "messages")?.parse().ok()?,
-            net_bytes: field(line, p, "bytes")?.parse().ok()?,
-            net_drops: field(line, p, "drops")?.parse().ok()?,
-            net_retransmits: field(line, p, "retransmits")?.parse().ok()?,
-            ucx_retransmits: field(line, p, "retransmits")?.parse().ok()?,
-            ucx_timeouts: field(line, p, "timeouts")?.parse().ok()?,
-            ucx_duplicates: field(line, p, "duplicates")?.parse().ok()?,
-            coll_bytes: field(line, p, "bytes")?.parse().ok()?,
-            coll_chunks: field(line, p, "chunks")?.parse().ok()?,
-            wall_ns: field(line, p, "wall_ns")?.parse().ok()?,
-            setup_ns: field(line, p, "setup_ns")?.parse().ok()?,
-            error: match line.get(*p..)?.strip_prefix(", \"error\": \"") {
-                Some(rest) => Some(rest.strip_suffix("\"}")?.to_string()),
-                None => None,
-            },
-        };
-        (rec.fingerprint() == stored).then_some(rec)
-    }
-}
-
 /// One aggregate row: records grouped by everything but the seed.
 #[derive(Debug, Clone)]
 pub struct AggregateRow {

@@ -7,7 +7,7 @@ use gaat_jacobi3d::{CommMode, Dims, Placement, Reference};
 use gaat_net::{FatTreeParams, TopologyKind};
 use gaat_rt::{LbPolicy, MachineConfig};
 use gaat_sim::{FaultPlan, PeFault, SimDuration, SimTime};
-use gaat_sweep::{run_standalone, run_sweep, ScenarioGrid, ScenarioRecord, SweepOptions, Workload};
+use gaat_sweep::{run_standalone, run_sweep, ScenarioGrid, SweepOptions, Workload};
 
 fn test_machine() -> MachineConfig {
     let mut machine = MachineConfig::validation(2, 2);
@@ -294,10 +294,6 @@ fn rejected_scenarios_are_recorded_not_fatal() {
                 assert!(!rec.ok);
                 assert_eq!((rec.stalled, rec.makespan_ns, rec.entries), (0, 0, 0));
                 assert!(rec.jsonl().contains(rule));
-                assert_eq!(
-                    ScenarioRecord::from_jsonl(&rec.jsonl()).unwrap().error,
-                    rec.error
-                );
             } else {
                 assert!(rec.ok, "{} should run", sc.label());
             }

@@ -2,8 +2,7 @@
 //! bit-invisible. Fingerprints from a fork-enabled sweep at workers
 //! {1, 2, 4} must match a fork-disabled sweep, must match standalone
 //! one-off runs, and the fork machinery must actually engage on a
-//! fault-sweep-shaped grid. Resume must complete a partial sweep to the
-//! same fingerprints as an uninterrupted one.
+//! fault-sweep-shaped grid.
 
 use gaat_jacobi3d::{CommMode, Dims};
 use gaat_rt::MachineConfig;
@@ -193,66 +192,6 @@ fn fault_seed_axis_forks_with_retries_off() {
     // two seeds should disagree for the axis to mean anything.
     let fps = forked.fingerprints();
     assert!(fps.iter().any(|f| *f != fps[0]));
-}
-
-#[test]
-fn resume_completes_a_partial_sweep_bit_identically() {
-    let scenarios = fault_grid().expand();
-    let dir = std::env::temp_dir();
-    let path = dir.join("gaat_sweep_resume_test.jsonl");
-
-    let mut opts = SweepOptions::new();
-    opts.workers = 2;
-    opts.jsonl = Some(path.clone());
-    let fresh = run_sweep(&scenarios, &opts).expect("temp dir is writable");
-    let want = fresh.fingerprints();
-
-    // Simulate a kill mid-sweep: keep 5 intact lines, then a torn line.
-    let full = std::fs::read_to_string(&path).unwrap();
-    let mut partial: String = full.lines().take(5).map(|l| format!("{l}\n")).collect();
-    partial.push_str("{\"i\": 11, \"label\": \"jacobi se");
-    std::fs::write(&path, &partial).unwrap();
-
-    opts.resume = true;
-    let resumed = run_sweep(&scenarios, &opts).expect("temp dir is writable");
-    assert_eq!(resumed.resumed, 5, "five intact records must be kept");
-    assert_eq!(
-        resumed.fingerprints(),
-        want,
-        "a resumed sweep must equal an uninterrupted one"
-    );
-    // The rewritten file carries every record, torn tail gone.
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert_eq!(text.lines().count(), scenarios.len());
-
-    // Resuming a *complete* file runs nothing at all.
-    let third = run_sweep(&scenarios, &opts).expect("temp dir is writable");
-    assert_eq!(third.resumed, scenarios.len());
-    assert_eq!(third.slots.prepared, 0, "no worlds built on a full resume");
-    assert_eq!(third.fingerprints(), want);
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn resume_rejects_records_from_a_different_grid() {
-    let scenarios = fault_grid().expand();
-    let dir = std::env::temp_dir();
-    let path = dir.join("gaat_sweep_resume_mismatch_test.jsonl");
-
-    let mut opts = SweepOptions::new();
-    opts.jsonl = Some(path.clone());
-    let fresh = run_sweep(&scenarios, &opts).expect("temp dir is writable");
-
-    // A grid with a different fault seed: same indices, different
-    // labels. Nothing from the old file may be trusted.
-    let mut other_grid = fault_grid();
-    other_grid.machine.faults.seed = 8;
-    let others = other_grid.expand();
-    opts.resume = true;
-    let resumed = run_sweep(&others, &opts).expect("temp dir is writable");
-    assert_eq!(resumed.resumed, 0, "label mismatch must reject resume");
-    assert_ne!(resumed.fingerprints(), fresh.fingerprints());
-    std::fs::remove_file(&path).ok();
 }
 
 /// Property-style randomized pin (the workspace vendors no property

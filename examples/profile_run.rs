@@ -108,8 +108,8 @@ fn collective_profile(which: &str) {
         cfg.rounds = 4;
         cfg.warmup = 1;
         let ranks = cfg.effective_ranks();
-        let (mut sim, ids, sh) = build(cfg);
-        let res = run(&mut sim, &ids, &sh);
+        let (mut sim, ids, _) = build(cfg);
+        let res = run(&mut sim, &ids);
         let bytes = payload_bytes(op, ranks, count);
         println!("== {which} ({name}) on {ranks} ranks, {count} elements ==");
         println!(

@@ -4,13 +4,15 @@
 # correctness pin) in release and in the dev profile, the fault-tolerance
 # example (PE-failure recovery must still match the reference solver), the
 # sweep example, profile_run in its three modes (the default single-node
-# profile run twice with byte-identical output; an unknown argument and a
-# drop rate that is not a probability must fail), the two README examples (quickstart run twice with byte-identical
-# output, wavefront), a smoke run of every benchmark workload, a quick
-# Fig 9, a quick fat-tree Fig 7c, the protocol landscape and the quick
-# collective tables through the figures binary (whose unknown --fig,
-# --effort and --topology values must fail) and the sweep engine's
-# in-process prefix-fork ratio gate.
+# profile run twice with byte-identical output; the allreduce and
+# alltoall collectives; an unknown argument and a drop rate that is not
+# a probability must fail), the two README examples (quickstart run twice
+# with byte-identical output, wavefront), a smoke run of every benchmark
+# workload, a quick Fig 9, a quick fat-tree Fig 7c, the protocol landscape
+# and the quick collective tables (run twice with byte-identical output)
+# through the figures binary (whose unknown --fig, --effort and
+# --topology values must fail) and the sweep engine's in-process
+# prefix-fork ratio gate.
 # Everything here must pass with no network access.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -61,7 +63,7 @@ cargo run --release -p gaat --example sweep_run
 # profile: the per-kernel breakdown and engine timeline come from the
 # device tracer, and two runs must print the same bytes. Under adaptive LB
 # and 1% loss it rolls back four times, so late events meet stale slab
-# keys; the collective run drives gaat-coll; an unknown argument and a
+# keys; the two collective runs drive gaat-coll; an unknown argument and a
 # drop rate that is not a probability must exit non-zero.
 prof_out=$(mktemp -d)
 cargo run --release -p gaat --example profile_run >"$prof_out/a"
@@ -72,6 +74,7 @@ trace_out="$(mktemp)"
 cargo run --release -p gaat --example profile_run -- --lb --drop 0.01 --trace-out "$trace_out"
 rm -f "$trace_out"
 cargo run --release -p gaat --example profile_run -- --collective allreduce
+cargo run --release -p gaat --example profile_run -- --collective alltoall
 if cargo run --release -p gaat --example profile_run -- --bogus 2>/dev/null; then
     echo "profile_run --bogus must exit non-zero"
     exit 1
@@ -105,7 +108,8 @@ echo "==> figures binary"
 # the sweep engine's worker pool, the protocol landscape drives every UCX
 # protocol, and the quick collective tables run the ring/tree allreduce,
 # MoE alltoall and training-overlap slices (their correctness pins are
-# unit tests in gaat-coll and gaat-dptrain); an unknown --fig, --effort
+# unit tests in gaat-coll and gaat-dptrain), twice into the same --out
+# with byte-identical output; an unknown --fig, --effort
 # or --topology value must fail rather than write nothing, and its error
 # must list the valid names (6s, 512, protocols and coll among the
 # figures; quick, standard and full; flat and fattree).
@@ -115,7 +119,9 @@ test -s "$figs_out/fig9.csv"
 cargo run --release -p gaat-bench --bin figures -- --fig 7c --topology fattree --effort quick --out "$figs_out"
 test -s "$figs_out/fig7c-fattree.csv"
 cargo run --release -p gaat-bench --bin figures -- --fig protocols --out "$figs_out"
-cargo run --release -p gaat-bench --bin figures -- --fig coll --effort quick --out "$figs_out"
+cargo run --release -p gaat-bench --bin figures -- --fig coll --effort quick --out "$figs_out" >"$figs_out/coll.a"
+cargo run --release -p gaat-bench --bin figures -- --fig coll --effort quick --out "$figs_out" >"$figs_out/coll.b"
+diff "$figs_out/coll.a" "$figs_out/coll.b"
 if cargo run --release -p gaat-bench --bin figures -- --fig bogus --out "$figs_out" 2>"$figs_out/bogus.err"; then
     echo "figures --fig bogus must exit non-zero"
     exit 1

@@ -235,6 +235,63 @@ fn coll_proxy_apps_replay_goldens() {
     }
 }
 
+/// Golden fingerprints for the standalone collective app (`coll::app`)
+/// on the Flat 2-node machine: ring and tree allreduce and a pairwise
+/// alltoall, each two timed rounds after one warm-up round. Pins the
+/// per-round time, the total and every merged member counter.
+#[test]
+fn coll_app_replays_goldens() {
+    use gaat::coll::{run_coll, Algorithm, CollAppConfig, CollOp, MemberStats};
+
+    let stats = |bytes, chunks, steps, reduced_elems| MemberStats {
+        bytes,
+        chunks,
+        steps,
+        reduced_elems,
+        rounds: 36,
+    };
+    // (op, algorithm, count, ns per round, ns total, merged stats)
+    let cases = [
+        (
+            CollOp::AllReduce,
+            Algorithm::Ring,
+            1 << 16,
+            325_023,
+            978_015,
+            stats(34_603_008, 792, 792, 2_162_688),
+        ),
+        (
+            CollOp::AllReduce,
+            Algorithm::Tree,
+            1 << 16,
+            239_550,
+            721_353,
+            stats(34_603_008, 66, 132, 2_162_688),
+        ),
+        (
+            CollOp::AllToAll,
+            Algorithm::Ring,
+            1 << 12,
+            150_916,
+            456_076,
+            stats(12_976_128, 396, 396, 0),
+        ),
+    ];
+    for (op, alg, count, per_round, total, want) in cases {
+        let mut c = CollAppConfig::new(MachineConfig::summit(2), op, alg, count);
+        c.rounds = 2;
+        c.warmup = 1;
+        let r = run_coll(c);
+        assert_eq!(
+            r.time_per_round.as_ns(),
+            per_round,
+            "{op:?}/{alg:?} per-round"
+        );
+        assert_eq!(r.total.as_ns(), total, "{op:?}/{alg:?} total");
+        assert_eq!(r.stats, want, "{op:?}/{alg:?} stats");
+    }
+}
+
 /// The `fattree32` benchmark shape at smoke size: Charm-H at ODF 4 with
 /// round-robin placement on a 4-node fat tree, so many chares on one
 /// node send halos to chares on the same remote node and the flow
