@@ -16,9 +16,10 @@
 //! adaptive load balancer against a straggling GPU and a degraded link.
 
 use gaat_gpu::{KernelSpec, Op, Space, StreamId};
-use gaat_jacobi3d::{charm, run_charm, CommMode, Dims, JacobiConfig};
+use gaat_jacobi3d::mpi_app::MpiShared;
+use gaat_jacobi3d::{charm, CommMode, Dims, JacobiConfig};
 use gaat_rt::{
-    gpu_msg, BufRange, Callback, ChannelEnd, Chare, ChareId, Ctx, EntryId, Envelope, LbPolicy,
+    gpu_msg, App, BufRange, Callback, ChannelEnd, Chare, ChareId, Ctx, EntryId, Envelope, LbPolicy,
     LbStats, MachineConfig, MemLoc, Simulation,
 };
 use gaat_sim::{FaultPlan, LinkFault, LinkFaultKind, SimDuration, SimTime, StragglerWindow};
@@ -288,18 +289,8 @@ pub fn comm_priority(e: &Effort, nodes: usize) -> Vec<Row> {
         cfg.comm_priority = prio;
         cfg.iters = e.iters;
         cfg.warmup = e.warmup;
-        let r = run_charm(cfg);
-        rows.push(Row {
-            figure: "abl-priority".into(),
-            series: label.into(),
-            nodes,
-            odf: 4,
-            fusion: "None".into(),
-            graphs: false,
-            time_us: r.time_per_iter.as_micros_f64(),
-            cpu_util: r.cpu_utilization,
-            seeds: 1,
-        });
+        let r = charm::Shared::build_and_run(cfg).expect("every block finishes");
+        rows.push(Row::single("abl-priority", label.into(), nodes, 4, &r));
     }
     rows
 }
@@ -315,22 +306,13 @@ pub fn ampi_virtualization(e: &Effort, nodes: usize) -> Vec<Row> {
         cfg.virtual_ranks = vr;
         cfg.iters = e.iters;
         cfg.warmup = e.warmup;
-        let r = gaat_jacobi3d::run_mpi(cfg);
-        rows.push(Row {
-            figure: "abl-ampi".into(),
-            series: if vr == 1 {
-                "MPI-H".into()
-            } else {
-                format!("AMPI-H ({vr} ranks/PE)")
-            },
-            nodes,
-            odf: vr,
-            fusion: "None".into(),
-            graphs: false,
-            time_us: r.time_per_iter.as_micros_f64(),
-            cpu_util: r.cpu_utilization,
-            seeds: 1,
-        });
+        let r = MpiShared::build_and_run(cfg);
+        let series = if vr == 1 {
+            "MPI-H".into()
+        } else {
+            format!("AMPI-H ({vr} ranks/PE)")
+        };
+        rows.push(Row::single("abl-ampi", series, nodes, vr, &r));
     }
     rows
 }
@@ -348,18 +330,14 @@ pub fn pipeline_threshold_sweep(e: &Effort) -> Vec<Row> {
         cfg.machine.ucx.pipeline_threshold = threshold_mb << 20;
         cfg.iters = e.iters;
         cfg.warmup = e.warmup;
-        let r = run_charm(cfg);
-        rows.push(Row {
-            figure: "abl-threshold".into(),
-            series: format!("threshold={threshold_mb}MiB"),
-            nodes: 2,
-            odf: 4,
-            fusion: "None".into(),
-            graphs: false,
-            time_us: r.time_per_iter.as_micros_f64(),
-            cpu_util: r.cpu_utilization,
-            seeds: 1,
-        });
+        let r = charm::Shared::build_and_run(cfg).expect("every block finishes");
+        rows.push(Row::single(
+            "abl-threshold",
+            format!("threshold={threshold_mb}MiB"),
+            2,
+            4,
+            &r,
+        ));
     }
     rows
 }
@@ -521,8 +499,8 @@ pub struct LbCell {
 
 /// Run one LB cell; also returns the run's hottest link.
 pub fn lb_cell(cfg: JacobiConfig) -> (LbCell, Option<u32>) {
-    let (mut sim, ids, sh) = charm::build(cfg);
-    let r = charm::run(&mut sim, &ids, &sh);
+    let (mut sim, ids, sh) = charm::Shared::build(cfg);
+    let r = sh.run(&mut sim, &ids).expect("every block finishes");
     let cell = LbCell {
         total_ns: r.total.as_ns(),
         checksum: r.checksum,

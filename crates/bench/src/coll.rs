@@ -18,10 +18,9 @@
 //! (bit-identity against the scalar references, step time below
 //! compute + comm) are unit tests in `gaat-coll` and `gaat-dptrain`.
 
-use gaat_coll::{build, payload_bytes, run, Algorithm, CollAppConfig, CollOp, RankPlacement};
-use gaat_dptrain::moe::{build_moe, run_moe, MoeConfig};
-use gaat_dptrain::{TrainConfig, TrainMode};
-use gaat_rt::MachineConfig;
+use gaat_coll::{payload_bytes, Algorithm, CollAppConfig, CollOp, CollShared, RankPlacement};
+use gaat_dptrain::{MoeConfig, MoeShared, TrainConfig, TrainMode, TrainShared};
+use gaat_rt::{App, MachineConfig};
 
 /// One allreduce cell.
 pub struct AllreduceCell {
@@ -91,8 +90,8 @@ pub fn allreduce(small: bool) -> Vec<AllreduceCell> {
             cfg.rounds = if small { 2 } else { 6 };
             cfg.warmup = 1;
             let ranks = cfg.effective_ranks();
-            let (mut sim, ids, _) = build(cfg);
-            let res = run(&mut sim, &ids);
+            let (mut sim, ids, app) = CollShared::build(cfg);
+            let res = app.run(&mut sim, &ids);
             let stats = sim.machine.fabric.stats();
             let payload = payload_bytes(CollOp::AllReduce, ranks, count);
             out.push(AllreduceCell {
@@ -126,8 +125,8 @@ pub fn moe(small: bool) -> Vec<MoeCell> {
             cfg.placement = placement;
             cfg.rounds = if small { 1 } else { 4 };
             cfg.warmup = 1;
-            let (mut sim, ids, _) = build_moe(cfg);
-            let res = run_moe(&mut sim, &ids);
+            let (mut sim, ids, app) = MoeShared::build(cfg);
+            let res = app.run(&mut sim, &ids);
             let stats = sim.machine.fabric.stats();
             out.push(MoeCell {
                 topology,
@@ -157,7 +156,7 @@ pub fn overlap(small: bool) -> OverlapResult {
         cfg.chunk = 1 << 14;
         cfg.steps = if small { 2 } else { 4 };
         cfg.warmup = 1;
-        gaat_dptrain::train::train(cfg).time_per_step.as_ns()
+        TrainShared::build_and_run(cfg).time_per_step.as_ns()
     };
     let full_ns = step(TrainMode::Full, true);
     let compute_ns = step(TrainMode::ComputeOnly, true);

@@ -4,8 +4,9 @@
 use std::fmt;
 use std::path::Path;
 
-use gaat_jacobi3d::{run_charm, run_mpi, CommMode, Fusion, JacobiConfig, SyncMode};
-use gaat_rt::MachineConfig;
+use gaat_jacobi3d::mpi_app::MpiShared;
+use gaat_jacobi3d::{charm, CommMode, Fusion, JacobiConfig, RunResult, SyncMode};
+use gaat_rt::{App, MachineConfig};
 
 /// Which of the paper's four Jacobi3D versions to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,6 +163,23 @@ pub struct Row {
     pub seeds: usize,
 }
 
+impl Row {
+    /// The row of one seed of an unfused, graph-free run.
+    pub fn single(figure: &str, series: String, nodes: usize, odf: usize, r: &RunResult) -> Row {
+        Row {
+            figure: figure.into(),
+            series,
+            nodes,
+            odf,
+            fusion: "None".into(),
+            graphs: false,
+            time_us: r.time_per_iter.as_micros_f64(),
+            cpu_util: r.cpu_utilization,
+            seeds: 1,
+        }
+    }
+}
+
 impl fmt::Display for Row {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -201,12 +219,11 @@ pub fn run_point(
         cfg.graphs = graphs;
         cfg.iters = e.iters;
         cfg.warmup = e.warmup;
+        cfg.odf = odf;
         let r = if variant.is_charm() {
-            cfg.odf = odf;
-            run_charm(cfg)
+            charm::Shared::build_and_run(cfg).expect("every block finishes")
         } else {
-            assert_eq!(odf, 1, "MPI runs one rank per PE");
-            run_mpi(cfg)
+            MpiShared::build_and_run(cfg)
         };
         total_us += r.time_per_iter.as_micros_f64();
         total_cpu += r.cpu_utilization;

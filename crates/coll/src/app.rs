@@ -7,7 +7,9 @@
 use std::sync::Arc;
 
 use gaat_gpu::Space;
-use gaat_rt::{BufRange, Chare, ChareId, Ctx, EntryId, Envelope, MachineConfig, Simulation};
+use gaat_rt::{
+    App, BufRange, Chare, ChareId, Ctx, EntryId, Envelope, MachineConfig, Outcome, Simulation,
+};
 use gaat_sim::SimDuration;
 
 use crate::member::{wire_members, CollEntries, CollMember, MemberEvent, MemberStats};
@@ -65,12 +67,6 @@ impl CollAppConfig {
         }
     }
 
-    /// Check [`rank::validate`]'s rules: the machine, at least one
-    /// timed round, a nonzero `chunk` and no more `ranks` than PEs.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        rank::validate(&self.machine, self.rounds, self.chunk, self.ranks)
-    }
-
     /// Effective participant count.
     pub fn effective_ranks(&self) -> usize {
         rank::effective_ranks(&self.machine, self.ranks)
@@ -106,7 +102,7 @@ impl CollResult {
     }
 }
 
-/// Shared run parameters.
+/// Shared run parameters; the standalone collective's [`App`].
 #[derive(Debug)]
 pub struct CollShared {
     /// The experiment.
@@ -151,156 +147,167 @@ impl Chare for CollChare {
     }
 }
 
-/// Build the collective simulation. Panics with the [`ConfigError`]
-/// text if `cfg` fails [`CollAppConfig::validate`].
-pub fn build(cfg: CollAppConfig) -> (Simulation, Vec<ChareId>, Arc<CollShared>) {
-    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
-    let ranks = cfg.effective_ranks();
-    let real = cfg.machine.real_buffers;
-    let sh = Arc::new(CollShared {
-        plan: plan(cfg.op, cfg.algorithm, ranks, cfg.count, cfg.chunk),
-        cfg,
-    });
-    let cfg = &sh.cfg;
-    let entries = CollEntries {
-        recv: E_RECV,
-        sent: E_SENT,
-        reduced: E_REDUCED,
-    };
-    let (mut sim, ids) = rank::place(&cfg.machine, ranks, cfg.placement, |r, device| {
-        let in_len = sh.plan.in_elems[r];
-        let data = device.mem.alloc(Space::Device, in_len.max(1), real);
-        let out = uses_out_buffer(cfg.op).then(|| {
-            device
-                .mem
-                .alloc(Space::Device, sh.plan.out_elems[r].max(1), real)
-        });
-        let stream = device.create_stream(2);
-        let member = CollMember::new(
-            r,
-            sh.plan.members[r].clone(),
-            uses_out_buffer(cfg.op),
-            data,
-            0,
-            out,
-            0,
-            stream,
-            entries,
-            0,
-            device,
-            real,
-        );
-        if real && in_len > 0 {
-            let vals: Vec<f64> = (0..in_len).map(|i| reference::input_value(r, i)).collect();
-            device.mem.write(BufRange::new(data, 0, in_len), &vals);
-        }
-        CollChare {
-            member,
-            clock: RoundClock::new(cfg.rounds, cfg.warmup),
-        }
-    });
-    wire_members(&mut sim.machine, &ids, &sh.plan, |any| {
-        &mut any.downcast_mut::<CollChare>().expect("coll chare").member
-    });
-    (sim, ids, sh)
-}
+impl App for CollShared {
+    type Config = CollAppConfig;
+    type Error = ConfigError;
+    type Result = CollResult;
 
-/// Run to completion and collect results.
-pub fn run(sim: &mut Simulation, ids: &[ChareId]) -> CollResult {
-    rank::start(sim, ids);
-    let mut stats = MemberStats::default();
-    let (time_per_round, total) = rank::finish(sim, ids, |c: &CollChare| {
-        stats.merge(&c.member.stats);
-        &c.clock
-    });
-    CollResult {
-        time_per_round,
-        total,
-        stats,
+    /// Check [`rank::validate`]'s rules: the machine, at least one
+    /// timed round, a nonzero `chunk` and no more `ranks` than PEs.
+    fn validate(cfg: &CollAppConfig) -> Result<(), ConfigError> {
+        rank::validate(&cfg.machine, cfg.rounds, cfg.chunk, cfg.ranks)
     }
-}
 
-/// Convenience: build + run.
-pub fn run_coll(cfg: CollAppConfig) -> CollResult {
-    let (mut sim, ids, _) = build(cfg);
-    run(&mut sim, &ids)
-}
+    fn build(cfg: CollAppConfig) -> (Simulation, Vec<ChareId>, Arc<CollShared>) {
+        Self::validate(&cfg).unwrap_or_else(|e| panic!("{e}"));
+        let ranks = cfg.effective_ranks();
+        let real = cfg.machine.real_buffers;
+        let sh = Arc::new(CollShared {
+            plan: plan(cfg.op, cfg.algorithm, ranks, cfg.count, cfg.chunk),
+            cfg,
+        });
+        let cfg = &sh.cfg;
+        let entries = CollEntries {
+            recv: E_RECV,
+            sent: E_SENT,
+            reduced: E_REDUCED,
+        };
+        let (mut sim, ids) = rank::place(&cfg.machine, ranks, cfg.placement, |r, device| {
+            let in_len = sh.plan.in_elems[r];
+            let data = device.mem.alloc(Space::Device, in_len.max(1), real);
+            let out = uses_out_buffer(cfg.op).then(|| {
+                device
+                    .mem
+                    .alloc(Space::Device, sh.plan.out_elems[r].max(1), real)
+            });
+            let stream = device.create_stream(2);
+            let member = CollMember::new(
+                r,
+                sh.plan.members[r].clone(),
+                uses_out_buffer(cfg.op),
+                data,
+                0,
+                out,
+                0,
+                stream,
+                entries,
+                0,
+                device,
+                real,
+            );
+            if real && in_len > 0 {
+                let vals: Vec<f64> = (0..in_len).map(|i| reference::input_value(r, i)).collect();
+                device.mem.write(BufRange::new(data, 0, in_len), &vals);
+            }
+            CollChare {
+                member,
+                clock: RoundClock::new(cfg.rounds, cfg.warmup),
+            }
+        });
+        wire_members(&mut sim.machine, &ids, &sh.plan, |any| {
+            &mut any.downcast_mut::<CollChare>().expect("coll chare").member
+        });
+        (sim, ids, sh)
+    }
 
-/// Compare every rank's defined output region against the scalar
-/// reference, bit for bit. Returns elements compared. Requires real
-/// buffers; reduce-scatter additionally requires a single round (its
-/// later rounds consume unspecified partial sums).
-#[allow(clippy::needless_range_loop)]
-pub fn validate_against_reference(sim: &Simulation, ids: &[ChareId], sh: &CollShared) -> usize {
-    assert!(sh.cfg.machine.real_buffers, "validation needs real buffers");
-    let cfg = &sh.cfg;
-    let ranks = cfg.effective_ranks();
-    let total_rounds = cfg.rounds + cfg.warmup;
-    let count = cfg.count;
-    let mut state = reference::initial_inputs(ranks, sh.plan.in_elems[0]);
-    let mut compared = 0;
-    match cfg.op {
-        CollOp::AllReduce => {
-            let lanes = match cfg.algorithm {
-                Algorithm::Ring => ring_lanes(count, ranks, cfg.chunk),
-                Algorithm::Tree => tree_lanes(count, cfg.chunk),
-            };
-            for _ in 0..total_rounds {
-                let out = reference::allreduce(cfg.algorithm, ranks, count, lanes, &state);
-                state = vec![out; ranks];
-            }
-            for r in 0..ranks {
-                let got = read_member_data(sim, ids[r], count);
-                assert_eq!(got, state[r], "allreduce rank {r}");
-                compared += count;
-            }
+    fn finish(&self, sim: &mut Simulation, ids: &[ChareId]) -> CollResult {
+        let mut stats = MemberStats::default();
+        let (time_per_round, total) = rank::finish(sim, ids, |c: &CollChare| {
+            stats.merge(&c.member.stats);
+            &c.clock
+        });
+        CollResult {
+            time_per_round,
+            total,
+            stats,
         }
-        CollOp::ReduceScatter => {
-            assert_eq!(total_rounds, 1, "reduce-scatter validates one round");
-            let lanes = ring_lanes(count, ranks, cfg.chunk);
-            for r in 0..ranks {
-                let got = read_member_data(sim, ids[r], count);
-                for (off, vals) in reference::reduce_scatter(ranks, count, lanes, &state, r) {
-                    assert_eq!(
-                        &got[off..off + vals.len()],
-                        &vals[..],
-                        "reduce-scatter rank {r} segment {}",
-                        reduce_scatter_owner(r, ranks)
-                    );
-                    compared += vals.len();
+    }
+
+    /// Compares every rank's defined output region against the scalar
+    /// reference. Reduce-scatter needs a single round: its later rounds
+    /// consume unspecified partial sums.
+    #[allow(clippy::needless_range_loop)]
+    fn check(&self, sim: &Simulation, ids: &[ChareId]) -> usize {
+        let cfg = &self.cfg;
+        assert!(cfg.machine.real_buffers, "validation needs real buffers");
+        let ranks = cfg.effective_ranks();
+        let total_rounds = cfg.rounds + cfg.warmup;
+        let count = cfg.count;
+        let mut state = reference::initial_inputs(ranks, self.plan.in_elems[0]);
+        let mut compared = 0;
+        match cfg.op {
+            CollOp::AllReduce => {
+                let lanes = match cfg.algorithm {
+                    Algorithm::Ring => ring_lanes(count, ranks, cfg.chunk),
+                    Algorithm::Tree => tree_lanes(count, cfg.chunk),
+                };
+                for _ in 0..total_rounds {
+                    let out = reference::allreduce(cfg.algorithm, ranks, count, lanes, &state);
+                    state = vec![out; ranks];
+                }
+                for r in 0..ranks {
+                    let got = read_member_data(sim, ids[r], count);
+                    assert_eq!(got, state[r], "allreduce rank {r}");
+                    compared += count;
+                }
+            }
+            CollOp::ReduceScatter => {
+                assert_eq!(total_rounds, 1, "reduce-scatter validates one round");
+                let lanes = ring_lanes(count, ranks, cfg.chunk);
+                for r in 0..ranks {
+                    let got = read_member_data(sim, ids[r], count);
+                    for (off, vals) in reference::reduce_scatter(ranks, count, lanes, &state, r) {
+                        assert_eq!(
+                            &got[off..off + vals.len()],
+                            &vals[..],
+                            "reduce-scatter rank {r} segment {}",
+                            reduce_scatter_owner(r, ranks)
+                        );
+                        compared += vals.len();
+                    }
+                }
+            }
+            CollOp::AllGather => {
+                let lanes = ring_lanes(count, ranks, cfg.chunk);
+                for _ in 0..total_rounds {
+                    let out = reference::allgather(ranks, count, lanes, &state);
+                    state = vec![out; ranks];
+                }
+                for r in 0..ranks {
+                    let got = read_member_data(sim, ids[r], count);
+                    assert_eq!(got, state[r], "allgather rank {r}");
+                    compared += count;
+                }
+            }
+            CollOp::Broadcast => {
+                let out = reference::broadcast(&state);
+                for r in 0..ranks {
+                    let got = read_member_data(sim, ids[r], count);
+                    assert_eq!(got, out, "broadcast rank {r}");
+                    compared += count;
+                }
+            }
+            CollOp::AllToAll => {
+                for r in 0..ranks {
+                    let want = reference::alltoall(ranks, count, &state, r);
+                    let got = read_member_out(sim, ids[r], ranks * count);
+                    assert_eq!(got, want, "alltoall rank {r}");
+                    compared += want.len();
                 }
             }
         }
-        CollOp::AllGather => {
-            let lanes = ring_lanes(count, ranks, cfg.chunk);
-            for _ in 0..total_rounds {
-                let out = reference::allgather(ranks, count, lanes, &state);
-                state = vec![out; ranks];
-            }
-            for r in 0..ranks {
-                let got = read_member_data(sim, ids[r], count);
-                assert_eq!(got, state[r], "allgather rank {r}");
-                compared += count;
-            }
-        }
-        CollOp::Broadcast => {
-            let out = reference::broadcast(&state);
-            for r in 0..ranks {
-                let got = read_member_data(sim, ids[r], count);
-                assert_eq!(got, out, "broadcast rank {r}");
-                compared += count;
-            }
-        }
-        CollOp::AllToAll => {
-            for r in 0..ranks {
-                let want = reference::alltoall(ranks, count, &state, r);
-                let got = read_member_out(sim, ids[r], ranks * count);
-                assert_eq!(got, want, "alltoall rank {r}");
-                compared += want.len();
-            }
+        compared
+    }
+
+    fn outcome(r: &CollResult) -> Outcome {
+        Outcome {
+            unit: r.time_per_round,
+            total: r.total,
+            coll_bytes: r.stats.bytes,
+            coll_chunks: r.stats.chunks,
+            ..Outcome::default()
         }
     }
-    compared
 }
 
 fn read_member_data(sim: &Simulation, id: ChareId, len: usize) -> Vec<f64> {
@@ -349,9 +356,9 @@ mod tests {
                         37, // non-divisible by rank count
                     );
                     cfg.chunk = 5;
-                    let (mut sim, ids, sh) = build(cfg);
-                    run(&mut sim, &ids);
-                    let n = validate_against_reference(&sim, &ids, &sh);
+                    let (mut sim, ids, sh) = CollShared::build(cfg);
+                    sh.run(&mut sim, &ids);
+                    let n = sh.check(&sim, &ids);
                     assert!(n > 0, "{op:?}/{alg:?} compared nothing");
                 }
             }
@@ -373,9 +380,9 @@ mod tests {
                 cfg.rounds = 2;
                 cfg.warmup = 1;
                 cfg.chunk = chunk;
-                let (mut sim, ids, sh) = build(cfg);
-                run(&mut sim, &ids);
-                let n = validate_against_reference(&sim, &ids, &sh);
+                let (mut sim, ids, sh) = CollShared::build(cfg);
+                sh.run(&mut sim, &ids);
+                let n = sh.check(&sim, &ids);
                 assert!(n > 0, "{alg:?} at {count}/{chunk} compared nothing");
             }
         }
@@ -385,10 +392,10 @@ mod tests {
     fn single_rank_collectives_complete() {
         for op in ALL_OPS {
             let cfg = CollAppConfig::new(MachineConfig::validation(1, 1), op, Algorithm::Ring, 16);
-            let (mut sim, ids, sh) = build(cfg);
-            let res = run(&mut sim, &ids);
+            let (mut sim, ids, sh) = CollShared::build(cfg);
+            let res = sh.run(&mut sim, &ids);
             assert_eq!(res.stats.chunks, 0, "{op:?} single rank sends nothing");
-            validate_against_reference(&sim, &ids, &sh);
+            sh.check(&sim, &ids);
         }
     }
 
@@ -403,9 +410,9 @@ mod tests {
             );
             cfg.placement = placement;
             cfg.chunk = 7;
-            let (mut sim, ids, sh) = build(cfg);
-            run(&mut sim, &ids);
-            validate_against_reference(&sim, &ids, &sh);
+            let (mut sim, ids, sh) = CollShared::build(cfg);
+            sh.run(&mut sim, &ids);
+            sh.check(&sim, &ids);
         }
     }
 
@@ -423,7 +430,7 @@ mod tests {
             cfg.chunk = chunk;
             cfg.rounds = 2;
             cfg.warmup = 1;
-            run_coll(cfg).time_per_round
+            CollShared::build_and_run(cfg).time_per_round
         };
         let pipelined = time(1 << 15);
         let monolithic = time(1 << 30);
@@ -444,7 +451,7 @@ mod tests {
             );
             cfg.rounds = 3;
             cfg.warmup = 1;
-            run_coll(cfg)
+            CollShared::build_and_run(cfg)
         };
         let (a, b) = (mk(), mk());
         assert_eq!(a.total, b.total);

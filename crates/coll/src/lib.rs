@@ -21,12 +21,11 @@
 //!   references).
 //! - [`member`] — the participant state machine a chare embeds.
 //! - [`rank`] — the rank scaffold every proxy app shares: placing one
-//!   chare per rank, the round clock, the start broadcast, the drain
-//!   that folds the clocks into timings, and the rules every rank run
-//!   validates.
-//! - [`app`] — a standalone proxy app running back-to-back collectives,
-//!   used by `figures --fig coll`, `profile_run --collective`, and the
-//!   reference-equality tests.
+//!   chare per rank, the round clock, the drain that folds the clocks
+//!   into timings, and the rules every rank run validates.
+//! - [`app`] — a standalone proxy app running back-to-back collectives
+//!   ([`CollShared`], a [`gaat_rt::App`]), used by `figures --fig coll`,
+//!   `profile_run --collective`, and the reference-equality tests.
 
 #![warn(missing_docs)]
 
@@ -36,10 +35,7 @@ pub mod plan;
 pub mod rank;
 pub mod reference;
 
-pub use app::{
-    build, payload_bytes, run, run_coll, validate_against_reference, CollAppConfig, CollChare,
-    CollResult, CollShared,
-};
+pub use app::{payload_bytes, CollAppConfig, CollChare, CollResult, CollShared};
 pub use member::{CollEntries, CollMember, MemberEvent, MemberStats};
 pub use plan::{alltoallv_plan, plan, Algorithm, CollOp, CollPlan, RankPlacement};
 pub use rank::ConfigError;

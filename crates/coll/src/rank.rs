@@ -1,8 +1,9 @@
 //! The rank scaffold every collective proxy app shares: one chare per
 //! rank, placed with [`place_rank`] and built by the app; a
-//! [`RoundClock`] per chare; the [`E_START`] broadcast; and the drain
-//! that folds the clocks into per-round time and total. An app keeps
-//! only its buffers, entry methods and reference.
+//! [`RoundClock`] per chare; the [`E_START`] entry the app's start
+//! broadcasts; and the drain that folds the clocks into per-round time
+//! and total. An app keeps only its buffers, entry methods and
+//! reference.
 
 use gaat_gpu::Device;
 use gaat_rt::{
@@ -12,12 +13,13 @@ use gaat_sim::{SimDuration, SimTime};
 
 use crate::plan::{place_rank, RankPlacement};
 
-/// Begin execution: the entry [`start`] broadcasts to every rank.
+/// Begin execution: the entry [`App::start`](gaat_rt::App::start)
+/// broadcasts to every rank.
 pub const E_START: EntryId = EntryId(0);
 
 /// A collective proxy app config that cannot be built, one variant per
 /// rule. [`validate`] checks the first four, which every rank run
-/// shares; the app configs' own `validate` checks the rest.
+/// shares; each app's `App::validate` checks the rest.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// The machine itself is rejected.
@@ -181,18 +183,11 @@ pub fn place<C: Chare>(
     (sim, ids)
 }
 
-/// Tree-broadcast [`E_START`] to every rank without running the engine:
-/// the first half of a run. The sweep memoizer pauses between the halves
-/// to fork the world.
-pub fn start(sim: &mut Simulation, ids: &[ChareId]) {
-    let Simulation { sim, machine, .. } = sim;
-    machine.broadcast(sim, ids, E_START, 0);
-}
-
-/// Drain a started run to quiescence and fold every rank's clock (dug
-/// out of its chare by `clock`, which may also collect the chare's
-/// counters): returns the mean time per timed round after the slowest
-/// rank's warm-up, and the total up to the slowest rank's last round.
+/// An app's `finish`: drain a started run to quiescence and fold every
+/// rank's clock (dug out of its chare by `clock`, which may also collect
+/// the chare's counters). Returns the mean time per timed round after
+/// the slowest rank's warm-up, and the total up to the slowest rank's
+/// last round.
 pub fn finish<C: Chare>(
     sim: &mut Simulation,
     ids: &[ChareId],

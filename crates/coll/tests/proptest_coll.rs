@@ -6,11 +6,8 @@
 
 use proptest::prelude::*;
 
-use gaat_coll::{
-    build, run, run_coll, validate_against_reference, Algorithm, CollAppConfig, CollOp,
-    RankPlacement,
-};
-use gaat_rt::MachineConfig;
+use gaat_coll::{Algorithm, CollAppConfig, CollOp, CollShared, RankPlacement};
+use gaat_rt::{App, MachineConfig};
 use gaat_sim::FaultPlan;
 
 fn any_op() -> impl Strategy<Value = CollOp> {
@@ -53,9 +50,9 @@ proptest! {
         } else {
             RankPlacement::Packed
         };
-        let (mut sim, ids, sh) = build(cfg);
-        run(&mut sim, &ids);
-        let compared = validate_against_reference(&sim, &ids, &sh);
+        let (mut sim, ids, sh) = CollShared::build(cfg);
+        sh.run(&mut sim, &ids);
+        let compared = sh.check(&sim, &ids);
         prop_assert_eq!(compared, count * nodes * pes);
     }
 
@@ -75,9 +72,9 @@ proptest! {
             count,
         );
         cfg.chunk = chunk;
-        let (mut sim, ids, sh) = build(cfg);
-        run(&mut sim, &ids);
-        let compared = validate_against_reference(&sim, &ids, &sh);
+        let (mut sim, ids, sh) = CollShared::build(cfg);
+        sh.run(&mut sim, &ids);
+        let compared = sh.check(&sim, &ids);
         prop_assert!(compared > 0);
     }
 }
@@ -105,15 +102,15 @@ fn allreduce_is_bit_identical_under_message_loss() {
         cfg
     };
 
-    let (mut lossy_sim, ids, sh) = build(mk(0.05));
-    let lossy = run(&mut lossy_sim, &ids);
+    let (mut lossy_sim, ids, sh) = CollShared::build(mk(0.05));
+    let lossy = sh.run(&mut lossy_sim, &ids);
     let retransmits = lossy_sim.machine.ucx.stats().retransmits;
     assert!(retransmits > 0, "drop plan should force retries");
     // The strongest statement: the lossy run still matches the scalar
     // reference exactly (which the clean run matches too).
-    validate_against_reference(&lossy_sim, &ids, &sh);
+    sh.check(&lossy_sim, &ids);
 
-    let clean = run_coll(mk(0.0));
+    let clean = CollShared::build_and_run(mk(0.0));
     assert!(
         lossy.total > clean.total,
         "retries should cost simulated time"

@@ -10,6 +10,8 @@
 //! Key pieces:
 //!
 //! - [`Machine`] / [`Simulation`]: the simulated cluster and its driver.
+//! - [`App`]: the interface every proxy application implements, with the
+//!   [`Outcome`] every run reduces to.
 //! - [`Chare`] + [`Ctx`]: entry methods charge simulated CPU time for
 //!   scheduling, sends, and kernel launches — making overdecomposition
 //!   overheads and CPU-side launch costs first-class, as the paper's
@@ -76,6 +78,7 @@
 
 #![warn(missing_docs)]
 
+pub mod app;
 pub mod channel;
 pub mod config;
 pub mod gpu_msg;
@@ -86,6 +89,7 @@ pub mod pe;
 pub mod recovery;
 pub mod sdag;
 
+pub use app::{App, Outcome};
 pub use channel::{create_channel, ChannelEnd};
 pub use config::{ConfigError, LbConfig, LbPolicy, MachineConfig, RtCosts};
 pub use lb::{periodic_plan, LbPlan, LbSensors};

@@ -13,11 +13,11 @@
 //!   with deterministically skewed expert routing, stressing placement
 //!   sensitivity under spine contention.
 //!
-//! Both stand on gaat-coll's rank scaffold ([`gaat_coll::rank`]): it
-//! places the rank chares, keeps their round clocks, broadcasts the
-//! start and folds the clocks into timings, and its `validate` holds
-//! the config rules every rank run shares. Their configs fail with
-//! gaat-coll's [`ConfigError`].
+//! Both are [`gaat_rt::App`]s, on [`TrainShared`] and [`MoeShared`],
+//! and both stand on gaat-coll's rank scaffold ([`gaat_coll::rank`]):
+//! it places the rank chares, keeps their round clocks and folds them
+//! into timings, and its `validate` holds the config rules every rank
+//! run shares. Their configs fail with gaat-coll's [`ConfigError`].
 
 #![warn(missing_docs)]
 
@@ -25,7 +25,5 @@ pub mod moe;
 pub mod train;
 
 pub use gaat_coll::ConfigError;
-pub use moe::{build_moe, run_moe, run_moe_app, validate_moe, MoeConfig, MoeResult, MoeShared};
-pub use train::{
-    build_train, run_train, validate_train, TrainConfig, TrainMode, TrainResult, TrainShared,
-};
+pub use moe::{MoeConfig, MoeResult, MoeShared};
+pub use train::{TrainConfig, TrainMode, TrainResult, TrainShared};

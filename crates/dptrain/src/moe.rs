@@ -21,14 +21,12 @@ use gaat_coll::rank::{self, RoundClock, E_START};
 use gaat_coll::reference::mix64;
 use gaat_gpu::Space;
 use gaat_rt::{
-    BufRange, BufferId, Callback, Chare, ChareId, Ctx, EntryId, Envelope, KernelSpec,
-    MachineConfig, Op, Simulation, StreamId,
+    App, BufRange, BufferId, Callback, Chare, ChareId, Ctx, EntryId, Envelope, KernelSpec,
+    MachineConfig, Op, Outcome, Simulation, StreamId,
 };
 use gaat_sim::SimDuration;
 
 use crate::ConfigError;
-
-pub use gaat_coll::rank::start as start_moe;
 
 /// The expert kernel retired.
 pub const E_EXPERT: EntryId = EntryId(1);
@@ -87,21 +85,6 @@ impl MoeConfig {
         }
     }
 
-    /// Check every rule that depends only on this configuration:
-    /// [`rank::validate`]'s (the machine, at least one timed round, a
-    /// nonzero `chunk`, no more `ranks` than PEs), then a nonzero
-    /// `hidden` and `hot_frac` in `[0, 1]`.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        rank::validate(&self.machine, self.rounds, self.chunk, self.ranks)?;
-        if self.hidden == 0 {
-            return Err(ConfigError::ZeroHidden);
-        }
-        if !(0.0..=1.0).contains(&self.hot_frac) {
-            return Err(ConfigError::HotFracOutOfRange(self.hot_frac));
-        }
-        Ok(())
-    }
-
     /// Effective participant count.
     pub fn effective_ranks(&self) -> usize {
         rank::effective_ranks(&self.machine, self.ranks)
@@ -121,7 +104,7 @@ pub struct MoeResult {
     pub combine_stats: MemberStats,
 }
 
-/// Shared run parameters.
+/// Shared run parameters; the MoE proxy's [`App`].
 #[derive(Debug)]
 pub struct MoeShared {
     /// The experiment.
@@ -306,146 +289,162 @@ pub fn expert_kernel(
     }
 }
 
-/// Build the MoE simulation. Panics with the [`ConfigError`] text if
-/// `cfg` fails [`MoeConfig::validate`].
-pub fn build_moe(cfg: MoeConfig) -> (Simulation, Vec<ChareId>, Arc<MoeShared>) {
-    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
-    let ranks = cfg.effective_ranks();
-    let counts = routing_counts(&cfg, ranks);
-    let elems: Vec<Vec<usize>> = counts
-        .iter()
-        .map(|row| row.iter().map(|&c| c * cfg.hidden).collect())
-        .collect();
-    let transposed: Vec<Vec<usize>> = (0..ranks)
-        .map(|e| (0..ranks).map(|r| elems[r][e]).collect())
-        .collect();
-    let dispatch = alltoallv_plan(&elems, cfg.chunk);
-    let combine = alltoallv_plan(&transposed, cfg.chunk);
-    let real = cfg.machine.real_buffers;
-    let sh = Arc::new(MoeShared {
-        cfg,
-        ranks,
-        counts,
-        dispatch,
-        combine,
-    });
-    let cfg = &sh.cfg;
-    let entries = CollEntries {
-        recv: E_RECV,
-        sent: E_SENT,
-        reduced: E_REDUCED,
-    };
-    let (mut sim, ids) = rank::place(&cfg.machine, ranks, cfg.placement, |r, device| {
-        let in_len = sh.dispatch.in_elems[r];
-        let expert_elems = sh.dispatch.out_elems[r];
-        let disp_in = device.mem.alloc(Space::Device, in_len.max(1), real);
-        let disp_out = device.mem.alloc(Space::Device, expert_elems.max(1), real);
-        let exp_out = device.mem.alloc(Space::Device, expert_elems.max(1), real);
-        let comb_out = device
-            .mem
-            .alloc(Space::Device, sh.combine.out_elems[r].max(1), real);
-        let stream = device.create_stream(2);
-        let dispatch = CollMember::new(
-            r,
-            sh.dispatch.members[r].clone(),
-            true,
-            disp_in,
-            0,
-            Some(disp_out),
-            0,
-            stream,
-            entries,
-            DISPATCH,
-            device,
-            real,
-        );
-        let combine = CollMember::new(
-            r,
-            sh.combine.members[r].clone(),
-            true,
-            exp_out,
-            0,
-            Some(comb_out),
-            0,
-            stream,
-            entries,
-            COMBINE,
-            device,
-            real,
-        );
-        if real && in_len > 0 {
-            let vals = dispatch_layout(cfg, ranks, r);
-            device
-                .mem
-                .write(BufRange::new(disp_in, 0, vals.len()), &vals);
+impl App for MoeShared {
+    type Config = MoeConfig;
+    type Error = ConfigError;
+    type Result = MoeResult;
+
+    /// Check every rule that depends only on this configuration:
+    /// [`rank::validate`]'s (the machine, at least one timed round, a
+    /// nonzero `chunk`, no more `ranks` than PEs), then a nonzero
+    /// `hidden` and `hot_frac` in `[0, 1]`.
+    fn validate(cfg: &MoeConfig) -> Result<(), ConfigError> {
+        rank::validate(&cfg.machine, cfg.rounds, cfg.chunk, cfg.ranks)?;
+        if cfg.hidden == 0 {
+            return Err(ConfigError::ZeroHidden);
         }
-        MoeChare {
-            rank: r,
-            disp_out,
-            exp_out,
-            expert_elems,
-            stream,
+        if !(0.0..=1.0).contains(&cfg.hot_frac) {
+            return Err(ConfigError::HotFracOutOfRange(cfg.hot_frac));
+        }
+        Ok(())
+    }
+
+    fn build(cfg: MoeConfig) -> (Simulation, Vec<ChareId>, Arc<MoeShared>) {
+        Self::validate(&cfg).unwrap_or_else(|e| panic!("{e}"));
+        let ranks = cfg.effective_ranks();
+        let counts = routing_counts(&cfg, ranks);
+        let elems: Vec<Vec<usize>> = counts
+            .iter()
+            .map(|row| row.iter().map(|&c| c * cfg.hidden).collect())
+            .collect();
+        let transposed: Vec<Vec<usize>> = (0..ranks)
+            .map(|e| (0..ranks).map(|r| elems[r][e]).collect())
+            .collect();
+        let dispatch = alltoallv_plan(&elems, cfg.chunk);
+        let combine = alltoallv_plan(&transposed, cfg.chunk);
+        let real = cfg.machine.real_buffers;
+        let sh = Arc::new(MoeShared {
+            cfg,
+            ranks,
+            counts,
             dispatch,
             combine,
-            comb_out,
-            clock: RoundClock::new(cfg.rounds, cfg.warmup),
-        }
-    });
-    gaat_coll::member::wire_members(&mut sim.machine, &ids, &sh.dispatch, |any| {
-        &mut any.downcast_mut::<MoeChare>().expect("moe chare").dispatch
-    });
-    gaat_coll::member::wire_members(&mut sim.machine, &ids, &sh.combine, |any| {
-        &mut any.downcast_mut::<MoeChare>().expect("moe chare").combine
-    });
-    (sim, ids, sh)
-}
-
-/// Run to completion and collect results.
-pub fn run_moe(sim: &mut Simulation, ids: &[ChareId]) -> MoeResult {
-    start_moe(sim, ids);
-    finish_moe(sim, ids)
-}
-
-/// Drain a run [`start_moe`] began to quiescence and collect results:
-/// the second half of [`run_moe`].
-pub fn finish_moe(sim: &mut Simulation, ids: &[ChareId]) -> MoeResult {
-    let mut dispatch_stats = MemberStats::default();
-    let mut combine_stats = MemberStats::default();
-    let (time_per_round, total) = rank::finish(sim, ids, |c: &MoeChare| {
-        dispatch_stats.merge(&c.dispatch.stats);
-        combine_stats.merge(&c.combine.stats);
-        &c.clock
-    });
-    MoeResult {
-        time_per_round,
-        total,
-        dispatch_stats,
-        combine_stats,
+        });
+        let cfg = &sh.cfg;
+        let entries = CollEntries {
+            recv: E_RECV,
+            sent: E_SENT,
+            reduced: E_REDUCED,
+        };
+        let (mut sim, ids) = rank::place(&cfg.machine, ranks, cfg.placement, |r, device| {
+            let in_len = sh.dispatch.in_elems[r];
+            let expert_elems = sh.dispatch.out_elems[r];
+            let disp_in = device.mem.alloc(Space::Device, in_len.max(1), real);
+            let disp_out = device.mem.alloc(Space::Device, expert_elems.max(1), real);
+            let exp_out = device.mem.alloc(Space::Device, expert_elems.max(1), real);
+            let comb_out = device
+                .mem
+                .alloc(Space::Device, sh.combine.out_elems[r].max(1), real);
+            let stream = device.create_stream(2);
+            let dispatch = CollMember::new(
+                r,
+                sh.dispatch.members[r].clone(),
+                true,
+                disp_in,
+                0,
+                Some(disp_out),
+                0,
+                stream,
+                entries,
+                DISPATCH,
+                device,
+                real,
+            );
+            let combine = CollMember::new(
+                r,
+                sh.combine.members[r].clone(),
+                true,
+                exp_out,
+                0,
+                Some(comb_out),
+                0,
+                stream,
+                entries,
+                COMBINE,
+                device,
+                real,
+            );
+            if real && in_len > 0 {
+                let vals = dispatch_layout(cfg, ranks, r);
+                device
+                    .mem
+                    .write(BufRange::new(disp_in, 0, vals.len()), &vals);
+            }
+            MoeChare {
+                rank: r,
+                disp_out,
+                exp_out,
+                expert_elems,
+                stream,
+                dispatch,
+                combine,
+                comb_out,
+                clock: RoundClock::new(cfg.rounds, cfg.warmup),
+            }
+        });
+        gaat_coll::member::wire_members(&mut sim.machine, &ids, &sh.dispatch, |any| {
+            &mut any.downcast_mut::<MoeChare>().expect("moe chare").dispatch
+        });
+        gaat_coll::member::wire_members(&mut sim.machine, &ids, &sh.combine, |any| {
+            &mut any.downcast_mut::<MoeChare>().expect("moe chare").combine
+        });
+        (sim, ids, sh)
     }
-}
 
-/// Convenience: build + run.
-pub fn run_moe_app(cfg: MoeConfig) -> MoeResult {
-    let (mut sim, ids, _) = build_moe(cfg);
-    run_moe(&mut sim, &ids)
-}
-
-/// Compare every rank's combine output against [`reference_output`],
-/// bit for bit. Returns elements compared.
-pub fn validate_moe(sim: &Simulation, ids: &[ChareId], sh: &MoeShared) -> usize {
-    assert!(sh.cfg.machine.real_buffers, "validation needs real buffers");
-    let mut compared = 0;
-    for (r, &id) in ids.iter().enumerate() {
-        let want = reference_output(&sh.cfg, sh.ranks, r);
-        if want.is_empty() {
-            continue;
+    fn finish(&self, sim: &mut Simulation, ids: &[ChareId]) -> MoeResult {
+        let mut dispatch_stats = MemberStats::default();
+        let mut combine_stats = MemberStats::default();
+        let (time_per_round, total) = rank::finish(sim, ids, |c: &MoeChare| {
+            dispatch_stats.merge(&c.dispatch.stats);
+            combine_stats.merge(&c.combine.stats);
+            &c.clock
+        });
+        MoeResult {
+            time_per_round,
+            total,
+            dispatch_stats,
+            combine_stats,
         }
-        let c = sim.machine.chare_as::<MoeChare>(id);
-        let got = rank::read(sim, id, c.comb_out, want.len());
-        assert_eq!(got, want, "MoE combine output rank {r}");
-        compared += want.len();
     }
-    compared
+
+    /// Compare every rank's combine output against [`reference_output`],
+    /// bit for bit. Returns elements compared.
+    fn check(&self, sim: &Simulation, ids: &[ChareId]) -> usize {
+        let cfg = &self.cfg;
+        assert!(cfg.machine.real_buffers, "validation needs real buffers");
+        let mut compared = 0;
+        for (r, &id) in ids.iter().enumerate() {
+            let want = reference_output(cfg, self.ranks, r);
+            if want.is_empty() {
+                continue;
+            }
+            let c = sim.machine.chare_as::<MoeChare>(id);
+            let got = rank::read(sim, id, c.comb_out, want.len());
+            assert_eq!(got, want, "MoE combine output rank {r}");
+            compared += want.len();
+        }
+        compared
+    }
+
+    fn outcome(r: &MoeResult) -> Outcome {
+        Outcome {
+            unit: r.time_per_round,
+            total: r.total,
+            coll_bytes: r.dispatch_stats.bytes + r.combine_stats.bytes,
+            coll_chunks: r.dispatch_stats.chunks + r.combine_stats.chunks,
+            ..Outcome::default()
+        }
+    }
 }
 
 #[cfg(test)]
@@ -483,9 +482,9 @@ mod tests {
             let mut cfg = MoeConfig::new(MachineConfig::validation(nodes, pes), tokens, hidden);
             cfg.chunk = chunk;
             cfg.hot_frac = hot_frac;
-            let (mut sim, ids, sh) = build_moe(cfg);
-            run_moe(&mut sim, &ids);
-            let n = validate_moe(&sim, &ids, &sh);
+            let (mut sim, ids, sh) = MoeShared::build(cfg);
+            sh.run(&mut sim, &ids);
+            let n = sh.check(&sim, &ids);
             assert!(n > 0);
         }
     }
@@ -496,18 +495,18 @@ mod tests {
         cfg.rounds = 2;
         cfg.warmup = 1;
         cfg.chunk = 5;
-        let (mut sim, ids, sh) = build_moe(cfg);
-        run_moe(&mut sim, &ids);
-        validate_moe(&sim, &ids, &sh);
+        let (mut sim, ids, sh) = MoeShared::build(cfg);
+        sh.run(&mut sim, &ids);
+        sh.check(&sim, &ids);
     }
 
     #[test]
     fn single_rank_moe_completes() {
         let cfg = MoeConfig::new(MachineConfig::validation(1, 1), 5, 2);
-        let (mut sim, ids, sh) = build_moe(cfg);
-        let res = run_moe(&mut sim, &ids);
+        let (mut sim, ids, sh) = MoeShared::build(cfg);
+        let res = sh.run(&mut sim, &ids);
         assert_eq!(res.dispatch_stats.chunks, 0, "self traffic stays local");
-        validate_moe(&sim, &ids, &sh);
+        sh.check(&sim, &ids);
     }
 
     #[test]
@@ -518,7 +517,7 @@ mod tests {
             cfg.hot_frac = 0.7;
             cfg.rounds = 2;
             cfg.warmup = 1;
-            run_moe_app(cfg)
+            MoeShared::build_and_run(cfg)
         };
         let (a, b) = (mk(), mk());
         assert_eq!(a.total, b.total);

@@ -25,14 +25,12 @@ use gaat_coll::rank::{self, RoundClock, E_START};
 use gaat_coll::reference;
 use gaat_gpu::Space;
 use gaat_rt::{
-    BufRange, BufferId, Callback, Chare, ChareId, Ctx, EntryId, Envelope, KernelSpec,
-    MachineConfig, Op, Simulation, StreamId,
+    App, BufRange, BufferId, Callback, Chare, ChareId, Ctx, EntryId, Envelope, KernelSpec,
+    MachineConfig, Op, Outcome, Simulation, StreamId,
 };
 use gaat_sim::SimDuration;
 
 use crate::ConfigError;
-
-pub use gaat_coll::rank::start as start_train;
 
 /// A backward bucket's kernel retired (refnum = bucket).
 pub const E_BWD: EntryId = EntryId(1);
@@ -105,24 +103,6 @@ impl TrainConfig {
             mode: TrainMode::Full,
         }
     }
-
-    /// Check every rule that depends only on this configuration:
-    /// [`rank::validate`]'s (the machine, at least one timed step, a
-    /// nonzero `chunk`), then at least one bucket and no more buckets
-    /// than parameters.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        rank::validate(&self.machine, self.steps, self.chunk, 0)?;
-        if self.buckets == 0 {
-            return Err(ConfigError::ZeroBuckets);
-        }
-        if self.params < self.buckets {
-            return Err(ConfigError::FewerParamsThanBuckets {
-                params: self.params,
-                buckets: self.buckets,
-            });
-        }
-        Ok(())
-    }
 }
 
 /// Result of a training run.
@@ -136,7 +116,7 @@ pub struct TrainResult {
     pub coll_stats: MemberStats,
 }
 
-/// Shared run parameters.
+/// Shared run parameters; the training proxy's [`App`].
 #[derive(Debug)]
 pub struct TrainShared {
     /// The experiment.
@@ -327,103 +307,138 @@ pub fn sgd_update(
     }
 }
 
-/// Build the training simulation. Panics with the [`ConfigError`] text
-/// if `cfg` fails [`TrainConfig::validate`].
-pub fn build_train(cfg: TrainConfig) -> (Simulation, Vec<ChareId>, Arc<TrainShared>) {
-    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
-    let ranks = cfg.machine.total_pes();
-    let plans: Vec<CollPlan> = (0..cfg.buckets)
-        .map(|b| {
-            let (_, bl) = even_split(cfg.params, cfg.buckets, b);
-            plan(CollOp::AllReduce, cfg.algorithm, ranks, bl, cfg.chunk)
-        })
-        .collect();
-    let real = cfg.machine.real_buffers;
-    let sh = Arc::new(TrainShared { cfg, ranks, plans });
-    let cfg = &sh.cfg;
-    let entries = CollEntries {
-        recv: E_RECV,
-        sent: E_SENT,
-        reduced: E_REDUCED,
-    };
-    let (mut sim, ids) = rank::place(&cfg.machine, ranks, cfg.placement, |r, device| {
-        let w = device.mem.alloc(Space::Device, cfg.params, real);
-        let g = device.mem.alloc(Space::Device, cfg.params, real);
-        let compute = device.create_stream(1);
-        let comm = device.create_stream(2);
-        let members: Vec<CollMember> = (0..cfg.buckets)
+impl App for TrainShared {
+    type Config = TrainConfig;
+    type Error = ConfigError;
+    type Result = TrainResult;
+
+    /// Check every rule that depends only on this configuration:
+    /// [`rank::validate`]'s (the machine, at least one timed step, a
+    /// nonzero `chunk`), then at least one bucket and no more buckets
+    /// than parameters.
+    fn validate(cfg: &TrainConfig) -> Result<(), ConfigError> {
+        rank::validate(&cfg.machine, cfg.steps, cfg.chunk, 0)?;
+        if cfg.buckets == 0 {
+            return Err(ConfigError::ZeroBuckets);
+        }
+        if cfg.params < cfg.buckets {
+            return Err(ConfigError::FewerParamsThanBuckets {
+                params: cfg.params,
+                buckets: cfg.buckets,
+            });
+        }
+        Ok(())
+    }
+
+    fn build(cfg: TrainConfig) -> (Simulation, Vec<ChareId>, Arc<TrainShared>) {
+        Self::validate(&cfg).unwrap_or_else(|e| panic!("{e}"));
+        let ranks = cfg.machine.total_pes();
+        let plans: Vec<CollPlan> = (0..cfg.buckets)
             .map(|b| {
-                let (bo, _) = even_split(cfg.params, cfg.buckets, b);
-                CollMember::new(
-                    r,
-                    sh.plans[b].members[r].clone(),
-                    false,
-                    g,
-                    bo,
-                    None,
-                    0,
-                    comm,
-                    entries,
-                    (b as u64) << 16,
-                    device,
-                    real,
-                )
+                let (_, bl) = even_split(cfg.params, cfg.buckets, b);
+                plan(CollOp::AllReduce, cfg.algorithm, ranks, bl, cfg.chunk)
             })
             .collect();
-        if real {
-            let vals: Vec<f64> = (0..cfg.params).map(init_weight).collect();
-            device.mem.write(BufRange::new(w, 0, cfg.params), &vals);
-        }
-        TrainChare {
-            sh: sh.clone(),
-            rank: r,
-            w,
-            g,
-            compute,
-            members,
-            bwd_ready: 0,
-            buckets_done: 0,
-            clock: RoundClock::new(cfg.steps, cfg.warmup),
-        }
-    });
-    for b in 0..cfg.buckets {
-        gaat_coll::member::wire_members(&mut sim.machine, &ids, &sh.plans[b], |any| {
-            &mut any
-                .downcast_mut::<TrainChare>()
-                .expect("train chare")
-                .members[b]
+        let real = cfg.machine.real_buffers;
+        let sh = Arc::new(TrainShared { cfg, ranks, plans });
+        let cfg = &sh.cfg;
+        let entries = CollEntries {
+            recv: E_RECV,
+            sent: E_SENT,
+            reduced: E_REDUCED,
+        };
+        let (mut sim, ids) = rank::place(&cfg.machine, ranks, cfg.placement, |r, device| {
+            let w = device.mem.alloc(Space::Device, cfg.params, real);
+            let g = device.mem.alloc(Space::Device, cfg.params, real);
+            let compute = device.create_stream(1);
+            let comm = device.create_stream(2);
+            let members: Vec<CollMember> = (0..cfg.buckets)
+                .map(|b| {
+                    let (bo, _) = even_split(cfg.params, cfg.buckets, b);
+                    CollMember::new(
+                        r,
+                        sh.plans[b].members[r].clone(),
+                        false,
+                        g,
+                        bo,
+                        None,
+                        0,
+                        comm,
+                        entries,
+                        (b as u64) << 16,
+                        device,
+                        real,
+                    )
+                })
+                .collect();
+            if real {
+                let vals: Vec<f64> = (0..cfg.params).map(init_weight).collect();
+                device.mem.write(BufRange::new(w, 0, cfg.params), &vals);
+            }
+            TrainChare {
+                sh: sh.clone(),
+                rank: r,
+                w,
+                g,
+                compute,
+                members,
+                bwd_ready: 0,
+                buckets_done: 0,
+                clock: RoundClock::new(cfg.steps, cfg.warmup),
+            }
         });
-    }
-    (sim, ids, sh)
-}
-
-/// Run to completion and collect results.
-pub fn run_train(sim: &mut Simulation, ids: &[ChareId]) -> TrainResult {
-    start_train(sim, ids);
-    finish_train(sim, ids)
-}
-
-/// Drain a run [`start_train`] began to quiescence and collect results:
-/// the second half of [`run_train`].
-pub fn finish_train(sim: &mut Simulation, ids: &[ChareId]) -> TrainResult {
-    let mut coll_stats = MemberStats::default();
-    let (time_per_step, total) = rank::finish(sim, ids, |c: &TrainChare| {
-        for m in &c.members {
-            coll_stats.merge(&m.stats);
+        for b in 0..cfg.buckets {
+            gaat_coll::member::wire_members(&mut sim.machine, &ids, &sh.plans[b], |any| {
+                &mut any
+                    .downcast_mut::<TrainChare>()
+                    .expect("train chare")
+                    .members[b]
+            });
         }
-        &c.clock
-    });
-    TrainResult {
-        time_per_step,
-        total,
-        coll_stats,
+        (sim, ids, sh)
     }
-}
 
-/// Convenience: build + run.
-pub fn train(cfg: TrainConfig) -> TrainResult {
-    let (mut sim, ids, _) = build_train(cfg);
-    run_train(&mut sim, &ids)
+    fn finish(&self, sim: &mut Simulation, ids: &[ChareId]) -> TrainResult {
+        let mut coll_stats = MemberStats::default();
+        let (time_per_step, total) = rank::finish(sim, ids, |c: &TrainChare| {
+            for m in &c.members {
+                coll_stats.merge(&m.stats);
+            }
+            &c.clock
+        });
+        TrainResult {
+            time_per_step,
+            total,
+            coll_stats,
+        }
+    }
+
+    /// Compare every rank's final weights against [`reference_weights`],
+    /// bit for bit. Returns elements compared.
+    fn check(&self, sim: &Simulation, ids: &[ChareId]) -> usize {
+        let cfg = &self.cfg;
+        assert!(cfg.machine.real_buffers, "validation needs real buffers");
+        assert_eq!(cfg.mode, TrainMode::Full, "only full steps validate");
+        let want = reference_weights(cfg, self.ranks);
+        let mut compared = 0;
+        for &id in ids {
+            let c = sim.machine.chare_as::<TrainChare>(id);
+            let got = rank::read(sim, id, c.w, cfg.params);
+            assert_eq!(got, want, "rank weights diverged");
+            compared += cfg.params;
+        }
+        compared
+    }
+
+    fn outcome(r: &TrainResult) -> Outcome {
+        Outcome {
+            unit: r.time_per_step,
+            total: r.total,
+            coll_bytes: r.coll_stats.bytes,
+            coll_chunks: r.coll_stats.chunks,
+            ..Outcome::default()
+        }
+    }
 }
 
 /// Sequential scalar reference for the final weights after a full run.
@@ -451,22 +466,6 @@ pub fn reference_weights(cfg: &TrainConfig, ranks: usize) -> Vec<f64> {
     w
 }
 
-/// Compare every rank's final weights against [`reference_weights`],
-/// bit for bit. Returns elements compared.
-pub fn validate_train(sim: &Simulation, ids: &[ChareId], sh: &TrainShared) -> usize {
-    assert!(sh.cfg.machine.real_buffers, "validation needs real buffers");
-    assert_eq!(sh.cfg.mode, TrainMode::Full, "only full steps validate");
-    let want = reference_weights(&sh.cfg, sh.ranks);
-    let mut compared = 0;
-    for &id in ids {
-        let c = sim.machine.chare_as::<TrainChare>(id);
-        let got = rank::read(sim, id, c.w, sh.cfg.params);
-        assert_eq!(got, want, "rank weights diverged");
-        compared += sh.cfg.params;
-    }
-    compared
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,9 +480,9 @@ mod tests {
                 cfg.chunk = 4;
                 cfg.steps = 2;
                 cfg.warmup = 1;
-                let (mut sim, ids, sh) = build_train(cfg);
-                run_train(&mut sim, &ids);
-                assert_eq!(validate_train(&sim, &ids, &sh), 50 * 6, "{alg:?}/{buckets}");
+                let (mut sim, ids, sh) = TrainShared::build(cfg);
+                sh.run(&mut sim, &ids);
+                assert_eq!(sh.check(&sim, &ids), 50 * 6, "{alg:?}/{buckets}");
             }
         }
     }
@@ -495,9 +494,9 @@ mod tests {
         cfg.steps = 2;
         cfg.warmup = 0;
         cfg.chunk = 8;
-        let (mut sim, ids, sh) = build_train(cfg);
-        run_train(&mut sim, &ids);
-        validate_train(&sim, &ids, &sh);
+        let (mut sim, ids, sh) = TrainShared::build(cfg);
+        sh.run(&mut sim, &ids);
+        sh.check(&sim, &ids);
     }
 
     #[test]
@@ -519,7 +518,7 @@ mod tests {
                 cfg.buckets = 8;
                 cfg.chunk = 1 << 14;
                 cfg.warmup = 1;
-                train(cfg).time_per_step
+                TrainShared::build_and_run(cfg).time_per_step
             };
             let full = mk(TrainMode::Full, true);
             let compute = mk(TrainMode::ComputeOnly, true);
@@ -540,7 +539,7 @@ mod tests {
             let mut cfg = TrainConfig::new(MachineConfig::summit(2), 1 << 16);
             cfg.steps = 2;
             cfg.warmup = 1;
-            train(cfg)
+            TrainShared::build_and_run(cfg)
         };
         let (a, b) = (mk(), mk());
         assert_eq!(a.total, b.total);

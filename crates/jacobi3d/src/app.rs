@@ -224,6 +224,10 @@ pub enum ConfigError {
     MigrationNeedsCheckpoints,
     /// PE failures or the load balancer armed on GPU-aware communication.
     MigrationNeedsHostStaging,
+    /// An MPI version asked for more than one block per PE.
+    MpiOdf,
+    /// An MPI version with PE failures or the load balancer armed.
+    MpiMigration,
 }
 
 impl From<gaat_rt::ConfigError> for ConfigError {
@@ -258,6 +262,14 @@ impl std::fmt::Display for ConfigError {
             ConfigError::MigrationNeedsHostStaging => {
                 "PE failures or the adaptive LB need host-staging communication: a migrated \
                  block cannot rebuild its channels or graphs"
+            }
+            ConfigError::MpiOdf => {
+                "the MPI versions always run one rank per PE (use the task runtime for ODF > 1, \
+                 or virtual_ranks for AMPI-style virtualization)"
+            }
+            ConfigError::MpiMigration => {
+                "the MPI versions cannot move ranks: PE failures and the adaptive LB need the \
+                 task runtime's recovery"
             }
         };
         f.write_str(msg)

@@ -22,16 +22,18 @@ use std::sync::Arc;
 
 use gaat_gpu::{CudaEventId, Device, GpuTimingModel, GraphBuilder, NodeIndex};
 use gaat_rt::{
-    create_channel, BufRange, Callback, ChannelEnd, Chare, ChareId, Ctx, DeviceId, EntryId,
-    Envelope, GraphId, KernelSpec, MemLoc, Op, Simulation, StreamId, WhenSet,
+    create_channel, App, BufRange, Callback, ChannelEnd, Chare, ChareId, Ctx, DeviceId, EntryId,
+    Envelope, GraphId, KernelSpec, MemLoc, Op, Outcome, RunOutcome, Simulation, StreamId, WhenSet,
 };
 use gaat_sim::SimTime;
 
-use crate::app::{CommMode, Fusion, GraphStrategy, JacobiConfig, RunResult, SyncMode};
+use crate::app::{CommMode, ConfigError, Fusion, GraphStrategy, JacobiConfig, RunResult, SyncMode};
 use crate::block::{self, Block, Owner};
 use crate::geom::{place_chare, Decomp, Face, FACES};
+use crate::mpi_app::MpiShared;
 
-/// Begin execution (injected at t = 0).
+/// Begin execution: [`App::start`]'s broadcast at t = 0, the
+/// `block_proxy.run()` of the paper's Fig. 3.
 pub const E_START: EntryId = EntryId(0);
 /// Packing kernels finished (HAPI) — no pointer swap (start / original).
 pub const E_PACKED: EntryId = EntryId(1);
@@ -62,7 +64,8 @@ pub struct HaloMsg {
     pub data: Option<Vec<f64>>,
 }
 
-/// Immutable run-wide parameters shared by all block chares.
+/// Immutable run-wide parameters shared by all block chares; the
+/// [`App`] of the task-runtime versions.
 #[derive(Debug)]
 pub struct Shared {
     /// The experiment.
@@ -542,19 +545,11 @@ impl Owner for BlockChare {
     }
 }
 
-/// Build the whole Charm-style Jacobi3D simulation: machine, chares,
-/// buffers, streams, channels, and (optionally) graphs. Returns the
-/// simulation, the chare ids, and the shared parameters.
-pub fn build(cfg: JacobiConfig) -> (Simulation, Vec<ChareId>, Arc<Shared>) {
-    let sim = Simulation::new(cfg.machine.clone());
-    build_in(sim, cfg)
-}
-
 /// Like [`build`], but constructing the application inside a
 /// caller-provided simulation, so a caller can time `Simulation::new`
 /// and the application build apart. The simulation must have been built
 /// from `cfg.machine` (same shape, seed, and fault plan). Panics with
-/// the [`ConfigError`](crate::ConfigError) text if `cfg` fails
+/// the [`ConfigError`] text if `cfg` fails
 /// [`JacobiConfig::validate`].
 pub fn build_in(mut sim: Simulation, cfg: JacobiConfig) -> (Simulation, Vec<ChareId>, Arc<Shared>) {
     cfg.validate().unwrap_or_else(|e| panic!("{e}"));
@@ -687,82 +682,77 @@ fn build_graphs(
     (graphs, all_specs)
 }
 
-/// Run a built simulation to completion and collect the result.
-pub fn run(sim: &mut Simulation, ids: &[ChareId], sh: &Shared) -> RunResult {
-    start(sim, ids);
-    let (result, stalled) = finish_tolerant(sim, ids, sh);
-    result.unwrap_or_else(|| panic!("{stalled} blocks never finished"))
+impl App for Shared {
+    type Config = JacobiConfig;
+    type Error = ConfigError;
+    /// The result, or only the outcome if a block stalled: with retries
+    /// off and drops armed, a block that loses a halo parks forever.
+    type Result = Result<RunResult, Outcome>;
+
+    fn validate(cfg: &JacobiConfig) -> Result<(), ConfigError> {
+        cfg.validate()
+    }
+
+    fn build(cfg: JacobiConfig) -> (Simulation, Vec<ChareId>, Arc<Shared>) {
+        build_in(Simulation::new(cfg.machine.clone()), cfg)
+    }
+
+    fn finish(&self, sim: &mut Simulation, ids: &[ChareId]) -> Self::Result {
+        assert_eq!(sim.run(), RunOutcome::Drained, "should quiesce");
+        let blocks = ids
+            .iter()
+            .filter(|&&id| sim.machine.chare_as::<BlockChare>(id).done_at.is_none())
+            .count();
+        if blocks > 0 {
+            return Err(Outcome {
+                total: sim.now().since(SimTime::ZERO),
+                stalled: blocks,
+                ..Outcome::default()
+            });
+        }
+        let norm = self.cfg.compute_norm.then(|| {
+            let root = sim.machine.chare_as::<BlockChare>(self.root);
+            root.norm_result.expect("norm reduction completed")
+        });
+        Ok(block::collect::<BlockChare>(sim, ids, &self.cfg, norm))
+    }
+
+    fn check(&self, sim: &Simulation, ids: &[ChareId]) -> usize {
+        block::validate::<BlockChare>(sim, ids, &self.cfg)
+    }
+
+    fn outcome(result: &Self::Result) -> Outcome {
+        result
+            .as_ref()
+            .map_or_else(|stalled| *stalled, MpiShared::outcome)
+    }
 }
 
-/// Start the application and run to quiescence, tolerating stalls: with
-/// the reliable transport off and message drops armed, a block that
-/// loses a halo message parks forever and the queue drains early.
-/// Returns the result if every block finished, plus the stalled-block
-/// count. This is the sweep engine's runner — a drop-rate axis must not
-/// abort the whole grid.
+/// Build the whole Charm-style Jacobi3D simulation: machine, chares,
+/// buffers, streams, channels, and (optionally) graphs. Returns the
+/// simulation, the chare ids, and the shared parameters.
+pub fn build(cfg: JacobiConfig) -> (Simulation, Vec<ChareId>, Arc<Shared>) {
+    Shared::build(cfg)
+}
+
+/// Run a built simulation to completion and collect the result; panics
+/// if a block stalls.
+pub fn run(sim: &mut Simulation, ids: &[ChareId], sh: &Shared) -> RunResult {
+    sh.run(sim, ids)
+        .unwrap_or_else(|o| panic!("{} blocks never finished", o.stalled))
+}
+
+/// Run a built simulation to quiescence, tolerating stalls: the result
+/// if every block finished, plus the stalled-block count.
 pub fn run_tolerant(
     sim: &mut Simulation,
     ids: &[ChareId],
     sh: &Shared,
 ) -> (Option<RunResult>, usize) {
-    start(sim, ids);
-    finish_tolerant(sim, ids, sh)
-}
-
-/// Start every block via the runtime's tree broadcast (the
-/// `block_proxy.run()` of the paper's Fig. 3) without running the
-/// engine. Startup is outside the timed region, but the costs are real.
-/// The sweep memoizer needs the start and the drain as separate steps so
-/// it can pause at a fault-onset instant, clone the world, and fork;
-/// [`run_tolerant`] is exactly `start` + [`finish_tolerant`].
-pub fn start(sim: &mut Simulation, ids: &[ChareId]) {
-    let Simulation { sim, machine, .. } = sim;
-    machine.broadcast(sim, ids, E_START, 0);
-}
-
-/// Drain an already-started run to quiescence and collect, tolerating
-/// stalls (see [`run_tolerant`]). Also the second half of a forked
-/// branch: a world rewound to a clone taken after [`start`] already has
-/// the broadcast in its event state, so the branch resumes here directly.
-pub fn finish_tolerant(
-    sim: &mut Simulation,
-    ids: &[ChareId],
-    sh: &Shared,
-) -> (Option<RunResult>, usize) {
-    let outcome = sim.run();
-    assert_eq!(
-        outcome,
-        gaat_rt::RunOutcome::Drained,
-        "simulation should quiesce"
-    );
-    let stalled = ids
-        .iter()
-        .filter(|&&id| sim.machine.chare_as::<BlockChare>(id).done_at.is_none())
-        .count();
-    if stalled > 0 {
-        return (None, stalled);
+    match sh.run(sim, ids) {
+        Ok(r) => (Some(r), 0),
+        Err(o) => (None, o.stalled),
     }
-    let norm = sh.cfg.compute_norm.then(|| {
-        let root = sim.machine.chare_as::<BlockChare>(sh.root);
-        root.norm_result.expect("norm reduction completed")
-    });
-    (
-        Some(block::collect::<BlockChare>(sim, ids, &sh.cfg, norm)),
-        0,
-    )
-}
-
-/// Sum of squares of the final field (`None` in phantom mode). The field
-/// is reconstructed in global order first, so the checksum is independent
-/// of the decomposition and bit-comparable across variants.
-pub fn checksum(sim: &Simulation, ids: &[ChareId], sh: &Shared) -> Option<f64> {
-    block::checksum::<BlockChare>(sim, ids, &sh.cfg)
-}
-
-/// Compare every block's final field against the sequential reference,
-/// bit-for-bit. Returns the number of cells compared.
-pub fn validate_against_reference(sim: &Simulation, ids: &[ChareId], sh: &Shared) -> usize {
-    block::validate::<BlockChare>(sim, ids, &sh.cfg)
 }
 
 #[cfg(test)]

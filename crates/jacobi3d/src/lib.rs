@@ -15,8 +15,11 @@
 //! synchronization (Fig. 6), kernel fusion strategies A/B/C (Fig. 8),
 //! and graph execution (Fig. 9).
 //!
-//! In validation mode (small grids, real buffers) every variant's final
-//! field is compared bit-for-bit against a sequential reference solver.
+//! Both runtimes' versions are [`gaat_rt::App`]s: [`charm::Shared`]
+//! and [`mpi_app::MpiShared`] validate, build, start, finish and check
+//! a [`JacobiConfig`]. In validation mode (small grids, real buffers)
+//! `check` compares every variant's final field bit-for-bit against a
+//! sequential reference solver.
 
 #![warn(missing_docs)]
 
@@ -31,15 +34,3 @@ pub mod reference;
 pub use app::{CommMode, ConfigError, Fusion, JacobiConfig, Placement, RunResult, SyncMode};
 pub use geom::{best_grid, chare_to_pe, place_chare, Decomp, Dims, Face, FACES};
 pub use reference::Reference;
-
-/// Run a Charm-style experiment end to end.
-pub fn run_charm(cfg: JacobiConfig) -> RunResult {
-    let (mut sim, ids, sh) = charm::build(cfg);
-    charm::run(&mut sim, &ids, &sh)
-}
-
-/// Run an MPI-style experiment end to end.
-pub fn run_mpi(cfg: JacobiConfig) -> RunResult {
-    let (mut sim, ids, sh) = mpi_app::build(cfg);
-    mpi_app::run(&mut sim, &ids, &sh)
-}

@@ -11,12 +11,12 @@ use std::sync::Arc;
 
 use gaat_mpi::Mpi;
 use gaat_rt::{
-    BufRange, Callback, Chare, ChareId, Ctx, EntryId, Envelope, KernelSpec, MemLoc, Op, Simulation,
-    StreamId,
+    App, BufRange, Callback, Chare, ChareId, Ctx, EntryId, Envelope, KernelSpec, MemLoc, Op,
+    Outcome, RunOutcome, Simulation, StreamId,
 };
 use gaat_sim::SimTime;
 
-use crate::app::{CommMode, JacobiConfig, RunResult};
+use crate::app::{CommMode, ConfigError, JacobiConfig, RunResult};
 use crate::block::{self, Block, Owner};
 use crate::geom::Decomp;
 use crate::kernels;
@@ -34,7 +34,7 @@ pub const E_COMM_DONE: EntryId = EntryId(4);
 /// Update done; iteration boundary.
 pub const E_ITER_DONE: EntryId = EntryId(5);
 
-/// Immutable run-wide parameters.
+/// Immutable run-wide parameters; the [`App`] of the MPI versions.
 #[derive(Debug)]
 pub struct MpiShared {
     /// The experiment.
@@ -209,80 +209,94 @@ impl Owner for JacobiRank {
     }
 }
 
-/// Build the MPI Jacobi3D simulation: one rank per PE.
-/// Panics with the [`ConfigError`](crate::ConfigError) text if `cfg`
-/// fails [`JacobiConfig::validate`].
-pub fn build(cfg: JacobiConfig) -> (Simulation, Vec<ChareId>, Arc<MpiShared>) {
-    let mut sim = Simulation::new(cfg.machine.clone());
-    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
-    // Stays at build: `JacobiConfig` does not say which runtime runs
-    // it, and the task runtime accepts any ODF.
-    assert_eq!(
-        cfg.odf, 1,
-        "the MPI versions always run one rank per PE (use the task runtime for ODF > 1, \
-         or virtual_ranks for AMPI-style virtualization)"
-    );
-    let nranks = cfg.machine.total_pes() * cfg.virtual_ranks;
-    let sh = Arc::new(MpiShared {
-        cfg: cfg.clone(),
-        decomp: Decomp::new(cfg.global, nranks),
-    });
+impl App for MpiShared {
+    type Config = JacobiConfig;
+    type Error = ConfigError;
+    type Result = RunResult;
 
-    // Pre-allocate per-rank GPU resources (the factory below cannot touch
-    // the machine while `create_ranks` holds it).
-    let mut pre: Vec<Option<(Block, StreamId)>> = (0..nranks)
-        .map(|rank| {
-            let device = &mut sim.machine.devices[rank / cfg.virtual_ranks];
-            let block = Block::new(&cfg, &sh.decomp, rank, &mut device.mem);
-            Some((block, device.create_stream(1)))
-        })
-        .collect();
-
-    // Checked here rather than in `JacobiConfig::validate`: a device's
-    // footprint depends on how this runtime places ranks on it.
-    for d in &sim.machine.devices {
-        d.assert_memory_fits();
+    /// [`JacobiConfig::validate`], then the MPI versions' own rules: one
+    /// rank per PE (`odf` 1), and no PE failures or load balancer, since
+    /// blocks move only through the task runtime's recovery.
+    fn validate(cfg: &JacobiConfig) -> Result<(), ConfigError> {
+        cfg.validate()?;
+        if cfg.odf != 1 {
+            return Err(ConfigError::MpiOdf);
+        }
+        if cfg.migrates() {
+            return Err(ConfigError::MpiMigration);
+        }
+        Ok(())
     }
 
-    let sh2 = sh.clone();
-    let ids = gaat_mpi::create_ranks(
-        &mut sim,
-        nranks,
-        cfg.virtual_ranks,
-        E_REQ,
-        move |rank, mpi| {
-            let (block, stream) = pre[rank].take().expect("one factory call per rank");
-            JacobiRank {
-                mpi,
-                sh: sh2.clone(),
-                block,
-                stream,
-                iter: 0,
-                warm_at: (sh2.cfg.warmup == 0).then_some(SimTime::ZERO),
-                done_at: None,
-            }
-        },
-    );
-    (sim, ids, sh)
-}
+    /// One rank per PE, or `virtual_ranks` per PE.
+    fn build(cfg: JacobiConfig) -> (Simulation, Vec<ChareId>, Arc<MpiShared>) {
+        Self::validate(&cfg).unwrap_or_else(|e| panic!("{e}"));
+        let mut sim = Simulation::new(cfg.machine.clone());
+        let nranks = cfg.machine.total_pes() * cfg.virtual_ranks;
+        let sh = Arc::new(MpiShared {
+            cfg: cfg.clone(),
+            decomp: Decomp::new(cfg.global, nranks),
+        });
 
-/// Run a built MPI simulation and collect the result.
-pub fn run(sim: &mut Simulation, ids: &[ChareId], sh: &MpiShared) -> RunResult {
-    gaat_mpi::start_all(sim, ids, E_START);
-    let outcome = sim.run();
-    assert_eq!(outcome, gaat_rt::RunOutcome::Drained, "should quiesce");
-    block::collect::<JacobiRank>(sim, ids, &sh.cfg, None)
-}
+        // Pre-allocate per-rank GPU resources (the factory below cannot
+        // touch the machine while `create_ranks` holds it).
+        let mut pre: Vec<Option<(Block, StreamId)>> = (0..nranks)
+            .map(|rank| {
+                let device = &mut sim.machine.devices[rank / cfg.virtual_ranks];
+                let block = Block::new(&cfg, &sh.decomp, rank, &mut device.mem);
+                Some((block, device.create_stream(1)))
+            })
+            .collect();
 
-/// Sum of squares of the final field (`None` in phantom mode),
-/// reconstructed in global order so it is bit-comparable across variants
-/// and decompositions.
-pub fn checksum(sim: &Simulation, ids: &[ChareId], sh: &MpiShared) -> Option<f64> {
-    block::checksum::<JacobiRank>(sim, ids, &sh.cfg)
-}
+        // Checked here rather than in `validate`: a device's footprint
+        // depends on how this runtime places ranks on it.
+        for d in &sim.machine.devices {
+            d.assert_memory_fits();
+        }
 
-/// Bit-exact comparison of every rank's final block against the
-/// sequential reference.
-pub fn validate_against_reference(sim: &Simulation, ids: &[ChareId], sh: &MpiShared) -> usize {
-    block::validate::<JacobiRank>(sim, ids, &sh.cfg)
+        let sh2 = sh.clone();
+        let ids = gaat_mpi::create_ranks(
+            &mut sim,
+            nranks,
+            cfg.virtual_ranks,
+            E_REQ,
+            move |rank, mpi| {
+                let (block, stream) = pre[rank].take().expect("one factory call per rank");
+                JacobiRank {
+                    mpi,
+                    sh: sh2.clone(),
+                    block,
+                    stream,
+                    iter: 0,
+                    warm_at: (sh2.cfg.warmup == 0).then_some(SimTime::ZERO),
+                    done_at: None,
+                }
+            },
+        );
+        (sim, ids, sh)
+    }
+
+    /// Every rank's start entry, injected rank by rank.
+    fn start(&self, sim: &mut Simulation, ids: &[ChareId]) {
+        gaat_mpi::start_all(sim, ids, E_START);
+    }
+
+    fn finish(&self, sim: &mut Simulation, ids: &[ChareId]) -> RunResult {
+        assert_eq!(sim.run(), RunOutcome::Drained, "should quiesce");
+        block::collect::<JacobiRank>(sim, ids, &self.cfg, None)
+    }
+
+    fn check(&self, sim: &Simulation, ids: &[ChareId]) -> usize {
+        block::validate::<JacobiRank>(sim, ids, &self.cfg)
+    }
+
+    /// Also the Charm versions' outcome of a complete run.
+    fn outcome(r: &RunResult) -> Outcome {
+        Outcome {
+            unit: r.time_per_iter,
+            total: r.total,
+            checksum: r.checksum,
+            ..Outcome::default()
+        }
+    }
 }

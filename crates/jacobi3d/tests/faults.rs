@@ -8,7 +8,7 @@
 //! bit for bit.
 
 use gaat_jacobi3d::{charm, CommMode, ConfigError, Dims, JacobiConfig};
-use gaat_rt::{ConfigError as MachineError, LbPolicy, MachineConfig, Simulation};
+use gaat_rt::{App, ConfigError as MachineError, LbPolicy, MachineConfig, Simulation};
 use gaat_sim::{
     FaultPlan, LinkFault, LinkFaultKind, PeFault, SimDuration, SimTime, StragglerWindow,
 };
@@ -59,7 +59,7 @@ fn lossy_host_staging_converges_bit_identically() {
         assert!(st.retransmits > 0, "the drop plan should force retransmits");
         assert_eq!(st.peers_dead, 0, "no peer should be declared dead");
         assert_quiesced(&sim);
-        charm::validate_against_reference(&sim, &ids, &sh);
+        sh.check(&sim, &ids);
     }
 }
 
@@ -71,7 +71,7 @@ fn lossy_gpu_aware_converges_bit_identically() {
     let st = sim.machine.ucx.stats();
     assert!(st.retransmits > 0, "the drop plan should force retransmits");
     assert_quiesced(&sim);
-    charm::validate_against_reference(&sim, &ids, &sh);
+    sh.check(&sim, &ids);
 }
 
 #[test]
@@ -140,7 +140,7 @@ fn pe_failure_recovers_from_checkpoints() {
     // Redoing rolled-back iterations costs time.
     assert!(r.total > r0.total, "{} vs {}", r.total, r0.total);
     assert_quiesced(&sim);
-    charm::validate_against_reference(&sim, &ids, &sh);
+    sh.check(&sim, &ids);
 }
 
 /// The adaptive cell of `gaat_bench::ablation`'s LB table (two fat-tree

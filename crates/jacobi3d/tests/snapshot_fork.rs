@@ -9,9 +9,10 @@
 //! restoring one snapshot several times, and on a fat tree whose trunk
 //! is down at the snapshot instant.
 
-use gaat_jacobi3d::{charm, CommMode, Dims, JacobiConfig, RunResult};
+use gaat_jacobi3d::charm;
+use gaat_jacobi3d::{CommMode, Dims, JacobiConfig, RunResult};
 use gaat_net::{FatTreeGraph, FatTreeParams, TopologyKind};
-use gaat_rt::{ConfigError, MachineConfig, Simulation};
+use gaat_rt::{App, ConfigError, MachineConfig, Simulation};
 use gaat_sim::{FaultPlan, LinkFault, LinkFaultKind, SimDuration, SimTime};
 
 fn onset_cfg(
@@ -59,7 +60,9 @@ struct Outcome {
     leaked_events: usize,
 }
 
-fn outcome(sim: &Simulation, result: Option<RunResult>, stalled: usize) -> Outcome {
+fn outcome(sim: &Simulation, run: Result<RunResult, gaat_rt::Outcome>) -> Outcome {
+    let stalled = run.as_ref().err().map_or(0, |o| o.stalled);
+    let result = run.ok();
     let net = sim.machine.fabric.stats();
     let ucx = sim.machine.ucx.stats();
     let o = Outcome {
@@ -93,9 +96,9 @@ fn outcome(sim: &Simulation, result: Option<RunResult>, stalled: usize) -> Outco
 }
 
 fn run_fresh(cfg: JacobiConfig) -> Outcome {
-    let (mut sim, ids, sh) = charm::build(cfg);
-    let (res, stalled) = charm::run_tolerant(&mut sim, &ids, &sh);
-    outcome(&sim, res, stalled)
+    let (mut sim, ids, sh) = charm::Shared::build(cfg);
+    let run = sh.run(&mut sim, &ids);
+    outcome(&sim, run)
 }
 
 /// Build under `branch0`, pause just before the shared onset, clone the
@@ -103,19 +106,19 @@ fn run_fresh(cfg: JacobiConfig) -> Outcome {
 /// other branch with its fault plan swapped in. Returns one outcome per
 /// branch, in order.
 fn run_forked(branches: &[JacobiConfig], onset: SimTime) -> Vec<Outcome> {
-    let (mut sim, ids, sh) = charm::build(branches[0].clone());
-    charm::start(&mut sim, &ids);
+    let (mut sim, ids, sh) = charm::Shared::build(branches[0].clone());
+    sh.start(&mut sim, &ids);
     sim.run_until(onset - SimDuration::from_ns(1));
     let snap = sim.clone();
     let mut out = Vec::new();
-    let (res, stalled) = charm::finish_tolerant(&mut sim, &ids, &sh);
-    out.push(outcome(&sim, res, stalled));
+    let run = sh.finish(&mut sim, &ids);
+    out.push(outcome(&sim, run));
     for cfg in &branches[1..] {
         sim.clone_from(&snap);
         sim.set_stochastic_faults(cfg.machine.faults.clone())
             .expect("branches share their time-triggered faults");
-        let (res, stalled) = charm::finish_tolerant(&mut sim, &ids, &sh);
-        out.push(outcome(&sim, res, stalled));
+        let run = sh.finish(&mut sim, &ids);
+        out.push(outcome(&sim, run));
     }
     out
 }

@@ -1,8 +1,9 @@
 //! Functional validation: every Jacobi3D variant must produce the exact
 //! same field as the sequential reference solver, bit for bit.
 
-use gaat_jacobi3d::{charm, mpi_app, CommMode, Dims, Fusion, JacobiConfig, SyncMode};
-use gaat_rt::MachineConfig;
+use gaat_jacobi3d::mpi_app::MpiShared;
+use gaat_jacobi3d::{charm, CommMode, Dims, Fusion, JacobiConfig, SyncMode};
+use gaat_rt::{App, MachineConfig};
 
 fn base_cfg(nodes: usize, pes: usize, global: usize) -> JacobiConfig {
     let mut cfg = JacobiConfig::new(MachineConfig::validation(nodes, pes), Dims::cube(global));
@@ -15,16 +16,16 @@ fn validate_charm(cfg: JacobiConfig) -> f64 {
     assert!(cfg.validate().is_ok());
     let (mut sim, ids, sh) = charm::build(cfg);
     let result = charm::run(&mut sim, &ids, &sh);
-    let compared = charm::validate_against_reference(&sim, &ids, &sh);
+    let compared = sh.check(&sim, &ids);
     assert_eq!(compared, sh.cfg.global.count(), "every cell compared");
     result.checksum.expect("real buffers")
 }
 
 fn validate_mpi(cfg: JacobiConfig) -> f64 {
     assert!(cfg.validate().is_ok());
-    let (mut sim, ids, sh) = mpi_app::build(cfg);
-    let result = mpi_app::run(&mut sim, &ids, &sh);
-    let compared = mpi_app::validate_against_reference(&sim, &ids, &sh);
+    let (mut sim, ids, sh) = MpiShared::build(cfg);
+    let result = sh.run(&mut sim, &ids);
+    let compared = sh.check(&sim, &ids);
     assert_eq!(compared, sh.cfg.global.count());
     result.checksum.expect("real buffers")
 }
@@ -119,7 +120,7 @@ fn charm_large_message_pipelined_path_matches_reference() {
     let stats = sim.machine.ucx.stats();
     assert!(stats.pipelined > 0, "expected pipelined transfers");
     assert!(stats.chunks >= stats.pipelined * 4, "expected chunking");
-    charm::validate_against_reference(&sim, &ids, &sh);
+    sh.check(&sim, &ids);
 }
 
 #[test]
@@ -187,7 +188,7 @@ fn runs_are_deterministic() {
         let mut cfg = base_cfg(2, 2, 12);
         cfg.comm = CommMode::GpuAware;
         cfg.odf = 2;
-        gaat_jacobi3d::run_charm(cfg)
+        charm::Shared::build_and_run(cfg).unwrap()
     };
     let a = run();
     let b = run();
@@ -203,7 +204,7 @@ fn different_seeds_vary_slightly() {
         cfg.machine.seed = seed;
         cfg.machine.net.jitter = 0.02;
         cfg.comm = CommMode::GpuAware;
-        gaat_jacobi3d::run_charm(cfg)
+        charm::Shared::build_and_run(cfg).unwrap()
     };
     let a = run(1);
     let b = run(2);
@@ -249,7 +250,7 @@ fn reduced_norm_in_phantom_mode_is_zero_but_flows() {
     cfg.iters = 3;
     cfg.warmup = 1;
     cfg.compute_norm = true;
-    let r = gaat_jacobi3d::run_charm(cfg);
+    let r = charm::Shared::build_and_run(cfg).unwrap();
     assert_eq!(r.reduced_norm, Some(0.0));
 }
 

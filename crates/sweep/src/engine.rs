@@ -25,12 +25,14 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use gaat_jacobi3d::{charm, RunResult};
-use gaat_rt::{ChareId, Simulation};
+use gaat_dptrain::{MoeShared, TrainShared};
+use gaat_jacobi3d::charm;
+use gaat_rt::{App, ChareId, Outcome, Simulation};
 use gaat_sim::SimDuration;
+use gaat_sweep3d::SweepShared;
 
 use crate::fork::{self, ForkStats, Unit};
 use crate::grid::{Scenario, Workload};
@@ -111,12 +113,7 @@ impl SweepReport {
                 None => {
                     rows.push(AggregateRow {
                         group: r.group.clone(),
-                        count: 0,
-                        ok: 0,
-                        stalled: 0,
-                        mean_makespan_ns: 0.0,
-                        mean_unit_ns: 0.0,
-                        mean_wall_ns: 0.0,
+                        ..AggregateRow::default()
                     });
                     rows.last_mut().expect("just pushed")
                 }
@@ -342,23 +339,7 @@ fn base_record(sc: &Scenario) -> ScenarioRecord {
         group: sc.group(),
         label: sc.label(),
         ok: true,
-        stalled: 0,
-        makespan_ns: 0,
-        unit_ns: 0,
-        checksum: None,
-        entries: 0,
-        net_messages: 0,
-        net_bytes: 0,
-        net_drops: 0,
-        net_retransmits: 0,
-        ucx_retransmits: 0,
-        ucx_timeouts: 0,
-        ucx_duplicates: 0,
-        coll_bytes: 0,
-        coll_chunks: 0,
-        wall_ns: 0,
-        setup_ns: 0,
-        error: None,
+        ..ScenarioRecord::default()
     }
 }
 
@@ -367,11 +348,11 @@ fn base_record(sc: &Scenario) -> ScenarioRecord {
 /// config, the machine included.
 fn rejection(sc: &Scenario) -> Option<ScenarioRecord> {
     let error = match sc.workload {
-        Workload::Jacobi { .. } => sc.jacobi_config().validate().err()?.to_string(),
-        Workload::Sweep3d { .. } => sc.sweep3d_config().validate().err()?.to_string(),
-        Workload::Train { .. } => sc.train_config().validate().err()?.to_string(),
-        Workload::Moe { .. } => sc.moe_config().validate().err()?.to_string(),
-    };
+        Workload::Jacobi { .. } => rejected::<charm::Shared>(&sc.jacobi_config()),
+        Workload::Sweep3d { .. } => rejected::<SweepShared>(&sc.sweep3d_config()),
+        Workload::Train { .. } => rejected::<TrainShared>(&sc.train_config()),
+        Workload::Moe { .. } => rejected::<MoeShared>(&sc.moe_config()),
+    }?;
     Some(ScenarioRecord {
         ok: false,
         error: Some(error),
@@ -379,31 +360,23 @@ fn rejection(sc: &Scenario) -> Option<ScenarioRecord> {
     })
 }
 
-/// Fold a tolerant Jacobi outcome into the record.
-fn apply_jacobi_outcome(
-    rec: &mut ScenarioRecord,
-    sim: &Simulation,
-    res: Option<RunResult>,
-    stalled: usize,
-) {
-    match res {
-        Some(r) => {
-            rec.makespan_ns = r.total.as_ns();
-            rec.unit_ns = r.time_per_iter.as_ns();
-            rec.checksum = r.checksum;
-        }
-        None => {
-            rec.ok = false;
-            rec.stalled = stalled as u64;
-            rec.makespan_ns = sim.sim.now().as_ns();
-        }
-    }
+/// `A`'s error text for `cfg`, if it rejects it.
+fn rejected<A: App>(cfg: &A::Config) -> Option<String> {
+    A::validate(cfg).err().map(|e| e.to_string())
 }
 
-/// Copy the machine's end-of-run counters into the record.
-fn seal_record(rec: &mut ScenarioRecord, sim: &Simulation) {
+/// Copy an app's outcome and the machine's end-of-run counters into
+/// the record.
+fn seal_record(rec: &mut ScenarioRecord, sim: &Simulation, o: Outcome) {
     let net = sim.machine.fabric.stats();
     let ucx = sim.machine.ucx.stats();
+    rec.ok = o.stalled == 0;
+    rec.stalled = o.stalled as u64;
+    rec.makespan_ns = o.total.as_ns();
+    rec.unit_ns = o.unit.as_ns();
+    rec.checksum = o.checksum;
+    rec.coll_bytes = o.coll_bytes;
+    rec.coll_chunks = o.coll_chunks;
     rec.entries = sim.machine.stats().entries;
     rec.net_messages = net.messages;
     rec.net_bytes = net.bytes;
@@ -413,10 +386,6 @@ fn seal_record(rec: &mut ScenarioRecord, sim: &Simulation) {
     rec.ucx_timeouts = ucx.timeouts;
     rec.ucx_duplicates = ucx.duplicates;
 }
-
-/// What an app's `build` returns: the world, its chare ids and the
-/// app's shared parameters.
-type Built<Sh> = (Simulation, Vec<ChareId>, Arc<Sh>);
 
 /// One executor thread's state: the scenario list, how many worlds it
 /// built, and its fork counters.
@@ -439,72 +408,29 @@ impl<'a> Worker<'a> {
     /// scenario is a group of one with no fork point.
     fn run_unit(&mut self, unit: &Unit) -> Vec<ScenarioRecord> {
         match self.scenarios[unit.members().0[0]].workload {
-            Workload::Jacobi { .. } => self.run_app(
-                unit,
-                |sc| charm::build(sc.jacobi_config()),
-                charm::start,
-                |sim, ids, sh, rec| {
-                    let (res, stalled) = charm::finish_tolerant(sim, ids, sh);
-                    apply_jacobi_outcome(rec, sim, res, stalled);
-                },
-            ),
-            Workload::Sweep3d { .. } => self.run_app(
-                unit,
-                |sc| gaat_sweep3d::build(sc.sweep3d_config()),
-                gaat_sweep3d::start,
-                |sim, ids, sh, rec| {
-                    let r = gaat_sweep3d::finish(sim, ids, sh);
-                    rec.makespan_ns = r.total.as_ns();
-                    rec.unit_ns = r.time_per_sweep.as_ns();
-                },
-            ),
-            Workload::Train { .. } => self.run_app(
-                unit,
-                |sc| gaat_dptrain::train::build_train(sc.train_config()),
-                gaat_dptrain::train::start_train,
-                |sim, ids, _, rec| {
-                    let r = gaat_dptrain::train::finish_train(sim, ids);
-                    rec.makespan_ns = r.total.as_ns();
-                    rec.unit_ns = r.time_per_step.as_ns();
-                    rec.coll_bytes = r.coll_stats.bytes;
-                    rec.coll_chunks = r.coll_stats.chunks;
-                },
-            ),
-            Workload::Moe { .. } => self.run_app(
-                unit,
-                |sc| gaat_dptrain::moe::build_moe(sc.moe_config()),
-                gaat_dptrain::moe::start_moe,
-                |sim, ids, _, rec| {
-                    let r = gaat_dptrain::moe::finish_moe(sim, ids);
-                    rec.makespan_ns = r.total.as_ns();
-                    rec.unit_ns = r.time_per_round.as_ns();
-                    rec.coll_bytes = r.dispatch_stats.bytes + r.combine_stats.bytes;
-                    rec.coll_chunks = r.dispatch_stats.chunks + r.combine_stats.chunks;
-                },
-            ),
+            Workload::Jacobi { .. } => self.run_app::<charm::Shared>(unit, Scenario::jacobi_config),
+            Workload::Sweep3d { .. } => self.run_app::<SweepShared>(unit, Scenario::sweep3d_config),
+            Workload::Train { .. } => self.run_app::<TrainShared>(unit, Scenario::train_config),
+            Workload::Moe { .. } => self.run_app::<MoeShared>(unit, Scenario::moe_config),
         }
     }
 
-    /// Workload-agnostic body of [`run_unit`]: `build` constructs a
-    /// fresh world for a scenario, `start` injects the initial
-    /// broadcast, and `finish` drains the run and folds its outcome into
-    /// the record. Builds and starts the first member's world. For a
-    /// group, it runs the shared prefix to just before `divergence` and
-    /// clones the world. It finishes the first
-    /// member live, then every other member from the clone (rewinding
-    /// with `clone_from`) with its own stochastic fault plan swapped in.
-    fn run_app<Sh>(
+    /// Workload-agnostic body of [`run_unit`], for app `A` configured by
+    /// `config`. Builds and starts the first member's world. For a group,
+    /// it runs the shared prefix to just before `divergence`, clones the
+    /// world, finishes the first member live, then every other member
+    /// from the clone (rewinding with `clone_from`) with its own
+    /// stochastic fault plan swapped in.
+    fn run_app<A: App>(
         &mut self,
         unit: &Unit,
-        build: fn(&Scenario) -> Built<Sh>,
-        start: fn(&mut Simulation, &[ChareId]),
-        finish: fn(&mut Simulation, &[ChareId], &Sh, &mut ScenarioRecord),
+        config: fn(&Scenario) -> A::Config,
     ) -> Vec<ScenarioRecord> {
         let scenarios = self.scenarios;
         let fstats = &mut self.fork;
-        let finish = |sim: &mut Simulation, ids: &[ChareId], sh: &Sh, mut rec, t0: Instant| {
-            finish(sim, ids, sh, &mut rec);
-            seal_record(&mut rec, sim);
+        let finish = |sim: &mut Simulation, ids: &[ChareId], app: &A, mut rec, t0: Instant| {
+            let outcome = A::outcome(&app.finish(sim, ids));
+            seal_record(&mut rec, sim, outcome);
             rec.wall_ns = t0.elapsed().as_nanos() as u64;
             rec
         };
@@ -514,10 +440,10 @@ impl<'a> Worker<'a> {
         let sc = &scenarios[members[0]];
         let t0 = Instant::now();
         let mut rec = base_record(sc);
-        let (mut sim, ids, sh) = build(sc);
+        let (mut sim, ids, app) = A::build(config(sc));
         self.built += 1;
         rec.setup_ns = t0.elapsed().as_nanos() as u64;
-        start(&mut sim, &ids);
+        app.start(&mut sim, &ids);
         let snap = divergence.map(|t| {
             fstats.groups += 1;
             // Events at exactly the divergence instant may already observe
@@ -529,7 +455,7 @@ impl<'a> Worker<'a> {
             fstats.snapshot_ns += st.elapsed().as_nanos() as u64;
             snap
         });
-        let mut out = vec![finish(&mut sim, &ids, &sh, rec, t0)];
+        let mut out = vec![finish(&mut sim, &ids, &app, rec, t0)];
         let rest = &members[1..];
         if let Some(snap) = &snap {
             fstats.scenarios_forked += rest.len();
@@ -542,7 +468,7 @@ impl<'a> Worker<'a> {
                 rec.setup_ns = restore_ns;
                 sim.set_stochastic_faults(scenarios[m].machine.faults.clone())
                     .expect("a fork group's members share their time-triggered faults");
-                out.push(finish(&mut sim, &ids, &sh, rec, bt));
+                out.push(finish(&mut sim, &ids, &app, rec, bt));
             }
         }
         out

@@ -315,7 +315,7 @@ impl Scenario {
                 cfg.placement = self.placement;
                 // PE-failure recovery and the LB both restore from
                 // checkpoints, so either one needs checkpoints on.
-                if self.machine.lb.enabled() || !self.machine.faults.pe_failures.is_empty() {
+                if cfg.migrates() {
                     cfg.checkpoint_every = 1;
                 }
                 cfg

@@ -11,7 +11,7 @@ use gaat_sim::mix64;
 /// the wall-clock fields (`wall_ns`, `setup_ns`) are measurement
 /// metadata and deliberately excluded, so fingerprints are comparable
 /// across worker counts and hosts.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScenarioRecord {
     /// The scenario's stable grid index.
     pub index: usize,
@@ -144,7 +144,7 @@ impl ScenarioRecord {
 }
 
 /// One aggregate row: records grouped by everything but the seed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AggregateRow {
     /// Group key.
     pub group: String,

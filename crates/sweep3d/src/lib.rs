@@ -16,9 +16,11 @@
 //! Both regimes are asserted in this crate's tests, on the same runtime,
 //! GPU model, and GPU-aware Channel API.
 //!
-//! Functional mode computes the exact sequential sweep result
-//! (dependencies are honoured, so parallel order cannot change the
-//! values), validated against [`reference_sweep`] bit-for-bit.
+//! [`SweepShared`] is the app's [`App`]: it validates, builds, starts,
+//! finishes and checks a [`SweepConfig`]. Functional mode computes the
+//! exact sequential sweep result (dependencies are honoured, so
+//! parallel order cannot change the values), and `check` compares it
+//! against [`reference_sweep`] bit-for-bit.
 
 #![warn(missing_docs)]
 
@@ -27,8 +29,9 @@ use std::sync::Arc;
 use gaat_jacobi3d::geom::{chare_to_pe, Decomp, Dims, Face};
 use gaat_jacobi3d::kernels::{ghosted_len, idx};
 use gaat_rt::{
-    create_channel, BufRange, BufferId, Callback, ChannelEnd, Chare, ChareId, Ctx, EntryId,
-    Envelope, KernelSpec, MachineConfig, MemLoc, Op, RunOutcome, Simulation, Space, StreamId,
+    create_channel, App, BufRange, BufferId, Callback, ChannelEnd, Chare, ChareId, Ctx, EntryId,
+    Envelope, KernelSpec, MachineConfig, MemLoc, Op, Outcome, RunOutcome, Simulation, Space,
+    StreamId,
 };
 use gaat_sim::{SimDuration, SimTime};
 
@@ -72,24 +75,10 @@ impl SweepConfig {
             warmup: 2,
         }
     }
-
-    /// Check every rule that depends only on this configuration: the
-    /// machine's ([`gaat_rt::MachineConfig::validate`]), then ODF and
-    /// timed sweeps of at least 1.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        self.machine.validate()?;
-        if self.odf == 0 {
-            return Err(ConfigError::ZeroOdf);
-        }
-        if self.sweeps == 0 {
-            return Err(ConfigError::ZeroSweeps);
-        }
-        Ok(())
-    }
 }
 
 /// A sweep configuration that cannot be built, one variant per rule; see
-/// [`SweepConfig::validate`].
+/// [`SweepShared`]'s [`App::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
     /// The machine itself is rejected.
@@ -131,7 +120,7 @@ pub struct SweepResult {
     pub cpu_utilization: f64,
 }
 
-/// Shared run parameters.
+/// Shared run parameters; the sweep's [`App`].
 #[derive(Debug)]
 pub struct SweepShared {
     /// The experiment.
@@ -305,160 +294,162 @@ pub fn reference_sweep(global: Dims, sweeps: usize) -> Vec<f64> {
         .expect("real buffer")
 }
 
-/// Build the sweep simulation. Panics with the [`ConfigError`] text if
-/// `cfg` fails [`SweepConfig::validate`].
-pub fn build(cfg: SweepConfig) -> (Simulation, Vec<ChareId>, Arc<SweepShared>) {
-    let mut sim = Simulation::new(cfg.machine.clone());
-    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
-    let pes = cfg.machine.total_pes();
-    let nblocks = pes * cfg.odf;
-    let decomp = Decomp::new(cfg.global, nblocks);
-    let real = cfg.machine.real_buffers;
-    let sh = Arc::new(SweepShared {
-        cfg: cfg.clone(),
-        decomp,
-    });
-    let base = sim.machine.chare_count();
-    let ids: Vec<ChareId> = (0..nblocks).map(|i| ChareId(base + i)).collect();
+impl App for SweepShared {
+    type Config = SweepConfig;
+    type Error = ConfigError;
+    type Result = SweepResult;
 
-    for bi in 0..nblocks {
-        let coord = sh.decomp.coord_of(bi);
-        let dims = sh.decomp.block_dims(coord);
-        let pe = chare_to_pe(bi, nblocks, pes);
-        let dev = sim.machine.pe_device(pe);
-        let device = &mut sim.machine.devices[dev.0];
-        let u = device.mem.alloc(Space::Device, ghosted_len(dims), real);
-        let mut halo_recv = [None; 6];
-        let mut halo_send = [None; 6];
-        let mut up = Vec::new();
-        let mut down = Vec::new();
-        for &f in &UPSTREAM {
-            if sh.decomp.neighbor(coord, f).is_some() {
-                halo_recv[f.index()] = Some(device.mem.alloc(Space::Device, f.area(dims), real));
-                up.push(f);
-            }
+    /// Check every rule that depends only on this configuration: the
+    /// machine's ([`gaat_rt::MachineConfig::validate`]), then ODF and
+    /// timed sweeps of at least 1.
+    fn validate(cfg: &SweepConfig) -> Result<(), ConfigError> {
+        cfg.machine.validate()?;
+        if cfg.odf == 0 {
+            return Err(ConfigError::ZeroOdf);
         }
-        for &f in &DOWNSTREAM {
-            if sh.decomp.neighbor(coord, f).is_some() {
-                halo_send[f.index()] = Some(device.mem.alloc(Space::Device, f.area(dims), real));
-                down.push(f);
-            }
+        if cfg.sweeps == 0 {
+            return Err(ConfigError::ZeroSweeps);
         }
-        let comm = device.create_stream(2);
-        device.assert_memory_fits();
-        let block = SweepChare {
-            sh: sh.clone(),
-            dims,
-            up,
-            down,
-            channels: Default::default(),
-            u,
-            halo_recv,
-            halo_send,
-            comm,
-            sweep: 0,
-            arrived: 0,
-            sends_done: 0,
-            warm_at: if cfg.warmup == 0 {
-                Some(SimTime::ZERO)
-            } else {
-                None
-            },
-            done_at: None,
-        };
-        let id = sim.machine.create_chare(pe, Box::new(block));
-        assert_eq!(id, ChareId(base + bi));
+        Ok(())
     }
 
-    // Wire downstream channels (one per +axis neighbour pair).
-    for bi in 0..nblocks {
-        let coord = sh.decomp.coord_of(bi);
-        for &f in &DOWNSTREAM {
-            if let Some(n) = sh.decomp.neighbor(coord, f) {
-                let ni = sh.decomp.index_of(n);
-                let (ea, eb) = create_channel(&mut sim.machine, ids[bi], ids[ni]);
-                set_channel(&mut sim.machine, ids[bi], f, ea);
-                set_channel(&mut sim.machine, ids[ni], f.opposite(), eb);
+    fn build(cfg: SweepConfig) -> (Simulation, Vec<ChareId>, Arc<SweepShared>) {
+        Self::validate(&cfg).unwrap_or_else(|e| panic!("{e}"));
+        let mut sim = Simulation::new(cfg.machine.clone());
+        let pes = cfg.machine.total_pes();
+        let nblocks = pes * cfg.odf;
+        let decomp = Decomp::new(cfg.global, nblocks);
+        let real = cfg.machine.real_buffers;
+        let sh = Arc::new(SweepShared {
+            cfg: cfg.clone(),
+            decomp,
+        });
+        let base = sim.machine.chare_count();
+        let ids: Vec<ChareId> = (0..nblocks).map(|i| ChareId(base + i)).collect();
+
+        for bi in 0..nblocks {
+            let coord = sh.decomp.coord_of(bi);
+            let dims = sh.decomp.block_dims(coord);
+            let pe = chare_to_pe(bi, nblocks, pes);
+            let dev = sim.machine.pe_device(pe);
+            let device = &mut sim.machine.devices[dev.0];
+            let u = device.mem.alloc(Space::Device, ghosted_len(dims), real);
+            let mut halo_recv = [None; 6];
+            let mut halo_send = [None; 6];
+            let mut up = Vec::new();
+            let mut down = Vec::new();
+            for &f in &UPSTREAM {
+                if sh.decomp.neighbor(coord, f).is_some() {
+                    halo_recv[f.index()] =
+                        Some(device.mem.alloc(Space::Device, f.area(dims), real));
+                    up.push(f);
+                }
+            }
+            for &f in &DOWNSTREAM {
+                if sh.decomp.neighbor(coord, f).is_some() {
+                    halo_send[f.index()] =
+                        Some(device.mem.alloc(Space::Device, f.area(dims), real));
+                    down.push(f);
+                }
+            }
+            let comm = device.create_stream(2);
+            device.assert_memory_fits();
+            let block = SweepChare {
+                sh: sh.clone(),
+                dims,
+                up,
+                down,
+                channels: Default::default(),
+                u,
+                halo_recv,
+                halo_send,
+                comm,
+                sweep: 0,
+                arrived: 0,
+                sends_done: 0,
+                warm_at: (cfg.warmup == 0).then_some(SimTime::ZERO),
+                done_at: None,
+            };
+            let id = sim.machine.create_chare(pe, Box::new(block));
+            assert_eq!(id, ChareId(base + bi));
+        }
+
+        // Wire downstream channels (one per +axis neighbour pair).
+        for bi in 0..nblocks {
+            let coord = sh.decomp.coord_of(bi);
+            for &f in &DOWNSTREAM {
+                if let Some(n) = sh.decomp.neighbor(coord, f) {
+                    let ni = sh.decomp.index_of(n);
+                    let (ea, eb) = create_channel(&mut sim.machine, ids[bi], ids[ni]);
+                    set_channel(&mut sim.machine, ids[bi], f, ea);
+                    set_channel(&mut sim.machine, ids[ni], f.opposite(), eb);
+                }
             }
         }
+        (sim, ids, sh)
     }
-    (sim, ids, sh)
+
+    fn finish(&self, sim: &mut Simulation, ids: &[ChareId]) -> SweepResult {
+        assert_eq!(sim.run(), RunOutcome::Drained, "sweep should quiesce");
+        let mut warm = SimTime::ZERO;
+        let mut done = SimTime::ZERO;
+        for &id in ids {
+            let b = sim.machine.chare_as::<SweepChare>(id);
+            warm = warm.max(b.warm_at.expect("warmed"));
+            done = done.max(b.done_at.expect("finished"));
+        }
+        let pes = sim.machine.pes.len();
+        let cpu = (0..pes)
+            .map(|p| sim.machine.pe_utilization(p, done))
+            .sum::<f64>()
+            / pes as f64;
+        SweepResult {
+            time_per_sweep: done.since(warm) / self.cfg.sweeps as u64,
+            total: done.since(SimTime::ZERO),
+            cpu_utilization: cpu,
+        }
+    }
+
+    /// Compares every block's final field against [`reference_sweep`].
+    fn check(&self, sim: &Simulation, ids: &[ChareId]) -> usize {
+        let reference = reference_sweep(self.cfg.global, self.cfg.sweeps + self.cfg.warmup);
+        let g = self.cfg.global;
+        let mut compared = 0;
+        for &id in ids {
+            let b = sim.machine.chare_as::<SweepChare>(id);
+            let dev = sim.machine.pe_device(sim.machine.pe_of(id));
+            let buf = sim.machine.devices[dev.0].mem.get(b.u);
+            let s = buf.as_slice().expect("validation needs real buffers");
+            let coord = self.decomp.coord_of(id.0 - ids[0].0);
+            let o = self.decomp.block_origin(coord);
+            let d = b.dims;
+            for z in 1..=d.z {
+                for y in 1..=d.y {
+                    for x in 1..=d.x {
+                        let got = s[idx(d, x, y, z)];
+                        let want = reference[idx(g, o.0 + x, o.1 + y, o.2 + z)];
+                        assert_eq!(got, want, "block {coord:?} cell ({x},{y},{z})");
+                        compared += 1;
+                    }
+                }
+            }
+        }
+        compared
+    }
+
+    fn outcome(r: &SweepResult) -> Outcome {
+        Outcome {
+            unit: r.time_per_sweep,
+            total: r.total,
+            ..Outcome::default()
+        }
+    }
 }
 
 fn set_channel(m: &mut gaat_rt::Machine, id: ChareId, f: Face, end: ChannelEnd) {
     let any = m.chare_for_setup(id);
     let block = any.downcast_mut::<SweepChare>().expect("sweep chare");
     block.channels[f.index()] = Some(end);
-}
-
-/// Broadcast the start entry without running (the prefix-memoization
-/// split of [`run`]: callers may pause, snapshot, and resume).
-pub fn start(sim: &mut Simulation, ids: &[ChareId]) {
-    let Simulation { sim, machine, .. } = sim;
-    machine.broadcast(sim, ids, E_START, 0);
-}
-
-/// Run a started simulation to completion and collect results.
-pub fn finish(sim: &mut Simulation, ids: &[ChareId], sh: &SweepShared) -> SweepResult {
-    assert_eq!(sim.run(), RunOutcome::Drained, "sweep should quiesce");
-    let mut warm = SimTime::ZERO;
-    let mut done = SimTime::ZERO;
-    for &id in ids {
-        let b = sim.machine.chare_as::<SweepChare>(id);
-        warm = warm.max(b.warm_at.expect("warmed"));
-        done = done.max(b.done_at.expect("finished"));
-    }
-    let pes = sim.machine.pes.len();
-    let cpu = (0..pes)
-        .map(|p| sim.machine.pe_utilization(p, done))
-        .sum::<f64>()
-        / pes as f64;
-    SweepResult {
-        time_per_sweep: done.since(warm) / sh.cfg.sweeps as u64,
-        total: done.since(SimTime::ZERO),
-        cpu_utilization: cpu,
-    }
-}
-
-/// Run to completion and collect results.
-pub fn run(sim: &mut Simulation, ids: &[ChareId], sh: &SweepShared) -> SweepResult {
-    start(sim, ids);
-    finish(sim, ids, sh)
-}
-
-/// Convenience: build + run.
-pub fn run_sweep(cfg: SweepConfig) -> SweepResult {
-    let (mut sim, ids, sh) = build(cfg);
-    run(&mut sim, &ids, &sh)
-}
-
-/// Compare every block's final field against [`reference_sweep`],
-/// bit-for-bit. Returns cells compared.
-pub fn validate_against_reference(sim: &Simulation, ids: &[ChareId], sh: &SweepShared) -> usize {
-    let reference = reference_sweep(sh.cfg.global, sh.cfg.sweeps + sh.cfg.warmup);
-    let g = sh.cfg.global;
-    let mut compared = 0;
-    for &id in ids {
-        let b = sim.machine.chare_as::<SweepChare>(id);
-        let pe = sim.machine.pe_of(id);
-        let dev = sim.machine.pe_device(pe);
-        let buf = sim.machine.devices[dev.0].mem.get(b.u);
-        let s = buf.as_slice().expect("validation needs real buffers");
-        let coord = sh.decomp.coord_of(id.0 - ids[0].0);
-        let o = sh.decomp.block_origin(coord);
-        let d = b.dims;
-        for z in 1..=d.z {
-            for y in 1..=d.y {
-                for x in 1..=d.x {
-                    let got = s[idx(d, x, y, z)];
-                    let want = reference[idx(g, o.0 + x, o.1 + y, o.2 + z)];
-                    assert_eq!(got, want, "block {coord:?} cell ({x},{y},{z})");
-                    compared += 1;
-                }
-            }
-        }
-    }
-    compared
 }
 
 #[cfg(test)]
@@ -482,9 +473,9 @@ mod tests {
             cfg.odf = odf;
             cfg.sweeps = 3;
             cfg.warmup = 1;
-            let (mut sim, ids, sh) = build(cfg);
-            run(&mut sim, &ids, &sh);
-            let compared = validate_against_reference(&sim, &ids, &sh);
+            let (mut sim, ids, sh) = SweepShared::build(cfg);
+            sh.run(&mut sim, &ids);
+            let compared = sh.check(&sim, &ids);
             assert_eq!(compared, 12 * 12 * 12, "odf={odf}");
         }
     }
@@ -496,7 +487,7 @@ mod tests {
             cfg.odf = 2;
             cfg.sweeps = 4;
             cfg.warmup = 1;
-            run_sweep(cfg)
+            SweepShared::build_and_run(cfg)
         };
         let a = mk();
         let b = mk();
@@ -516,7 +507,7 @@ mod tests {
             cfg.odf = odf;
             cfg.sweeps = 1;
             cfg.warmup = 0;
-            run_sweep(cfg).total
+            SweepShared::build_and_run(cfg).total
         };
         let coarse = latency(1);
         let fine = latency(4);
@@ -536,7 +527,7 @@ mod tests {
             cfg.odf = odf;
             cfg.sweeps = 6;
             cfg.warmup = 2;
-            run_sweep(cfg)
+            SweepShared::build_and_run(cfg)
         };
         let coarse = mk(1);
         let fine = mk(8);
@@ -553,8 +544,8 @@ mod tests {
         let mut cfg = SweepConfig::new(MachineConfig::validation(1, 1), Dims::cube(8));
         cfg.sweeps = 2;
         cfg.warmup = 0;
-        let (mut sim, ids, sh) = build(cfg);
-        run(&mut sim, &ids, &sh);
-        assert_eq!(validate_against_reference(&sim, &ids, &sh), 512);
+        let (mut sim, ids, sh) = SweepShared::build(cfg);
+        sh.run(&mut sim, &ids);
+        assert_eq!(sh.check(&sim, &ids), 512);
     }
 }

@@ -14,7 +14,7 @@
 //! ```
 
 use gaat::jacobi3d::{charm, CommMode, Dims, JacobiConfig};
-use gaat::rt::MachineConfig;
+use gaat::rt::{App, MachineConfig};
 use gaat::sim::{PeFault, SimTime};
 
 fn main() {
@@ -28,8 +28,8 @@ fn main() {
     cfg.checkpoint_every = 2;
 
     // Fault-free pass: learn the makespan the failure is timed against.
-    let (mut sim0, ids0, sh0) = charm::build(cfg.clone());
-    let r0 = charm::run(&mut sim0, &ids0, &sh0);
+    let (mut sim0, ids0, sh0) = charm::Shared::build(cfg.clone());
+    let r0 = sh0.run(&mut sim0, &ids0).expect("every block finishes");
     println!(
         "fault-free: {} chares on {} PEs, makespan {}, {} checkpoints stored",
         ids0.len(),
@@ -41,8 +41,8 @@ fn main() {
     let pe = 1;
     let at = SimTime::ZERO + r0.total.mul_f64(0.6);
     cfg.machine.faults.pe_failures = vec![PeFault { at, pe }];
-    let (mut sim, ids, sh) = charm::build(cfg);
-    let r = charm::run(&mut sim, &ids, &sh);
+    let (mut sim, ids, sh) = charm::Shared::build(cfg);
+    let r = sh.run(&mut sim, &ids).expect("every block finishes");
     let st = sim.machine.stats();
     println!("\n*** PE {pe} fails at {at} ***\n");
     println!(
@@ -57,7 +57,7 @@ fn main() {
     );
 
     assert_eq!(st.recoveries, 1);
-    let cells = charm::validate_against_reference(&sim, &ids, &sh);
+    let cells = sh.check(&sim, &ids);
     println!(
         "\n{cells} cells bit-identical to the reference solver: recovery is\n\
          rollback to a checkpoint cut plus migration off the dead PE, which\n\

@@ -21,7 +21,7 @@
 //! (a `--drop` rate outside [0, 1] or NaN) prints the error and exits 2.
 
 use gaat::jacobi3d::{charm, CommMode, Dims, JacobiConfig};
-use gaat::rt::{LbPolicy, MachineConfig};
+use gaat::rt::{App, LbPolicy, MachineConfig};
 use gaat::sim::{FaultPlan, SimDuration, SimTime, StragglerWindow, Tracer};
 use std::path::PathBuf;
 
@@ -87,7 +87,7 @@ fn parse_args() -> Result<Args, String> {
 /// The `--collective` microbench: back-to-back collectives on two
 /// simulated nodes with tracing on, counters per algorithm.
 fn collective_profile(which: &str) {
-    use gaat::coll::{build, payload_bytes, run, Algorithm, CollAppConfig, CollOp};
+    use gaat::coll::{payload_bytes, Algorithm, CollAppConfig, CollOp, CollShared};
 
     let algorithms: Vec<(&str, CollOp, Algorithm)> = match which {
         "allreduce" => vec![
@@ -108,8 +108,8 @@ fn collective_profile(which: &str) {
         cfg.rounds = 4;
         cfg.warmup = 1;
         let ranks = cfg.effective_ranks();
-        let (mut sim, ids, _) = build(cfg);
-        let res = run(&mut sim, &ids);
+        let (mut sim, ids, app) = CollShared::build(cfg);
+        let res = app.run(&mut sim, &ids);
         let bytes = payload_bytes(op, ranks, count);
         println!("== {which} ({name}) on {ranks} ranks, {count} elements ==");
         println!(
@@ -187,12 +187,12 @@ fn main() {
     if lb {
         cfg.checkpoint_every = 1;
     }
-    if let Err(e) = cfg.validate() {
+    if let Err(e) = charm::Shared::validate(&cfg) {
         eprintln!("error: {e}");
         std::process::exit(2);
     }
-    let (mut sim, ids, sh) = charm::build(cfg);
-    let result = charm::run(&mut sim, &ids, &sh);
+    let (mut sim, ids, sh) = charm::Shared::build(cfg);
+    let result = sh.run(&mut sim, &ids).expect("every block finishes");
     println!(
         "ran {} iterations on {} chares: {} per iteration\n",
         sh.cfg.iters,

@@ -6,8 +6,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use gaat::jacobi3d::{charm, mpi_app, run_charm, run_mpi, CommMode, Dims, JacobiConfig};
-use gaat::rt::MachineConfig;
+use gaat::jacobi3d::mpi_app::MpiShared;
+use gaat::jacobi3d::{charm, CommMode, Dims, JacobiConfig};
+use gaat::rt::{App, MachineConfig};
 
 fn main() {
     // ----- Part 1: functional validation on a small real-data grid -----
@@ -17,15 +18,15 @@ fn main() {
     vcfg.odf = 2;
     vcfg.iters = 5;
     vcfg.warmup = 2;
-    let (mut sim, ids, sh) = charm::build(vcfg.clone());
-    charm::run(&mut sim, &ids, &sh);
-    let cells = charm::validate_against_reference(&sim, &ids, &sh);
+    let (mut sim, ids, app) = charm::Shared::build(vcfg.clone());
+    app.run(&mut sim, &ids).expect("every block finishes");
+    let cells = app.check(&sim, &ids);
     println!("  Charm-D: {cells} cells bit-identical to the reference solver");
 
     vcfg.odf = 1;
-    let (mut sim, ids, sh) = mpi_app::build(vcfg);
-    mpi_app::run(&mut sim, &ids, &sh);
-    let cells = mpi_app::validate_against_reference(&sim, &ids, &sh);
+    let (mut sim, ids, app) = MpiShared::build(vcfg);
+    app.run(&mut sim, &ids);
+    let cells = app.check(&sim, &ids);
     println!("  MPI-D  : {cells} cells bit-identical to the reference solver");
 
     // ----- Part 2: performance comparison (phantom mode, larger) -----
@@ -39,14 +40,14 @@ fn main() {
         c.warmup = 5;
         c
     };
-    let mpi_h = run_mpi(base(CommMode::HostStaging));
-    let mpi_d = run_mpi(base(CommMode::GpuAware));
+    let mpi_h = MpiShared::build_and_run(base(CommMode::HostStaging));
+    let mpi_d = MpiShared::build_and_run(base(CommMode::GpuAware));
     let mut ch = base(CommMode::HostStaging);
     ch.odf = 1;
-    let charm_h = run_charm(ch);
+    let charm_h = charm::Shared::build_and_run(ch).expect("every block finishes");
     let mut cd = base(CommMode::GpuAware);
     cd.odf = 1;
-    let charm_d = run_charm(cd);
+    let charm_d = charm::Shared::build_and_run(cd).expect("every block finishes");
 
     for (name, r) in [
         ("MPI-H  ", &mpi_h),

@@ -9,8 +9,8 @@
 //! ```
 
 use gaat::jacobi3d::Dims;
-use gaat::rt::MachineConfig;
-use gaat::sweep3d::{run_sweep, SweepConfig};
+use gaat::rt::{App, MachineConfig};
+use gaat::sweep3d::{SweepConfig, SweepShared};
 
 fn main() {
     let nodes: usize = std::env::args()
@@ -29,7 +29,7 @@ fn main() {
         cfg.odf = odf;
         cfg.sweeps = 1;
         cfg.warmup = 0;
-        let r = run_sweep(cfg);
+        let r = SweepShared::build_and_run(cfg);
         println!("  ODF {odf}: {:>10}", r.total);
     }
 
@@ -39,7 +39,7 @@ fn main() {
         cfg.odf = odf;
         cfg.sweeps = 8;
         cfg.warmup = 2;
-        let r = run_sweep(cfg);
+        let r = SweepShared::build_and_run(cfg);
         println!(
             "  ODF {odf}: {:>10}   (cpu {:.2})",
             r.time_per_sweep, r.cpu_utilization

@@ -11,8 +11,9 @@
 # workload, a quick Fig 9, a quick fat-tree Fig 7c, the protocol landscape
 # and the quick collective tables (run twice with byte-identical output)
 # through the figures binary (whose unknown --fig, --effort and
-# --topology values must fail) and the sweep engine's in-process
-# prefix-fork ratio gate.
+# --topology values must fail), the quick-figure ledger (every quick
+# figure row diffed against results/quick/) and the sweep engine's
+# in-process prefix-fork ratio gate.
 # Everything here must pass with no network access.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -154,6 +155,28 @@ for name in flat fattree; do
 done
 rm -rf "$figs_out"
 echo "figures OK"
+
+echo "==> quick-figure ledger"
+# Every quick figure row is a pin: the CSVs of --fig all and of the
+# fat-tree Fig 7c, and the stdout of --fig all, regenerated at quick
+# effort and diffed against the committed copies in results/quick/. A
+# change that moves a row fails here; re-recording means running these
+# two commands with --out results/quick (masking the stdout the same
+# way) and committing the diff. Two stdout fields depend on the host,
+# so one sed masks them in both copies: the LB table's planner wall
+# time (plan ... us/round) and the directory in the last line (CSV
+# written under <dir>).
+mask='s/plan +[0-9.]+ us\/round/plan <host> us\/round/; s/^CSV written under .*/CSV written under <dir>/'
+ledger=$(mktemp -d)
+mkdir "$ledger/new" "$ledger/committed"
+cargo run --release -p gaat-bench --bin figures -- --fig all --effort quick --out "$ledger/new" \
+    | sed -E "$mask" >"$ledger/new/figures_all.txt"
+cargo run --release -p gaat-bench --bin figures -- --fig 7c --topology fattree --effort quick --out "$ledger/new" >/dev/null
+cp results/quick/* "$ledger/committed/"
+sed -E -i "$mask" "$ledger/committed/figures_all.txt"
+diff -r "$ledger/committed" "$ledger/new"
+rm -rf "$ledger"
+echo "ledger OK"
 
 echo "==> sweep-engine ratio gate"
 # Prefix forking must run the fork grid >= 2x faster, the median of

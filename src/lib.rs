@@ -27,8 +27,8 @@
 //! ## Quickstart
 //!
 //! ```
-//! use gaat::jacobi3d::{run_charm, CommMode, Dims, JacobiConfig};
-//! use gaat::rt::MachineConfig;
+//! use gaat::jacobi3d::{charm, CommMode, Dims, JacobiConfig};
+//! use gaat::rt::{App, MachineConfig};
 //!
 //! // Charm-D: overdecomposed tasks + GPU-aware communication,
 //! // on 2 simulated Summit nodes (12 GPUs).
@@ -37,7 +37,7 @@
 //! cfg.odf = 4;
 //! cfg.iters = 10;
 //! cfg.warmup = 2;
-//! let result = run_charm(cfg);
+//! let result = charm::Shared::build_and_run(cfg).expect("no block stalls");
 //! assert!(result.time_per_iter.as_ns() > 0);
 //! ```
 

@@ -2,8 +2,9 @@
 //! future work ("MPI processes are virtualized as chare objects, allowing
 //! an arbitrary number of 'processes' to be run on a set number of PEs").
 
-use gaat::jacobi3d::{mpi_app, run_mpi, CommMode, Dims, JacobiConfig};
-use gaat::rt::MachineConfig;
+use gaat::jacobi3d::mpi_app::MpiShared;
+use gaat::jacobi3d::{CommMode, Dims, JacobiConfig};
+use gaat::rt::{App, MachineConfig};
 
 #[test]
 fn virtualized_ranks_match_reference() {
@@ -12,10 +13,10 @@ fn virtualized_ranks_match_reference() {
     cfg.virtual_ranks = 3; // 12 ranks on 4 PEs
     cfg.iters = 4;
     cfg.warmup = 1;
-    let (mut sim, ids, sh) = mpi_app::build(cfg);
+    let (mut sim, ids, sh) = MpiShared::build(cfg);
     assert_eq!(ids.len(), 12);
-    mpi_app::run(&mut sim, &ids, &sh);
-    let compared = mpi_app::validate_against_reference(&sim, &ids, &sh);
+    sh.run(&mut sim, &ids);
+    let compared = sh.check(&sim, &ids);
     assert_eq!(compared, 12 * 12 * 12);
 }
 
@@ -27,7 +28,7 @@ fn virtualization_checksum_matches_plain_mpi() {
         cfg.virtual_ranks = vr;
         cfg.iters = 4;
         cfg.warmup = 1;
-        run_mpi(cfg)
+        MpiShared::build_and_run(cfg)
     };
     let plain = mk(1);
     let ampi = mk(4);
@@ -49,7 +50,7 @@ fn virtualization_buys_overlap_where_plain_mpi_stalls() {
         cfg.virtual_ranks = vr;
         cfg.iters = 10;
         cfg.warmup = 2;
-        run_mpi(cfg)
+        MpiShared::build_and_run(cfg)
     };
     let plain = mk(1);
     let ampi = mk(4);
@@ -71,7 +72,7 @@ fn deep_virtualization_eventually_pays_overheads() {
         cfg.virtual_ranks = vr;
         cfg.iters = 10;
         cfg.warmup = 2;
-        run_mpi(cfg)
+        MpiShared::build_and_run(cfg)
     };
     let light = mk(1);
     let deep = mk(8);

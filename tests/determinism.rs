@@ -2,8 +2,9 @@
 //! bit-identical traces, and the only seed-dependence is the modeled
 //! jitter.
 
-use gaat::jacobi3d::{run_charm, run_mpi, CommMode, Dims, Fusion, JacobiConfig};
-use gaat::rt::MachineConfig;
+use gaat::jacobi3d::mpi_app::MpiShared;
+use gaat::jacobi3d::{charm, CommMode, Dims, Fusion, JacobiConfig};
+use gaat::rt::{App, MachineConfig};
 
 fn cfg() -> JacobiConfig {
     let mut c = JacobiConfig::new(MachineConfig::summit(2), Dims::cube(192));
@@ -21,8 +22,8 @@ fn charm_runs_replay_exactly() {
             c.odf = 4;
             c
         };
-        let a = run_charm(mk());
-        let b = run_charm(mk());
+        let a = charm::Shared::build_and_run(mk()).unwrap();
+        let b = charm::Shared::build_and_run(mk()).unwrap();
         assert_eq!(a.time_per_iter, b.time_per_iter, "{comm:?}");
         assert_eq!(a.total, b.total);
         assert_eq!(a.entries, b.entries);
@@ -32,8 +33,8 @@ fn charm_runs_replay_exactly() {
 
 #[test]
 fn mpi_runs_replay_exactly() {
-    let a = run_mpi(cfg());
-    let b = run_mpi(cfg());
+    let a = MpiShared::build_and_run(cfg());
+    let b = MpiShared::build_and_run(cfg());
     assert_eq!(a.time_per_iter, b.time_per_iter);
     assert_eq!(a.entries, b.entries);
 }
@@ -48,8 +49,8 @@ fn graph_and_fusion_paths_replay_exactly() {
         c.odf = 2;
         c
     };
-    let a = run_charm(mk());
-    let b = run_charm(mk());
+    let a = charm::Shared::build_and_run(mk()).unwrap();
+    let b = charm::Shared::build_and_run(mk()).unwrap();
     assert_eq!(a.total, b.total);
     assert_eq!(a.graph_launches, b.graph_launches);
 }
@@ -88,14 +89,14 @@ fn firing_order_matches_seed_engine_goldens() {
         let mut c = cfg();
         c.comm = comm;
         c.odf = 4;
-        let r = run_charm(c);
+        let r = charm::Shared::build_and_run(c).unwrap();
         assert_eq!(r.total.as_ns(), total_ns, "{comm:?} total");
         assert_eq!(r.time_per_iter.as_ns(), per_iter_ns, "{comm:?} per-iter");
         assert_eq!(r.entries, entries, "{comm:?} entries");
         assert_eq!(r.kernels, kernels, "{comm:?} kernels");
     }
 
-    let r = run_mpi(cfg());
+    let r = MpiShared::build_and_run(cfg());
     assert_eq!(r.total.as_ns(), 986_355, "mpi total");
     assert_eq!(r.time_per_iter.as_ns(), 97_886, "mpi per-iter");
     assert_eq!(r.entries, 1_172, "mpi entries");
@@ -105,7 +106,7 @@ fn firing_order_matches_seed_engine_goldens() {
     c.fusion = Fusion::B;
     c.graphs = true;
     c.odf = 2;
-    let r = run_charm(c);
+    let r = charm::Shared::build_and_run(c).unwrap();
     assert_eq!(r.total.as_ns(), 604_747, "graphs+fusionB total");
     assert_eq!(r.entries, 2_128, "graphs+fusionB entries");
     assert_eq!(r.graph_launches, 240, "graphs+fusionB graph launches");
@@ -120,8 +121,8 @@ fn seeds_change_timing_but_not_structure() {
         c.odf = 2;
         c
     };
-    let a = run_charm(mk(1));
-    let b = run_charm(mk(99));
+    let a = charm::Shared::build_and_run(mk(1)).unwrap();
+    let b = charm::Shared::build_and_run(mk(99)).unwrap();
     // Timing differs (jitter), structure does not.
     assert_ne!(a.total, b.total);
     assert_eq!(a.entries, b.entries);
@@ -144,7 +145,7 @@ fn inert_fault_plan_matches_goldens() {
     };
     c.comm = CommMode::HostStaging;
     c.odf = 4;
-    let r = run_charm(c);
+    let r = charm::Shared::build_and_run(c).unwrap();
     assert_eq!(r.total.as_ns(), 5_375_600, "inert plan must not move time");
     assert_eq!(r.entries, 4_736);
     assert_eq!(r.kernels, 4_640);
@@ -167,8 +168,8 @@ fn lossy_runs_replay_exactly() {
         c.odf = 4;
         c
     };
-    let a = run_charm(mk());
-    let b = run_charm(mk());
+    let a = charm::Shared::build_and_run(mk()).unwrap();
+    let b = charm::Shared::build_and_run(mk()).unwrap();
     assert_eq!(a.total, b.total);
     assert_eq!(a.entries, b.entries);
     assert_eq!(a.kernels, b.kernels);
@@ -176,7 +177,7 @@ fn lossy_runs_replay_exactly() {
     let mut clean = cfg();
     clean.comm = CommMode::HostStaging;
     clean.odf = 4;
-    let c = run_charm(clean);
+    let c = charm::Shared::build_and_run(clean).unwrap();
     assert!(a.total > c.total, "{} vs {}", a.total, c.total);
 }
 
@@ -189,8 +190,8 @@ fn zero_jitter_makes_seeds_irrelevant() {
         c.comm = CommMode::GpuAware;
         c
     };
-    let a = run_charm(mk(1));
-    let b = run_charm(mk(2));
+    let a = charm::Shared::build_and_run(mk(1)).unwrap();
+    let b = charm::Shared::build_and_run(mk(2)).unwrap();
     assert_eq!(a.total, b.total);
 }
 
@@ -202,13 +203,12 @@ fn zero_jitter_makes_seeds_irrelevant() {
 /// and pin the schedules themselves.
 #[test]
 fn coll_proxy_apps_replay_goldens() {
-    use gaat::dptrain::moe::{run_moe_app, MoeConfig};
-    use gaat::dptrain::train::{train, TrainConfig};
+    use gaat::dptrain::{MoeConfig, MoeShared, TrainConfig, TrainShared};
 
     let mut c = TrainConfig::new(MachineConfig::summit(2), 1 << 16);
     c.steps = 2;
     c.warmup = 1;
-    let r = train(c);
+    let r = TrainShared::build_and_run(c);
     assert_eq!(r.total.as_ns(), 1_904_268, "train total");
     assert_eq!(r.time_per_step.as_ns(), 633_748, "train per-step");
     assert_eq!(r.coll_stats.bytes, 34_603_008, "bytes");
@@ -222,7 +222,7 @@ fn coll_proxy_apps_replay_goldens() {
     c.hot_frac = 0.7;
     c.rounds = 2;
     c.warmup = 1;
-    let r = run_moe_app(c);
+    let r = MoeShared::build_and_run(c);
     assert_eq!(r.total.as_ns(), 924_567, "moe total");
     assert_eq!(r.time_per_round.as_ns(), 307_777, "moe per-round");
     for (name, s) in [
@@ -241,7 +241,7 @@ fn coll_proxy_apps_replay_goldens() {
 /// per-round time, the total and every merged member counter.
 #[test]
 fn coll_app_replays_goldens() {
-    use gaat::coll::{run_coll, Algorithm, CollAppConfig, CollOp, MemberStats};
+    use gaat::coll::{Algorithm, CollAppConfig, CollOp, CollShared, MemberStats};
 
     let stats = |bytes, chunks, steps, reduced_elems| MemberStats {
         bytes,
@@ -281,7 +281,7 @@ fn coll_app_replays_goldens() {
         let mut c = CollAppConfig::new(MachineConfig::summit(2), op, alg, count);
         c.rounds = 2;
         c.warmup = 1;
-        let r = run_coll(c);
+        let r = CollShared::build_and_run(c);
         assert_eq!(
             r.time_per_round.as_ns(),
             per_round,
@@ -559,12 +559,12 @@ fn variant_matrix_replays_goldens() {
         let mut c = cfg();
         c.odf = odf;
         f(&mut c);
-        VariantPin::of(&run_charm(c))
+        VariantPin::of(&charm::Shared::build_and_run(c).unwrap())
     };
     let mpi = |f: &dyn Fn(&mut JacobiConfig)| {
         let mut c = cfg();
         f(&mut c);
-        VariantPin::of(&run_mpi(c))
+        VariantPin::of(&MpiShared::build_and_run(c))
     };
     let got = [
         (

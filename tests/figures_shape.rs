@@ -6,8 +6,9 @@
 use gaat_bench::{
     best_per_point, fig6, fig6s, fig7a, fig7b, fig7c, fig8, fig9, Effort, Row, Topology,
 };
-use gaat_jacobi3d::{run_charm, run_mpi, CommMode, Dims, JacobiConfig};
-use gaat_rt::MachineConfig;
+use gaat_jacobi3d::mpi_app::MpiShared;
+use gaat_jacobi3d::{charm, CommMode, Dims, JacobiConfig};
+use gaat_rt::{App, MachineConfig};
 
 fn quick() -> Effort {
     Effort::quick()
@@ -146,7 +147,7 @@ fn fig7c_mechanism_strong_scaling_favors_charm_d_once_halos_shrink() {
         c.warmup = 2;
         c
     };
-    let mpi_h = run_mpi(base(CommMode::HostStaging))
+    let mpi_h = MpiShared::build_and_run(base(CommMode::HostStaging))
         .time_per_iter
         .as_micros_f64();
     let best = |comm| {
@@ -155,7 +156,10 @@ fn fig7c_mechanism_strong_scaling_favors_charm_d_once_halos_shrink() {
             .map(|&odf| {
                 let mut c = base(comm);
                 c.odf = odf;
-                run_charm(c).time_per_iter.as_micros_f64()
+                charm::Shared::build_and_run(c)
+                    .unwrap()
+                    .time_per_iter
+                    .as_micros_f64()
             })
             .fold(f64::INFINITY, f64::min)
     };

@@ -2,8 +2,9 @@
 //! runtime → application) wired together in ways the per-crate tests
 //! don't cover.
 
-use gaat::jacobi3d::{charm, run_charm, run_mpi, CommMode, Dims, Fusion, JacobiConfig, SyncMode};
-use gaat::rt::MachineConfig;
+use gaat::jacobi3d::mpi_app::MpiShared;
+use gaat::jacobi3d::{charm, CommMode, Dims, Fusion, JacobiConfig, SyncMode};
+use gaat::rt::{App, MachineConfig};
 
 fn real_cfg(global: usize) -> JacobiConfig {
     let mut c = JacobiConfig::new(MachineConfig::validation(2, 2), Dims::cube(global));
@@ -17,10 +18,10 @@ fn charm_and_mpi_agree_bit_for_bit() {
     let mut c1 = real_cfg(12);
     c1.comm = CommMode::GpuAware;
     c1.odf = 2;
-    let a = run_charm(c1);
+    let a = charm::Shared::build_and_run(c1).unwrap();
     let mut c2 = real_cfg(12);
     c2.comm = CommMode::HostStaging;
-    let b = run_mpi(c2);
+    let b = MpiShared::build_and_run(c2);
     assert_eq!(
         a.checksum.expect("real").to_bits(),
         b.checksum.expect("real").to_bits(),
@@ -35,14 +36,14 @@ fn every_optimization_layer_stacks_functionally() {
     let mut plain = real_cfg(16);
     plain.comm = CommMode::HostStaging;
     plain.sync = SyncMode::Original;
-    let a = run_charm(plain);
+    let a = charm::Shared::build_and_run(plain).unwrap();
 
     let mut fancy = real_cfg(16);
     fancy.comm = CommMode::GpuAware;
     fancy.fusion = Fusion::C;
     fancy.graphs = true;
     fancy.odf = 4;
-    let b = run_charm(fancy);
+    let b = charm::Shared::build_and_run(fancy).unwrap();
 
     assert_eq!(
         a.checksum.expect("real").to_bits(),
@@ -61,7 +62,7 @@ fn device_stats_reflect_fusion() {
         c.comm = CommMode::GpuAware;
         c.fusion = fusion;
         c.odf = 2;
-        run_charm(c)
+        charm::Shared::build_and_run(c).unwrap()
     };
     let base = run(Fusion::None);
     let fused = run(Fusion::C);
@@ -84,7 +85,7 @@ fn graphs_replace_stream_launches() {
         c.comm = CommMode::GpuAware;
         c.graphs = graphs;
         c.odf = 2;
-        run_charm(c)
+        charm::Shared::build_and_run(c).unwrap()
     };
     let stream = run(false);
     let graphed = run(true);
@@ -106,7 +107,7 @@ fn odd_grid_and_pe_combinations_work() {
         c.warmup = 1;
         let (mut sim, ids, sh) = charm::build(c);
         charm::run(&mut sim, &ids, &sh);
-        let compared = charm::validate_against_reference(&sim, &ids, &sh);
+        let compared = sh.check(&sim, &ids);
         assert_eq!(compared, global * global * global);
     }
 }
@@ -120,7 +121,7 @@ fn anisotropic_grids_work() {
     c.warmup = 0;
     let (mut sim, ids, sh) = charm::build(c);
     charm::run(&mut sim, &ids, &sh);
-    charm::validate_against_reference(&sim, &ids, &sh);
+    sh.check(&sim, &ids);
 }
 
 #[test]
@@ -128,7 +129,7 @@ fn zero_warmup_runs() {
     let mut c = real_cfg(8);
     c.warmup = 0;
     c.comm = CommMode::GpuAware;
-    let r = run_charm(c);
+    let r = charm::Shared::build_and_run(c).unwrap();
     assert!(r.time_per_iter.as_ns() > 0);
 }
 
@@ -162,7 +163,7 @@ fn cpu_utilization_increases_with_odf() {
         c.odf = odf;
         c.iters = 6;
         c.warmup = 1;
-        run_charm(c)
+        charm::Shared::build_and_run(c).unwrap()
     };
     let low = run(1);
     let high = run(8);
@@ -186,8 +187,8 @@ fn mpi_manual_overlap_helps_and_stays_correct() {
         c.warmup = 2;
         c
     };
-    let plain = run_mpi(mk(false));
-    let overlapped = run_mpi(mk(true));
+    let plain = MpiShared::build_and_run(mk(false));
+    let overlapped = MpiShared::build_and_run(mk(true));
     assert!(
         overlapped.time_per_iter.as_ns() <= plain.time_per_iter.as_ns() * 102 / 100,
         "overlap {} should not lose to plain {}",
@@ -210,7 +211,10 @@ fn updating_graph_params_every_iteration_voids_the_benefit() {
         c.graph_strategy = strategy;
         c.iters = 12;
         c.warmup = 3;
-        run_charm(c).time_per_iter.as_micros_f64()
+        charm::Shared::build_and_run(c)
+            .unwrap()
+            .time_per_iter
+            .as_micros_f64()
     };
     let no_graphs = mk(false, GraphStrategy::TwoGraphs);
     let two_graphs = mk(true, GraphStrategy::TwoGraphs);
