@@ -306,7 +306,7 @@ pub fn ampi_virtualization(e: &Effort, nodes: usize) -> Vec<Row> {
         cfg.virtual_ranks = vr;
         cfg.iters = e.iters;
         cfg.warmup = e.warmup;
-        let r = MpiShared::build_and_run(cfg);
+        let r = MpiShared::build_and_run(cfg).expect("every rank finishes");
         let series = if vr == 1 {
             "MPI-H".into()
         } else {
@@ -393,18 +393,21 @@ pub fn fault_sweep() -> Vec<FaultSweepRow> {
     // Retries-off at zero loss is identical to retries-on; skip it.
     // Keep only scenarios that pass validation: the balancer migrates
     // over the reliable transport, so non-Off policies need retries on.
-    grid.filter =
-        Some(|sc| (sc.retries || sc.drop_rate != 0.0) && sc.jacobi_config().validate().is_ok());
+    grid.filter = Some(|sc| {
+        let m = &sc.machine;
+        (m.ucx.reliability.enabled || m.faults.drop_prob != 0.0)
+            && sc.jacobi_config().validate().is_ok()
+    });
     let scenarios = grid.expand();
     let report = run_sweep(&scenarios, &SweepOptions::new()).expect("no sweep I/O configured");
     let mut rows: Vec<FaultSweepRow> = scenarios
         .iter()
         .zip(&report.records)
         .map(|(sc, rec)| FaultSweepRow {
-            drop_rate: sc.drop_rate,
+            drop_rate: sc.machine.faults.drop_prob,
             odf: sc.odf,
-            retries: sc.retries,
-            lb: sc.lb_policy,
+            retries: sc.machine.ucx.reliability.enabled,
+            lb: sc.machine.lb.policy,
             us_per_iter: rec.ok.then(|| rec.unit_ns as f64 / 1e3),
             retransmits: rec.ucx_retransmits,
             stalled: rec.stalled,

@@ -91,7 +91,7 @@ pub fn allreduce(small: bool) -> Vec<AllreduceCell> {
             cfg.warmup = 1;
             let ranks = cfg.effective_ranks();
             let (mut sim, ids, app) = CollShared::build(cfg);
-            let res = app.run(&mut sim, &ids);
+            let res = app.run(&mut sim, &ids).expect("every rank finishes");
             let stats = sim.machine.fabric.stats();
             let payload = payload_bytes(CollOp::AllReduce, ranks, count);
             out.push(AllreduceCell {
@@ -126,7 +126,7 @@ pub fn moe(small: bool) -> Vec<MoeCell> {
             cfg.rounds = if small { 1 } else { 4 };
             cfg.warmup = 1;
             let (mut sim, ids, app) = MoeShared::build(cfg);
-            let res = app.run(&mut sim, &ids);
+            let res = app.run(&mut sim, &ids).expect("every rank finishes");
             let stats = sim.machine.fabric.stats();
             out.push(MoeCell {
                 topology,
@@ -156,7 +156,10 @@ pub fn overlap(small: bool) -> OverlapResult {
         cfg.chunk = 1 << 14;
         cfg.steps = if small { 2 } else { 4 };
         cfg.warmup = 1;
-        TrainShared::build_and_run(cfg).time_per_step.as_ns()
+        TrainShared::build_and_run(cfg)
+            .expect("every rank finishes")
+            .time_per_step
+            .as_ns()
     };
     let full_ns = step(TrainMode::Full, true);
     let compute_ns = step(TrainMode::ComputeOnly, true);

@@ -221,10 +221,11 @@ pub fn run_point(
         cfg.warmup = e.warmup;
         cfg.odf = odf;
         let r = if variant.is_charm() {
-            charm::Shared::build_and_run(cfg).expect("every block finishes")
+            charm::Shared::build_and_run(cfg)
         } else {
             MpiShared::build_and_run(cfg)
-        };
+        }
+        .expect("every block finishes");
         total_us += r.time_per_iter.as_micros_f64();
         total_cpu += r.cpu_utilization;
     }

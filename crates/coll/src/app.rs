@@ -8,7 +8,8 @@ use std::sync::Arc;
 
 use gaat_gpu::Space;
 use gaat_rt::{
-    App, BufRange, Chare, ChareId, Ctx, EntryId, Envelope, MachineConfig, Outcome, Simulation,
+    App, BufRange, Chare, ChareId, Ctx, EntryId, Envelope, MachineConfig, Outcome, RunClock,
+    Simulation, Timing,
 };
 use gaat_sim::SimDuration;
 
@@ -17,7 +18,7 @@ use crate::plan::{
     plan, reduce_scatter_owner, ring_lanes, tree_lanes, uses_out_buffer, Algorithm, CollOp,
     CollPlan, RankPlacement,
 };
-use crate::rank::{self, ConfigError, RoundClock, E_START};
+use crate::rank::{self, ConfigError, E_START};
 use crate::reference;
 
 /// A channel receive landed (member event).
@@ -117,7 +118,7 @@ pub struct CollChare {
     /// The embedded executor.
     pub member: CollMember,
     /// Rounds run and when the warm-up and the last round finished.
-    clock: RoundClock,
+    clock: RunClock,
 }
 
 impl CollChare {
@@ -150,10 +151,12 @@ impl Chare for CollChare {
 impl App for CollShared {
     type Config = CollAppConfig;
     type Error = ConfigError;
+    type Chare = CollChare;
     type Result = CollResult;
 
     /// Check [`rank::validate`]'s rules: the machine, at least one
-    /// timed round, a nonzero `chunk` and no more `ranks` than PEs.
+    /// timed round, a nonzero `chunk`, no more `ranks` than PEs, and no
+    /// PE failure or load balancer.
     fn validate(cfg: &CollAppConfig) -> Result<(), ConfigError> {
         rank::validate(&cfg.machine, cfg.rounds, cfg.chunk, cfg.ranks)
     }
@@ -201,7 +204,7 @@ impl App for CollShared {
             }
             CollChare {
                 member,
-                clock: RoundClock::new(cfg.rounds, cfg.warmup),
+                clock: RunClock::new(cfg.rounds, cfg.warmup),
             }
         });
         wire_members(&mut sim.machine, &ids, &sh.plan, |any| {
@@ -210,15 +213,18 @@ impl App for CollShared {
         (sim, ids, sh)
     }
 
-    fn finish(&self, sim: &mut Simulation, ids: &[ChareId]) -> CollResult {
+    fn clock(c: &CollChare) -> &RunClock {
+        &c.clock
+    }
+
+    fn collect(&self, sim: &Simulation, ids: &[ChareId], t: Timing) -> CollResult {
         let mut stats = MemberStats::default();
-        let (time_per_round, total) = rank::finish(sim, ids, |c: &CollChare| {
-            stats.merge(&c.member.stats);
-            &c.clock
-        });
+        for &id in ids {
+            stats.merge(&sim.machine.chare_as::<CollChare>(id).member.stats);
+        }
         CollResult {
-            time_per_round,
-            total,
+            time_per_round: t.unit,
+            total: t.total,
             stats,
         }
     }
@@ -357,7 +363,7 @@ mod tests {
                     );
                     cfg.chunk = 5;
                     let (mut sim, ids, sh) = CollShared::build(cfg);
-                    sh.run(&mut sim, &ids);
+                    sh.run(&mut sim, &ids).unwrap();
                     let n = sh.check(&sim, &ids);
                     assert!(n > 0, "{op:?}/{alg:?} compared nothing");
                 }
@@ -381,7 +387,7 @@ mod tests {
                 cfg.warmup = 1;
                 cfg.chunk = chunk;
                 let (mut sim, ids, sh) = CollShared::build(cfg);
-                sh.run(&mut sim, &ids);
+                sh.run(&mut sim, &ids).unwrap();
                 let n = sh.check(&sim, &ids);
                 assert!(n > 0, "{alg:?} at {count}/{chunk} compared nothing");
             }
@@ -393,7 +399,7 @@ mod tests {
         for op in ALL_OPS {
             let cfg = CollAppConfig::new(MachineConfig::validation(1, 1), op, Algorithm::Ring, 16);
             let (mut sim, ids, sh) = CollShared::build(cfg);
-            let res = sh.run(&mut sim, &ids);
+            let res = sh.run(&mut sim, &ids).unwrap();
             assert_eq!(res.stats.chunks, 0, "{op:?} single rank sends nothing");
             sh.check(&sim, &ids);
         }
@@ -411,7 +417,7 @@ mod tests {
             cfg.placement = placement;
             cfg.chunk = 7;
             let (mut sim, ids, sh) = CollShared::build(cfg);
-            sh.run(&mut sim, &ids);
+            sh.run(&mut sim, &ids).unwrap();
             sh.check(&sim, &ids);
         }
     }
@@ -430,7 +436,7 @@ mod tests {
             cfg.chunk = chunk;
             cfg.rounds = 2;
             cfg.warmup = 1;
-            CollShared::build_and_run(cfg).time_per_round
+            CollShared::build_and_run(cfg).unwrap().time_per_round
         };
         let pipelined = time(1 << 15);
         let monolithic = time(1 << 30);
@@ -451,7 +457,7 @@ mod tests {
             );
             cfg.rounds = 3;
             cfg.warmup = 1;
-            CollShared::build_and_run(cfg)
+            CollShared::build_and_run(cfg).unwrap()
         };
         let (a, b) = (mk(), mk());
         assert_eq!(a.total, b.total);

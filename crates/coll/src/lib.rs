@@ -21,8 +21,7 @@
 //!   references).
 //! - [`member`] — the participant state machine a chare embeds.
 //! - [`rank`] — the rank scaffold every proxy app shares: placing one
-//!   chare per rank, the round clock, the drain that folds the clocks
-//!   into timings, and the rules every rank run validates.
+//!   chare per rank and the rules every rank run validates.
 //! - [`app`] — a standalone proxy app running back-to-back collectives
 //!   ([`CollShared`], a [`gaat_rt::App`]), used by `figures --fig coll`,
 //!   `profile_run --collective`, and the reference-equality tests.

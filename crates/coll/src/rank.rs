@@ -1,15 +1,12 @@
 //! The rank scaffold every collective proxy app shares: one chare per
-//! rank, placed with [`place_rank`] and built by the app; a
-//! [`RoundClock`] per chare; the [`E_START`] entry the app's start
-//! broadcasts; and the drain that folds the clocks into per-round time
-//! and total. An app keeps only its buffers, entry methods and
-//! reference.
+//! rank, placed with [`place_rank`] and built by the app; the
+//! [`E_START`] entry the app's start broadcasts; and the config rules
+//! every rank run shares. Each rank counts its rounds on a
+//! [`gaat_rt::RunClock`], which [`gaat_rt::App::finish`] folds. An app
+//! keeps only its buffers, entry methods and reference.
 
 use gaat_gpu::Device;
-use gaat_rt::{
-    BufRange, BufferId, Chare, ChareId, Ctx, EntryId, MachineConfig, RunOutcome, Simulation,
-};
-use gaat_sim::{SimDuration, SimTime};
+use gaat_rt::{BufRange, BufferId, Chare, ChareId, EntryId, MachineConfig, Simulation};
 
 use crate::plan::{place_rank, RankPlacement};
 
@@ -18,7 +15,7 @@ use crate::plan::{place_rank, RankPlacement};
 pub const E_START: EntryId = EntryId(0);
 
 /// A collective proxy app config that cannot be built, one variant per
-/// rule. [`validate`] checks the first four, which every rank run
+/// rule. [`validate`] checks the first five, which every rank run
 /// shares; each app's `App::validate` checks the rest.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
@@ -35,6 +32,8 @@ pub enum ConfigError {
         /// The machine's PE count.
         pes: usize,
     },
+    /// PE failures or the load balancer armed: ranks cannot move.
+    Migration,
     /// `buckets` is 0 (training).
     ZeroBuckets,
     /// Fewer parameters than buckets, so some bucket would be empty
@@ -60,6 +59,10 @@ impl std::fmt::Display for ConfigError {
             ConfigError::TooManyRanks { ranks, pes } => {
                 write!(f, "{ranks} ranks on {pes} PEs: at most one rank per PE")
             }
+            ConfigError::Migration => f.write_str(
+                "the collective proxy apps cannot move ranks: PE failures and the adaptive LB \
+                 need the task runtime's recovery",
+            ),
             ConfigError::ZeroBuckets => f.write_str("need at least one gradient bucket"),
             ConfigError::FewerParamsThanBuckets { params, buckets } => {
                 write!(f, "{params} parameters cannot fill {buckets} buckets")
@@ -76,7 +79,9 @@ impl std::error::Error for ConfigError {}
 
 /// Check the rules every rank run shares: the machine's
 /// ([`MachineConfig::validate`]), then at least one timed round, a
-/// nonzero `chunk`, and no more `ranks` than PEs (0 means one per PE).
+/// nonzero `chunk`, no more `ranks` than PEs (0 means one per PE), and
+/// no PE failure or load balancer ([`MachineConfig::migrates`]), since
+/// a rank takes no checkpoint to move by.
 pub fn validate(
     machine: &MachineConfig,
     rounds: usize,
@@ -94,6 +99,9 @@ pub fn validate(
     if ranks > pes {
         return Err(ConfigError::TooManyRanks { ranks, pes });
     }
+    if machine.migrates() {
+        return Err(ConfigError::Migration);
+    }
     Ok(())
 }
 
@@ -103,55 +111,6 @@ pub fn effective_ranks(machine: &MachineConfig, ranks: usize) -> usize {
         machine.total_pes()
     } else {
         ranks
-    }
-}
-
-/// One rank's round count and the times its warm-up and its last round
-/// finished.
-#[derive(Debug, Clone)]
-pub struct RoundClock {
-    round: usize,
-    warmup: usize,
-    timed: usize,
-    /// Completion time of the warm-up rounds.
-    warm_at: Option<SimTime>,
-    /// Completion time of the final round.
-    done_at: Option<SimTime>,
-}
-
-impl RoundClock {
-    /// A clock for `timed` rounds after `warmup` untimed ones.
-    pub fn new(timed: usize, warmup: usize) -> Self {
-        RoundClock {
-            round: 0,
-            warmup,
-            timed,
-            warm_at: (warmup == 0).then_some(SimTime::ZERO),
-            done_at: None,
-        }
-    }
-
-    /// Rounds finished so far (the index of the round under way).
-    pub fn round(&self) -> usize {
-        self.round
-    }
-
-    /// Whether a round is left to run.
-    pub fn running(&self) -> bool {
-        self.round < self.warmup + self.timed
-    }
-
-    /// Count one finished round at the current entry's start time.
-    /// Returns whether another round is left to run.
-    pub fn tick(&mut self, ctx: &Ctx<'_>) -> bool {
-        self.round += 1;
-        if self.round == self.warmup {
-            self.warm_at = Some(ctx.start_time());
-        }
-        if !self.running() {
-            self.done_at = Some(ctx.start_time());
-        }
-        self.running()
     }
 }
 
@@ -181,29 +140,6 @@ pub fn place<C: Chare>(
         })
         .collect();
     (sim, ids)
-}
-
-/// An app's `finish`: drain a started run to quiescence and fold every
-/// rank's clock (dug out of its chare by `clock`, which may also collect
-/// the chare's counters). Returns the mean time per timed round after
-/// the slowest rank's warm-up, and the total up to the slowest rank's
-/// last round.
-pub fn finish<C: Chare>(
-    sim: &mut Simulation,
-    ids: &[ChareId],
-    mut clock: impl FnMut(&C) -> &RoundClock,
-) -> (SimDuration, SimDuration) {
-    assert_eq!(sim.run(), RunOutcome::Drained, "rank run should quiesce");
-    let mut warm = SimTime::ZERO;
-    let mut done = SimTime::ZERO;
-    let mut timed = 1;
-    for &id in ids {
-        let c = clock(sim.machine.chare_as::<C>(id));
-        warm = warm.max(c.warm_at.expect("warmed"));
-        done = done.max(c.done_at.expect("finished"));
-        timed = c.timed;
-    }
-    (done.since(warm) / timed as u64, done.since(SimTime::ZERO))
 }
 
 /// Read the first `len` elements of `buf` on the device of the PE

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use gaat_coll::{Algorithm, CollAppConfig, CollOp, CollShared, RankPlacement};
 use gaat_rt::{App, MachineConfig};
-use gaat_sim::FaultPlan;
+use gaat_sim::{FaultPlan, SimDuration};
 
 fn any_op() -> impl Strategy<Value = CollOp> {
     prop_oneof![
@@ -51,7 +51,7 @@ proptest! {
             RankPlacement::Packed
         };
         let (mut sim, ids, sh) = CollShared::build(cfg);
-        sh.run(&mut sim, &ids);
+        sh.run(&mut sim, &ids).unwrap();
         let compared = sh.check(&sim, &ids);
         prop_assert_eq!(compared, count * nodes * pes);
     }
@@ -73,7 +73,7 @@ proptest! {
         );
         cfg.chunk = chunk;
         let (mut sim, ids, sh) = CollShared::build(cfg);
-        sh.run(&mut sim, &ids);
+        sh.run(&mut sim, &ids).unwrap();
         let compared = sh.check(&sim, &ids);
         prop_assert!(compared > 0);
     }
@@ -103,16 +103,34 @@ fn allreduce_is_bit_identical_under_message_loss() {
     };
 
     let (mut lossy_sim, ids, sh) = CollShared::build(mk(0.05));
-    let lossy = sh.run(&mut lossy_sim, &ids);
+    let lossy = sh.run(&mut lossy_sim, &ids).unwrap();
     let retransmits = lossy_sim.machine.ucx.stats().retransmits;
     assert!(retransmits > 0, "drop plan should force retries");
     // The strongest statement: the lossy run still matches the scalar
     // reference exactly (which the clean run matches too).
     sh.check(&lossy_sim, &ids);
 
-    let clean = CollShared::build_and_run(mk(0.0));
+    let clean = CollShared::build_and_run(mk(0.0)).unwrap();
     assert!(
         lossy.total > clean.total,
         "retries should cost simulated time"
     );
+}
+
+/// With the reliable transport off, a dropped chunk is never resent, so
+/// some rank never finishes its round: the run is a stalled outcome,
+/// with no time per round, instead of a panic.
+#[test]
+fn allreduce_without_retries_stalls_into_an_outcome() {
+    let mut machine = MachineConfig::validation(2, 2);
+    machine.faults = FaultPlan {
+        seed: 42,
+        drop_prob: 0.05,
+        ..FaultPlan::none()
+    };
+    let cfg = CollAppConfig::new(machine, CollOp::AllReduce, Algorithm::Ring, 4096);
+    let stalled = CollShared::build_and_run(cfg).expect_err("a rank stalls");
+    assert!(stalled.stalled > 0, "{stalled:?}");
+    assert_eq!(stalled.unit, SimDuration::ZERO);
+    assert!(stalled.total > SimDuration::ZERO, "{stalled:?}");
 }

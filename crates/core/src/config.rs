@@ -185,6 +185,13 @@ impl MachineConfig {
         pe / self.pes_per_node
     }
 
+    /// Whether chares may move between PEs in a run on this machine:
+    /// PE-failure recovery and the load balancer both migrate chares by
+    /// checkpoint, rollback and restore.
+    pub fn migrates(&self) -> bool {
+        !self.faults.pe_failures.is_empty() || self.lb.enabled()
+    }
+
     /// Check the rules a machine configuration must meet before a
     /// [`crate::Simulation`] is built from it: the machine has a PE,
     /// every fault names a link,

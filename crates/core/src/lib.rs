@@ -11,7 +11,8 @@
 //!
 //! - [`Machine`] / [`Simulation`]: the simulated cluster and its driver.
 //! - [`App`]: the interface every proxy application implements, with the
-//!   [`Outcome`] every run reduces to.
+//!   [`RunClock`] every chare counts its iterations on, the [`Timing`]
+//!   the clocks fold into and the [`Outcome`] every run reduces to.
 //! - [`Chare`] + [`Ctx`]: entry methods charge simulated CPU time for
 //!   scheduling, sends, and kernel launches — making overdecomposition
 //!   overheads and CPU-side launch costs first-class, as the paper's
@@ -89,7 +90,7 @@ pub mod pe;
 pub mod recovery;
 pub mod sdag;
 
-pub use app::{App, Outcome};
+pub use app::{App, Outcome, RunClock, Timing};
 pub use channel::{create_channel, ChannelEnd};
 pub use config::{ConfigError, LbConfig, LbPolicy, MachineConfig, RtCosts};
 pub use lb::{periodic_plan, LbPlan, LbSensors};

@@ -15,9 +15,9 @@
 //!
 //! Both are [`gaat_rt::App`]s, on [`TrainShared`] and [`MoeShared`],
 //! and both stand on gaat-coll's rank scaffold ([`gaat_coll::rank`]):
-//! it places the rank chares, keeps their round clocks and folds them
-//! into timings, and its `validate` holds the config rules every rank
-//! run shares. Their configs fail with gaat-coll's [`ConfigError`].
+//! it places the rank chares, and its `validate` holds the config rules
+//! every rank run shares. Their configs fail with gaat-coll's
+//! [`ConfigError`].
 
 #![warn(missing_docs)]
 

@@ -17,12 +17,12 @@ use std::sync::Arc;
 
 use gaat_coll::member::{CollEntries, CollMember, MemberEvent, MemberStats};
 use gaat_coll::plan::{alltoallv_plan, CollPlan, RankPlacement};
-use gaat_coll::rank::{self, RoundClock, E_START};
+use gaat_coll::rank::{self, E_START};
 use gaat_coll::reference::mix64;
 use gaat_gpu::Space;
 use gaat_rt::{
     App, BufRange, BufferId, Callback, Chare, ChareId, Ctx, EntryId, Envelope, KernelSpec,
-    MachineConfig, Op, Outcome, Simulation, StreamId,
+    MachineConfig, Op, Outcome, RunClock, Simulation, StreamId, Timing,
 };
 use gaat_sim::SimDuration;
 
@@ -207,7 +207,7 @@ pub struct MoeChare {
     combine: CollMember,
     comb_out: BufferId,
     /// Rounds run and when the warm-up and the last round finished.
-    clock: RoundClock,
+    clock: RunClock,
 }
 
 impl MoeChare {
@@ -292,11 +292,13 @@ pub fn expert_kernel(
 impl App for MoeShared {
     type Config = MoeConfig;
     type Error = ConfigError;
+    type Chare = MoeChare;
     type Result = MoeResult;
 
     /// Check every rule that depends only on this configuration:
     /// [`rank::validate`]'s (the machine, at least one timed round, a
-    /// nonzero `chunk`, no more `ranks` than PEs), then a nonzero
+    /// nonzero `chunk`, no more `ranks` than PEs, no PE failure or load
+    /// balancer), then a nonzero
     /// `hidden` and `hot_frac` in `[0, 1]`.
     fn validate(cfg: &MoeConfig) -> Result<(), ConfigError> {
         rank::validate(&cfg.machine, cfg.rounds, cfg.chunk, cfg.ranks)?;
@@ -389,7 +391,7 @@ impl App for MoeShared {
                 dispatch,
                 combine,
                 comb_out,
-                clock: RoundClock::new(cfg.rounds, cfg.warmup),
+                clock: RunClock::new(cfg.rounds, cfg.warmup),
             }
         });
         gaat_coll::member::wire_members(&mut sim.machine, &ids, &sh.dispatch, |any| {
@@ -401,17 +403,21 @@ impl App for MoeShared {
         (sim, ids, sh)
     }
 
-    fn finish(&self, sim: &mut Simulation, ids: &[ChareId]) -> MoeResult {
+    fn clock(c: &MoeChare) -> &RunClock {
+        &c.clock
+    }
+
+    fn collect(&self, sim: &Simulation, ids: &[ChareId], t: Timing) -> MoeResult {
         let mut dispatch_stats = MemberStats::default();
         let mut combine_stats = MemberStats::default();
-        let (time_per_round, total) = rank::finish(sim, ids, |c: &MoeChare| {
+        for &id in ids {
+            let c = sim.machine.chare_as::<MoeChare>(id);
             dispatch_stats.merge(&c.dispatch.stats);
             combine_stats.merge(&c.combine.stats);
-            &c.clock
-        });
+        }
         MoeResult {
-            time_per_round,
-            total,
+            time_per_round: t.unit,
+            total: t.total,
             dispatch_stats,
             combine_stats,
         }
@@ -483,7 +489,7 @@ mod tests {
             cfg.chunk = chunk;
             cfg.hot_frac = hot_frac;
             let (mut sim, ids, sh) = MoeShared::build(cfg);
-            sh.run(&mut sim, &ids);
+            sh.run(&mut sim, &ids).unwrap();
             let n = sh.check(&sim, &ids);
             assert!(n > 0);
         }
@@ -496,7 +502,7 @@ mod tests {
         cfg.warmup = 1;
         cfg.chunk = 5;
         let (mut sim, ids, sh) = MoeShared::build(cfg);
-        sh.run(&mut sim, &ids);
+        sh.run(&mut sim, &ids).unwrap();
         sh.check(&sim, &ids);
     }
 
@@ -504,7 +510,7 @@ mod tests {
     fn single_rank_moe_completes() {
         let cfg = MoeConfig::new(MachineConfig::validation(1, 1), 5, 2);
         let (mut sim, ids, sh) = MoeShared::build(cfg);
-        let res = sh.run(&mut sim, &ids);
+        let res = sh.run(&mut sim, &ids).unwrap();
         assert_eq!(res.dispatch_stats.chunks, 0, "self traffic stays local");
         sh.check(&sim, &ids);
     }
@@ -517,7 +523,7 @@ mod tests {
             cfg.hot_frac = 0.7;
             cfg.rounds = 2;
             cfg.warmup = 1;
-            MoeShared::build_and_run(cfg)
+            MoeShared::build_and_run(cfg).unwrap()
         };
         let (a, b) = (mk(), mk());
         assert_eq!(a.total, b.total);

@@ -21,12 +21,12 @@ use gaat_coll::member::{CollEntries, CollMember, MemberEvent, MemberStats};
 use gaat_coll::plan::{
     even_split, plan, ring_lanes, tree_lanes, Algorithm, CollOp, CollPlan, RankPlacement,
 };
-use gaat_coll::rank::{self, RoundClock, E_START};
+use gaat_coll::rank::{self, E_START};
 use gaat_coll::reference;
 use gaat_gpu::Space;
 use gaat_rt::{
     App, BufRange, BufferId, Callback, Chare, ChareId, Ctx, EntryId, Envelope, KernelSpec,
-    MachineConfig, Op, Outcome, Simulation, StreamId,
+    MachineConfig, Op, Outcome, RunClock, Simulation, StreamId, Timing,
 };
 use gaat_sim::SimDuration;
 
@@ -152,7 +152,7 @@ pub struct TrainChare {
     bwd_ready: usize,
     buckets_done: usize,
     /// Steps run and when the warm-up and the last step finished.
-    clock: RoundClock,
+    clock: RunClock,
 }
 
 impl TrainChare {
@@ -310,11 +310,12 @@ pub fn sgd_update(
 impl App for TrainShared {
     type Config = TrainConfig;
     type Error = ConfigError;
+    type Chare = TrainChare;
     type Result = TrainResult;
 
     /// Check every rule that depends only on this configuration:
     /// [`rank::validate`]'s (the machine, at least one timed step, a
-    /// nonzero `chunk`), then at least one bucket and no more buckets
+    /// nonzero `chunk`, no PE failure or load balancer), then at least one bucket and no more buckets
     /// than parameters.
     fn validate(cfg: &TrainConfig) -> Result<(), ConfigError> {
         rank::validate(&cfg.machine, cfg.steps, cfg.chunk, 0)?;
@@ -384,7 +385,7 @@ impl App for TrainShared {
                 members,
                 bwd_ready: 0,
                 buckets_done: 0,
-                clock: RoundClock::new(cfg.steps, cfg.warmup),
+                clock: RunClock::new(cfg.steps, cfg.warmup),
             }
         });
         for b in 0..cfg.buckets {
@@ -398,17 +399,20 @@ impl App for TrainShared {
         (sim, ids, sh)
     }
 
-    fn finish(&self, sim: &mut Simulation, ids: &[ChareId]) -> TrainResult {
+    fn clock(c: &TrainChare) -> &RunClock {
+        &c.clock
+    }
+
+    fn collect(&self, sim: &Simulation, ids: &[ChareId], t: Timing) -> TrainResult {
         let mut coll_stats = MemberStats::default();
-        let (time_per_step, total) = rank::finish(sim, ids, |c: &TrainChare| {
-            for m in &c.members {
+        for &id in ids {
+            for m in &sim.machine.chare_as::<TrainChare>(id).members {
                 coll_stats.merge(&m.stats);
             }
-            &c.clock
-        });
+        }
         TrainResult {
-            time_per_step,
-            total,
+            time_per_step: t.unit,
+            total: t.total,
             coll_stats,
         }
     }
@@ -481,7 +485,7 @@ mod tests {
                 cfg.steps = 2;
                 cfg.warmup = 1;
                 let (mut sim, ids, sh) = TrainShared::build(cfg);
-                sh.run(&mut sim, &ids);
+                sh.run(&mut sim, &ids).unwrap();
                 assert_eq!(sh.check(&sim, &ids), 50 * 6, "{alg:?}/{buckets}");
             }
         }
@@ -495,7 +499,7 @@ mod tests {
         cfg.warmup = 0;
         cfg.chunk = 8;
         let (mut sim, ids, sh) = TrainShared::build(cfg);
-        sh.run(&mut sim, &ids);
+        sh.run(&mut sim, &ids).unwrap();
         sh.check(&sim, &ids);
     }
 
@@ -518,7 +522,7 @@ mod tests {
                 cfg.buckets = 8;
                 cfg.chunk = 1 << 14;
                 cfg.warmup = 1;
-                TrainShared::build_and_run(cfg).time_per_step
+                TrainShared::build_and_run(cfg).unwrap().time_per_step
             };
             let full = mk(TrainMode::Full, true);
             let compute = mk(TrainMode::ComputeOnly, true);
@@ -539,7 +543,7 @@ mod tests {
             let mut cfg = TrainConfig::new(MachineConfig::summit(2), 1 << 16);
             cfg.steps = 2;
             cfg.warmup = 1;
-            TrainShared::build_and_run(cfg)
+            TrainShared::build_and_run(cfg).unwrap()
         };
         let (a, b) = (mk(), mk());
         assert_eq!(a.total, b.total);

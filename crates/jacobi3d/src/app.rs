@@ -154,20 +154,13 @@ impl JacobiConfig {
         self.iters + self.warmup
     }
 
-    /// Whether blocks may move between PEs in this run: PE-failure
-    /// recovery and the load balancer both migrate blocks by checkpoint,
-    /// rollback and restore.
-    pub fn migrates(&self) -> bool {
-        !self.machine.faults.pe_failures.is_empty() || self.machine.lb.enabled()
-    }
-
     /// Check every rule that depends only on this configuration: the
     /// machine's ([`MachineConfig::validate`]), then the application's.
     /// `comm_priority` must be a stream priority class. Fusion and graphs are used only with GPU-aware communication and
     /// the optimized sync scheme (paper §III-D), and a run whose blocks
     /// migrate needs checkpoints to restore from and host staging, since
     /// a GPU-aware block's channels and graphs are tied to the device it
-    /// was built on.
+    /// was built on ([`MachineConfig::migrates`]).
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.machine.validate()?;
         if self.odf == 0 {
@@ -190,7 +183,7 @@ impl JacobiConfig {
                 return Err(ConfigError::FusionNeedsOptimizedSync);
             }
         }
-        if self.migrates() {
+        if self.machine.migrates() {
             if self.checkpoint_every == 0 {
                 return Err(ConfigError::MigrationNeedsCheckpoints);
             }

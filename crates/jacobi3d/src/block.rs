@@ -9,8 +9,7 @@
 //! layout.
 
 use gaat_gpu::{GpuTimingModel, MemoryPool};
-use gaat_rt::{BufferId, Chare, ChareId, KernelSpec, Simulation, Space};
-use gaat_sim::SimTime;
+use gaat_rt::{BufferId, Chare, ChareId, KernelSpec, Simulation, Space, Timing};
 
 use crate::app::{CommMode, JacobiConfig, RunResult};
 use crate::geom::{Decomp, Dims, Face};
@@ -247,12 +246,10 @@ impl Block {
     }
 }
 
-/// A chare that owns one [`Block`]: what the shared run fold and the
+/// A chare that owns one [`Block`]: what the result fold and the
 /// final-field checks read from each app.
 pub(crate) trait Owner: Chare {
     fn block(&self) -> &Block;
-    /// When this block finished warm-up and all iterations.
-    fn finished(&self) -> (Option<SimTime>, Option<SimTime>);
 }
 
 /// Every block with the memory pool its buffers live in.
@@ -303,34 +300,25 @@ pub(crate) fn validate<C: Owner>(sim: &Simulation, ids: &[ChareId], cfg: &Jacobi
     compared
 }
 
-/// Fold a drained run's per-block state into a [`RunResult`].
+/// A finished run's [`RunResult`]: its timing plus the field checksum
+/// and the machine's counters.
 pub(crate) fn collect<C: Owner>(
     sim: &Simulation,
     ids: &[ChareId],
     cfg: &JacobiConfig,
+    t: Timing,
     reduced_norm: Option<f64>,
 ) -> RunResult {
-    let mut warm = SimTime::ZERO;
-    let mut done = SimTime::ZERO;
-    for &id in ids {
-        let (w, d) = sim.machine.chare_as::<C>(id).finished();
-        warm = warm.max(w.expect("block warmed up"));
-        done = done.max(d.expect("block finished"));
-    }
     let devices = &sim.machine.devices;
-    let pes = sim.machine.pes.len();
     RunResult {
-        time_per_iter: done.since(warm) / cfg.iters as u64,
-        total: done.since(SimTime::ZERO),
-        warm_at: warm,
+        time_per_iter: t.unit,
+        total: t.total,
+        warm_at: t.warm_at,
         checksum: checksum::<C>(sim, ids, cfg),
         entries: sim.machine.stats().entries,
         kernels: devices.iter().map(|d| d.stats().kernels).sum(),
         graph_launches: devices.iter().map(|d| d.stats().graph_launches).sum(),
-        cpu_utilization: (0..pes)
-            .map(|p| sim.machine.pe_utilization(p, done))
-            .sum::<f64>()
-            / pes as f64,
+        cpu_utilization: t.cpu_utilization,
         reduced_norm,
     }
 }

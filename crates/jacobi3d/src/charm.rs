@@ -23,9 +23,9 @@ use std::sync::Arc;
 use gaat_gpu::{CudaEventId, Device, GpuTimingModel, GraphBuilder, NodeIndex};
 use gaat_rt::{
     create_channel, App, BufRange, Callback, ChannelEnd, Chare, ChareId, Ctx, DeviceId, EntryId,
-    Envelope, GraphId, KernelSpec, MemLoc, Op, Outcome, RunOutcome, Simulation, StreamId, WhenSet,
+    Envelope, GraphId, KernelSpec, MemLoc, Op, Outcome, RunClock, Simulation, StreamId, Timing,
+    WhenSet,
 };
-use gaat_sim::SimTime;
 
 use crate::app::{CommMode, ConfigError, Fusion, GraphStrategy, JacobiConfig, RunResult, SyncMode};
 use crate::block::{self, Block, Owner};
@@ -143,7 +143,8 @@ pub struct BlockChare {
     graphs: Option<[GraphId; 2]>,
     /// Node-ordered kernel specs per parity (UpdateParams strategy).
     graph_update_specs: Option<[Vec<KernelSpec>; 2]>,
-    iter: usize,
+    /// Iterations run and when the warm-up and the last one finished.
+    clock: RunClock,
     arrived: usize,
     sends_done: usize,
     pending: WhenSet,
@@ -154,19 +155,11 @@ pub struct BlockChare {
     /// clone. A rollback swaps that clone in, and `E_RESUME` writes the
     /// interior back to device memory.
     resume: Option<Vec<f64>>,
-    /// Time this block finished its warm-up iterations.
-    pub warm_at: Option<SimTime>,
-    /// Time this block finished all iterations.
-    pub done_at: Option<SimTime>,
     /// Final-norm reduction result (set on the root block only).
     pub norm_result: Option<f64>,
 }
 
 impl BlockChare {
-    fn total(&self) -> usize {
-        self.sh.cfg.total_iters()
-    }
-
     fn defer_unpack(&self) -> bool {
         self.sh.cfg.fusion.defers_unpack() || self.sh.cfg.graphs
     }
@@ -193,22 +186,22 @@ impl BlockChare {
         ctx.hapi(self.gpu.comm, done);
     }
 
-    /// Crossed an iteration boundary (counter already incremented):
-    /// record timings, maybe checkpoint; false = run complete, stop
+    /// Swap the in/out buffers and cross into the next iteration: tick
+    /// the clock, then contribute the norm after the last iteration or
+    /// maybe checkpoint before the next; false = run complete, stop
     /// issuing work.
-    fn on_iteration_boundary(&mut self, ctx: &mut Ctx<'_>) -> bool {
-        if self.iter == self.sh.cfg.warmup {
-            self.warm_at = Some(ctx.start_time());
-        }
-        if self.iter >= self.total() {
-            self.done_at = Some(ctx.start_time());
+    fn next_iteration(&mut self, ctx: &mut Ctx<'_>) -> bool {
+        self.block.cur = 1 - self.block.cur;
+        self.arrived = 0;
+        self.sends_done = 0;
+        if !self.clock.tick(ctx) {
             if self.sh.cfg.compute_norm {
                 self.contribute_norm(ctx);
             }
             return false;
         }
-        let every = self.sh.cfg.checkpoint_every;
-        if every > 0 && self.iter > 0 && self.iter.is_multiple_of(every) {
+        let (iter, every) = (self.clock.round(), self.sh.cfg.checkpoint_every);
+        if every > 0 && iter.is_multiple_of(every) {
             // The checkpoint is this block as it stands, plus the
             // interior of the current solution buffer. Ghost cells are
             // excluded: the restart re-runs the halo exchange before the
@@ -221,7 +214,7 @@ impl BlockChare {
             let mut ck = self.clone();
             self.pending = pending;
             ck.resume = Some(interior);
-            ctx.store_checkpoint(self.iter as u64, Box::new(ck), self.state_bytes());
+            ctx.store_checkpoint(iter as u64, Box::new(ck), self.state_bytes());
         }
         true
     }
@@ -305,7 +298,7 @@ impl BlockChare {
                     ctx.hapi(self.gpu.d2h, staged);
                 }
                 // Early halos parked for this iteration?
-                let iter = self.iter as u64;
+                let iter = self.clock.round() as u64;
                 while let Some(env) = self.pending.take(E_RECV_HALO, iter) {
                     self.handle_staged_halo(ctx, env);
                 }
@@ -356,7 +349,7 @@ impl BlockChare {
     fn all_halos(&mut self, ctx: &mut Ctx<'_>) {
         let me = ctx.me();
         let p = self.block.cur;
-        let last = self.iter + 1 >= self.total();
+        let last = self.clock.round() + 1 >= self.sh.cfg.total_iters();
         let gpu = self.gpu;
 
         if self.sh.cfg.graphs {
@@ -416,14 +409,6 @@ impl BlockChare {
             }
         }
     }
-
-    /// Swap the in/out buffers and cross into the next iteration.
-    fn next_iteration(&mut self) {
-        self.block.cur = 1 - self.block.cur;
-        self.iter += 1;
-        self.arrived = 0;
-        self.sends_done = 0;
-    }
 }
 
 impl Chare for BlockChare {
@@ -437,16 +422,14 @@ impl Chare for BlockChare {
                 self.begin_exchange(ctx);
             }
             E_POST_ITER => {
-                self.next_iteration();
-                if self.on_iteration_boundary(ctx) {
+                if self.next_iteration(ctx) {
                     self.begin_exchange(ctx);
                 }
             }
             E_UPDATE_DONE => {
                 // Original sync scheme: swap after the post-update sync,
                 // then pack in a separate phase.
-                self.next_iteration();
-                if self.on_iteration_boundary(ctx) {
+                if self.next_iteration(ctx) {
                     self.enqueue_packs(ctx, self.block.cur, Callback::to(ctx.me(), E_PACKED));
                 }
             }
@@ -483,7 +466,7 @@ impl Chare for BlockChare {
                 ctx.send(
                     to,
                     Envelope::new(E_RECV_HALO, msg)
-                        .with_refnum(self.iter as u64)
+                        .with_refnum(self.clock.round() as u64)
                         .with_bytes(cells as u64 * 8),
                 );
                 self.sends_done += 1;
@@ -499,7 +482,7 @@ impl Chare for BlockChare {
                 // reprovisioned: a neighbour that resumed first must wait
                 // in the parking lot.
                 if self.resume.is_none()
-                    && env.refnum == self.iter as u64
+                    && env.refnum == self.clock.round() as u64
                     && self.arrived < self.block.faces.len()
                 {
                     self.handle_staged_halo(ctx, env);
@@ -512,7 +495,8 @@ impl Chare for BlockChare {
             E_RESUME => {
                 let interior = self.resume.take().expect("E_RESUME reaches a checkpoint");
                 assert_eq!(
-                    self.iter, env.refnum as usize,
+                    self.clock.round(),
+                    env.refnum as usize,
                     "block restored from a different epoch than the recovery line"
                 );
                 if ctx.device() != self.dev {
@@ -538,10 +522,6 @@ impl Chare for BlockChare {
 impl Owner for BlockChare {
     fn block(&self) -> &Block {
         &self.block
-    }
-
-    fn finished(&self) -> (Option<SimTime>, Option<SimTime>) {
-        (self.warm_at, self.done_at)
     }
 }
 
@@ -588,14 +568,12 @@ pub fn build_in(mut sim: Simulation, cfg: JacobiConfig) -> (Simulation, Vec<Char
             gpu,
             graphs,
             graph_update_specs,
-            iter: 0,
+            clock: RunClock::new(cfg.iters, cfg.warmup),
             arrived: 0,
             sends_done: 0,
             pending: WhenSet::new(),
             dev,
             resume: None,
-            warm_at: (cfg.warmup == 0).then_some(SimTime::ZERO),
-            done_at: None,
             norm_result: None,
         };
         assert_eq!(sim.machine.create_chare(pe, Box::new(chare)), id);
@@ -607,7 +585,7 @@ pub fn build_in(mut sim: Simulation, cfg: JacobiConfig) -> (Simulation, Vec<Char
         d.assert_memory_fits();
     }
 
-    if cfg.migrates() {
+    if cfg.machine.migrates() {
         sim.machine.set_recovery_resume(ids.clone(), E_RESUME);
     }
 
@@ -685,9 +663,8 @@ fn build_graphs(
 impl App for Shared {
     type Config = JacobiConfig;
     type Error = ConfigError;
-    /// The result, or only the outcome if a block stalled: with retries
-    /// off and drops armed, a block that loses a halo parks forever.
-    type Result = Result<RunResult, Outcome>;
+    type Chare = BlockChare;
+    type Result = RunResult;
 
     fn validate(cfg: &JacobiConfig) -> Result<(), ConfigError> {
         cfg.validate()
@@ -697,34 +674,24 @@ impl App for Shared {
         build_in(Simulation::new(cfg.machine.clone()), cfg)
     }
 
-    fn finish(&self, sim: &mut Simulation, ids: &[ChareId]) -> Self::Result {
-        assert_eq!(sim.run(), RunOutcome::Drained, "should quiesce");
-        let blocks = ids
-            .iter()
-            .filter(|&&id| sim.machine.chare_as::<BlockChare>(id).done_at.is_none())
-            .count();
-        if blocks > 0 {
-            return Err(Outcome {
-                total: sim.now().since(SimTime::ZERO),
-                stalled: blocks,
-                ..Outcome::default()
-            });
-        }
+    fn clock(b: &BlockChare) -> &RunClock {
+        &b.clock
+    }
+
+    fn collect(&self, sim: &Simulation, ids: &[ChareId], t: Timing) -> RunResult {
         let norm = self.cfg.compute_norm.then(|| {
             let root = sim.machine.chare_as::<BlockChare>(self.root);
             root.norm_result.expect("norm reduction completed")
         });
-        Ok(block::collect::<BlockChare>(sim, ids, &self.cfg, norm))
+        block::collect::<BlockChare>(sim, ids, &self.cfg, t, norm)
     }
 
     fn check(&self, sim: &Simulation, ids: &[ChareId]) -> usize {
         block::validate::<BlockChare>(sim, ids, &self.cfg)
     }
 
-    fn outcome(result: &Self::Result) -> Outcome {
-        result
-            .as_ref()
-            .map_or_else(|stalled| *stalled, MpiShared::outcome)
+    fn outcome(r: &RunResult) -> Outcome {
+        MpiShared::outcome(r)
     }
 }
 

@@ -12,9 +12,8 @@ use std::sync::Arc;
 use gaat_mpi::Mpi;
 use gaat_rt::{
     App, BufRange, Callback, Chare, ChareId, Ctx, EntryId, Envelope, KernelSpec, MemLoc, Op,
-    Outcome, RunOutcome, Simulation, StreamId,
+    Outcome, RunClock, Simulation, StreamId, Timing,
 };
-use gaat_sim::SimTime;
 
 use crate::app::{CommMode, ConfigError, JacobiConfig, RunResult};
 use crate::block::{self, Block, Owner};
@@ -51,11 +50,8 @@ pub struct JacobiRank {
     /// The block; its neighbours are rank indices.
     block: Block,
     stream: StreamId,
-    iter: usize,
-    /// Warm-up completion time.
-    pub warm_at: Option<SimTime>,
-    /// Final completion time.
-    pub done_at: Option<SimTime>,
+    /// Iterations run and when the warm-up and the last one finished.
+    clock: RunClock,
 }
 
 impl JacobiRank {
@@ -132,7 +128,8 @@ impl JacobiRank {
                 Op::kernel(KernelSpec::phantom("update_interior", work)),
             );
         }
-        self.mpi.wait_all(ctx, E_COMM_DONE, self.iter as u64);
+        self.mpi
+            .wait_all(ctx, E_COMM_DONE, self.clock.round() as u64);
     }
 
     /// Phase 4: stage in (host mode), unpack, update the block (exterior
@@ -184,13 +181,7 @@ impl Chare for JacobiRank {
             E_COMM_DONE => self.step_update(ctx),
             E_ITER_DONE => {
                 self.block.cur = 1 - self.block.cur;
-                self.iter += 1;
-                if self.iter == self.sh.cfg.warmup {
-                    self.warm_at = Some(ctx.start_time());
-                }
-                if self.iter >= self.sh.cfg.total_iters() {
-                    self.done_at = Some(ctx.start_time());
-                } else {
+                if self.clock.tick(ctx) {
                     self.step_pack(ctx);
                 }
             }
@@ -203,15 +194,12 @@ impl Owner for JacobiRank {
     fn block(&self) -> &Block {
         &self.block
     }
-
-    fn finished(&self) -> (Option<SimTime>, Option<SimTime>) {
-        (self.warm_at, self.done_at)
-    }
 }
 
 impl App for MpiShared {
     type Config = JacobiConfig;
     type Error = ConfigError;
+    type Chare = JacobiRank;
     type Result = RunResult;
 
     /// [`JacobiConfig::validate`], then the MPI versions' own rules: one
@@ -222,7 +210,7 @@ impl App for MpiShared {
         if cfg.odf != 1 {
             return Err(ConfigError::MpiOdf);
         }
-        if cfg.migrates() {
+        if cfg.machine.migrates() {
             return Err(ConfigError::MpiMigration);
         }
         Ok(())
@@ -267,9 +255,7 @@ impl App for MpiShared {
                     sh: sh2.clone(),
                     block,
                     stream,
-                    iter: 0,
-                    warm_at: (sh2.cfg.warmup == 0).then_some(SimTime::ZERO),
-                    done_at: None,
+                    clock: RunClock::new(sh2.cfg.iters, sh2.cfg.warmup),
                 }
             },
         );
@@ -281,9 +267,12 @@ impl App for MpiShared {
         gaat_mpi::start_all(sim, ids, E_START);
     }
 
-    fn finish(&self, sim: &mut Simulation, ids: &[ChareId]) -> RunResult {
-        assert_eq!(sim.run(), RunOutcome::Drained, "should quiesce");
-        block::collect::<JacobiRank>(sim, ids, &self.cfg, None)
+    fn clock(r: &JacobiRank) -> &RunClock {
+        &r.clock
+    }
+
+    fn collect(&self, sim: &Simulation, ids: &[ChareId], t: Timing) -> RunResult {
+        block::collect::<JacobiRank>(sim, ids, &self.cfg, t, None)
     }
 
     fn check(&self, sim: &Simulation, ids: &[ChareId]) -> usize {

@@ -7,7 +7,8 @@
 //! recovered from buddy checkpoints and still matches the reference
 //! bit for bit.
 
-use gaat_jacobi3d::{charm, CommMode, ConfigError, Dims, JacobiConfig};
+use gaat_jacobi3d::mpi_app::MpiShared;
+use gaat_jacobi3d::{charm, CommMode, ConfigError, Dims, JacobiConfig, RunResult};
 use gaat_rt::{App, ConfigError as MachineError, LbPolicy, MachineConfig, Simulation};
 use gaat_sim::{
     FaultPlan, LinkFault, LinkFaultKind, PeFault, SimDuration, SimTime, StragglerWindow,
@@ -91,28 +92,22 @@ fn lossy_run_costs_time_but_not_correctness() {
     );
 }
 
+/// Silent message loss stalls at least one block: the run is a stalled
+/// outcome, with no time per iteration, instead of a panic.
+fn assert_stalls<A: App<Config = JacobiConfig, Result = RunResult>>(cfg: JacobiConfig) {
+    let stalled = A::build_and_run(cfg).expect_err("a block stalls");
+    assert!(stalled.stalled > 0, "{stalled:?}");
+    assert_eq!(stalled.unit, SimDuration::ZERO);
+    assert!(stalled.total > SimDuration::ZERO, "{stalled:?}");
+}
+
+/// Both runtimes: Charm-H at ODF 2 and MPI-H, one rank per PE.
 #[test]
 fn lossy_without_retries_fails_to_complete() {
-    let cfg = faulty_cfg(CommMode::HostStaging, 0.05, false);
-    let (mut sim, ids, _sh) = charm::build(cfg);
-    {
-        let Simulation { sim, machine, .. } = &mut sim;
-        machine.broadcast(sim, &ids, charm::E_START, 0);
-    }
-    sim.run();
-    let unfinished = ids
-        .iter()
-        .filter(|&&id| {
-            sim.machine
-                .chare_as::<charm::BlockChare>(id)
-                .done_at
-                .is_none()
-        })
-        .count();
-    assert!(
-        unfinished > 0,
-        "silent message loss must stall at least one block"
-    );
+    let mut cfg = faulty_cfg(CommMode::HostStaging, 0.05, false);
+    assert_stalls::<charm::Shared>(cfg.clone());
+    cfg.odf = 1;
+    assert_stalls::<MpiShared>(cfg);
 }
 
 #[test]

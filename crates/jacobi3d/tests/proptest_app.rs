@@ -81,7 +81,7 @@ proptest! {
         cfg.comm = if gpu_aware { CommMode::GpuAware } else { CommMode::HostStaging };
         prop_assert!(cfg.validate().is_ok());
         let (mut sim, ids, sh) = MpiShared::build(cfg);
-        sh.run(&mut sim, &ids);
+        sh.run(&mut sim, &ids).unwrap();
         let compared = sh.check(&sim, &ids);
         prop_assert_eq!(compared, g * g * g);
     }

@@ -24,7 +24,7 @@ fn validate_charm(cfg: JacobiConfig) -> f64 {
 fn validate_mpi(cfg: JacobiConfig) -> f64 {
     assert!(cfg.validate().is_ok());
     let (mut sim, ids, sh) = MpiShared::build(cfg);
-    let result = sh.run(&mut sim, &ids);
+    let result = sh.run(&mut sim, &ids).unwrap();
     let compared = sh.check(&sim, &ids);
     assert_eq!(compared, sh.cfg.global.count());
     result.checksum.expect("real buffers")

@@ -429,7 +429,7 @@ impl<'a> Worker<'a> {
         let scenarios = self.scenarios;
         let fstats = &mut self.fork;
         let finish = |sim: &mut Simulation, ids: &[ChareId], app: &A, mut rec, t0: Instant| {
-            let outcome = A::outcome(&app.finish(sim, ids));
+            let outcome = A::outcome_of(&app.finish(sim, ids));
             seal_record(&mut rec, sim, outcome);
             rec.wall_ns = t0.elapsed().as_nanos() as u64;
             rec

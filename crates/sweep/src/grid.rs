@@ -19,8 +19,7 @@ use gaat_sweep3d::SweepConfig;
 /// variant.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Workload {
-    /// Charm-style Jacobi3D halo exchange (stall-tolerant under loss
-    /// with retries off).
+    /// Charm-style Jacobi3D halo exchange.
     Jacobi {
         /// Global grid.
         global: Dims,
@@ -176,15 +175,8 @@ impl ScenarioGrid {
                                                 let sc = Scenario {
                                                     index: out.len(),
                                                     workload,
-                                                    seed,
                                                     odf,
                                                     placement,
-                                                    topology,
-                                                    drop_rate,
-                                                    fault_onset,
-                                                    fault_seed,
-                                                    retries: retry,
-                                                    lb_policy,
                                                     machine,
                                                 };
                                                 if self.filter.is_none_or(|f| f(&sc)) {
@@ -212,35 +204,24 @@ fn non_empty<T: Copy>(axis: &[T], default: T) -> Vec<T> {
     }
 }
 
-/// One fully resolved simulation request: the axis values plus the
-/// machine config they produce. Cheap to clone; everything a worker
-/// needs to run the scenario from scratch.
+/// One fully resolved simulation request: the workload, the two axis
+/// values that are not machine fields, and the machine config the other
+/// axes resolve into. Cheap to clone; everything a worker needs to run
+/// the scenario from scratch.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// Stable position in the expanded grid (assigned post-filter).
     pub index: usize,
     /// Application and its non-axis parameters.
     pub workload: Workload,
-    /// Machine seed.
-    pub seed: u64,
     /// Overdecomposition factor.
     pub odf: usize,
     /// Chare placement (Jacobi).
     pub placement: Placement,
-    /// Interconnect model.
-    pub topology: TopologyKind,
-    /// Message-drop probability.
-    pub drop_rate: f64,
-    /// Instant before which the stochastic fault draws are suppressed.
-    pub fault_onset: SimTime,
-    /// Fault-plan seed (fate-draw hash salt).
-    pub fault_seed: u64,
-    /// Reliable transport on/off.
-    pub retries: bool,
-    /// Load-balancer policy (effective only when the template's
-    /// `machine.lb.period` is non-zero).
-    pub lb_policy: LbPolicy,
-    /// The resolved machine config (template + axis values).
+    /// The resolved machine config: the template with the seed,
+    /// topology, drop rate, fault onset, fault seed, retries and LB
+    /// policy axes applied (the LB policy takes effect only when the
+    /// template's `lb.period` is non-zero).
     pub machine: MachineConfig,
 }
 
@@ -250,7 +231,7 @@ impl Scenario {
         format!(
             "{} seed={} {}",
             self.workload.name(),
-            self.seed,
+            self.machine.seed,
             self.group_suffix()
         )
     }
@@ -262,7 +243,8 @@ impl Scenario {
     }
 
     fn group_suffix(&self) -> String {
-        let topo = match self.topology {
+        let m = &self.machine;
+        let topo = match m.net.topology {
             TopologyKind::Flat => "flat",
             TopologyKind::FatTree(_) => "fattree",
         };
@@ -270,24 +252,27 @@ impl Scenario {
             Placement::Packed => "packed",
             Placement::RoundRobin => "rr",
         };
+        let retries = if m.ucx.reliability.enabled {
+            "on"
+        } else {
+            "off"
+        };
         let mut s = format!(
-            "{topo} {place} odf={} drop={:.2} retries={}",
-            self.odf,
-            self.drop_rate,
-            if self.retries { "on" } else { "off" }
+            "{topo} {place} odf={} drop={:.2} retries={retries}",
+            self.odf, m.faults.drop_prob
         );
         // Fault onset/seed only widen the identity when the axes are in
         // play, so labels of pre-existing grids are unchanged.
-        if self.fault_onset != SimTime::ZERO {
-            s.push_str(&format!(" onset={}ns", self.fault_onset.as_ns()));
+        if m.faults.onset != SimTime::ZERO {
+            s.push_str(&format!(" onset={}ns", m.faults.onset.as_ns()));
         }
-        if self.fault_seed != 0 {
-            s.push_str(&format!(" fseed={}", self.fault_seed));
+        if m.faults.seed != 0 {
+            s.push_str(&format!(" fseed={}", m.faults.seed));
         }
         // Only widens the identity when the LB axis is in play, so
         // labels of pre-existing grids are unchanged.
-        if self.lb_policy != LbPolicy::Off {
-            let p = match self.lb_policy {
+        if m.lb.policy != LbPolicy::Off {
+            let p = match m.lb.policy {
                 LbPolicy::Off => unreachable!(),
                 LbPolicy::Greedy => "greedy",
                 LbPolicy::Adaptive => "adaptive",
@@ -315,7 +300,7 @@ impl Scenario {
                 cfg.placement = self.placement;
                 // PE-failure recovery and the LB both restore from
                 // checkpoints, so either one needs checkpoints on.
-                if cfg.migrates() {
+                if cfg.machine.migrates() {
                     cfg.checkpoint_every = 1;
                 }
                 cfg

@@ -7,7 +7,7 @@ use gaat_jacobi3d::{CommMode, Dims, Placement, Reference};
 use gaat_net::{FatTreeParams, TopologyKind};
 use gaat_rt::{LbPolicy, MachineConfig};
 use gaat_sim::{FaultPlan, PeFault, SimDuration, SimTime};
-use gaat_sweep::{run_standalone, run_sweep, ScenarioGrid, SweepOptions, Workload};
+use gaat_sweep::{run_standalone, run_sweep, Scenario, ScenarioGrid, SweepOptions, Workload};
 
 fn test_machine() -> MachineConfig {
     let mut machine = MachineConfig::validation(2, 2);
@@ -31,8 +31,8 @@ fn small_fattree() -> TopologyKind {
     })
 }
 
-/// All four workloads, both topologies, a loss axis, and (for Jacobi,
-/// which tolerates stalls) a retries-off arm — small enough to run five
+/// All four workloads, both topologies, a loss axis, and a retries-off
+/// arm under loss, where some chares stall — small enough to run five
 /// times in a test, wide enough to cross every engine code path.
 fn test_grid() -> ScenarioGrid {
     let mut grid = ScenarioGrid::new(test_machine());
@@ -64,17 +64,13 @@ fn test_grid() -> ScenarioGrid {
     grid.topologies = vec![TopologyKind::Flat, small_fattree()];
     grid.drop_rates = vec![0.0, 0.05];
     grid.retries = vec![true, false];
-    // Only Jacobi runs stall-tolerantly; everything else needs the
-    // reliable transport whenever loss is armed. Retries-off at zero
-    // loss is a duplicate of retries-on.
-    grid.filter = Some(|sc| {
-        if sc.retries {
-            true
-        } else {
-            matches!(sc.workload, Workload::Jacobi { .. }) && sc.drop_rate > 0.0
-        }
-    });
+    grid.filter = Some(lossy_or_reliable);
     grid
+}
+
+/// Retries-off at zero loss is a duplicate of retries-on; skip it.
+fn lossy_or_reliable(sc: &Scenario) -> bool {
+    sc.machine.ucx.reliability.enabled || sc.machine.faults.drop_prob > 0.0
 }
 
 #[test]
@@ -106,7 +102,7 @@ fn jacobi_loss_grid() -> ScenarioGrid {
     grid.placements = vec![Placement::Packed, Placement::RoundRobin];
     grid.drop_rates = vec![0.0, 0.05];
     grid.retries = vec![true, false];
-    grid.filter = Some(|sc| sc.retries || sc.drop_rate > 0.0);
+    grid.filter = Some(lossy_or_reliable);
     grid
 }
 
@@ -152,20 +148,27 @@ fn fingerprints_invariant_across_workers_and_standalone() {
     }
 }
 
+/// Every workload's retries-off loss arm stalls some chares, and each
+/// stall is a failed record with its count, not a panic.
 #[test]
 fn stalled_scenarios_are_reported_not_fatal() {
     let scenarios = test_grid().expand();
     let report = run_sweep(&scenarios, &SweepOptions::new()).expect("no I/O configured");
-    let stalled: Vec<_> = report.records.iter().filter(|r| !r.ok).collect();
-    assert!(
-        !stalled.is_empty(),
-        "the retries-off loss arm should stall some blocks"
-    );
-    for r in &stalled {
+    let mut stalled_workloads = Vec::new();
+    for (sc, r) in scenarios.iter().zip(&report.records) {
+        if r.ok {
+            continue;
+        }
         assert!(r.stalled > 0, "a failed record carries its casualty count");
         assert!(r.makespan_ns > 0, "stall time is still deterministic");
         assert_eq!(r.unit_ns, 0);
+        assert!(!sc.machine.ucx.reliability.enabled, "{}", sc.label());
+        if !stalled_workloads.contains(&sc.workload.name()) {
+            stalled_workloads.push(sc.workload.name());
+        }
     }
+    stalled_workloads.sort_unstable();
+    assert_eq!(stalled_workloads, ["jacobi", "moe", "sweep3d", "train"]);
     assert!(report.records.iter().any(|r| r.ok));
 }
 
@@ -290,7 +293,7 @@ fn rejected_scenarios_are_recorded_not_fatal() {
             if let Some(e) = &rec.error {
                 rejected += 1;
                 assert!(e.contains(rule), "{}: {e}", sc.label());
-                assert_eq!(sc.lb_policy, LbPolicy::Adaptive, "{}", sc.label());
+                assert_eq!(sc.machine.lb.policy, LbPolicy::Adaptive, "{}", sc.label());
                 assert!(!rec.ok);
                 assert_eq!((rec.stalled, rec.makespan_ns, rec.entries), (0, 0, 0));
                 assert!(rec.jsonl().contains(rule));

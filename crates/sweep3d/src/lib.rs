@@ -30,10 +30,9 @@ use gaat_jacobi3d::geom::{chare_to_pe, Decomp, Dims, Face};
 use gaat_jacobi3d::kernels::{ghosted_len, idx};
 use gaat_rt::{
     create_channel, App, BufRange, BufferId, Callback, ChannelEnd, Chare, ChareId, Ctx, EntryId,
-    Envelope, KernelSpec, MachineConfig, MemLoc, Op, Outcome, RunOutcome, Simulation, Space,
-    StreamId,
+    Envelope, KernelSpec, MachineConfig, MemLoc, Op, Outcome, RunClock, Simulation, Space,
+    StreamId, Timing,
 };
-use gaat_sim::{SimDuration, SimTime};
 
 /// Begin execution.
 pub const E_START: EntryId = EntryId(0);
@@ -87,6 +86,8 @@ pub enum ConfigError {
     ZeroOdf,
     /// `sweeps` is 0.
     ZeroSweeps,
+    /// PE failures or the load balancer armed: blocks cannot move.
+    Migration,
 }
 
 impl From<gaat_rt::ConfigError> for ConfigError {
@@ -101,6 +102,10 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Machine(e) => e.fmt(f),
             ConfigError::ZeroOdf => f.write_str("ODF must be at least 1"),
             ConfigError::ZeroSweeps => f.write_str("need at least one timed sweep"),
+            ConfigError::Migration => f.write_str(
+                "Sweep3D cannot move blocks: PE failures and the adaptive LB need checkpoints, \
+                 which its blocks do not take",
+            ),
         }
     }
 }
@@ -108,17 +113,6 @@ impl std::fmt::Display for ConfigError {
 // `Display` already prints a wrapped machine error's text, so there is
 // no `source` to chain.
 impl std::error::Error for ConfigError {}
-
-/// Result of a sweep run.
-#[derive(Debug, Clone)]
-pub struct SweepResult {
-    /// Mean time per full sweep of the grid.
-    pub time_per_sweep: SimDuration,
-    /// Total simulated time.
-    pub total: SimDuration,
-    /// Mean CPU utilization across PEs.
-    pub cpu_utilization: f64,
-}
 
 /// Shared run parameters; the sweep's [`App`].
 #[derive(Debug)]
@@ -132,7 +126,6 @@ pub struct SweepShared {
 /// One block of the sweep.
 #[derive(Clone)]
 pub struct SweepChare {
-    sh: Arc<SweepShared>,
     dims: Dims,
     /// Upstream faces that have neighbours (dependencies).
     up: Vec<Face>,
@@ -143,20 +136,13 @@ pub struct SweepChare {
     halo_recv: [Option<BufferId>; 6],
     halo_send: [Option<BufferId>; 6],
     comm: StreamId,
-    sweep: usize,
+    /// Sweeps run and when the warm-up and the last sweep finished.
+    clock: RunClock,
     arrived: usize,
     sends_done: usize,
-    /// Completion time of the warm-up sweeps.
-    pub warm_at: Option<SimTime>,
-    /// Completion time of the final sweep.
-    pub done_at: Option<SimTime>,
 }
 
 impl SweepChare {
-    fn total(&self) -> usize {
-        self.sh.cfg.sweeps + self.sh.cfg.warmup
-    }
-
     /// Post upstream receives for the current sweep, then check readiness
     /// (corner blocks have no dependencies at all).
     fn begin_sweep(&mut self, ctx: &mut Ctx<'_>) {
@@ -228,14 +214,8 @@ impl SweepChare {
             ch.send(ctx, loc, Callback::to_ref(me, E_SENT, i as u64));
             self.channels[i] = Some(ch);
         }
-        self.sweep += 1;
         self.arrived = 0;
-        if self.sweep == self.sh.cfg.warmup {
-            self.warm_at = Some(ctx.start_time());
-        }
-        if self.sweep >= self.total() {
-            self.done_at = Some(ctx.start_time());
-        } else {
+        if self.clock.tick(ctx) {
             self.begin_sweep(ctx);
         }
     }
@@ -297,11 +277,15 @@ pub fn reference_sweep(global: Dims, sweeps: usize) -> Vec<f64> {
 impl App for SweepShared {
     type Config = SweepConfig;
     type Error = ConfigError;
-    type Result = SweepResult;
+    type Chare = SweepChare;
+    /// A sweep's result is its timing.
+    type Result = Timing;
 
     /// Check every rule that depends only on this configuration: the
     /// machine's ([`gaat_rt::MachineConfig::validate`]), then ODF and
-    /// timed sweeps of at least 1.
+    /// timed sweeps of at least 1, and no PE failure or load balancer
+    /// ([`gaat_rt::MachineConfig::migrates`]), since a block takes no
+    /// checkpoint to move by.
     fn validate(cfg: &SweepConfig) -> Result<(), ConfigError> {
         cfg.machine.validate()?;
         if cfg.odf == 0 {
@@ -309,6 +293,9 @@ impl App for SweepShared {
         }
         if cfg.sweeps == 0 {
             return Err(ConfigError::ZeroSweeps);
+        }
+        if cfg.machine.migrates() {
+            return Err(ConfigError::Migration);
         }
         Ok(())
     }
@@ -355,7 +342,6 @@ impl App for SweepShared {
             let comm = device.create_stream(2);
             device.assert_memory_fits();
             let block = SweepChare {
-                sh: sh.clone(),
                 dims,
                 up,
                 down,
@@ -364,11 +350,9 @@ impl App for SweepShared {
                 halo_recv,
                 halo_send,
                 comm,
-                sweep: 0,
+                clock: RunClock::new(cfg.sweeps, cfg.warmup),
                 arrived: 0,
                 sends_done: 0,
-                warm_at: (cfg.warmup == 0).then_some(SimTime::ZERO),
-                done_at: None,
             };
             let id = sim.machine.create_chare(pe, Box::new(block));
             assert_eq!(id, ChareId(base + bi));
@@ -389,25 +373,12 @@ impl App for SweepShared {
         (sim, ids, sh)
     }
 
-    fn finish(&self, sim: &mut Simulation, ids: &[ChareId]) -> SweepResult {
-        assert_eq!(sim.run(), RunOutcome::Drained, "sweep should quiesce");
-        let mut warm = SimTime::ZERO;
-        let mut done = SimTime::ZERO;
-        for &id in ids {
-            let b = sim.machine.chare_as::<SweepChare>(id);
-            warm = warm.max(b.warm_at.expect("warmed"));
-            done = done.max(b.done_at.expect("finished"));
-        }
-        let pes = sim.machine.pes.len();
-        let cpu = (0..pes)
-            .map(|p| sim.machine.pe_utilization(p, done))
-            .sum::<f64>()
-            / pes as f64;
-        SweepResult {
-            time_per_sweep: done.since(warm) / self.cfg.sweeps as u64,
-            total: done.since(SimTime::ZERO),
-            cpu_utilization: cpu,
-        }
+    fn clock(b: &SweepChare) -> &RunClock {
+        &b.clock
+    }
+
+    fn collect(&self, _: &Simulation, _: &[ChareId], t: Timing) -> Timing {
+        t
     }
 
     /// Compares every block's final field against [`reference_sweep`].
@@ -437,9 +408,9 @@ impl App for SweepShared {
         compared
     }
 
-    fn outcome(r: &SweepResult) -> Outcome {
+    fn outcome(r: &Timing) -> Outcome {
         Outcome {
-            unit: r.time_per_sweep,
+            unit: r.unit,
             total: r.total,
             ..Outcome::default()
         }
@@ -474,7 +445,7 @@ mod tests {
             cfg.sweeps = 3;
             cfg.warmup = 1;
             let (mut sim, ids, sh) = SweepShared::build(cfg);
-            sh.run(&mut sim, &ids);
+            sh.run(&mut sim, &ids).unwrap();
             let compared = sh.check(&sim, &ids);
             assert_eq!(compared, 12 * 12 * 12, "odf={odf}");
         }
@@ -487,7 +458,7 @@ mod tests {
             cfg.odf = 2;
             cfg.sweeps = 4;
             cfg.warmup = 1;
-            SweepShared::build_and_run(cfg)
+            SweepShared::build_and_run(cfg).unwrap()
         };
         let a = mk();
         let b = mk();
@@ -507,7 +478,7 @@ mod tests {
             cfg.odf = odf;
             cfg.sweeps = 1;
             cfg.warmup = 0;
-            SweepShared::build_and_run(cfg).total
+            SweepShared::build_and_run(cfg).unwrap().total
         };
         let coarse = latency(1);
         let fine = latency(4);
@@ -527,15 +498,15 @@ mod tests {
             cfg.odf = odf;
             cfg.sweeps = 6;
             cfg.warmup = 2;
-            SweepShared::build_and_run(cfg)
+            SweepShared::build_and_run(cfg).unwrap()
         };
         let coarse = mk(1);
         let fine = mk(8);
         assert!(
-            coarse.time_per_sweep < fine.time_per_sweep,
+            coarse.unit < fine.unit,
             "steady-state ODF-1 {} should beat ODF-8 {}",
-            coarse.time_per_sweep,
-            fine.time_per_sweep
+            coarse.unit,
+            fine.unit
         );
     }
 
@@ -545,7 +516,7 @@ mod tests {
         cfg.sweeps = 2;
         cfg.warmup = 0;
         let (mut sim, ids, sh) = SweepShared::build(cfg);
-        sh.run(&mut sim, &ids);
+        sh.run(&mut sim, &ids).unwrap();
         assert_eq!(sh.check(&sim, &ids), 512);
     }
 }

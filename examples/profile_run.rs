@@ -109,7 +109,7 @@ fn collective_profile(which: &str) {
         cfg.warmup = 1;
         let ranks = cfg.effective_ranks();
         let (mut sim, ids, app) = CollShared::build(cfg);
-        let res = app.run(&mut sim, &ids);
+        let res = app.run(&mut sim, &ids).expect("every rank finishes");
         let bytes = payload_bytes(op, ranks, count);
         println!("== {which} ({name}) on {ranks} ranks, {count} elements ==");
         println!(

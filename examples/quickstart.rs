@@ -25,7 +25,7 @@ fn main() {
 
     vcfg.odf = 1;
     let (mut sim, ids, app) = MpiShared::build(vcfg);
-    app.run(&mut sim, &ids);
+    app.run(&mut sim, &ids).expect("every rank finishes");
     let cells = app.check(&sim, &ids);
     println!("  MPI-D  : {cells} cells bit-identical to the reference solver");
 
@@ -40,8 +40,8 @@ fn main() {
         c.warmup = 5;
         c
     };
-    let mpi_h = MpiShared::build_and_run(base(CommMode::HostStaging));
-    let mpi_d = MpiShared::build_and_run(base(CommMode::GpuAware));
+    let mpi_h = MpiShared::build_and_run(base(CommMode::HostStaging)).expect("every rank finishes");
+    let mpi_d = MpiShared::build_and_run(base(CommMode::GpuAware)).expect("every rank finishes");
     let mut ch = base(CommMode::HostStaging);
     ch.odf = 1;
     let charm_h = charm::Shared::build_and_run(ch).expect("every block finishes");

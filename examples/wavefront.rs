@@ -29,7 +29,7 @@ fn main() {
         cfg.odf = odf;
         cfg.sweeps = 1;
         cfg.warmup = 0;
-        let r = SweepShared::build_and_run(cfg);
+        let r = SweepShared::build_and_run(cfg).expect("every block finishes");
         println!("  ODF {odf}: {:>10}", r.total);
     }
 
@@ -39,10 +39,10 @@ fn main() {
         cfg.odf = odf;
         cfg.sweeps = 8;
         cfg.warmup = 2;
-        let r = SweepShared::build_and_run(cfg);
+        let r = SweepShared::build_and_run(cfg).expect("every block finishes");
         println!(
             "  ODF {odf}: {:>10}   (cpu {:.2})",
-            r.time_per_sweep, r.cpu_utilization
+            r.unit, r.cpu_utilization
         );
     }
     println!(

@@ -15,7 +15,7 @@ fn virtualized_ranks_match_reference() {
     cfg.warmup = 1;
     let (mut sim, ids, sh) = MpiShared::build(cfg);
     assert_eq!(ids.len(), 12);
-    sh.run(&mut sim, &ids);
+    sh.run(&mut sim, &ids).unwrap();
     let compared = sh.check(&sim, &ids);
     assert_eq!(compared, 12 * 12 * 12);
 }
@@ -28,7 +28,7 @@ fn virtualization_checksum_matches_plain_mpi() {
         cfg.virtual_ranks = vr;
         cfg.iters = 4;
         cfg.warmup = 1;
-        MpiShared::build_and_run(cfg)
+        MpiShared::build_and_run(cfg).unwrap()
     };
     let plain = mk(1);
     let ampi = mk(4);
@@ -50,7 +50,7 @@ fn virtualization_buys_overlap_where_plain_mpi_stalls() {
         cfg.virtual_ranks = vr;
         cfg.iters = 10;
         cfg.warmup = 2;
-        MpiShared::build_and_run(cfg)
+        MpiShared::build_and_run(cfg).unwrap()
     };
     let plain = mk(1);
     let ampi = mk(4);
@@ -72,7 +72,7 @@ fn deep_virtualization_eventually_pays_overheads() {
         cfg.virtual_ranks = vr;
         cfg.iters = 10;
         cfg.warmup = 2;
-        MpiShared::build_and_run(cfg)
+        MpiShared::build_and_run(cfg).unwrap()
     };
     let light = mk(1);
     let deep = mk(8);

@@ -33,8 +33,8 @@ fn charm_runs_replay_exactly() {
 
 #[test]
 fn mpi_runs_replay_exactly() {
-    let a = MpiShared::build_and_run(cfg());
-    let b = MpiShared::build_and_run(cfg());
+    let a = MpiShared::build_and_run(cfg()).unwrap();
+    let b = MpiShared::build_and_run(cfg()).unwrap();
     assert_eq!(a.time_per_iter, b.time_per_iter);
     assert_eq!(a.entries, b.entries);
 }
@@ -96,7 +96,7 @@ fn firing_order_matches_seed_engine_goldens() {
         assert_eq!(r.kernels, kernels, "{comm:?} kernels");
     }
 
-    let r = MpiShared::build_and_run(cfg());
+    let r = MpiShared::build_and_run(cfg()).unwrap();
     assert_eq!(r.total.as_ns(), 986_355, "mpi total");
     assert_eq!(r.time_per_iter.as_ns(), 97_886, "mpi per-iter");
     assert_eq!(r.entries, 1_172, "mpi entries");
@@ -208,7 +208,7 @@ fn coll_proxy_apps_replay_goldens() {
     let mut c = TrainConfig::new(MachineConfig::summit(2), 1 << 16);
     c.steps = 2;
     c.warmup = 1;
-    let r = TrainShared::build_and_run(c);
+    let r = TrainShared::build_and_run(c).unwrap();
     assert_eq!(r.total.as_ns(), 1_904_268, "train total");
     assert_eq!(r.time_per_step.as_ns(), 633_748, "train per-step");
     assert_eq!(r.coll_stats.bytes, 34_603_008, "bytes");
@@ -222,7 +222,7 @@ fn coll_proxy_apps_replay_goldens() {
     c.hot_frac = 0.7;
     c.rounds = 2;
     c.warmup = 1;
-    let r = MoeShared::build_and_run(c);
+    let r = MoeShared::build_and_run(c).unwrap();
     assert_eq!(r.total.as_ns(), 924_567, "moe total");
     assert_eq!(r.time_per_round.as_ns(), 307_777, "moe per-round");
     for (name, s) in [
@@ -281,7 +281,7 @@ fn coll_app_replays_goldens() {
         let mut c = CollAppConfig::new(MachineConfig::summit(2), op, alg, count);
         c.rounds = 2;
         c.warmup = 1;
-        let r = CollShared::build_and_run(c);
+        let r = CollShared::build_and_run(c).unwrap();
         assert_eq!(
             r.time_per_round.as_ns(),
             per_round,
@@ -564,7 +564,7 @@ fn variant_matrix_replays_goldens() {
     let mpi = |f: &dyn Fn(&mut JacobiConfig)| {
         let mut c = cfg();
         f(&mut c);
-        VariantPin::of(&MpiShared::build_and_run(c))
+        VariantPin::of(&MpiShared::build_and_run(c).unwrap())
     };
     let got = [
         (

@@ -148,6 +148,7 @@ fn fig7c_mechanism_strong_scaling_favors_charm_d_once_halos_shrink() {
         c
     };
     let mpi_h = MpiShared::build_and_run(base(CommMode::HostStaging))
+        .unwrap()
         .time_per_iter
         .as_micros_f64();
     let best = |comm| {

@@ -21,7 +21,7 @@ fn charm_and_mpi_agree_bit_for_bit() {
     let a = charm::Shared::build_and_run(c1).unwrap();
     let mut c2 = real_cfg(12);
     c2.comm = CommMode::HostStaging;
-    let b = MpiShared::build_and_run(c2);
+    let b = MpiShared::build_and_run(c2).unwrap();
     assert_eq!(
         a.checksum.expect("real").to_bits(),
         b.checksum.expect("real").to_bits(),
@@ -187,8 +187,8 @@ fn mpi_manual_overlap_helps_and_stays_correct() {
         c.warmup = 2;
         c
     };
-    let plain = MpiShared::build_and_run(mk(false));
-    let overlapped = MpiShared::build_and_run(mk(true));
+    let plain = MpiShared::build_and_run(mk(false)).unwrap();
+    let overlapped = MpiShared::build_and_run(mk(true)).unwrap();
     assert!(
         overlapped.time_per_iter.as_ns() <= plain.time_per_iter.as_ns() * 102 / 100,
         "overlap {} should not lose to plain {}",

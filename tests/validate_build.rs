@@ -10,8 +10,12 @@
 //! range, with the LB and a PE failure sometimes armed. Each knob takes
 //! its rejected value less often than not. The collective apps (the
 //! standalone collective, training and MoE) walk small exhaustive grids
-//! that include zero timed rounds or steps, a zero chunk and more ranks
-//! than PEs.
+//! that include zero timed rounds or steps, a zero chunk, more ranks
+//! than PEs, and a PE failure or the LB armed.
+//!
+//! Only Charm Jacobi3D moves chares, so every other app must reject a
+//! machine that [`MachineConfig::migrates`]: such a config would build,
+//! then panic mid-run on a PE failure with nothing to resume.
 
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -172,7 +176,7 @@ fn mpi_validate_accepts_exactly_what_builds() {
     for _ in 0..CASES {
         let cfg = jacobi(&mut rng);
         if MpiShared::validate(&cfg).is_ok() {
-            assert!(cfg.odf == 1 && !cfg.migrates(), "{cfg:?}");
+            assert!(cfg.odf == 1 && !cfg.machine.migrates(), "{cfg:?}");
         }
         tally.agree::<MpiShared>(cfg);
     }
@@ -188,14 +192,40 @@ fn sweep3d_validate_accepts_exactly_what_builds() {
         cfg.odf = small_count(&mut rng);
         cfg.sweeps = small_count(&mut rng);
         cfg.warmup = 1;
+        if SweepShared::validate(&cfg).is_ok() {
+            assert!(!cfg.machine.migrates(), "{cfg:?}");
+        }
         tally.agree::<SweepShared>(cfg);
     }
     tally.assert_both("Sweep3D");
 }
 
-/// Every (nodes, PEs per node) pair in 0..3 × 0..3.
+/// Every (nodes, PEs per node) pair in 0..3 × 0..3, each plain, with
+/// a PE failure armed and with the adaptive LB armed (both over the
+/// reliable transport they need).
 fn machines() -> impl Iterator<Item = MachineConfig> {
-    (0..3).flat_map(|nodes| (0..3).map(move |pes| MachineConfig::validation(nodes, pes)))
+    let shapes =
+        (0..3).flat_map(|nodes| (0..3).map(move |pes| MachineConfig::validation(nodes, pes)));
+    shapes.flat_map(|plain| {
+        let mut failing = plain.clone();
+        failing.ucx.reliability.enabled = true;
+        failing.faults.pe_failures.push(PeFault {
+            at: SimTime::ZERO + SimDuration::from_us(100),
+            pe: 0,
+        });
+        let mut balanced = plain.clone();
+        balanced.ucx.reliability.enabled = true;
+        balanced.lb.policy = LbPolicy::Adaptive;
+        balanced.lb.period = SimDuration::from_us(100);
+        [plain, failing, balanced]
+    })
+}
+
+/// A rank app accepts no machine that migrates.
+fn stays_put<A: App>(cfg: &A::Config, machine: &MachineConfig) {
+    if A::validate(cfg).is_ok() {
+        assert!(!machine.migrates(), "{machine:?}");
+    }
 }
 
 #[test]
@@ -216,6 +246,7 @@ fn coll_app_validate_accepts_exactly_what_builds() {
                             cfg.chunk = chunk;
                             cfg.rounds = rounds;
                             cfg.ranks = ranks;
+                            stays_put::<CollShared>(&cfg, &machine);
                             tally.agree::<CollShared>(cfg);
                         }
                     }
@@ -238,6 +269,7 @@ fn train_validate_accepts_exactly_what_builds() {
                         cfg.buckets = buckets;
                         cfg.chunk = chunk;
                         cfg.steps = steps;
+                        stays_put::<TrainShared>(&cfg, &machine);
                         tally.agree::<TrainShared>(cfg);
                     }
                 }
@@ -262,6 +294,7 @@ fn moe_validate_accepts_exactly_what_builds() {
                                 cfg.chunk = chunk;
                                 cfg.rounds = rounds;
                                 cfg.ranks = ranks;
+                                stays_put::<MoeShared>(&cfg, &machine);
                                 tally.agree::<MoeShared>(cfg);
                             }
                         }
