@@ -146,16 +146,8 @@ pub fn channel_vs_gpu_messaging(bytes: u64, hops: u32) -> (f64, f64) {
         assert_eq!((ca, cb), (a, b));
         if use_channel {
             let (ea, eb) = gaat_rt::create_channel(&mut sim.machine, a, b);
-            sim.machine
-                .chare_for_setup(a)
-                .downcast_mut::<Pinger>()
-                .expect("pinger")
-                .channel = Some(ea);
-            sim.machine
-                .chare_for_setup(b)
-                .downcast_mut::<Pinger>()
-                .expect("pinger")
-                .channel = Some(eb);
+            sim.machine.chare_mut::<Pinger>(a).channel = Some(ea);
+            sim.machine.chare_mut::<Pinger>(b).channel = Some(eb);
         }
         {
             let Simulation { sim, machine, .. } = &mut sim;

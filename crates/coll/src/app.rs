@@ -15,8 +15,8 @@ use gaat_sim::SimDuration;
 
 use crate::member::{wire_members, CollEntries, CollMember, MemberEvent, MemberStats};
 use crate::plan::{
-    plan, reduce_scatter_owner, ring_lanes, tree_lanes, uses_out_buffer, Algorithm, CollOp,
-    CollPlan, RankPlacement,
+    place_rank, plan, reduce_scatter_owner, ring_lanes, tree_lanes, uses_out_buffer, Algorithm,
+    CollOp, CollPlan, RankPlacement,
 };
 use crate::rank::{self, ConfigError, E_START};
 use crate::reference;
@@ -175,40 +175,47 @@ impl App for CollShared {
             sent: E_SENT,
             reduced: E_REDUCED,
         };
-        let (mut sim, ids) = rank::place(&cfg.machine, ranks, cfg.placement, |r, device| {
-            let in_len = sh.plan.in_elems[r];
-            let data = device.mem.alloc(Space::Device, in_len.max(1), real);
-            let out = uses_out_buffer(cfg.op).then(|| {
-                device
-                    .mem
-                    .alloc(Space::Device, sh.plan.out_elems[r].max(1), real)
-            });
-            let stream = device.create_stream(2);
-            let member = CollMember::new(
-                r,
-                sh.plan.members[r].clone(),
-                uses_out_buffer(cfg.op),
-                data,
-                0,
-                out,
-                0,
-                stream,
-                entries,
-                0,
-                device,
-                real,
-            );
-            if real && in_len > 0 {
-                let vals: Vec<f64> = (0..in_len).map(|i| reference::input_value(r, i)).collect();
-                device.mem.write(BufRange::new(data, 0, in_len), &vals);
-            }
-            CollChare {
-                member,
-                clock: RunClock::new(cfg.rounds, cfg.warmup),
-            }
-        });
-        wire_members(&mut sim.machine, &ids, &sh.plan, |any| {
-            &mut any.downcast_mut::<CollChare>().expect("coll chare").member
+        let mut sim = Simulation::new(cfg.machine.clone());
+        let m = &cfg.machine;
+        let ids = sim.machine.create_chares(
+            ranks,
+            |r| place_rank(r, ranks, m.nodes, m.pes_per_node, cfg.placement),
+            |r, device| {
+                let in_len = sh.plan.in_elems[r];
+                let data = device.mem.alloc(Space::Device, in_len.max(1), real);
+                let out = uses_out_buffer(cfg.op).then(|| {
+                    device
+                        .mem
+                        .alloc(Space::Device, sh.plan.out_elems[r].max(1), real)
+                });
+                let stream = device.create_stream(2);
+                let member = CollMember::new(
+                    r,
+                    sh.plan.members[r].clone(),
+                    uses_out_buffer(cfg.op),
+                    data,
+                    0,
+                    out,
+                    0,
+                    stream,
+                    entries,
+                    0,
+                    device,
+                    real,
+                );
+                if real && in_len > 0 {
+                    let vals: Vec<f64> =
+                        (0..in_len).map(|i| reference::input_value(r, i)).collect();
+                    device.mem.write(BufRange::new(data, 0, in_len), &vals);
+                }
+                CollChare {
+                    member,
+                    clock: RunClock::new(cfg.rounds, cfg.warmup),
+                }
+            },
+        );
+        wire_members(&mut sim.machine, &ids, &sh.plan, |c: &mut CollChare| {
+            &mut c.member
         });
         (sim, ids, sh)
     }

@@ -19,9 +19,13 @@
 //!   replicating each schedule's combine order (floating-point
 //!   addition is not associative, so bit-identity requires order-aware
 //!   references).
-//! - [`member`] — the participant state machine a chare embeds.
-//! - [`rank`] — the rank scaffold every proxy app shares: placing one
-//!   chare per rank and the rules every rank run validates.
+//! - [`member`] — the participant state machine a chare embeds, and
+//!   `wire_members`, which installs a plan's channels.
+//! - [`rank`] — the rank scaffold every proxy app shares: the start
+//!   entry, the reference read-back and the rules every rank run
+//!   validates. Each app creates its rank chares on
+//!   [`plan::place_rank`]'s PEs with
+//!   [`gaat_rt::Machine::create_chares`].
 //! - [`app`] — a standalone proxy app running back-to-back collectives
 //!   ([`CollShared`], a [`gaat_rt::App`]), used by `figures --fig coll`,
 //!   `profile_run --collective`, and the reference-equality tests.

@@ -18,7 +18,8 @@ use std::collections::BTreeSet;
 
 use gaat_gpu::{BufRange, BufferId, Device, MemoryPool, StreamId};
 use gaat_rt::{
-    create_channel, Callback, ChannelEnd, ChareId, Ctx, EntryId, KernelSpec, Machine, MemLoc, Op,
+    create_channel, Callback, ChannelEnd, Chare, ChareId, Ctx, EntryId, KernelSpec, Machine,
+    MemLoc, Op,
 };
 
 use crate::plan::{CollPlan, MemberPlan, Step};
@@ -457,17 +458,19 @@ pub fn plan_edges(plan: &CollPlan) -> Vec<(usize, usize, usize)> {
 }
 
 /// Create and install every channel a plan needs. `ids[r]` is the chare
-/// hosting rank `r`; `get` digs the right [`CollMember`] out of a
-/// chare's `Any` form (apps embedding several members select by plan).
-pub fn wire_members<F>(machine: &mut Machine, ids: &[ChareId], plan: &CollPlan, mut get: F)
-where
-    F: FnMut(&mut dyn std::any::Any) -> &mut CollMember,
-{
+/// hosting rank `r`; `get` picks the plan's [`CollMember`] out of the
+/// chare (apps embedding several members select by plan).
+pub fn wire_members<C: Chare>(
+    machine: &mut Machine,
+    ids: &[ChareId],
+    plan: &CollPlan,
+    mut get: impl FnMut(&mut C) -> &mut CollMember,
+) {
     assert_eq!(ids.len(), plan.ranks);
     for (lane, a, b) in plan_edges(plan) {
         let (ea, eb) = create_channel(machine, ids[a], ids[b]);
-        get(machine.chare_for_setup(ids[a])).install_channel(lane, b, ea);
-        get(machine.chare_for_setup(ids[b])).install_channel(lane, a, eb);
+        get(machine.chare_mut(ids[a])).install_channel(lane, b, ea);
+        get(machine.chare_mut(ids[b])).install_channel(lane, a, eb);
     }
 }
 

@@ -1,14 +1,13 @@
-//! The rank scaffold every collective proxy app shares: one chare per
-//! rank, placed with [`place_rank`] and built by the app; the
-//! [`E_START`] entry the app's start broadcasts; and the config rules
-//! every rank run shares. Each rank counts its rounds on a
-//! [`gaat_rt::RunClock`], which [`gaat_rt::App::finish`] folds. An app
-//! keeps only its buffers, entry methods and reference.
+//! The rank scaffold every collective proxy app shares: the [`E_START`]
+//! entry the app's start broadcasts, the reference read-back, and the
+//! config rules every rank run shares. Each app creates one chare per
+//! rank, on [`place_rank`](crate::plan::place_rank)'s PE, with
+//! [`Machine::create_chares`](gaat_rt::Machine::create_chares). Each
+//! rank counts its rounds on a [`gaat_rt::RunClock`], which
+//! [`gaat_rt::App::finish`] folds. An app keeps only its buffers, entry
+//! methods and reference.
 
-use gaat_gpu::Device;
-use gaat_rt::{BufRange, BufferId, Chare, ChareId, EntryId, MachineConfig, Simulation};
-
-use crate::plan::{place_rank, RankPlacement};
+use gaat_rt::{BufRange, BufferId, ChareId, EntryId, MachineConfig, Simulation};
 
 /// Begin execution: the entry [`App::start`](gaat_rt::App::start)
 /// broadcasts to every rank.
@@ -112,34 +111,6 @@ pub fn effective_ranks(machine: &MachineConfig, ranks: usize) -> usize {
     } else {
         ranks
     }
-}
-
-/// Create a world on `machine` and place `ranks` rank chares on it, rank
-/// `r` on [`place_rank`]'s PE. `make(r, device)` allocates rank `r`'s
-/// buffers and streams on its PE's device and returns its chare; the
-/// device must still fit in memory afterwards. Returns the world and the
-/// chare id of every rank, in rank order.
-pub fn place<C: Chare>(
-    machine: &MachineConfig,
-    ranks: usize,
-    placement: RankPlacement,
-    mut make: impl FnMut(usize, &mut Device) -> C,
-) -> (Simulation, Vec<ChareId>) {
-    let mut sim = Simulation::new(machine.clone());
-    let base = sim.machine.chare_count();
-    let ids = (0..ranks)
-        .map(|r| {
-            let pe = place_rank(r, ranks, machine.nodes, machine.pes_per_node, placement);
-            let dev = sim.machine.pe_device(pe);
-            let device = &mut sim.machine.devices[dev.0];
-            let chare = make(r, device);
-            device.assert_memory_fits();
-            let id = sim.machine.create_chare(pe, Box::new(chare));
-            assert_eq!(id, ChareId(base + r), "rank {r} got a foreign chare id");
-            id
-        })
-        .collect();
-    (sim, ids)
 }
 
 /// Read the first `len` elements of `buf` on the device of the PE

@@ -445,6 +445,34 @@ impl Machine {
         id
     }
 
+    /// Create a chare array: `n` chares in index order, chare `i` on PE
+    /// `pe_of(i)`, built by `make(i, device)` with that PE's device so it
+    /// can allocate its buffers and streams there. The chares take
+    /// consecutive ids from [`Machine::chare_count`]; returns them in
+    /// index order. Then checks every device's memory once: a device
+    /// allocated past its capacity panics "over capacity", the one limit
+    /// a config's own rules cannot foresee, since a footprint depends on
+    /// how the app places its chares.
+    pub fn create_chares<C: Chare>(
+        &mut self,
+        n: usize,
+        mut pe_of: impl FnMut(usize) -> usize,
+        mut make: impl FnMut(usize, &mut Device) -> C,
+    ) -> Vec<ChareId> {
+        let ids = (0..n)
+            .map(|i| {
+                let pe = pe_of(i);
+                let dev = self.pe_device(pe);
+                let chare = make(i, &mut self.devices[dev.0]);
+                self.create_chare(pe, Box::new(chare))
+            })
+            .collect();
+        for d in &self.devices {
+            d.assert_memory_fits();
+        }
+        ids
+    }
+
     /// Borrow a chare's state (for post-run inspection). Panics if the
     /// chare is currently executing.
     pub fn chare(&self, id: ChareId) -> &dyn Chare {
@@ -457,12 +485,13 @@ impl Machine {
         c.downcast_ref::<T>().expect("chare type mismatch")
     }
 
-    /// Mutable access to a chare's state during setup (before the
-    /// simulation runs) — e.g. to hand it buffers or channel ends.
-    pub fn chare_for_setup(&mut self, id: ChareId) -> &mut dyn std::any::Any {
-        self.chares[id.0]
+    /// Mutable downcast during setup (before the simulation runs), e.g.
+    /// to hand a chare its channel ends.
+    pub fn chare_mut<T: Chare>(&mut self, id: ChareId) -> &mut T {
+        let c: &mut dyn std::any::Any = self.chares[id.0]
             .as_deref_mut()
-            .expect("chare not executing")
+            .expect("chare not executing");
+        c.downcast_mut::<T>().expect("chare type mismatch")
     }
 
     /// Deliver `env` to `chare` at simulation start (used by drivers to
@@ -1166,12 +1195,7 @@ mod tests {
             }),
         );
         // wire a -> b
-        {
-            let a_ref = s.machine.chares[a.0].as_mut().expect("a");
-            // Downcast through Any to set the peer.
-            let any = a_ref.as_mut() as &mut dyn std::any::Any;
-            any.downcast_mut::<Ping>().expect("ping").peer = Some(b);
-        }
+        s.machine.chare_mut::<Ping>(a).peer = Some(b);
         (s, a, b)
     }
 
@@ -1460,6 +1484,63 @@ mod tests {
         }
         s.run();
         assert_eq!(s.machine.chare_as::<Root>(root).got, Some(10.0));
+    }
+
+    /// A chare that records which index and device the builder gave it.
+    #[derive(Clone)]
+    struct Made {
+        index: usize,
+        device: DeviceId,
+    }
+    impl Chare for Made {
+        fn receive(&mut self, _ctx: &mut Ctx<'_>, _env: Envelope) {}
+    }
+
+    #[test]
+    fn chare_array_takes_consecutive_ids_on_the_named_pes() {
+        let mut s = Simulation::new(MachineConfig::validation(1, 3));
+        for _ in 0..2 {
+            s.machine
+                .create_chare(0, Box::new(Recorder { order: vec![] }));
+        }
+        let pe_of = |i: usize| (2 * i + 1) % 3;
+        let ids = s.machine.create_chares(4, pe_of, |index, device| {
+            device.mem.alloc(gaat_gpu::Space::Device, 8, false);
+            Made {
+                index,
+                device: device.id,
+            }
+        });
+        assert_eq!(ids, (2..6).map(ChareId).collect::<Vec<_>>());
+        for (i, &id) in ids.iter().enumerate() {
+            let pe = s.machine.pe_of(id);
+            assert_eq!(pe, pe_of(i));
+            let c = s.machine.chare_as::<Made>(id);
+            assert_eq!((c.index, c.device), (i, s.machine.pe_device(pe)));
+        }
+        // PEs 1, 0, 2, 1: two chares' buffers on device 1.
+        let bytes: Vec<u64> = s.machine.devices.iter().map(|d| d.device_bytes()).collect();
+        assert_eq!(bytes, [64, 128, 64]);
+    }
+
+    #[test]
+    #[should_panic(expected = "over capacity")]
+    fn chare_array_past_device_memory_panics() {
+        let mut s = Simulation::new(MachineConfig::validation(1, 2));
+        let cap = s.machine.devices[0].timing.mem_capacity as usize;
+        s.machine.create_chares(
+            2,
+            |i| i,
+            |_, device| {
+                device
+                    .mem
+                    .alloc(gaat_gpu::Space::Device, cap / 8 + 1, false);
+                Made {
+                    index: 0,
+                    device: device.id,
+                }
+            },
+        );
     }
 
     #[test]

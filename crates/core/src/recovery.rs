@@ -226,15 +226,22 @@ fn lb_tick(m: &mut Machine, sim: &mut Sim<Machine>, round: u64) {
         *e = (ei + ((ri - ei) >> 1)) as u64;
         *recent = 0;
     }
-    // Sensors: link heat from the fabric, retry distress from the
-    // transport. Pure reads — polling cannot perturb the run.
-    let heat = m.fabric.heat(now);
+    // Sensors: the hottest link and fault counters from the fabric,
+    // retry distress from the transport. Pure reads — polling cannot
+    // perturb the run. A link at utilization ≥ 1 has a backlog.
+    let net = m.fabric.stats_at(now);
     if r.await_after {
-        r.stats.last_util_after = heat.max_link_utilization;
+        r.stats.last_util_after = net.max_link_utilization;
         r.await_after = false;
     }
     let ucx = m.ucx.stats();
-    let distressed = heat.distressed() || ucx.retransmits > 0 || ucx.timeouts > 0;
+    let distressed = net.max_link_utilization >= 1.0
+        || net.retransmits > 0
+        || net.failovers > 0
+        || net.link_faults > 0
+        || net.flow_aborts > 0
+        || ucx.retransmits > 0
+        || ucx.timeouts > 0;
     let t0 = std::time::Instant::now();
     let plan = m.lb_plan(now, distressed);
     m.recovery.stats.plan_host_ns += t0.elapsed().as_nanos() as u64;
@@ -257,7 +264,7 @@ fn lb_tick(m: &mut Machine, sim: &mut Sim<Machine>, round: u64) {
         let r = &mut m.recovery;
         r.stats.applied += 1;
         r.stats.migrations += plan.moves.len() as u64;
-        r.stats.last_util_before = heat.max_link_utilization;
+        r.stats.last_util_before = net.max_link_utilization;
         r.await_after = true;
     } else {
         m.recovery.stats.declined += 1;

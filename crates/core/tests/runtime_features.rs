@@ -152,16 +152,8 @@ fn channel_sequences_stay_matched_over_many_rounds() {
         }),
     );
     let (ea, eb) = create_channel(&mut sim.machine, a, b);
-    sim.machine
-        .chare_for_setup(a)
-        .downcast_mut::<ChannelIterator>()
-        .expect("chare")
-        .end = Some(ea);
-    sim.machine
-        .chare_for_setup(b)
-        .downcast_mut::<ChannelIterator>()
-        .expect("chare")
-        .end = Some(eb);
+    sim.machine.chare_mut::<ChannelIterator>(a).end = Some(ea);
+    sim.machine.chare_mut::<ChannelIterator>(b).end = Some(eb);
     {
         let Simulation { sim, machine, .. } = &mut sim;
         machine.inject(sim, a, Envelope::empty(E_GO));

@@ -14,10 +14,12 @@
 //!   sensitivity under spine contention.
 //!
 //! Both are [`gaat_rt::App`]s, on [`TrainShared`] and [`MoeShared`],
-//! and both stand on gaat-coll's rank scaffold ([`gaat_coll::rank`]):
-//! it places the rank chares, and its `validate` holds the config rules
-//! every rank run shares. Their configs fail with gaat-coll's
-//! [`ConfigError`].
+//! and both stand on gaat-coll's rank scaffold ([`gaat_coll::rank`]),
+//! whose `validate` holds the config rules every rank run shares. Each
+//! creates one chare per rank on [`gaat_coll::plan::place_rank`]'s PE
+//! with [`gaat_rt::Machine::create_chares`] and wires its members with
+//! [`gaat_coll::member::wire_members`]. Their configs fail with
+//! gaat-coll's [`ConfigError`].
 
 #![warn(missing_docs)]
 

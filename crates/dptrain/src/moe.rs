@@ -15,8 +15,8 @@
 
 use std::sync::Arc;
 
-use gaat_coll::member::{CollEntries, CollMember, MemberEvent, MemberStats};
-use gaat_coll::plan::{alltoallv_plan, CollPlan, RankPlacement};
+use gaat_coll::member::{wire_members, CollEntries, CollMember, MemberEvent, MemberStats};
+use gaat_coll::plan::{alltoallv_plan, place_rank, CollPlan, RankPlacement};
 use gaat_coll::rank::{self, E_START};
 use gaat_coll::reference::mix64;
 use gaat_gpu::Space;
@@ -338,67 +338,74 @@ impl App for MoeShared {
             sent: E_SENT,
             reduced: E_REDUCED,
         };
-        let (mut sim, ids) = rank::place(&cfg.machine, ranks, cfg.placement, |r, device| {
-            let in_len = sh.dispatch.in_elems[r];
-            let expert_elems = sh.dispatch.out_elems[r];
-            let disp_in = device.mem.alloc(Space::Device, in_len.max(1), real);
-            let disp_out = device.mem.alloc(Space::Device, expert_elems.max(1), real);
-            let exp_out = device.mem.alloc(Space::Device, expert_elems.max(1), real);
-            let comb_out = device
-                .mem
-                .alloc(Space::Device, sh.combine.out_elems[r].max(1), real);
-            let stream = device.create_stream(2);
-            let dispatch = CollMember::new(
-                r,
-                sh.dispatch.members[r].clone(),
-                true,
-                disp_in,
-                0,
-                Some(disp_out),
-                0,
-                stream,
-                entries,
-                DISPATCH,
-                device,
-                real,
-            );
-            let combine = CollMember::new(
-                r,
-                sh.combine.members[r].clone(),
-                true,
-                exp_out,
-                0,
-                Some(comb_out),
-                0,
-                stream,
-                entries,
-                COMBINE,
-                device,
-                real,
-            );
-            if real && in_len > 0 {
-                let vals = dispatch_layout(cfg, ranks, r);
-                device
-                    .mem
-                    .write(BufRange::new(disp_in, 0, vals.len()), &vals);
-            }
-            MoeChare {
-                rank: r,
-                disp_out,
-                exp_out,
-                expert_elems,
-                stream,
-                dispatch,
-                combine,
-                comb_out,
-                clock: RunClock::new(cfg.rounds, cfg.warmup),
-            }
+        let mut sim = Simulation::new(cfg.machine.clone());
+        let m = &cfg.machine;
+        let ids = sim.machine.create_chares(
+            ranks,
+            |r| place_rank(r, ranks, m.nodes, m.pes_per_node, cfg.placement),
+            |r, device| {
+                let in_len = sh.dispatch.in_elems[r];
+                let expert_elems = sh.dispatch.out_elems[r];
+                let disp_in = device.mem.alloc(Space::Device, in_len.max(1), real);
+                let disp_out = device.mem.alloc(Space::Device, expert_elems.max(1), real);
+                let exp_out = device.mem.alloc(Space::Device, expert_elems.max(1), real);
+                let comb_out =
+                    device
+                        .mem
+                        .alloc(Space::Device, sh.combine.out_elems[r].max(1), real);
+                let stream = device.create_stream(2);
+                let dispatch = CollMember::new(
+                    r,
+                    sh.dispatch.members[r].clone(),
+                    true,
+                    disp_in,
+                    0,
+                    Some(disp_out),
+                    0,
+                    stream,
+                    entries,
+                    DISPATCH,
+                    device,
+                    real,
+                );
+                let combine = CollMember::new(
+                    r,
+                    sh.combine.members[r].clone(),
+                    true,
+                    exp_out,
+                    0,
+                    Some(comb_out),
+                    0,
+                    stream,
+                    entries,
+                    COMBINE,
+                    device,
+                    real,
+                );
+                if real && in_len > 0 {
+                    let vals = dispatch_layout(cfg, ranks, r);
+                    device
+                        .mem
+                        .write(BufRange::new(disp_in, 0, vals.len()), &vals);
+                }
+                MoeChare {
+                    rank: r,
+                    disp_out,
+                    exp_out,
+                    expert_elems,
+                    stream,
+                    dispatch,
+                    combine,
+                    comb_out,
+                    clock: RunClock::new(cfg.rounds, cfg.warmup),
+                }
+            },
+        );
+        wire_members(&mut sim.machine, &ids, &sh.dispatch, |c: &mut MoeChare| {
+            &mut c.dispatch
         });
-        gaat_coll::member::wire_members(&mut sim.machine, &ids, &sh.dispatch, |any| {
-            &mut any.downcast_mut::<MoeChare>().expect("moe chare").dispatch
-        });
-        gaat_coll::member::wire_members(&mut sim.machine, &ids, &sh.combine, |any| {
-            &mut any.downcast_mut::<MoeChare>().expect("moe chare").combine
+        wire_members(&mut sim.machine, &ids, &sh.combine, |c: &mut MoeChare| {
+            &mut c.combine
         });
         (sim, ids, sh)
     }

@@ -17,9 +17,10 @@
 
 use std::sync::Arc;
 
-use gaat_coll::member::{CollEntries, CollMember, MemberEvent, MemberStats};
+use gaat_coll::member::{wire_members, CollEntries, CollMember, MemberEvent, MemberStats};
 use gaat_coll::plan::{
-    even_split, plan, ring_lanes, tree_lanes, Algorithm, CollOp, CollPlan, RankPlacement,
+    even_split, place_rank, plan, ring_lanes, tree_lanes, Algorithm, CollOp, CollPlan,
+    RankPlacement,
 };
 use gaat_coll::rank::{self, E_START};
 use gaat_coll::reference;
@@ -348,53 +349,59 @@ impl App for TrainShared {
             sent: E_SENT,
             reduced: E_REDUCED,
         };
-        let (mut sim, ids) = rank::place(&cfg.machine, ranks, cfg.placement, |r, device| {
-            let w = device.mem.alloc(Space::Device, cfg.params, real);
-            let g = device.mem.alloc(Space::Device, cfg.params, real);
-            let compute = device.create_stream(1);
-            let comm = device.create_stream(2);
-            let members: Vec<CollMember> = (0..cfg.buckets)
-                .map(|b| {
-                    let (bo, _) = even_split(cfg.params, cfg.buckets, b);
-                    CollMember::new(
-                        r,
-                        sh.plans[b].members[r].clone(),
-                        false,
-                        g,
-                        bo,
-                        None,
-                        0,
-                        comm,
-                        entries,
-                        (b as u64) << 16,
-                        device,
-                        real,
-                    )
-                })
-                .collect();
-            if real {
-                let vals: Vec<f64> = (0..cfg.params).map(init_weight).collect();
-                device.mem.write(BufRange::new(w, 0, cfg.params), &vals);
-            }
-            TrainChare {
-                sh: sh.clone(),
-                rank: r,
-                w,
-                g,
-                compute,
-                members,
-                bwd_ready: 0,
-                buckets_done: 0,
-                clock: RunClock::new(cfg.steps, cfg.warmup),
-            }
-        });
+        let mut sim = Simulation::new(cfg.machine.clone());
+        let m = &cfg.machine;
+        let ids = sim.machine.create_chares(
+            ranks,
+            |r| place_rank(r, ranks, m.nodes, m.pes_per_node, cfg.placement),
+            |r, device| {
+                let w = device.mem.alloc(Space::Device, cfg.params, real);
+                let g = device.mem.alloc(Space::Device, cfg.params, real);
+                let compute = device.create_stream(1);
+                let comm = device.create_stream(2);
+                let members: Vec<CollMember> = (0..cfg.buckets)
+                    .map(|b| {
+                        let (bo, _) = even_split(cfg.params, cfg.buckets, b);
+                        CollMember::new(
+                            r,
+                            sh.plans[b].members[r].clone(),
+                            false,
+                            g,
+                            bo,
+                            None,
+                            0,
+                            comm,
+                            entries,
+                            (b as u64) << 16,
+                            device,
+                            real,
+                        )
+                    })
+                    .collect();
+                if real {
+                    let vals: Vec<f64> = (0..cfg.params).map(init_weight).collect();
+                    device.mem.write(BufRange::new(w, 0, cfg.params), &vals);
+                }
+                TrainChare {
+                    sh: sh.clone(),
+                    rank: r,
+                    w,
+                    g,
+                    compute,
+                    members,
+                    bwd_ready: 0,
+                    buckets_done: 0,
+                    clock: RunClock::new(cfg.steps, cfg.warmup),
+                }
+            },
+        );
         for b in 0..cfg.buckets {
-            gaat_coll::member::wire_members(&mut sim.machine, &ids, &sh.plans[b], |any| {
-                &mut any
-                    .downcast_mut::<TrainChare>()
-                    .expect("train chare")
-                    .members[b]
-            });
+            wire_members(
+                &mut sim.machine,
+                &ids,
+                &sh.plans[b],
+                |c: &mut TrainChare| &mut c.members[b],
+            );
         }
         (sim, ids, sh)
     }

@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use gaat_gpu::{CudaEventId, Device, GpuTimingModel, GraphBuilder, NodeIndex};
+use gaat_gpu::{CudaEventId, Device, GraphBuilder, NodeIndex};
 use gaat_rt::{
     create_channel, App, BufRange, Callback, ChannelEnd, Chare, ChareId, Ctx, DeviceId, EntryId,
     Envelope, GraphId, KernelSpec, MemLoc, Op, Outcome, RunClock, Simulation, StreamId, Timing,
@@ -527,63 +527,59 @@ impl Owner for BlockChare {
 
 /// Like [`build`], but constructing the application inside a
 /// caller-provided simulation, so a caller can time `Simulation::new`
-/// and the application build apart. The simulation must have been built
-/// from `cfg.machine` (same shape, seed, and fault plan). Panics with
-/// the [`ConfigError`] text if `cfg` fails
-/// [`JacobiConfig::validate`].
+/// and the application build apart. Panics with the [`ConfigError`]
+/// text if `cfg` fails [`JacobiConfig::validate`], and if the
+/// simulation was not built from `cfg.machine` (same shape, seed and
+/// fault plan).
 pub fn build_in(mut sim: Simulation, cfg: JacobiConfig) -> (Simulation, Vec<ChareId>, Arc<Shared>) {
     cfg.validate().unwrap_or_else(|e| panic!("{e}"));
-    debug_assert_eq!(sim.machine.cfg.total_pes(), cfg.machine.total_pes());
+    assert_eq!(
+        sim.machine.cfg, cfg.machine,
+        "build_in needs a simulation built from cfg.machine"
+    );
     let pes = cfg.machine.total_pes();
     let nblocks = pes * cfg.odf;
     let norm_reducer = sim.machine.create_reducer();
-    let base = sim.machine.chare_count();
-    let ids: Vec<ChareId> = (0..nblocks).map(|i| ChareId(base + i)).collect();
     let sh = Arc::new(Shared {
         cfg: cfg.clone(),
         decomp: Decomp::new(cfg.global, nblocks),
         norm_reducer,
-        root: ids[0],
+        root: ChareId(sim.machine.chare_count()),
         nblocks,
     });
 
-    for (bi, &id) in ids.iter().enumerate() {
-        let pe = place_chare(bi, nblocks, pes, cfg.placement);
-        let dev = sim.machine.pe_device(pe);
-        let t = &sim.machine.cfg.gpu;
-        let device = &mut sim.machine.devices[dev.0];
-        let block = Block::new(&cfg, &sh.decomp, bi, &mut device.mem);
-        let gpu = Streams::create(&cfg, device, &block.faces);
-        let (graphs, graph_update_specs) = if cfg.graphs {
-            let (graphs, specs) = build_graphs(&cfg, &block, t, device);
-            let keep = cfg.graph_strategy == GraphStrategy::UpdateParams;
-            (Some(graphs), keep.then_some(specs))
-        } else {
-            (None, None)
-        };
-        let chare = BlockChare {
-            sh: sh.clone(),
-            block,
-            channels: Default::default(),
-            gpu,
-            graphs,
-            graph_update_specs,
-            clock: RunClock::new(cfg.iters, cfg.warmup),
-            arrived: 0,
-            sends_done: 0,
-            pending: WhenSet::new(),
-            dev,
-            resume: None,
-            norm_result: None,
-        };
-        assert_eq!(sim.machine.create_chare(pe, Box::new(chare)), id);
-    }
-
-    // Checked here rather than in `JacobiConfig::validate`: a device's
-    // footprint depends on how this runtime places blocks on it.
-    for d in &sim.machine.devices {
-        d.assert_memory_fits();
-    }
+    // A device's footprint depends on how this runtime places blocks on
+    // it, so `create_chares` checks memory rather than `validate`.
+    let ids = sim.machine.create_chares(
+        nblocks,
+        |bi| place_chare(bi, nblocks, pes, cfg.placement),
+        |bi, device| {
+            let block = Block::new(&cfg, &sh.decomp, bi, &mut device.mem);
+            let gpu = Streams::create(&cfg, device, &block.faces);
+            let (graphs, graph_update_specs) = if cfg.graphs {
+                let (graphs, specs) = build_graphs(&cfg, &block, device);
+                let keep = cfg.graph_strategy == GraphStrategy::UpdateParams;
+                (Some(graphs), keep.then_some(specs))
+            } else {
+                (None, None)
+            };
+            BlockChare {
+                sh: sh.clone(),
+                block,
+                channels: Default::default(),
+                gpu,
+                graphs,
+                graph_update_specs,
+                clock: RunClock::new(cfg.iters, cfg.warmup),
+                arrived: 0,
+                sends_done: 0,
+                pending: WhenSet::new(),
+                dev: device.id,
+                resume: None,
+                norm_result: None,
+            }
+        },
+    );
 
     if cfg.machine.migrates() {
         sim.machine.set_recovery_resume(ids.clone(), E_RESUME);
@@ -598,19 +594,14 @@ pub fn build_in(mut sim: Simulation, cfg: JacobiConfig) -> (Simulation, Vec<Char
                     continue;
                 };
                 let (ea, eb) = create_channel(&mut sim.machine, id, ids[b]);
-                set_channel(&mut sim.machine, id, f, ea);
-                set_channel(&mut sim.machine, ids[b], f.opposite(), eb);
+                sim.machine.chare_mut::<BlockChare>(id).channels[f.index()] = Some(ea);
+                sim.machine.chare_mut::<BlockChare>(ids[b]).channels[f.opposite().index()] =
+                    Some(eb);
             }
         }
     }
 
     (sim, ids, sh)
-}
-
-fn set_channel(m: &mut gaat_rt::Machine, id: ChareId, f: Face, end: ChannelEnd) {
-    let any = m.chare_for_setup(id);
-    let block = any.downcast_mut::<BlockChare>().expect("block chare");
-    block.channels[f.index()] = Some(end);
 }
 
 /// Capture the two per-parity iteration graphs for a block, returning the
@@ -620,12 +611,12 @@ fn set_channel(m: &mut gaat_rt::Machine, id: ChareId, f: Face, end: ChannelEnd) 
 fn build_graphs(
     cfg: &JacobiConfig,
     block: &Block,
-    t: &GpuTimingModel,
     device: &mut Device,
 ) -> ([GraphId; 2], [Vec<KernelSpec>; 2]) {
     let mut graphs = [GraphId(0); 2];
     let mut all_specs: [Vec<KernelSpec>; 2] = [Vec::new(), Vec::new()];
     for (p, specs) in all_specs.iter_mut().enumerate() {
+        let t = &device.timing;
         let mut b = GraphBuilder::new();
         let mut add = |spec: KernelSpec, class: usize, deps: &[NodeIndex]| {
             specs.push(spec.clone());
@@ -748,5 +739,16 @@ mod tests {
             cells += n;
         }
         assert_eq!(cells, 6 * 6 * 6);
+    }
+
+    /// A world built from another machine, here one that differs only
+    /// in its seed, is refused in every build profile.
+    #[test]
+    #[should_panic(expected = "build_in needs a simulation built from cfg.machine")]
+    fn build_in_refuses_a_foreign_machine() {
+        let cfg = JacobiConfig::new(MachineConfig::validation(1, 2), Dims::cube(6));
+        let mut other = cfg.machine.clone();
+        other.seed += 1;
+        build_in(Simulation::new(other), cfg);
     }
 }

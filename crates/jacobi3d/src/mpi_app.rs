@@ -226,37 +226,18 @@ impl App for MpiShared {
             decomp: Decomp::new(cfg.global, nranks),
         });
 
-        // Pre-allocate per-rank GPU resources (the factory below cannot
-        // touch the machine while `create_ranks` holds it).
-        let mut pre: Vec<Option<(Block, StreamId)>> = (0..nranks)
-            .map(|rank| {
-                let device = &mut sim.machine.devices[rank / cfg.virtual_ranks];
-                let block = Block::new(&cfg, &sh.decomp, rank, &mut device.mem);
-                Some((block, device.create_stream(1)))
-            })
-            .collect();
-
-        // Checked here rather than in `validate`: a device's footprint
-        // depends on how this runtime places ranks on it.
-        for d in &sim.machine.devices {
-            d.assert_memory_fits();
-        }
-
-        let sh2 = sh.clone();
-        let ids = gaat_mpi::create_ranks(
-            &mut sim,
+        // A device's footprint depends on how this runtime places ranks
+        // on it, so `create_chares` checks memory rather than `validate`.
+        let first = ChareId(sim.machine.chare_count());
+        let ids = sim.machine.create_chares(
             nranks,
-            cfg.virtual_ranks,
-            E_REQ,
-            move |rank, mpi| {
-                let (block, stream) = pre[rank].take().expect("one factory call per rank");
-                JacobiRank {
-                    mpi,
-                    sh: sh2.clone(),
-                    block,
-                    stream,
-                    clock: RunClock::new(sh2.cfg.iters, sh2.cfg.warmup),
-                }
+            |r| r / cfg.virtual_ranks,
+            |r, device| JacobiRank {
+                mpi: Mpi::new(r, nranks, first, E_REQ),
+                sh: sh.clone(),
+                block: Block::new(&cfg, &sh.decomp, r, &mut device.mem),
+                stream: device.create_stream(1),
+                clock: RunClock::new(cfg.iters, cfg.warmup),
             },
         );
         (sim, ids, sh)
@@ -264,7 +245,10 @@ impl App for MpiShared {
 
     /// Every rank's start entry, injected rank by rank.
     fn start(&self, sim: &mut Simulation, ids: &[ChareId]) {
-        gaat_mpi::start_all(sim, ids, E_START);
+        let Simulation { sim, machine } = sim;
+        for &r in ids {
+            machine.inject(sim, r, Envelope::empty(E_START));
+        }
     }
 
     fn clock(r: &JacobiRank) -> &RunClock {

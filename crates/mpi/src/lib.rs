@@ -6,7 +6,9 @@
 //! the task runtime.
 //!
 //! Ranks are implemented as chares pinned one per PE (the paper's
-//! configuration: one MPI process per CPU core + GPU). Because processes
+//! configuration: one MPI process per CPU core + GPU), created as one
+//! chare array by [`gaat_rt::Machine::create_chares`], so rank `r` is
+//! chare `first + r`. Because processes
 //! cannot literally block in a discrete-event world, a rank is written as
 //! a state machine: `wait_all` registers a continuation entry that fires
 //! when every outstanding request completes. While waiting, the rank
@@ -21,9 +23,8 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use gaat_rt::{Callback, Chare, ChareId, Ctx, EntryId, Envelope, MemLoc, Simulation};
+use gaat_rt::{Callback, ChareId, Ctx, EntryId, Envelope, MemLoc};
 use gaat_sim::SimDuration;
 use gaat_ucx::Tag;
 
@@ -38,7 +39,8 @@ pub struct Mpi {
     pub rank: usize,
     /// Communicator size.
     pub size: usize,
-    ranks: Arc<Vec<ChareId>>,
+    /// The chare of rank 0; rank `r` is chare `first + r`.
+    first: ChareId,
     req_entry: EntryId,
     next_req: u64,
     outstanding: HashMap<u64, bool>,
@@ -55,20 +57,24 @@ struct Waiting {
 }
 
 impl Mpi {
-    /// State for rank `rank` of `size`, where `ranks` maps rank → chare
-    /// and `req_entry` is the entry id the application routes to
-    /// [`Mpi::on_request_done`].
-    pub fn new(rank: usize, ranks: Arc<Vec<ChareId>>, req_entry: EntryId) -> Self {
+    /// State for rank `rank` of `size`, whose ranks are the consecutive
+    /// chares from `first` on, and where `req_entry` is the entry id the
+    /// application routes to [`Mpi::on_request_done`].
+    pub fn new(rank: usize, size: usize, first: ChareId, req_entry: EntryId) -> Self {
         Mpi {
             rank,
-            size: ranks.len(),
-            ranks,
+            size,
+            first,
             req_entry,
             next_req: 0,
             outstanding: HashMap::new(),
             wait: None,
             call_cost: SimDuration::from_ns(400),
         }
+    }
+
+    fn chare_of(&self, rank: usize) -> ChareId {
+        ChareId(self.first.0 + rank)
     }
 
     fn new_request(&mut self) -> Request {
@@ -84,7 +90,7 @@ impl Mpi {
         ctx.compute(self.call_cost);
         let req = self.new_request();
         let me = ctx.me();
-        let dst_pe = ctx.machine.pe_of(self.ranks[dst]);
+        let dst_pe = ctx.machine.pe_of(self.chare_of(dst));
         let cb = Callback::to_ref(me, self.req_entry, req.0);
         ctx.ucx_isend(dst_pe, mpi_tag(self.rank, tag), loc, cb);
         req
@@ -95,7 +101,7 @@ impl Mpi {
         ctx.compute(self.call_cost);
         let req = self.new_request();
         let me = ctx.me();
-        let src_pe = ctx.machine.pe_of(self.ranks[src]);
+        let src_pe = ctx.machine.pe_of(self.chare_of(src));
         let cb = Callback::to_ref(me, self.req_entry, req.0);
         ctx.ucx_irecv(src_pe, mpi_tag(src, tag), loc, cb);
         req
@@ -160,57 +166,48 @@ fn mpi_tag(src_rank: usize, tag: u64) -> Tag {
     Tag((1u64 << 62) | ((src_rank as u64) << 20) | tag)
 }
 
-/// Build `n` ranks (round-robin `ranks_per_pe` per PE; 1 = classic MPI,
-/// more than one = AMPI-style virtualization) from a factory that
-/// receives `(rank, mpi_state)`.
-pub fn create_ranks<F, R>(
-    sim: &mut Simulation,
-    n: usize,
-    ranks_per_pe: usize,
-    req_entry: EntryId,
-    mut factory: F,
-) -> Vec<ChareId>
-where
-    F: FnMut(usize, Mpi) -> R,
-    R: Chare,
-{
-    assert!(ranks_per_pe >= 1);
-    let pes = sim.machine.pes.len();
-    assert!(
-        n <= pes * ranks_per_pe,
-        "{n} ranks need more than {pes} PEs x {ranks_per_pe}"
-    );
-    // Reserve ids first so every rank knows the full mapping.
-    let base = sim.machine.chare_count();
-    let ids: Arc<Vec<ChareId>> = Arc::new((0..n).map(|i| ChareId(base + i)).collect());
-    let mut out = Vec::with_capacity(n);
-    for rank in 0..n {
-        let pe = rank / ranks_per_pe;
-        let mpi = Mpi::new(rank, ids.clone(), req_entry);
-        let id = sim.machine.create_chare(pe, Box::new(factory(rank, mpi)));
-        assert_eq!(id, ids[rank], "chare ids must match reservation");
-        out.push(id);
-    }
-    out
-}
-
-/// Convenience: start every rank by injecting `entry` at time zero.
-pub fn start_all(sim: &mut Simulation, ranks: &[ChareId], entry: EntryId) {
-    let Simulation { sim, machine, .. } = sim;
-    for &r in ranks {
-        machine.inject(sim, r, Envelope::empty(entry));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gaat_rt::{MachineConfig, Space};
+    use gaat_gpu::Device;
+    use gaat_rt::{Chare, MachineConfig, Simulation, Space};
     use gaat_sim::RunOutcome;
 
     const E_START: EntryId = EntryId(0);
     const E_REQ: EntryId = EntryId(1);
     const E_DONE: EntryId = EntryId(2);
+
+    /// `n` ranks, `ranks_per_pe` per PE in rank order (more than one is
+    /// AMPI-style virtualization), rank `r` built by `make(mpi, device)`.
+    fn rank_array<C: Chare>(
+        sim: &mut Simulation,
+        n: usize,
+        ranks_per_pe: usize,
+        mut make: impl FnMut(Mpi, &mut Device) -> C,
+    ) -> Vec<ChareId> {
+        let first = ChareId(sim.machine.chare_count());
+        sim.machine.create_chares(
+            n,
+            |r| r / ranks_per_pe,
+            |r, device| make(Mpi::new(r, n, first, E_REQ), device),
+        )
+    }
+
+    /// Inject every rank's start at time zero.
+    fn start_ranks(sim: &mut Simulation, ranks: &[ChareId]) {
+        let Simulation { sim, machine, .. } = sim;
+        for &r in ranks {
+            machine.inject(sim, r, Envelope::empty(E_START));
+        }
+    }
+
+    /// A `len`-element real host buffer on `device`.
+    fn host_buf(device: &mut Device, len: usize) -> MemLoc {
+        MemLoc {
+            device: device.id,
+            range: gaat_rt::BufRange::whole(device.mem.alloc_real(Space::Host, len), len),
+        }
+    }
 
     /// Rank program: exchange a buffer with the partner rank and record
     /// completion time.
@@ -242,38 +239,26 @@ mod tests {
     fn build_exchange(nodes: usize, pes: usize, ranks_per_pe: usize) -> (Simulation, Vec<ChareId>) {
         let mut sim = Simulation::new(MachineConfig::validation(nodes, pes));
         let n = nodes * pes * ranks_per_pe;
-        let ranks = create_ranks(&mut sim, n, ranks_per_pe, E_REQ, |_r, mpi| Exchange {
-            mpi,
-            sbuf: None,
-            rbuf: None,
-            finished_at: None,
+        let ranks = rank_array(&mut sim, n, ranks_per_pe, |mpi, device| {
+            let sbuf = host_buf(device, 128);
+            device.mem.write(
+                gaat_rt::BufRange::whole(sbuf.range.buf, 1),
+                &[mpi.rank as f64 + 1.0],
+            );
+            Exchange {
+                mpi,
+                sbuf: Some(sbuf),
+                rbuf: Some(host_buf(device, 128)),
+                finished_at: None,
+            }
         });
-        // Allocate buffers and poke them into the rank chares.
-        for (i, &id) in ranks.iter().enumerate() {
-            let pe = sim.machine.pe_of(id);
-            let dev = sim.machine.pe_device(pe);
-            let sbuf = sim.machine.devices[dev.0].mem.alloc_real(Space::Host, 128);
-            let rbuf = sim.machine.devices[dev.0].mem.alloc_real(Space::Host, 128);
-            sim.machine.devices[dev.0]
-                .mem
-                .write(gaat_rt::BufRange::whole(sbuf, 1), &[i as f64 + 1.0]);
-            let loc = |b| MemLoc {
-                device: dev,
-                range: gaat_rt::BufRange::whole(b, 128),
-            };
-            // Direct state surgery during setup (chares are not running).
-            let any: &mut dyn std::any::Any = sim.machine.chare_for_setup(id);
-            let ex = any.downcast_mut::<Exchange>().expect("type");
-            ex.sbuf = Some(loc(sbuf));
-            ex.rbuf = Some(loc(rbuf));
-        }
         (sim, ranks)
     }
 
     #[test]
     fn pairwise_exchange_completes() {
         let (mut sim, ranks) = build_exchange(2, 1, 1);
-        start_all(&mut sim, &ranks, E_START);
+        start_ranks(&mut sim, &ranks);
         assert_eq!(sim.run(), RunOutcome::Drained);
         for &r in &ranks {
             let ex = sim.machine.chare_as::<Exchange>(r);
@@ -297,7 +282,7 @@ mod tests {
         assert_eq!(sim.machine.pe_of(ranks[0]), 0);
         assert_eq!(sim.machine.pe_of(ranks[1]), 0);
         assert_eq!(sim.machine.pe_of(ranks[3]), 1);
-        start_all(&mut sim, &ranks, E_START);
+        start_ranks(&mut sim, &ranks);
         assert_eq!(sim.run(), RunOutcome::Drained);
         for &r in &ranks {
             assert!(sim.machine.chare_as::<Exchange>(r).finished_at.is_some());
@@ -322,11 +307,8 @@ mod tests {
             }
         }
         let mut sim = Simulation::new(MachineConfig::validation(1, 1));
-        let ranks = create_ranks(&mut sim, 1, 1, E_REQ, |_r, mpi| Trivial {
-            mpi,
-            done: false,
-        });
-        start_all(&mut sim, &ranks, E_START);
+        let ranks = rank_array(&mut sim, 1, 1, |mpi, _| Trivial { mpi, done: false });
+        start_ranks(&mut sim, &ranks);
         sim.run();
         assert!(sim.machine.chare_as::<Trivial>(ranks[0]).done);
     }
@@ -364,29 +346,13 @@ mod tests {
             }
         }
         let mut sim = Simulation::new(MachineConfig::validation(2, 1));
-        let ranks = create_ranks(&mut sim, 2, 1, E_REQ, |_r, mpi| TwoPhase {
+        let ranks = rank_array(&mut sim, 2, 1, |mpi, device| TwoPhase {
             mpi,
-            sbuf: None,
-            rbuf: None,
+            sbuf: Some(host_buf(device, 8)),
+            rbuf: Some(host_buf(device, 8)),
             phase: 0,
         });
-        for &id in &ranks {
-            let pe = sim.machine.pe_of(id);
-            let dev = sim.machine.pe_device(pe);
-            let sbuf = sim.machine.devices[dev.0].mem.alloc_real(Space::Host, 8);
-            let rbuf = sim.machine.devices[dev.0].mem.alloc_real(Space::Host, 8);
-            let any: &mut dyn std::any::Any = sim.machine.chare_for_setup(id);
-            let tp = any.downcast_mut::<TwoPhase>().expect("type");
-            tp.sbuf = Some(MemLoc {
-                device: dev,
-                range: gaat_rt::BufRange::whole(sbuf, 8),
-            });
-            tp.rbuf = Some(MemLoc {
-                device: dev,
-                range: gaat_rt::BufRange::whole(rbuf, 8),
-            });
-        }
-        start_all(&mut sim, &ranks, E_START);
+        start_ranks(&mut sim, &ranks);
         assert_eq!(sim.run(), RunOutcome::Drained);
         for &r in &ranks {
             let tp = sim.machine.chare_as::<TwoPhase>(r);

@@ -186,40 +186,6 @@ pub struct NetStats {
     pub no_routes: u64,
 }
 
-/// Point-in-time congestion/fault snapshot returned by
-/// [`Fabric::heat`]: the sensor block the adaptive load balancer reads
-/// each LB tick. Counters are cumulative since construction; the
-/// utilization pair describes the hottest link over the horizon passed
-/// to [`Fabric::heat`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct LinkHeat {
-    /// Highest per-link utilization over the queried horizon (0 under
-    /// `Flat`, which has no per-link model).
-    pub max_link_utilization: f64,
-    /// The link holding `max_link_utilization`, if any traffic flowed.
-    pub hottest_link: Option<LinkId>,
-    /// Retransmissions admitted so far (duplicate wire traffic).
-    pub retransmits: u64,
-    /// Admissions detoured around a failed primary spine so far.
-    pub failovers: u64,
-    /// Scheduled link fault events applied so far.
-    pub link_faults: u64,
-    /// In-flight flows aborted by a link going down so far.
-    pub flow_aborts: u64,
-}
-
-impl LinkHeat {
-    /// Whether the fabric shows signs of distress: a link is saturated
-    /// (utilization ≥ 1 means backlog) or faults/retries have occurred.
-    pub fn distressed(&self) -> bool {
-        self.max_link_utilization >= 1.0
-            || self.retransmits > 0
-            || self.failovers > 0
-            || self.link_faults > 0
-            || self.flow_aborts > 0
-    }
-}
-
 /// Outcome of admitting a message into the topology model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Admit {
@@ -494,35 +460,22 @@ impl Fabric {
     /// topology using its traffic horizon as the utilization denominator
     /// (zero under `Flat`).
     pub fn stats(&self) -> NetStats {
+        self.stats_at(self.topo.flows().map_or(SimTime::ZERO, |f| f.settled_at()))
+    }
+
+    /// Statistics so far, with link utilization over `[0, horizon]`.
+    /// The adaptive load balancer polls this once per LB tick. Pure
+    /// read; calling it cannot perturb the simulation.
+    pub fn stats_at(&self, horizon: SimTime) -> NetStats {
         let mut stats = self.stats;
         if let Some(flows) = self.topo.flows() {
-            let summary = flows.congestion(flows.settled_at());
+            let summary = flows.congestion(horizon);
             stats.peak_link_flows = summary.peak_link_flows;
             stats.max_link_utilization = summary.max_link_utilization;
             stats.hottest_link = summary.hottest_link;
             stats.solver = flows.solver_stats();
         }
         stats
-    }
-
-    /// Compact congestion/fault snapshot for closed-loop readers (the
-    /// adaptive load balancer polls this once per LB tick): the hottest
-    /// link over `[0, horizon]` plus the cumulative distress counters —
-    /// retransmits burning bandwidth, failovers and aborts from link
-    /// faults. Pure read; calling it cannot perturb the simulation.
-    pub fn heat(&self, horizon: SimTime) -> LinkHeat {
-        let c = self
-            .topo
-            .flows()
-            .map_or_else(CongestionSummary::default, |f| f.congestion(horizon));
-        LinkHeat {
-            max_link_utilization: c.max_link_utilization,
-            hottest_link: c.hottest_link,
-            retransmits: self.stats.retransmits,
-            failovers: self.stats.failovers,
-            link_faults: self.stats.link_faults,
-            flow_aborts: self.stats.flow_aborts,
-        }
     }
 
     /// Enable or disable per-link busy-span recording into

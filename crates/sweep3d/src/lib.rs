@@ -311,52 +311,46 @@ impl App for SweepShared {
             cfg: cfg.clone(),
             decomp,
         });
-        let base = sim.machine.chare_count();
-        let ids: Vec<ChareId> = (0..nblocks).map(|i| ChareId(base + i)).collect();
-
-        for bi in 0..nblocks {
-            let coord = sh.decomp.coord_of(bi);
-            let dims = sh.decomp.block_dims(coord);
-            let pe = chare_to_pe(bi, nblocks, pes);
-            let dev = sim.machine.pe_device(pe);
-            let device = &mut sim.machine.devices[dev.0];
-            let u = device.mem.alloc(Space::Device, ghosted_len(dims), real);
-            let mut halo_recv = [None; 6];
-            let mut halo_send = [None; 6];
-            let mut up = Vec::new();
-            let mut down = Vec::new();
-            for &f in &UPSTREAM {
-                if sh.decomp.neighbor(coord, f).is_some() {
-                    halo_recv[f.index()] =
-                        Some(device.mem.alloc(Space::Device, f.area(dims), real));
-                    up.push(f);
+        let ids = sim.machine.create_chares(
+            nblocks,
+            |bi| chare_to_pe(bi, nblocks, pes),
+            |bi, device| {
+                let coord = sh.decomp.coord_of(bi);
+                let dims = sh.decomp.block_dims(coord);
+                let u = device.mem.alloc(Space::Device, ghosted_len(dims), real);
+                let mut halo_recv = [None; 6];
+                let mut halo_send = [None; 6];
+                let mut up = Vec::new();
+                let mut down = Vec::new();
+                for &f in &UPSTREAM {
+                    if sh.decomp.neighbor(coord, f).is_some() {
+                        halo_recv[f.index()] =
+                            Some(device.mem.alloc(Space::Device, f.area(dims), real));
+                        up.push(f);
+                    }
                 }
-            }
-            for &f in &DOWNSTREAM {
-                if sh.decomp.neighbor(coord, f).is_some() {
-                    halo_send[f.index()] =
-                        Some(device.mem.alloc(Space::Device, f.area(dims), real));
-                    down.push(f);
+                for &f in &DOWNSTREAM {
+                    if sh.decomp.neighbor(coord, f).is_some() {
+                        halo_send[f.index()] =
+                            Some(device.mem.alloc(Space::Device, f.area(dims), real));
+                        down.push(f);
+                    }
                 }
-            }
-            let comm = device.create_stream(2);
-            device.assert_memory_fits();
-            let block = SweepChare {
-                dims,
-                up,
-                down,
-                channels: Default::default(),
-                u,
-                halo_recv,
-                halo_send,
-                comm,
-                clock: RunClock::new(cfg.sweeps, cfg.warmup),
-                arrived: 0,
-                sends_done: 0,
-            };
-            let id = sim.machine.create_chare(pe, Box::new(block));
-            assert_eq!(id, ChareId(base + bi));
-        }
+                SweepChare {
+                    dims,
+                    up,
+                    down,
+                    channels: Default::default(),
+                    u,
+                    halo_recv,
+                    halo_send,
+                    comm: device.create_stream(2),
+                    clock: RunClock::new(cfg.sweeps, cfg.warmup),
+                    arrived: 0,
+                    sends_done: 0,
+                }
+            },
+        );
 
         // Wire downstream channels (one per +axis neighbour pair).
         for bi in 0..nblocks {
@@ -365,8 +359,9 @@ impl App for SweepShared {
                 if let Some(n) = sh.decomp.neighbor(coord, f) {
                     let ni = sh.decomp.index_of(n);
                     let (ea, eb) = create_channel(&mut sim.machine, ids[bi], ids[ni]);
-                    set_channel(&mut sim.machine, ids[bi], f, ea);
-                    set_channel(&mut sim.machine, ids[ni], f.opposite(), eb);
+                    sim.machine.chare_mut::<SweepChare>(ids[bi]).channels[f.index()] = Some(ea);
+                    sim.machine.chare_mut::<SweepChare>(ids[ni]).channels[f.opposite().index()] =
+                        Some(eb);
                 }
             }
         }
@@ -415,12 +410,6 @@ impl App for SweepShared {
             ..Outcome::default()
         }
     }
-}
-
-fn set_channel(m: &mut gaat_rt::Machine, id: ChareId, f: Face, end: ChannelEnd) {
-    let any = m.chare_for_setup(id);
-    let block = any.downcast_mut::<SweepChare>().expect("sweep chare");
-    block.channels[f.index()] = Some(end);
 }
 
 #[cfg(test)]

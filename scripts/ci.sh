@@ -3,16 +3,18 @@
 # standalone benchmark build, tier-1 and workspace tests (which hold every
 # correctness pin) in release and in the dev profile, the fault-tolerance
 # example (PE-failure recovery must still match the reference solver), the
-# sweep example, profile_run in its three modes (the default single-node
-# profile run twice with byte-identical output; the allreduce and
-# alltoall collectives; an unknown argument and a drop rate that is not
-# a probability must fail), the two README examples (quickstart run twice
-# with byte-identical output, wavefront), a smoke run of every benchmark
-# workload, the figures binary's argument checks (unknown --fig, --effort
-# and --topology values must fail), the quick-figure ledger (every quick
-# figure, the fat-tree Fig 7c, the protocol landscape and the collective
-# tables regenerated and diffed against results/quick/) and the sweep
-# engine's in-process prefix-fork ratio gate.
+# sweep example, profile_run in its four modes (the default single-node
+# profile, the adaptive LB under 1% loss, and the allreduce and alltoall
+# collectives, each run twice with byte-identical output apart from the
+# LB's host latency line; an unknown argument and a drop rate that is
+# not a probability must fail), the two README examples (quickstart and
+# wavefront, each run twice with byte-identical output), a smoke run of
+# every benchmark workload, the figures binary's argument checks
+# (unknown --fig, --effort and --topology values must fail), the
+# quick-figure ledger (every quick figure, the fat-tree Fig 7c, the
+# protocol landscape and the collective tables regenerated and diffed
+# against results/quick/) and the sweep engine's in-process prefix-fork
+# ratio gate.
 # Everything here must pass with no network access.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -61,20 +63,26 @@ echo "==> examples"
 cargo run --release -p gaat --example sweep_run
 # profile_run's default mode is the paper's single-node Nsight-style
 # profile: the per-kernel breakdown and engine timeline come from the
-# device tracer, and two runs must print the same bytes. Under adaptive LB
-# and 1% loss it rolls back four times, so late events meet stale slab
-# keys; the two collective runs drive gaat-coll; an unknown argument and a
-# drop rate that is not a probability must exit non-zero.
+# device tracer. Under adaptive LB and 1% loss it rolls back four times,
+# so late events meet stale slab keys; the two collective runs drive
+# gaat-coll. Each mode runs twice and the two runs must print the same
+# bytes; the LB run passes the same trace path both times (it prints
+# it) and masks its one host-time line, the planner's host latency. An
+# unknown argument and a drop rate that is not a probability must exit
+# non-zero.
 prof_out=$(mktemp -d)
-cargo run --release -p gaat --example profile_run >"$prof_out/a"
-cargo run --release -p gaat --example profile_run >"$prof_out/b"
-diff "$prof_out/a" "$prof_out/b"
-rm -rf "$prof_out"
-trace_out="$(mktemp)"
-cargo run --release -p gaat --example profile_run -- --lb --drop 0.01 --trace-out "$trace_out"
-rm -f "$trace_out"
-cargo run --release -p gaat --example profile_run -- --collective allreduce
-cargo run --release -p gaat --example profile_run -- --collective alltoall
+# Run an example twice and diff the two outputs.
+twice() {
+    for run in a b; do
+        cargo run --release -p gaat --example "$@" \
+            | sed -E 's/^  host latency: .*/  host latency: <host>/' >"$prof_out/$run"
+    done
+    diff "$prof_out/a" "$prof_out/b"
+}
+twice profile_run
+twice profile_run -- --lb --drop 0.01 --trace-out "$prof_out/trace.json"
+twice profile_run -- --collective allreduce
+twice profile_run -- --collective alltoall
 if cargo run --release -p gaat --example profile_run -- --bogus 2>/dev/null; then
     echo "profile_run --bogus must exit non-zero"
     exit 1
@@ -86,14 +94,11 @@ for rate in nan 1.5; do
     fi
 done
 # The README's two examples. quickstart validates every Jacobi3D version
-# against the CPU reference; two runs must print the same bytes, the end
-# to end determinism check.
-qs_out=$(mktemp -d)
-cargo run --release -p gaat --example quickstart >"$qs_out/a"
-cargo run --release -p gaat --example quickstart >"$qs_out/b"
-diff "$qs_out/a" "$qs_out/b"
-rm -rf "$qs_out"
-cargo run --release -p gaat --example wavefront
+# against the CPU reference, wavefront drives Sweep3D; each runs twice
+# and must print the same bytes, the end to end determinism check.
+twice quickstart
+twice wavefront
+rm -rf "$prof_out"
 echo "examples OK"
 
 echo "==> benchmark smoke run"
